@@ -406,12 +406,12 @@ fn e8_interactive_confluence() {
     );
 }
 
-/// E9 — analysis scalability (quick wall-clock sweep; criterion benches
-/// give the rigorous numbers).
+/// E9 — analysis scalability (quick wall-clock sweep; `benchmark/`'s
+/// `analyze_refine` workload gives the repeatable numbers).
 fn e9_scalability() {
     header(
         "E9",
-        "analysis wall time vs rule-set size (single-shot, see benches)",
+        "analysis wall time vs rule-set size (single-shot, see benchmark/)",
     );
     println!("rules  graph(us)  termination(us)  confluence(us)  observable(us)");
     for n in [10usize, 25, 50, 100, 200, 400] {

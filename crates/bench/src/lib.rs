@@ -1,6 +1,5 @@
-//! Shared corpus builders for the Starling benchmarks and the
-//! `experiments` binary (see `EXPERIMENTS.md` at the repository root for
-//! the experiment index E1–E13).
+//! Corpus builders for the `experiments` binary (see `EXPERIMENTS.md` at
+//! the repository root for the experiment index E1–E13).
 
 use starling_analysis::certifications::Certifications;
 use starling_analysis::context::AnalysisContext;
@@ -50,26 +49,9 @@ pub fn build(cfg: &RandomConfig) -> (GeneratedWorkload, RuleSet, AnalysisContext
     (w, rules, ctx)
 }
 
-/// A sparse corpus configuration: many tables, few rules, so rule sets
-/// frequently decompose into independent groups and the strict comparator
-/// criteria accept a meaningful fraction.
-pub fn sparse_config(seed: u64) -> RandomConfig {
-    RandomConfig {
-        n_tables: 10,
-        n_cols: 2,
-        n_rules: 3,
-        max_actions: 1,
-        p_condition: 0.2,
-        p_observable: 0.0,
-        p_priority: 0.3,
-        rows_per_table: 1,
-        seed,
-    }
-}
-
 /// Builds `k` genuinely independent partitions of ~5 rules each by
 /// generating `k` small workloads over disjoint, namespaced table sets
-/// (used by E12 and the incremental bench).
+/// (used by E12).
 pub fn partitioned_context(k: usize) -> AnalysisContext {
     use starling_sql::RuleDef;
     use starling_storage::{Catalog, ColumnDef, TableSchema, ValueType};

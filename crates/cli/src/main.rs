@@ -89,12 +89,6 @@ OPTIONS:
                               not yet completed across all sessions; beyond
                               it requests are refused with an `overloaded`
                               error (default 4096, 0 = unlimited)
-    --threading pool|per-connection
-                              (serve) executor: `pool` (default) multiplexes
-                              all connections over the worker pool;
-                              `per-connection` spawns one thread per
-                              connection (legacy, ignores --workers and
-                              --max-inflight)
     --verify                  (recover) reload stores through a full engine
                               session and cross-check digests
     --seed N                  (fuzz) campaign seed, default 0; same seed ⇒
@@ -421,21 +415,6 @@ fn serve_or_client(command: &str, args: &[String]) -> Result<CmdOutput, String> 
                 cfg.max_inflight = n.parse().map_err(|_| {
                     format!("bad --max-inflight `{n}` (expected a count; 0 = unlimited)")
                 })?;
-                i += 2;
-            }
-            "--threading" if command == "serve" => {
-                let name = args
-                    .get(i + 1)
-                    .ok_or("--threading needs pool|per-connection")?;
-                cfg.threading = match name.as_str() {
-                    "pool" => starling_server::Threading::Pool,
-                    "per-connection" => starling_server::Threading::PerConnection,
-                    _ => {
-                        return Err(format!(
-                            "bad --threading `{name}` (expected pool or per-connection)"
-                        ))
-                    }
-                };
                 i += 2;
             }
             other => return Err(format!("unknown option `{other}`")),

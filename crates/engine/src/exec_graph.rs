@@ -493,22 +493,7 @@ pub fn explore_parallel(
 ) -> Result<ExecGraph, EngineError> {
     let mut db = base_db.clone();
     let ops = apply_user_actions(&mut db, user_actions)?;
-    explore_from_ops_parallel(rules, base_db, db, &ops, cfg)
-}
-
-/// [`explore_parallel`] with why-provenance recording (see
-/// [`explore_traced`]). Recording lives in the sequential merge loop, so
-/// the log is byte-identical across parallel and sequential exploration.
-pub fn explore_traced_parallel(
-    rules: &RuleSet,
-    base_db: &Database,
-    user_actions: &[Action],
-    cfg: &ExploreConfig,
-) -> Result<(ExecGraph, DecisionLog), EngineError> {
-    let mut db = base_db.clone();
-    let ops = apply_user_actions(&mut db, user_actions)?;
-    let mut log = DecisionLog::new();
-    let graph = explore_impl(
+    explore_impl(
         rules,
         base_db,
         db,
@@ -516,9 +501,8 @@ pub fn explore_traced_parallel(
         cfg,
         true,
         EvalMode::default(),
-        Some(&mut log),
-    )?;
-    Ok((graph, log))
+        None,
+    )
 }
 
 /// Exploration entry point when the initial transition is already available
@@ -537,27 +521,6 @@ pub fn explore_from_ops(
         initial_ops,
         cfg,
         false,
-        EvalMode::default(),
-        None,
-    )
-}
-
-/// [`explore_from_ops`] with level-parallel expansion (see
-/// [`explore_parallel`] for the determinism contract).
-pub fn explore_from_ops_parallel(
-    rules: &RuleSet,
-    base_db: &Database,
-    db: Database,
-    initial_ops: &[TupleOp],
-    cfg: &ExploreConfig,
-) -> Result<ExecGraph, EngineError> {
-    explore_impl(
-        rules,
-        base_db,
-        db,
-        initial_ops,
-        cfg,
-        true,
         EvalMode::default(),
         None,
     )
@@ -635,7 +598,10 @@ fn explore_impl(
     // digest -> state index. Digests are already uniformly distributed, so
     // a hash index beats an ordered map; iteration order is never observed.
     let mut index: HashMap<u64, usize> = HashMap::new();
-    // Concrete states kept alongside (needed to expand).
+    // The frontier's concrete states (needed to expand), index for index
+    // with `frontier`. A state is dropped as soon as it has been expanded —
+    // dedup needs only its digest — so memory tracks two levels, not the
+    // whole graph.
     let mut concrete: Vec<ExecState> = Vec::new();
     // The BFS frontier under construction: states discovered while merging
     // level L form level L+1, in discovery order (the sequential explorer's
@@ -685,6 +651,7 @@ fn explore_impl(
 
     'levels: while !frontier.is_empty() {
         let level = std::mem::take(&mut frontier);
+        let level_states = std::mem::take(&mut concrete);
         // Eligible choices per level state; fixed before expansion begins
         // (the level's nodes are already in the graph).
         let eligible: Vec<Vec<RuleId>> = level
@@ -699,27 +666,27 @@ fn explore_impl(
             .collect();
 
         // Parallel mode: expand the whole level on scoped threads up front.
-        // Workers only read `concrete`/`eligible`; results land in
+        // Workers only read `level_states`/`eligible`; results land in
         // per-chunk slots, so no locks and no ordering races.
         let mut batch: Vec<Option<Result<Vec<Expansion>, EngineError>>> = Vec::new();
         if workers > 1 && level.len() >= PARALLEL_MIN_LEVEL {
             batch.resize_with(level.len(), || None);
             let chunk = level.len().div_ceil(workers);
-            let concrete = &concrete;
+            let level_states = &level_states;
             let eligible = &eligible;
             std::thread::scope(|s| {
                 let mut slots: &mut [Option<Result<Vec<Expansion>, EngineError>>] = &mut batch;
-                for (k0, idxs) in level.chunks(chunk).enumerate() {
-                    let (head, tail) = slots.split_at_mut(idxs.len());
+                for (k0, srcs) in level_states.chunks(chunk).enumerate() {
+                    let (head, tail) = slots.split_at_mut(srcs.len());
                     slots = tail;
                     let base = k0 * chunk;
                     s.spawn(move || {
-                        for (off, (&i, slot)) in idxs.iter().zip(head.iter_mut()).enumerate() {
+                        for (off, (src, slot)) in srcs.iter().zip(head.iter_mut()).enumerate() {
                             let elig = &eligible[base + off];
                             if elig.is_empty() {
                                 continue;
                             }
-                            *slot = Some(expand_state(rules, &concrete[i], elig, base_db, mode));
+                            *slot = Some(expand_state(rules, src, elig, base_db, mode));
                         }
                     });
                 }
@@ -729,7 +696,7 @@ fn explore_impl(
         // Merge in (parent index, rule id) order — exactly the sequential
         // explorer's order, so state numbering, edge order, and truncation
         // points match it byte for byte.
-        for (k, &i) in level.iter().enumerate() {
+        for (k, (&i, src)) in level.iter().zip(level_states).enumerate() {
             if graph.states.len() > cfg.max_states {
                 graph.truncation = Some(TruncationReason::States);
                 break 'levels;
@@ -743,7 +710,7 @@ fn explore_impl(
             }
             let expansions = match batch.get_mut(k).and_then(Option::take) {
                 Some(r) => r?,
-                None => expand_state(rules, &concrete[i], &eligible[k], base_db, mode)?,
+                None => expand_state(rules, &src, &eligible[k], base_db, mode)?,
             };
             // Provenance: record the decision made at this state. Recording
             // sits in the sequential merge loop (identical across parallel

@@ -46,23 +46,15 @@ pub enum EvalMode {
 
 impl EvalMode {
     /// The process default, read once per process and cached:
-    ///
-    /// * `STARLING_FORCE_INTERP` set to a non-empty value other than `0`
-    ///   forces [`EvalMode::Interp`] (kept for backward compatibility);
-    /// * otherwise `STARLING_EVAL_MODE` selects `columnar`, `row` (also
-    ///   accepted as `plan`), or `interp`;
-    /// * otherwise [`EvalMode::Columnar`].
+    /// `STARLING_EVAL_MODE` selects `columnar`, `row` (also accepted as
+    /// `plan`), or `interp`; unset or anything else is
+    /// [`EvalMode::Columnar`].
     pub fn from_env() -> Self {
         static FROM_ENV: OnceLock<EvalMode> = OnceLock::new();
-        *FROM_ENV.get_or_init(|| {
-            if std::env::var("STARLING_FORCE_INTERP").is_ok_and(|v| !v.is_empty() && v != "0") {
-                return EvalMode::Interp;
-            }
-            match std::env::var("STARLING_EVAL_MODE").as_deref() {
-                Ok("interp") => EvalMode::Interp,
-                Ok("row") | Ok("plan") => EvalMode::Plan,
-                _ => EvalMode::Columnar,
-            }
+        *FROM_ENV.get_or_init(|| match std::env::var("STARLING_EVAL_MODE").as_deref() {
+            Ok("interp") => EvalMode::Interp,
+            Ok("row") | Ok("plan") => EvalMode::Plan,
+            _ => EvalMode::Columnar,
         })
     }
 

@@ -15,19 +15,18 @@
 //!   keyed by script digest — N clients of one program parse, seed, and
 //!   compile once.
 //! * **Server** ([`server`]): server-wide metrics and graceful
-//!   drain-style shutdown over either executor (see below).
-//! * **Pool** ([`pool`]): the default executor — a reactor thread
+//!   drain-style shutdown.
+//! * **Pool** ([`pool`]): the connection executor — a reactor thread
 //!   (non-blocking accept + readiness polling) over a fixed worker pool,
 //!   with pipelined requests per connection, budget-weighted fair
 //!   scheduling, and admission control with a typed `overloaded`
-//!   refusal. The legacy thread-per-connection executor remains
-//!   selectable via [`pool::ServerConfig`] as a benchmark baseline.
+//!   refusal.
 //! * **Durability** ([`server::DurableRoot`]): a server started with a
 //!   data dir serves named WAL+snapshot stores; sessions bind to one via
 //!   `load`'s `"persist"` parameter (single writer per store), and every
 //!   acknowledged commit is recoverable after a crash.
 //! * **Client** ([`client`]): the blocking client used by `starling
-//!   client`, the load generator, and the tests.
+//!   client`, the benchmark, and the tests.
 //!
 //! The protocol's `analyze` and `explore` results are produced by the
 //! same serializers as the CLI's `--json` mode, so the two surfaces
@@ -43,7 +42,7 @@ pub mod session;
 
 pub use cache::ScriptCache;
 pub use client::{Client, ClientError};
-pub use pool::{raise_fd_limit, ServerConfig, Threading};
+pub use pool::{raise_fd_limit, ServerConfig};
 pub use protocol::{budget_from_request, err_response, ok_response, ErrorCode};
 pub use server::{DurableRoot, Server, ServerMetrics, Shared};
 pub use session::{ServerSession, SessionMetrics};

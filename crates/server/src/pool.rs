@@ -43,10 +43,9 @@
 //!
 //! A worker panic (a bug, or the test-only `crash` op) is caught with
 //! `catch_unwind`: the connection is marked dead and closed (the client
-//! sees EOF, exactly as if the legacy per-connection thread had died), the
-//! shared cache and scheduler are poison-hardened, and dropping the
-//! connection drops its `ServerSession`, whose `Drop` releases any durable
-//! store claim — a crashed session never wedges a named store.
+//! sees EOF), the shared cache and scheduler are poison-hardened, and
+//! dropping the connection drops its `ServerSession`, whose `Drop` releases
+//! any durable store claim — a crashed session never wedges a named store.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -59,33 +58,23 @@ use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use starling_sql::json::Json;
 
 use crate::protocol::{budget_from_request, err_response, ErrorCode};
-use crate::server::{dispatch, Shared, MAX_LINE_BYTES};
+use crate::server::{dispatch, Reply, Shared};
 use crate::session::ServerSession;
 
-/// How the server maps connections to threads.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Threading {
-    /// Reactor + fixed worker pool (the default): idle sessions cost no
-    /// thread, requests are scheduled by budget weight.
-    Pool,
-    /// The legacy thread-per-connection loop, kept as a benchmark baseline
-    /// and an escape hatch. One blocking thread per connection, one request
-    /// in flight per session, no admission control.
-    PerConnection,
-}
+/// Hard cap on one request line. A corrupted or malicious client must not
+/// make the reactor buffer unbounded input.
+const MAX_LINE_BYTES: u64 = 8 * 1024 * 1024;
 
 /// Server tuning knobs, all with serviceable defaults.
 #[derive(Clone, Copy, Debug)]
 pub struct ServerConfig {
-    /// Worker threads executing requests (pool mode). `0` = one per
-    /// available core, minimum 2.
+    /// Worker threads executing requests. `0` = one per available core,
+    /// minimum 2.
     pub workers: usize,
     /// Admission cap: maximum requests admitted but not yet completed
     /// (queued + executing) across all sessions. Further requests are
     /// refused with an `overloaded` error response. `0` = unlimited.
     pub max_inflight: usize,
-    /// Connection-to-thread mapping.
-    pub threading: Threading,
     /// Enables the test-only `crash` op, which panics the executing worker.
     /// Used by fault-injection tests to prove panic containment; never
     /// enabled by the CLI.
@@ -97,7 +86,6 @@ impl Default for ServerConfig {
         ServerConfig {
             workers: 0,
             max_inflight: 4096,
-            threading: Threading::Pool,
             crash_op: false,
         }
     }
@@ -156,13 +144,19 @@ pub(crate) enum Work {
         weight: u64,
         counted: bool,
     },
-    /// A pre-rendered response line (protocol error or `overloaded`
+    /// A pre-rendered error response line (protocol error or `overloaded`
     /// refusal) that holds its place in the pipeline order but costs ~0 to
-    /// "execute".
+    /// "execute". Built only by [`Work::refusal`], so the worker counts
+    /// every one as an error without looking at the text.
     Instant(String),
 }
 
 impl Work {
+    /// An error response rendered at decode time.
+    fn refusal(id: Option<&Json>, code: ErrorCode, message: &str) -> Work {
+        Work::Instant(err_response(id, code, message, None))
+    }
+
     fn weight(&self) -> u64 {
         match self {
             Work::Request { weight, .. } => *weight,
@@ -341,13 +335,6 @@ impl Scheduler {
 
     pub(crate) fn stats_json(&self, cfg: &ServerConfig) -> Json {
         Json::obj([
-            (
-                "mode",
-                Json::from(match cfg.threading {
-                    Threading::Pool => "pool",
-                    Threading::PerConnection => "per_connection",
-                }),
-            ),
             ("workers", Json::from(cfg.effective_workers() as i64)),
             ("max_inflight", Json::from(cfg.max_inflight as i64)),
             (
@@ -476,14 +463,7 @@ pub(crate) fn worker_loop(shared: Arc<Shared>) {
             consumed = consumed.saturating_add(item.weight());
             match item {
                 Work::Instant(line) => {
-                    {
-                        let mut session = lock(&conn.session);
-                        session.metrics.requests += 1;
-                        if line.contains("\"ok\":false") {
-                            session.metrics.errors += 1;
-                            shared.metrics.errors.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
+                    count_request(&mut lock(&conn.session), &shared, true);
                     buffer_response(&conn, &line);
                 }
                 Work::Request {
@@ -496,14 +476,9 @@ pub(crate) fn worker_loop(shared: Arc<Shared>) {
                     sched.executing.fetch_add(1, Ordering::Relaxed);
                     let outcome = catch_unwind(AssertUnwindSafe(|| {
                         let mut session = lock(&conn.session);
-                        session.metrics.requests += 1;
-                        let (response, done) =
-                            dispatch(&op, id.as_ref(), &req, &mut session, &shared);
-                        if response.contains("\"ok\":false") {
-                            session.metrics.errors += 1;
-                            shared.metrics.errors.fetch_add(1, Ordering::Relaxed);
-                        }
-                        (response, done)
+                        let reply = dispatch(&op, id.as_ref(), &req, &mut session, &shared);
+                        count_request(&mut session, &shared, reply.is_error);
+                        reply
                     }));
                     sched.executing.fetch_sub(1, Ordering::Relaxed);
                     if counted {
@@ -511,8 +486,8 @@ pub(crate) fn worker_loop(shared: Arc<Shared>) {
                     }
                     sched.completed.fetch_add(1, Ordering::Relaxed);
                     match outcome {
-                        Ok((response, done)) => {
-                            buffer_response(&conn, &response);
+                        Ok(Reply { line, done, .. }) => {
+                            buffer_response(&conn, &line);
                             if done {
                                 lock(&conn.state).quit = true;
                                 discard_queue(&conn, sched);
@@ -522,9 +497,8 @@ pub(crate) fn worker_loop(shared: Arc<Shared>) {
                         Err(_) => {
                             // The request panicked. Contain it: flush what
                             // the turn already answered (best effort), then
-                            // this connection dies (client sees EOF, like a
-                            // crashed legacy worker thread); everyone else
-                            // is unaffected.
+                            // this connection dies (client sees EOF);
+                            // everyone else is unaffected.
                             let _ = flush_writes(&conn);
                             conn.dead.store(true, Ordering::SeqCst);
                             discard_queue(&conn, sched);
@@ -539,6 +513,17 @@ pub(crate) fn worker_loop(shared: Arc<Shared>) {
         }
         flush_turn(&conn, &shared);
         finish_turn(&conn, sched, &shared, ended, extra);
+    }
+}
+
+/// Counts one answered request against its session, and an error response
+/// against both the session and the server. (`ServerMetrics::requests` was
+/// already counted at decode time.)
+fn count_request(session: &mut ServerSession, shared: &Shared, is_error: bool) {
+    session.metrics.requests += 1;
+    if is_error {
+        session.metrics.errors += 1;
+        shared.metrics.errors.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -590,11 +575,10 @@ const MAX_QUEUED_PER_CONN: usize = 1024;
 const MAX_WRITE_BUF: usize = 8 * 1024 * 1024;
 
 impl Reader {
-    /// Decodes freshly read bytes into pipeline work items. Mirrors the
-    /// legacy connection loop exactly: empty lines are skipped without a
-    /// response, over-long lines get one `protocol` error after resyncing
-    /// at the next newline, invalid UTF-8 and malformed JSON get their
-    /// established error messages.
+    /// Decodes freshly read bytes into pipeline work items: empty lines
+    /// are skipped without a response, over-long lines get one `protocol`
+    /// error after resyncing at the next newline, invalid UTF-8 and
+    /// malformed JSON get a `protocol` error each.
     fn ingest(&mut self, chunk: &[u8], shared: &Shared) {
         let mut items: Vec<Work> = Vec::new();
         let mut i = 0;
@@ -656,9 +640,8 @@ impl Reader {
             match self.stream.read(&mut chunk) {
                 Ok(0) => {
                     if self.discarding {
-                        // EOF mid-discard still answers the over-long line
-                        // (legacy parity), even though the client may never
-                        // read it.
+                        // EOF mid-discard still answers the over-long line,
+                        // even though the client may never read it.
                         self.discarding = false;
                         shared.metrics.requests.fetch_add(1, Ordering::Relaxed);
                         lock(&self.conn.state).queue.push_back(overlong_error());
@@ -686,24 +669,22 @@ fn backpressured(conn: &Conn) -> bool {
 }
 
 fn overlong_error() -> Work {
-    Work::Instant(err_response(
+    Work::refusal(
         None,
         ErrorCode::Protocol,
         "request line exceeds the 8 MiB limit",
-        None,
-    ))
+    )
 }
 
 /// Decodes one complete line (newline included) into a work item, applying
 /// admission control. `None` for blank lines.
 fn decode_line(raw: &[u8], shared: &Shared) -> Option<Work> {
     let Ok(text) = std::str::from_utf8(raw) else {
-        return Some(Work::Instant(err_response(
+        return Some(Work::refusal(
             None,
             ErrorCode::Protocol,
             "request line is not valid UTF-8",
-            None,
-        )));
+        ));
     };
     let line = text.trim();
     if line.is_empty() {
@@ -712,30 +693,27 @@ fn decode_line(raw: &[u8], shared: &Shared) -> Option<Work> {
     let req = match Json::parse(line) {
         Ok(j @ Json::Obj(_)) => j,
         Ok(_) => {
-            return Some(Work::Instant(err_response(
+            return Some(Work::refusal(
                 None,
                 ErrorCode::Protocol,
                 "request must be a JSON object",
-                None,
-            )))
+            ))
         }
         Err(e) => {
-            return Some(Work::Instant(err_response(
+            return Some(Work::refusal(
                 None,
                 ErrorCode::Protocol,
                 &format!("bad JSON: {e}"),
-                None,
-            )))
+            ))
         }
     };
     let id = req.get("id").cloned();
     let Some(op) = req.get("op").and_then(Json::as_str).map(str::to_owned) else {
-        return Some(Work::Instant(err_response(
+        return Some(Work::refusal(
             id.as_ref(),
             ErrorCode::Protocol,
             "missing or non-string `op` field",
-            None,
-        )));
+        ));
     };
     let sched = shared.sched();
     let cfg = shared.config();
@@ -756,7 +734,7 @@ fn decode_line(raw: &[u8], shared: &Shared) -> Option<Work> {
     }
     if cfg.max_inflight > 0 && sched.pending.load(Ordering::Relaxed) >= cfg.max_inflight as u64 {
         sched.refused.fetch_add(1, Ordering::Relaxed);
-        return Some(Work::Instant(err_response(
+        return Some(Work::refusal(
             id.as_ref(),
             ErrorCode::Overloaded,
             &format!(
@@ -764,8 +742,7 @@ fn decode_line(raw: &[u8], shared: &Shared) -> Option<Work> {
                 sched.pending.load(Ordering::Relaxed),
                 cfg.max_inflight
             ),
-            None,
-        )));
+        ));
     }
     sched.pending.fetch_add(1, Ordering::Relaxed);
     sched.admitted.fetch_add(1, Ordering::Relaxed);
@@ -853,13 +830,13 @@ pub(crate) fn reactor_loop(listener: TcpListener, wake_rx: sys::WakeRx, shared: 
 }
 
 /// Accepts every pending connection. During a drain new arrivals get the
-/// one-line `shutting_down` refusal (same as the legacy server).
+/// one-line `shutting_down` refusal.
 fn accept_ready(listener: &TcpListener, readers: &mut Vec<Reader>, shared: &Arc<Shared>) {
     loop {
         match listener.accept() {
             Ok((stream, _)) => {
                 if shared.is_shutting_down() {
-                    crate::server::refuse(stream);
+                    refuse(stream);
                     continue;
                 }
                 let _ = stream.set_nodelay(true);
@@ -906,6 +883,16 @@ fn accept_ready(listener: &TcpListener, readers: &mut Vec<Reader>, shared: &Arc<
             Err(_) => return,
         }
     }
+}
+
+fn refuse(mut stream: TcpStream) {
+    let line = err_response(
+        None,
+        ErrorCode::ShuttingDown,
+        "server is draining; no new connections",
+        None,
+    );
+    let _ = writeln!(stream, "{line}");
 }
 
 /// Removes finished connections. A connection leaves when it is dead, done,

@@ -27,7 +27,7 @@ use starling_sql::json::Json;
 /// Protocol error codes (the full table lives in DESIGN.md §4f).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ErrorCode {
-    /// Malformed request: bad JSON, unknown op, missing/ill-typed field.
+    /// Malformed request: invalid JSON, unknown op, missing/ill-typed field.
     Protocol,
     /// The script/SQL payload failed to parse or validate.
     Script,

@@ -1,22 +1,14 @@
 //! The TCP server: shared compiled-program cache, server-wide metrics, and
-//! graceful shutdown, over either of two connection executors:
-//!
-//! * **Pool** (the default): one reactor thread doing non-blocking accept
-//!   and readiness polling plus a fixed worker pool with budget-weighted
-//!   fair scheduling and admission control — see [`crate::pool`]. Idle
-//!   sessions cost no thread; requests may be pipelined per connection.
-//! * **PerConnection**: the legacy thread-per-connection loop, kept as a
-//!   benchmark baseline and escape hatch
-//!   ([`ServerConfig::threading`](crate::pool::ServerConfig)).
-//!
-//! Both executors share [`dispatch`], so the observable protocol — error
-//! strings included — is identical.
+//! graceful shutdown, over the pooled executor — one reactor thread doing
+//! non-blocking accept and readiness polling plus a fixed worker pool with
+//! budget-weighted fair scheduling and admission control (see
+//! [`crate::pool`]). Idle sessions cost no thread; requests may be pipelined
+//! per connection.
 //!
 //! ## Shutdown protocol
 //!
 //! `shutdown` (the op or [`Server::shutdown`]) flips a flag and wakes the
-//! listener (reactor wake pipe + a loopback connect poke, so the legacy
-//! blocking `accept` observes it too). From then on new connections are
+//! reactor through its wake pipe. From then on new connections are
 //! answered with a single `shutting_down` error line and dropped; existing
 //! sessions keep being served until their clients disconnect (`quit` or
 //! EOF) — including responses to requests already decoded into a session's
@@ -25,8 +17,7 @@
 //! no session is ever torn down mid-request.
 
 use std::collections::BTreeSet;
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -36,13 +27,9 @@ use starling_sql::json::Json;
 use starling_storage::SyncPolicy;
 
 use crate::cache::ScriptCache;
-use crate::pool::{self, sys, Scheduler, ServerConfig, Threading};
-use crate::protocol::{err_response, ok_response, ErrorCode};
+use crate::pool::{self, sys, Scheduler, ServerConfig};
+use crate::protocol::{err_response, ok_response};
 use crate::session::ServerSession;
-
-/// Hard cap on one request line. A corrupted or malicious client must not
-/// make a worker buffer unbounded input.
-pub(crate) const MAX_LINE_BYTES: u64 = 8 * 1024 * 1024;
 
 /// The server's durable data directory: each named store is a subdirectory
 /// holding a WAL + snapshot pair, attachable by at most one session at a
@@ -104,8 +91,7 @@ pub struct ServerMetrics {
     pub errors: AtomicU64,
 }
 
-/// State shared by the executor threads (reactor + worker pool, or the
-/// accept loop + per-connection workers in legacy mode).
+/// State shared by the executor threads (reactor + worker pool).
 pub struct Shared {
     /// The compiled-program cache (script digest → loaded program).
     pub cache: ScriptCache,
@@ -117,7 +103,7 @@ pub struct Shared {
     addr: SocketAddr,
     config: ServerConfig,
     sched: Scheduler,
-    waker: Mutex<Option<sys::Waker>>,
+    waker: sys::Waker,
 }
 
 impl Shared {
@@ -131,33 +117,22 @@ impl Shared {
         &self.config
     }
 
-    /// The fair scheduler / admission state (zeros in legacy mode).
+    /// The fair scheduler / admission state.
     pub(crate) fn sched(&self) -> &Scheduler {
         &self.sched
     }
 
-    /// Wakes the reactor out of its poll (no-op in legacy mode).
+    /// Wakes the reactor out of its poll.
     pub(crate) fn wake_reactor(&self) {
-        if let Some(w) = self
-            .waker
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .as_ref()
-        {
-            w.wake();
-        }
+        self.waker.wake();
     }
 
     /// Starts draining: refuse new connections, let existing sessions
-    /// finish. Idempotent.
+    /// finish. Idempotent. The reactor checks the flag every turn, so the
+    /// wake is all it takes for it to notice.
     pub fn initiate_shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
         self.wake_reactor();
-        // Poke the listener so a blocked accept() (legacy mode) observes
-        // the flag; the reactor also sees it as a readable listener. The
-        // poke connection is answered with the shutting_down line and
-        // dropped.
-        let _ = TcpStream::connect(self.addr);
     }
 
     fn stats_json(&self) -> Json {
@@ -192,9 +167,7 @@ impl Shared {
     }
 }
 
-/// A running server: in pool mode a reactor thread plus a fixed worker
-/// pool; in legacy mode an accept loop with one worker thread per
-/// connection.
+/// A running server: a reactor thread plus a fixed worker pool.
 pub struct Server {
     shared: Arc<Shared>,
     threads: Vec<JoinHandle<()>>,
@@ -219,13 +192,14 @@ impl Server {
     }
 
     /// [`Server::bind_with`] with explicit tuning: worker count, admission
-    /// cap, threading mode, test hooks.
+    /// cap, test hooks.
     pub fn bind_cfg<A: ToSocketAddrs>(
         addr: A,
         durable: Option<DurableRoot>,
         config: ServerConfig,
     ) -> std::io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
+        let (waker, wake_rx) = sys::wake_pair()?;
         let shared = Arc::new(Shared {
             cache: ScriptCache::new(),
             metrics: ServerMetrics::default(),
@@ -234,27 +208,17 @@ impl Server {
             addr: listener.local_addr()?,
             config,
             sched: Scheduler::new(),
-            waker: Mutex::new(None),
+            waker,
         });
         let mut threads = Vec::new();
-        match config.threading {
-            Threading::Pool => {
-                let (waker, wake_rx) = sys::wake_pair()?;
-                *shared.waker.lock().unwrap_or_else(PoisonError::into_inner) = Some(waker);
-                for _ in 0..config.effective_workers() {
-                    let shared = Arc::clone(&shared);
-                    threads.push(std::thread::spawn(move || pool::worker_loop(shared)));
-                }
-                let shared_r = Arc::clone(&shared);
-                threads.push(std::thread::spawn(move || {
-                    pool::reactor_loop(listener, wake_rx, shared_r)
-                }));
-            }
-            Threading::PerConnection => {
-                let shared_a = Arc::clone(&shared);
-                threads.push(std::thread::spawn(move || accept_loop(listener, shared_a)));
-            }
+        for _ in 0..config.effective_workers() {
+            let shared = Arc::clone(&shared);
+            threads.push(std::thread::spawn(move || pool::worker_loop(shared)));
         }
+        let shared_r = Arc::clone(&shared);
+        threads.push(std::thread::spawn(move || {
+            pool::reactor_loop(listener, wake_rx, shared_r)
+        }));
         Ok(Server { shared, threads })
     }
 
@@ -283,229 +247,53 @@ impl Server {
     }
 }
 
-fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
-    let workers: Mutex<Vec<JoinHandle<()>>> = Mutex::new(Vec::new());
-    for stream in listener.incoming() {
-        let Ok(stream) = stream else { continue };
-        if shared.is_shutting_down() {
-            refuse(stream);
-            break;
-        }
-        shared.metrics.connections.fetch_add(1, Ordering::Relaxed);
-        let shared = Arc::clone(&shared);
-        let handle = std::thread::spawn(move || serve_connection(stream, shared));
-        workers
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push(handle);
-    }
-    // Drain: shutdown never tears down a connected session, and clients
-    // arriving during the drain still get their one-line refusal instead
-    // of hanging in the backlog. A worker that panicked mid-push must not
-    // take the accept loop down with it, hence no poison unwraps.
-    let mut workers = workers.into_inner().unwrap_or_else(PoisonError::into_inner);
-    let _ = listener.set_nonblocking(true);
-    while !workers.is_empty() {
-        while let Ok((stream, _)) = listener.accept() {
-            let _ = stream.set_nonblocking(false);
-            refuse(stream);
-        }
-        workers.retain_mut(|handle| !handle.is_finished());
-        std::thread::sleep(std::time::Duration::from_millis(5));
-    }
+/// One rendered response: the line to send, whether it is an error
+/// response (known from the op's `Result`, never re-read from the text),
+/// and whether the connection is done.
+pub(crate) struct Reply {
+    pub line: String,
+    pub is_error: bool,
+    pub done: bool,
 }
 
-pub(crate) fn refuse(mut stream: TcpStream) {
-    let line = err_response(
-        None,
-        ErrorCode::ShuttingDown,
-        "server is draining; no new connections",
-        None,
-    );
-    let _ = writeln!(stream, "{line}");
-}
-
-/// One connection's loop: read a request line, dispatch, write a response
-/// line. Returns when the client sends `quit`, disconnects, or errors at
-/// the socket level.
-fn serve_connection(stream: TcpStream, shared: Arc<Shared>) {
-    shared
-        .metrics
-        .active_sessions
-        .fetch_add(1, Ordering::Relaxed);
-    let result = connection_loop(stream, &shared);
-    shared
-        .metrics
-        .active_sessions
-        .fetch_sub(1, Ordering::Relaxed);
-    // Socket-level failures just end the session; there is no one left to
-    // tell.
-    let _ = result;
-}
-
-fn connection_loop(stream: TcpStream, shared: &Arc<Shared>) -> std::io::Result<()> {
-    // Request/response lines are small; Nagle + delayed ACK would add
-    // tens of milliseconds per round trip.
-    stream.set_nodelay(true)?;
-    let mut writer = stream.try_clone()?;
-    let mut reader = BufReader::new(stream);
-    let mut session = ServerSession::new();
-    session.set_durable_root(shared.durable.clone());
-    let mut buf = Vec::new();
-    loop {
-        buf.clear();
-        // A plain `read_line` would both buffer unbounded input and error
-        // out on non-UTF-8 bytes without telling the client why. Read raw
-        // bytes up to the cap, then validate explicitly so garbage input
-        // gets a protocol error (or, for an over-long line, one error and
-        // a clean close) instead of a silently dropped worker.
-        let n = (&mut reader)
-            .take(MAX_LINE_BYTES + 1)
-            .read_until(b'\n', &mut buf)?;
-        if n == 0 {
-            // EOF: client closed (or half-closed) its write side.
-            break;
-        }
-        // Over the cap with no newline yet: discard the rest of the line
-        // (same bounded buffer, reused) so the connection can resync on the
-        // next line instead of being torn down mid-write.
-        let overlong = buf.len() as u64 > MAX_LINE_BYTES && buf.last() != Some(&b'\n');
-        if overlong {
-            loop {
-                buf.clear();
-                let k = (&mut reader)
-                    .take(MAX_LINE_BYTES)
-                    .read_until(b'\n', &mut buf)?;
-                if k == 0 || buf.last() == Some(&b'\n') {
-                    break;
-                }
-            }
-        }
-        let line = if overlong {
-            None
-        } else {
-            std::str::from_utf8(&buf).ok().map(str::trim)
-        };
-        if line == Some("") {
-            continue;
-        }
-        shared.metrics.requests.fetch_add(1, Ordering::Relaxed);
-        session.metrics.requests += 1;
-        let (response, done) = match line {
-            Some(line) => handle_line(line, &mut session, shared),
-            None if overlong => (
-                err_response(
-                    None,
-                    ErrorCode::Protocol,
-                    "request line exceeds the 8 MiB limit",
-                    None,
-                ),
-                false,
-            ),
-            None => (
-                err_response(
-                    None,
-                    ErrorCode::Protocol,
-                    "request line is not valid UTF-8",
-                    None,
-                ),
-                false,
-            ),
-        };
-        if response.contains("\"ok\":false") {
-            shared.metrics.errors.fetch_add(1, Ordering::Relaxed);
-            session.metrics.errors += 1;
-        }
-        writeln!(writer, "{response}")?;
-        writer.flush()?;
-        if done {
-            break;
-        }
-    }
-    Ok(())
-}
-
-/// Dispatches one request line. Returns the response line and whether the
-/// connection is done.
-fn handle_line(line: &str, session: &mut ServerSession, shared: &Arc<Shared>) -> (String, bool) {
-    let req = match Json::parse(line) {
-        Ok(j @ Json::Obj(_)) => j,
-        Ok(_) => {
-            return (
-                err_response(
-                    None,
-                    ErrorCode::Protocol,
-                    "request must be a JSON object",
-                    None,
-                ),
-                false,
-            )
-        }
-        Err(e) => {
-            return (
-                err_response(None, ErrorCode::Protocol, &format!("bad JSON: {e}"), None),
-                false,
-            )
-        }
-    };
-    let id = req.get("id").cloned();
-    let id = id.as_ref();
-    let Some(op) = req.get("op").and_then(Json::as_str) else {
-        return (
-            err_response(
-                id,
-                ErrorCode::Protocol,
-                "missing or non-string `op` field",
-                None,
-            ),
-            false,
-        );
-    };
-    dispatch(op, id, &req, session, shared)
-}
-
-/// Executes one parsed request against a session. Shared by both
-/// executors: the legacy per-connection loop calls it via [`handle_line`],
-/// the worker pool calls it directly with requests decoded ahead by the
-/// reactor. Returns the response line and whether the connection is done.
+/// Executes one parsed request against a session; the worker pool calls it
+/// with requests decoded ahead by the reactor.
 pub(crate) fn dispatch(
     op: &str,
     id: Option<&Json>,
     req: &Json,
     session: &mut ServerSession,
     shared: &Shared,
-) -> (String, bool) {
-    match op {
-        "stats" => (
-            ok_response(
-                id,
-                Json::obj([
-                    ("server", shared.stats_json()),
-                    ("session", session.stats_json()),
-                ]),
-            ),
-            false,
-        ),
+) -> Reply {
+    let mut done = false;
+    let result = match op {
+        "stats" => Ok(Json::obj([
+            ("server", shared.stats_json()),
+            ("session", session.stats_json()),
+        ])),
         "shutdown" => {
             shared.initiate_shutdown();
-            (
-                ok_response(id, Json::obj([("shutting_down", Json::Bool(true))])),
-                false,
-            )
+            Ok(Json::obj([("shutting_down", Json::Bool(true))]))
         }
-        "quit" => (
-            ok_response(id, Json::obj([("bye", Json::Bool(true))])),
-            true,
-        ),
+        "quit" => {
+            done = true;
+            Ok(Json::obj([("bye", Json::Bool(true))]))
+        }
         // Test-only fault hook (off unless `ServerConfig::crash_op`): a
         // deliberate worker panic, proving panic containment end to end.
         "crash" if shared.config.crash_op => {
             panic!("crash op: deliberate worker panic (test hook)")
         }
-        _ => match session.handle_op(op, req, &shared.cache) {
-            Ok(result) => (ok_response(id, result), false),
-            Err((code, message, data)) => (err_response(id, code, &message, data), false),
-        },
+        _ => session.handle_op(op, req, &shared.cache),
+    };
+    let (line, is_error) = match result {
+        Ok(result) => (ok_response(id, result), false),
+        Err((code, message, data)) => (err_response(id, code, &message, data), true),
+    };
+    Reply {
+        line,
+        is_error,
+        done,
     }
 }
 
@@ -513,6 +301,9 @@ pub(crate) fn dispatch(
 mod tests {
     use super::*;
     use crate::client::Client;
+    use std::io::{BufRead, BufReader, Write};
+    use std::net::TcpStream;
+    use std::time::Duration;
 
     const SCRIPT: &str = "create table t (x int); \
                           create rule cap on t when inserted \
@@ -718,5 +509,96 @@ mod tests {
         server.shutdown();
         c.quit().unwrap();
         server.join();
+    }
+
+    fn error_counts(c: &mut Client) -> (i64, i64) {
+        let r = c
+            .expect_ok(&Json::parse(r#"{"op":"stats"}"#).unwrap())
+            .unwrap();
+        let errors = |part: &str| {
+            r.get(part)
+                .and_then(|p| p.get("errors"))
+                .and_then(Json::as_i64)
+                .unwrap()
+        };
+        (errors("session"), errors("server"))
+    }
+
+    #[test]
+    fn errors_are_counted_from_the_result_not_the_response_text() {
+        let server = Server::bind("127.0.0.1:0").unwrap();
+        let mut c = Client::connect(server.local_addr()).unwrap();
+
+        // The id is echoed verbatim, so this *successful* response contains
+        // the bytes `"ok":false`.
+        let r = c.raw_request(r#"{"id":{"ok":false},"op":"ping"}"#).unwrap();
+        assert!(r.contains(r#""ok":false"#), "{r}");
+        let r = Json::parse(&r).unwrap();
+        assert_eq!(r.get("ok"), Some(&Json::Bool(true)));
+        assert_eq!(error_counts(&mut c), (0, 0));
+
+        // A real protocol error bumps both counters by exactly one.
+        let r = Json::parse(&c.raw_request("not json").unwrap()).unwrap();
+        assert_eq!(r.get("ok"), Some(&Json::Bool(false)));
+        assert_eq!(error_counts(&mut c), (1, 1));
+        // So does an error from an op handler.
+        let r = Json::parse(&c.raw_request(r#"{"op":"no_such_op"}"#).unwrap()).unwrap();
+        assert_eq!(r.get("ok"), Some(&Json::Bool(false)));
+        assert_eq!(error_counts(&mut c), (2, 2));
+
+        server.shutdown();
+        c.quit().unwrap();
+        server.join();
+    }
+
+    /// `join` on a helper thread, so a reactor that missed the shutdown
+    /// fails the test instead of hanging it.
+    fn join_within(server: Server, limit: Duration) -> bool {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let joiner = std::thread::spawn(move || {
+            server.join();
+            let _ = tx.send(());
+        });
+        let joined = rx.recv_timeout(limit).is_ok();
+        if joined {
+            joiner.join().unwrap();
+        }
+        joined
+    }
+
+    #[test]
+    fn shutdown_wakes_the_reactor_with_no_connections() {
+        let server = Server::bind("127.0.0.1:0").unwrap();
+        server.shutdown();
+        assert!(join_within(server, Duration::from_secs(10)));
+    }
+
+    #[test]
+    fn shutdown_with_a_parked_connection_drains_when_it_leaves() {
+        let server = Server::bind("127.0.0.1:0").unwrap();
+        let addr = server.local_addr();
+        let mut parked = Client::connect(addr).unwrap();
+        parked
+            .expect_ok(&Json::parse(r#"{"op":"ping"}"#).unwrap())
+            .unwrap();
+
+        // The parked session holds the drain open: the reactor has seen
+        // the flag (late arrivals are refused) and still serves it.
+        server.shutdown();
+        let mut late = Client::connect(addr).unwrap();
+        let r = late.read_response().unwrap();
+        assert_eq!(
+            r.get("error")
+                .and_then(|e| e.get("code"))
+                .and_then(Json::as_str),
+            Some("shutting_down")
+        );
+        parked
+            .expect_ok(&Json::parse(r#"{"op":"ping"}"#).unwrap())
+            .unwrap();
+
+        // EOF from the last session is what ends the drain.
+        drop(parked);
+        assert!(join_within(server, Duration::from_secs(10)));
     }
 }

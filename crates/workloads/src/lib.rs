@@ -42,7 +42,6 @@ pub mod fault_sweep;
 pub mod power_network;
 pub mod random;
 pub mod scale;
-pub mod stress;
 pub mod versioning;
 
 pub use corpus::{corpus, CorpusEntry};

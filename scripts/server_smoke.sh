@@ -1,32 +1,15 @@
 #!/usr/bin/env bash
 # Server smoke: builds the release CLI, spawns `starling serve` on an
 # ephemeral port, drives a scripted client session that exercises the ok /
-# inconclusive / shutdown paths, asserts exit codes and graceful drain,
-# then runs the `bench_server` load generator, which appends an entry
-# (aggregate N-session speedup over one-shot CLI invocations) to
-# BENCH_server.json.
+# inconclusive / shutdown paths and asserts exit codes and graceful drain,
+# then kill-restart-verify on a durable store and kill-mid-pipeline.
+# Timing the server is `benchmark/run.sh`'s job (the `server_mix` workload).
 #
-# Usage: scripts/server_smoke.sh [--smoke] [--label NAME] [--out PATH]
-#
-#   --smoke   small seed / few sessions for the load generator — CI mode
-#   --label   history label for the JSON entry (default: server-smoke)
-#   --out     JSON path (default: BENCH_server.json at the repo root)
+# Usage: scripts/server_smoke.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-SMOKE=()
-LABEL="server-smoke"
-OUT="BENCH_server.json"
-while [[ $# -gt 0 ]]; do
-  case "$1" in
-    --smoke) SMOKE=(--smoke); shift ;;
-    --label) LABEL="$2"; shift 2 ;;
-    --out) OUT="$2"; shift 2 ;;
-    *) echo "unknown argument: $1" >&2; exit 2 ;;
-  esac
-done
-
-cargo build --release -q -p starling-cli -p starling-bench
+cargo build --release -q -p starling-cli
 
 BIN=target/release/starling
 LOG=$(mktemp)
@@ -212,13 +195,3 @@ fi
 wait "$SERVER2_PID" 2>/dev/null || true
 SERVER2_PID=""
 echo "kill-mid-pipeline OK"
-
-# Load snapshot: N concurrent sessions vs N one-shot CLI invocations,
-# recorded in the JSON history.
-cargo run --release -q -p starling-bench --bin bench_server -- \
-  "${SMOKE[@]+"${SMOKE[@]}"}" --label "$LABEL" --out "$OUT"
-
-# Durability snapshot: commits/sec in-memory vs WAL sync=batch vs
-# sync=always, appended to the same history.
-cargo run --release -q -p starling-bench --bin bench_server -- \
-  --durability "${SMOKE[@]+"${SMOKE[@]}"}" --label "$LABEL" --out "$OUT"
