@@ -563,14 +563,7 @@ fn e13_masking_finding() {
         .execute_script("insert into t0 values (5); insert into t1 values (0);")
         .unwrap();
     session.commit(&mut starling_engine::FirstEligible).unwrap();
-    let defs: Vec<_> = starling_sql::parse_script(rules_src)
-        .unwrap()
-        .into_iter()
-        .filter_map(|s| match s {
-            starling_sql::ast::Statement::CreateRule(r) => Some(r),
-            _ => None,
-        })
-        .collect();
+    let defs = starling_engine::RuleProgram::parse(rules_src).unwrap().defs;
     let rules = RuleSet::compile(&defs, session.db().catalog()).unwrap();
     let a = rules.by_name("rule_a").unwrap();
     let c = rules.by_name("rule_c").unwrap();

@@ -8,7 +8,7 @@
 //! around*, requiring an iterative process of adding orderings (or
 //! certifying commutativity) until the rule set is made confluent".
 
-use starling_engine::RuleSet;
+use starling_engine::{RuleProgram, RuleSet};
 use starling_sql::RuleDef;
 use starling_storage::Catalog;
 
@@ -34,7 +34,7 @@ pub struct HistoryEntry {
 /// changed rather than recomputing the whole report.
 pub struct InteractiveSession {
     catalog: Catalog,
-    defs: Vec<RuleDef>,
+    program: RuleProgram,
     certs: Certifications,
     history: Vec<HistoryEntry>,
     analysis: IncrementalAnalysis,
@@ -45,7 +45,10 @@ impl InteractiveSession {
     pub fn new(catalog: Catalog, defs: Vec<RuleDef>) -> Self {
         InteractiveSession {
             catalog,
-            defs,
+            program: RuleProgram {
+                defs,
+                directives: Vec::new(),
+            },
             certs: Certifications::new(),
             history: Vec::new(),
             analysis: IncrementalAnalysis::new(),
@@ -72,7 +75,7 @@ impl InteractiveSession {
         &mut self,
         action: &str,
     ) -> Result<AnalysisReport, starling_engine::EngineError> {
-        let rs = RuleSet::compile(&self.defs, &self.catalog)?;
+        let rs = RuleSet::compile(&self.program.defs, &self.catalog)?;
         let report = self.analysis.analyze(&rs, &self.certs, false, &[]);
         self.history.push(HistoryEntry {
             action: action.to_owned(),
@@ -101,13 +104,9 @@ impl InteractiveSession {
     /// §6.4 Approach 2: add a user-defined priority (`higher precedes
     /// lower`), amending the rule definitions themselves.
     pub fn add_ordering(&mut self, higher: &str, lower: &str) -> bool {
-        let Some(def) = self.defs.iter_mut().find(|d| d.name == higher) else {
-            return false;
-        };
-        if !def.precedes.iter().any(|p| p == lower) {
-            def.precedes.push(lower.to_owned());
-        }
-        true
+        self.program
+            .alter_rule(higher, &[lower.to_owned()], &[])
+            .is_ok()
     }
 
     /// Drives the §6.4 loop automatically, preferring orderings: while
@@ -137,8 +136,6 @@ impl InteractiveSession {
 
 #[cfg(test)]
 mod tests {
-    use starling_sql::ast::Statement;
-    use starling_sql::parse_script;
     use starling_storage::{ColumnDef, TableSchema, ValueType};
 
     use super::*;
@@ -151,15 +148,7 @@ mod tests {
             )
             .unwrap();
         }
-        let defs: Vec<_> = parse_script(src)
-            .unwrap()
-            .into_iter()
-            .filter_map(|s| match s {
-                Statement::CreateRule(r) => Some(r),
-                _ => None,
-            })
-            .collect();
-        InteractiveSession::new(cat, defs)
+        InteractiveSession::new(cat, RuleProgram::parse(src).unwrap().defs)
     }
 
     #[test]

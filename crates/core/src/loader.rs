@@ -18,7 +18,7 @@
 
 use std::sync::Arc;
 
-use starling_engine::{EngineError, FirstEligible, RuleSet, Session};
+use starling_engine::{EngineError, FirstEligible, RuleProgram, RuleSet, Session};
 use starling_sql::ast::{Action, Directive, RuleDef, Statement};
 use starling_sql::parse_script;
 use starling_storage::Database;
@@ -50,48 +50,28 @@ impl LoadedScript {
     }
 }
 
-/// Parses and loads a script.
+/// Parses and loads a script. Rules are validated when the whole script has
+/// been read (at the final compile), so a rule may precede its tables.
 pub fn load_script(src: &str) -> Result<LoadedScript, EngineError> {
     let stmts = parse_script(src)?;
     let mut session = Session::new();
-    let mut defs: Vec<RuleDef> = Vec::new();
-    let mut directives: Vec<Directive> = Vec::new();
+    let mut program = RuleProgram::default();
     let mut user_actions = Vec::new();
     for stmt in stmts {
         match stmt {
             Statement::CreateTable(_) => {
                 session.execute(&stmt)?;
             }
-            Statement::CreateRule(r) => defs.push(r),
-            Statement::DropRule(name) => {
-                let before = defs.len();
-                defs.retain(|r| r.name != name);
-                if defs.len() == before {
-                    return Err(EngineError::InvalidStatement(format!(
-                        "drop rule: no rule named `{name}`"
-                    )));
-                }
-                for r in &mut defs {
-                    r.precedes.retain(|p| p != &name);
-                    r.follows.retain(|p| p != &name);
-                }
-            }
+            Statement::CreateRule(r) => program.create_rule(r)?,
+            Statement::DropRule(name) => program.drop_rule(&name)?,
             Statement::AlterRule {
                 name,
                 precedes,
                 follows,
-            } => {
-                let Some(def) = defs.iter_mut().find(|r| r.name == name) else {
-                    return Err(EngineError::InvalidStatement(format!(
-                        "alter rule: no rule named `{name}`"
-                    )));
-                };
-                def.precedes.extend(precedes);
-                def.follows.extend(follows);
-            }
-            Statement::Directive(d) => directives.push(d),
+            } => program.alter_rule(&name, &precedes, &follows)?,
+            Statement::Directive(d) => program.declare(d),
             Statement::Dml(a) => {
-                if defs.is_empty() {
+                if program.defs.is_empty() {
                     session.execute(&Statement::Dml(a))?;
                 } else {
                     user_actions.push(a);
@@ -100,6 +80,7 @@ pub fn load_script(src: &str) -> Result<LoadedScript, EngineError> {
         }
     }
     session.commit(&mut FirstEligible)?;
+    let RuleProgram { defs, directives } = program;
     let rules = Arc::new(RuleSet::compile(&defs, session.db().catalog())?);
     Ok(LoadedScript {
         db: session.db().clone(),

@@ -2,8 +2,8 @@
 //! [`crate::Session`].
 //!
 //! A [`Durability`] pairs an open [`WalStore`] with the **last acknowledged
-//! state** — the database, rule definitions, and directives as of the last
-//! record the log accepted. The invariant the whole layer is built around:
+//! state** — a [`SessionState`] as of the last record the log accepted. The
+//! invariant the whole layer is built around:
 //!
 //! > Recovering the store at any moment yields exactly the acknowledged
 //! > state (digest *and* full [`Database`] equality, including the tuple-id
@@ -14,113 +14,95 @@
 //! post-commit database is the \[WF90\] net effect of the whole transition
 //! (user statements plus every triggered rule action, plus DDL, which the
 //! transaction snapshot does not cover). Rule-program changes ride in the
-//! same record as the re-rendered program text, so a commit is one atomic
-//! WAL append.
+//! same record as the program's rendered text ([`crate::RuleProgram::render`],
+//! produced only when the program did change), so a commit is one atomic WAL
+//! append.
+
+use std::sync::Arc;
 
 use starling_sql::ast::Directive;
 use starling_sql::RuleDef;
 use starling_storage::wal::{CommitDelta, WalStore};
-use starling_storage::Database;
+use starling_storage::{Database, StorageError};
+
+use crate::session::SessionState;
 
 /// How many commits accumulate in the log before the session rotates it
 /// into a snapshot (overridable per session for tests and drains).
-pub(crate) const DEFAULT_SNAPSHOT_EVERY: u64 = 64;
+const DEFAULT_SNAPSHOT_EVERY: u64 = 64;
 
 /// The durable attachment of a session. Opaque outside the engine: obtain
 /// one via [`crate::Session::open_durable`] or
-/// [`crate::Session::persist_to`], and move it between sessions with
-/// [`crate::Session::take_durability`] / [`crate::Session::set_durability`]
-/// (the server's checkpoint-restore handoff).
+/// [`crate::Session::persist_to`]; it stays with its session across
+/// [`crate::Session::reset_to`].
 pub struct Durability {
     pub(crate) store: WalStore,
-    pub(crate) base_db: Database,
-    pub(crate) base_defs: Vec<RuleDef>,
-    pub(crate) base_directives: Vec<Directive>,
-    /// The rule-program text as last persisted (rendered form; comparing
-    /// rendered text is how rule-DDL changes are detected).
-    pub(crate) rules_text: String,
-    pub(crate) commits_since_snapshot: u64,
+    /// The last acknowledged state: what recovering the store would yield,
+    /// and what a failed commit rolls the session back to.
+    pub(crate) base: SessionState,
+    commits_since_snapshot: u64,
     pub(crate) snapshot_every: u64,
 }
 
 impl Durability {
+    /// An attachment whose store currently holds exactly `base`.
+    pub(crate) fn new(store: WalStore, base: SessionState) -> Self {
+        Durability {
+            store,
+            base,
+            commits_since_snapshot: 0,
+            snapshot_every: DEFAULT_SNAPSHOT_EVERY,
+        }
+    }
+
     /// The last acknowledged database state — what recovery will yield.
     pub fn base_db(&self) -> &Database {
-        &self.base_db
+        &self.base.db
     }
 
     /// The last acknowledged rule definitions.
     pub fn base_defs(&self) -> &[RuleDef] {
-        &self.base_defs
+        &self.base.program.defs
     }
 
     /// The last acknowledged directives.
     pub fn base_directives(&self) -> &[Directive] {
-        &self.base_directives
+        &self.base.program.directives
     }
 
-    /// The store directory.
-    pub fn dir(&self) -> &std::path::Path {
-        self.store.dir()
-    }
-
-    /// Renders a rule program (definitions then directives) as re-parsable
-    /// script text — the persisted form of the rule state.
-    pub(crate) fn render_rules(defs: &[RuleDef], directives: &[Directive]) -> String {
-        use std::fmt::Write;
-        let mut s = String::new();
-        for d in defs {
-            let _ = writeln!(s, "{d};");
-        }
-        for d in directives {
-            let _ = writeln!(s, "{d};");
-        }
-        s
-    }
-
-    /// Appends the delta carrying `base_*` to the given post-state (with
-    /// the rules text embedded if it changed), then advances the base. On
-    /// `Ok`, the post-state is the acknowledged state.
-    pub(crate) fn persist(
-        &mut self,
-        db: &Database,
-        defs: &[RuleDef],
-        directives: &[Directive],
-    ) -> Result<(), starling_storage::StorageError> {
-        let text = Self::render_rules(defs, directives);
-        let rules_changed = text != self.rules_text;
-        let db_changed = *db != self.base_db;
-        if !rules_changed && !db_changed {
+    /// Appends the delta carrying the base to `state` (with the rendered
+    /// rule program embedded if it changed), then advances the base. On
+    /// `Ok`, `state` is the acknowledged state.
+    pub(crate) fn persist(&mut self, state: &SessionState) -> Result<(), StorageError> {
+        // Rule DDL unshares the program (`Arc::make_mut`), so an untouched
+        // program is the same allocation and costs no comparison at all.
+        let rules_changed =
+            !Arc::ptr_eq(&state.program, &self.base.program) && state.program != self.base.program;
+        if !rules_changed && state.db == self.base.db {
             return Ok(());
         }
-        let mut delta = CommitDelta::diff(&self.base_db, db);
+        let mut delta = CommitDelta::diff(&self.base.db, &state.db);
         if rules_changed {
-            delta.rules = Some(text.clone());
+            delta.rules = Some(state.program.render());
         }
         self.store.append_commit(&mut delta)?;
-        self.base_db = db.clone();
-        self.base_defs = defs.to_vec();
-        self.base_directives = directives.to_vec();
-        if rules_changed {
-            self.rules_text = text;
-        }
+        self.base = state.clone();
         self.commits_since_snapshot += 1;
         if self.commits_since_snapshot >= self.snapshot_every {
             // Rotation is an optimization: the commit above is already
             // durable, so a failed snapshot (including an injected
             // SnapshotWrite fault) leaves the WAL authoritative and the
             // commit acknowledged.
-            if self.snapshot().is_ok() {
-                self.commits_since_snapshot = 0;
-            }
+            let _ = self.snapshot();
         }
         Ok(())
     }
 
     /// Writes a full snapshot of the acknowledged state and truncates the
     /// log.
-    pub(crate) fn snapshot(&mut self) -> Result<(), starling_storage::StorageError> {
-        self.store.snapshot(&self.base_db, &self.rules_text)?;
+    pub(crate) fn snapshot(&mut self) -> Result<(), StorageError> {
+        self.store
+            .snapshot(&self.base.db, &self.base.program.render())?;
         self.commits_since_snapshot = 0;
         Ok(())
     }
@@ -130,8 +112,8 @@ impl std::fmt::Debug for Durability {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Durability")
             .field("dir", &self.store.dir())
-            .field("base_digest", &self.base_db.state_digest())
-            .field("rules", &self.base_defs.len())
+            .field("base_digest", &self.base.db.state_digest())
+            .field("rules", &self.base.program.defs.len())
             .finish()
     }
 }

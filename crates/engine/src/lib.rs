@@ -24,6 +24,8 @@
 //!   choices with canonical-state deduplication: the ground-truth oracle for
 //!   termination, confluence, and observable determinism used by the
 //!   experiments;
+//! * [`program`] — the rule program as a value: the four rule-DDL edits
+//!   and the persisted text form, decided once for every layer;
 //! * [`session`] — a small front end that executes scripts (DDL, DML, rule
 //!   definitions, certification directives) and runs assertion points.
 //!
@@ -53,6 +55,7 @@ pub mod observable;
 pub mod ops;
 pub mod priority;
 pub mod processor;
+pub mod program;
 pub mod ruleset;
 pub mod session;
 pub mod state;
@@ -72,8 +75,9 @@ pub use processor::{
     consider_fired_rule, consider_rule, replay_rule_sequence, rule_fires, Consideration, EvalMode,
     Outcome, Processor, RunResult, StepOutcome,
 };
+pub use program::RuleProgram;
 pub use ruleset::{CompiledRule, RuleId, RuleSet};
-pub use session::Session;
+pub use session::{Session, SessionState};
 pub use state::ExecState;
 pub use strategy::{ChoiceStrategy, FirstEligible, LastEligible, Scripted, SeededRandom};
 

@@ -45,17 +45,21 @@ pub enum EvalMode {
 }
 
 impl EvalMode {
-    /// The process default, read once per process and cached:
-    /// `STARLING_EVAL_MODE` selects `columnar`, `row` (also accepted as
-    /// `plan`), or `interp`; unset or anything else is
-    /// [`EvalMode::Columnar`].
+    /// What `STARLING_EVAL_MODE` selects: unset or empty is
+    /// [`EvalMode::Columnar`]; anything [`EvalMode::from_str`] rejects is an
+    /// error naming the variable, so a typo cannot silently test the default.
+    pub fn try_from_env() -> Result<Self, String> {
+        match std::env::var("STARLING_EVAL_MODE") {
+            Ok(v) if !v.is_empty() => v.parse().map_err(|e| format!("STARLING_EVAL_MODE: {e}")),
+            _ => Ok(EvalMode::Columnar),
+        }
+    }
+
+    /// The process default, read once per process and cached. Panics on an
+    /// unrecognised `STARLING_EVAL_MODE` (see [`EvalMode::try_from_env`]).
     pub fn from_env() -> Self {
         static FROM_ENV: OnceLock<EvalMode> = OnceLock::new();
-        *FROM_ENV.get_or_init(|| match std::env::var("STARLING_EVAL_MODE").as_deref() {
-            Ok("interp") => EvalMode::Interp,
-            Ok("row") | Ok("plan") => EvalMode::Plan,
-            _ => EvalMode::Columnar,
-        })
+        *FROM_ENV.get_or_init(|| Self::try_from_env().unwrap_or_else(|e| panic!("{e}")))
     }
 
     /// Whether this mode uses compiled plans.
@@ -69,6 +73,22 @@ impl EvalMode {
         match self {
             EvalMode::Columnar => PlanMode::Columnar,
             _ => PlanMode::Row,
+        }
+    }
+}
+
+impl std::str::FromStr for EvalMode {
+    type Err = String;
+
+    /// `columnar`, `row` (also accepted as `plan`), or `interp`.
+    fn from_str(s: &str) -> Result<Self, String> {
+        match s {
+            "columnar" => Ok(EvalMode::Columnar),
+            "row" | "plan" => Ok(EvalMode::Plan),
+            "interp" => Ok(EvalMode::Interp),
+            other => Err(format!(
+                "unknown eval mode `{other}` (accepted: columnar, row, plan, interp)"
+            )),
         }
     }
 }

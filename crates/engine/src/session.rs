@@ -11,13 +11,15 @@ use std::sync::Arc;
 use starling_sql::ast::{Directive, Statement};
 use starling_sql::eval::{exec_action, ActionOutcome, ResultSet};
 use starling_sql::parse_script;
+use starling_sql::validate::{validate_dml, validate_rule};
 use starling_storage::wal::{SyncPolicy, WalStore};
 use starling_storage::Database;
 
-use crate::durability::{Durability, DEFAULT_SNAPSHOT_EVERY};
+use crate::durability::Durability;
 use crate::error::EngineError;
 use crate::ops::TupleOp;
 use crate::processor::{EvalMode, Outcome, Processor, RunResult};
+use crate::program::RuleProgram;
 use crate::ruleset::RuleSet;
 use crate::state::ExecState;
 use crate::strategy::ChoiceStrategy;
@@ -43,15 +45,28 @@ pub enum ScriptOutput {
     RolledBack,
 }
 
-/// An interactive session: database + rule definitions + pending user
-/// transition + recorded certifications.
+/// Everything a session rolls back to: the database (copy-on-write), the
+/// rule program and its compilation, each behind a refcount — so taking one
+/// ([`Session::state`]) and keeping it (the server's per-request
+/// checkpoint, the WAL attachment's acknowledged base) costs three
+/// refcount bumps, never a copy of a table or a rule.
+#[derive(Clone, Debug, Default)]
+pub struct SessionState {
+    /// The database.
+    pub db: Database,
+    /// The rule definitions and directives.
+    pub program: Arc<RuleProgram>,
+    /// `program` compiled against `db`'s catalog, if it has been since
+    /// either last changed (`None` recompiles lazily).
+    pub compiled: Option<Arc<RuleSet>>,
+}
+
+/// An interactive session: database + rule program + pending user
+/// transition.
 pub struct Session {
-    db: Database,
-    rule_defs: Vec<starling_sql::RuleDef>,
-    compiled: Option<Arc<RuleSet>>,
+    state: SessionState,
     txn_snapshot: Option<Database>,
     pending_ops: Vec<TupleOp>,
-    directives: Vec<Directive>,
     durability: Option<Durability>,
     /// Consideration limit for assertion points.
     pub max_considerations: usize,
@@ -66,12 +81,9 @@ impl Session {
     /// An empty session.
     pub fn new() -> Self {
         Session {
-            db: Database::new(),
-            rule_defs: Vec::new(),
-            compiled: None,
+            state: SessionState::default(),
             txn_snapshot: None,
             pending_ops: Vec::new(),
-            directives: Vec::new(),
             durability: None,
             max_considerations: 10_000,
             deadline: None,
@@ -83,28 +95,34 @@ impl Session {
     /// (copy-on-write, so this is cheap), rule definitions, an optional
     /// already-compiled rule set (shared via `Arc` — N sessions of the same
     /// rule program compile once), and recorded directives.
-    ///
-    /// This is the server's snapshot-handout path: each connection gets its
-    /// own session seeded from a cached program without re-parsing or
-    /// re-compiling anything.
     pub fn restore(
         db: Database,
-        rule_defs: Vec<starling_sql::RuleDef>,
+        defs: Vec<starling_sql::RuleDef>,
         compiled: Option<Arc<RuleSet>>,
         directives: Vec<Directive>,
     ) -> Self {
-        Session {
+        let mut s = Session::new();
+        let program = Arc::new(RuleProgram { defs, directives });
+        s.reset_to(SessionState {
             db,
-            rule_defs,
+            program,
             compiled,
-            txn_snapshot: None,
-            pending_ops: Vec::new(),
-            directives,
-            durability: None,
-            max_considerations: 10_000,
-            deadline: None,
-            eval_mode: EvalMode::default(),
-        }
+        });
+        s
+    }
+
+    /// The session's restorable state, as of now.
+    pub fn state(&self) -> SessionState {
+        self.state.clone()
+    }
+
+    /// Rolls the session back (or forward) to `state`, discarding any open
+    /// transaction. Everything that is not state — evaluation mode, limits,
+    /// the durable attachment — is kept.
+    pub fn reset_to(&mut self, state: SessionState) {
+        self.state = state;
+        self.txn_snapshot = None;
+        self.pending_ops.clear();
     }
 
     /// Opens (or creates) the durable store at `dir` and builds a session
@@ -116,31 +134,14 @@ impl Session {
         sync: SyncPolicy,
     ) -> Result<Session, EngineError> {
         let (store, recovered) = WalStore::open(dir, sync)?;
-        let mut s = Session::new();
-        s.db = recovered.db;
-        if !recovered.rules_text.is_empty() {
-            for stmt in parse_script(&recovered.rules_text)? {
-                match stmt {
-                    Statement::CreateRule(_) | Statement::Directive(_) => {
-                        s.execute(&stmt)?;
-                    }
-                    other => {
-                        return Err(EngineError::InvalidStatement(format!(
-                            "recovered rule program contains a non-rule statement: {other}"
-                        )))
-                    }
-                }
-            }
+        let program = RuleProgram::parse(&recovered.rules_text)?;
+        for def in &program.defs {
+            validate_rule(def, recovered.db.catalog())?;
         }
-        s.durability = Some(Durability {
-            store,
-            base_db: s.db.clone(),
-            base_defs: s.rule_defs.clone(),
-            base_directives: s.directives.clone(),
-            rules_text: Durability::render_rules(&s.rule_defs, &s.directives),
-            commits_since_snapshot: 0,
-            snapshot_every: DEFAULT_SNAPSHOT_EVERY,
-        });
+        let mut s = Session::new();
+        s.state.db = recovered.db;
+        s.state.program = Arc::new(program);
+        s.durability = Some(Durability::new(store, s.state()));
         Ok(s)
     }
 
@@ -148,7 +149,7 @@ impl Session {
     /// current state as the first logged commit. The store at `dir` must be
     /// empty (use [`Session::open_durable`] to resume an existing store —
     /// silently shadowing persisted state with in-memory state would lose
-    /// it).
+    /// it). On failure the session is as it was: in memory, unattached.
     pub fn persist_to(
         &mut self,
         dir: impl AsRef<std::path::Path>,
@@ -162,17 +163,11 @@ impl Session {
                 dir.display()
             )));
         }
-        store.set_fault_state(self.db.fault_state().cloned());
-        self.durability = Some(Durability {
-            store,
-            base_db: Database::new(),
-            base_defs: Vec::new(),
-            base_directives: Vec::new(),
-            rules_text: String::new(),
-            commits_since_snapshot: 0,
-            snapshot_every: DEFAULT_SNAPSHOT_EVERY,
-        });
-        self.persist_changes()
+        store.set_fault_state(self.state.db.fault_state().cloned());
+        let mut dur = Durability::new(store, SessionState::default());
+        dur.persist(&self.state)?;
+        self.durability = Some(dur);
+        Ok(())
     }
 
     /// Whether a durable store is attached.
@@ -186,20 +181,13 @@ impl Session {
         self.durability.as_ref()
     }
 
-    /// Detaches the durable store, handing it to the caller (the server's
-    /// checkpoint-restore dance moves the attachment onto the restored
-    /// session).
-    pub fn take_durability(&mut self) -> Option<Durability> {
-        self.durability.take()
-    }
-
-    /// Re-attaches a durable store taken from another session. The caller
-    /// must ensure this session's state matches the attachment's
-    /// acknowledged base (true whenever the session was restored from a
-    /// checkpoint taken at a commit point); the next commit diffs against
-    /// that base.
-    pub fn set_durability(&mut self, durability: Option<Durability>) {
-        self.durability = durability;
+    /// Detaches the durable store, if any, after a final best-effort
+    /// snapshot (every acknowledged commit is already in the WAL, so a
+    /// failed snapshot loses nothing). The session carries on in memory.
+    pub fn detach_durable(&mut self) {
+        if let Some(mut dur) = self.durability.take() {
+            let _ = dur.snapshot();
+        }
     }
 
     /// Sets how many commits accumulate before the log rotates into a
@@ -224,25 +212,21 @@ impl Session {
         let Some(dur) = &mut self.durability else {
             return Ok(());
         };
-        if let Err(e) = dur.persist(&self.db, &self.rule_defs, &self.directives) {
+        if let Err(e) = dur.persist(&self.state) {
             // Restore the acknowledged base, but keep observing the same
             // fault plan and counters: the base was captured before the
             // plan was installed, and a fired one-shot must stay fired.
-            let fault = self.db.fault_state().cloned();
-            self.db = dur.base_db.clone();
-            self.db.set_fault_state(fault);
-            self.rule_defs = dur.base_defs.clone();
-            self.directives = dur.base_directives.clone();
-            self.compiled = None;
-            self.pending_ops.clear();
-            self.txn_snapshot = None;
+            let fault = self.state.db.fault_state().cloned();
+            let base = dur.base.clone();
+            self.reset_to(base);
+            self.state.db.set_fault_state(fault);
             return Err(e.into());
         }
         Ok(())
     }
 
-    /// Forces a full snapshot + log truncation of the acknowledged state
-    /// (the server's drain-time path). No-op without an attachment.
+    /// Forces a full snapshot + log truncation of the acknowledged state.
+    /// No-op without an attachment.
     pub fn durable_snapshot(&mut self) -> Result<(), EngineError> {
         if let Some(dur) = &mut self.durability {
             dur.snapshot()?;
@@ -252,7 +236,7 @@ impl Session {
 
     /// The current database.
     pub fn db(&self) -> &Database {
-        &self.db
+        &self.state.db
     }
 
     /// Installs a storage fault plan on the session's database (robustness
@@ -261,21 +245,22 @@ impl Session {
     /// stays fired across rollback — and the durable store (if attached)
     /// observes the same plan for its WAL/snapshot operations.
     pub fn install_fault_plan(&mut self, plan: starling_storage::FaultPlan) {
-        self.db.install_fault_plan(plan);
+        self.state.db.install_fault_plan(plan);
         if let Some(dur) = &mut self.durability {
-            dur.store.set_fault_state(self.db.fault_state().cloned());
+            dur.store
+                .set_fault_state(self.state.db.fault_state().cloned());
         }
     }
 
     /// The rule definitions, in creation order.
     pub fn rule_defs(&self) -> &[starling_sql::RuleDef] {
-        &self.rule_defs
+        &self.state.program.defs
     }
 
     /// Recorded certification directives (`declare commute`, `declare
     /// terminates`).
     pub fn directives(&self) -> &[Directive] {
-        &self.directives
+        &self.state.program.directives
     }
 
     /// The compiled rule set (compiling lazily after changes).
@@ -288,13 +273,12 @@ impl Session {
     /// that need the rules to outlive a `&mut self` borrow (e.g. assertion
     /// points, server analyses) pay no deep copy.
     pub fn ruleset_arc(&mut self) -> Result<&Arc<RuleSet>, EngineError> {
-        if self.compiled.is_none() {
-            self.compiled = Some(Arc::new(RuleSet::compile(
-                &self.rule_defs,
-                self.db.catalog(),
-            )?));
+        let st = &mut self.state;
+        if st.compiled.is_none() {
+            let rules = RuleSet::compile(&st.program.defs, st.db.catalog())?;
+            st.compiled = Some(Arc::new(rules));
         }
-        Ok(self.compiled.as_ref().expect("just compiled"))
+        Ok(st.compiled.as_ref().expect("just compiled"))
     }
 
     /// Parses and executes a script, one statement at a time. DML
@@ -326,35 +310,18 @@ impl Session {
     pub fn execute(&mut self, stmt: &Statement) -> Result<ScriptOutput, EngineError> {
         match stmt {
             Statement::CreateTable(ct) => {
-                self.db.create_table(ct.schema.clone())?;
-                self.compiled = None;
+                self.state.db.create_table(ct.schema.clone())?;
+                self.state.compiled = None;
                 Ok(ScriptOutput::TableCreated(ct.schema.name.clone()))
             }
             Statement::CreateRule(def) => {
                 // Validate eagerly so errors surface at definition time.
-                starling_sql::validate::validate_rule(def, self.db.catalog())?;
-                if self.rule_defs.iter().any(|r| r.name == def.name) {
-                    return Err(EngineError::DuplicateRule(def.name.clone()));
-                }
-                self.rule_defs.push(def.clone());
-                self.compiled = None;
+                validate_rule(def, self.state.db.catalog())?;
+                self.edit_rules().create_rule(def.clone())?;
                 Ok(ScriptOutput::RuleCreated(def.name.clone()))
             }
             Statement::DropRule(name) => {
-                let before = self.rule_defs.len();
-                self.rule_defs.retain(|r| &r.name != name);
-                if self.rule_defs.len() == before {
-                    return Err(EngineError::InvalidStatement(format!(
-                        "drop rule: no rule named `{name}`"
-                    )));
-                }
-                // Dangling precedes/follows references would fail the next
-                // compile; scrub them (dropping a rule drops its orderings).
-                for r in &mut self.rule_defs {
-                    r.precedes.retain(|p| p != name);
-                    r.follows.retain(|p| p != name);
-                }
-                self.compiled = None;
+                self.edit_rules().drop_rule(name)?;
                 Ok(ScriptOutput::RuleDropped(name.clone()))
             }
             Statement::AlterRule {
@@ -362,36 +329,23 @@ impl Session {
                 precedes,
                 follows,
             } => {
-                let Some(def) = self.rule_defs.iter_mut().find(|r| &r.name == name) else {
-                    return Err(EngineError::InvalidStatement(format!(
-                        "alter rule: no rule named `{name}`"
-                    )));
-                };
-                for p in precedes {
-                    if !def.precedes.contains(p) {
-                        def.precedes.push(p.clone());
-                    }
-                }
-                for f in follows {
-                    if !def.follows.contains(f) {
-                        def.follows.push(f.clone());
-                    }
-                }
-                self.compiled = None;
+                self.edit_rules().alter_rule(name, precedes, follows)?;
                 Ok(ScriptOutput::RuleAltered(name.clone()))
             }
             Statement::Directive(d) => {
-                self.directives.push(d.clone());
+                // Directives inform the analyses only: the compiled rule
+                // set stays valid.
+                Arc::make_mut(&mut self.state.program).declare(d.clone());
                 Ok(ScriptOutput::DirectiveRecorded)
             }
             Statement::Dml(action) => {
-                starling_sql::validate::validate_dml(action, self.db.catalog())?;
+                validate_dml(action, self.state.db.catalog())?;
                 self.ensure_txn();
                 // A failing DML statement (e.g. an injected storage fault)
                 // may have partially mutated the database. Statement-level
                 // atomicity is transaction-level here: abort to the
                 // snapshot rather than expose a half-applied statement.
-                let outcome = match exec_action(action, &mut self.db, None) {
+                let outcome = match exec_action(action, &mut self.state.db, None) {
                     Ok(o) => o,
                     Err(e) => {
                         self.rollback();
@@ -414,9 +368,16 @@ impl Session {
         }
     }
 
+    /// The rule program, for a rule-DDL edit: unshared from any checkpoint
+    /// or durable base still holding it, with the compilation invalidated.
+    fn edit_rules(&mut self) -> &mut RuleProgram {
+        self.state.compiled = None;
+        Arc::make_mut(&mut self.state.program)
+    }
+
     fn ensure_txn(&mut self) {
         if self.txn_snapshot.is_none() {
-            self.txn_snapshot = Some(self.db.clone());
+            self.txn_snapshot = Some(self.state.db.clone());
         }
     }
 
@@ -461,7 +422,7 @@ impl Session {
             Err(e) => return Ok(self.abort_txn(e)),
         };
         let ops = std::mem::take(&mut self.pending_ops);
-        let mut state = ExecState::new(self.db.clone(), rules.len(), &ops);
+        let mut state = ExecState::new(self.state.db.clone(), rules.len(), &ops);
         let mut processor = Processor::new(&rules)
             .with_limit(limit)
             .with_eval_mode(self.eval_mode);
@@ -470,7 +431,7 @@ impl Session {
             Ok(r) => r,
             Err(e) => return Ok(self.abort_txn(e)),
         };
-        self.db = state.db;
+        self.state.db = state.db;
         match result.outcome {
             // The processor already restored the snapshot into `state.db`;
             // both ends of the transaction are closed out here.
@@ -498,13 +459,7 @@ impl Session {
                     // The commit could not be made durable: in-memory state
                     // was rolled back to the durable base, and the outcome
                     // reports the abort with its cause.
-                    return Ok(RunResult {
-                        considerations: Vec::new(),
-                        observables: Vec::new(),
-                        outcome: Outcome::Aborted,
-                        truncation: None,
-                        error: Some(e),
-                    });
+                    return Ok(self.abort_txn(e));
                 }
             }
             Outcome::Aborted | Outcome::LimitExceeded => {}
@@ -515,7 +470,7 @@ impl Session {
     /// Rolls the transaction back manually.
     pub fn rollback(&mut self) {
         if let Some(snap) = self.txn_snapshot.take() {
-            self.db = snap;
+            self.state.db = snap;
         }
         self.pending_ops.clear();
     }
@@ -766,6 +721,22 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// A failed first append leaves the session in memory, unattached:
+    /// later commits must not reach a store the caller gave up on.
+    #[test]
+    fn failed_persist_to_leaves_session_unattached() {
+        use starling_storage::{FaultOpKind, FaultPlan, FaultSpec};
+        let dir = durable_dir("attachfail");
+        let mut s = Session::new();
+        s.execute_script("create table u (a int)").unwrap();
+        s.install_fault_plan(FaultPlan::single(
+            FaultSpec::nth(0).on_kind(FaultOpKind::WalAppend),
+        ));
+        assert!(s.persist_to(&dir, SyncPolicy::Always).is_err());
+        assert!(!s.is_durable() && s.db().table("u").is_ok());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
     #[test]
     fn unacknowledged_outcomes_leave_durable_state_untouched() {
         let dir = durable_dir("abort");
@@ -792,18 +763,28 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// A failed append rolls memory back to the durable base through the
+    /// same `reset_to` a caller's checkpoint uses; either way the session
+    /// keeps its mode, limits and store attachment.
     #[test]
     fn failed_wal_append_rolls_back_to_durable_base() {
         use starling_storage::{FaultOpKind, FaultPlan, FaultSpec};
         let dir = durable_dir("walfail");
         let mut s = Session::new();
-        s.execute_script("create table t (a int)").unwrap();
+        s.execute_script(
+            "create table t (a int);
+             create rule a on t when inserted then update t set a = a where a < 0 end;
+             create rule b on t when deleted then update t set a = a where a < 0 end;",
+        )
+        .unwrap();
         s.persist_to(&dir, SyncPolicy::Always).unwrap();
-        let acked = s.durability().unwrap().base_db().clone();
+        (s.eval_mode, s.max_considerations) = (EvalMode::Interp, 77);
+        let acked = s.state();
         s.install_fault_plan(FaultPlan::single(
             FaultSpec::nth(0).on_kind(FaultOpKind::WalAppend),
         ));
-        s.execute_script("insert into t values (1)").unwrap();
+        let edit = "alter rule a precedes b; declare commute a, b; insert into t values (1)";
+        s.execute_script(edit).unwrap();
         let run = s.commit(&mut FirstEligible).unwrap();
         assert_eq!(run.outcome, Outcome::Aborted);
         assert!(run
@@ -811,15 +792,32 @@ mod tests {
             .as_ref()
             .is_some_and(EngineError::is_injected_fault));
         // Memory agrees with disk that the commit did not happen...
-        assert_eq!(*s.db(), acked);
+        assert_eq!((s.db(), &s.state().program), (&acked.db, &acked.program));
         let r = Session::open_durable(&dir, SyncPolicy::Always).unwrap();
-        assert_eq!(*r.db(), acked);
-        // ...and the one-shot fault lets the retry land durably.
-        s.execute_script("insert into t values (1)").unwrap();
+        assert_eq!((r.db(), &r.state().program), (&acked.db, &acked.program));
+        // ...a caller's checkpoint undoes rule DDL and DML the same way...
+        s.execute_script("drop rule b; insert into t values (3)")
+            .unwrap();
+        s.reset_to(acked.clone());
+        assert_eq!(s.db().state_digest(), acked.db.state_digest());
+        assert_eq!(s.state().program, acked.program);
+        assert_eq!(s.ruleset().unwrap().len(), 2);
+        // ...and neither loses the mode, the limits or the attachment: the
+        // one-shot fault lets the retry land durably.
+        assert_eq!((s.eval_mode, s.max_considerations), (EvalMode::Interp, 77));
+        s.execute_script(edit).unwrap();
         let run = s.commit(&mut FirstEligible).unwrap();
         assert_eq!(run.outcome, Outcome::Quiescent);
         let r = Session::open_durable(&dir, SyncPolicy::Always).unwrap();
-        assert_eq!(r.db(), s.db());
+        assert_eq!((r.db(), r.state().program), (s.db(), s.state().program));
+        assert_eq!(r.rule_defs()[0].precedes, ["b"]);
+        // A commit that changes no rule logs a frame without the rules text.
+        let logged = std::fs::read(dir.join("wal.log")).unwrap().len();
+        s.execute_script("insert into t values (2)").unwrap();
+        s.commit(&mut FirstEligible).unwrap();
+        let log = std::fs::read(dir.join("wal.log")).unwrap();
+        assert!(log.len() > logged);
+        assert!(!log[logged..].windows(11).any(|w| w == b"create rule"));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

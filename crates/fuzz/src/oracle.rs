@@ -27,13 +27,11 @@
 use starling_analysis::loader::load_script;
 use starling_analysis::report::{explore_json, AnalysisReport};
 use starling_engine::{
-    explore_parallel, explore_with_mode, Budget, EvalMode, ExecGraph, FirstEligible, Session,
-    Verdict,
+    explore_parallel, explore_with_mode, Budget, EvalMode, ExecGraph, FirstEligible, RuleProgram,
+    Session, Verdict,
 };
 use starling_server::{ErrorCode, ScriptCache, ServerSession};
-use starling_sql::ast::Statement;
 use starling_sql::json::Json;
-use starling_sql::parse_script;
 use starling_storage::SyncPolicy;
 
 /// A deliberately injected analyzer bug, used to validate that the harness
@@ -273,24 +271,12 @@ pub fn check_script(src: &str, budget: &Budget, mutation: Mutation) -> CaseOutco
     // Zeroth oracle: print → parse must be a fixpoint on every rule.
     for def in &loaded.defs {
         let printed = format!("{def};");
-        let reparsed = match parse_script(&printed) {
-            Ok(stmts) => stmts,
-            Err(e) => {
-                return disagree(
-                    "round-trip",
-                    format!("printed rule does not re-parse: {e}\n{printed}"),
-                )
-            }
+        let detail = match RuleProgram::parse(&printed) {
+            Ok(p) if p.defs.as_slice() == std::slice::from_ref(def) => continue,
+            Ok(_) => format!("printed rule re-parses differently:\n{printed}"),
+            Err(e) => format!("printed rule does not re-parse: {e}\n{printed}"),
         };
-        match reparsed.as_slice() {
-            [Statement::CreateRule(r)] if r == def => {}
-            _ => {
-                return disagree(
-                    "round-trip",
-                    format!("printed rule re-parses differently:\n{printed}"),
-                )
-            }
-        }
+        return disagree("round-trip", detail);
     }
 
     // Fifth oracle: durability. Runs the whole script (user transition

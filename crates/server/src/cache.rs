@@ -2,10 +2,11 @@
 //!
 //! N clients loading the same rule script must not pay N parses, N seed
 //! executions, and N rule-set compilations. The cache keys a fully loaded
-//! [`LoadedScript`] — seeded copy-on-write database, compiled
-//! [`starling_engine::RuleSet`] behind an `Arc`, certifications, user
-//! transition — by the FNV-1a digest of the *source text*, so a cache hit
-//! hands a session its snapshot with two refcount bumps and zero
+//! [`CachedProgram`] — the [`SessionState`] every session of the script
+//! starts from (seeded copy-on-write database, rule program, compiled
+//! [`starling_engine::RuleSet`], each behind an `Arc`) plus the script's
+//! user transition — by the FNV-1a digest of the *source text*, so a cache
+//! hit hands a session its state with three refcount bumps and zero
 //! recompilation.
 //!
 //! Snapshot isolation falls out of PR 2's storage layer: `Database` is
@@ -23,14 +24,23 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
-use starling_analysis::loader::{load_script, LoadedScript};
-use starling_engine::EngineError;
+use starling_analysis::loader::load_script;
+use starling_engine::{EngineError, Session, SessionState};
+use starling_sql::ast::Action;
 use starling_storage::Fnv64;
+
+/// What the cache keeps of a loaded script.
+pub struct CachedProgram {
+    /// The state a session of this script starts from.
+    pub state: SessionState,
+    /// The script's user transition (the default `explore` probe).
+    pub user_actions: Vec<Action>,
+}
 
 /// A per-script slot: `None` while the first loader is building (the slot
 /// mutex is held for the duration, so racing loaders of the *same* script
 /// block and then hit), `Some` once ready.
-type Slot = Arc<Mutex<Option<Arc<LoadedScript>>>>;
+type Slot = Arc<Mutex<Option<Arc<CachedProgram>>>>;
 
 /// A concurrent script-digest → loaded-program cache with single-flight
 /// loading: N sessions racing to load the same new script compile it once,
@@ -64,7 +74,7 @@ impl ScriptCache {
     /// Load errors are **not** cached: a bad script costs its author a
     /// re-parse, and a transiently failing load (e.g. under fault
     /// injection) is not pinned as permanently broken.
-    pub fn load(&self, src: &str) -> Result<(Arc<LoadedScript>, bool), EngineError> {
+    pub fn load(&self, src: &str) -> Result<(Arc<CachedProgram>, bool), EngineError> {
         let key = Self::digest(src);
         // The map lock is held only to fetch-or-create the slot; the load
         // itself runs under the slot's own lock, so building a large
@@ -79,8 +89,13 @@ impl ScriptCache {
             return Ok((Arc::clone(ready), true));
         }
         match load_script(src) {
-            Ok(loaded) => {
-                let loaded = Arc::new(loaded);
+            Ok(l) => {
+                let state = Session::restore(l.db, l.defs, Some(l.rules), l.directives).state();
+                let user_actions = l.user_actions;
+                let loaded = Arc::new(CachedProgram {
+                    state,
+                    user_actions,
+                });
                 *guard = Some(Arc::clone(&loaded));
                 self.misses.fetch_add(1, Ordering::Relaxed);
                 Ok((loaded, false))
@@ -105,7 +120,7 @@ impl ScriptCache {
     /// protocol's attach-by-digest path: a client that knows the digest
     /// skips re-sending the script). Counts as a hit when found; a miss
     /// here is not counted (the client falls back to a full `load`).
-    pub fn get_by_digest(&self, key: u64) -> Option<Arc<LoadedScript>> {
+    pub fn get_by_digest(&self, key: u64) -> Option<Arc<CachedProgram>> {
         let slot = {
             let entries = self.entries.lock().unwrap_or_else(PoisonError::into_inner);
             entries.get(&key).map(Arc::clone)?
@@ -169,7 +184,6 @@ mod tests {
         let (second, was_cached) = cache.load(SRC).unwrap();
         assert!(was_cached);
         assert!(Arc::ptr_eq(&first, &second));
-        assert!(Arc::ptr_eq(&first.rules, &second.rules));
         assert_eq!(cache.stats(), (1, 1));
         assert_eq!(cache.len(), 1);
     }

@@ -1000,6 +1000,10 @@ pub(crate) mod sys {
     /// `poll(2)` with EINTR retry. `revents` of every fd is valid after.
     pub fn poll_fds(fds: &mut [PollFd], timeout_ms: i32) -> std::io::Result<usize> {
         loop {
+            // SAFETY: `fds` is an exclusively borrowed slice of `#[repr(C)]`
+            // structs laid out as `struct pollfd`; the pointer and length
+            // describe exactly that slice, and poll(2) writes only the
+            // `revents` of those entries, for the duration of the call.
             let rc = unsafe { poll(fds.as_mut_ptr(), fds.len() as NfdsT, timeout_ms) };
             if rc >= 0 {
                 return Ok(rc as usize);
@@ -1058,6 +1062,9 @@ pub(crate) mod sys {
 
     pub fn raise_fd_limit(want: u64) -> u64 {
         let mut lim = RLimit { cur: 0, max: 0 };
+        // SAFETY: `lim` is a live, exclusively borrowed `#[repr(C)]` pair of
+        // 64-bit limits — `struct rlimit` on the 64-bit Unix targets we
+        // build for — and getrlimit(2) writes only that struct.
         if unsafe { getrlimit(RLIMIT_NOFILE, &mut lim) } != 0 {
             return want;
         }
@@ -1069,6 +1076,8 @@ pub(crate) mod sys {
             cur: target,
             max: lim.max,
         };
+        // SAFETY: `new` is a live `struct rlimit`-shaped value that
+        // setrlimit(2) only reads; `cur <= max` holds by construction.
         if unsafe { setrlimit(RLIMIT_NOFILE, &new) } == 0 {
             target
         } else {
@@ -1077,60 +1086,5 @@ pub(crate) mod sys {
     }
 }
 
-/// Portability fallback: no readiness syscall, so "poll" is a short sleep
-/// that reports everything ready and lets the non-blocking reads/writes
-/// sort out reality. Correct, merely less efficient; all supported CI
-/// targets take the Unix path.
 #[cfg(not(unix))]
-pub(crate) mod sys {
-    pub const POLLIN: i16 = 0x001;
-    pub const POLLOUT: i16 = 0x004;
-    pub const POLLERR: i16 = 0x008;
-    pub const POLLHUP: i16 = 0x010;
-    pub const POLLNVAL: i16 = 0x020;
-
-    pub struct PollFd {
-        pub fd: i32,
-        pub events: i16,
-        pub revents: i16,
-    }
-
-    pub fn pollfd(fd: i32, events: i16) -> PollFd {
-        PollFd {
-            fd,
-            events,
-            revents: 0,
-        }
-    }
-
-    pub fn raw<T>(_sock: &T) -> i32 {
-        0
-    }
-
-    pub fn poll_fds(fds: &mut [PollFd], timeout_ms: i32) -> std::io::Result<usize> {
-        std::thread::sleep(std::time::Duration::from_millis(
-            (timeout_ms.max(1) as u64).min(5),
-        ));
-        for fd in fds.iter_mut() {
-            fd.revents = fd.events;
-        }
-        Ok(fds.len())
-    }
-
-    pub struct WakeRx;
-    pub struct Waker;
-
-    impl Waker {
-        pub fn wake(&self) {}
-    }
-
-    pub fn wake_pair() -> std::io::Result<(Waker, WakeRx)> {
-        Ok((Waker, WakeRx))
-    }
-
-    pub fn drain_wake(_rx: &WakeRx) {}
-
-    pub fn raise_fd_limit(want: u64) -> u64 {
-        want
-    }
-}
+compile_error!("starling-server needs poll(2)");

@@ -21,7 +21,7 @@
 
 use std::time::Duration;
 
-use starling_engine::{Budget, EngineError};
+use starling_engine::Budget;
 use starling_sql::json::Json;
 
 /// Protocol error codes (the full table lives in DESIGN.md §4f).
@@ -59,12 +59,6 @@ impl ErrorCode {
             ErrorCode::Overloaded => "overloaded",
         }
     }
-}
-
-/// Classifies an [`EngineError`] for the wire: everything the script author
-/// caused is [`ErrorCode::Script`].
-pub fn code_for_engine_error(_e: &EngineError) -> ErrorCode {
-    ErrorCode::Script
 }
 
 /// Builds a success response line (no trailing newline).

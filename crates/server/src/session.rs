@@ -14,18 +14,19 @@
 //!
 //! Every mutating request is atomic at the *request* level, which is
 //! stronger than the CLI: on any error response — script error, abort, or
-//! budget exhaustion — the session is restored to its exact pre-request
-//! state (database, rule definitions, directives, compiled rules). A
+//! budget exhaustion — the session is reset to the [`Session::state`] taken
+//! when the request arrived (database, rule program, compiled rules: three
+//! refcounts), and keeps its evaluation mode and store attachment. A
 //! budget-exhausted `exec` therefore never commits a partially processed
 //! transition, and the error code tells the client which budget ran out.
 
 use std::sync::Arc;
 
-use starling_analysis::loader::LoadedScript;
 use starling_analysis::report::explore_json;
 use starling_analysis::{Certifications, IncrementalAnalysis};
 use starling_engine::{
-    explore_traced_with_mode, Budget, EvalMode, FirstEligible, Outcome, RuleSet, Session, Verdict,
+    explore_traced_with_mode, Budget, EngineError, EvalMode, FirstEligible, Outcome, RuleSet,
+    Session, Verdict,
 };
 use starling_provenance::{witness_json, ProvCounters};
 use starling_sql::ast::{Action, Directive, Statement};
@@ -34,7 +35,7 @@ use starling_sql::parse_script;
 use starling_storage::{Database, Value};
 
 use crate::cache::ScriptCache;
-use crate::protocol::{budget_from_request, code_for_engine_error, str_field, ErrorCode};
+use crate::protocol::{budget_from_request, str_field, ErrorCode};
 use crate::server::DurableRoot;
 
 /// Per-session counters, reported by the `stats` op.
@@ -67,14 +68,34 @@ pub type OpError = (ErrorCode, String, Option<Json>);
 /// A session-level success or failure.
 pub type OpResult = Result<Json, OpError>;
 
+/// A malformed request.
+fn protocol(msg: impl Into<String>) -> OpError {
+    (ErrorCode::Protocol, msg.into(), None)
+}
+
+/// A well-formed request the session cannot serve as sent.
+fn script(msg: impl Into<String>) -> OpError {
+    (ErrorCode::Script, msg.into(), None)
+}
+
+/// An engine failure. A storage cause — an unreadable or corrupt store, a
+/// failed append — is `aborted`: nothing the client sent is wrong, and
+/// re-sending the script (the `script` remedy) would not help. Everything
+/// else is what the script author caused.
+fn engine(e: EngineError) -> OpError {
+    let code = match e.storage_cause() {
+        Some(_) => ErrorCode::Aborted,
+        None => ErrorCode::Script,
+    };
+    (code, e.to_string(), None)
+}
+
 /// One connection's server-side session state.
 pub struct ServerSession {
     session: Session,
     /// The loaded script's user transition — the default probe for
     /// `explore` when the request does not carry its own DML.
     default_actions: Vec<Action>,
-    /// This session's evaluation mode (survives request-atomic restores).
-    eval_mode: EvalMode,
     /// The server's durable data directory, if it has one.
     durable_root: Option<Arc<DurableRoot>>,
     /// The store name this session is attached to, if any (holds the
@@ -102,21 +123,12 @@ struct LastExplore {
     eval_mode: EvalMode,
 }
 
-/// Everything needed to roll a session back to its pre-request state.
-struct Checkpoint {
-    db: Database,
-    defs: Vec<starling_sql::RuleDef>,
-    directives: Vec<Directive>,
-    compiled: Option<Arc<RuleSet>>,
-}
-
 impl ServerSession {
     /// An empty session (no program loaded).
     pub fn new() -> Self {
         ServerSession {
             session: Session::new(),
             default_actions: Vec::new(),
-            eval_mode: EvalMode::default(),
             durable_root: None,
             persist_name: None,
             metrics: SessionMetrics::default(),
@@ -132,17 +144,12 @@ impl ServerSession {
         self.durable_root = root;
     }
 
-    /// Detaches from the current durable store, if any: final best-effort
-    /// snapshot (every acknowledged commit is already in the WAL, so a
-    /// failed snapshot loses nothing), then release of the single-writer
-    /// claim.
+    /// Detaches from the current durable store, if any (final snapshot
+    /// included), then releases the single-writer claim.
     fn detach_durable(&mut self) {
-        if let Some(name) = self.persist_name.take() {
-            let _ = self.session.durable_snapshot();
-            self.session.set_durability(None);
-            if let Some(root) = &self.durable_root {
-                root.release(&name);
-            }
+        self.session.detach_durable();
+        if let (Some(name), Some(root)) = (self.persist_name.take(), &self.durable_root) {
+            root.release(&name);
         }
     }
 
@@ -163,7 +170,7 @@ impl ServerSession {
             "certify" => self.op_certify(req),
             "order" => self.op_order(req),
             "digest" => self.op_digest(req),
-            other => Err((ErrorCode::Protocol, format!("unknown op `{other}`"), None)),
+            other => Err(protocol(format!("unknown op `{other}`"))),
         }
     }
 
@@ -202,29 +209,6 @@ impl ServerSession {
         Json::Obj(fields)
     }
 
-    fn checkpoint(&mut self) -> Checkpoint {
-        Checkpoint {
-            db: self.session.db().clone(),
-            defs: self.session.rule_defs().to_vec(),
-            directives: self.session.directives().to_vec(),
-            // Best-effort: if the current definitions do not compile (e.g.
-            // an ordering introduced a priority cycle), the checkpoint
-            // simply recompiles lazily after a restore.
-            compiled: self.session.ruleset_arc().ok().map(Arc::clone),
-        }
-    }
-
-    fn restore(&mut self, cp: Checkpoint) {
-        // The durable attachment survives the rollback: the checkpoint was
-        // taken at request start, when the in-memory state equaled the
-        // durable base (every acknowledged request persisted), so after the
-        // restore the store is still in sync with the session.
-        let durability = self.session.take_durability();
-        self.session = Session::restore(cp.db, cp.defs, cp.compiled, cp.directives);
-        self.session.set_durability(durability);
-        self.session.eval_mode = self.eval_mode;
-    }
-
     /// `load`: seed this session from a (cached) compiled program — either
     /// `"script"` (full source, loaded through the cache) or `"digest"`
     /// (attach to an already-cached program without re-sending the source;
@@ -238,107 +222,68 @@ impl ServerSession {
     /// attaches to the store's recovered state. A store has at most one
     /// writer at a time.
     fn op_load(&mut self, req: &Json, cache: &ScriptCache) -> OpResult {
-        if let Some(mode) = req.get("eval_mode") {
-            self.eval_mode = match mode.as_str() {
-                Some("columnar") => EvalMode::Columnar,
-                Some("plan") | Some("row") => EvalMode::Plan,
-                Some("interp") => EvalMode::Interp,
-                _ => {
-                    return Err((
-                        ErrorCode::Protocol,
-                        "`eval_mode` must be \"columnar\", \"plan\", or \"interp\"".into(),
-                        None,
-                    ))
-                }
-            };
-        }
+        // Parsed up front, applied only with the new program: a load that
+        // fails leaves the session as it was, mode included.
+        let mode: EvalMode = match req.get("eval_mode") {
+            None => self.session.eval_mode,
+            Some(_) => str_field(req, "eval_mode")
+                .and_then(str::parse)
+                .map_err(|e| protocol(format!("`eval_mode`: {e}")))?,
+        };
         let persist = match req.get("persist") {
             None => None,
             Some(v) => {
-                let name = v.as_str().ok_or((
-                    ErrorCode::Protocol,
-                    "`persist` must be a string store name".into(),
-                    None,
-                ))?;
+                let name = v
+                    .as_str()
+                    .ok_or_else(|| protocol("`persist` must be a string store name"))?;
                 if !valid_store_name(name) {
-                    return Err((
-                        ErrorCode::Protocol,
-                        "store names are 1-64 characters of [a-z0-9_-]".into(),
-                        None,
-                    ));
+                    return Err(protocol("store names are 1-64 characters of [a-z0-9_-]"));
                 }
                 if self.durable_root.is_none() {
-                    return Err((
-                        ErrorCode::Protocol,
+                    return Err(protocol(
                         "this server has no data dir; start it with --data-dir to \
-                         use persistent stores"
-                            .into(),
-                        None,
+                         use persistent stores",
                     ));
                 }
-                Some(name.to_owned())
+                Some(name)
             }
         };
-        if let Some(name) = &persist {
+        if let Some(name) = persist {
             if req.get("script").is_none() && req.get("digest").is_none() {
-                let name = name.clone();
-                return self.attach_store(name);
+                return self.attach_store(name, mode);
             }
         }
         let (loaded, cached, key) = if let Some(d) = req.get("digest") {
             let key = d
                 .as_str()
                 .and_then(|hex| u64::from_str_radix(hex, 16).ok())
-                .ok_or((
-                    ErrorCode::Protocol,
-                    "`digest` must be a 16-hex-digit string".into(),
-                    None,
-                ))?;
-            let loaded = cache.get_by_digest(key).ok_or((
-                ErrorCode::Script,
-                "unknown script digest; send the full script".into(),
-                None,
-            ))?;
+                .ok_or_else(|| protocol("`digest` must be a 16-hex-digit string"))?;
+            let loaded = cache
+                .get_by_digest(key)
+                .ok_or_else(|| script("unknown script digest; send the full script"))?;
             (loaded, true, key)
         } else {
-            let src = str_field(req, "script").map_err(|m| (ErrorCode::Protocol, m, None))?;
-            let key = ScriptCache::digest(src);
-            let (loaded, cached) = cache
-                .load(src)
-                .map_err(|e| (code_for_engine_error(&e), e.to_string(), None))?;
-            (loaded, cached, key)
+            let src = str_field(req, "script").map_err(protocol)?;
+            let (loaded, cached) = cache.load(src).map_err(engine)?;
+            (loaded, cached, ScriptCache::digest(src))
         };
-        let LoadedScript {
-            db,
-            rules,
-            user_actions,
-            defs,
-            directives,
-            ..
-        } = (*loaded).clone();
-        // Only now — after the program is known-good — drop any previous
-        // durable attachment and claim the new one, so a failed load keeps
-        // both the old session and its store binding intact.
-        let claimed = match &persist {
-            None => {
-                self.detach_durable();
-                None
-            }
-            Some(name) => Some(self.claim_store(name)?),
-        };
-        self.session = Session::restore(db, defs, Some(rules), directives);
-        self.session.eval_mode = self.eval_mode;
-        self.default_actions = user_actions;
-        if let Some((name, root)) = claimed {
-            let dir = root.dir().join(&name);
-            if let Err(e) = self.session.persist_to(&dir, root.sync()) {
+        // Only now — after the program is known-good — claim the new store
+        // and drop any previous attachment, so a failed load keeps both the
+        // old session and its store binding intact.
+        let root = persist.map(|name| self.claim_store(name)).transpose()?;
+        self.detach_durable();
+        self.session.reset_to(loaded.state.clone());
+        self.session.eval_mode = mode;
+        self.default_actions = loaded.user_actions.clone();
+        if let Some((name, root)) = persist.zip(root) {
+            if let Err(e) = self.session.persist_to(root.dir().join(name), root.sync()) {
                 // The freshly loaded program stays usable in memory; only
                 // the durable binding failed (e.g. the store already holds
                 // data — attach instead of initializing).
-                root.release(&name);
-                return Err((code_for_engine_error(&e), e.to_string(), None));
+                root.release(name);
+                return Err(engine(e));
             }
-            self.persist_name = Some(name);
+            self.persist_name = Some(name.to_owned());
         }
         let mut fields = vec![
             ("rules", Json::from(self.session.rule_defs().len())),
@@ -352,10 +297,9 @@ impl ServerSession {
         Ok(Json::obj(fields))
     }
 
-    /// Releases any previous store binding and claims `name` for exclusive
-    /// attachment. Returns the name with the root it was claimed in.
-    #[allow(clippy::type_complexity)]
-    fn claim_store(&mut self, name: &str) -> Result<(String, Arc<DurableRoot>), OpError> {
+    /// Claims `name` for exclusive attachment and returns the root it was
+    /// claimed in. The caller detaches the previous binding afterwards.
+    fn claim_store(&mut self, name: &str) -> Result<Arc<DurableRoot>, OpError> {
         let root = Arc::clone(self.durable_root.as_ref().expect("checked by op_load"));
         // Re-binding to our own store must release first, or the claim
         // below would see the name taken — by us.
@@ -363,67 +307,53 @@ impl ServerSession {
             self.detach_durable();
         }
         if !root.claim(name) {
-            return Err((
-                ErrorCode::Script,
-                format!("store `{name}` is attached by another session"),
-                None,
-            ));
+            return Err(script(format!(
+                "store `{name}` is attached by another session"
+            )));
         }
-        self.detach_durable();
-        Ok((name.to_owned(), root))
+        Ok(root)
     }
 
     /// `load` with `persist` but no program: attach to the named store's
     /// recovered state.
-    fn attach_store(&mut self, name: String) -> OpResult {
-        let (name, root) = self.claim_store(&name)?;
-        let dir = root.dir().join(&name);
-        match Session::open_durable(&dir, root.sync()) {
-            Ok(mut session) => {
-                session.eval_mode = self.eval_mode;
-                self.session = session;
-                self.default_actions = Vec::new();
-                self.persist_name = Some(name.clone());
-                Ok(Json::obj([
-                    ("rules", Json::from(self.session.rule_defs().len())),
-                    ("user_actions", Json::Int(0)),
-                    ("cached", Json::Bool(false)),
-                    ("persist", Json::from(name.as_str())),
-                    ("recovered", Json::Bool(true)),
-                    ("digest", digest_json(self.session.db().state_digest())),
-                ]))
-            }
-            Err(e) => {
-                root.release(&name);
-                Err((code_for_engine_error(&e), e.to_string(), None))
-            }
-        }
+    fn attach_store(&mut self, name: &str, mode: EvalMode) -> OpResult {
+        let root = self.claim_store(name)?;
+        self.detach_durable();
+        let opened = Session::open_durable(root.dir().join(name), root.sync());
+        self.session = opened.map_err(|e| {
+            root.release(name);
+            engine(e)
+        })?;
+        self.session.eval_mode = mode;
+        self.default_actions = Vec::new();
+        self.persist_name = Some(name.to_owned());
+        Ok(Json::obj([
+            ("rules", Json::from(self.session.rule_defs().len())),
+            ("user_actions", Json::Int(0)),
+            ("cached", Json::Bool(false)),
+            ("persist", Json::from(name)),
+            ("recovered", Json::Bool(true)),
+            ("digest", digest_json(self.session.db().state_digest())),
+        ]))
     }
 
     /// `exec`: DDL/DML with rule processing at the commit assertion point,
     /// bounded by the per-request budget.
     fn op_exec(&mut self, req: &Json) -> OpResult {
-        let sql = str_field(req, "sql").map_err(|m| (ErrorCode::Protocol, m, None))?;
-        let budget = budget_from_request(req).map_err(|m| (ErrorCode::Protocol, m, None))?;
-        let cp = self.checkpoint();
+        let sql = str_field(req, "sql").map_err(protocol)?;
+        let budget = budget_from_request(req).map_err(protocol)?;
+        let cp = self.session.state();
         self.session.max_considerations = budget.max_considerations;
         self.session.deadline = budget.deadline;
-        let outputs = match self.session.execute_script(sql) {
-            Ok(o) => o,
-            Err(e) => {
-                let code = code_for_engine_error(&e);
-                let msg = e.to_string();
-                self.restore(cp);
-                return Err((code, msg, None));
-            }
-        };
-        let run = match self.session.commit(&mut FirstEligible) {
+        let ran = self
+            .session
+            .execute_script(sql)
+            .and_then(|outputs| Ok((outputs, self.session.commit(&mut FirstEligible)?)));
+        let (outputs, run) = match ran {
             Ok(r) => r,
             Err(e) => {
-                let code = code_for_engine_error(&e);
-                let msg = e.to_string();
-                self.restore(cp);
-                return Err((code, msg, None));
+                self.session.reset_to(cp);
+                return Err(engine(e));
             }
         };
         self.metrics.considerations += run.considerations.len() as u64;
@@ -439,20 +369,15 @@ impl ServerSession {
                 ("digest", digest_json(self.session.db().state_digest())),
             ])),
             Outcome::Aborted => {
-                let msg = run
-                    .error
-                    .as_ref()
-                    .map(ToString::to_string)
-                    .unwrap_or_else(|| "transaction aborted".to_owned());
-                self.restore(cp);
+                self.session.reset_to(cp);
+                let msg = run.error.map(|e| e.to_string());
+                let msg = msg.unwrap_or_else(|| "transaction aborted".to_owned());
                 Err((ErrorCode::Aborted, msg, Some(summary)))
             }
             Outcome::LimitExceeded => {
-                let msg = run
-                    .truncation
-                    .map(|r| r.to_string())
-                    .unwrap_or_else(|| "budget exhausted".to_owned());
-                self.restore(cp);
+                self.session.reset_to(cp);
+                let msg = run.truncation.map(|r| r.to_string());
+                let msg = msg.unwrap_or_else(|| "budget exhausted".to_owned());
                 Err((ErrorCode::Inconclusive, msg, Some(summary)))
             }
         }
@@ -463,19 +388,13 @@ impl ServerSession {
     fn op_analyze(&mut self, req: &Json) -> OpResult {
         let refine = match req.get("refine") {
             None => false,
-            Some(v) => v.as_bool().ok_or((
-                ErrorCode::Protocol,
-                "`refine` must be a boolean".into(),
-                None,
-            ))?,
+            Some(v) => v
+                .as_bool()
+                .ok_or_else(|| protocol("`refine` must be a boolean"))?,
         };
         let protect = parse_protect(req)?;
         let certs = Certifications::from_directives(self.session.directives());
-        let rules = self
-            .session
-            .ruleset_arc()
-            .map_err(|e| (code_for_engine_error(&e), e.to_string(), None))?
-            .clone();
+        let rules = self.session.ruleset_arc().map_err(engine)?.clone();
         let report = self.analysis.analyze(&rules, &certs, refine, &protect);
         Ok(report.to_json())
     }
@@ -486,35 +405,31 @@ impl ServerSession {
     /// undecided exploration is an `inconclusive` error whose `data`
     /// carries the partial graph summary (same shape as a success).
     fn op_explore(&mut self, req: &Json) -> OpResult {
-        let budget = budget_from_request(req).map_err(|m| (ErrorCode::Protocol, m, None))?;
+        let budget = budget_from_request(req).map_err(protocol)?;
         let actions: Vec<Action> = match req.get("sql") {
             None => self.default_actions.clone(),
             Some(v) => {
-                let sql = v.as_str().ok_or((
-                    ErrorCode::Protocol,
-                    "`sql` must be a string".into(),
-                    None,
-                ))?;
+                let sql = v
+                    .as_str()
+                    .ok_or_else(|| protocol("`sql` must be a string"))?;
                 parse_actions(sql)?
             }
         };
         if actions.is_empty() {
-            return Err((
-                ErrorCode::Script,
+            return Err(script(
                 "explore needs a user transition: pass `sql` or load a script with \
-                 DML after the rule definitions"
-                    .into(),
-                None,
+                 DML after the rule definitions",
             ));
         }
-        let rules = self
-            .session
-            .ruleset_arc()
-            .map_err(|e| (code_for_engine_error(&e), e.to_string(), None))?
-            .clone();
-        let (g, log) =
-            explore_traced_with_mode(&rules, self.session.db(), &actions, &budget, self.eval_mode)
-                .map_err(|e| (code_for_engine_error(&e), e.to_string(), None))?;
+        let rules = self.session.ruleset_arc().map_err(engine)?.clone();
+        let (g, log) = explore_traced_with_mode(
+            &rules,
+            self.session.db(),
+            &actions,
+            &budget,
+            self.session.eval_mode,
+        )
+        .map_err(engine)?;
         self.metrics.states_explored += g.states.len() as u64;
         self.prov.record_trace(&log);
         // Keep the probe (even for an inconclusive exploration) so a
@@ -524,7 +439,7 @@ impl ServerSession {
             db: self.session.db().clone(),
             actions: actions.clone(),
             budget,
-            eval_mode: self.eval_mode,
+            eval_mode: self.session.eval_mode,
         });
         let result = explore_json(&g, &budget);
         let inconclusive = [
@@ -550,11 +465,10 @@ impl ServerSession {
     /// state — a minimal, replay-verified divergence witness (`null` when
     /// confluent). The graph summary rides along in the `explore` field.
     fn op_explain(&mut self, _req: &Json) -> OpResult {
-        let last = self.last_explore.as_ref().ok_or((
-            ErrorCode::Script,
-            "explain needs a prior explore on this session".into(),
-            None,
-        ))?;
+        let last = self
+            .last_explore
+            .as_ref()
+            .ok_or_else(|| script("explain needs a prior explore on this session"))?;
         let ex = starling_provenance::explain_divergence(
             &last.rules,
             &last.db,
@@ -562,7 +476,7 @@ impl ServerSession {
             &last.budget,
             last.eval_mode,
         )
-        .map_err(|e| (code_for_engine_error(&e), e.to_string(), None))?;
+        .map_err(engine)?;
         self.prov.record_trace(&ex.log);
         let witness = match &ex.witness {
             Some(w) => {
@@ -578,19 +492,27 @@ impl ServerSession {
         ]))
     }
 
+    /// Applies one §6.4 refinement to the rule program and persists it. If
+    /// the append fails, the engine has already rolled memory back to the
+    /// durable base: nothing changed, in memory or on disk.
+    fn refine(&mut self, edit: Statement) -> Result<(), OpError> {
+        self.session.execute(&edit).map_err(engine)?;
+        self.session.persist_changes().map_err(engine)
+    }
+
     /// `certify`: the §6.4 refinement loop's certification step, as a
     /// stateful session mutation. `{"kind":"commute","a":..,"b":..}` or
     /// `{"kind":"terminates","rule":..,"justification":..}`.
     fn op_certify(&mut self, req: &Json) -> OpResult {
-        let kind = str_field(req, "kind").map_err(|m| (ErrorCode::Protocol, m, None))?;
+        let kind = str_field(req, "kind").map_err(protocol)?;
         let directive = match kind {
             "commute" => {
-                let a = str_field(req, "a").map_err(|m| (ErrorCode::Protocol, m, None))?;
-                let b = str_field(req, "b").map_err(|m| (ErrorCode::Protocol, m, None))?;
+                let a = str_field(req, "a").map_err(protocol)?;
+                let b = str_field(req, "b").map_err(protocol)?;
                 Directive::Commute(a.to_owned(), b.to_owned())
             }
             "terminates" => {
-                let rule = str_field(req, "rule").map_err(|m| (ErrorCode::Protocol, m, None))?;
+                let rule = str_field(req, "rule").map_err(protocol)?;
                 let justification = req
                     .get("justification")
                     .and_then(Json::as_str)
@@ -600,18 +522,9 @@ impl ServerSession {
                     justification: justification.to_owned(),
                 }
             }
-            other => {
-                return Err((
-                    ErrorCode::Protocol,
-                    format!("unknown certify kind `{other}`"),
-                    None,
-                ))
-            }
+            other => return Err(protocol(format!("unknown certify kind `{other}`"))),
         };
-        self.session
-            .execute(&Statement::Directive(directive))
-            .map_err(|e| (code_for_engine_error(&e), e.to_string(), None))?;
-        self.persist_session()?;
+        self.refine(Statement::Directive(directive))?;
         Ok(Json::obj([(
             "directives",
             Json::from(self.session.directives().len()),
@@ -622,35 +535,17 @@ impl ServerSession {
     /// `{"higher":..,"lower":..}` adds the priority `higher precedes
     /// lower` to the session's rule definitions.
     fn op_order(&mut self, req: &Json) -> OpResult {
-        let higher = str_field(req, "higher").map_err(|m| (ErrorCode::Protocol, m, None))?;
-        let lower = str_field(req, "lower").map_err(|m| (ErrorCode::Protocol, m, None))?;
-        self.session
-            .execute(&Statement::AlterRule {
-                name: higher.to_owned(),
-                precedes: vec![lower.to_owned()],
-                follows: Vec::new(),
-            })
-            .map_err(|e| (code_for_engine_error(&e), e.to_string(), None))?;
-        self.persist_session()?;
+        let higher = str_field(req, "higher").map_err(protocol)?;
+        let lower = str_field(req, "lower").map_err(protocol)?;
+        self.refine(Statement::AlterRule {
+            name: higher.to_owned(),
+            precedes: vec![lower.to_owned()],
+            follows: Vec::new(),
+        })?;
         Ok(Json::obj([(
             "ordered",
             Json::arr([Json::from(higher), Json::from(lower)]),
         )]))
-    }
-
-    /// Persists the session's refinement mutations (`certify`/`order`) to
-    /// the attached store, if any. On failure the engine has already rolled
-    /// the in-memory state back to the durable base, so the error response
-    /// is honest: nothing changed, in memory or on disk.
-    fn persist_session(&mut self) -> Result<(), OpError> {
-        self.session.persist_changes().map_err(|e| {
-            let code = if e.storage_cause().is_some() {
-                ErrorCode::Aborted
-            } else {
-                ErrorCode::Script
-            };
-            (code, e.to_string(), None)
-        })
     }
 
     /// `digest`: the canonical content digest of the session database
@@ -663,11 +558,7 @@ impl ServerSession {
                 let names: Vec<&str> = v
                     .as_arr()
                     .map(|items| items.iter().filter_map(Json::as_str).collect())
-                    .ok_or((
-                        ErrorCode::Protocol,
-                        "`tables` must be an array of strings".into(),
-                        None,
-                    ))?;
+                    .ok_or_else(|| protocol("`tables` must be an array of strings"))?;
                 self.session.db().digest_of_tables(&names)
             }
         };
@@ -701,16 +592,14 @@ fn valid_store_name(name: &str) -> bool {
 
 /// Parses a DML-only script into the actions of a user transition.
 fn parse_actions(sql: &str) -> Result<Vec<Action>, OpError> {
-    let stmts = parse_script(sql).map_err(|e| (ErrorCode::Script, e.to_string(), None))?;
+    let stmts = parse_script(sql).map_err(|e| script(e.to_string()))?;
     stmts
         .into_iter()
         .map(|s| match s {
             Statement::Dml(a) => Ok(a),
-            other => Err((
-                ErrorCode::Script,
-                format!("explore transitions must be DML only, got {other:?}"),
-                None,
-            )),
+            other => Err(script(format!(
+                "explore transitions must be DML only, got {other:?}"
+            ))),
         })
         .collect()
 }
@@ -721,13 +610,7 @@ fn parse_protect(req: &Json) -> Result<Vec<Vec<String>>, OpError> {
     let Some(v) = req.get("protect") else {
         return Ok(Vec::new());
     };
-    let bad = || {
-        (
-            ErrorCode::Protocol,
-            "`protect` must be an array of arrays of table names".to_owned(),
-            None,
-        )
-    };
+    let bad = || protocol("`protect` must be an array of arrays of table names");
     let outer = v.as_arr().ok_or_else(bad)?;
     outer
         .iter()
@@ -1116,9 +999,13 @@ mod tests {
             .unwrap();
         plan.handle_op("load", &load("plan"), &cache).unwrap();
         interp.handle_op("load", &load("interp"), &cache).unwrap();
-        assert_eq!(columnar.eval_mode, EvalMode::Columnar);
-        assert_eq!(plan.eval_mode, EvalMode::Plan);
-        assert_eq!(interp.eval_mode, EvalMode::Interp);
+        assert_eq!(columnar.session.eval_mode, EvalMode::Columnar);
+        assert_eq!(plan.session.eval_mode, EvalMode::Plan);
+        assert_eq!(interp.session.eval_mode, EvalMode::Interp);
+        // Request atomicity covers the mode: a load that fails leaves it be.
+        let bad = Json::parse(r#"{"digest":"ffffffffffffffff","eval_mode":"interp"}"#).unwrap();
+        columnar.handle_op("load", &bad, &cache).unwrap_err();
+        assert_eq!(columnar.session.eval_mode, EvalMode::Columnar);
         // All paths agree on the oracle result.
         let a = plan
             .handle_op("explore", &Json::parse("{}").unwrap(), &cache)
@@ -1286,6 +1173,14 @@ mod tests {
             .handle_op("digest", &Json::parse("{}").unwrap(), &cache)
             .is_ok());
         drop(s);
+        // A store that cannot be read back is the server's failure, not the
+        // client's script: `aborted`, never `script` ("re-send the script").
+        std::fs::write(dir.join("init-once/wal.log"), b"not a starling wal").unwrap();
+        let mut s = ServerSession::new();
+        s.set_durable_root(Some(Arc::clone(&root)));
+        let req = Json::obj([("persist", Json::from("init-once"))]);
+        let (code, msg, _) = s.handle_op("load", &req, &cache).unwrap_err();
+        assert_eq!(code, ErrorCode::Aborted, "{msg}");
         let _ = std::fs::remove_dir_all(dir);
     }
 

@@ -25,9 +25,9 @@
 //! side tables that trigger nothing), so the verdicts are pinned:
 //! terminates, confluent, observably deterministic.
 
-use starling_engine::RuleSet;
+use starling_engine::{RuleProgram, RuleSet};
 use starling_sql::ast::{Action, Statement};
-use starling_sql::{parse_script, parse_statement};
+use starling_sql::parse_statement;
 use starling_storage::{Catalog, ColumnDef, Database, TableSchema, Value, ValueType};
 
 /// Rows in the `big` reference table. Sized so condition evaluation
@@ -120,14 +120,9 @@ pub fn filter_rules_script() -> String {
 }
 
 fn compile_script(script: &str) -> RuleSet {
-    let defs: Vec<_> = parse_script(script)
+    let defs = RuleProgram::parse(script)
         .expect("cond_stress script parses")
-        .into_iter()
-        .filter_map(|s| match s {
-            Statement::CreateRule(r) => Some(r),
-            _ => None,
-        })
-        .collect();
+        .defs;
     RuleSet::compile(&defs, &catalog()).expect("cond_stress script compiles")
 }
 

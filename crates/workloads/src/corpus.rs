@@ -1,9 +1,7 @@
 //! A curated corpus of small rule sets with known ground truth, shared by
 //! integration tests, experiments, and benchmarks.
 
-use starling_engine::RuleSet;
-use starling_sql::ast::Statement;
-use starling_sql::parse_script;
+use starling_engine::{RuleProgram, RuleSet};
 use starling_storage::{Catalog, ColumnDef, TableSchema, ValueType};
 
 /// Expected verdicts for a corpus entry (static-analysis ground truth,
@@ -46,14 +44,9 @@ impl CorpusEntry {
     /// Parses and compiles the entry.
     pub fn compile(&self) -> RuleSet {
         let cat = Self::catalog();
-        let defs: Vec<_> = parse_script(self.rules)
+        let defs = RuleProgram::parse(self.rules)
             .expect("corpus entry parses")
-            .into_iter()
-            .filter_map(|s| match s {
-                Statement::CreateRule(r) => Some(r),
-                _ => None,
-            })
-            .collect();
+            .defs;
         RuleSet::compile(&defs, &cat).expect("corpus entry compiles")
     }
 }

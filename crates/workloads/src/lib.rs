@@ -80,20 +80,8 @@ impl Workload {
         let mut session = starling_engine::Session::new();
         session.execute_script(&self.setup)?;
         session.commit(&mut starling_engine::FirstEligible)?;
-        let mut defs = Vec::new();
-        let mut directives = Vec::new();
-        for stmt in parse_script(&self.rules)? {
-            match stmt {
-                Statement::CreateRule(r) => defs.push(r),
-                Statement::Directive(d) => directives.push(d),
-                other => {
-                    return Err(starling_engine::EngineError::InvalidStatement(format!(
-                        "unexpected statement in rules script: {other}"
-                    )))
-                }
-            }
-        }
-        Ok((session.db().clone(), defs, directives))
+        let program = starling_engine::RuleProgram::parse(&self.rules)?;
+        Ok((session.db().clone(), program.defs, program.directives))
     }
 
     /// Compiles the rule set against the built database's catalog.

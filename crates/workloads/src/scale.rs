@@ -16,9 +16,9 @@
 //! tables, so — like `cond_stress` — the verdicts are pinned: terminates,
 //! confluent, observably deterministic.
 
-use starling_engine::RuleSet;
+use starling_engine::{RuleProgram, RuleSet};
 use starling_sql::ast::{Action, Statement};
-use starling_sql::{parse_script, parse_statement};
+use starling_sql::parse_statement;
 use starling_storage::{Catalog, ColumnDef, Database, TableSchema, Value, ValueType};
 
 /// Number of interleaving rules per flavor. Smaller than
@@ -104,14 +104,9 @@ pub fn join_rules(_rows: i64) -> RuleSet {
 }
 
 fn compile_script(script: &str) -> RuleSet {
-    let defs: Vec<_> = parse_script(script)
+    let defs = RuleProgram::parse(script)
         .expect("scale script parses")
-        .into_iter()
-        .filter_map(|s| match s {
-            Statement::CreateRule(r) => Some(r),
-            _ => None,
-        })
-        .collect();
+        .defs;
     RuleSet::compile(&defs, &catalog()).expect("scale script compiles")
 }
 

@@ -6,7 +6,47 @@ use starling_cli::{
     cmd_analyze, cmd_compare, cmd_explain, cmd_explain_divergence, cmd_explore, cmd_graph, cmd_run,
     CmdStatus,
 };
-use starling_engine::Budget;
+use starling_engine::{Budget, RuleProgram, Session};
+
+/// Every script in `dir` (relative to the repo root) with extension `ext`.
+fn scripts_in(dir: &str, ext: &str) -> Vec<String> {
+    let dir = format!("{}/{dir}", env!("CARGO_MANIFEST_DIR"));
+    let files = std::fs::read_dir(&dir).unwrap_or_else(|e| panic!("{dir}: {e}"));
+    files
+        .map(|f| f.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|e| e == ext))
+        .map(|p| std::fs::read_to_string(p).unwrap())
+        .collect()
+}
+
+/// One rule program, whoever reads the script: the loader and a session
+/// build the same definitions and directives from the same text (repeated
+/// `alter`s deduped, a dropped rule's orderings scrubbed), and the program
+/// survives the WAL's text form unchanged.
+#[test]
+fn loader_and_session_agree_and_programs_round_trip() {
+    let edits = "create table t (x int);
+        create rule a on t when inserted then delete from t end;
+        create rule b on t when inserted then delete from t end;
+        create rule c on t when deleted then delete from t follows a end;
+        alter rule a precedes b; alter rule a precedes b, c follows c;
+        declare commute a, b; drop rule c; declare terminates a 'it''s fine';";
+    let mut sources = scripts_in("scripts", "rql");
+    sources.extend(scripts_in("tests/fuzz_corpus", "star"));
+    assert!(sources.len() >= 7, "shipped scripts and corpus found");
+    sources.push(edits.to_owned());
+    let gen = starling_fuzz::gen::GenConfig::default();
+    sources.extend((0..40).map(|seed| starling_fuzz::gen::generate(seed, &gen).script()));
+    for src in &sources {
+        let loaded = starling_cli::load_script(src).unwrap();
+        let mut session = Session::new();
+        session.execute_script(src).unwrap();
+        assert_eq!(loaded.defs, session.rule_defs(), "{src}");
+        assert_eq!(loaded.directives, session.directives(), "{src}");
+        let program = session.state().program;
+        assert_eq!(RuleProgram::parse(&program.render()).unwrap(), *program);
+    }
+}
 
 fn read(name: &str) -> String {
     let path = format!("{}/scripts/{name}", env!("CARGO_MANIFEST_DIR"));
