@@ -14,8 +14,10 @@
 
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::{Arc, OnceLock};
 
 use starling_sql::eval::{DmlEffect, TransitionBinding};
+use starling_storage::digest::mix64;
 use starling_storage::{CanonicalDigest, Fnv64, Op, Row, TupleId};
 
 /// One concrete, tuple-level database operation (an entry in the engine's
@@ -116,18 +118,156 @@ pub enum NetChange {
     },
 }
 
+/// A value with its digest cached beside it. The cache is computed on first
+/// use and cleared by the only path to a `&mut` of the value; it is not part
+/// of the value, so a clone (made to be changed) starts without one and
+/// equality ignores it.
+#[derive(Debug, Default)]
+pub(crate) struct Digested<T> {
+    value: T,
+    digest: OnceLock<u64>,
+}
+
+impl<T> Digested<T> {
+    pub(crate) fn get_mut(&mut self) -> &mut T {
+        self.digest.take();
+        &mut self.value
+    }
+
+    /// The cached digest, or `compute`'s result, which is then cached.
+    pub(crate) fn digest(&self, compute: impl FnOnce(&T) -> u64) -> u64 {
+        *self.digest.get_or_init(|| compute(&self.value))
+    }
+}
+
+impl<T> std::ops::Deref for Digested<T> {
+    type Target = T;
+    fn deref(&self) -> &T {
+        &self.value
+    }
+}
+
+impl<T: Clone> Clone for Digested<T> {
+    fn clone(&self) -> Self {
+        Digested {
+            value: self.value.clone(),
+            digest: OnceLock::new(),
+        }
+    }
+}
+
+impl<T: PartialEq> PartialEq for Digested<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.value == other.value
+    }
+}
+
+// `Eq` also gives `Arc<Digested<T>>` its pointer-equality shortcut.
+impl<T: Eq> Eq for Digested<T> {}
+
+/// One table's share of a net effect: shared between the net effects that
+/// agree on it, and hashed once (with the table's name — every net effect
+/// sharing these changes files them under the same one).
+type TableChanges = Digested<BTreeMap<TupleId, NetChange>>;
+
+fn table_digest(table: &str, rows: &BTreeMap<TupleId, NetChange>) -> u64 {
+    let mut h = Fnv64::new();
+    h.write_str(table);
+    h.write_usize(rows.len());
+    for (id, change) in rows {
+        h.write_u64(id.0);
+        match change {
+            NetChange::Inserted(row) => {
+                h.write(&[1]);
+                row.digest_into(&mut h);
+            }
+            NetChange::Deleted(row) => {
+                h.write(&[2]);
+                row.digest_into(&mut h);
+            }
+            NetChange::Updated { old, new, cols } => {
+                h.write(&[3]);
+                old.digest_into(&mut h);
+                new.digest_into(&mut h);
+                h.write_usize(cols.len());
+                for c in cols {
+                    h.write_str(c);
+                }
+            }
+        }
+    }
+    h.finish()
+}
+
+/// Composes `change` — a later operation on tuple `id`, or the net effect
+/// of several — onto the tuple's net change so far.
+fn compose(rows: &mut BTreeMap<TupleId, NetChange>, id: TupleId, change: NetChange) {
+    let mut cur = match rows.entry(id) {
+        Entry::Vacant(v) => {
+            v.insert(change);
+            return;
+        }
+        Entry::Occupied(o) => o,
+    };
+    match (cur.get_mut(), change) {
+        // Tuple ids are never reused, so an insert always creates a fresh
+        // entry.
+        (_, change @ NetChange::Inserted(_)) => {
+            debug_assert!(false, "tuple id {id} reused within a transition");
+            cur.insert(change);
+        }
+        // Rule 3: insert then update = insert of updated tuple.
+        (NetChange::Inserted(row), NetChange::Updated { new, .. }) => *row = new,
+        // Rule 1: update then update = composite update.
+        (
+            NetChange::Updated {
+                new: cur_new,
+                cols: cur_cols,
+                ..
+            },
+            NetChange::Updated { new, cols, .. },
+        ) => {
+            *cur_new = new;
+            cur_cols.extend(cols);
+        }
+        (NetChange::Deleted(_), NetChange::Updated { .. }) => {
+            debug_assert!(false, "update of deleted tuple {id}")
+        }
+        // Rule 4: insert then delete = nothing at all.
+        (NetChange::Inserted(_), NetChange::Deleted(_)) => {
+            cur.remove();
+        }
+        // Rule 2: update then delete = delete the original.
+        (NetChange::Updated { old, .. }, NetChange::Deleted(_)) => {
+            let orig = std::mem::take(old);
+            cur.insert(NetChange::Deleted(orig));
+        }
+        (NetChange::Deleted(_), change @ NetChange::Deleted(_)) => {
+            debug_assert!(false, "double delete of tuple {id}");
+            cur.insert(change);
+        }
+    }
+}
+
 /// The net effect of a transition: per table, per tuple, the composed
 /// change. This is the `TR`-side payload of an execution-graph state and the
 /// source of transition-table contents.
+///
+/// Structurally shared: a clone is one map of refcounted handles, and a
+/// write unshares only the table it touches.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct NetEffect {
-    changes: BTreeMap<String, BTreeMap<TupleId, NetChange>>,
+    /// No table maps to an empty set of changes, so equal net effects are
+    /// equal maps.
+    changes: BTreeMap<Arc<str>, Arc<TableChanges>>,
 }
 
 impl NetEffect {
     /// The empty transition.
-    pub fn new() -> Self {
-        NetEffect::default()
+    pub const fn new() -> Self {
+        NetEffect {
+            changes: BTreeMap::new(),
+        }
     }
 
     /// Net effect of a whole operation sequence.
@@ -141,81 +281,39 @@ impl NetEffect {
 
     /// Whether the transition has no net changes.
     pub fn is_empty(&self) -> bool {
-        self.changes.values().all(BTreeMap::is_empty)
+        self.changes.is_empty()
     }
 
     /// Total number of net tuple changes.
     pub fn len(&self) -> usize {
-        self.changes.values().map(BTreeMap::len).sum()
+        self.changes.values().map(|t| t.len()).sum()
     }
 
     /// Composes one more operation into the net effect.
     pub fn absorb(&mut self, op: &TupleOp) {
-        let per_table = self.changes.entry(op.table().to_owned()).or_default();
-        match op {
-            TupleOp::Insert { id, row, .. } => {
-                // Tuple ids are never reused, so an insert always creates a
-                // fresh entry.
-                debug_assert!(
-                    !per_table.contains_key(id),
-                    "tuple id {id} reused within a transition"
-                );
-                per_table.insert(*id, NetChange::Inserted(row.clone()));
+        let change = match op {
+            TupleOp::Insert { row, .. } => NetChange::Inserted(row.clone()),
+            TupleOp::Delete { old, .. } => NetChange::Deleted(old.clone()),
+            TupleOp::Update { old, new, cols, .. } => NetChange::Updated {
+                old: old.clone(),
+                new: new.clone(),
+                cols: cols.clone(),
+            },
+        };
+        let table = op.table();
+        match self.changes.get_mut(table) {
+            Some(mine) => {
+                let rows = Arc::make_mut(mine).get_mut();
+                compose(rows, op.tuple_id(), change);
+                if rows.is_empty() {
+                    self.changes.remove(table);
+                }
             }
-            TupleOp::Update {
-                id, old, new, cols, ..
-            } => match per_table.entry(*id) {
-                Entry::Vacant(v) => {
-                    v.insert(NetChange::Updated {
-                        old: old.clone(),
-                        new: new.clone(),
-                        cols: cols.clone(),
-                    });
-                }
-                Entry::Occupied(mut o) => match o.get_mut() {
-                    // Rule 3: insert then update = insert of updated tuple.
-                    NetChange::Inserted(row) => *row = new.clone(),
-                    // Rule 1: update then update = composite update.
-                    NetChange::Updated {
-                        new: cur_new,
-                        cols: cur_cols,
-                        ..
-                    } => {
-                        *cur_new = new.clone();
-                        cur_cols.extend(cols.iter().cloned());
-                    }
-                    NetChange::Deleted(_) => {
-                        debug_assert!(false, "update of deleted tuple {id}")
-                    }
-                },
-            },
-            TupleOp::Delete { id, old, .. } => match per_table.entry(*id) {
-                Entry::Vacant(v) => {
-                    v.insert(NetChange::Deleted(old.clone()));
-                }
-                Entry::Occupied(mut o) => {
-                    let replacement = match o.get() {
-                        // Rule 4: insert then delete = nothing at all.
-                        NetChange::Inserted(_) => None,
-                        // Rule 2: update then delete = delete the original.
-                        NetChange::Updated { old: orig, .. } => {
-                            Some(NetChange::Deleted(orig.clone()))
-                        }
-                        NetChange::Deleted(_) => {
-                            debug_assert!(false, "double delete of tuple {id}");
-                            Some(NetChange::Deleted(old.clone()))
-                        }
-                    };
-                    match replacement {
-                        Some(c) => {
-                            *o.get_mut() = c;
-                        }
-                        None => {
-                            o.remove();
-                        }
-                    }
-                }
-            },
+            None => {
+                let mut first = TableChanges::default();
+                first.get_mut().insert(op.tuple_id(), change);
+                self.changes.insert(table.into(), Arc::new(first));
+            }
         }
     }
 
@@ -223,6 +321,28 @@ impl NetEffect {
     pub fn absorb_all<'a>(&mut self, ops: impl IntoIterator<Item = &'a TupleOp>) {
         for op in ops {
             self.absorb(op);
+        }
+    }
+
+    /// Composes a later transition's net effect onto this one: what
+    /// absorbing that transition's operations one by one would leave. A
+    /// table this one has not touched takes `later`'s changes by reference.
+    pub(crate) fn compose(&mut self, later: &NetEffect) {
+        for (table, theirs) in &later.changes {
+            match self.changes.get_mut(table) {
+                Some(mine) => {
+                    let rows = Arc::make_mut(mine).get_mut();
+                    for (id, change) in theirs.iter() {
+                        compose(rows, *id, change.clone());
+                    }
+                    if rows.is_empty() {
+                        self.changes.remove(table);
+                    }
+                }
+                None => {
+                    self.changes.insert(table.clone(), theirs.clone());
+                }
+            }
         }
     }
 
@@ -269,36 +389,21 @@ impl NetEffect {
     pub fn iter(&self) -> impl Iterator<Item = (&str, TupleId, &NetChange)> {
         self.changes
             .iter()
-            .flat_map(|(t, m)| m.iter().map(move |(id, c)| (t.as_str(), *id, c)))
+            .flat_map(|(t, m)| m.iter().map(move |(id, c)| (&**t, *id, c)))
     }
 }
 
 impl CanonicalDigest for NetEffect {
     fn digest_into(&self, h: &mut Fnv64) {
-        h.write_usize(self.len());
-        for (table, id, change) in self.iter() {
-            h.write_str(table);
-            h.write_u64(id.0);
-            match change {
-                NetChange::Inserted(row) => {
-                    h.write(&[1]);
-                    row.digest_into(h);
-                }
-                NetChange::Deleted(row) => {
-                    h.write(&[2]);
-                    row.digest_into(h);
-                }
-                NetChange::Updated { old, new, cols } => {
-                    h.write(&[3]);
-                    old.digest_into(h);
-                    new.digest_into(h);
-                    h.write_usize(cols.len());
-                    for c in cols {
-                        h.write_str(c);
-                    }
-                }
-            }
+        // Tables are distinct, so their digests combine as a set: a sum of
+        // mixed words, as for a table's rows.
+        let mut sum = 0u64;
+        for (table, changes) in &self.changes {
+            let digest = changes.digest(|rows| table_digest(table, rows));
+            sum = sum.wrapping_add(mix64(digest));
         }
+        h.write_usize(self.changes.len());
+        h.write_u64(sum);
     }
 }
 
@@ -367,6 +472,10 @@ mod tests {
         let n = NetEffect::from_ops(&[ins(1, 10), del(1, 10)]);
         assert!(n.is_empty());
         assert_eq!(n.len(), 0);
+        // Nothing at all: not even an emptied entry for the table, which
+        // `==` would see and the digest would not.
+        assert_eq!(n.digest(), NetEffect::new().digest());
+        assert_eq!(n, NetEffect::new());
     }
 
     #[test]
@@ -426,6 +535,29 @@ mod tests {
         inc.absorb_all(&ops[2..]);
         assert_eq!(batch, inc);
         assert_eq!(batch.digest(), inc.digest());
+    }
+
+    #[test]
+    fn compose_equals_absorbing_the_operations() {
+        let earlier = [ins(1, 10), upd(2, 1, 2), upd(3, 5, 6), ins(4, 0)];
+        let later = [
+            upd(1, 10, 20),
+            del(2, 2),
+            upd(3, 6, 7),
+            del(4, 0),
+            del(5, 9),
+        ];
+        let mut composed = NetEffect::from_ops(&earlier);
+        let shared = composed.clone();
+        // Warm the cached digests, which the write must then clear.
+        assert_eq!(composed.digest(), shared.digest());
+        composed.compose(&NetEffect::from_ops(&later));
+        let whole = NetEffect::from_ops(earlier.iter().chain(&later));
+        assert_eq!(composed, whole);
+        assert_eq!(composed.digest(), whole.digest());
+        // The clone it was sharing storage with is untouched.
+        assert_eq!(shared, NetEffect::from_ops(&earlier));
+        assert_eq!(shared.digest(), NetEffect::from_ops(&earlier).digest());
     }
 
     #[test]

@@ -707,6 +707,37 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// One flipped byte in the middle record of a three-commit log: the
+    /// store's refusal reaches the caller instead of a session that lost
+    /// two acknowledged commits.
+    #[test]
+    fn open_durable_refuses_a_damaged_middle_commit() {
+        let dir = durable_dir("midflip");
+        let wal = dir.join("wal.log");
+        let mut s = Session::new();
+        s.execute_script("create table t (a int)").unwrap();
+        s.persist_to(&dir, SyncPolicy::Always).unwrap();
+        s.execute_script("insert into t values (1)").unwrap();
+        s.commit(&mut FirstEligible).unwrap();
+        let second_ends = std::fs::metadata(&wal).unwrap().len() as usize;
+        s.execute_script("insert into t values (2)").unwrap();
+        s.commit(&mut FirstEligible).unwrap();
+        drop(s);
+        let mut bytes = std::fs::read(&wal).unwrap();
+        bytes[second_ends - 1] ^= 0xff;
+        std::fs::write(&wal, &bytes).unwrap();
+        match Session::open_durable(&dir, SyncPolicy::Always) {
+            Err(EngineError::Storage(starling_storage::StorageError::Wal(msg))) => {
+                assert!(msg.contains("corrupt record"), "{msg}")
+            }
+            other => panic!(
+                "expected a wal error, got {:?}",
+                other.map(|s| s.db().clone())
+            ),
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
     #[test]
     fn persist_to_refuses_nonempty_store() {
         let dir = durable_dir("nonempty");

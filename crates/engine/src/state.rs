@@ -6,12 +6,26 @@
 //! determines *both* whether the rule is triggered *and* the contents of its
 //! transition tables, exactly the "triggered rule and its associated
 //! transition tables" of the paper.
+//!
+//! Rules last considered at the same point have the same pending
+//! transition, so they hold one shared handle to it (\[WCL91\]'s log cursor):
+//! a state is `n_rules` refcounted pointers, and new operations compose once
+//! per distinct handle, not once per rule.
+
+use std::sync::Arc;
 
 use starling_sql::eval::TransitionBinding;
 use starling_storage::{CanonicalDigest, Database, Fnv64};
 
-use crate::ops::{NetEffect, TupleOp};
+use crate::ops::{Digested, NetEffect, TupleOp};
 use crate::ruleset::{RuleId, RuleSet};
+
+/// A rule's pending transition: `None` is the empty one, and an empty one is
+/// never `Some`, so equal transitions are equal handles.
+type Handle = Option<Arc<Digested<NetEffect>>>;
+
+/// What [`ExecState::pending`] hands out for a rule with nothing pending.
+static EMPTY: NetEffect = NetEffect::new();
 
 /// A rule-processing state.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -19,7 +33,7 @@ pub struct ExecState {
     /// Current database state `D`.
     pub db: Database,
     /// Per-rule pending transition (indexed by [`RuleId`]).
-    pending: Vec<NetEffect>,
+    pending: Vec<Handle>,
 }
 
 impl ExecState {
@@ -27,37 +41,64 @@ impl ExecState {
     /// transition, with every rule's pending transition set to the initial
     /// operations.
     pub fn new(db: Database, n_rules: usize, initial_ops: &[TupleOp]) -> Self {
-        let initial = NetEffect::from_ops(initial_ops);
-        ExecState {
+        let mut state = ExecState {
             db,
-            pending: vec![initial; n_rules],
-        }
+            pending: vec![None; n_rules],
+        };
+        state.absorb(initial_ops);
+        state
     }
 
     /// The pending transition of one rule.
     pub fn pending(&self, id: RuleId) -> &NetEffect {
-        &self.pending[id.0]
+        match &self.pending[id.0] {
+            Some(pending) => pending,
+            None => &EMPTY,
+        }
     }
 
     /// Absorbs newly executed operations into **every** rule's pending
     /// transition (rules see operations executed after their last
     /// consideration as part of their next triggering transition).
     pub fn absorb(&mut self, ops: &[TupleOp]) {
-        for p in &mut self.pending {
-            p.absorb_all(ops);
+        let delta = NetEffect::from_ops(ops);
+        if delta.is_empty() {
+            return;
+        }
+        // Move the handles out of their slots, keeping one per distinct
+        // pending transition: one that no other state shares is then
+        // uniquely owned, and `make_mut` composes onto it in place.
+        let ptr = |handle: &Handle| handle.as_ref().map(Arc::as_ptr);
+        let mut distinct: Vec<Handle> = Vec::new();
+        let mut which = Vec::with_capacity(self.pending.len());
+        for slot in &mut self.pending {
+            let old = slot.take();
+            let seen = distinct.iter().position(|d| ptr(d) == ptr(&old));
+            which.push(seen.unwrap_or_else(|| {
+                distinct.push(old);
+                distinct.len() - 1
+            }));
+        }
+        for handle in &mut distinct {
+            let pending = Arc::make_mut(handle.get_or_insert_with(Arc::default)).get_mut();
+            pending.compose(&delta);
+            if pending.is_empty() {
+                *handle = None;
+            }
+        }
+        for (slot, d) in self.pending.iter_mut().zip(which) {
+            *slot = distinct[d].clone();
         }
     }
 
     /// Resets one rule's pending transition (the rule has been considered).
     pub fn reset_pending(&mut self, id: RuleId) {
-        self.pending[id.0] = NetEffect::new();
+        self.pending[id.0] = None;
     }
 
     /// Clears all pending transitions (rollback).
     pub fn clear_pending(&mut self) {
-        for p in &mut self.pending {
-            *p = NetEffect::new();
-        }
+        self.pending.fill(None);
     }
 
     /// The set of triggered rules: those whose pending transition's net
@@ -66,19 +107,20 @@ impl ExecState {
         rules
             .rules()
             .iter()
-            .filter(|r| self.pending[r.id.0].triggers(&r.sig.triggered_by))
+            .filter(|r| self.pending(r.id).triggers(&r.sig.triggered_by))
             .map(|r| r.id)
             .collect()
     }
 
     /// Whether a specific rule is triggered.
     pub fn is_triggered(&self, rules: &RuleSet, id: RuleId) -> bool {
-        self.pending[id.0].triggers(&rules.get(id).sig.triggered_by)
+        self.pending(id).triggers(&rules.get(id).sig.triggered_by)
     }
 
     /// Transition tables for a rule at consideration time.
     pub fn transition_binding(&self, rules: &RuleSet, id: RuleId) -> TransitionBinding {
-        self.pending[id.0].transition_binding(&rules.get(id).sig.table)
+        self.pending(id)
+            .transition_binding(&rules.get(id).sig.table)
     }
 
     /// Canonical digest of the full state `(D, TR)` — used by the
@@ -87,8 +129,12 @@ impl ExecState {
         let mut h = Fnv64::new();
         self.db.digest_into(&mut h);
         h.write_usize(self.pending.len());
+        let empty = EMPTY.digest();
         for p in &self.pending {
-            p.digest_into(&mut h);
+            h.write_u64(match p {
+                Some(p) => p.digest(NetEffect::digest),
+                None => empty,
+            });
         }
         h.finish()
     }
@@ -226,6 +272,23 @@ mod tests {
             old: vec![Value::Int(7)],
         }]);
         assert!(st.is_triggered(&rs, RuleId(1)));
+    }
+
+    #[test]
+    fn annihilated_pending_equals_never_pending() {
+        // insert∘delete leaves nothing, in whatever order the state got
+        // there: `==` and the digest agree that these are one state.
+        let (db, rs) = setup();
+        let mut st = ExecState::new(db.clone(), rs.len(), &[ins_op(1, 5)]);
+        st.absorb(&[TupleOp::Delete {
+            table: "t".into(),
+            id: TupleId(1),
+            old: vec![Value::Int(5)],
+        }]);
+        let never = ExecState::new(db, rs.len(), &[]);
+        assert!(st.pending(RuleId(0)).is_empty());
+        assert_eq!(st.digest(), never.digest());
+        assert_eq!(st, never);
     }
 
     #[test]

@@ -1181,6 +1181,33 @@ mod tests {
         let req = Json::obj([("persist", Json::from("init-once"))]);
         let (code, msg, _) = s.handle_op("load", &req, &cache).unwrap_err();
         assert_eq!(code, ErrorCode::Aborted, "{msg}");
+        drop(s);
+        // Likewise a log whose middle commit is damaged while later ones
+        // are intact: reopening must not drop acknowledged commits.
+        let mut s = ServerSession::new();
+        s.set_durable_root(Some(Arc::clone(&root)));
+        let req = Json::obj([
+            ("script", Json::from(SCRIPT)),
+            ("persist", Json::from("midflip")),
+        ]);
+        s.handle_op("load", &req, &cache).unwrap();
+        let wal = dir.join("midflip/wal.log");
+        let exec = Json::parse(r#"{"sql":"insert into t values (1);"}"#).unwrap();
+        s.handle_op("exec", &exec, &cache).unwrap();
+        let second_ends = std::fs::metadata(&wal).unwrap().len() as usize;
+        s.handle_op("exec", &exec, &cache).unwrap();
+        // As after a kill: the three-commit log, no parting snapshot.
+        let mut bytes = std::fs::read(&wal).unwrap();
+        drop(s);
+        std::fs::remove_file(dir.join("midflip/snapshot.bin")).unwrap();
+        bytes[second_ends - 1] ^= 0xff;
+        std::fs::write(&wal, &bytes).unwrap();
+        let mut s = ServerSession::new();
+        s.set_durable_root(Some(Arc::clone(&root)));
+        let req = Json::obj([("persist", Json::from("midflip"))]);
+        let (code, msg, _) = s.handle_op("load", &req, &cache).unwrap_err();
+        assert_eq!(code, ErrorCode::Aborted, "{msg}");
+        assert!(msg.contains("corrupt record"), "{msg}");
         let _ = std::fs::remove_dir_all(dir);
     }
 

@@ -17,7 +17,9 @@
 //!   `mix64(fnv64(payload))`. Recovery replays records in order and
 //!   **truncates the torn tail**: the first incomplete or checksum-failing
 //!   record and everything after it is discarded (a crash mid-append loses
-//!   at most the unacknowledged record).
+//!   at most the unacknowledged record). A whole record that fails its
+//!   checksum *with a valid record right behind it* is not a torn tail but
+//!   damage to acknowledged commits, and the store refuses to open.
 //! * `snapshot.bin` — a complete database image plus the rule-program text,
 //!   written to a temp file, fsynced, then atomically renamed into place.
 //!
@@ -375,6 +377,20 @@ impl WalStore {
             pos = end;
         }
 
+        // The scan stopped at `pos`. A crash tears only the end of the log;
+        // a whole record that fails its checksum with a valid one right
+        // behind it is damage to acknowledged commits, which truncation
+        // would silently drop.
+        if let Some((_, _, end)) = frame_at(&bytes, pos) {
+            if next_frame(&bytes, end).is_some() {
+                return Err(StorageError::Wal(format!(
+                    "{}: corrupt record at byte {pos} is followed by a valid record at byte \
+                     {end}; refusing to truncate acknowledged commits",
+                    dir.join(WAL_FILE).display()
+                )));
+            }
+        }
+
         let truncated_bytes = (bytes.len() - pos) as u64;
         if truncated_bytes > 0 {
             wal.set_len(pos as u64)
@@ -563,10 +579,10 @@ fn checksum(payload: &[u8]) -> u64 {
     mix64(h.finish())
 }
 
-/// Extracts the frame starting at `pos`, returning `(payload, end)` or
-/// `None` if the remaining bytes are incomplete or fail the checksum (the
-/// torn-tail cases).
-fn next_frame(bytes: &[u8], pos: usize) -> Option<(&[u8], usize)> {
+/// The whole frame starting at `pos` as `(payload, stored checksum, end)`,
+/// or `None` if the remaining bytes are too few for the length its header
+/// claims, or the length is out of range.
+fn frame_at(bytes: &[u8], pos: usize) -> Option<(&[u8], u64, usize)> {
     let rest = &bytes[pos..];
     if rest.len() < 12 {
         return None;
@@ -580,11 +596,14 @@ fn next_frame(bytes: &[u8], pos: usize) -> Option<(&[u8], usize)> {
     if rest.len() < end {
         return None;
     }
-    let payload = &rest[12..end];
-    if checksum(payload) != sum {
-        return None;
-    }
-    Some((payload, pos + end))
+    Some((&rest[12..end], sum, pos + end))
+}
+
+/// Extracts the frame starting at `pos`, returning `(payload, end)` or
+/// `None` if the remaining bytes are incomplete or fail the checksum.
+fn next_frame(bytes: &[u8], pos: usize) -> Option<(&[u8], usize)> {
+    let (payload, sum, end) = frame_at(bytes, pos)?;
+    (checksum(payload) == sum).then_some((payload, end))
 }
 
 // ---------------------------------------------------------------------------
@@ -1064,6 +1083,52 @@ mod tests {
         std::fs::write(&wal_path, &corrupt).unwrap();
         let (_, rec) = WalStore::open(&dir, SyncPolicy::Always).unwrap();
         assert_eq!(rec.db, Database::new());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn corrupt_record_before_valid_data_refuses_to_open() {
+        let dir = tmpdir("midflip");
+        let mut dbs = vec![Database::new(), sample_db()];
+        for x in [3, 4] {
+            let mut next = dbs.last().unwrap().clone();
+            next.insert("t", vec![Value::Int(x), Value::Null]).unwrap();
+            dbs.push(next);
+        }
+        let wal_path = dir.join(WAL_FILE);
+        // Byte offsets where each of the three records ends.
+        let mut ends = Vec::new();
+        {
+            let (mut store, _) = WalStore::open(&dir, SyncPolicy::Always).unwrap();
+            for pair in dbs.windows(2) {
+                commit(&mut store, &pair[0], &pair[1]);
+                ends.push(std::fs::metadata(&wal_path).unwrap().len() as usize);
+            }
+        }
+        let clean = std::fs::read(&wal_path).unwrap();
+
+        // One flipped byte in the middle record: truncating there would
+        // drop two acknowledged commits, so the store refuses, naming the
+        // record, and leaves the file alone.
+        let mut corrupt = clean.clone();
+        corrupt[ends[1] - 1] ^= 0xff;
+        std::fs::write(&wal_path, &corrupt).unwrap();
+        match WalStore::open(&dir, SyncPolicy::Always) {
+            Err(StorageError::Wal(msg)) => {
+                assert!(msg.contains(&format!("byte {}", ends[0])), "{msg}")
+            }
+            other => panic!("expected a wal error, got {other:?}"),
+        }
+        assert_eq!(std::fs::read(&wal_path).unwrap(), corrupt);
+
+        // The same flip in the last record is indistinguishable from a
+        // torn append: truncated, as before.
+        let mut torn = clean.clone();
+        torn[ends[2] - 1] ^= 0xff;
+        std::fs::write(&wal_path, &torn).unwrap();
+        let (_, rec) = WalStore::open(&dir, SyncPolicy::Always).unwrap();
+        assert_eq!(rec.db, dbs[2]);
+        assert_eq!(rec.truncated_bytes, (ends[2] - ends[1]) as u64);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -5,7 +5,11 @@
 
 use proptest::prelude::*;
 
-use starling::engine::{ExecState, FirstEligible, PriorityOrder, Processor, RuleId, Scripted};
+use starling::analysis::load_script;
+use starling::engine::{
+    ExecState, FirstEligible, NetEffect, PriorityOrder, Processor, RuleId, Scripted, TupleOp,
+};
+use starling::storage::{CanonicalDigest, Fnv64, TupleId, Value};
 use starling::workloads::random::{generate, RandomConfig};
 
 /// Random DAG edges over `n` rules: only downward edges `(i, j)` with
@@ -17,7 +21,176 @@ fn dag_edges(n: usize) -> impl Strategy<Value = Vec<(usize, usize)>> {
     proptest::sample::subsequence(all.clone(), 0..=all.len())
 }
 
+/// The naive `TR` that [`ExecState`] must be indistinguishable from: one
+/// independent net effect per rule, every operation absorbed into each —
+/// beside the operations themselves, to recompute from.
+#[derive(Clone)]
+struct NaiveState {
+    nets: Vec<NetEffect>,
+    logs: Vec<Vec<TupleOp>>,
+    /// Tuples `(table, id, value)` an update or delete may name next.
+    live: Vec<(usize, TupleId, i64)>,
+}
+
+impl NaiveState {
+    /// Turns raw draws into operations that are well-formed after this
+    /// state's history (fresh ids inserted, only live tuples updated or
+    /// deleted), and absorbs them.
+    fn absorb(
+        &mut self,
+        draws: &[(u8, u8, i8)],
+        n_tables: usize,
+        next_id: &mut u64,
+    ) -> Vec<TupleOp> {
+        let row = |v: i64| vec![Value::Int(v)];
+        let mut ops = Vec::new();
+        for &(what, pick, v) in draws {
+            let v = i64::from(v);
+            if what % 3 == 0 || self.live.is_empty() {
+                let table = pick as usize % n_tables;
+                *next_id += 1;
+                self.live.push((table, TupleId(*next_id), v));
+                ops.push(TupleOp::Insert {
+                    table: format!("t{table}"),
+                    id: TupleId(*next_id),
+                    row: row(v),
+                });
+                continue;
+            }
+            let at = pick as usize % self.live.len();
+            let (table, id, old) = self.live[at];
+            if what % 3 == 1 {
+                self.live[at].2 = v;
+                ops.push(TupleOp::Update {
+                    table: format!("t{table}"),
+                    id,
+                    old: row(old),
+                    new: row(v),
+                    cols: std::iter::once("x".to_owned()).collect(),
+                });
+            } else {
+                self.live.swap_remove(at);
+                ops.push(TupleOp::Delete {
+                    table: format!("t{table}"),
+                    id,
+                    old: row(old),
+                });
+            }
+        }
+        for (net, log) in self.nets.iter_mut().zip(&mut self.logs) {
+            net.absorb_all(&ops);
+            log.extend(ops.iter().cloned());
+        }
+        ops
+    }
+}
+
 proptest! {
+    /// Model check of the shared-handle `TR`: random interleavings of
+    /// `absorb` / `reset_pending` / `clear_pending` / clone-then-diverge
+    /// leave every state indistinguishable from the naive per-rule model,
+    /// and every digest it caches equal to one recomputed from the
+    /// operations.
+    #[test]
+    fn shared_pending_matches_the_naive_per_rule_model(
+        n_rules in 1usize..=12,
+        n_tables in 1usize..=4,
+        steps in prop::collection::vec(
+            (0u8..8, any::<u8>(), any::<u8>(),
+             prop::collection::vec((any::<u8>(), any::<u8>(), any::<i8>()), 1..4)),
+            1..40,
+        ),
+    ) {
+        let mut script: String = (0..n_tables)
+            .map(|t| format!("create table t{t} (x int);\n"))
+            .collect();
+        for r in 0..n_rules {
+            let when = ["inserted", "deleted", "updated(x)"][r % 3];
+            script += &format!(
+                "create rule r{r} on t{} when {when} then delete from t0 where x < 0 end;\n",
+                r % n_tables
+            );
+        }
+        let loaded = load_script(&script).expect("model script loads");
+        let rules = &*loaded.rules;
+
+        // One tuple per table predates the transition; ids never repeat.
+        let mut next_id = n_tables as u64;
+        let naive = NaiveState {
+            nets: vec![NetEffect::new(); n_rules],
+            logs: vec![Vec::new(); n_rules],
+            live: (0..n_tables).map(|t| (t, TupleId(t as u64 + 1), 0)).collect(),
+        };
+        let mut pool = vec![(ExecState::new(loaded.db.clone(), n_rules, &[]), naive)];
+
+        for (kind, which, rule, draws) in steps {
+            let at = which as usize % pool.len();
+            let (state, naive) = &mut pool[at];
+            match kind {
+                // Absorbs outnumber the rest so transitions grow between resets.
+                0..=3 => {
+                    let ops = naive.absorb(&draws, n_tables, &mut next_id);
+                    state.absorb(&ops);
+                }
+                4 | 5 => {
+                    let id = rule as usize % n_rules;
+                    state.reset_pending(RuleId(id));
+                    naive.nets[id] = NetEffect::new();
+                    naive.logs[id].clear();
+                }
+                6 => {
+                    state.clear_pending();
+                    naive.nets = vec![NetEffect::new(); n_rules];
+                    naive.logs = vec![Vec::new(); n_rules];
+                }
+                // Clone; later steps pick either copy and so diverge.
+                _ => {
+                    let copy = pool[at].clone();
+                    if pool.len() < 4 {
+                        pool.push(copy);
+                    } else {
+                        pool[(at + 1) % 4] = copy;
+                    }
+                }
+            }
+
+            // Every state is checked after every step, so a write through
+            // one copy that leaked into another shows at once.
+            for (state, naive) in &pool {
+                let mut recomputed = Fnv64::new();
+                state.db.digest_into(&mut recomputed);
+                recomputed.write_usize(n_rules);
+                for id in 0..n_rules {
+                    let pending = state.pending(RuleId(id));
+                    let scratch = NetEffect::from_ops(&naive.logs[id]);
+                    prop_assert_eq!(pending, &naive.nets[id]);
+                    prop_assert_eq!(pending, &scratch);
+                    prop_assert_eq!(pending.digest(), scratch.digest());
+                    prop_assert_eq!(
+                        state.transition_binding(rules, RuleId(id)),
+                        scratch.transition_binding(&rules.get(RuleId(id)).sig.table)
+                    );
+                    recomputed.write_u64(scratch.digest());
+                }
+                let triggered: Vec<RuleId> = rules
+                    .rules()
+                    .iter()
+                    .filter(|r| naive.nets[r.id.0].triggers(&r.sig.triggered_by))
+                    .map(|r| r.id)
+                    .collect();
+                prop_assert_eq!(state.triggered(rules), triggered);
+                prop_assert_eq!(state.digest(), recomputed.finish());
+            }
+            for (a, naive_a) in &pool {
+                for (b, naive_b) in &pool {
+                    let same = naive_a.nets == naive_b.nets;
+                    prop_assert_eq!(a == b, same);
+                    prop_assert_eq!(a.digest() == b.digest(), same);
+                }
+            }
+        }
+    }
+
     /// Transitivity and irreflexivity/asymmetry of the closed order.
     #[test]
     fn priority_order_is_strict_partial_order(edges in dag_edges(7)) {
