@@ -487,7 +487,9 @@ fn e11_restricted() {
 /// E12 — incremental re-analysis.
 fn e12_incremental() {
     header("E12", "partitioned incremental analysis (paper Section 9)");
-    let ctx = starling_bench::partitioned_context(8);
+    let (catalog, defs) = starling_workloads::random::partitioned(8);
+    let rules = RuleSet::compile(&defs, &catalog).expect("partitioned set compiles");
+    let ctx = AnalysisContext::from_ruleset(&rules, Certifications::new());
     let parts = partition_rules(&ctx);
     println!(
         "{}-rule workload splits into {} partition(s)",

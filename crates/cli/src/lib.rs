@@ -15,15 +15,15 @@
 use std::fmt::Write as _;
 
 use starling_analysis::certifications::Certifications;
+use starling_analysis::check_protected_tables;
 use starling_analysis::context::AnalysisContext;
-use starling_analysis::report::{explore_json, AnalysisReport};
+use starling_analysis::report::{explore_json_with, AnalysisReport};
 use starling_analysis::triggering_graph::TriggeringGraph;
 use starling_baselines::compare_all;
 use starling_engine::{
     explore, Budget, EngineError, ExploreConfig, FirstEligible, Outcome, RuleSet, RunResult,
     Session, Verdict,
 };
-use starling_sql::json::Json;
 
 pub use starling_analysis::loader::{load_script, LoadedScript};
 
@@ -72,6 +72,7 @@ pub fn cmd_analyze(
     json: bool,
 ) -> Result<String, EngineError> {
     let script = load_script(src)?;
+    check_protected_tables(script.db.catalog(), protect).map_err(EngineError::InvalidStatement)?;
     let mut ctx = script.context();
     ctx.refine = refine;
     let report = AnalysisReport::run(&ctx, protect);
@@ -137,25 +138,18 @@ pub fn cmd_explore(
         ));
     }
     let g = explore(&script.rules, &script.db, &script.user_actions, cfg)?;
+    let verdicts = g.verdicts(cfg);
+    let status = match verdicts.inconclusive() {
+        Some(_) => CmdStatus::Inconclusive,
+        None => CmdStatus::Ok,
+    };
     if dot {
-        return Ok(CmdOutput::ok(g.to_dot(&script.rules)));
+        let text = g.to_dot(&script.rules);
+        return Ok(CmdOutput { text, status });
     }
-    let inconclusive = [
-        g.termination_verdict(),
-        g.confluence_verdict(),
-        g.observable_determinism_verdict(cfg),
-    ]
-    .iter()
-    .any(|v| matches!(v, Verdict::Inconclusive(_)));
     if json {
-        return Ok(CmdOutput {
-            text: format!("{}\n", explore_json(&g, cfg)),
-            status: if inconclusive {
-                CmdStatus::Inconclusive
-            } else {
-                CmdStatus::Ok
-            },
-        });
+        let text = format!("{}\n", explore_json_with(&g, &verdicts));
+        return Ok(CmdOutput { text, status });
     }
     let mut out = String::new();
     let _ = writeln!(
@@ -169,30 +163,21 @@ pub fn cmd_explore(
             None => String::new(),
         }
     );
-    let verdicts = [
-        ("terminates on all paths:", g.termination_verdict()),
-        ("unique final state:     ", g.confluence_verdict()),
+    for (label, v) in [
+        ("terminates on all paths:", verdicts.termination),
+        ("unique final state:     ", verdicts.confluence),
         (
             "deterministic observables:",
-            g.observable_determinism_verdict(cfg),
+            verdicts.observable_determinism,
         ),
-    ];
-    for (label, v) in &verdicts {
-        let _ = writeln!(out, "  {label} {}", render_verdict(*v));
+    ] {
+        let _ = writeln!(out, "  {label} {}", render_verdict(v));
     }
     let _ = writeln!(
         out,
         "  distinct final DB states: {}",
         g.final_db_digests().len()
     );
-    let status = if verdicts
-        .iter()
-        .any(|(_, v)| matches!(v, Verdict::Inconclusive(_)))
-    {
-        CmdStatus::Inconclusive
-    } else {
-        CmdStatus::Ok
-    };
     Ok(CmdOutput { text: out, status })
 }
 
@@ -228,18 +213,8 @@ pub fn cmd_explain_divergence(
         None => CmdStatus::Ok,
     };
     if json {
-        let witness = match &ex.witness {
-            Some(w) => starling_provenance::witness_json(&script.rules, w),
-            None => Json::Null,
-        };
-        let text = format!(
-            "{}\n",
-            Json::obj([
-                ("explore", explore_json(&ex.graph, cfg)),
-                ("choice_points", Json::from(ex.log.ambiguous())),
-                ("witness", witness),
-            ])
-        );
+        let answer = starling_provenance::explanation_json(&script.rules, &ex, cfg);
+        let text = format!("{answer}\n");
         return Ok(CmdOutput { text, status });
     }
     let mut out = String::new();
@@ -365,8 +340,7 @@ pub fn diagnose_limit(run: &RunResult, rules: &RuleSet, ctx: &AnalysisContext) -
 /// [`diagnose_limit`] appended.
 pub fn cmd_run(src: &str, budget: &Budget) -> Result<CmdOutput, EngineError> {
     let mut session = Session::new();
-    session.max_considerations = budget.max_considerations;
-    session.deadline = budget.deadline;
+    session.budget = *budget;
     let outputs = session.execute_script(src)?;
     let mut out = String::new();
     for o in outputs {

@@ -205,30 +205,10 @@ fn run(args: &[String]) -> Result<CmdOutput, String> {
                 json = true;
                 i += 1;
             }
-            "--max-states" => {
-                budget.max_states = args
-                    .get(i + 1)
-                    .ok_or("--max-states needs a number")?
-                    .parse()
-                    .map_err(|e| format!("bad --max-states: {e}"))?;
-                i += 2;
-            }
-            "--max-considerations" => {
-                budget.max_considerations = args
-                    .get(i + 1)
-                    .ok_or("--max-considerations needs a number")?
-                    .parse()
-                    .map_err(|e| format!("bad --max-considerations: {e}"))?;
-                i += 2;
-            }
+            "--max-states" => budget.max_states = value(args, &mut i, "a number")?,
+            "--max-considerations" => budget.max_considerations = value(args, &mut i, "a number")?,
             "--timeout" => {
-                let ms: u64 = args
-                    .get(i + 1)
-                    .ok_or("--timeout needs milliseconds")?
-                    .parse()
-                    .map_err(|e| format!("bad --timeout: {e}"))?;
-                budget.deadline = Some(Duration::from_millis(ms));
-                i += 2;
+                budget.deadline = Some(Duration::from_millis(value(args, &mut i, "milliseconds")?));
             }
             other if command == "explain" && rule_arg.is_none() => {
                 rule_arg = Some(other.to_owned());
@@ -265,6 +245,22 @@ fn run(args: &[String]) -> Result<CmdOutput, String> {
     result.map_err(|e| e.to_string())
 }
 
+/// The value of the numeric flag at `args[*i]`, stepping `i` past both.
+/// `what` words the flag's operand in the error ("a number").
+fn value<T: std::str::FromStr>(args: &[String], i: &mut usize, what: &str) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    let flag = &args[*i];
+    let v = args
+        .get(*i + 1)
+        .ok_or_else(|| format!("{flag} needs {what}"))?
+        .parse()
+        .map_err(|e| format!("bad {flag}: {e}"))?;
+    *i += 2;
+    Ok(v)
+}
+
 /// The `fuzz` subcommand: a differential fuzz campaign (no file argument).
 /// `--cases` defaults to 500, the acceptance-criteria campaign size; the
 /// corpus dir defaults to `tests/fuzz_corpus` when running from a checkout
@@ -279,50 +275,20 @@ fn fuzz(args: &[String]) -> Result<CmdOutput, String> {
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--seed" => {
-                config.seed = args
-                    .get(i + 1)
-                    .ok_or("--seed needs a number")?
-                    .parse()
-                    .map_err(|e| format!("bad --seed: {e}"))?;
-                i += 2;
-            }
-            "--cases" => {
-                config.cases = args
-                    .get(i + 1)
-                    .ok_or("--cases needs a number")?
-                    .parse()
-                    .map_err(|e| format!("bad --cases: {e}"))?;
-                i += 2;
-            }
-            "--budget" => {
-                config.budget.max_states = args
-                    .get(i + 1)
-                    .ok_or("--budget needs a number")?
-                    .parse()
-                    .map_err(|e| format!("bad --budget: {e}"))?;
-                i += 2;
-            }
+            "--seed" => config.seed = value(args, &mut i, "a number")?,
+            "--cases" => config.cases = value(args, &mut i, "a number")?,
+            "--budget" => config.budget.max_states = value(args, &mut i, "a number")?,
             "--max-rows" => {
-                let rows: usize = args
-                    .get(i + 1)
-                    .ok_or("--max-rows needs a number")?
-                    .parse()
-                    .map_err(|e| format!("bad --max-rows: {e}"))?;
+                let rows: usize = value(args, &mut i, "a number")?;
                 config.gen.max_rows = rows;
                 // Generated tables start larger, so the exploration row cap
                 // must scale with them or every case truncates immediately.
                 // The default ratio (3 seed rows : 2000 budget rows) is
                 // preserved, with the stock budget as the floor.
                 config.budget.max_rows = config.budget.max_rows.max(rows.saturating_mul(700));
-                i += 2;
             }
             "--rules" => {
-                let rules: usize = args
-                    .get(i + 1)
-                    .ok_or("--rules needs a number")?
-                    .parse()
-                    .map_err(|e| format!("bad --rules: {e}"))?;
+                let rules: usize = value(args, &mut i, "a number")?;
                 if rules == 0 {
                     return Err("--rules must be at least 1".into());
                 }
@@ -335,7 +301,6 @@ fn fuzz(args: &[String]) -> Result<CmdOutput, String> {
                 config.gen.min_rules = scaled.min_rules;
                 config.gen.max_tables = scaled.max_tables;
                 config.gen.max_rows = scaled.max_rows;
-                i += 2;
             }
             "--corpus-dir" => {
                 corpus_dir = Some(args.get(i + 1).ok_or("--corpus-dir needs a path")?.clone());

@@ -122,6 +122,72 @@ fn explore_truncation_exits_inconclusive() {
     std::fs::remove_file(path).ok();
 }
 
+/// `--dot` follows the exit-code contract too: a truncated graph is exit 3
+/// and the DOT says it is a prefix; a complete one is exit 0 and unmarked.
+#[test]
+fn explore_dot_of_a_truncated_graph_exits_inconclusive_and_says_so() {
+    let script = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../scripts/power_network.rql"
+    );
+    let (code, stdout, _) = starling(&["explore", script, "--dot", "--max-states", "3"]);
+    assert_eq!(code, 3, "{stdout}");
+    assert!(stdout.starts_with("digraph execution"), "{stdout}");
+    assert!(
+        stdout.contains("// TRUNCATED: state budget exhausted\n"),
+        "{stdout}"
+    );
+    assert!(
+        stdout.contains("label=\"TRUNCATED: state budget exhausted\";"),
+        "{stdout}"
+    );
+
+    let (code, stdout, _) = starling(&["explore", script, "--dot"]);
+    assert_eq!(code, 0);
+    assert!(stdout.starts_with("digraph execution"), "{stdout}");
+    assert!(!stdout.contains("TRUNCATED"), "{stdout}");
+}
+
+/// Theorem 7.2's guarantee is one-sided: it must not be handed out for a
+/// table that does not exist (`Sig` of a typo is empty, so the analysis
+/// would "guarantee" it vacuously).
+#[test]
+fn analyze_protect_rejects_unknown_and_empty_tables() {
+    let path = script_file(SCRIPT);
+    let p = path.to_str().unwrap();
+    for json in [false, true] {
+        let flag = if json { &["--json"][..] } else { &[] };
+        let (code, stdout, stderr) =
+            starling(&[&["analyze", p, "--protect", "nosuch_table"], flag].concat());
+        assert_eq!(code, 1, "{stdout}");
+        assert!(stdout.is_empty(), "{stdout}");
+        assert!(
+            stderr.contains("cannot protect: unknown table `nosuch_table`"),
+            "{stderr}"
+        );
+        // One bad name spoils the subset, wherever it stands.
+        let (code, _, stderr) =
+            starling(&[&["analyze", p, "--protect", "t,nosuch"], flag].concat());
+        assert_eq!(code, 1);
+        assert!(stderr.contains("`nosuch`"), "{stderr}");
+        let (code, _, stderr) = starling(&[&["analyze", p, "--protect", ",,"], flag].concat());
+        assert_eq!(code, 1);
+        assert!(stderr.contains("unknown table ``"), "{stderr}");
+    }
+    // Real tables are still analyzed, each subset on its own.
+    let (code, stdout, _) = starling(&["analyze", p, "--protect", "t", "--protect", "t, u"]);
+    assert_eq!(code, 0);
+    assert!(
+        stdout.contains("PARTIAL CONFLUENCE w.r.t. {t}:"),
+        "{stdout}"
+    );
+    assert!(
+        stdout.contains("PARTIAL CONFLUENCE w.r.t. {t, u}:"),
+        "{stdout}"
+    );
+    std::fs::remove_file(path).ok();
+}
+
 #[test]
 fn run_limit_exits_inconclusive_with_diagnosis() {
     // A ping-pong pair never quiesces; a small consideration budget makes

@@ -90,13 +90,6 @@ impl Certifications {
         self.commute.iter()
     }
 
-    /// All termination certificates.
-    pub fn termination_certificates(&self) -> impl Iterator<Item = (&str, &str)> {
-        self.terminates
-            .iter()
-            .map(|(k, v)| (k.as_str(), v.as_str()))
-    }
-
     /// Number of certifications of both kinds.
     pub fn len(&self) -> usize {
         self.commute.len() + self.terminates.len()

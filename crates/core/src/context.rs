@@ -131,18 +131,6 @@ impl AnalysisContext {
         &self.store
     }
 
-    /// Drops all memoized pair results by rebinding to a fresh private
-    /// store. Must be called after mutating `sigs`, `certs`, or `refine`
-    /// on an already-queried context (a bound store diffs signatures by
-    /// content, so this is only needed by code that edits a context in
-    /// place without rebinding).
-    pub fn clear_pair_cache(&mut self) {
-        let store = Arc::new(PairStore::new());
-        self.sids = store.bind(&self.sigs, &self.certs, self.refine).sids;
-        self.store = store;
-        self.trig = OnceLock::new();
-    }
-
     /// Store id of rule `i`.
     pub(crate) fn sid(&self, i: usize) -> u32 {
         self.sids[i]

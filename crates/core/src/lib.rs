@@ -89,9 +89,9 @@ pub use interactive::InteractiveSession;
 pub use loader::{load_script, LoadedScript};
 pub use observable::{ObservableAnalysis, OBS_TABLE};
 pub use pair_store::{BindOutcome, PairStore, PairStoreStats};
-pub use partial::{significant_rules, PartialConfluenceAnalysis};
+pub use partial::{check_protected_tables, significant_rules, PartialConfluenceAnalysis};
 pub use refine::{predicates_disjoint, refine_reasons};
+pub use report::explore_json;
 pub use report::AnalysisReport;
-pub use report::{explore_json, verdict_json};
 pub use termination::{CycleCertificate, TerminationAnalysis, TerminationVerdict};
 pub use triggering_graph::TriggeringGraph;

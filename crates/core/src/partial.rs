@@ -16,6 +16,7 @@
 //! full rule set is confluent with respect to `T'`.
 
 use serde::Serialize;
+use starling_storage::Catalog;
 
 use crate::commutativity::commutes_idx;
 use crate::confluence::{analyze_confluence_of, ConfluenceAnalysis};
@@ -99,6 +100,24 @@ impl PartialConfluenceAnalysis {
     pub fn is_guaranteed(&self) -> bool {
         self.termination.is_guaranteed() && self.confluence.requirement_holds()
     }
+}
+
+/// Checks the table subsets a caller asks [`analyze_partial_confluence`] to
+/// protect. Nothing performs an operation on a table that does not exist, so
+/// `Sig` of a mistyped name is empty and Theorem 7.2 would hand out a vacuous
+/// guarantee: every subset must be non-empty and name only catalog tables.
+pub fn check_protected_tables(catalog: &Catalog, protect: &[Vec<String>]) -> Result<(), String> {
+    for tables in protect {
+        if tables.is_empty() {
+            return Err("a protected table set is empty".into());
+        }
+        for table in tables {
+            catalog
+                .table(table)
+                .map_err(|e| format!("cannot protect: {e}"))?;
+        }
+    }
+    Ok(())
 }
 
 /// Runs partial confluence analysis (Theorem 7.2).

@@ -5,7 +5,7 @@ use std::fmt;
 
 use serde::Serialize;
 
-use starling_engine::{ExecGraph, ExploreConfig, Verdict};
+use starling_engine::{ExecGraph, ExploreConfig, Verdict, Verdicts};
 use starling_sql::json::{digest_json, Json};
 
 use crate::confluence::{analyze_confluence, corollary_checks, ConfluenceAnalysis};
@@ -221,7 +221,7 @@ fn observable_json(o: &ObservableAnalysis) -> Json {
 /// `{"status": "holds"|"fails"|"inconclusive"|"not_applicable",
 ///   "reason": <string|null>}`. Shared by the CLI `--json` mode and the
 /// server protocol.
-pub fn verdict_json(v: Verdict) -> Json {
+fn verdict_json(v: Verdict) -> Json {
     let (status, reason) = match v {
         Verdict::Holds => ("holds", None),
         Verdict::Fails => ("fails", None),
@@ -239,6 +239,12 @@ pub fn verdict_json(v: Verdict) -> Json {
 /// fixed-width hex strings — JSON numbers cannot carry a `u64`). Shared by
 /// the CLI `explore --json` mode and the server's `explore` response.
 pub fn explore_json(g: &ExecGraph, cfg: &ExploreConfig) -> Json {
+    explore_json_with(g, &g.verdicts(cfg))
+}
+
+/// [`explore_json`] for a caller that already holds `g`'s verdicts (it also
+/// needs them for its status), so they are computed once per answer.
+pub fn explore_json_with(g: &ExecGraph, verdicts: &Verdicts) -> Json {
     Json::obj([
         ("states", Json::from(g.states.len())),
         ("edges", Json::from(g.edges.len())),
@@ -250,11 +256,11 @@ pub fn explore_json(g: &ExecGraph, cfg: &ExploreConfig) -> Json {
         (
             "verdicts",
             Json::obj([
-                ("termination", verdict_json(g.termination_verdict())),
-                ("confluence", verdict_json(g.confluence_verdict())),
+                ("termination", verdict_json(verdicts.termination)),
+                ("confluence", verdict_json(verdicts.confluence)),
                 (
                     "observable_determinism",
-                    verdict_json(g.observable_determinism_verdict(cfg)),
+                    verdict_json(verdicts.observable_determinism),
                 ),
             ]),
         ),

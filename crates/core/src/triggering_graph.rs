@@ -30,58 +30,6 @@ impl TriggeringGraph {
         }
     }
 
-    /// Recomputes the edges incident to rule `i` after that single rule's
-    /// signature changed, leaving every other edge untouched: O(n) rather
-    /// than a full rebuild. `ctx` must describe the *updated* rule set
-    /// (same rules, same order).
-    pub fn update_rule(&mut self, ctx: &AnalysisContext, i: usize) {
-        debug_assert_eq!(self.len(), ctx.len());
-        self.succ[i] = ctx.triggers(i);
-        for q in 0..self.len() {
-            if q == i {
-                continue;
-            }
-            let want = ctx.can_trigger(q, i);
-            match self.succ[q].binary_search(&i) {
-                Ok(pos) if !want => {
-                    self.succ[q].remove(pos);
-                }
-                Err(pos) if want => self.succ[q].insert(pos, i),
-                _ => {}
-            }
-        }
-    }
-
-    /// Appends the rule at index `len()` of `ctx` (which must describe the
-    /// grown rule set) and wires its in- and out-edges.
-    pub fn add_rule(&mut self, ctx: &AnalysisContext) {
-        let new = self.len();
-        debug_assert_eq!(new + 1, ctx.len());
-        self.names.push(ctx.name(new).to_owned());
-        self.succ.push(ctx.triggers(new));
-        for q in 0..new {
-            // `new` is the largest index, so appending keeps lists sorted.
-            if ctx.can_trigger(q, new) {
-                self.succ[q].push(new);
-            }
-        }
-    }
-
-    /// Removes rule `i`, shifting higher indices down — the result equals
-    /// a graph rebuilt from the reduced rule set.
-    pub fn remove_rule(&mut self, i: usize) {
-        self.names.remove(i);
-        self.succ.remove(i);
-        for list in &mut self.succ {
-            list.retain(|&j| j != i);
-            for j in list.iter_mut() {
-                if *j > i {
-                    *j -= 1;
-                }
-            }
-        }
-    }
-
     /// Number of rules.
     pub fn len(&self) -> usize {
         self.names.len()
@@ -322,49 +270,6 @@ mod tests {
         assert!(dot.contains("\"r0\" -> \"r1\""));
         assert!(dot.contains("fillcolor")); // r1's self-loop highlighted
         assert!(dot.starts_with("digraph"));
-    }
-
-    /// Incremental edge maintenance under single-rule add / drop / update
-    /// matches a graph rebuilt from scratch on the mutated rule set.
-    #[test]
-    fn incremental_ops_match_rebuild() {
-        use crate::context::tests::ctx_from;
-        const TABLES: &[(&str, &[&str])] = &[("t", &["x"]), ("u", &["y"])];
-        let base = "create rule a on t when inserted then insert into u values (1) end;
-                    create rule b on u when inserted then delete from t end;
-                    create rule c on t when deleted then insert into t values (1) end;";
-        let ctx = ctx_from(base, TABLES);
-        let g0 = TriggeringGraph::build(&ctx);
-
-        // Add a rule (new index is last).
-        let grown = ctx_from(
-            &format!("{base} create rule d on t when inserted then delete from u end;"),
-            TABLES,
-        );
-        let mut g = g0.clone();
-        g.add_rule(&grown);
-        assert_eq!(g, TriggeringGraph::build(&grown));
-
-        // Drop rule b (index 1).
-        let reduced = ctx_from(
-            "create rule a on t when inserted then insert into u values (1) end;
-             create rule c on t when deleted then insert into t values (1) end;",
-            TABLES,
-        );
-        let mut g = g0.clone();
-        g.remove_rule(1);
-        assert_eq!(g, TriggeringGraph::build(&reduced));
-
-        // Redefine rule b in place: new triggering events and action.
-        let changed = ctx_from(
-            "create rule a on t when inserted then insert into u values (1) end;
-             create rule b on t when deleted then insert into t values (2) end;
-             create rule c on t when deleted then insert into t values (1) end;",
-            TABLES,
-        );
-        let mut g = g0.clone();
-        g.update_rule(&changed, 1);
-        assert_eq!(g, TriggeringGraph::build(&changed));
     }
 
     #[test]

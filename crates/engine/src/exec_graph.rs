@@ -98,11 +98,6 @@ impl DecisionLog {
         });
     }
 
-    /// The eligible set of a recorded choice point.
-    pub fn alternatives(&self, cp: &ChoicePoint) -> &[RuleId] {
-        &self.alt_sets[cp.alt_set]
-    }
-
     /// Number of recorded (ambiguous) choice points.
     pub fn ambiguous(&self) -> usize {
         self.choice_points.len()
@@ -160,6 +155,57 @@ pub struct ExecGraph {
     /// the graph is then a partial prefix and all oracle verdicts become
     /// inconclusive, carrying this reason.
     pub truncation: Option<TruncationReason>,
+}
+
+/// The oracle's three answers about one explored graph
+/// ([`ExecGraph::verdicts`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Verdicts {
+    /// Does every execution sequence terminate?
+    pub termination: Verdict,
+    /// Is the final database state unique?
+    pub confluence: Verdict,
+    /// Do all root-to-final paths carry the same observable stream?
+    pub observable_determinism: Verdict,
+}
+
+impl Verdicts {
+    /// The budget that ran out before some verdict could be decided, if
+    /// one did: the CLI's exit 3 and the server's `inconclusive` error. A
+    /// truncated graph leaves all three undecided for the truncation's
+    /// reason; a complete one can still exhaust the path budget.
+    pub fn inconclusive(&self) -> Option<TruncationReason> {
+        [
+            self.termination,
+            self.confluence,
+            self.observable_determinism,
+        ]
+        .into_iter()
+        .find_map(|v| match v {
+            Verdict::Inconclusive(reason) => Some(reason),
+            _ => None,
+        })
+    }
+}
+
+/// A property that presumes termination (confluence, Section 6; observable
+/// determinism, Section 8): `decide` runs only when every path terminates.
+/// On a cycle the property is undefined; on a truncated graph it is as
+/// undecided as termination is.
+fn presuming(termination: Verdict, decide: impl FnOnce() -> Verdict) -> Verdict {
+    match termination {
+        Verdict::Holds => decide(),
+        Verdict::Fails => Verdict::NotApplicable,
+        undecided => undecided,
+    }
+}
+
+fn at_most_one(distinct: usize) -> Verdict {
+    if distinct <= 1 {
+        Verdict::Holds
+    } else {
+        Verdict::Fails
+    }
 }
 
 impl ExecGraph {
@@ -252,12 +298,11 @@ impl ExecGraph {
     /// terminate (confluence per the paper presumes termination);
     /// [`Verdict::Inconclusive`] when exploration was truncated.
     pub fn confluence_verdict(&self) -> Verdict {
-        match self.termination_verdict() {
-            Verdict::Holds if self.final_db_digests().len() <= 1 => Verdict::Holds,
-            Verdict::Holds => Verdict::Fails,
-            Verdict::Fails => Verdict::NotApplicable,
-            v => v,
-        }
+        self.confluence_given(self.termination_verdict())
+    }
+
+    fn confluence_given(&self, termination: Verdict) -> Verdict {
+        presuming(termination, || at_most_one(self.final_db_digests().len()))
     }
 
     /// Oracle verdict: is this execution confluent (unique final database
@@ -270,12 +315,9 @@ impl ExecGraph {
     /// Reason-carrying verdict for partial confluence with respect to
     /// `tables` (Section 7).
     pub fn partial_confluence_verdict(&self, tables: &[&str]) -> Verdict {
-        match self.termination_verdict() {
-            Verdict::Holds if self.final_table_digests(tables).len() <= 1 => Verdict::Holds,
-            Verdict::Holds => Verdict::Fails,
-            Verdict::Fails => Verdict::NotApplicable,
-            v => v,
-        }
+        presuming(self.termination_verdict(), || {
+            at_most_one(self.final_table_digests(tables).len())
+        })
     }
 
     /// Oracle verdict for partial confluence with respect to `tables`.
@@ -283,18 +325,10 @@ impl ExecGraph {
         self.partial_confluence_verdict(tables).to_option()
     }
 
-    /// All distinct observable streams over root-to-final paths, as
-    /// order-sensitive digests — or the [`Verdict`] explaining why they
-    /// cannot be enumerated: inconclusive (truncated exploration or path
-    /// budget exhausted) or not applicable (cyclic graph: infinitely many
-    /// paths).
-    pub fn try_observable_streams(&self, cfg: &ExploreConfig) -> Result<BTreeSet<u64>, Verdict> {
-        if let Some(r) = self.truncation {
-            return Err(Verdict::Inconclusive(r));
-        }
-        if self.has_cycle() {
-            return Err(Verdict::NotApplicable);
-        }
+    /// The distinct observable streams over the root-to-final paths of a
+    /// complete, acyclic graph, as order-sensitive digests; `None` when
+    /// there are more paths than the budget allows.
+    fn enumerate_streams(&self, cfg: &ExploreConfig) -> Option<BTreeSet<u64>> {
         let mut streams = BTreeSet::new();
         let mut paths = 0usize;
         // DFS over paths, carrying the stream so far.
@@ -303,7 +337,7 @@ impl ExecGraph {
             if self.states[node].is_final {
                 paths += 1;
                 if paths > cfg.max_paths {
-                    return Err(Verdict::Inconclusive(TruncationReason::Paths));
+                    return None;
                 }
                 streams.insert(stream_digest(&stream));
                 continue;
@@ -315,24 +349,30 @@ impl ExecGraph {
                 stack.push((edge.to, s));
             }
         }
-        Ok(streams)
+        Some(streams)
     }
 
     /// All distinct observable streams over root-to-final paths, as
     /// order-sensitive digests. `None` if the graph has a cycle, was
     /// truncated, or the path bound was exceeded (see
-    /// [`Self::try_observable_streams`] for which).
+    /// [`Self::observable_determinism_verdict`] for which).
     pub fn observable_streams(&self, cfg: &ExploreConfig) -> Option<BTreeSet<u64>> {
-        self.try_observable_streams(cfg).ok()
+        match self.termination_verdict() {
+            Verdict::Holds => self.enumerate_streams(cfg),
+            _ => None,
+        }
     }
 
     /// Reason-carrying verdict: observably deterministic?
     pub fn observable_determinism_verdict(&self, cfg: &ExploreConfig) -> Verdict {
-        match self.try_observable_streams(cfg) {
-            Ok(s) if s.len() <= 1 => Verdict::Holds,
-            Ok(_) => Verdict::Fails,
-            Err(v) => v,
-        }
+        self.observable_determinism_given(self.termination_verdict(), cfg)
+    }
+
+    fn observable_determinism_given(&self, termination: Verdict, cfg: &ExploreConfig) -> Verdict {
+        presuming(termination, || match self.enumerate_streams(cfg) {
+            Some(streams) => at_most_one(streams.len()),
+            None => Verdict::Inconclusive(TruncationReason::Paths),
+        })
     }
 
     /// Oracle verdict: observably deterministic? `None` under the same
@@ -341,23 +381,32 @@ impl ExecGraph {
         self.observable_determinism_verdict(cfg).to_option()
     }
 
+    /// All three oracle answers, from one cycle search and one enumeration
+    /// of the root-to-final paths.
+    pub fn verdicts(&self, cfg: &ExploreConfig) -> Verdicts {
+        let termination = self.termination_verdict();
+        Verdicts {
+            termination,
+            confluence: self.confluence_given(termination),
+            observable_determinism: self.observable_determinism_given(termination, cfg),
+        }
+    }
+
     /// GraphViz DOT rendering of the execution graph: nodes are states
     /// (final states double-circled, distinct final DB states color-coded),
     /// edges are rule considerations (dashed when the condition was false,
-    /// red on rollback).
+    /// red on rollback). A truncated graph says so, in a comment line and
+    /// in the graph's label: it is a prefix, not the execution graph.
     pub fn to_dot(&self, rules: &RuleSet) -> String {
         use std::fmt::Write as _;
         let mut s = String::from("digraph execution {\n  rankdir=TB;\n");
-        let final_digests: Vec<u64> = {
-            let mut ds: Vec<u64> = self
-                .final_states
-                .iter()
-                .map(|&i| self.states[i].db_digest)
-                .collect();
-            ds.sort_unstable();
-            ds.dedup();
-            ds
-        };
+        if let Some(reason) = self.truncation {
+            let _ = writeln!(
+                s,
+                "  // TRUNCATED: {reason}\n  labelloc=t;\n  label=\"TRUNCATED: {reason}\";"
+            );
+        }
+        let final_digests: Vec<u64> = self.final_db_digests().into_iter().collect();
         let palette = ["#cce5ff", "#ffd6cc", "#d6ffcc", "#f0ccff", "#fff3cc"];
         for (i, st) in self.states.iter().enumerate() {
             if st.is_final {
@@ -400,7 +449,7 @@ pub fn apply_user_actions(
     let mut ops = Vec::new();
     for a in actions {
         match exec_action(a, db, None)? {
-            ActionOutcome::Effects(fx) => ops.extend(fx.into_iter().map(TupleOp::from)),
+            ActionOutcome::Effects(fx) => ops.extend(fx),
             ActionOutcome::Rows(_) => {}
             ActionOutcome::Rollback => {
                 return Err(EngineError::InvalidStatement(
@@ -1079,6 +1128,136 @@ mod tests {
             Verdict::Inconclusive(TruncationReason::Paths)
         );
         assert_eq!(g.observable_streams(&cfg), None);
+    }
+
+    /// `verdicts()` is the three single-verdict methods computed together,
+    /// and `inconclusive()` names the budget that ran out — on a confluent,
+    /// a divergent, a cyclic, a state-truncated and a path-budget-exhausted
+    /// graph.
+    #[test]
+    fn verdicts_equal_the_three_single_verdict_methods() {
+        let observers = "create rule o1 on t when inserted then select 1 end;
+                         create rule o2 on t when inserted then select 2 end;
+                         create rule o3 on t when inserted then select 3 end;";
+        let race = "create rule set1 on t when inserted then update out set v = 1 where v = 0 end;
+                    create rule set2 on t when inserted then update out set v = 2 where v = 0 end;";
+        let toggle = "create rule tgl on t when updated(a) then update t set a = 1 - a end";
+        let grow = "create rule grow on t when inserted then \
+                      insert into t select a + 1 from inserted end";
+        let insert: &[&str] = &["insert into t values (1)"];
+        let (holds, fails, na) = (Verdict::Holds, Verdict::Fails, Verdict::NotApplicable);
+        let cases: [(&str, &str, &[&str], ExploreConfig, Verdicts, _); 5] = [
+            (
+                "confluent",
+                "create rule r on t when inserted then delete from t end",
+                insert,
+                ExploreConfig::default(),
+                Verdicts {
+                    termination: holds,
+                    confluence: holds,
+                    observable_determinism: holds,
+                },
+                None,
+            ),
+            (
+                "divergent",
+                race,
+                &["insert into out values (0)", "insert into t values (1)"],
+                ExploreConfig::default(),
+                Verdicts {
+                    termination: holds,
+                    confluence: fails,
+                    observable_determinism: holds,
+                },
+                None,
+            ),
+            (
+                "cyclic",
+                toggle,
+                &["update t set a = 1 - a"],
+                ExploreConfig::default(),
+                Verdicts {
+                    termination: fails,
+                    confluence: na,
+                    observable_determinism: na,
+                },
+                None,
+            ),
+            (
+                "state-truncated",
+                grow,
+                insert,
+                ExploreConfig::default().with_max_states(50),
+                Verdicts {
+                    termination: Verdict::Inconclusive(TruncationReason::States),
+                    confluence: Verdict::Inconclusive(TruncationReason::States),
+                    observable_determinism: Verdict::Inconclusive(TruncationReason::States),
+                },
+                Some(TruncationReason::States),
+            ),
+            (
+                "path-budget-exhausted",
+                observers,
+                insert,
+                ExploreConfig::default().with_max_paths(2),
+                Verdicts {
+                    termination: holds,
+                    confluence: holds,
+                    observable_determinism: Verdict::Inconclusive(TruncationReason::Paths),
+                },
+                Some(TruncationReason::Paths),
+            ),
+        ];
+        for (name, src, user, cfg, expected, inconclusive) in cases {
+            let mut db = db_with(&[("t", &["a"]), ("out", &["v"])]);
+            db.insert("t", vec![starling_storage::Value::Int(0)])
+                .unwrap();
+            let g = explore(&rules(&db, src), &db, &actions(user), &cfg).unwrap();
+            let v = g.verdicts(&cfg);
+            assert_eq!(v, expected, "{name}");
+            assert_eq!(v.termination, g.termination_verdict(), "{name}");
+            assert_eq!(v.confluence, g.confluence_verdict(), "{name}");
+            assert_eq!(
+                v.observable_determinism,
+                g.observable_determinism_verdict(&cfg),
+                "{name}"
+            );
+            assert_eq!(v.inconclusive(), inconclusive, "{name}");
+        }
+    }
+
+    /// A truncated graph's DOT says it is a prefix; a complete one's does
+    /// not.
+    #[test]
+    fn dot_marks_a_truncated_graph() {
+        let db = db_with(&[("t", &["a"])]);
+        let rs = rules(
+            &db,
+            "create rule grow on t when inserted then \
+               insert into t select a + 1 from inserted end",
+        );
+        let acts = actions(&["insert into t values (1)"]);
+        let cut = ExploreConfig::default().with_max_states(5);
+        let dot = explore(&rs, &db, &acts, &cut).unwrap().to_dot(&rs);
+        assert!(
+            dot.contains("  // TRUNCATED: state budget exhausted\n"),
+            "{dot}"
+        );
+        assert!(
+            dot.contains("  label=\"TRUNCATED: state budget exhausted\";\n"),
+            "{dot}"
+        );
+        let rs = rules(
+            &db,
+            "create rule r on t when inserted then delete from t end",
+        );
+        let dot = explore(&rs, &db, &acts, &ExploreConfig::default())
+            .unwrap()
+            .to_dot(&rs);
+        assert!(
+            !dot.contains("TRUNCATED") && !dot.contains("label=\"T"),
+            "{dot}"
+        );
     }
 
     /// The parallel explorer must produce a **byte-identical** graph to the

@@ -16,88 +16,13 @@ use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, OnceLock};
 
-use starling_sql::eval::{DmlEffect, TransitionBinding};
+use starling_sql::eval::TransitionBinding;
 use starling_storage::digest::mix64;
 use starling_storage::{CanonicalDigest, Fnv64, Op, Row, TupleId};
 
-/// One concrete, tuple-level database operation (an entry in the engine's
-/// operation log).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum TupleOp {
-    /// A tuple was inserted.
-    Insert {
-        /// Target table.
-        table: String,
-        /// Assigned tuple id.
-        id: TupleId,
-        /// Inserted values.
-        row: Row,
-    },
-    /// A tuple was deleted.
-    Delete {
-        /// Target table.
-        table: String,
-        /// Deleted tuple id.
-        id: TupleId,
-        /// Values at deletion time.
-        old: Row,
-    },
-    /// A tuple was updated.
-    Update {
-        /// Target table.
-        table: String,
-        /// Updated tuple id.
-        id: TupleId,
-        /// Values before.
-        old: Row,
-        /// Values after.
-        new: Row,
-        /// Columns assigned by the statement's `SET` list.
-        cols: BTreeSet<String>,
-    },
-}
-
-impl TupleOp {
-    /// The table this operation touches.
-    pub fn table(&self) -> &str {
-        match self {
-            TupleOp::Insert { table, .. }
-            | TupleOp::Delete { table, .. }
-            | TupleOp::Update { table, .. } => table,
-        }
-    }
-
-    /// The tuple this operation touches.
-    pub fn tuple_id(&self) -> TupleId {
-        match self {
-            TupleOp::Insert { id, .. }
-            | TupleOp::Delete { id, .. }
-            | TupleOp::Update { id, .. } => *id,
-        }
-    }
-}
-
-impl From<DmlEffect> for TupleOp {
-    fn from(e: DmlEffect) -> Self {
-        match e {
-            DmlEffect::Insert { table, id, row } => TupleOp::Insert { table, id, row },
-            DmlEffect::Delete { table, id, old } => TupleOp::Delete { table, id, old },
-            DmlEffect::Update {
-                table,
-                id,
-                old,
-                new,
-                cols,
-            } => TupleOp::Update {
-                table,
-                id,
-                old,
-                new,
-                cols: cols.into_iter().collect(),
-            },
-        }
-    }
-}
+/// The operation log's entry type is the SQL executor's: an executed
+/// statement's effects are absorbed as they are.
+pub use starling_sql::eval::TupleOp;
 
 /// The net change to a single tuple over a transition.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -297,7 +222,7 @@ impl NetEffect {
             TupleOp::Update { old, new, cols, .. } => NetChange::Updated {
                 old: old.clone(),
                 new: new.clone(),
-                cols: cols.clone(),
+                cols: cols.iter().cloned().collect(),
             },
         };
         let table = op.table();
@@ -435,7 +360,7 @@ mod tests {
             id: TupleId(id),
             old: vec![Value::Int(old)],
             new: vec![Value::Int(new)],
-            cols: std::iter::once("a".to_owned()).collect(),
+            cols: vec!["a".to_owned()],
         }
     }
 
@@ -574,28 +499,14 @@ mod tests {
     fn update_cols_union() {
         let mut u1 = upd(1, 10, 20);
         if let TupleOp::Update { cols, .. } = &mut u1 {
-            *cols = std::iter::once("a".to_owned()).collect();
+            *cols = vec!["a".to_owned()];
         }
         let mut u2 = upd(1, 20, 30);
         if let TupleOp::Update { cols, .. } = &mut u2 {
-            *cols = std::iter::once("b".to_owned()).collect();
+            *cols = vec!["b".to_owned()];
         }
         let n = NetEffect::from_ops(&[u1, u2]);
         assert!(n.contains_op(&Op::update("t", "a")));
         assert!(n.contains_op(&Op::update("t", "b")));
-    }
-
-    #[test]
-    fn from_dml_effect() {
-        let e = DmlEffect::Update {
-            table: "t".into(),
-            id: TupleId(4),
-            old: vec![Value::Int(1)],
-            new: vec![Value::Int(2)],
-            cols: vec!["a".into()],
-        };
-        let op: TupleOp = e.into();
-        assert_eq!(op.table(), "t");
-        assert_eq!(op.tuple_id(), TupleId(4));
     }
 }

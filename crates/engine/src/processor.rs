@@ -16,7 +16,6 @@ use starling_storage::Database;
 use crate::budget::{Budget, TruncationReason};
 use crate::error::EngineError;
 use crate::observable::{ObservableEvent, ObservableKind};
-use crate::ops::TupleOp;
 use crate::ruleset::{RuleId, RuleSet};
 use crate::state::ExecState;
 use crate::strategy::ChoiceStrategy;
@@ -46,8 +45,8 @@ pub enum EvalMode {
 
 impl EvalMode {
     /// What `STARLING_EVAL_MODE` selects: unset or empty is
-    /// [`EvalMode::Columnar`]; anything [`EvalMode::from_str`] rejects is an
-    /// error naming the variable, so a typo cannot silently test the default.
+    /// [`EvalMode::Columnar`]; anything [`str::parse`] rejects is an error
+    /// naming the variable, so a typo cannot silently test the default.
     pub fn try_from_env() -> Result<Self, String> {
         match std::env::var("STARLING_EVAL_MODE") {
             Ok(v) if !v.is_empty() => v.parse().map_err(|e| format!("STARLING_EVAL_MODE: {e}")),
@@ -279,9 +278,7 @@ pub fn consider_fired_rule(
 
     let mut outcome = StepOutcome {
         fired: true,
-        rolled_back: false,
-        observables: Vec::new(),
-        ops: std::collections::BTreeSet::new(),
+        ..StepOutcome::unfired()
     };
 
     let use_plans = mode.uses_plans();
@@ -293,29 +290,14 @@ pub fn consider_fired_rule(
         };
         match acted {
             ActionOutcome::Effects(fx) => {
-                let ops: Vec<TupleOp> = fx.into_iter().map(TupleOp::from).collect();
-                for op in &ops {
-                    match op {
-                        TupleOp::Insert { table, .. } => {
-                            outcome
-                                .ops
-                                .insert(starling_storage::Op::Insert(table.clone()));
-                        }
-                        TupleOp::Delete { table, .. } => {
-                            outcome
-                                .ops
-                                .insert(starling_storage::Op::Delete(table.clone()));
-                        }
-                        TupleOp::Update { table, cols, .. } => {
-                            for c in cols {
-                                outcome
-                                    .ops
-                                    .insert(starling_storage::Op::update(table.clone(), c.clone()));
-                            }
-                        }
-                    }
+                // Every effect of one statement is the same kind of
+                // operation on the same table and columns.
+                if let Some(first) = fx.first() {
+                    let ops = first.abstract_ops();
+                    debug_assert!(fx.iter().all(|op| op.abstract_ops() == ops));
+                    outcome.ops.extend(ops);
                 }
-                state.absorb(&ops);
+                state.absorb(&fx);
             }
             ActionOutcome::Rows(rs) => {
                 outcome.observables.push(ObservableEvent {
@@ -342,31 +324,29 @@ pub fn consider_fired_rule(
 #[derive(Clone, Copy, Debug)]
 pub struct Processor<'r> {
     rules: &'r RuleSet,
-    /// Upper bound on considerations before declaring [`Outcome::LimitExceeded`].
-    pub max_considerations: usize,
-    /// Optional wall-clock bound on a run.
-    pub deadline: Option<std::time::Duration>,
+    /// Bounds on a run: `max_considerations` before declaring
+    /// [`Outcome::LimitExceeded`], and the optional wall-clock `deadline`.
+    pub budget: Budget,
     /// How conditions and actions are evaluated. Per-processor, so
     /// concurrent sessions can never flip each other's evaluation path.
     pub eval_mode: EvalMode,
 }
 
 impl<'r> Processor<'r> {
-    /// A processor over a rule set with the default limit (10 000
-    /// considerations), no deadline, and the environment-default
+    /// A processor over a rule set with the default [`Budget`] (10 000
+    /// considerations, no deadline) and the environment-default
     /// [`EvalMode`].
     pub fn new(rules: &'r RuleSet) -> Self {
         Processor {
             rules,
-            max_considerations: 10_000,
-            deadline: None,
+            budget: Budget::default(),
             eval_mode: EvalMode::default(),
         }
     }
 
     /// Sets the consideration limit.
     pub fn with_limit(mut self, limit: usize) -> Self {
-        self.max_considerations = limit;
+        self.budget.max_considerations = limit;
         self
     }
 
@@ -376,11 +356,9 @@ impl<'r> Processor<'r> {
         self
     }
 
-    /// Adopts the processor-relevant bounds of a [`Budget`]
-    /// (`max_considerations` and `deadline`).
+    /// Sets the run's bounds.
     pub fn with_budget(mut self, budget: &Budget) -> Self {
-        self.max_considerations = budget.max_considerations;
-        self.deadline = budget.deadline;
+        self.budget = *budget;
         self
     }
 
@@ -401,12 +379,7 @@ impl<'r> Processor<'r> {
         txn_snapshot: &Database,
         strategy: &mut dyn ChoiceStrategy,
     ) -> Result<RunResult, EngineError> {
-        let budget = Budget {
-            max_considerations: self.max_considerations,
-            deadline: self.deadline,
-            ..Budget::default()
-        };
-        let clock = budget.start_clock();
+        let clock = self.budget.start_clock();
         let mut result = RunResult {
             considerations: Vec::new(),
             observables: Vec::new(),
@@ -420,7 +393,7 @@ impl<'r> Processor<'r> {
                 result.outcome = Outcome::Quiescent;
                 return Ok(result);
             }
-            if result.considerations.len() >= self.max_considerations {
+            if result.considerations.len() >= self.budget.max_considerations {
                 result.outcome = Outcome::LimitExceeded;
                 result.truncation = Some(TruncationReason::Considerations);
                 return Ok(result);
@@ -466,6 +439,7 @@ mod tests {
     use starling_sql::parse_script;
     use starling_storage::{ColumnDef, TableSchema, Value, ValueType};
 
+    use crate::ops::TupleOp;
     use crate::strategy::{FirstEligible, LastEligible};
 
     use super::*;

@@ -15,6 +15,7 @@ use starling_sql::validate::{validate_dml, validate_rule};
 use starling_storage::wal::{SyncPolicy, WalStore};
 use starling_storage::Database;
 
+use crate::budget::Budget;
 use crate::durability::Durability;
 use crate::error::EngineError;
 use crate::ops::TupleOp;
@@ -68,10 +69,9 @@ pub struct Session {
     txn_snapshot: Option<Database>,
     pending_ops: Vec<TupleOp>,
     durability: Option<Durability>,
-    /// Consideration limit for assertion points.
-    pub max_considerations: usize,
-    /// Optional wall-clock bound on each assertion point's rule processing.
-    pub deadline: Option<std::time::Duration>,
+    /// Bounds on each assertion point's rule processing (the consideration
+    /// limit and the optional wall-clock deadline).
+    pub budget: Budget,
     /// How this session's rule processing evaluates conditions and actions.
     /// Per-session state: concurrent sessions cannot affect each other.
     pub eval_mode: EvalMode,
@@ -85,8 +85,7 @@ impl Session {
             txn_snapshot: None,
             pending_ops: Vec::new(),
             durability: None,
-            max_considerations: 10_000,
-            deadline: None,
+            budget: Budget::default(),
             eval_mode: EvalMode::default(),
         }
     }
@@ -355,7 +354,7 @@ impl Session {
                 match outcome {
                     ActionOutcome::Effects(fx) => {
                         let n = fx.len();
-                        self.pending_ops.extend(fx.into_iter().map(TupleOp::from));
+                        self.pending_ops.extend(fx);
                         Ok(ScriptOutput::Modified(n))
                     }
                     ActionOutcome::Rows(rs) => Ok(ScriptOutput::Rows(rs)),
@@ -413,7 +412,6 @@ impl Session {
     ) -> Result<RunResult, EngineError> {
         self.ensure_txn();
         let snapshot = self.txn_snapshot.clone().expect("txn exists");
-        let limit = self.max_considerations;
         // Compile before consuming the pending transition, and abort (not
         // just error) if the rule set is unusable: the user transition
         // cannot be processed, so it must not survive half-applied.
@@ -423,10 +421,9 @@ impl Session {
         };
         let ops = std::mem::take(&mut self.pending_ops);
         let mut state = ExecState::new(self.state.db.clone(), rules.len(), &ops);
-        let mut processor = Processor::new(&rules)
-            .with_limit(limit)
+        let processor = Processor::new(&rules)
+            .with_budget(&self.budget)
             .with_eval_mode(self.eval_mode);
-        processor.deadline = self.deadline;
         let result = match processor.run(&mut state, &snapshot, strategy) {
             Ok(r) => r,
             Err(e) => return Ok(self.abort_txn(e)),
@@ -809,7 +806,7 @@ mod tests {
         )
         .unwrap();
         s.persist_to(&dir, SyncPolicy::Always).unwrap();
-        (s.eval_mode, s.max_considerations) = (EvalMode::Interp, 77);
+        (s.eval_mode, s.budget.max_considerations) = (EvalMode::Interp, 77);
         let acked = s.state();
         s.install_fault_plan(FaultPlan::single(
             FaultSpec::nth(0).on_kind(FaultOpKind::WalAppend),
@@ -835,7 +832,10 @@ mod tests {
         assert_eq!(s.ruleset().unwrap().len(), 2);
         // ...and neither loses the mode, the limits or the attachment: the
         // one-shot fault lets the retry land durably.
-        assert_eq!((s.eval_mode, s.max_considerations), (EvalMode::Interp, 77));
+        assert_eq!(
+            (s.eval_mode, s.budget.max_considerations),
+            (EvalMode::Interp, 77)
+        );
         s.execute_script(edit).unwrap();
         let run = s.commit(&mut FirstEligible).unwrap();
         assert_eq!(run.outcome, Outcome::Quiescent);

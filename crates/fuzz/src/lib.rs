@@ -6,7 +6,7 @@
 //! a seeded generator produces whole random rule programs ([`gen`]), each
 //! program runs through four independent implementations of "what does this
 //! program do" ([`oracle`]), any disagreement is greedily shrunk to a
-//! minimal reproducer ([`shrink`]) and pinned as a runnable `.star` script
+//! minimal reproducer ([`mod@shrink`]) and pinned as a runnable `.star` script
 //! ([`corpus`]) that replays as an ordinary `cargo test` regression.
 //!
 //! Everything is deterministic: the same `(seed, cases, budget)` triple

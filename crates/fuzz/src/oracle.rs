@@ -25,7 +25,7 @@
 //! generated rules).
 
 use starling_analysis::loader::load_script;
-use starling_analysis::report::{explore_json, AnalysisReport};
+use starling_analysis::report::{explore_json, explore_json_with, AnalysisReport};
 use starling_engine::{
     explore_parallel, explore_with_mode, Budget, EvalMode, ExecGraph, FirstEligible, RuleProgram,
     Session, Verdict,
@@ -179,8 +179,8 @@ fn durability_check_in(src: &str, budget: &Budget, dir: &std::path::Path) -> Opt
     // the WAL exactly as well, and both sides hitting the limit (with
     // identical truncated state) is itself an agreement.
     let cap = budget.max_considerations.min(6);
-    mem.max_considerations = cap;
-    dur.max_considerations = cap;
+    mem.budget.max_considerations = cap;
+    dur.budget.max_considerations = cap;
     if let Err(e) = dur.persist_to(dir, SyncPolicy::Batch) {
         return fail(format!("persist_to failed on an empty store: {e}"));
     }
@@ -391,7 +391,8 @@ pub fn check_script(src: &str, budget: &Budget, mutation: Mutation) -> CaseOutco
 
     // Oracle: columnar vs row-plan vs interp, byte-identical serialized
     // summaries.
-    let columnar_json = explore_json(&g, budget).to_string();
+    let verdicts = g.verdicts(budget);
+    let columnar_json = explore_json_with(&g, &verdicts).to_string();
     let plan_json = explore_json(&gr, budget).to_string();
     let interp_json = explore_json(&gi, budget).to_string();
     if columnar_json != plan_json || columnar_json != interp_json {
@@ -442,7 +443,7 @@ pub fn check_script(src: &str, budget: &Budget, mutation: Mutation) -> CaseOutco
 
     // Oracle: analyzer vs exec graph. A static guarantee must never meet a
     // dynamic counterexample.
-    if term_ok && g.termination_verdict() == Verdict::Fails {
+    if term_ok && verdicts.termination == Verdict::Fails {
         return outcome(
             &g,
             Some(Disagreement {
@@ -454,7 +455,7 @@ pub fn check_script(src: &str, budget: &Budget, mutation: Mutation) -> CaseOutco
             }),
         );
     }
-    if conf_ok && g.confluence_verdict() == Verdict::Fails {
+    if conf_ok && verdicts.confluence == Verdict::Fails {
         // Provenance: attach a minimal divergence witness, but only after
         // it replays through the engine to the claimed digests — the
         // reproducer header must never carry an unverified explanation.
@@ -485,7 +486,7 @@ pub fn check_script(src: &str, budget: &Budget, mutation: Mutation) -> CaseOutco
     }
     // Observable determinism presumes termination (Section 8): only compare
     // when the static side claims both.
-    if obs_ok && term_ok && g.observable_determinism_verdict(budget) == Verdict::Fails {
+    if obs_ok && term_ok && verdicts.observable_determinism == Verdict::Fails {
         return outcome(
             &g,
             Some(Disagreement {

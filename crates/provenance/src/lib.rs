@@ -10,7 +10,7 @@
 //!
 //! 1. **Record** — [`starling_engine::explore_traced`] explores exactly as
 //!    the untraced oracle does, while logging a compact
-//!    [`DecisionLog`](starling_engine::DecisionLog) of choice points:
+//!    [`DecisionLog`] of choice points:
 //!    interned eligible-rule sets at the states where more than one rule
 //!    was eligible. Deterministic programs record nothing.
 //! 2. **Explain** — given two final database digests, [`witness::extract`]
@@ -33,7 +33,7 @@ pub mod render;
 pub mod witness;
 
 pub use counters::ProvCounters;
-pub use render::{witness_compact, witness_json, witness_text};
+pub use render::{explanation_json, witness_compact, witness_json, witness_text};
 pub use witness::{extract, verify, Witness};
 
 use starling_engine::{

@@ -1,10 +1,12 @@
 //! Witness rendering: human transcript, shared JSON shape, and the
 //! one-line compact form embedded in fuzz reproducer headers.
 
-use starling_engine::{RuleId, RuleSet};
+use starling_analysis::report::explore_json;
+use starling_engine::{ExploreConfig, RuleId, RuleSet};
 use starling_sql::json::{digest_json, Json};
 
 use crate::witness::Witness;
+use crate::Explanation;
 
 fn name(rules: &RuleSet, id: RuleId) -> String {
     rules.get(id).name().to_owned()
@@ -48,6 +50,22 @@ pub fn witness_json(rules: &RuleSet, w: &Witness) -> Json {
         ("baseline_len", Json::from(w.baseline_len)),
         ("minimization_steps", Json::from(w.minimization_steps)),
         ("replay_verified", Json::Bool(w.replay_verified)),
+    ])
+}
+
+/// The `explain` answer, as `starling explain --json` prints it and the
+/// server's `explain` op returns it: the graph summary, the number of
+/// ambiguous choice points, and the witness (`null` when confluent).
+pub fn explanation_json(rules: &RuleSet, ex: &Explanation, cfg: &ExploreConfig) -> Json {
+    Json::obj([
+        ("explore", explore_json(&ex.graph, cfg)),
+        ("choice_points", Json::from(ex.log.ambiguous())),
+        (
+            "witness",
+            ex.witness
+                .as_ref()
+                .map_or(Json::Null, |w| witness_json(rules, w)),
+        ),
     ])
 }
 

@@ -35,9 +35,9 @@
 //! * **Admission control.** A global gauge counts admitted-but-not-completed
 //!   requests. When it reaches `max_inflight`, newly decoded requests are
 //!   refused at decode time with a typed `overloaded` error response that
-//!   still occupies the request's slot in the pipeline (refusals are
-//!   [`Work::Instant`] items), so per-connection response order holds even
-//!   across refusals.
+//!   still occupies the request's slot in the pipeline (a refusal is queued
+//!   like any request, with its answer already made), so per-connection
+//!   response order holds even across refusals.
 //!
 //! ## Fault containment
 //!

@@ -22,13 +22,13 @@
 
 use std::sync::Arc;
 
-use starling_analysis::report::explore_json;
-use starling_analysis::{Certifications, IncrementalAnalysis};
+use starling_analysis::report::explore_json_with;
+use starling_analysis::{check_protected_tables, Certifications, IncrementalAnalysis};
 use starling_engine::{
     explore_traced_with_mode, Budget, EngineError, EvalMode, FirstEligible, Outcome, RuleSet,
-    Session, Verdict,
+    Session,
 };
-use starling_provenance::{witness_json, ProvCounters};
+use starling_provenance::{explanation_json, ProvCounters};
 use starling_sql::ast::{Action, Directive, Statement};
 use starling_sql::json::{digest_json, Json};
 use starling_sql::parse_script;
@@ -343,8 +343,7 @@ impl ServerSession {
         let sql = str_field(req, "sql").map_err(protocol)?;
         let budget = budget_from_request(req).map_err(protocol)?;
         let cp = self.session.state();
-        self.session.max_considerations = budget.max_considerations;
-        self.session.deadline = budget.deadline;
+        self.session.budget = budget;
         let ran = self
             .session
             .execute_script(sql)
@@ -393,6 +392,7 @@ impl ServerSession {
                 .ok_or_else(|| protocol("`refine` must be a boolean"))?,
         };
         let protect = parse_protect(req)?;
+        check_protected_tables(self.session.db().catalog(), &protect).map_err(script)?;
         let certs = Certifications::from_directives(self.session.directives());
         let rules = self.session.ruleset_arc().map_err(engine)?.clone();
         let report = self.analysis.analyze(&rules, &certs, refine, &protect);
@@ -441,15 +441,9 @@ impl ServerSession {
             budget,
             eval_mode: self.session.eval_mode,
         });
-        let result = explore_json(&g, &budget);
-        let inconclusive = [
-            g.termination_verdict(),
-            g.confluence_verdict(),
-            g.observable_determinism_verdict(&budget),
-        ]
-        .iter()
-        .any(|v| matches!(v, Verdict::Inconclusive(_)));
-        if g.truncated() || inconclusive {
+        let verdicts = g.verdicts(&budget);
+        let result = explore_json_with(&g, &verdicts);
+        if verdicts.inconclusive().is_some() {
             let msg = g
                 .truncation
                 .map(|r| r.to_string())
@@ -478,18 +472,10 @@ impl ServerSession {
         )
         .map_err(engine)?;
         self.prov.record_trace(&ex.log);
-        let witness = match &ex.witness {
-            Some(w) => {
-                self.prov.record_witness(w);
-                witness_json(&last.rules, w)
-            }
-            None => Json::Null,
-        };
-        Ok(Json::obj([
-            ("explore", explore_json(&ex.graph, &last.budget)),
-            ("choice_points", Json::from(ex.log.ambiguous())),
-            ("witness", witness),
-        ]))
+        if let Some(w) = &ex.witness {
+            self.prov.record_witness(w);
+        }
+        Ok(explanation_json(&last.rules, &ex, &last.budget))
     }
 
     /// Applies one §6.4 refinement to the rule program and persists it. If
@@ -763,6 +749,32 @@ mod tests {
             r.get("final_db_digests")
                 .and_then(Json::as_arr)
                 .map(<[Json]>::len),
+            Some(2)
+        );
+    }
+
+    /// `analyze` refuses to "guarantee" partial confluence for a table that
+    /// does not exist or an empty subset (a `script` error naming it), and
+    /// still analyzes real ones.
+    #[test]
+    fn analyze_protect_rejects_unknown_and_empty_tables() {
+        let (mut s, cache) = loaded();
+        for (protect, names) in [
+            (r#"[["nosuch"]]"#, "`nosuch`"),
+            (r#"[["t"],["u","nosuch"]]"#, "`nosuch`"),
+            (r#"[[""]]"#, "unknown table ``"),
+            (r#"[[]]"#, "set is empty"),
+        ] {
+            let req = Json::parse(&format!(r#"{{"protect":{protect}}}"#)).unwrap();
+            let (code, msg, data) = s.handle_op("analyze", &req, &cache).unwrap_err();
+            assert_eq!(code, ErrorCode::Script, "{protect}: {msg}");
+            assert!(msg.contains(names), "{protect}: {msg}");
+            assert!(data.is_none());
+        }
+        let req = Json::parse(r#"{"protect":[["t"],["t","u"]]}"#).unwrap();
+        let r = s.handle_op("analyze", &req, &cache).unwrap();
+        assert_eq!(
+            r.get("partial").and_then(Json::as_arr).map(<[Json]>::len),
             Some(2)
         );
     }

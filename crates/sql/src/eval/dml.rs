@@ -1,10 +1,10 @@
 //! DML execution with tuple-level effect reporting.
 //!
 //! Execution is two-phase: evaluate (against the pre-statement state), then
-//! apply. The returned [`DmlEffect`]s are the engine's raw material for the
+//! apply. The returned [`TupleOp`]s are the engine's raw material for the
 //! operation log and net-effect computation.
 
-use starling_storage::{Database, Row, TupleId, Value};
+use starling_storage::{Database, Op, Row, TupleId, Value};
 
 use crate::ast::{Action, DeleteStmt, InsertSource, InsertStmt, UpdateStmt};
 use crate::error::SqlError;
@@ -12,9 +12,10 @@ use crate::eval::env::{Env, EvalCtx, RowBinding, TransitionBinding};
 use crate::eval::expr::{eval_bool, eval_expr, is_true};
 use crate::eval::select::{eval_select, ResultSet};
 
-/// A tuple-level change produced by executing a statement.
+/// One concrete, tuple-level database operation: what executing a statement
+/// did to one tuple, and an entry in the engine's operation log.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum DmlEffect {
+pub enum TupleOp {
     /// A tuple was inserted.
     Insert {
         /// Target table.
@@ -49,22 +50,36 @@ pub enum DmlEffect {
     },
 }
 
-impl DmlEffect {
-    /// The table this effect touches.
+impl TupleOp {
+    /// The table this operation touches.
     pub fn table(&self) -> &str {
         match self {
-            DmlEffect::Insert { table, .. }
-            | DmlEffect::Delete { table, .. }
-            | DmlEffect::Update { table, .. } => table,
+            TupleOp::Insert { table, .. }
+            | TupleOp::Delete { table, .. }
+            | TupleOp::Update { table, .. } => table,
         }
     }
 
-    /// The tuple this effect touches.
+    /// The tuple this operation touches.
     pub fn tuple_id(&self) -> TupleId {
         match self {
-            DmlEffect::Insert { id, .. }
-            | DmlEffect::Delete { id, .. }
-            | DmlEffect::Update { id, .. } => *id,
+            TupleOp::Insert { id, .. }
+            | TupleOp::Delete { id, .. }
+            | TupleOp::Update { id, .. } => *id,
+        }
+    }
+
+    /// The abstract operations (paper Section 3) this tuple operation is an
+    /// occurrence of: one per assigned column for an update, else one. Every
+    /// effect of one statement yields the same ones.
+    pub fn abstract_ops(&self) -> Vec<Op> {
+        match self {
+            TupleOp::Insert { table, .. } => vec![Op::Insert(table.clone())],
+            TupleOp::Delete { table, .. } => vec![Op::Delete(table.clone())],
+            TupleOp::Update { table, cols, .. } => cols
+                .iter()
+                .map(|c| Op::update(table.clone(), c.clone()))
+                .collect(),
         }
     }
 }
@@ -73,7 +88,7 @@ impl DmlEffect {
 #[derive(Clone, Debug, PartialEq)]
 pub enum ActionOutcome {
     /// Data modification: the tuple-level effects (possibly empty).
-    Effects(Vec<DmlEffect>),
+    Effects(Vec<TupleOp>),
     /// Data retrieval: the observable result rows.
     Rows(ResultSet),
     /// A rollback was requested.
@@ -106,7 +121,7 @@ fn exec_insert(
     stmt: &InsertStmt,
     db: &mut Database,
     transitions: Option<&TransitionBinding>,
-) -> Result<Vec<DmlEffect>, SqlError> {
+) -> Result<Vec<TupleOp>, SqlError> {
     // Phase 1: evaluate all source rows against the pre-statement state.
     let rows: Vec<Row> = {
         let ctx = EvalCtx { db, transitions };
@@ -158,7 +173,7 @@ fn exec_insert(
     let mut effects = Vec::with_capacity(full_rows.len());
     for row in full_rows {
         let id = db.insert(&stmt.table, row.clone())?;
-        effects.push(DmlEffect::Insert {
+        effects.push(TupleOp::Insert {
             table: stmt.table.clone(),
             id,
             row,
@@ -171,12 +186,12 @@ fn exec_delete(
     stmt: &DeleteStmt,
     db: &mut Database,
     transitions: Option<&TransitionBinding>,
-) -> Result<Vec<DmlEffect>, SqlError> {
+) -> Result<Vec<TupleOp>, SqlError> {
     let victims = matching_tuples(&stmt.table, stmt.where_clause.as_ref(), db, transitions)?;
     let mut effects = Vec::with_capacity(victims.len());
     for (id, _) in victims {
         let old = db.delete(&stmt.table, id)?;
-        effects.push(DmlEffect::Delete {
+        effects.push(TupleOp::Delete {
             table: stmt.table.clone(),
             id,
             old,
@@ -189,7 +204,7 @@ fn exec_update(
     stmt: &UpdateStmt,
     db: &mut Database,
     transitions: Option<&TransitionBinding>,
-) -> Result<Vec<DmlEffect>, SqlError> {
+) -> Result<Vec<TupleOp>, SqlError> {
     let set_indices: Vec<usize> = {
         let schema = db.catalog().table(&stmt.table)?;
         let mut indices = Vec::with_capacity(stmt.sets.len());
@@ -234,7 +249,7 @@ fn exec_update(
     let mut effects = Vec::with_capacity(planned.len());
     for (id, old, new) in planned {
         db.update(&stmt.table, id, new.clone())?;
-        effects.push(DmlEffect::Update {
+        effects.push(TupleOp::Update {
             table: stmt.table.clone(),
             id,
             old,
@@ -317,7 +332,7 @@ mod tests {
         exec_action(&a, d, None)
     }
 
-    fn effects(d: &mut Database, src: &str) -> Vec<DmlEffect> {
+    fn effects(d: &mut Database, src: &str) -> Vec<TupleOp> {
         match run(d, src).unwrap() {
             ActionOutcome::Effects(fx) => fx,
             o => panic!("expected effects, got {o:?}"),
@@ -330,7 +345,7 @@ mod tests {
         let fx = effects(&mut d, "insert into t values (1, 10), (2, 20)");
         assert_eq!(fx.len(), 2);
         assert_eq!(d.table("t").unwrap().len(), 2);
-        assert!(matches!(&fx[0], DmlEffect::Insert { row, .. } if row[0] == Value::Int(1)));
+        assert!(matches!(&fx[0], TupleOp::Insert { row, .. } if row[0] == Value::Int(1)));
     }
 
     #[test]
@@ -405,7 +420,7 @@ mod tests {
             ]
         );
         for f in fx {
-            let DmlEffect::Update { old, new, .. } = f else {
+            let TupleOp::Update { old, new, .. } = f else {
                 panic!()
             };
             assert_ne!(old, new);
@@ -421,7 +436,7 @@ mod tests {
         effects(&mut d, "insert into t values (1, 10)");
         let fx = effects(&mut d, "update t set a = a");
         assert_eq!(fx.len(), 1);
-        let DmlEffect::Update { old, new, .. } = &fx[0] else {
+        let TupleOp::Update { old, new, .. } = &fx[0] else {
             panic!()
         };
         assert_eq!(old, new);
@@ -453,7 +468,7 @@ mod tests {
             "update t set b = 0 where a = (select max(a) from t)",
         );
         assert_eq!(fx.len(), 1);
-        let DmlEffect::Update { new, .. } = &fx[0] else {
+        let TupleOp::Update { new, .. } = &fx[0] else {
             panic!()
         };
         assert_eq!(new, &vec![Value::Int(2), Value::Int(0)]);

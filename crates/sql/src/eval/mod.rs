@@ -8,14 +8,14 @@
 //! DML execution is two-phase: the target set and all new values are fully
 //! evaluated against the *pre-statement* state, then applied — giving SQL's
 //! set-oriented semantics (no Halloween problem) and producing a
-//! [`DmlEffect`] record per touched tuple for the engine's operation log.
+//! [`TupleOp`] record per touched tuple for the engine's operation log.
 
 pub mod dml;
 pub mod env;
 pub mod expr;
 pub mod select;
 
-pub use dml::{exec_action, ActionOutcome, DmlEffect};
+pub use dml::{exec_action, ActionOutcome, TupleOp};
 pub use env::{Env, EvalCtx, TransitionBinding};
 pub use select::{eval_select, ResultSet};
 

@@ -32,7 +32,7 @@ use crate::eval::expr::{
     not3, sql_eq,
 };
 use crate::eval::select::eval_select;
-use crate::eval::{ActionOutcome, DmlEffect, ResultSet};
+use crate::eval::{ActionOutcome, ResultSet, TupleOp};
 
 use super::{
     vector, ActionPlan, CompiledSelect, CondPlan, DeletePlan, InsertPlan, InsertSourcePlan, PExpr,
@@ -135,7 +135,7 @@ fn exec_insert_plan(
     let mut effects = Vec::with_capacity(full_rows.len());
     for row in full_rows {
         let id = db.insert(&ip.table, row.clone())?;
-        effects.push(DmlEffect::Insert {
+        effects.push(TupleOp::Insert {
             table: ip.table.clone(),
             id,
             row,
@@ -162,7 +162,7 @@ fn exec_delete_plan(
     let mut effects = Vec::with_capacity(victims.len());
     for (id, _) in victims {
         let old = db.delete(&dp.table, id)?;
-        effects.push(DmlEffect::Delete {
+        effects.push(TupleOp::Delete {
             table: dp.table.clone(),
             id,
             old,
@@ -219,7 +219,7 @@ fn exec_update_plan(
     let mut effects = Vec::with_capacity(planned.len());
     for (id, old, new) in planned {
         db.update(&up.table, id, new.clone())?;
-        effects.push(DmlEffect::Update {
+        effects.push(TupleOp::Update {
             table: up.table.clone(),
             id,
             old,

@@ -68,12 +68,6 @@ impl Database {
         self.fault = Some(FaultState::new(plan));
     }
 
-    /// Removes any installed fault plan from this handle (clones that
-    /// already share the state keep it).
-    pub fn clear_fault_plan(&mut self) {
-        self.fault = None;
-    }
-
     /// Re-attaches an existing (possibly shared) fault state to this
     /// handle — used when a handle is replaced wholesale (e.g. restoring a
     /// durable base) but must keep observing the same plan and counters.
@@ -466,7 +460,7 @@ mod tests {
         d2.install_fault_plan(FaultPlan::single(FaultSpec::nth(99)));
         assert_eq!(d1, d2);
         assert_eq!(d1.state_digest(), d2.state_digest());
-        d2.clear_fault_plan();
+        d2.set_fault_state(None);
         assert!(d2.fault_state().is_none());
     }
 

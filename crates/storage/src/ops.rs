@@ -46,11 +46,6 @@ impl Op {
         matches!(self, Op::Delete(_))
     }
 
-    /// Whether this is an update.
-    pub fn is_update(&self) -> bool {
-        matches!(self, Op::Update(_))
-    }
-
     /// Enumerates the full alphabet `O` for a catalog: every `(I,t)`,
     /// `(D,t)`, and `(U,t.c)`.
     pub fn alphabet(catalog: &Catalog) -> Vec<Op> {

@@ -184,11 +184,6 @@ impl Catalog {
         self.tables.values()
     }
 
-    /// All table names, ordered.
-    pub fn table_names(&self) -> impl Iterator<Item = &str> {
-        self.tables.keys().map(String::as_str)
-    }
-
     /// Number of tables.
     pub fn len(&self) -> usize {
         self.tables.len()
@@ -197,18 +192,6 @@ impl Catalog {
     /// Whether the catalog is empty.
     pub fn is_empty(&self) -> bool {
         self.tables.is_empty()
-    }
-
-    /// All `(U, t.c)`-style column references in the catalog (the set `C`).
-    pub fn all_columns(&self) -> Vec<ColRef> {
-        self.tables
-            .values()
-            .flat_map(|t| {
-                t.columns
-                    .iter()
-                    .map(|c| ColRef::new(t.name.clone(), c.name.clone()))
-            })
-            .collect()
     }
 }
 
@@ -291,15 +274,6 @@ mod tests {
             c.add_table(emp()),
             Err(StorageError::DuplicateTable(_))
         ));
-    }
-
-    #[test]
-    fn all_columns_enumerates_c() {
-        let mut c = Catalog::new();
-        c.add_table(emp()).unwrap();
-        let cols = c.all_columns();
-        assert_eq!(cols.len(), 3);
-        assert!(cols.contains(&ColRef::new("emp", "salary")));
     }
 
     #[test]

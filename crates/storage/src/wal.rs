@@ -85,7 +85,7 @@ pub enum SyncPolicy {
     /// commit survives `kill -9`.
     #[default]
     Always,
-    /// Fsync every [`BATCH_SYNC_EVERY`] appends and at snapshot/detach
+    /// Fsync every 32 appends (`BATCH_SYNC_EVERY`) and at snapshot/detach
     /// points: higher throughput, a crash may lose the last unsynced batch
     /// (recovery still lands on a consistent earlier state).
     Batch,
@@ -423,11 +423,6 @@ impl WalStore {
     /// The store directory.
     pub fn dir(&self) -> &Path {
         &self.dir
-    }
-
-    /// The configured sync policy.
-    pub fn sync_policy(&self) -> SyncPolicy {
-        self.sync
     }
 
     /// The sequence number the next commit will receive.

@@ -81,7 +81,7 @@ fn setup_script(w: &GeneratedWorkload) -> String {
 /// rules defined, poised before the user transition.
 fn build_session(w: &GeneratedWorkload, limit: usize) -> Session {
     let mut s = Session::new();
-    s.max_considerations = limit;
+    s.budget.max_considerations = limit;
     s.execute_script(&setup_script(w)).expect("setup script");
     // No rules exist yet, so the seed commit quiesces trivially.
     let seeded = s.commit(&mut FirstEligible).expect("seed commit");

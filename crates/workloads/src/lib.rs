@@ -18,14 +18,12 @@
 //!   the Section 8 experiments.
 //! * [`versioning`] — append-only document versioning (another of the
 //!   introduction's motivating applications).
-//! * [`corpus`] — small named rule sets with known ground-truth properties,
+//! * [`mod@corpus`] — small named rule sets with known ground-truth properties,
 //!   shared by tests and benches.
 //! * [`cond_stress`] — condition-heavy rule programs (joins and filters
-//!   over a large reference table) for benchmarking SQL evaluation inside
-//!   the oracle.
-//! * [`scale`] — the same condition shapes parameterized by row count
-//!   (100k–1M rows) for benchmarking the columnar execution path.
-//! * [`fault_sweep`] — exhaustive atomicity checking under injected storage
+//!   over a reference table of any size), the evaluation-mode
+//!   differentials' input.
+//! * [`mod@fault_sweep`] — exhaustive atomicity checking under injected storage
 //!   faults: replay a transaction with a fault at every mutating-op index
 //!   and verify the database is always snapshot-or-committed.
 //! * [`chase`] — chase-style linear existential rules (Calautti et al.):
@@ -41,7 +39,6 @@ pub mod corpus;
 pub mod fault_sweep;
 pub mod power_network;
 pub mod random;
-pub mod scale;
 pub mod versioning;
 
 pub use corpus::{corpus, CorpusEntry};

@@ -147,6 +147,73 @@ pub fn generate(config: &RandomConfig) -> GeneratedWorkload {
     }
 }
 
+/// `k` genuinely independent partitions of five rules each: `k` small
+/// generated workloads, every table and rule renamed into its partition's
+/// namespace (`p3_t0`, `p3_r0`) so that no two share a table. Returns the
+/// combined catalog and rule definitions.
+pub fn partitioned(k: usize) -> (Catalog, Vec<RuleDef>) {
+    let mut catalog = Catalog::new();
+    let mut defs = Vec::new();
+    for p in 0..k {
+        let w = generate(&RandomConfig {
+            n_tables: 3,
+            n_cols: 2,
+            n_rules: 5,
+            max_actions: 2,
+            p_condition: 0.5,
+            p_observable: 0.1,
+            p_priority: 0.3,
+            rows_per_table: 2,
+            seed: p as u64,
+        });
+        for schema in w.catalog.tables() {
+            let name = format!("p{p}_{}", schema.name);
+            catalog
+                .add_table(TableSchema::new(name, schema.columns.clone()).expect("same columns"))
+                .expect("distinct tables");
+        }
+        for def in &w.defs {
+            let renamed = namespace_tokens(&def.to_string(), p);
+            let Statement::CreateRule(def) =
+                starling_sql::parse_statement(&renamed).expect("renamed rule parses")
+            else {
+                unreachable!()
+            };
+            defs.push(def);
+        }
+    }
+    (catalog, defs)
+}
+
+/// Prefixes every `t<digits>` / `r<digits>` identifier token with `p{p}_`.
+/// Generated identifiers are exactly `t<digits>` / `r<digits>` /
+/// `c<digits>`, so a token-boundary scan is unambiguous.
+fn namespace_tokens(script: &str, p: usize) -> String {
+    let chars: Vec<char> = script.chars().collect();
+    let mut out = String::with_capacity(script.len() + 64);
+    let mut i = 0;
+    while i < chars.len() {
+        let c = chars[i];
+        let at_token_start = i == 0 || !(chars[i - 1].is_alphanumeric() || chars[i - 1] == '_');
+        if at_token_start && (c == 't' || c == 'r') {
+            let mut j = i + 1;
+            while j < chars.len() && chars[j].is_ascii_digit() {
+                j += 1;
+            }
+            let ends_token = j == chars.len() || !(chars[j].is_alphanumeric() || chars[j] == '_');
+            if j > i + 1 && ends_token {
+                out.push_str(&format!("p{p}_"));
+                out.extend(&chars[i..j]);
+                i = j;
+                continue;
+            }
+        }
+        out.push(c);
+        i += 1;
+    }
+    out
+}
+
 fn table_name(rng: &mut StdRng, cfg: &RandomConfig) -> String {
     format!("t{}", rng.gen_range(0..cfg.n_tables))
 }

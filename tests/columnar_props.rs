@@ -31,7 +31,8 @@ use starling::sql::plan::{
     compile_action, compile_select, execute_action, execute_select, PlanMode,
 };
 use starling::storage::{Bitmap, ColumnDef, Database, TableSchema, TupleId, Value, ValueType};
-use starling::workloads::{cond_stress, corpus, random, scale, CorpusEntry};
+use starling::workloads::cond_stress::CondStress;
+use starling::workloads::{corpus, random, CorpusEntry};
 
 /// Fixture exercising every column representation: `Int` (non-null ints),
 /// `Bool` (nullable bools), `Mixed` (a float column that also holds ints —
@@ -277,35 +278,29 @@ fn exploration_graphs_agree_across_modes() {
         cases.push((format!("corpus/{}", entry.name), rules, db, vec![action]));
     }
 
-    cases.push((
-        "cond/eq_join".to_owned(),
-        cond_stress::join_rules(),
-        cond_stress::database(),
-        cond_stress::user_actions(),
-    ));
-    cases.push((
-        "cond/scan_filter".to_owned(),
-        cond_stress::filter_rules(),
-        cond_stress::database(),
-        cond_stress::user_actions(),
-    ));
-
-    // A small instance of the scale family — same shapes the bench runs at
-    // 100k/1M rows, kept tiny here so the suite stays fast. (`rows ≡ 2
-    // (mod 10)` keeps the late-match filter and every join rule live.)
-    let scale_rows = 122;
-    cases.push((
-        "scale/filter_small".to_owned(),
-        scale::filter_rules(scale_rows),
-        scale::database(scale_rows),
-        scale::user_actions(scale_rows),
-    ));
-    cases.push((
-        "scale/join_small".to_owned(),
-        scale::join_rules(scale_rows),
-        scale::database(scale_rows),
-        scale::user_actions(scale_rows),
-    ));
+    // The condition-heavy workload at two sizes.
+    for (name, size) in [
+        (
+            "cond",
+            CondStress {
+                rows: 2_002,
+                fan: 3,
+            },
+        ),
+        ("cond_small", CondStress { rows: 122, fan: 2 }),
+    ] {
+        for (flavor, rules) in [
+            ("eq_join", size.join_rules()),
+            ("scan_filter", size.filter_rules()),
+        ] {
+            cases.push((
+                format!("{name}/{flavor}"),
+                rules,
+                size.database(),
+                size.user_actions(),
+            ));
+        }
+    }
 
     for seed in 0..8u64 {
         let w = random::generate(&random::RandomConfig {

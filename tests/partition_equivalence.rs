@@ -4,14 +4,24 @@
 //! and their execution may be interleaved, they have no effect on each
 //! other".
 
+use starling::analysis::certifications::Certifications;
 use starling::analysis::confluence::analyze_confluence;
+use starling::analysis::context::AnalysisContext;
 use starling::analysis::partition::{partition_rules, IncrementalAnalyzer};
 use starling::analysis::termination::analyze_termination;
+use starling::engine::RuleSet;
+use starling::workloads::random::partitioned;
+
+fn partitioned_context(k: usize) -> AnalysisContext {
+    let (catalog, defs) = partitioned(k);
+    let rules = RuleSet::compile(&defs, &catalog).unwrap();
+    AnalysisContext::from_ruleset(&rules, Certifications::new())
+}
 
 #[test]
 fn partitioned_verdicts_equal_whole_set_verdicts() {
     for k in [2usize, 4, 6] {
-        let ctx = starling_bench_helpers::partitioned_context(k);
+        let ctx = partitioned_context(k);
         let whole_term = analyze_termination(&ctx);
         let whole_conf = analyze_confluence(&ctx);
 
@@ -55,95 +65,9 @@ fn partitioned_verdicts_equal_whole_set_verdicts() {
     }
 }
 
-/// A lightweight copy of the bench crate's partitioned-context builder (the
-/// facade crate cannot depend on `starling-bench` without a dependency
-/// cycle through dev-dependencies).
-mod starling_bench_helpers {
-    use starling::analysis::certifications::Certifications;
-    use starling::analysis::context::AnalysisContext;
-    use starling::engine::RuleSet;
-    use starling::sql::RuleDef;
-    use starling::storage::{Catalog, ColumnDef, TableSchema, ValueType};
-    use starling::workloads::random::{generate, RandomConfig};
-
-    pub fn partitioned_context(k: usize) -> AnalysisContext {
-        let mut catalog = Catalog::new();
-        let mut defs: Vec<RuleDef> = Vec::new();
-        for p in 0..k {
-            let w = generate(&RandomConfig {
-                n_tables: 3,
-                n_cols: 2,
-                n_rules: 5,
-                max_actions: 2,
-                p_condition: 0.5,
-                p_observable: 0.1,
-                p_priority: 0.3,
-                rows_per_table: 2,
-                seed: p as u64,
-            });
-            for schema in w.catalog.tables() {
-                catalog
-                    .add_table(
-                        TableSchema::new(
-                            format!("p{p}_{}", schema.name),
-                            schema
-                                .columns
-                                .iter()
-                                .map(|c| ColumnDef {
-                                    name: c.name.clone(),
-                                    ty: ValueType::Int,
-                                    nullable: c.nullable,
-                                })
-                                .collect(),
-                        )
-                        .unwrap(),
-                    )
-                    .unwrap();
-            }
-            for def in &w.defs {
-                let renamed = namespace_tokens(&def.to_string(), p);
-                let starling::sql::ast::Statement::CreateRule(r) =
-                    starling::sql::parse_statement(&renamed).unwrap()
-                else {
-                    unreachable!()
-                };
-                defs.push(r);
-            }
-        }
-        let rules = RuleSet::compile(&defs, &catalog).unwrap();
-        AnalysisContext::from_ruleset(&rules, Certifications::new())
-    }
-
-    fn namespace_tokens(script: &str, p: usize) -> String {
-        let chars: Vec<char> = script.chars().collect();
-        let mut out = String::with_capacity(script.len() + 64);
-        let mut i = 0;
-        while i < chars.len() {
-            let c = chars[i];
-            let at_start = i == 0 || !(chars[i - 1].is_alphanumeric() || chars[i - 1] == '_');
-            if at_start && (c == 't' || c == 'r') {
-                let mut j = i + 1;
-                while j < chars.len() && chars[j].is_ascii_digit() {
-                    j += 1;
-                }
-                let ends = j == chars.len() || !(chars[j].is_alphanumeric() || chars[j] == '_');
-                if j > i + 1 && ends {
-                    out.push_str(&format!("p{p}_"));
-                    out.extend(&chars[i..j]);
-                    i = j;
-                    continue;
-                }
-            }
-            out.push(c);
-            i += 1;
-        }
-        out
-    }
-}
-
 #[test]
 fn partition_count_and_cache_behavior() {
-    let ctx = starling_bench_helpers::partitioned_context(5);
+    let ctx = partitioned_context(5);
     let parts = partition_rules(&ctx);
     assert_eq!(parts.len(), 5);
     // Partitions are a disjoint cover.

@@ -6,29 +6,36 @@
 
 use std::fmt::Write as _;
 
-use starling::analysis::load_script;
+use starling::analysis::{explore_json, load_script};
 use starling::engine::{
     explore, explore_parallel, explore_traced, explore_with_mode, EvalMode, ExecGraph,
     ExploreConfig,
 };
 
-/// Explores `script` all four ways; returns the one graph they agree on and
-/// the number of ambiguous choice points the traced pass recorded.
-fn explored_every_way(script: &str) -> (ExecGraph, usize) {
+/// Explores `script` all four ways; returns the one graph they agree on,
+/// the `explore_json` text they all print for it, and the number of
+/// ambiguous choice points the traced pass recorded.
+fn explored_every_way(script: &str) -> (ExecGraph, String, usize) {
     let s = load_script(script).expect("script loads");
     let cfg = ExploreConfig::default()
         .with_max_states(200_000)
         .with_max_paths(1_000_000);
     let graph = explore(&s.rules, &s.db, &s.user_actions, &cfg).unwrap();
     assert!(!graph.truncated());
+    let text = explore_json(&graph, &cfg).to_string();
     let parallel = explore_parallel(&s.rules, &s.db, &s.user_actions, &cfg).unwrap();
-    assert_eq!(graph, parallel, "parallel differs from sequential");
     let (traced, log) = explore_traced(&s.rules, &s.db, &s.user_actions, &cfg).unwrap();
-    assert_eq!(graph, traced, "tracing changed the graph");
     let interp =
         explore_with_mode(&s.rules, &s.db, &s.user_actions, &cfg, EvalMode::Interp).unwrap();
-    assert_eq!(graph, interp, "the interpreter differs from the plans");
-    (graph, log.ambiguous())
+    for (other, what) in [
+        (&parallel, "parallel differs from sequential"),
+        (&traced, "tracing changed the graph"),
+        (&interp, "the interpreter differs from the plans"),
+    ] {
+        assert_eq!(&graph, other, "{what}");
+        assert_eq!(text, explore_json(other, &cfg).to_string(), "{what}");
+    }
+    (graph, text, log.ambiguous())
 }
 
 fn final_digests(graph: &ExecGraph) -> Vec<String> {
@@ -67,10 +74,20 @@ fn fan_chain_stress_graph_is_pinned() {
     }
     script += "insert into t values (1);\n";
 
-    let (graph, _) = explored_every_way(&script);
+    let (graph, text, _) = explored_every_way(&script);
     assert_eq!((graph.states.len(), graph.edges.len()), (5189, 5188));
     assert_eq!(graph.terminates(), Some(true));
     assert_eq!(graph.final_db_digests().len(), 1);
+    assert_eq!(
+        text,
+        concat!(
+            r#"{"states":5189,"edges":5188,"final_states":1680,"truncation":null,"#,
+            r#""verdicts":{"termination":{"status":"holds","reason":null},"#,
+            r#""confluence":{"status":"holds","reason":null},"#,
+            r#""observable_determinism":{"status":"holds","reason":null}},"#,
+            r#""final_db_digests":["cc4f38eefb9c753e"]}"#
+        )
+    );
 }
 
 /// The paper's Section 5 case study, with the numbers README's `starling
@@ -82,11 +99,21 @@ fn power_network_graph_is_pinned() {
         "/scripts/power_network.rql"
     ))
     .unwrap();
-    let (graph, ambiguous) = explored_every_way(&script);
+    let (graph, text, ambiguous) = explored_every_way(&script);
     assert_eq!(graph.states.len(), 2132);
     assert_eq!(ambiguous, 1115);
     assert_eq!(
         final_digests(&graph),
         ["1c05cac52839fc6b", "3f0c43d8c8c3683b"]
+    );
+    assert_eq!(
+        text,
+        concat!(
+            r#"{"states":2132,"edges":3854,"final_states":192,"truncation":null,"#,
+            r#""verdicts":{"termination":{"status":"holds","reason":null},"#,
+            r#""confluence":{"status":"fails","reason":null},"#,
+            r#""observable_determinism":{"status":"holds","reason":null}},"#,
+            r#""final_db_digests":["1c05cac52839fc6b","3f0c43d8c8c3683b"]}"#
+        )
     );
 }

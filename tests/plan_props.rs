@@ -33,7 +33,8 @@ use starling::sql::plan::{
 };
 use starling::sql::{parse_expr, parse_statement};
 use starling::storage::{Catalog, ColumnDef, Database, TableSchema, Value, ValueType};
-use starling::workloads::{audit, cond_stress, corpus, power_network, random, CorpusEntry};
+use starling::workloads::cond_stress::CondStress;
+use starling::workloads::{audit, corpus, power_network, random, CorpusEntry};
 
 /// Fixture: three tables with nullable columns, NULLs, duplicate values
 /// (for DISTINCT), zeros (for division errors), and LIKE-able strings.
@@ -657,19 +658,22 @@ fn exploration_graphs_agree_with_forced_interp() {
         cases.push((format!("corpus/{}", entry.name), rules, db, vec![action]));
     }
 
-    // Condition-heavy workloads (the bench cases).
-    cases.push((
-        "cond/eq_join".to_owned(),
-        cond_stress::join_rules(),
-        cond_stress::database(),
-        cond_stress::user_actions(),
-    ));
-    cases.push((
-        "cond/scan_filter".to_owned(),
-        cond_stress::filter_rules(),
-        cond_stress::database(),
-        cond_stress::user_actions(),
-    ));
+    // The condition-heavy workload.
+    let cond = CondStress {
+        rows: 2_002,
+        fan: 3,
+    };
+    for (flavor, rules) in [
+        ("eq_join", cond.join_rules()),
+        ("scan_filter", cond.filter_rules()),
+    ] {
+        cases.push((
+            format!("cond/{flavor}"),
+            rules,
+            cond.database(),
+            cond.user_actions(),
+        ));
+    }
 
     // Case study (audit terminates quickly; power_network is covered by the
     // pinned-digest case-study tests, whose expectations predate the plan

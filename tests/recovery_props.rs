@@ -82,8 +82,8 @@ proptest! {
 
         let mut mem = Session::new();
         let mut dur = Session::new();
-        mem.max_considerations = 200;
-        dur.max_considerations = 200;
+        mem.budget.max_considerations = 200;
+        dur.budget.max_considerations = 200;
         dur.persist_to(&dir, SyncPolicy::Always).unwrap();
 
         // The schema/rules/seed script, then a few extra transitions.
