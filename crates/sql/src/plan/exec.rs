@@ -2,20 +2,21 @@
 //!
 //! The executor keeps a stack of row frames exactly like the interpreter's
 //! [`Env`], but frames hold *borrowed* bindings ([`Bound`]: a `&Row`, or a
-//! position in a table's cached columnar batch) instead of cloned rows, and
-//! column access is positional. `Interp` fallback nodes rebuild an
+//! position in one of a table's cached chunk batches) instead of cloned
+//! rows, and column access is positional. `Interp` fallback nodes rebuild an
 //! interpreter environment from the current frames, so mixed plans still
 //! agree with pure interpretation.
 //!
 //! In [`PlanMode::Columnar`], base-table scans borrow the table's cached
-//! [`TableBatch`] and the compiler-classified `vpushed` conjuncts run as
-//! whole-column kernels ([`super::vector`]) that flip selection-vector
-//! bits; enumeration then walks only the set bits (ascending — scan
-//! order), hash joins probe the batch's per-version cached column index,
-//! and rows materialize back into `Row`s only at the DML / result-set
-//! boundary. Everything not vectorizable (residual conjuncts, transition
-//! tables, fallible filters, `Interp` nodes) executes exactly as in
-//! [`PlanMode::Row`].
+//! [`TableBatch`]es — one per storage chunk, in chunk (= id) order — and
+//! the compiler-classified `vpushed` conjuncts run as whole-column kernels
+//! ([`super::vector`]) that flip each chunk's selection-vector bits;
+//! enumeration then walks the chunks in order and only the set bits in
+//! each (ascending — scan order), hash joins probe each chunk's cached
+//! column index in the same order, and rows materialize back into `Row`s
+//! only at the DML / result-set boundary. Everything not vectorizable
+//! (residual conjuncts, transition tables, fallible filters, `Interp`
+//! nodes) executes exactly as in [`PlanMode::Row`].
 
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet};
@@ -235,9 +236,9 @@ fn exec_update_plan(
 /// only matching rows are copied out).
 ///
 /// With a vectorizable predicate in columnar mode, the whole scan is one
-/// kernel evaluation over the table's cached batch; victims materialize
-/// from the selection's set bits, which are ascending and therefore in id
-/// order like the row path.
+/// kernel evaluation per cached chunk batch; victims materialize from each
+/// selection's set bits, which are ascending within id-ordered chunks and
+/// therefore in id order like the row path.
 fn scan_matching(
     db: &Database,
     transitions: Option<&TransitionBinding>,
@@ -252,13 +253,16 @@ fn scan_matching(
         return Ok(tbl.iter().map(|(id, r)| (id, r.clone())).collect());
     };
     if pred_vec && mode == PlanMode::Columnar {
-        let batch = tbl.columnar();
-        let sel = vector::eval_pred(p, batch)?;
-        return Ok(sel
-            .t
-            .iter_ones()
-            .map(|pos| (batch.ids()[pos], batch.row(pos)))
-            .collect());
+        let mut out = Vec::new();
+        for batch in tbl.columnar().batches() {
+            let sel = vector::eval_pred(p, batch)?;
+            out.extend(
+                sel.t
+                    .iter_ones()
+                    .map(|pos| (batch.ids()[pos], batch.row(pos))),
+            );
+        }
+        return Ok(out);
     }
     let mut ex = Exec::new(db, transitions, cache_slots, mode);
     let metas = std::slice::from_ref(meta);
@@ -278,7 +282,7 @@ fn scan_matching(
 }
 
 /// One bound source row: a borrowed `Row`, or a position in a borrowed
-/// columnar batch (column access materializes single values on demand;
+/// chunk batch (column access materializes single values on demand;
 /// whole rows materialize only at `Interp` fallbacks and DML boundaries).
 #[derive(Clone, Copy)]
 enum Bound<'a> {
@@ -309,13 +313,10 @@ impl Bound<'_> {
 enum Src<'a> {
     /// Borrowed row vector (row mode; transition tables in every mode).
     Rows(Vec<&'a Row>),
-    /// A table's cached columnar batch plus the selection produced by its
-    /// `vpushed` kernels (`None` = all rows; avoids an all-ones bitmap for
-    /// unfiltered scans).
-    Batch {
-        batch: &'a TableBatch,
-        sel: Option<Bitmap>,
-    },
+    /// A table's cached chunk batches in scan order, each with the
+    /// selection produced by its `vpushed` kernels (`None` = all rows;
+    /// avoids an all-ones bitmap for unfiltered scans).
+    Batch(Vec<(&'a TableBatch, Option<Bitmap>)>),
 }
 
 /// One frame of bound source rows. `rows[i]` is `None` until the
@@ -663,19 +664,23 @@ impl<'a, 'p> Exec<'a, 'p> {
                 SourceRef::Base(t) => {
                     let tbl = db.table(t)?;
                     if self.mode == PlanMode::Columnar {
-                        let batch = tbl.columnar();
-                        // Fold this source's vectorizable conjuncts into one
-                        // selection: a row survives iff every conjunct is
-                        // TRUE (`is_true`), i.e. the AND of the `t` bitmaps.
-                        let mut sel: Option<Bitmap> = None;
-                        for p in &sp.vpushed {
-                            let b = vector::eval_pred(p, batch)?;
-                            match &mut sel {
-                                None => sel = Some(b.t),
-                                Some(s) => s.and_assign(&b.t),
+                        let mut chunks = Vec::new();
+                        for batch in tbl.columnar().batches() {
+                            // Fold this source's vectorizable conjuncts into
+                            // one selection: a row survives iff every
+                            // conjunct is TRUE (`is_true`), i.e. the AND of
+                            // the `t` bitmaps.
+                            let mut sel: Option<Bitmap> = None;
+                            for p in &sp.vpushed {
+                                let b = vector::eval_pred(p, batch)?;
+                                match &mut sel {
+                                    None => sel = Some(b.t),
+                                    Some(s) => s.and_assign(&b.t),
+                                }
                             }
+                            chunks.push((batch, sel));
                         }
-                        srcs.push(Src::Batch { batch, sel });
+                        srcs.push(Src::Batch(chunks));
                     } else {
                         srcs.push(Src::Rows(tbl.rows().collect()));
                     }
@@ -740,15 +745,24 @@ impl<'a, 'p> Exec<'a, 'p> {
                 return Ok(false);
             }
             match &srcs[i] {
-                Src::Batch { batch, sel } => {
-                    // Probe the batch's cached per-version index: hits are
-                    // ascending positions (scan order), filtered through
-                    // the selection.
-                    if let Some(hits) = batch.hash_index(jk.build_col).get(&probe) {
+                Src::Batch(chunks) => {
+                    // Probe each chunk's cached index, in chunk order: hits
+                    // are ascending positions, so matches keep scan order;
+                    // each is filtered through its chunk's selection.
+                    for (batch, sel) in chunks {
+                        let Some(hits) = batch.hash_index(jk.build_col).get(&probe) else {
+                            continue;
+                        };
                         for &pos in hits {
-                            let pos = pos as usize;
-                            if sel.as_ref().is_none_or(|s| s.get(pos))
-                                && self.bind_and_descend(cs, srcs, joins, i, pos, on_leaf)?
+                            if sel.as_ref().is_none_or(|s| s.get(pos as usize))
+                                && self.bind_and_descend(
+                                    cs,
+                                    srcs,
+                                    joins,
+                                    i,
+                                    Bound::Batch(batch, pos),
+                                    on_leaf,
+                                )?
                             {
                                 return Ok(true);
                             }
@@ -777,7 +791,8 @@ impl<'a, 'p> Exec<'a, 'p> {
                         .cloned()
                         .unwrap_or_default();
                     for pos in hits {
-                        if self.bind_and_descend(cs, srcs, joins, i, pos, on_leaf)? {
+                        let bound = Bound::Row(rows[pos]);
+                        if self.bind_and_descend(cs, srcs, joins, i, bound, on_leaf)? {
                             return Ok(true);
                         }
                     }
@@ -786,36 +801,36 @@ impl<'a, 'p> Exec<'a, 'p> {
         } else {
             match &srcs[i] {
                 Src::Rows(rows) => {
-                    for pos in 0..rows.len() {
-                        if self.bind_and_descend(cs, srcs, joins, i, pos, on_leaf)? {
+                    for row in rows {
+                        let bound = Bound::Row(row);
+                        if self.bind_and_descend(cs, srcs, joins, i, bound, on_leaf)? {
                             return Ok(true);
                         }
                     }
                 }
-                Src::Batch { batch, sel } => match sel {
-                    None => {
-                        for pos in 0..batch.len() {
-                            if self.bind_and_descend(cs, srcs, joins, i, pos, on_leaf)? {
+                Src::Batch(chunks) => {
+                    for (batch, sel) in chunks {
+                        // Walk only the selection's set bits (ascending =
+                        // scan order), never materializing the filtered-out
+                        // rows.
+                        let positions: &mut dyn Iterator<Item = usize> = match sel {
+                            None => &mut (0..batch.len()),
+                            Some(s) => &mut s.iter_ones(),
+                        };
+                        for pos in positions {
+                            let bound = Bound::Batch(batch, pos as u32);
+                            if self.bind_and_descend(cs, srcs, joins, i, bound, on_leaf)? {
                                 return Ok(true);
                             }
                         }
                     }
-                    // Walk only the selection's set bits (ascending = scan
-                    // order), never materializing the filtered-out rows.
-                    Some(s) => {
-                        for pos in s.iter_ones() {
-                            if self.bind_and_descend(cs, srcs, joins, i, pos, on_leaf)? {
-                                return Ok(true);
-                            }
-                        }
-                    }
-                },
+                }
             }
         }
         Ok(false)
     }
 
-    /// Binds source `i` to row `pos`, checks its pushed conjuncts, and
+    /// Binds source `i` to `bound`, checks its pushed conjuncts, and
     /// recurses to the next source. For batch sources the `vpushed`
     /// conjuncts were already applied by the selection kernels; row
     /// sources (row mode, transition tables) check them per row here.
@@ -825,16 +840,12 @@ impl<'a, 'p> Exec<'a, 'p> {
         srcs: &[Src<'a>],
         joins: &mut [Option<BTreeMap<Value, Vec<usize>>>],
         i: usize,
-        pos: usize,
+        bound: Bound<'a>,
         on_leaf: &mut dyn FnMut(&mut Self) -> Result<bool, SqlError>,
     ) -> Result<bool, SqlError> {
-        let (bound, vpushed_done) = match &srcs[i] {
-            Src::Rows(rows) => (Bound::Row(rows[pos]), false),
-            Src::Batch { batch, .. } => (Bound::Batch(batch, pos as u32), true),
-        };
         let fi = self.scopes.len() - 1;
         self.scopes[fi].rows[i] = Some(bound);
-        if !vpushed_done {
+        if matches!(bound, Bound::Row(_)) {
             for p in &cs.sources[i].vpushed {
                 if !is_true(&self.eval_bool_p(p)?) {
                     return Ok(false);

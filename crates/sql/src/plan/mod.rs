@@ -57,9 +57,10 @@ pub enum PlanMode {
     /// conjunct is evaluated once per bound row (the PR-3 engine).
     Row,
     /// Batch-oriented: base-table scans borrow the table's cached columnar
-    /// view, vectorizable conjuncts ([`SourcePlan::vpushed`]) run as
-    /// whole-column kernels flipping selection-vector bits, and hash joins
-    /// probe per-version cached column indexes. Non-vectorizable units
+    /// view (one batch per storage chunk), vectorizable conjuncts
+    /// ([`SourcePlan::vpushed`]) run as whole-column kernels flipping
+    /// selection-vector bits, and hash joins probe each chunk's cached
+    /// column index. Non-vectorizable units
     /// (residual conjuncts, transition-table scans, `Interp` fallbacks)
     /// execute exactly as in `Row` mode, at statement granularity.
     Columnar,

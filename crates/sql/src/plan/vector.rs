@@ -155,7 +155,7 @@ impl IntOperand<'_> {
         }
     }
 
-    /// The operand's value at row `i`, which the caller has proven valid.
+    /// The operand's value at row `i < n` (a filler where the row is NULL).
     #[inline]
     fn at(&self, i: usize) -> i64 {
         match self {
@@ -307,7 +307,17 @@ fn cmp_strict(op: BinOp, l: VOperand, r: VOperand, n: usize) -> Result<Bool3, Sq
         return Ok(Bool3::unknown(n));
     }
     if let (Some(li), Some(ri)) = (l.as_int(), r.as_int()) {
-        return Ok(cmp_int(&li, &ri, n, int_pred(op)));
+        // One instantiation per operator, so the inner loop compares
+        // without re-dispatching on `op`.
+        return Ok(match op {
+            BinOp::Eq => cmp_int(&li, &ri, n, |a, b| a == b),
+            BinOp::Ne => cmp_int(&li, &ri, n, |a, b| a != b),
+            BinOp::Lt => cmp_int(&li, &ri, n, |a, b| a < b),
+            BinOp::Le => cmp_int(&li, &ri, n, |a, b| a <= b),
+            BinOp::Gt => cmp_int(&li, &ri, n, |a, b| a > b),
+            BinOp::Ge => cmp_int(&li, &ri, n, |a, b| a >= b),
+            _ => unreachable!("cmp kernels only receive comparison operators"),
+        });
     }
     let mut out = Bool3::unknown(n);
     for i in 0..n {
@@ -355,9 +365,11 @@ fn const_null(v: &VOperand) -> bool {
 
 /// The integer fast path: same-type comparisons can neither error nor be
 /// incomparable, so strict and soft semantics coincide. Runs a word (64
-/// rows) at a time: both operands' validity words intersect into one mask,
-/// whose set bits drive the comparisons, and the TRUE/FALSE words are
-/// accumulated in registers and stored once — no per-row bitmap writes.
+/// rows) at a time, branch-free: every row of the word is compared (a NULL
+/// slot holds an in-bounds filler whose verdict is masked away), the
+/// verdicts are packed into one register, and both operands' validity
+/// words intersect into the mask that splits them into the TRUE and FALSE
+/// words — no per-row branches or bitmap writes.
 fn cmp_int(l: &IntOperand, r: &IntOperand, n: usize, pred: impl Fn(i64, i64) -> bool) -> Bool3 {
     let mut out = Bool3::unknown(n);
     let t_words = out.t.words_mut();
@@ -368,32 +380,12 @@ fn cmp_int(l: &IntOperand, r: &IntOperand, n: usize, pred: impl Fn(i64, i64) -> 
         if in_chunk < 64 {
             valid &= (1u64 << in_chunk) - 1;
         }
-        let (mut tw, mut fw) = (0u64, 0u64);
-        let mut bits = valid;
-        while bits != 0 {
-            let b = bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            let i = chunk + b;
-            if pred(l.at(i), r.at(i)) {
-                tw |= 1 << b;
-            } else {
-                fw |= 1 << b;
-            }
+        let mut hits = 0u64;
+        for b in 0..in_chunk {
+            hits |= u64::from(pred(l.at(chunk + b), r.at(chunk + b))) << b;
         }
-        t_words[w] = tw;
-        f_words[w] = fw;
+        t_words[w] = hits & valid;
+        f_words[w] = !hits & valid;
     }
     out
-}
-
-fn int_pred(op: BinOp) -> impl Fn(i64, i64) -> bool {
-    move |a, b| match op {
-        BinOp::Eq => a == b,
-        BinOp::Ne => a != b,
-        BinOp::Lt => a < b,
-        BinOp::Le => a <= b,
-        BinOp::Gt => a > b,
-        BinOp::Ge => a >= b,
-        _ => unreachable!("cmp kernels only receive comparison operators"),
-    }
 }

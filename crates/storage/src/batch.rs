@@ -1,30 +1,32 @@
-//! A columnar batch view of one table version.
+//! A columnar batch view of one chunk of a table.
 //!
-//! A [`TableBatch`] packs every row of a [`crate::Table`] (in scan order,
-//! i.e. ascending [`TupleId`]) into per-column vectors. It is built lazily,
-//! once per *table version*: the CoW storage layer caches the batch inside
-//! the shared `TableCore`, so every snapshot that shares the same underlying
-//! rows also shares the batch, and any mutation (which unshares the core)
-//! drops it. Rule-condition evaluation over an unchanged table — the hot
-//! loop of exec-graph exploration — therefore pays the flattening cost once
-//! and then runs vector kernels against the cached batch.
+//! A [`TableBatch`] packs the rows of one chunk of a [`crate::Table`] (in
+//! scan order, i.e. ascending [`TupleId`]) into per-column vectors. It is
+//! built lazily, once per *chunk version*, and cached inside the chunk: every
+//! table version that shares the chunk shares its batch, and a mutation
+//! drops the batch of the one chunk it touches. Rule-condition evaluation
+//! over a table a rule action barely changed — the hot loop of exec-graph
+//! exploration — therefore re-flattens the touched chunks only and runs
+//! vector kernels against the cached batches of the rest
+//! ([`crate::table::Columnar`] lists them in scan order).
 //!
 //! The batch also lazily caches one hash index per column
 //! (`Value → positions`), used by the plan layer's hash joins. Positions in
-//! a hit list are ascending, so probing an index yields matches in scan
-//! order — the same order a nested-loop scan would produce, which keeps
-//! execution-graph output byte-identical with the row path. NULL keys are
-//! not indexed (SQL equality with NULL never matches).
+//! a hit list are ascending and chunks are id-ordered, so probing the
+//! chunks' indexes in turn yields matches in scan order — the same order a
+//! nested-loop scan would produce, which keeps execution-graph output
+//! byte-identical with the row path. NULL keys are not indexed (SQL
+//! equality with NULL never matches).
 
 use std::collections::HashMap;
 use std::sync::OnceLock;
 
 use crate::column::Column;
 use crate::schema::TableSchema;
-use crate::tuple::{Row, TupleId};
+use crate::tuple::{Row, Tuple, TupleId};
 use crate::value::Value;
 
-/// Columnar snapshot of one table version: tuple ids plus one [`Column`]
+/// Columnar snapshot of one chunk version: tuple ids plus one [`Column`]
 /// per schema column, all in scan order.
 #[derive(Debug)]
 pub struct TableBatch {
@@ -38,23 +40,23 @@ pub struct TableBatch {
 }
 
 impl TableBatch {
-    /// Flattens `rows` (which must iterate in scan order) into a batch.
-    pub fn build<'r>(
-        schema: &TableSchema,
-        rows: impl Iterator<Item = (&'r TupleId, &'r Row)> + Clone,
-        len: usize,
-    ) -> Self {
-        let ids: Vec<TupleId> = rows.clone().map(|(id, _)| *id).collect();
-        debug_assert_eq!(ids.len(), len);
+    /// Flattens one chunk (its tuples, in scan order) into a batch. Index positions are `u32`: a chunk holds far fewer rows (a
+    /// compile-time fact, asserted beside `CHUNK_ROWS`), and any other
+    /// caller is held to the same bound here.
+    pub(crate) fn build(schema: &TableSchema, tuples: &[Tuple]) -> Self {
+        let len = tuples.len();
+        assert!(len <= u32::MAX as usize);
         let columns = schema
             .columns
             .iter()
             .enumerate()
-            .map(|(ci, cd)| Column::from_values(cd.ty, rows.clone().map(move |(_, r)| &r[ci]), len))
+            .map(|(ci, cd)| {
+                Column::from_values(cd.ty, tuples.iter().map(move |t| &t.values[ci]), len)
+            })
             .collect::<Vec<_>>();
         let indexes = (0..columns.len()).map(|_| OnceLock::new()).collect();
         TableBatch {
-            ids,
+            ids: tuples.iter().map(|t| t.id).collect(),
             columns,
             len,
             indexes,
@@ -100,7 +102,7 @@ impl TableBatch {
     }
 
     /// The hash index for `col`: non-NULL value → ascending positions.
-    /// Built on first use and cached for the lifetime of this table
+    /// Built on first use and cached for the lifetime of this chunk
     /// version. Keys use structural equality, which coincides with SQL
     /// equality only when probe values share the column's non-float
     /// declared type — the same restriction the plan layer's `JoinKey`
@@ -111,6 +113,7 @@ impl TableBatch {
             let mut map: HashMap<Value, Vec<u32>> = HashMap::new();
             for pos in 0..self.len {
                 if !c.is_null(pos) {
+                    // In range: `build` bounds `len` by `u32::MAX`.
                     map.entry(c.value(pos)).or_default().push(pos as u32);
                 }
             }
@@ -136,31 +139,28 @@ mod tests {
         .unwrap()
     }
 
-    fn rows() -> Vec<(TupleId, Row)> {
+    fn tuples() -> Vec<Tuple> {
         vec![
-            (TupleId(1), vec![Value::Int(10), Value::Str("x".into())]),
-            (TupleId(4), vec![Value::Null, Value::Str("y".into())]),
-            (TupleId(9), vec![Value::Int(10), Value::Null]),
+            Tuple::new(TupleId(1), vec![Value::Int(10), Value::Str("x".into())]),
+            Tuple::new(TupleId(4), vec![Value::Null, Value::Str("y".into())]),
+            Tuple::new(TupleId(9), vec![Value::Int(10), Value::Null]),
         ]
     }
 
     #[test]
     fn batch_round_trips_rows_in_scan_order() {
-        let schema = schema();
-        let rows = rows();
-        let b = TableBatch::build(&schema, rows.iter().map(|(id, r)| (id, r)), rows.len());
+        let tuples = tuples();
+        let b = TableBatch::build(&schema(), &tuples);
         assert_eq!(b.len(), 3);
         assert_eq!(b.ids(), &[TupleId(1), TupleId(4), TupleId(9)]);
-        for (pos, (_, r)) in rows.iter().enumerate() {
-            assert_eq!(&b.row(pos), r);
+        for (pos, t) in tuples.iter().enumerate() {
+            assert_eq!(b.row(pos), t.values);
         }
     }
 
     #[test]
     fn index_skips_nulls_and_orders_hits() {
-        let schema = schema();
-        let rows = rows();
-        let b = TableBatch::build(&schema, rows.iter().map(|(id, r)| (id, r)), rows.len());
+        let b = TableBatch::build(&schema(), &tuples());
         let idx = b.hash_index(0);
         assert_eq!(idx.len(), 1);
         assert_eq!(idx.get(&Value::Int(10)), Some(&vec![0u32, 2]));

@@ -1,9 +1,10 @@
 //! Typed column vectors and validity/selection bitmaps.
 //!
-//! The row store ([`crate::Table`]) keeps tuples as `BTreeMap<TupleId, Row>`
-//! — the right shape for identity-preserving mutation, and the wrong shape
-//! for the compile-once/evaluate-many workload of rule conditions, where the
-//! same predicate scans the same (unchanged) table thousands of times. This
+//! The row store ([`crate::Table`]) keeps tuples as id-sorted `Row`s, a
+//! chunk at a time — the right shape for identity-preserving mutation, and
+//! the wrong shape for the compile-once/evaluate-many workload of rule
+//! conditions, where the same predicate scans the same (barely changed)
+//! table thousands of times. This
 //! module provides the batch-oriented view: values of one column packed into
 //! a typed vector ([`ColumnData`]) with NULLs tracked in a validity
 //! [`Bitmap`], so predicate kernels run as tight per-column loops and

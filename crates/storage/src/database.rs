@@ -26,11 +26,12 @@ use crate::value::Value;
 /// # Copy-on-write snapshots
 ///
 /// Both the catalog and the table map live behind `Arc`s, and each
-/// [`Table`] shares its row storage the same way, so `clone()` is a few
-/// refcount bumps regardless of database size. The first mutation through
-/// a shared handle re-shares: it clones the table *map* (cheap — each entry
-/// is itself a shared handle) and then only the touched table's rows.
-/// Observable behavior is identical to a deep clone (property-tested).
+/// [`Table`] shares its chunked row storage the same way, so `clone()` is a
+/// few refcount bumps regardless of database size. The first mutation
+/// through a shared handle re-shares: it clones the table *map* (cheap —
+/// each entry is itself a shared handle), then the touched table's vector
+/// of chunk pointers, then the one chunk the write lands in. Observable
+/// behavior is identical to a deep clone (property-tested).
 #[derive(Clone, Debug)]
 pub struct Database {
     catalog: Arc<Catalog>,
@@ -157,10 +158,11 @@ impl Database {
     pub fn insert(&mut self, table: &str, row: Row) -> Result<TupleId, StorageError> {
         self.check_fault(FaultOpKind::Insert, table)?;
         // Check before allocating so a failed insert does not burn an id
-        // (keeps digests of equivalent states identical).
+        // (keeps digests of equivalent states identical) — once: the
+        // table-level insert below does not walk the row again.
         self.table(table)?.schema().check_row(&row)?;
         let id = self.allocate_tuple_id();
-        self.table_mut(table)?.insert(id, row)?;
+        self.table_mut(table)?.insert_checked(id, row)?;
         Ok(id)
     }
 

@@ -42,6 +42,7 @@
 //! ```
 
 pub mod batch;
+mod chunk;
 pub mod column;
 pub mod database;
 pub mod digest;
@@ -62,7 +63,7 @@ pub use error::StorageError;
 pub use fault::{FaultOpKind, FaultPlan, FaultSpec, FaultState};
 pub use ops::Op;
 pub use schema::{Catalog, ColRef, ColumnDef, TableSchema};
-pub use table::Table;
+pub use table::{Columnar, Table};
 pub use tuple::{Row, Tuple, TupleId};
 pub use value::{Value, ValueType};
 pub use wal::{CommitDelta, Recovered, RowOp, SyncPolicy, WalStore};

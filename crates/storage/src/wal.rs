@@ -176,50 +176,24 @@ impl CommitDelta {
                         });
                     }
                 }
-                Ok(old) if old.shares_storage_with(table) => {}
-                Ok(old) => {
-                    // Merge-walk both id-ordered row maps.
-                    let mut a = old.iter().peekable();
-                    let mut b = table.iter().peekable();
-                    loop {
-                        match (a.peek(), b.peek()) {
-                            (None, None) => break,
-                            (Some((ia, _)), Some((ib, _))) if ia == ib => {
-                                let (_, ra) = a.next().unwrap();
-                                let (id, rb) = b.next().unwrap();
-                                if ra != rb {
-                                    ops.push(RowOp::Update {
-                                        table: name.to_owned(),
-                                        id,
-                                        row: rb.clone(),
-                                    });
-                                }
-                            }
-                            (Some((ia, _)), Some((ib, _))) if ia < ib => {
-                                let (id, _) = a.next().unwrap();
-                                ops.push(RowOp::Delete {
-                                    table: name.to_owned(),
-                                    id,
-                                });
-                            }
-                            (Some(_), None) => {
-                                let (id, _) = a.next().unwrap();
-                                ops.push(RowOp::Delete {
-                                    table: name.to_owned(),
-                                    id,
-                                });
-                            }
-                            _ => {
-                                let (id, rb) = b.next().unwrap();
-                                ops.push(RowOp::Insert {
-                                    table: name.to_owned(),
-                                    id,
-                                    row: rb.clone(),
-                                });
-                            }
-                        }
+                // Costs the chunks the two versions do not share (none at
+                // all for an untouched table).
+                Ok(old) => ops.extend(old.diff(table).map(|(id, was, now)| {
+                    let table = name.to_owned();
+                    match (was, now) {
+                        (_, None) => RowOp::Delete { table, id },
+                        (Some(_), Some(row)) => RowOp::Update {
+                            table,
+                            id,
+                            row: row.clone(),
+                        },
+                        (None, Some(row)) => RowOp::Insert {
+                            table,
+                            id,
+                            row: row.clone(),
+                        },
                     }
-                }
+                })),
             }
         }
         CommitDelta {

@@ -12,7 +12,7 @@
 //! interleaving rules per flavor (each extra rule multiplies the states, and
 //! so the scans).
 //!
-//! Two flavors:
+//! Three flavors:
 //!
 //! * [`CondStress::join_rules`] — conditions of the shape
 //!   `exists (select * from inserted i, big b where b.k = i.k and ...)`:
@@ -28,9 +28,14 @@
 //!   not matter; the user transition inserts a key near the end of `big`'s
 //!   scan order for the same reason.
 //!
-//! Both graphs are pure rule-interleaving lattices (actions write disjoint
-//! side tables that trigger nothing), so the verdicts are pinned:
-//! terminates, confluent, observably deterministic.
+//! * [`CondStress::write_rules`] — the join condition again, but the
+//!   actions rewrite `big` itself (an update, a delete and an insert per
+//!   rule, on disjoint slices), so every state holds a version of `big` of
+//!   its own that shares all but the written chunks with its parent's.
+//!
+//! All graphs are pure rule-interleaving lattices (actions write disjoint
+//! side tables or disjoint slices of `big`, and trigger nothing), so the
+//! verdicts are pinned: terminates, confluent, observably deterministic.
 
 use starling_engine::{RuleProgram, RuleSet};
 use starling_sql::ast::{Action, Statement};
@@ -143,6 +148,33 @@ impl CondStress {
         self.compile(&rules[..self.fan])
     }
 
+    /// The write-flavored rules: `w{i}` joins like `j{i}`, then updates ten
+    /// keys of `big` around key `1024 (i + 1)` (across a storage-chunk
+    /// boundary, when `big` is that long), deletes the three keys after
+    /// them, appends a row and records itself in `s{i}`. Slices are
+    /// disjoint and clear of the joined key, so the rules commute.
+    pub fn write_rules(&self) -> RuleSet {
+        let rules: Vec<String> = (0..self.fan as i64)
+            .map(|i| {
+                let lo = (1024 * (i + 1) - 4).min(self.rows / 4 * (i + 1));
+                format!(
+                    "create rule w{i} on evt when inserted \
+                     if exists (select * from inserted i, big b \
+                                where b.k = i.k and b.v > {i}) \
+                     then update big set v = {neg} where k >= {lo} and k < {upd}; \
+                          delete from big where k >= {upd} and k < {del}; \
+                          insert into big values ({fresh}, 0); \
+                          insert into s{i} values ({i}) end;\n",
+                    neg = -(i + 1),
+                    upd = lo + 10,
+                    del = lo + 13,
+                    fresh = self.rows + i,
+                )
+            })
+            .collect();
+        self.compile(&rules)
+    }
+
     fn compile(&self, rules: &[String]) -> RuleSet {
         let defs = RuleProgram::parse(&rules.concat())
             .expect("cond_stress script parses")
@@ -194,6 +226,7 @@ mod tests {
             for (name, rules, fired_rules) in [
                 ("join", size.join_rules(), size.fan),
                 ("filter", size.filter_rules(), filters_fired),
+                ("write", size.write_rules(), size.fan),
             ] {
                 let mut digests = Vec::new();
                 for mode in [EvalMode::Columnar, EvalMode::Plan, EvalMode::Interp] {

@@ -16,9 +16,10 @@
 //!    their past-the-end bits zero under every combinator, and
 //!    [`Bool3`]'s true/false bitmaps stay disjoint under NOT/AND/OR
 //!    (exactly Kleene's tables, element-wise).
-//! 4. **Cached columnar views** — each table's lazily built [`TableBatch`]
+//! 4. **Cached columnar views** — each table's lazily built chunk batches
 //!    must mirror `Table::iter` exactly across copy-on-write snapshots and
-//!    mutations (the cache is invalidated on write, never shared stale).
+//!    mutations (a written chunk's batch is invalidated, never shared
+//!    stale), on one-chunk and multi-chunk tables alike.
 
 use std::ops::Not;
 
@@ -302,6 +303,22 @@ fn exploration_graphs_agree_across_modes() {
         }
     }
 
+    // And once over a `big` of several storage chunks that the rules
+    // themselves rewrite, so every state holds a table version of its own.
+    let chunked = CondStress {
+        rows: 4_102,
+        fan: 3,
+    };
+    let db = chunked.database();
+    let big = db.table("big").unwrap();
+    assert!(big.chunks_shared_with(big).1 >= 4, "big spans chunks");
+    cases.push((
+        "cond_chunks/write".to_owned(),
+        chunked.write_rules(),
+        db,
+        chunked.user_actions(),
+    ));
+
     for seed in 0..8u64 {
         let w = random::generate(&random::RandomConfig {
             seed,
@@ -450,11 +467,12 @@ fn bool3_combinators_stay_disjoint_and_kleene() {
 /// tuple ids in scan order, same row values, same NULL positions.
 fn assert_view_matches(db: &Database, table: &str, what: &str) {
     let tbl = db.table(table).unwrap();
-    let batch = tbl.columnar();
-    assert_eq!(batch.len(), tbl.len(), "{what}: length mismatch");
+    tbl.check_invariants();
     let expected: Vec<(TupleId, Vec<Value>)> = tbl.iter().map(|(id, r)| (id, r.clone())).collect();
-    let got: Vec<(TupleId, Vec<Value>)> = (0..batch.len())
-        .map(|pos| (batch.ids()[pos], batch.row(pos)))
+    let got: Vec<(TupleId, Vec<Value>)> = tbl
+        .columnar()
+        .batches()
+        .flat_map(|batch| (0..batch.len()).map(move |pos| (batch.ids()[pos], batch.row(pos))))
         .collect();
     assert_eq!(got, expected, "{what}: columnar view diverges from rows");
 }
@@ -506,4 +524,38 @@ fn columnar_view_tracks_cow_mutation() {
     assert_eq!(snapshot.table("w").unwrap().len(), 5);
     assert_eq!(db.table("w").unwrap().len(), 5);
     assert_view_matches(&db, "k", "untouched table");
+
+    // The same over several chunks: writes at chunk edges and in chunk
+    // middles, a run of deletes across an edge, and a logged id replayed
+    // into the gap — each rebuilds the touched chunk's batch only.
+    for i in 0..3_000 {
+        db.insert("k", vec![Value::Int(i), Value::Null]).unwrap();
+    }
+    assert_view_matches(&db, "k", "grown");
+    let snapshot = db.clone();
+    let snap_digest = snapshot.state_digest();
+    let ids = db.table("k").unwrap().ids();
+    for at in [0, 1_023, 1_024, 1_500, 2_047, 2_048, ids.len() - 1] {
+        db.update_column("k", ids[at], "j", Value::Int(at as i64))
+            .unwrap();
+        assert_view_matches(&db, "k", "after an update in a grown table");
+    }
+    for &id in &ids[1_020..1_030] {
+        db.delete("k", id).unwrap();
+    }
+    assert_view_matches(&db, "k", "after deletes across a chunk edge");
+    db.insert_with_id("k", ids[1_025], vec![Value::Int(-1), Value::Null])
+        .unwrap();
+    assert_view_matches(&db, "k", "after a replayed insert");
+    let (shared, total) = db
+        .table("k")
+        .unwrap()
+        .chunks_shared_with(snapshot.table("k").unwrap());
+    assert!(
+        total >= 3 && shared == 0,
+        "every chunk was written: {shared}/{total}"
+    );
+    assert_eq!(snapshot.state_digest(), snap_digest);
+    assert_view_matches(&snapshot, "k", "grown snapshot after writer mutations");
+    assert_eq!(snapshot.table("k").unwrap().len(), ids.len());
 }

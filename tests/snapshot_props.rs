@@ -7,16 +7,24 @@
 //! * the incrementally maintained per-table content digest always equals a
 //!   from-scratch recompute, under arbitrary insert/update/delete
 //!   sequences;
+//! * a table spanning several storage chunks agrees with a plain
+//!   `BTreeMap` model — rows, digests, columnar view, hash-index probes,
+//!   held snapshots — after every write that lands on, splits, empties or
+//!   merges chunks, and after every failed one;
 //! * parallel `explore` produces a graph identical to sequential `explore`
-//!   on randomized rule workloads (the fault-sweep generator family).
+//!   on randomized rule workloads (the fault-sweep generator family) and
+//!   over a multi-chunk table the rules rewrite.
+
+use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 
 use starling::engine::{explore, explore_parallel, ExploreConfig};
 use starling::storage::{
-    CanonicalDigest, ColumnDef, Database, FaultPlan, FaultSpec, TableSchema, TupleId, Value,
-    ValueType,
+    CanonicalDigest, ColumnDef, CommitDelta, Database, FaultPlan, FaultSpec, Row, RowOp, Table,
+    TableSchema, TupleId, Value, ValueType,
 };
+use starling::workloads::cond_stress::CondStress;
 use starling::workloads::random::{generate, RandomConfig};
 
 const TABLES: [&str; 3] = ["t0", "t1", "t2"];
@@ -116,6 +124,273 @@ fn dump(db: &Database) -> Vec<(String, TableDump)> {
             )
         })
         .collect()
+}
+
+/// One write against the multi-chunk table `c`. Targets are ranks in
+/// thousandths of the table, runs likewise, so they land on, straddle and
+/// swallow chunks whatever the chunk size.
+#[derive(Clone, Debug)]
+enum ChunkOp {
+    Append {
+        n: usize,
+        a: i64,
+    },
+    /// `insert_with_id` just above the ranked tuple: a mid-table id.
+    InsertAbove {
+        rank: usize,
+        a: i64,
+    },
+    Update {
+        rank: usize,
+        a: i64,
+    },
+    UpdateColumn {
+        rank: usize,
+        b: Option<i64>,
+    },
+    DeleteRun {
+        rank: usize,
+        run: usize,
+    },
+    /// An operation that must fail and leave no trace.
+    Fail {
+        kind: usize,
+        rank: usize,
+    },
+    /// Hold another snapshot across the following writes (three at most).
+    Snapshot,
+}
+
+fn chunk_ops() -> impl Strategy<Value = Vec<ChunkOp>> {
+    let rank = || 0usize..1000;
+    let op = prop_oneof![
+        (1usize..40, 0i64..6).prop_map(|(n, a)| ChunkOp::Append { n, a }),
+        (rank(), 0i64..6).prop_map(|(rank, a)| ChunkOp::InsertAbove { rank, a }),
+        (rank(), 0i64..6).prop_map(|(rank, a)| ChunkOp::Update { rank, a }),
+        (rank(), -1i64..6).prop_map(|(rank, b)| ChunkOp::UpdateColumn {
+            rank,
+            b: (b >= 0).then_some(b)
+        }),
+        (rank(), 1usize..400).prop_map(|(rank, run)| ChunkOp::DeleteRun { rank, run }),
+        (0usize..6, rank()).prop_map(|(kind, rank)| ChunkOp::Fail { kind, rank }),
+        Just(ChunkOp::Snapshot),
+    ];
+    proptest::collection::vec(op, 1..14)
+}
+
+type Model = BTreeMap<TupleId, Row>;
+
+fn int_or_null(v: Option<i64>) -> Value {
+    v.map_or(Value::Null, Value::Int)
+}
+
+/// `c(a int, b int null)` grown, with gaps between ids, until it spans four
+/// chunks; and the model of it.
+fn multi_chunk_table() -> (Database, Model) {
+    let mut db = Database::new();
+    let schema = TableSchema::new(
+        "c",
+        vec![
+            ColumnDef::new("a", ValueType::Int),
+            ColumnDef::nullable("b", ValueType::Int),
+        ],
+    );
+    db.create_table(schema.unwrap()).unwrap();
+    let mut model = Model::new();
+    while chunks(db.table("c").unwrap()) < 4 {
+        let id = TupleId(db.next_tuple_id() + 2);
+        let row = vec![
+            Value::Int(id.0 as i64 % 6),
+            int_or_null((!id.0.is_multiple_of(5)).then_some(id.0 as i64 % 4)),
+        ];
+        db.insert_with_id("c", id, row.clone()).unwrap();
+        model.insert(id, row);
+    }
+    (db, model)
+}
+
+fn chunks(t: &Table) -> usize {
+    t.chunks_shared_with(t).1
+}
+
+/// Applies `op` to both the table and the model.
+fn apply_chunk_op(db: &mut Database, model: &mut Model, op: &ChunkOp) {
+    let ids: Vec<TupleId> = model.keys().copied().collect();
+    let ranked = |rank: usize| ids.get(ids.len() * rank / 1000).copied();
+    match *op {
+        ChunkOp::Append { n, a } => {
+            for _ in 0..n {
+                let row = vec![Value::Int(a), Value::Null];
+                let id = db.insert("c", row.clone()).unwrap();
+                model.insert(id, row);
+            }
+        }
+        ChunkOp::InsertAbove { rank, a } => {
+            let Some(below) = ranked(rank) else { return };
+            let id = TupleId(below.0 + 1);
+            let row = vec![Value::Int(a), Value::Int(a)];
+            let inserted = db.insert_with_id("c", id, row.clone());
+            assert_eq!(inserted.is_ok(), !model.contains_key(&id));
+            model.entry(id).or_insert(row);
+        }
+        ChunkOp::Update { rank, a } => {
+            let Some(id) = ranked(rank) else { return };
+            let row = vec![Value::Int(a), Value::Int(a + 1)];
+            let old = db.update("c", id, row.clone()).unwrap();
+            assert_eq!(Some(old), model.insert(id, row));
+        }
+        ChunkOp::UpdateColumn { rank, b } => {
+            let Some(id) = ranked(rank) else { return };
+            let old = db.update_column("c", id, "b", int_or_null(b)).unwrap();
+            let row = model.get_mut(&id).unwrap();
+            assert_eq!(old, *row);
+            row[1] = int_or_null(b);
+        }
+        ChunkOp::DeleteRun { rank, run } => {
+            let from = ids.len() * rank / 1000;
+            let to = (ids.len() * (rank + run) / 1000).min(ids.len());
+            for &id in &ids[from..to] {
+                assert_eq!(Some(db.delete("c", id).unwrap()), model.remove(&id));
+            }
+        }
+        ChunkOp::Fail { kind, rank } => {
+            let Some(id) = ranked(rank) else { return };
+            let before = db.clone();
+            let missing = TupleId(u64::MAX - rank as u64);
+            let good = || vec![Value::Int(0), Value::Null];
+            let failed = match kind {
+                0 => db.insert_with_id("c", id, good()).is_err(),
+                1 => db.insert("c", vec![Value::Int(0)]).is_err(),
+                2 => db.update("c", missing, good()).is_err(),
+                3 => db.delete("c", missing).is_err(),
+                4 => db.update_column("c", id, "zz", Value::Int(0)).is_err(),
+                _ => db.update_column("c", id, "a", Value::Null).is_err(),
+            };
+            assert!(failed, "{op:?} must fail");
+            let (t, was) = (db.table("c").unwrap(), before.table("c").unwrap());
+            assert!(t.shares_storage_with(was), "{op:?} unshared the root");
+            assert_eq!(t.chunks_shared_with(was), (chunks(t), chunks(t)));
+            assert_eq!(db.next_tuple_id(), before.next_tuple_id());
+        }
+        ChunkOp::Snapshot => {}
+    }
+}
+
+/// Everything observable about `t` equals the model: scan order, point
+/// lookups, digests, structure, the columnar view and every index probe.
+fn assert_table_matches(t: &Table, model: &Model) {
+    t.check_invariants();
+    assert_eq!(t.len(), model.len());
+    assert!(t.iter().eq(model.iter().map(|(id, row)| (*id, row))));
+    assert!(t.ids().iter().eq(model.keys()));
+    for (id, row) in model.iter().step_by(97) {
+        assert_eq!(t.get(*id), Some(row));
+        assert_eq!(
+            t.contains(TupleId(id.0 + 1)),
+            model.contains_key(&TupleId(id.0 + 1))
+        );
+    }
+    assert_eq!(t.content_digest(), t.recompute_content_digest());
+
+    let view = t.columnar();
+    let replayed = view
+        .batches()
+        .flat_map(|b| (0..b.len()).map(move |pos| (b.ids()[pos], b.row(pos))));
+    assert!(replayed.eq(model.iter().map(|(id, row)| (*id, row.clone()))));
+    for col in 0..2 {
+        view.hash_index(col);
+        for key in (-1..7).map(Value::Int).chain([Value::Null]) {
+            let hits: Vec<TupleId> = view
+                .batches()
+                .flat_map(|b| {
+                    let hits = b.hash_index(col).get(&key);
+                    hits.into_iter().flatten().map(|&pos| b.ids()[pos as usize])
+                })
+                .collect();
+            let expected: Vec<TupleId> = model
+                .iter()
+                .filter(|(_, row)| !key.is_null() && row[col] == key)
+                .map(|(id, _)| *id)
+                .collect();
+            assert_eq!(hits, expected, "probe of column {col} for {key}");
+        }
+    }
+}
+
+/// `CommitDelta::diff`'s row operations as the whole-table merge-walk
+/// computed them before tables were chunked: the reference the
+/// chunk-skipping walk must reproduce.
+fn whole_table_diff(base: &Database, post: &Database) -> Vec<RowOp> {
+    let mut ops = Vec::new();
+    for new in post.tables() {
+        let table = || new.name().to_owned();
+        let mut a = base.table(new.name()).unwrap().iter().peekable();
+        let mut b = new.iter().peekable();
+        loop {
+            match (a.peek(), b.peek()) {
+                (None, None) => break,
+                (Some((ia, _)), Some((ib, _))) if ia == ib => {
+                    let (_, ra) = a.next().unwrap();
+                    let (id, rb) = b.next().unwrap();
+                    if ra != rb {
+                        let row = rb.clone();
+                        ops.push(RowOp::Update {
+                            table: table(),
+                            id,
+                            row,
+                        });
+                    }
+                }
+                (Some((ia, _)), next) if next.is_none_or(|(ib, _)| ia < ib) => {
+                    let (id, _) = a.next().unwrap();
+                    ops.push(RowOp::Delete { table: table(), id });
+                }
+                _ => {
+                    let (id, row) = b.next().unwrap();
+                    let row = row.clone();
+                    ops.push(RowOp::Insert {
+                        table: table(),
+                        id,
+                        row,
+                    });
+                }
+            }
+        }
+    }
+    ops
+}
+
+proptest! {
+    /// The chunked table against a `BTreeMap` model, checked after every
+    /// operation, with up to three snapshots held across the writes; and
+    /// the commit diff between each snapshot and the final state, which
+    /// steps over the chunks the two share, against the whole-table walk.
+    #[test]
+    fn chunked_table_matches_model_across_chunk_boundaries(ops in chunk_ops()) {
+        let (mut db, mut model) = multi_chunk_table();
+        let mut held = vec![(db.clone(), model.clone(), db.state_digest())];
+        for op in &ops {
+            if matches!(op, ChunkOp::Snapshot) {
+                held.truncate(2);
+                held.insert(0, (db.clone(), model.clone(), db.state_digest()));
+            }
+            apply_chunk_op(&mut db, &mut model, op);
+            assert_table_matches(db.table("c").unwrap(), &model);
+            for (snap, snap_model, digest) in &held {
+                assert_table_matches(snap.table("c").unwrap(), snap_model);
+                prop_assert_eq!(snap.state_digest(), *digest);
+            }
+        }
+        for (snap, _, _) in &held {
+            for (from, to) in [(snap, &db), (&db, snap)] {
+                let delta = CommitDelta::diff(from, to);
+                prop_assert_eq!(&delta.ops, &whole_table_diff(from, to));
+                let mut rebuilt = from.clone();
+                delta.apply(&mut rebuilt).unwrap();
+                prop_assert_eq!(&rebuilt, to);
+            }
+        }
+    }
 }
 
 proptest! {
@@ -227,4 +502,23 @@ proptest! {
             (a, b) => prop_assert!(false, "divergent outcomes: {:?} vs {:?}", a, b),
         }
     }
+}
+
+/// The same over a `big` of several chunks that every rule rewrites: the
+/// workers of one level share table versions, so they race to build the
+/// chunk batches and indexes the sequential explorer builds alone.
+#[test]
+fn parallel_explore_equals_sequential_over_a_multi_chunk_table() {
+    let size = CondStress {
+        rows: 4_102,
+        fan: 3,
+    };
+    let (rules, base, actions) = (size.write_rules(), size.database(), size.user_actions());
+    assert!(chunks(base.table("big").unwrap()) >= 4);
+    let cfg = ExploreConfig::default();
+    let seq = explore(&rules, &base, &actions, &cfg).unwrap();
+    let par = explore_parallel(&rules, &base, &actions, &cfg).unwrap();
+    assert_eq!(seq, par);
+    assert_eq!(seq.final_db_digests(), par.final_db_digests());
+    assert_eq!(seq.confluent(), Some(true));
 }
