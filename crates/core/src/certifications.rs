@@ -12,22 +12,29 @@
 //!   [`Certifications::certify_terminates`].
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 use serde::Serialize;
 use starling_sql::ast::Directive;
 
 /// The set of user certifications in force for an analysis.
+///
+/// Both sets sit behind `Arc`, copied on write: every analysis context and
+/// the pair store's record of the previous bind hold a clone, and a
+/// refinement session has tens of thousands of certified pairs.
 #[derive(Clone, Debug, Default, PartialEq, Eq, Serialize)]
 pub struct Certifications {
-    commute: BTreeSet<(String, String)>,
-    terminates: BTreeMap<String, String>,
+    /// Certified pairs, normalized: smaller name → the larger names (never
+    /// an empty set), so a lookup by `&str` allocates nothing.
+    commute: Arc<BTreeMap<String, BTreeSet<String>>>,
+    terminates: Arc<BTreeMap<String, String>>,
 }
 
-fn norm(a: &str, b: &str) -> (String, String) {
+fn norm<'a>(a: &'a str, b: &'a str) -> (&'a str, &'a str) {
     if a <= b {
-        (a.to_owned(), b.to_owned())
+        (a, b)
     } else {
-        (b.to_owned(), a.to_owned())
+        (b, a)
     }
 }
 
@@ -59,24 +66,40 @@ impl Certifications {
 
     /// Declares that two rules commute despite Lemma 6.1 (unordered pair).
     pub fn certify_commute(&mut self, a: &str, b: &str) {
-        self.commute.insert(norm(a, b));
+        let (lo, hi) = norm(a, b);
+        if !self.commute_certified(lo, hi) {
+            Arc::make_mut(&mut self.commute)
+                .entry(lo.to_owned())
+                .or_default()
+                .insert(hi.to_owned());
+        }
     }
 
     /// Declares that cycles through `rule` terminate, with a recorded
     /// justification.
     pub fn certify_terminates(&mut self, rule: &str, justification: &str) {
-        self.terminates
-            .insert(rule.to_owned(), justification.to_owned());
+        Arc::make_mut(&mut self.terminates).insert(rule.to_owned(), justification.to_owned());
     }
 
     /// Removes a commutativity certification (returns whether it existed).
     pub fn revoke_commute(&mut self, a: &str, b: &str) -> bool {
-        self.commute.remove(&norm(a, b))
+        let (lo, hi) = norm(a, b);
+        if !self.commute_certified(lo, hi) {
+            return false;
+        }
+        let commute = Arc::make_mut(&mut self.commute);
+        let his = commute.get_mut(lo).expect("certified pair has an entry");
+        his.remove(hi);
+        if his.is_empty() {
+            commute.remove(lo);
+        }
+        true
     }
 
     /// Whether the pair is certified commutative.
     pub fn commute_certified(&self, a: &str, b: &str) -> bool {
-        self.commute.contains(&norm(a, b))
+        let (lo, hi) = norm(a, b);
+        self.commute.get(lo).is_some_and(|his| his.contains(hi))
     }
 
     /// Whether the rule carries a termination certificate; returns its
@@ -85,14 +108,40 @@ impl Certifications {
         self.terminates.get(rule).map(String::as_str)
     }
 
-    /// All commutativity certifications (normalized pairs).
-    pub fn commute_pairs(&self) -> impl Iterator<Item = &(String, String)> {
-        self.commute.iter()
+    /// All commutativity certifications (normalized pairs, ascending).
+    pub fn commute_pairs(&self) -> impl Iterator<Item = (&str, &str)> {
+        self.commute
+            .iter()
+            .flat_map(|(lo, his)| his.iter().map(move |hi| (lo.as_str(), hi.as_str())))
+    }
+
+    /// The normalized pairs certified in exactly one of `self` and `prev`.
+    /// Clones of one value share their set, which is the common case between
+    /// two analyses and costs a pointer comparison.
+    pub(crate) fn commute_changes<'a>(&'a self, prev: &'a Self) -> Vec<(&'a str, &'a str)> {
+        static NONE: BTreeSet<String> = BTreeSet::new();
+        let mut out = Vec::new();
+        if Arc::ptr_eq(&self.commute, &prev.commute) {
+            return out;
+        }
+        for (lo, his) in self.commute.iter() {
+            let old = prev.commute.get(lo).unwrap_or(&NONE);
+            out.extend(
+                his.symmetric_difference(old)
+                    .map(|hi| (lo.as_str(), hi.as_str())),
+            );
+        }
+        for (lo, old) in prev.commute.iter() {
+            if !self.commute.contains_key(lo) {
+                out.extend(old.iter().map(|hi| (lo.as_str(), hi.as_str())));
+            }
+        }
+        out
     }
 
     /// Number of certifications of both kinds.
     pub fn len(&self) -> usize {
-        self.commute.len() + self.terminates.len()
+        self.commute_pairs().count() + self.terminates.len()
     }
 
     /// Whether no certifications are recorded.
@@ -124,6 +173,38 @@ mod tests {
         assert!(c.revoke_commute("a", "b"));
         assert!(!c.revoke_commute("a", "b"));
         assert!(c.is_empty());
+    }
+
+    #[test]
+    fn clones_share_until_written_and_diff_by_pair() {
+        let mut a = Certifications::new();
+        a.certify_commute("b", "a");
+        a.certify_commute("a", "c");
+        a.certify_commute("d", "e");
+        let pairs: Vec<_> = a.commute_pairs().collect();
+        assert_eq!(pairs, vec![("a", "b"), ("a", "c"), ("d", "e")]);
+
+        let mut b = a.clone();
+        assert!(a.commute_changes(&b).is_empty());
+        // Re-certifying a certified pair must not unshare the set.
+        b.certify_commute("a", "b");
+        assert!(Arc::ptr_eq(&a.commute, &b.commute));
+
+        b.revoke_commute("e", "d");
+        b.certify_commute("a", "z");
+        assert_eq!(
+            a.commute_pairs().count(),
+            3,
+            "the clone's writes are its own"
+        );
+        assert_eq!(b.commute_changes(&a), vec![("a", "z"), ("d", "e")]);
+        assert_eq!(a.commute_changes(&b), vec![("a", "z"), ("d", "e")]);
+        assert_eq!(Certifications::new().commute_changes(&b).len(), 3);
+        // Equal content behind different allocations diffs to nothing.
+        b.revoke_commute("a", "z");
+        b.certify_commute("d", "e");
+        assert_eq!(a, b);
+        assert!(a.commute_changes(&b).is_empty());
     }
 
     #[test]

@@ -10,10 +10,11 @@
 //! [`crate::Certifications::certify_commute`].
 
 use std::fmt;
+use std::ops::ControlFlow;
 
 use serde::Serialize;
 use starling_sql::RuleSignature;
-use starling_storage::Op;
+use starling_storage::{ColRef, Op};
 
 use crate::certifications::Certifications;
 use crate::context::AnalysisContext;
@@ -113,22 +114,32 @@ impl fmt::Display for NoncommutativityReason {
     }
 }
 
-/// All Lemma 6.1 conditions that fire for the (ordered) direction
-/// `a`-affects-`b`, given the `Triggers`/`Can-Untrigger` predicates of a
-/// context. Exposed at signature level so the Section 8 extended
-/// definitions reuse it.
-fn directed_reasons(
-    a: &RuleSignature,
-    b: &RuleSignature,
+/// One fired condition of Lemma 6.1 for a direction `a`-affects-`b`, still
+/// borrowing from the signatures: the boolean verdict never pays for the
+/// names and rendered operations a [`NoncommutativityReason`] owns.
+enum Fired<'a> {
+    Triggers,
+    Untriggers,
+    InsertMasksDelete(&'a str),
+    WriteRead(&'a Op),
+    InsertWrite(&'a str),
+    UpdateUpdate(&'a ColRef),
+}
+
+/// Lemma 6.1 for the (ordered) direction `a`-affects-`b`: hands every
+/// condition that fires to `fired`, in the order they are reported, until
+/// it breaks. This is the one body of the lemma — [`may_not_commute`]
+/// breaks at the first condition, [`noncommutativity_reasons`] collects
+/// them all — so the verdict and its explanation cannot drift.
+fn directed_conditions<'a>(
+    a: &'a RuleSignature,
+    b: &'a RuleSignature,
     with_masking: bool,
-    out: &mut Vec<NoncommutativityReason>,
-) {
+    fired: &mut impl FnMut(Fired<'a>) -> ControlFlow<()>,
+) -> ControlFlow<()> {
     // Condition 1: a's Performs intersects b's Triggered-By.
     if b.triggered_by.iter().any(|op| a.performs.contains(op)) {
-        out.push(NoncommutativityReason::Triggers {
-            who: a.name.clone(),
-            whom: b.name.clone(),
-        });
+        fired(Fired::Triggers)?;
     }
     // Condition 2: b ∈ Can-Untrigger(Performs(a)).
     let untriggers = a.performs.iter().any(|op| match op {
@@ -140,21 +151,18 @@ fn directed_reasons(
         _ => false,
     });
     if untriggers {
-        out.push(NoncommutativityReason::Untriggers {
-            who: a.name.clone(),
-            whom: b.name.clone(),
-        });
+        fired(Fired::Untriggers)?;
     }
     // Condition 2′: a's inserts can mask b's triggering deletes.
     if with_masking {
         for op in &a.performs {
             let Op::Insert(t) = op else { continue };
-            if b.triggered_by.contains(&Op::Delete(t.clone())) {
-                out.push(NoncommutativityReason::InsertMasksDelete {
-                    who: a.name.clone(),
-                    table: t.clone(),
-                    whom: b.name.clone(),
-                });
+            let masks = b
+                .triggered_by
+                .iter()
+                .any(|tb| matches!(tb, Op::Delete(t2) if t2 == t));
+            if masks {
+                fired(Fired::InsertMasksDelete(t))?;
             }
         }
     }
@@ -165,11 +173,7 @@ fn directed_reasons(
             Op::Update(c) => b.reads.contains(c),
         };
         if hit {
-            out.push(NoncommutativityReason::WriteRead {
-                who: a.name.clone(),
-                op: op.to_string(),
-                whom: b.name.clone(),
-            });
+            fired(Fired::WriteRead(op))?;
         }
     }
     // Condition 4: a inserts into t; b updates or deletes t.
@@ -181,11 +185,7 @@ fn directed_reasons(
             Op::Insert(_) => false,
         });
         if hit {
-            out.push(NoncommutativityReason::InsertWrite {
-                who: a.name.clone(),
-                table: t.clone(),
-                whom: b.name.clone(),
-            });
+            fired(Fired::InsertWrite(t))?;
         }
     }
     // Condition 5: both update the same column (report once, from a's
@@ -193,13 +193,30 @@ fn directed_reasons(
     for op in &a.performs {
         let Op::Update(c) = op else { continue };
         if b.performs.contains(op) && a.name <= b.name {
-            out.push(NoncommutativityReason::UpdateUpdate {
-                who: a.name.clone(),
-                column: c.to_string(),
-                whom: b.name.clone(),
-            });
+            fired(Fired::UpdateUpdate(c))?;
         }
     }
+    ControlFlow::Continue(())
+}
+
+/// Whether some Lemma 6.1 condition fires for the pair, i.e.
+/// `!noncommutativity_reasons(a, b).is_empty()` without building the
+/// reasons: it stops at the first condition and allocates nothing.
+pub fn may_not_commute(a: &RuleSignature, b: &RuleSignature) -> bool {
+    may_not_commute_with(a, b, true)
+}
+
+/// [`may_not_commute`] for the conditions exactly as published (no 2′):
+/// `!noncommutativity_reasons_lemma61(a, b).is_empty()`.
+pub fn may_not_commute_lemma61(a: &RuleSignature, b: &RuleSignature) -> bool {
+    may_not_commute_with(a, b, false)
+}
+
+fn may_not_commute_with(a: &RuleSignature, b: &RuleSignature, with_masking: bool) -> bool {
+    let mut first = |_| ControlFlow::Break(());
+    a.name != b.name
+        && (directed_conditions(a, b, with_masking, &mut first).is_break()
+            || directed_conditions(b, a, with_masking, &mut first).is_break())
 }
 
 /// All reasons the pair may not commute (conditions 1–5 in both directions;
@@ -231,20 +248,46 @@ fn reasons_with(
     b: &RuleSignature,
     with_masking: bool,
 ) -> Vec<NoncommutativityReason> {
-    if a.name == b.name {
-        return Vec::new();
-    }
     let mut out = Vec::new();
-    directed_reasons(a, b, with_masking, &mut out);
-    directed_reasons(b, a, with_masking, &mut out);
+    if a.name == b.name {
+        return out;
+    }
+    for (a, b) in [(a, b), (b, a)] {
+        let _ = directed_conditions(a, b, with_masking, &mut |fired| {
+            let (who, whom) = (a.name.clone(), b.name.clone());
+            out.push(match fired {
+                Fired::Triggers => NoncommutativityReason::Triggers { who, whom },
+                Fired::Untriggers => NoncommutativityReason::Untriggers { who, whom },
+                Fired::InsertMasksDelete(t) => NoncommutativityReason::InsertMasksDelete {
+                    who,
+                    table: t.to_owned(),
+                    whom,
+                },
+                Fired::WriteRead(op) => NoncommutativityReason::WriteRead {
+                    who,
+                    op: op.to_string(),
+                    whom,
+                },
+                Fired::InsertWrite(t) => NoncommutativityReason::InsertWrite {
+                    who,
+                    table: t.to_owned(),
+                    whom,
+                },
+                Fired::UpdateUpdate(c) => NoncommutativityReason::UpdateUpdate {
+                    who,
+                    column: c.to_string(),
+                    whom,
+                },
+            });
+            ControlFlow::Continue(())
+        });
+    }
     out
 }
 
 /// Whether the pair commutes, honoring user certifications.
 pub fn commutes(a: &RuleSignature, b: &RuleSignature, certs: &Certifications) -> bool {
-    a.name == b.name
-        || certs.commute_certified(&a.name, &b.name)
-        || noncommutativity_reasons(a, b).is_empty()
+    a.name == b.name || certs.commute_certified(&a.name, &b.name) || !may_not_commute(a, b)
 }
 
 /// Index-based variant over a context; honors certifications and, when
@@ -300,51 +343,33 @@ pub fn noncommutativity_reasons_idx(
     reasons
 }
 
-/// Computes every missing pair verdict for the context with scoped worker
-/// threads — the parallel cold-start sweep. Downstream reports are
-/// byte-identical to the sequential path because each verdict is a pure
+/// Computes the missing verdicts of `pairs` (rule-index pairs: a sweep's
+/// candidates) with scoped worker threads — the parallel cold-start sweep.
+/// Downstream reports are byte-identical to the sequential path because
+/// each verdict is a pure
 /// function of the pair (certifications and the refinement included): the
 /// sweep only changes *when* verdicts are computed, never *what* they are.
 /// Workers probe a point-in-time snapshot of the known-bits (zero lock
 /// traffic on the hot path) and flush disjoint batches; bit positions are
 /// per-pair, so merge order cannot affect the final store state.
-pub fn prewarm_pairs(ctx: &AnalysisContext) {
-    let n = ctx.len();
-    let total = n * n.saturating_sub(1) / 2;
-    if total == 0 {
-        return;
-    }
+pub fn prewarm_pairs(ctx: &AnalysisContext, pairs: &[(usize, usize)]) {
     let workers = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1)
-        .min(total);
+        .min(pairs.len());
     if workers <= 1 {
-        for j in 1..n {
-            for i in 0..j {
-                commutes_idx(ctx, i, j);
-            }
+        for &(i, j) in pairs {
+            commutes_idx(ctx, i, j);
         }
         return;
     }
     let known = ctx.pair_store().known_snapshot();
-    let chunk = total.div_ceil(workers);
     std::thread::scope(|s| {
-        for w in 0..workers {
-            let (lo, hi) = (w * chunk, ((w + 1) * chunk).min(total));
+        for chunk in pairs.chunks(pairs.len().div_ceil(workers)) {
             let known = &known;
             s.spawn(move || {
-                // Invert the triangular index: pair t sits at (i, j) with
-                // j(j-1)/2 <= t < j(j+1)/2; walk (i, j) forward from there.
-                let mut j = ((1.0 + (1.0 + 8.0 * lo as f64).sqrt()) / 2.0) as usize;
-                while j * (j - 1) / 2 > lo {
-                    j -= 1;
-                }
-                while j * (j + 1) / 2 <= lo {
-                    j += 1;
-                }
-                let mut i = lo - j * (j - 1) / 2;
                 let mut buf: Vec<(u32, u32, bool)> = Vec::new();
-                for _ in lo..hi {
+                for &(i, j) in chunk {
                     let (a, b) = (ctx.sid(i), ctx.sid(j));
                     if !known.contains(a, b) {
                         buf.push((a, b, commutes_idx_uncached(ctx, i, j)));
@@ -352,11 +377,6 @@ pub fn prewarm_pairs(ctx: &AnalysisContext) {
                             ctx.pair_store().merge_verdicts(&buf);
                             buf.clear();
                         }
-                    }
-                    i += 1;
-                    if i == j {
-                        i = 0;
-                        j += 1;
                     }
                 }
                 ctx.pair_store().merge_verdicts(&buf);
@@ -584,7 +604,7 @@ mod tests {
              create rule d on u when inserted then delete from v end;",
             TABLES,
         );
-        prewarm_pairs(&ctx);
+        prewarm_pairs(&ctx, &ctx.dense_pairs(&[0, 1, 2, 3]));
         let warm = ctx.pair_store().stats();
         for i in 0..ctx.len() {
             for j in 0..ctx.len() {

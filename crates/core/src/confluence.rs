@@ -93,7 +93,8 @@ pub fn pair_closure(ctx: &AnalysisContext, ri: usize, rj: usize) -> PairClosure 
 /// Shared verbatim by the from-scratch sweep below and the incremental
 /// analyzer's dirty-pair rechecks, so the two cannot produce different
 /// violation content for the same pair.
-pub(crate) fn check_pair(
+#[doc(hidden)]
+pub fn check_pair(
     ctx: &AnalysisContext,
     i: usize,
     j: usize,
@@ -164,19 +165,17 @@ pub fn analyze_confluence(ctx: &AnalysisContext) -> ConfluenceAnalysis {
 }
 
 /// Runs the Confluence Requirement restricted to a subset of rules (used by
-/// partial confluence, where the subset is `Sig(T')`).
+/// partial confluence, where the subset is `Sig(T')`). Generating pairs are
+/// visited in rule-index order; only the conflict index's candidates are
+/// visited at all, the rest of the `pairs_checked` pairs being clean by
+/// construction.
 pub fn analyze_confluence_of(ctx: &AnalysisContext, subset: &[usize]) -> ConfluenceAnalysis {
+    let pairs = ctx.sweep_pairs(subset);
+    let pairs_checked = ctx.unordered_pair_count(subset);
+    debug_assert!(!ctx.dense_sweep || pairs.len() == pairs_checked);
     let mut violations = Vec::new();
-    let mut pairs_checked = 0;
-    for (a_pos, &i) in subset.iter().enumerate() {
-        for &j in &subset[a_pos + 1..] {
-            if !ctx.unordered(i, j) {
-                continue;
-            }
-            pairs_checked += 1;
-            let (_, mut found) = check_pair(ctx, i, j);
-            violations.append(&mut found);
-        }
+    for (i, j) in pairs {
+        violations.append(&mut check_pair(ctx, i, j).1);
     }
     ConfluenceAnalysis {
         verdict: if violations.is_empty() {
@@ -224,13 +223,9 @@ pub fn corollary_checks(ctx: &AnalysisContext, analysis: &ConfluenceAnalysis) ->
     if !analysis.requirement_holds() {
         return out;
     }
-    let n = ctx.len();
-    for i in 0..n {
-        for j in (i + 1)..n {
-            if ctx.unordered(i, j) {
-                out.extend(corollary_pair(ctx, i, j));
-            }
-        }
+    let all: Vec<usize> = (0..ctx.len()).collect();
+    for (i, j) in ctx.sweep_pairs(&all) {
+        out.extend(corollary_pair(ctx, i, j));
     }
     out
 }
@@ -238,7 +233,8 @@ pub fn corollary_checks(ctx: &AnalysisContext, analysis: &ConfluenceAnalysis) ->
 /// The Corollary 6.8/6.10 lint messages for one **unordered** pair, in the
 /// order `corollary_checks` emits them. Shared by the incremental
 /// analyzer, which caches them per pair.
-pub(crate) fn corollary_pair(ctx: &AnalysisContext, i: usize, j: usize) -> Vec<String> {
+#[doc(hidden)]
+pub fn corollary_pair(ctx: &AnalysisContext, i: usize, j: usize) -> Vec<String> {
     let mut out = Vec::new();
     // Corollary 6.8: unordered pairs commute.
     if !commutes_idx(ctx, i, j) {

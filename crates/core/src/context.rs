@@ -14,6 +14,7 @@ use starling_sql::RuleSignature;
 use starling_storage::Op;
 
 use crate::certifications::Certifications;
+use crate::conflict_index::ConflictIndex;
 use crate::pair_store::{BindOutcome, PairStore};
 
 /// Everything the static analyses need to know about a rule set.
@@ -51,6 +52,10 @@ pub struct AnalysisContext {
     /// Lazily built `Triggers` adjacency (rule → sorted triggered rules),
     /// shared by the triggering graph and the Def 6.5 closures.
     trig: OnceLock<Arc<Vec<Vec<usize>>>>,
+    /// Sweeps enumerate the dense triangle instead of the conflict index's
+    /// candidates (the tests' differential oracle; see
+    /// [`Self::with_dense_sweep`]).
+    pub(crate) dense_sweep: bool,
 }
 
 impl AnalysisContext {
@@ -81,6 +86,7 @@ impl AnalysisContext {
             sids: outcome.sids.clone(),
             obs_store: None,
             trig: OnceLock::new(),
+            dense_sweep: false,
         };
         (ctx, outcome)
     }
@@ -108,6 +114,7 @@ impl AnalysisContext {
             sids: outcome.sids,
             obs_store: None,
             trig: OnceLock::new(),
+            dense_sweep: false,
         }
     }
 
@@ -259,18 +266,65 @@ impl AnalysisContext {
         self.priority.gt(RuleId(a), RuleId(b))
     }
 
-    /// All unordered pairs `(i, j)` with `i < j`.
-    pub fn unordered_pairs(&self) -> Vec<(usize, usize)> {
-        let n = self.len();
+    /// The differential oracle for the sparse sweeps: every analysis on this
+    /// context visits [`Self::dense_pairs`] instead of the conflict index's
+    /// candidates. Reports must not change. Called from tests alone.
+    #[doc(hidden)]
+    pub fn with_dense_sweep(mut self) -> Self {
+        self.dense_sweep = true;
+        self
+    }
+
+    /// Every unordered pair `(i, j)`, `i < j`, of `subset` — the whole pair
+    /// space the Confluence Requirement quantifies over.
+    #[doc(hidden)]
+    pub fn dense_pairs(&self, subset: &[usize]) -> Vec<(usize, usize)> {
         let mut out = Vec::new();
-        for i in 0..n {
-            for j in (i + 1)..n {
-                if self.unordered(i, j) {
-                    out.push((i, j));
+        for (k, &a) in subset.iter().enumerate() {
+            for &b in &subset[k + 1..] {
+                if self.unordered(a, b) {
+                    out.push((a.min(b), a.max(b)));
                 }
             }
         }
+        out.sort_unstable();
         out
+    }
+
+    /// The conflict index's candidates among `subset`, ascending: a superset
+    /// of its unordered pairs with a violation, a closure extra or a
+    /// corollary lint.
+    #[doc(hidden)]
+    pub fn candidate_pairs(&self, subset: &[usize]) -> Vec<(usize, usize)> {
+        ConflictIndex::build(self, subset).candidate_pairs()
+    }
+
+    /// The unordered pairs of `subset` a Confluence Requirement sweep has
+    /// to visit, ascending; every pair left out is clean by construction.
+    pub(crate) fn sweep_pairs(&self, subset: &[usize]) -> Vec<(usize, usize)> {
+        if self.dense_sweep {
+            self.dense_pairs(subset)
+        } else {
+            self.candidate_pairs(subset)
+        }
+    }
+
+    /// `subset` as a per-rule flag.
+    pub(crate) fn membership(&self, subset: &[usize]) -> Vec<bool> {
+        let mut member = vec![false; self.len()];
+        for &i in subset {
+            member[i] = true;
+        }
+        member
+    }
+
+    /// How many unordered pairs `subset` (distinct rule indices) has — what
+    /// the Confluence Requirement covers, however few of them a sweep visits.
+    pub(crate) fn unordered_pair_count(&self, subset: &[usize]) -> usize {
+        let member = self.membership(subset);
+        let ordered = |&i: &usize| self.priority.dominated_by(i).filter(|&j| member[j]).count();
+        subset.len() * subset.len().saturating_sub(1) / 2
+            - subset.iter().map(ordered).sum::<usize>()
     }
 }
 
@@ -362,7 +416,10 @@ pub(crate) mod tests {
              create rule c on t when inserted then delete from t end;",
             &[("t", &["x"])],
         );
-        assert_eq!(ctx.unordered_pairs(), vec![(0, 2), (1, 2)]);
+        assert_eq!(ctx.dense_pairs(&[0, 1, 2]), vec![(0, 2), (1, 2)]);
+        assert_eq!(ctx.unordered_pair_count(&[0, 1, 2]), 2);
+        assert_eq!(ctx.unordered_pair_count(&[0, 1]), 0);
+        assert_eq!(ctx.unordered_pair_count(&[1, 2]), 1);
         assert!(ctx.gt(0, 1));
     }
 

@@ -45,14 +45,19 @@
 //!   old-closure member, so both witnesses are visible in the memo;
 //! * **refinement toggle** → full resweep (every verdict changed meaning).
 //!
-//! # Parallel cold start
+//! # Cold start: sparse, then parallel
 //!
-//! The first analyze (and any fallback resweep) can prewarm the pair store
-//! with [`prewarm_pairs`], which fans the `O(n²)` verdict computations out
-//! over scoped threads. Verdicts are pure per-pair functions merged into
-//! disjoint bit positions, so thread scheduling cannot affect the store
-//! state and the assembled report stays byte-identical to a sequential
-//! sweep (property-tested in `tests/incremental_props.rs`).
+//! The first analyze (and any fallback resweep) visits only the conflict
+//! index's candidate pairs — rules that share a table, or whose Def 6.5
+//! closure can take a first step; every other pair is clean by construction
+//! and takes no memo entry. `last_rechecked_pairs` counts the pairs
+//! visited; the report's `pairs_checked` stays the number of unordered
+//! pairs the requirement covers. [`prewarm_pairs`] can first fan the
+//! candidates' verdict computations out over scoped threads. Verdicts are
+//! pure per-pair functions merged into disjoint bit positions, so thread
+//! scheduling cannot affect the store state and the assembled report stays
+//! byte-identical to a sequential sweep (property-tested in
+//! `tests/incremental_props.rs`, as is sparse ≡ dense).
 
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
@@ -71,7 +76,7 @@ use crate::partial::analyze_partial_confluence;
 use crate::report::AnalysisReport;
 use crate::termination::analyze_termination;
 
-/// Don't bother spinning up threads below this many pairs.
+/// Don't bother spinning up threads below this many candidate pairs.
 const PREWARM_MIN_PAIRS: usize = 1 << 12;
 
 /// Memoized per-pair confluence results for one non-trivial unordered pair.
@@ -181,9 +186,8 @@ impl IncrementalAnalysis {
         let (mut ctx, outcome) =
             AnalysisContext::bound_to_store(rules, certs.clone(), refine, &self.store);
         ctx.set_obs_store(Arc::clone(&self.obs_store));
-        let confluence = self.confluence(&ctx, &outcome);
+        let (confluence, corollary_failures) = self.confluence(&ctx, &outcome);
         let termination = analyze_termination(&ctx);
-        let corollary_failures = self.corollary_failures(&ctx, &confluence);
         let observable = analyze_observable_determinism(&ctx);
         let partial = protect
             .iter()
@@ -202,7 +206,12 @@ impl IncrementalAnalysis {
         }
     }
 
-    fn confluence(&mut self, ctx: &AnalysisContext, outcome: &BindOutcome) -> ConfluenceAnalysis {
+    /// The confluence analysis and the Corollary 6.8/6.10 lints.
+    fn confluence(
+        &mut self,
+        ctx: &AnalysisContext,
+        outcome: &BindOutcome,
+    ) -> (ConfluenceAnalysis, Vec<String>) {
         let incremental = self.memo.is_some() && !outcome.refine_flipped && !outcome.first_bind;
         if incremental && !self.incremental_sweep(ctx, outcome) {
             self.incremental_sweeps += 1;
@@ -216,31 +225,25 @@ impl IncrementalAnalysis {
         self.assemble(ctx)
     }
 
-    /// Sweeps every unordered pair, rebuilding the memo from nothing.
+    /// Sweeps every candidate pair — the rest are clean by construction and
+    /// take no memo entry — rebuilding the memo from nothing.
     fn full_sweep(&mut self, ctx: &AnalysisContext) {
-        let n = ctx.len();
-        if self.parallel && n * n.saturating_sub(1) / 2 >= PREWARM_MIN_PAIRS {
-            prewarm_pairs(ctx);
+        let all: Vec<usize> = (0..ctx.len()).collect();
+        let pairs = ctx.sweep_pairs(&all);
+        if self.parallel && pairs.len() >= PREWARM_MIN_PAIRS {
+            prewarm_pairs(ctx, &pairs);
         }
         let mut memo = ConfluenceMemo {
             sids: ctx.sids.clone(),
             priority: ctx.priority.clone(),
-            preds: HashMap::new(),
+            preds: Self::preds_of(ctx),
             entries: HashMap::new(),
             extra_index: HashMap::new(),
         };
-        let mut rechecked = 0u64;
-        for i in 0..n {
-            for j in (i + 1)..n {
-                if !ctx.unordered(i, j) {
-                    continue;
-                }
-                rechecked += 1;
-                Self::recheck_into(ctx, &mut memo, i, j);
-            }
+        for &(i, j) in &pairs {
+            Self::recheck_into(ctx, &mut memo, i, j);
         }
-        memo.preds = Self::preds_of(ctx);
-        self.last_rechecked = rechecked;
+        self.last_rechecked = pairs.len() as u64;
         self.memo = Some(memo);
     }
 
@@ -545,57 +548,43 @@ impl IncrementalAnalysis {
         preds
     }
 
-    /// Rebuilds the [`ConfluenceAnalysis`] from the memo, in the exact
-    /// `(i, j)` scan order of `analyze_confluence`.
-    fn assemble(&self, ctx: &AnalysisContext) -> ConfluenceAnalysis {
+    /// Rebuilds the [`ConfluenceAnalysis`] and the `corollary_checks` output
+    /// from the memo in one ordered pass, in the exact `(i, j)` scan order
+    /// of `analyze_confluence` (the lints are empty whenever the requirement
+    /// fails, exactly like the original early return).
+    fn assemble(&self, ctx: &AnalysisContext) -> (ConfluenceAnalysis, Vec<String>) {
         let memo = self.memo.as_ref().expect("assemble without memo");
         let cur: HashMap<u32, usize> = ctx.sids.iter().enumerate().map(|(i, &s)| (s, i)).collect();
         let mut keyed: Vec<((usize, usize), &PairEntry)> = memo
             .entries
             .iter()
+            .filter(|(_, e)| !(e.violations.is_empty() && e.corollary.is_empty()))
             .map(|(k, e)| ((cur[&k.0], cur[&k.1]), e))
             .collect();
-        keyed.sort_by_key(|&(ij, _)| ij);
-        let mut violations = Vec::new();
-        for (_, e) in &keyed {
-            violations.extend(e.violations.iter().cloned());
-        }
+        keyed.sort_unstable_by_key(|&(ij, _)| ij);
+        let violations: Vec<ConfluenceViolation> = keyed
+            .iter()
+            .flat_map(|(_, e)| e.violations.iter().cloned())
+            .collect();
+        let corollary = if violations.is_empty() {
+            keyed
+                .iter()
+                .flat_map(|(_, e)| e.corollary.iter().cloned())
+                .collect()
+        } else {
+            Vec::new()
+        };
         let n = ctx.len();
-        let pairs_checked = n * n.saturating_sub(1) / 2 - ctx.priority.ordered_pair_count();
-        ConfluenceAnalysis {
+        let confluence = ConfluenceAnalysis {
             verdict: if violations.is_empty() {
                 ConfluenceVerdict::RequirementHolds
             } else {
                 ConfluenceVerdict::MayNotBeConfluent
             },
             violations,
-            pairs_checked,
-        }
-    }
-
-    /// Rebuilds `corollary_checks` output from the memo (empty whenever the
-    /// requirement fails, exactly like the original early return).
-    fn corollary_failures(
-        &self,
-        ctx: &AnalysisContext,
-        confluence: &ConfluenceAnalysis,
-    ) -> Vec<String> {
-        if !confluence.requirement_holds() {
-            return Vec::new();
-        }
-        let memo = self.memo.as_ref().expect("corollaries without memo");
-        let cur: HashMap<u32, usize> = ctx.sids.iter().enumerate().map(|(i, &s)| (s, i)).collect();
-        let mut keyed: Vec<((usize, usize), &PairEntry)> = memo
-            .entries
-            .iter()
-            .map(|(k, e)| ((cur[&k.0], cur[&k.1]), e))
-            .collect();
-        keyed.sort_by_key(|&(ij, _)| ij);
-        let mut out = Vec::new();
-        for (_, e) in &keyed {
-            out.extend(e.corollary.iter().cloned());
-        }
-        out
+            pairs_checked: n * n.saturating_sub(1) / 2 - ctx.priority.ordered_pair_count(),
+        };
+        (confluence, corollary)
     }
 }
 

@@ -62,6 +62,7 @@
 
 pub mod certifications;
 pub mod commutativity;
+mod conflict_index;
 pub mod confluence;
 pub mod context;
 pub mod incremental;
@@ -79,8 +80,9 @@ pub mod triggering_graph;
 
 pub use certifications::Certifications;
 pub use commutativity::{
-    commutes, commutes_idx, noncommutativity_reasons, noncommutativity_reasons_idx,
-    noncommutativity_reasons_lemma61, prewarm_pairs, NoncommutativityReason,
+    commutes, commutes_idx, may_not_commute, may_not_commute_lemma61, noncommutativity_reasons,
+    noncommutativity_reasons_idx, noncommutativity_reasons_lemma61, prewarm_pairs,
+    NoncommutativityReason,
 };
 pub use confluence::{ConfluenceAnalysis, ConfluenceVerdict, ConfluenceViolation};
 pub use context::AnalysisContext;

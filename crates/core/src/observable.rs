@@ -74,7 +74,7 @@ pub fn extend_with_obs(ctx: &AnalysisContext) -> AnalysisContext {
         .obs_store
         .clone()
         .unwrap_or_else(|| std::sync::Arc::new(crate::pair_store::PairStore::new()));
-    AnalysisContext::from_parts(
+    let mut extended = AnalysisContext::from_parts(
         sigs,
         ctx.priority.clone(),
         ctx.certs.clone(),
@@ -82,7 +82,9 @@ pub fn extend_with_obs(ctx: &AnalysisContext) -> AnalysisContext {
         ctx.catalog.clone(),
         ctx.refine,
         store,
-    )
+    );
+    extended.dense_sweep = ctx.dense_sweep;
+    extended
 }
 
 /// Runs observable-determinism analysis (Theorem 8.1).

@@ -33,12 +33,12 @@
 //! the same signature revalidates its pairs for free (the fingerprint
 //! matches), while re-adding it changed invalidates them precisely.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::RwLock;
 
 use starling_sql::RuleSignature;
-use starling_storage::Fnv64;
+use starling_storage::{ColRef, Fnv64, Op};
 
 use crate::certifications::Certifications;
 use crate::commutativity::NoncommutativityReason;
@@ -66,12 +66,43 @@ fn set_bit(bits: &mut [u64], idx: usize, v: bool) {
     }
 }
 
-/// A stable content hash of everything a Lemma 6.1 verdict depends on for
-/// one rule. `RuleSignature`'s set fields are `BTreeSet`s, so its `Debug`
-/// rendering is deterministic.
+/// Absorbs everything a Lemma 6.1 verdict depends on for one rule: name,
+/// table, the three sets (length-prefixed, in `BTreeSet` order) and
+/// `observable`. In-memory only — the value may change between releases.
+pub(crate) fn hash_signature(h: &mut Fnv64, sig: &RuleSignature) {
+    fn write_col(h: &mut Fnv64, tag: u8, c: &ColRef) {
+        h.write(&[tag]);
+        h.write_str(&c.table);
+        h.write_str(&c.column);
+    }
+    h.write_str(&sig.name);
+    h.write_str(&sig.table);
+    for ops in [&sig.triggered_by, &sig.performs] {
+        h.write_usize(ops.len());
+        for op in ops {
+            match op {
+                Op::Insert(t) => {
+                    h.write(&[0]);
+                    h.write_str(t);
+                }
+                Op::Delete(t) => {
+                    h.write(&[1]);
+                    h.write_str(t);
+                }
+                Op::Update(c) => write_col(h, 2, c),
+            }
+        }
+    }
+    h.write_usize(sig.reads.len());
+    for c in &sig.reads {
+        write_col(h, 3, c);
+    }
+    h.write(&[u8::from(sig.observable)]);
+}
+
 fn fingerprint(sig: &RuleSignature) -> u64 {
     let mut h = Fnv64::new();
-    h.write_str(&format!("{sig:?}"));
+    hash_signature(&mut h, sig);
     h.finish()
 }
 
@@ -129,7 +160,8 @@ struct Inner {
     /// Raw Lemma 6.1 reasons, keyed by **directional** `(a, b)` store ids
     /// (the reported direction matters for display).
     reasons: HashMap<(u32, u32), Vec<NoncommutativityReason>>,
-    last_commute: BTreeSet<(String, String)>,
+    /// The certifications of the previous bind (a clone shares their sets).
+    last_certs: Certifications,
     refine: bool,
     bound: bool,
 }
@@ -218,9 +250,8 @@ impl PairStore {
             out.sids.push(sid);
         }
 
-        let new_commute: BTreeSet<(String, String)> = certs.commute_pairs().cloned().collect();
-        for pair in new_commute.symmetric_difference(&inner.last_commute) {
-            let (Some(&a), Some(&b)) = (inner.ids.get(&pair.0), inner.ids.get(&pair.1)) else {
+        for (x, y) in certs.commute_changes(&inner.last_certs) {
+            let (Some(&a), Some(&b)) = (inner.ids.get(x), inner.ids.get(y)) else {
                 continue;
             };
             if a == b {
@@ -234,7 +265,7 @@ impl PairStore {
             }
             out.changed_certs.push(key);
         }
-        inner.last_commute = new_commute;
+        inner.last_certs = certs.clone();
 
         if !first_bind && inner.refine != refine {
             out.refine_flipped = true;

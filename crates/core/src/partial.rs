@@ -43,10 +43,7 @@ pub fn significant_rules_in(
     subset: &[usize],
 ) -> Vec<usize> {
     let n = ctx.len();
-    let mut member = vec![false; n];
-    for &i in subset {
-        member[i] = true;
-    }
+    let member = ctx.membership(subset);
     let mut sig = vec![false; n];
     for &i in subset {
         if ctx.sigs[i]

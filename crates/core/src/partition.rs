@@ -11,32 +11,17 @@
 //! [`IncrementalAnalyzer`] caches per-partition results keyed by a content
 //! digest and recomputes only invalidated partitions.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use serde::Serialize;
-use starling_storage::{Fnv64, Op};
+use starling_storage::Fnv64;
 
+use crate::conflict_index::ConflictIndex;
 use crate::confluence::{analyze_confluence_of, ConfluenceAnalysis};
 use crate::context::AnalysisContext;
+use crate::pair_store::hash_signature;
 use crate::termination::{analyze_termination_indexed, TerminationAnalysis};
 use crate::triggering_graph::TriggeringGraph;
-
-/// Tables a rule references in any way.
-fn referenced_tables(ctx: &AnalysisContext, i: usize) -> BTreeSet<String> {
-    let sig = &ctx.sigs[i];
-    let mut out = BTreeSet::new();
-    out.insert(sig.table.clone());
-    for c in &sig.reads {
-        out.insert(c.table.clone());
-    }
-    for op in &sig.performs {
-        out.insert(match op {
-            Op::Insert(t) | Op::Delete(t) => t.clone(),
-            Op::Update(c) => c.table.clone(),
-        });
-    }
-    out
-}
 
 /// Union-find with path compression.
 struct UnionFind {
@@ -72,23 +57,16 @@ pub fn partition_rules(ctx: &AnalysisContext) -> Vec<Vec<usize>> {
     let n = ctx.len();
     let mut uf = UnionFind::new(n);
     // Union rules sharing a referenced table.
-    let mut by_table: BTreeMap<String, usize> = BTreeMap::new();
-    for i in 0..n {
-        for t in referenced_tables(ctx, i) {
-            match by_table.get(&t) {
-                Some(&j) => uf.union(i, j),
-                None => {
-                    by_table.insert(t, i);
-                }
-            }
+    let all: Vec<usize> = (0..n).collect();
+    for members in ConflictIndex::build(ctx, &all).table_members() {
+        for pair in members.windows(2) {
+            uf.union(pair[0] as usize, pair[1] as usize);
         }
     }
     // Union priority-ordered rules.
     for i in 0..n {
-        for j in (i + 1)..n {
-            if !ctx.unordered(i, j) {
-                uf.union(i, j);
-            }
+        for j in ctx.priority.dominated_by(i) {
+            uf.union(i, j);
         }
     }
     let mut groups: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
@@ -117,21 +95,7 @@ fn partition_digest(ctx: &AnalysisContext, group: &[usize]) -> u64 {
     let mut h = Fnv64::new();
     for &i in group {
         let s = &ctx.sigs[i];
-        h.write_str(&s.name);
-        h.write_str(&s.table);
-        h.write_usize(s.triggered_by.len());
-        for op in &s.triggered_by {
-            h.write_str(&op.to_string());
-        }
-        h.write_usize(s.performs.len());
-        for op in &s.performs {
-            h.write_str(&op.to_string());
-        }
-        h.write_usize(s.reads.len());
-        for c in &s.reads {
-            h.write_str(&c.to_string());
-        }
-        h.write(&[u8::from(s.observable)]);
+        hash_signature(&mut h, s);
         if let Some(just) = ctx.certs.termination_certificate(&s.name) {
             h.write_str(just);
         }

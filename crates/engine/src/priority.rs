@@ -189,20 +189,31 @@ impl PriorityOrder {
         self.pairs
     }
 
+    /// The rules `a` has precedence over, ascending: the set bits of `a`'s
+    /// closure row.
+    pub fn dominated_by(&self, a: usize) -> impl Iterator<Item = usize> + '_ {
+        self.rows[a * self.words..(a + 1) * self.words]
+            .iter()
+            .enumerate()
+            .flat_map(|(k, &word)| {
+                let mut w = word;
+                std::iter::from_fn(move || {
+                    (w != 0).then(|| {
+                        let bit = w.trailing_zeros() as usize;
+                        w &= w - 1;
+                        k * 64 + bit
+                    })
+                })
+            })
+    }
+
     /// Every ordered pair `(higher, lower)` in the closure, ascending by
     /// `(higher, lower)`. The incremental analyzer diffs consecutive
     /// closures with this to find which rules' orderings changed.
     pub fn gt_pairs(&self) -> Vec<(usize, usize)> {
         let mut out = Vec::with_capacity(self.pairs);
         for i in 0..self.n {
-            for k in 0..self.words {
-                let mut w = self.rows[i * self.words + k];
-                while w != 0 {
-                    let bit = w.trailing_zeros() as usize;
-                    out.push((i, k * 64 + bit));
-                    w &= w - 1;
-                }
-            }
+            out.extend(self.dominated_by(i).map(|j| (i, j)));
         }
         out
     }
@@ -276,6 +287,7 @@ mod tests {
         assert!(p.unordered(RuleId(0), RuleId(1)));
         assert_eq!(p.ordered_pair_count(), 0);
         assert!(!p.dominates_any(0));
+        assert_eq!(p.dominated_by(0).count(), 0);
         let picked = p.choose(&[RuleId(2), RuleId(0)]);
         assert_eq!(picked, vec![RuleId(2), RuleId(0)]);
     }

@@ -9,7 +9,10 @@
 //! and so must the emitted observable events.
 
 use starling::analysis::certifications::Certifications;
-use starling::analysis::commutativity::noncommutativity_reasons;
+use starling::analysis::commutativity::{
+    may_not_commute, may_not_commute_lemma61, noncommutativity_reasons,
+    noncommutativity_reasons_lemma61,
+};
 use starling::engine::{consider_rule, EvalMode, ExecState, RuleId};
 use starling::workloads::random::{generate, RandomConfig};
 
@@ -160,4 +163,46 @@ fn noncommutativity_flags_are_not_vacuous() {
         divergence_found,
         "no flagged pair ever diverged — conditions may be vacuous"
     );
+}
+
+/// The boolean verdict and the reason list are two consumers of one Lemma
+/// 6.1 body: over every ordered pair of fuzz-generated signatures (self
+/// pairs included), the verdict is exactly "some reason is reported", with
+/// condition 2′ and without.
+#[test]
+fn boolean_verdict_matches_the_reason_list() {
+    use starling_fuzz::GenConfig;
+    let observable = GenConfig {
+        p_observable: 0.1,
+        ..GenConfig::scaled(60)
+    };
+    let cases = (0..60u64)
+        .map(|seed| (seed, GenConfig::default()))
+        .chain([(7, observable), (8, observable)]);
+    let (mut conflicting, mut masked) = (0usize, 0usize);
+    for (seed, cfg) in cases {
+        let case = starling_fuzz::generate(seed, &cfg);
+        let rules = starling::engine::RuleSet::compile(&case.defs, &case.catalog()).unwrap();
+        for a in rules.rules() {
+            for b in rules.rules() {
+                let reasons = noncommutativity_reasons(&a.sig, &b.sig);
+                let published = noncommutativity_reasons_lemma61(&a.sig, &b.sig);
+                let pair = format!("seed {seed}: {} / {}", a.sig.name, b.sig.name);
+                assert_eq!(
+                    may_not_commute(&a.sig, &b.sig),
+                    !reasons.is_empty(),
+                    "{pair}"
+                );
+                assert_eq!(
+                    may_not_commute_lemma61(&a.sig, &b.sig),
+                    !published.is_empty(),
+                    "{pair} (lemma61)"
+                );
+                conflicting += usize::from(!reasons.is_empty());
+                masked += usize::from(reasons.len() > published.len());
+            }
+        }
+    }
+    assert!(conflicting > 1000, "only {conflicting} conflicting pairs");
+    assert!(masked > 0, "condition 2′ never fired");
 }

@@ -8,19 +8,42 @@
 //!    from-scratch [`AnalysisReport::run`] on the same inputs, and
 //! 2. the parallel analyzer ([`IncrementalAnalysis::new`]) and the
 //!    sequential one ([`IncrementalAnalysis::sequential`]) agree, so
-//!    thread scheduling cannot leak into reports.
+//!    thread scheduling cannot leak into reports, and
+//! 3. that from-scratch report — whose sweeps visit only the conflict
+//!    index's candidate pairs — is byte-identical to the one the dense
+//!    triangle produces ([`AnalysisContext::with_dense_sweep`]).
+//!
+//! A direct property backs the third check: every pair the dense triangle
+//! finds anything on is a candidate.
 //!
 //! Seeds are pinned: failures reproduce exactly in CI.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use starling_analysis::confluence::{check_pair, corollary_pair};
 use starling_analysis::context::AnalysisContext;
+use starling_analysis::observable::extend_with_obs;
 use starling_analysis::report::AnalysisReport;
 use starling_analysis::{Certifications, IncrementalAnalysis};
 use starling_engine::RuleSet;
 use starling_fuzz::{generate, GenConfig};
 use starling_sql::RuleDef;
 use starling_storage::Catalog;
+
+fn scratch_ctx(
+    cat: &Catalog,
+    defs: &[RuleDef],
+    certs: &Certifications,
+    refine: bool,
+) -> AnalysisContext {
+    let rs = RuleSet::compile(defs, cat).unwrap();
+    let ctx = AnalysisContext::from_ruleset(&rs, certs.clone());
+    if refine {
+        ctx.with_refinement()
+    } else {
+        ctx
+    }
+}
 
 fn scratch(
     cat: &Catalog,
@@ -29,12 +52,7 @@ fn scratch(
     refine: bool,
     protect: &[Vec<String>],
 ) -> AnalysisReport {
-    let rs = RuleSet::compile(defs, cat).unwrap();
-    let mut ctx = AnalysisContext::from_ruleset(&rs, certs.clone());
-    if refine {
-        ctx = ctx.with_refinement();
-    }
-    AnalysisReport::run(&ctx, protect)
+    AnalysisReport::run(&scratch_ctx(cat, defs, certs, refine), protect)
 }
 
 /// One random mutation of the editing state. Returns a label for failure
@@ -141,8 +159,9 @@ fn mutate(
 }
 
 /// Runs one seeded refinement session over `cfg`, checking all three
-/// analyzers against each other after every step.
-fn session(seed: u64, cfg: &GenConfig, steps: usize) {
+/// analyzers against each other after every step. The cold sweep must visit
+/// at least `cold_pairs` pairs.
+fn session(seed: u64, cfg: &GenConfig, steps: usize, cold_pairs: u64) {
     let case = generate(seed, cfg);
     let cat = case.catalog();
     let mut defs = case.defs;
@@ -174,6 +193,13 @@ fn session(seed: u64, cfg: &GenConfig, steps: usize) {
         let rs = RuleSet::compile(&defs, &cat).unwrap();
         let got_par = par.analyze(&rs, &certs, refine, &protect);
         let got_seq = seq.analyze(&rs, &certs, refine, &protect);
+        if step == 0 {
+            let visited = par.stats().last_rechecked_pairs;
+            assert!(
+                visited >= cold_pairs,
+                "seed {seed}: cold sweep of {visited}"
+            );
+        }
         let want = scratch(&cat, &defs, &certs, refine, &protect);
         let ctx = format!("seed {seed} step {step} ({label})");
         assert_eq!(
@@ -190,6 +216,18 @@ fn session(seed: u64, cfg: &GenConfig, steps: usize) {
             got_seq.to_json().to_string(),
             want.to_json().to_string(),
             "incremental(sequential) != from-scratch json at {ctx}"
+        );
+        let dense = scratch_ctx(&cat, &defs, &certs, refine).with_dense_sweep();
+        let dense = AnalysisReport::run(&dense, &protect);
+        assert_eq!(
+            want.to_json().to_string(),
+            dense.to_json().to_string(),
+            "candidate sweep != dense sweep json at {ctx}"
+        );
+        assert_eq!(
+            want.to_string(),
+            dense.to_string(),
+            "candidate sweep != dense sweep display at {ctx}"
         );
         last = want;
     }
@@ -217,17 +255,79 @@ fn incremental_matches_scratch_dense_programs() {
         ..GenConfig::default()
     };
     for seed in [11, 13, 14] {
-        session(seed, &cfg, 12);
+        session(seed, &cfg, 12, 0);
     }
 }
 
 /// Sparse-priority programs above the dense-ordering limit, big enough
-/// (≥ 4096 pairs) that the parallel analyzer's cold prewarm actually
-/// spawns threads — this is the parallel ≡ sequential determinism check.
+/// (≥ 4096 candidate pairs) that the parallel
+/// analyzer's cold prewarm actually spawns threads — this is the
+/// parallel ≡ sequential determinism check.
 #[test]
 fn incremental_matches_scratch_sparse_programs() {
-    let cfg = GenConfig::scaled(120);
-    for seed in [21, 22] {
-        session(seed, &cfg, 8);
+    let cfg = GenConfig::scaled(250);
+    for seed in [22, 27] {
+        session(seed, &cfg, 8, 1 << 12);
     }
+}
+
+/// Every unordered pair the dense triangle finds anything on — a violation,
+/// a closure member beyond the pair, or a corollary lint — must be one of
+/// the conflict index's candidates. Returns how many such pairs there were.
+fn assert_candidates_cover(ctx: &AnalysisContext, what: &str) -> usize {
+    let all: Vec<usize> = (0..ctx.len()).collect();
+    let candidates = ctx.candidate_pairs(&all);
+    assert!(candidates.windows(2).all(|w| w[0] < w[1]), "{what}: order");
+    let mut flagged = 0;
+    for (i, j) in ctx.dense_pairs(&all) {
+        let (closure, violations) = check_pair(ctx, i, j);
+        let extras = closure.r1.len() + closure.r2.len() > 2;
+        if violations.is_empty() && !extras && corollary_pair(ctx, i, j).is_empty() {
+            continue;
+        }
+        flagged += 1;
+        assert!(
+            candidates.binary_search(&(i, j)).is_ok(),
+            "{what}: pair ({}, {}) is flagged but not a candidate",
+            ctx.name(i),
+            ctx.name(j)
+        );
+    }
+    flagged
+}
+
+/// The superset property, on small dense programs and on 200-rule sparse
+/// ones with observable rules: refinement on and off, with and without
+/// certifications, and over the §8 `Obs`-extended signatures too.
+#[test]
+fn candidate_pairs_cover_every_flagged_pair() {
+    let observable = GenConfig {
+        p_observable: 0.1,
+        ..GenConfig::scaled(200)
+    };
+    let cases = (0..40u64)
+        .map(|seed| (seed, GenConfig::default()))
+        .chain([31, 32, 33].map(|seed| (seed, observable)));
+    let mut flagged = 0;
+    let mut observables = 0;
+    for (seed, cfg) in cases {
+        let case = generate(seed, &cfg);
+        let cat = case.catalog();
+        let plain = scratch(&cat, &case.defs, &Certifications::new(), false, &[]);
+        let mut certified = Certifications::new();
+        for v in plain.confluence.violations.iter().step_by(2) {
+            certified.certify_commute(&v.conflict.0, &v.conflict.1);
+        }
+        for certs in [Certifications::new(), certified] {
+            for refine in [false, true] {
+                let ctx = scratch_ctx(&cat, &case.defs, &certs, refine);
+                let what = format!("seed {seed}, {} rules, refine {refine}", ctx.len());
+                flagged += assert_candidates_cover(&ctx, &what);
+                flagged += assert_candidates_cover(&extend_with_obs(&ctx), &what);
+                observables += ctx.sigs.iter().filter(|s| s.observable).count();
+            }
+        }
+    }
+    assert!(flagged > 1000, "the property was vacuous: {flagged} pairs");
+    assert!(observables > 0, "no program had an observable rule");
 }
