@@ -19,14 +19,14 @@
 use std::collections::{BTreeSet, HashMap};
 
 use starling_sql::ast::Action;
-use starling_sql::eval::{exec_action, ActionOutcome};
+use starling_sql::eval::ActionOutcome;
 use starling_storage::Database;
 
 use crate::budget::{Budget, TruncationReason, Verdict};
 use crate::error::EngineError;
 use crate::observable::{stream_digest, ObservableEvent};
 use crate::ops::TupleOp;
-use crate::processor::{consider_fired_rule, rule_fires, EvalMode, StepOutcome};
+use crate::processor::{consider_fired_rule, execute_statement, rule_fires, EvalMode, StepOutcome};
 use crate::ruleset::{RuleId, RuleSet};
 use crate::state::ExecState;
 
@@ -440,15 +440,27 @@ impl ExecGraph {
     }
 }
 
-/// Applies user actions to a database, returning the resulting operations
-/// (the initial transition). The caller's `db` is mutated.
+/// Applies user actions to a database under the environment-default
+/// [`EvalMode`], returning the resulting operations (the initial
+/// transition). The caller's `db` is mutated.
 pub fn apply_user_actions(
     db: &mut Database,
     actions: &[Action],
 ) -> Result<Vec<TupleOp>, EngineError> {
+    apply_user_actions_with_mode(db, actions, EvalMode::default())
+}
+
+/// [`apply_user_actions`] with an explicit [`EvalMode`]: an exploration or
+/// verification under [`EvalMode::Interp`] runs its user transition in the
+/// interpreter too, sharing no plan code with the default.
+pub fn apply_user_actions_with_mode(
+    db: &mut Database,
+    actions: &[Action],
+    mode: EvalMode,
+) -> Result<Vec<TupleOp>, EngineError> {
     let mut ops = Vec::new();
     for a in actions {
-        match exec_action(a, db, None)? {
+        match execute_statement(a, None, db, None, mode)? {
             ActionOutcome::Effects(fx) => ops.extend(fx),
             ActionOutcome::Rows(_) => {}
             ActionOutcome::Rollback => {
@@ -486,7 +498,7 @@ pub fn explore_with_mode(
     mode: EvalMode,
 ) -> Result<ExecGraph, EngineError> {
     let mut db = base_db.clone();
-    let ops = apply_user_actions(&mut db, user_actions)?;
+    let ops = apply_user_actions_with_mode(&mut db, user_actions, mode)?;
     explore_impl(rules, base_db, db, &ops, cfg, false, mode, None)
 }
 
@@ -514,7 +526,7 @@ pub fn explore_traced_with_mode(
     mode: EvalMode,
 ) -> Result<(ExecGraph, DecisionLog), EngineError> {
     let mut db = base_db.clone();
-    let ops = apply_user_actions(&mut db, user_actions)?;
+    let ops = apply_user_actions_with_mode(&mut db, user_actions, mode)?;
     let mut log = DecisionLog::new();
     let graph = explore_impl(rules, base_db, db, &ops, cfg, false, mode, Some(&mut log))?;
     Ok((graph, log))

@@ -9,8 +9,10 @@
 
 use std::sync::OnceLock;
 
-use starling_sql::eval::{exec_action, ActionOutcome};
-use starling_sql::plan::{eval_condition, execute_action, PlanMode};
+use starling_sql::ast::Action;
+use starling_sql::eval::{exec_action, ActionOutcome, TransitionBinding};
+use starling_sql::plan::{compile_action, eval_condition, execute_action, ActionPlan, PlanMode};
+use starling_sql::SqlError;
 use starling_storage::Database;
 
 use crate::budget::{Budget, TruncationReason};
@@ -97,6 +99,36 @@ impl Default for EvalMode {
     fn default() -> Self {
         EvalMode::from_env()
     }
+}
+
+/// Executes one statement under `mode` — the engine's only statement
+/// executor, for user statements and rule actions alike, and the one place
+/// that chooses between compiled plans and the interpreter.
+///
+/// A rule action arrives with the `plan` its rule set compiled; a user
+/// statement arrives with `None` and is compiled here, each time it runs,
+/// outside any rule (so a transition-table reference compiles to an
+/// `Interp` node and fails in the interpreter as it always did). Under
+/// [`EvalMode::Interp`] nothing is compiled and no plan code runs.
+pub(crate) fn execute_statement(
+    action: &Action,
+    plan: Option<&ActionPlan>,
+    db: &mut Database,
+    transitions: Option<&TransitionBinding>,
+    mode: EvalMode,
+) -> Result<ActionOutcome, SqlError> {
+    if !mode.uses_plans() {
+        return exec_action(action, db, transitions);
+    }
+    let compiled;
+    let plan = match plan {
+        Some(plan) => plan,
+        None => {
+            compiled = compile_action(action, db.catalog(), None);
+            &compiled
+        }
+    };
+    execute_action(plan, db, transitions, mode.plan_mode())
 }
 
 /// Record of one rule consideration.
@@ -281,14 +313,8 @@ pub fn consider_fired_rule(
         ..StepOutcome::unfired()
     };
 
-    let use_plans = mode.uses_plans();
     for (action, plan) in rule.def.actions.iter().zip(&rule.plan.actions) {
-        let acted = if use_plans {
-            execute_action(plan, &mut state.db, Some(&binding), mode.plan_mode())?
-        } else {
-            exec_action(action, &mut state.db, Some(&binding))?
-        };
-        match acted {
+        match execute_statement(action, Some(plan), &mut state.db, Some(&binding), mode)? {
             ActionOutcome::Effects(fx) => {
                 // Every effect of one statement is the same kind of
                 // operation on the same table and columns.

@@ -9,7 +9,7 @@
 use std::sync::Arc;
 
 use starling_sql::ast::{Directive, Statement};
-use starling_sql::eval::{exec_action, ActionOutcome, ResultSet};
+use starling_sql::eval::{ActionOutcome, ResultSet};
 use starling_sql::parse_script;
 use starling_sql::validate::{validate_dml, validate_rule};
 use starling_storage::wal::{SyncPolicy, WalStore};
@@ -19,7 +19,7 @@ use crate::budget::Budget;
 use crate::durability::Durability;
 use crate::error::EngineError;
 use crate::ops::TupleOp;
-use crate::processor::{EvalMode, Outcome, Processor, RunResult};
+use crate::processor::{execute_statement, EvalMode, Outcome, Processor, RunResult};
 use crate::program::RuleProgram;
 use crate::ruleset::RuleSet;
 use crate::state::ExecState;
@@ -238,6 +238,12 @@ impl Session {
         &self.state.db
     }
 
+    /// The pending user transition: the effects of the open transaction's
+    /// statements, in execution order.
+    pub fn pending_ops(&self) -> &[TupleOp] {
+        &self.pending_ops
+    }
+
     /// Installs a storage fault plan on the session's database (robustness
     /// testing; see [`starling_storage::fault`]). Snapshots taken after
     /// installation share the plan's counters, so an already-fired fault
@@ -344,7 +350,8 @@ impl Session {
                 // may have partially mutated the database. Statement-level
                 // atomicity is transaction-level here: abort to the
                 // snapshot rather than expose a half-applied statement.
-                let outcome = match exec_action(action, &mut self.state.db, None) {
+                let db = &mut self.state.db;
+                let outcome = match execute_statement(action, None, db, None, self.eval_mode) {
                     Ok(o) => o,
                     Err(e) => {
                         self.rollback();

@@ -21,7 +21,7 @@
 //! non-commuting rule pair of the frontier.
 
 use starling_analysis::{noncommutativity_reasons, AnalysisContext, Certifications};
-use starling_engine::exec_graph::apply_user_actions;
+use starling_engine::exec_graph::apply_user_actions_with_mode;
 use starling_engine::{
     replay_rule_sequence, EngineError, EvalMode, ExecGraph, ExecState, RuleId, RuleSet,
 };
@@ -233,7 +233,7 @@ pub fn verify(
     mode: EvalMode,
 ) -> Result<bool, EngineError> {
     let mut db = base_db.clone();
-    let ops = apply_user_actions(&mut db, actions)?;
+    let ops = apply_user_actions_with_mode(&mut db, actions, mode)?;
     let replay = |branch: &[RuleId]| -> Result<u64, EngineError> {
         let mut st = ExecState::new(db.clone(), rules.len(), &ops);
         let seq: Vec<RuleId> = w.prefix.iter().chain(branch.iter()).copied().collect();

@@ -917,7 +917,7 @@ impl<'c> Compiler<'c> {
     /// Recognizes a pushed conjunct of the shape `this.col = probe` (or the
     /// mirror image) where `probe` is a column of an earlier source or an
     /// outer scope, and the two columns share a declared non-float
-    /// primitive type — the case where a structural hash index agrees with
+    /// primitive type — the case where a structural join index agrees with
     /// SQL equality (`NULL` build keys are skipped, `NULL` probes never
     /// match; a `Float` column may also store `Int` values, so floats are
     /// excluded).

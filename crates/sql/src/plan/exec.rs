@@ -12,9 +12,9 @@
 //! the compiler-classified `vpushed` conjuncts run as whole-column kernels
 //! ([`super::vector`]) that flip each chunk's selection-vector bits;
 //! enumeration then walks the chunks in order and only the set bits in
-//! each (ascending — scan order), hash joins probe each chunk's cached
-//! column index in the same order, and rows materialize back into `Row`s
-//! only at the DML / result-set boundary. Everything not vectorizable
+//! each (ascending — scan order), equality joins probe each chunk's cached
+//! sorted column index in the same order, and rows materialize back into
+//! `Row`s only at the DML / result-set boundary. Everything not vectorizable
 //! (residual conjuncts, transition tables, fallible filters, `Interp`
 //! nodes) executes exactly as in [`PlanMode::Row`].
 
@@ -151,7 +151,8 @@ fn exec_delete_plan(
     transitions: Option<&TransitionBinding>,
     mode: PlanMode,
 ) -> Result<ActionOutcome, SqlError> {
-    let victims = scan_matching(
+    // Ids only: `db.delete` hands back the old row itself.
+    let victims: Vec<TupleId> = scan_matching(
         db,
         transitions,
         &dp.meta,
@@ -159,9 +160,12 @@ fn exec_delete_plan(
         dp.pred_vec,
         dp.cache_slots,
         mode,
-    )?;
+    )?
+    .into_iter()
+    .map(|(id, _)| id)
+    .collect();
     let mut effects = Vec::with_capacity(victims.len());
-    for (id, _) in victims {
+    for id in victims {
         let old = db.delete(&dp.table, id)?;
         effects.push(TupleOp::Delete {
             table: dp.table.clone(),
@@ -179,47 +183,37 @@ fn exec_update_plan(
     mode: PlanMode,
 ) -> Result<ActionOutcome, SqlError> {
     // Phase 1: pick targets and compute new rows against the old state.
-    let targets = scan_matching(
-        db,
-        transitions,
-        &up.meta,
-        up.pred.as_ref(),
-        up.pred_vec,
-        up.cache_slots,
-        mode,
-    )?;
-    let mut planned: Vec<(TupleId, Row, Row)> = Vec::with_capacity(targets.len());
+    let mut planned: Vec<(TupleId, Row)> = Vec::new();
     {
+        let targets = scan_matching(
+            db,
+            transitions,
+            &up.meta,
+            up.pred.as_ref(),
+            up.pred_vec,
+            up.cache_slots,
+            mode,
+        )?;
+        planned.reserve(targets.len());
         let mut ex = Exec::new(&*db, transitions, up.cache_slots, mode);
-        let metas = std::slice::from_ref(&up.meta);
-        for (id, old) in &targets {
-            ex.scopes.push(Frame {
-                metas,
-                rows: vec![Some(Bound::Row(old))],
-            });
-            let mut new = old.clone();
-            let mut err = None;
+        ex.scopes.push(Frame {
+            metas: std::slice::from_ref(&up.meta),
+            rows: vec![None],
+        });
+        for (id, old) in targets {
+            ex.scopes[0].rows[0] = Some(old);
+            let mut new = old.to_row();
             for (idx, pe) in up.set_indices.iter().zip(&up.sets) {
-                match ex.eval(pe) {
-                    Ok(v) => new[*idx] = v,
-                    Err(e) => {
-                        err = Some(e);
-                        break;
-                    }
-                }
+                new[*idx] = ex.eval(pe)?;
             }
-            ex.scopes.pop();
-            if let Some(e) = err {
-                return Err(e);
-            }
-            planned.push((*id, old.clone(), new));
+            planned.push((id, new));
         }
     }
 
-    // Phase 2: apply.
+    // Phase 2: apply; `db.update` hands back the old row itself.
     let mut effects = Vec::with_capacity(planned.len());
-    for (id, old, new) in planned {
-        db.update(&up.table, id, new.clone())?;
+    for (id, new) in planned {
+        let old = db.update(&up.table, id, new.clone())?;
         effects.push(TupleOp::Update {
             table: up.table.clone(),
             id,
@@ -232,50 +226,48 @@ fn exec_update_plan(
 }
 
 /// Tuples of the scan table satisfying the compiled predicate, in id
-/// order (the interpreter's `matching_tuples`, minus the per-row clones —
-/// only matching rows are copied out).
+/// order (the interpreter's `matching_tuples`, minus the clones: a match is
+/// a borrowed binding, and no row is materialized here).
 ///
 /// With a vectorizable predicate in columnar mode, the whole scan is one
-/// kernel evaluation per cached chunk batch; victims materialize from each
+/// kernel evaluation per cached chunk batch; victims come from each
 /// selection's set bits, which are ascending within id-ordered chunks and
 /// therefore in id order like the row path.
-fn scan_matching(
-    db: &Database,
-    transitions: Option<&TransitionBinding>,
+fn scan_matching<'a>(
+    db: &'a Database,
+    transitions: Option<&'a TransitionBinding>,
     meta: &SourceMeta,
     pred: Option<&PExpr>,
     pred_vec: bool,
     cache_slots: usize,
     mode: PlanMode,
-) -> Result<Vec<(TupleId, Row)>, SqlError> {
+) -> Result<Vec<(TupleId, Bound<'a>)>, SqlError> {
     let tbl = db.table(&meta.table)?;
     let Some(p) = pred else {
-        return Ok(tbl.iter().map(|(id, r)| (id, r.clone())).collect());
+        return Ok(tbl.iter().map(|(id, r)| (id, Bound::Row(r))).collect());
     };
+    let mut out = Vec::new();
     if pred_vec && mode == PlanMode::Columnar {
-        let mut out = Vec::new();
         for batch in tbl.columnar().batches() {
             let sel = vector::eval_pred(p, batch)?;
             out.extend(
                 sel.t
                     .iter_ones()
-                    .map(|pos| (batch.ids()[pos], batch.row(pos))),
+                    .map(|pos| (batch.ids()[pos], Bound::Batch(batch, pos as u32))),
             );
         }
         return Ok(out);
     }
+    // One frame for the whole scan, rebound row by row.
     let mut ex = Exec::new(db, transitions, cache_slots, mode);
-    let metas = std::slice::from_ref(meta);
-    let mut out = Vec::new();
+    ex.scopes.push(Frame {
+        metas: std::slice::from_ref(meta),
+        rows: vec![None],
+    });
     for (id, row) in tbl.iter() {
-        ex.scopes.push(Frame {
-            metas,
-            rows: vec![Some(Bound::Row(row))],
-        });
-        let v = ex.eval_bool_p(p);
-        ex.scopes.pop();
-        if is_true(&v?) {
-            out.push((id, row.clone()));
+        ex.scopes[0].rows[0] = Some(Bound::Row(row));
+        if is_true(&ex.eval_bool_p(p)?) {
+            out.push((id, Bound::Row(row)));
         }
     }
     Ok(out)
@@ -750,10 +742,7 @@ impl<'a, 'p> Exec<'a, 'p> {
                     // are ascending positions, so matches keep scan order;
                     // each is filtered through its chunk's selection.
                     for (batch, sel) in chunks {
-                        let Some(hits) = batch.hash_index(jk.build_col).get(&probe) else {
-                            continue;
-                        };
-                        for &pos in hits {
+                        for &pos in batch.probe(jk.build_col, &probe) {
                             if sel.as_ref().is_none_or(|s| s.get(pos as usize))
                                 && self.bind_and_descend(
                                     cs,

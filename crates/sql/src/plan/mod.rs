@@ -13,7 +13,7 @@
 //! * single-table predicates pushed into the owning scan ([`SourcePlan::
 //!   pushed`]), with conjuncts free of local references hoisted out of the
 //!   enumeration entirely ([`CompiledSelect::pre`]);
-//! * equality joins executed by hash lookup ([`JoinKey`]) instead of
+//! * equality joins executed by index lookup ([`JoinKey`]) instead of
 //!   nested-loop cross product;
 //! * execution over *borrowed* rows from storage (no per-source table
 //!   copies, no per-row binding clones); and
@@ -59,10 +59,10 @@ pub enum PlanMode {
     /// Batch-oriented: base-table scans borrow the table's cached columnar
     /// view (one batch per storage chunk), vectorizable conjuncts
     /// ([`SourcePlan::vpushed`]) run as whole-column kernels flipping
-    /// selection-vector bits, and hash joins probe each chunk's cached
-    /// column index. Non-vectorizable units
-    /// (residual conjuncts, transition-table scans, `Interp` fallbacks)
-    /// execute exactly as in `Row` mode, at statement granularity.
+    /// selection-vector bits, and equality joins probe each chunk's cached
+    /// sorted column index. Non-vectorizable units (residual conjuncts,
+    /// transition-table scans, `Interp` fallbacks) execute exactly as in
+    /// `Row` mode, at statement granularity.
     Columnar,
 }
 
@@ -101,7 +101,7 @@ pub enum SourceRef {
 
 /// An equality-join key: rows of this source are indexed by `build_col`
 /// and probed with `probe` (which only references earlier sources and
-/// outer scopes), replacing the nested-loop scan with a hash lookup.
+/// outer scopes), replacing the nested-loop scan with an index lookup.
 ///
 /// Only emitted when the build column's declared type and the probe's
 /// static type are the same non-float primitive, so the index's structural
@@ -131,7 +131,7 @@ pub struct SourcePlan {
     /// checked per row exactly like `pushed`. Order between `vpushed` and
     /// `pushed` is immaterial: both sets are statically infallible.
     pub vpushed: Vec<PExpr>,
-    /// Optional hash-join key for this source.
+    /// Optional equality-join key for this source.
     pub join: Option<JoinKey>,
 }
 

@@ -10,18 +10,23 @@
 //! vector kernels against the cached batches of the rest
 //! ([`crate::table::Columnar`] lists them in scan order).
 //!
-//! The batch also lazily caches one hash index per column
-//! (`Value → positions`), used by the plan layer's hash joins. Positions in
-//! a hit list are ascending and chunks are id-ordered, so probing the
-//! chunks' indexes in turn yields matches in scan order — the same order a
+//! The batch also lazily caches one join index per column, used by the
+//! plan layer's equality joins: the chunk's non-NULL positions sorted by
+//! (column value, position) — one `Vec<u32>`, one sort, no per-key
+//! allocation. A probe ([`TableBatch::probe`]) is a range check against the
+//! first and last key, then two binary searches. The run of positions under
+//! one key is ascending and chunks are id-ordered, so probing the chunks'
+//! indexes in turn yields matches in scan order — the same order a
 //! nested-loop scan would produce, which keeps execution-graph output
-//! byte-identical with the row path. NULL keys are not indexed (SQL
-//! equality with NULL never matches).
+//! byte-identical with the row path. NULL slots are not indexed (SQL
+//! equality with NULL never matches): the *validity* bitmap decides, since
+//! a NULL slot's data is a placeholder (`0`, `""`, `false`) that must not
+//! be mistaken for a key.
 
-use std::collections::HashMap;
+use std::cmp::Ordering;
 use std::sync::OnceLock;
 
-use crate::column::Column;
+use crate::column::{Column, ColumnData};
 use crate::schema::TableSchema;
 use crate::tuple::{Row, Tuple, TupleId};
 use crate::value::Value;
@@ -33,10 +38,10 @@ pub struct TableBatch {
     ids: Vec<TupleId>,
     columns: Vec<Column>,
     len: usize,
-    /// Lazily built per-column value indexes for hash joins. `OnceLock` so
-    /// concurrent explorers (scoped threads in `explore_parallel`) can race
-    /// to build them safely.
-    indexes: Vec<OnceLock<HashMap<Value, Vec<u32>>>>,
+    /// Lazily built per-column join indexes: the non-NULL positions sorted
+    /// by (value, position). `OnceLock` so concurrent explorers (scoped
+    /// threads in `explore_parallel`) can race to build them safely.
+    indexes: Vec<OnceLock<Vec<u32>>>,
 }
 
 impl TableBatch {
@@ -101,25 +106,65 @@ impl TableBatch {
         self.columns.iter().map(|c| c.value(pos)).collect()
     }
 
-    /// The hash index for `col`: non-NULL value → ascending positions.
-    /// Built on first use and cached for the lifetime of this chunk
-    /// version. Keys use structural equality, which coincides with SQL
-    /// equality only when probe values share the column's non-float
-    /// declared type — the same restriction the plan layer's `JoinKey`
-    /// already enforces.
-    pub fn hash_index(&self, col: usize) -> &HashMap<Value, Vec<u32>> {
+    /// The join index for `col`: the non-NULL positions sorted by (value,
+    /// position). Built on first use and cached for the lifetime of this
+    /// chunk version. Values compare straight on the typed column data; no
+    /// [`Value`] is materialized.
+    pub(crate) fn index(&self, col: usize) -> &[u32] {
         self.indexes[col].get_or_init(|| {
             let c = &self.columns[col];
-            let mut map: HashMap<Value, Vec<u32>> = HashMap::new();
-            for pos in 0..self.len {
-                if !c.is_null(pos) {
-                    // In range: `build` bounds `len` by `u32::MAX`.
-                    map.entry(c.value(pos)).or_default().push(pos as u32);
+            let mut order = Vec::with_capacity(c.validity.count_ones());
+            // In range: `build` bounds `len` by `u32::MAX`.
+            order.extend(c.validity.iter_ones().map(|p| p as u32));
+            match &c.data {
+                ColumnData::Int(v) => sort_by_value(&mut order, v),
+                ColumnData::Str(v) => sort_by_value(&mut order, v),
+                ColumnData::Mixed(v) => sort_by_value(&mut order, v),
+                ColumnData::Bool(bits) => {
+                    order.sort_unstable_by_key(|&p| (bits.get(p as usize), p));
                 }
             }
-            map
+            order
         })
     }
+
+    /// The positions whose `col` value equals `key`, ascending; empty for a
+    /// `NULL` key or a key of another variant than the column stores. Keys
+    /// use structural equality, which coincides with SQL equality only when
+    /// probe values share the column's non-float declared type — the same
+    /// restriction the plan layer's `JoinKey` already enforces.
+    pub fn probe(&self, col: usize, key: &Value) -> &[u32] {
+        let order = self.index(col);
+        match (&self.columns[col].data, key) {
+            (ColumnData::Int(v), Value::Int(k)) => equal_run(order, |p| v[p].cmp(k)),
+            (ColumnData::Bool(bits), Value::Bool(k)) => equal_run(order, |p| bits.get(p).cmp(k)),
+            (ColumnData::Str(v), Value::Str(k)) => equal_run(order, |p| v[p].as_str().cmp(k)),
+            // `NULL` ranks below every stored value, so it falls out of range.
+            (ColumnData::Mixed(v), k) => equal_run(order, |p| v[p].cmp(k)),
+            _ => &[],
+        }
+    }
+}
+
+/// Sorts positions by (value at the position, position).
+fn sort_by_value<T: Ord>(order: &mut [u32], values: &[T]) {
+    order.sort_unstable_by(|&a, &b| values[a as usize].cmp(&values[b as usize]).then(a.cmp(&b)));
+}
+
+/// The run of `order` (positions sorted by value) on which `cmp` — the
+/// stored value at a position against the probe key — is `Equal`. A chunk
+/// of an id-clustered table holds a narrow key range, so most probes of a
+/// many-chunk table end at the first/last check without a search.
+fn equal_run(order: &[u32], cmp: impl Fn(usize) -> Ordering) -> &[u32] {
+    let (Some(&first), Some(&last)) = (order.first(), order.last()) else {
+        return &[];
+    };
+    if cmp(first as usize) == Ordering::Greater || cmp(last as usize) == Ordering::Less {
+        return &[];
+    }
+    let lo = order.partition_point(|&p| cmp(p as usize) == Ordering::Less);
+    let run = &order[lo..];
+    &run[..run.partition_point(|&p| cmp(p as usize) == Ordering::Equal)]
 }
 
 #[cfg(test)]
@@ -161,11 +206,53 @@ mod tests {
     #[test]
     fn index_skips_nulls_and_orders_hits() {
         let b = TableBatch::build(&schema(), &tuples());
-        let idx = b.hash_index(0);
-        assert_eq!(idx.len(), 1);
-        assert_eq!(idx.get(&Value::Int(10)), Some(&vec![0u32, 2]));
-        assert!(!idx.contains_key(&Value::Null));
-        // Second call returns the cached map.
-        assert!(std::ptr::eq(idx, b.hash_index(0)));
+        assert_eq!(b.index(0), &[0u32, 2]);
+        assert_eq!(b.probe(0, &Value::Int(10)), &[0u32, 2]);
+        // The NULL slot's placeholder (0) is not a key; NULL matches nothing.
+        assert!(b.probe(0, &Value::Int(0)).is_empty());
+        assert!(b.probe(0, &Value::Null).is_empty());
+        // A key of another variant is an empty run, not a panic.
+        assert!(b.probe(0, &Value::Str("10".into())).is_empty());
+        assert!(b.probe(1, &Value::Int(10)).is_empty());
+        assert_eq!(b.probe(1, &Value::Str("y".into())), &[1u32]);
+        assert!(b.probe(1, &Value::Str(String::new())).is_empty());
+        // Second call returns the cached index.
+        assert!(std::ptr::eq(b.index(0), b.index(0)));
+    }
+
+    /// A one-column batch of `a` values, ids 1, 2, ….
+    fn ints(values: &[Value]) -> TableBatch {
+        let tuples: Vec<Tuple> = values
+            .iter()
+            .zip(1..)
+            .map(|(v, id)| Tuple::new(TupleId(id), vec![v.clone(), Value::Null]))
+            .collect();
+        TableBatch::build(&schema(), &tuples)
+    }
+
+    #[test]
+    fn index_of_an_all_null_column_is_empty() {
+        let b = ints(&[Value::Null, Value::Null, Value::Null]);
+        assert!(b.index(0).is_empty());
+        for key in [Value::Int(0), Value::Null, Value::Bool(false)] {
+            assert!(b.probe(0, &key).is_empty());
+        }
+    }
+
+    #[test]
+    fn index_of_a_one_row_chunk() {
+        let b = ints(&[Value::Int(7)]);
+        assert_eq!(b.probe(0, &Value::Int(7)), &[0u32]);
+        for miss in [6, 8, i64::MIN, i64::MAX] {
+            assert!(b.probe(0, &Value::Int(miss)).is_empty());
+        }
+    }
+
+    #[test]
+    fn index_of_an_all_equal_column_is_the_scan_order() {
+        let b = ints(&vec![Value::Int(-3); 5]);
+        assert_eq!(b.probe(0, &Value::Int(-3)), &[0u32, 1, 2, 3, 4]);
+        assert!(b.probe(0, &Value::Int(-4)).is_empty());
+        assert!(b.probe(0, &Value::Int(-2)).is_empty());
     }
 }

@@ -2,7 +2,7 @@
 //! batch derived from them — the unit of sharing between table versions
 //! (see [`crate::table`]). A chunk is immutable while more than one version
 //! holds its `Arc`, so every such version sees these tuples and shares the
-//! batch (and, inside it, the per-column hash indexes) built from them on
+//! batch (and, inside it, the per-column join indexes) built from them on
 //! first use. The tuples can only be written through [`Chunk::tuples_mut`],
 //! which drops the batch first, so a batch never outlives its tuples.
 

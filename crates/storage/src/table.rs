@@ -16,7 +16,7 @@ use crate::value::Value;
 /// re-flattens. Ids are allocated monotonically, so chunks fill up and stay
 /// full; 512 / 1 024 / 4 096 were measured (CHANGES.md, PR 16).
 const CHUNK_ROWS: usize = 1024;
-// Chunk-local positions are stored as `u32` in the batch's hash indexes.
+// Chunk-local positions are stored as `u32` in the batch's join indexes.
 const _: () = assert!(CHUNK_ROWS <= u32::MAX as usize);
 
 /// One version of a table's contents, shared by every handle cloned from
@@ -80,7 +80,7 @@ impl TableCore {
 /// chunks behind `Arc`s under one `Arc`ed root: snapshots are refcount
 /// bumps, and a write copies the root's pointer vector and the chunk it
 /// lands in (copy-on-write), so consecutive versions share everything else
-/// — rows, columnar batches and hash indexes alike.
+/// — rows, columnar batches and join indexes alike.
 #[derive(Clone, Debug)]
 pub struct Table {
     schema: Arc<TableSchema>,
@@ -234,7 +234,14 @@ impl Table {
                 (ci, pos) = (ci + 1, pos - half);
             }
         }
-        core.chunk_mut(ci).insert(pos, Tuple::new(id, row));
+        let tuples = core.chunk_mut(ci);
+        tuples.insert(pos, Tuple::new(id, row));
+        if tuples.len() == CHUNK_ROWS {
+            // Full chunks are what a table mostly consists of and never
+            // grow again: give back what doubling (from a copy-on-write
+            // clone's exact capacity) left over, up to a chunk's worth.
+            tuples.shrink_to_fit();
+        }
         Ok(())
     }
 
@@ -436,12 +443,12 @@ impl<'a> Columnar<'a> {
             .map(|c| c.built_batch().expect("built by Table::columnar"))
     }
 
-    /// Builds column `col`'s hash index in every chunk that lacks it — what
+    /// Builds column `col`'s join index in every chunk that lacks it — what
     /// the first join probe on `col` would otherwise pay. Probes then go
-    /// through each batch's [`TableBatch::hash_index`].
+    /// through each batch's [`TableBatch::probe`].
     pub fn hash_index(self, col: usize) {
         for b in self.batches() {
-            b.hash_index(col);
+            b.index(col);
         }
     }
 }

@@ -50,7 +50,7 @@
 //! exercised by the crash-point harness, not just by unit tests.
 
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{BufReader, ErrorKind, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -168,6 +168,7 @@ impl CommitDelta {
             let name = table.name();
             match base.table(name) {
                 Err(_) => {
+                    ops.reserve(table.len());
                     for (id, row) in table.iter() {
                         ops.push(RowOp::Insert {
                             table: name.to_owned(),
@@ -206,20 +207,21 @@ impl CommitDelta {
         }
     }
 
-    /// Applies the delta to `db` and verifies the resulting digest against
-    /// the logged post-state digest.
-    pub fn apply(&self, db: &mut Database) -> Result<(), StorageError> {
-        for schema in &self.created {
-            db.create_table(schema.clone())?;
+    /// Applies the delta to `db` — its rows move in, they are not copied —
+    /// and verifies the resulting digest against the logged post-state
+    /// digest.
+    pub fn apply(self, db: &mut Database) -> Result<(), StorageError> {
+        for schema in self.created {
+            db.create_table(schema)?;
         }
-        for op in &self.ops {
+        for op in self.ops {
             match op {
-                RowOp::Insert { table, id, row } => db.insert_with_id(table, *id, row.clone())?,
+                RowOp::Insert { table, id, row } => db.insert_with_id(&table, id, row)?,
                 RowOp::Update { table, id, row } => {
-                    db.update(table, *id, row.clone())?;
+                    db.update(&table, id, row)?;
                 }
                 RowOp::Delete { table, id } => {
-                    db.delete(table, *id)?;
+                    db.delete(&table, id)?;
                 }
             }
         }
@@ -330,7 +332,7 @@ impl WalStore {
         let mut pos = WAL_MAGIC.len();
         let mut records_applied = 0usize;
         while let Some((payload, end)) = next_frame(&bytes, pos) {
-            let delta = decode_delta(payload)?;
+            let mut delta = decode_delta(payload)?;
             if delta.seq > last_seq {
                 if delta.seq != last_seq + 1 {
                     return Err(StorageError::Wal(format!(
@@ -339,11 +341,11 @@ impl WalStore {
                         delta.seq
                     )));
                 }
-                delta.apply(&mut db)?;
-                if let Some(text) = &delta.rules {
-                    rules_text = text.clone();
-                }
                 last_seq = delta.seq;
+                if let Some(text) = delta.rules.take() {
+                    rules_text = text;
+                }
+                delta.apply(&mut db)?;
                 records_applied += 1;
             }
             // Records with seq <= snapshot last_seq were covered by the
@@ -430,11 +432,15 @@ impl WalStore {
     /// if the process dies first).
     pub fn append_commit(&mut self, delta: &mut CommitDelta) -> Result<(), StorageError> {
         delta.seq = self.next_seq;
-        let payload = encode_delta(delta);
-        let mut frame = Vec::with_capacity(12 + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&checksum(&payload).to_le_bytes());
-        frame.extend_from_slice(&payload);
+        // The payload is encoded behind room for its header, so the frame
+        // of a large commit (a first image) is built once, not copied.
+        let mut e = Enc::new();
+        e.buf.resize(FRAME_HEADER, 0);
+        encode_delta(delta, &mut e);
+        let mut frame = e.buf;
+        let (len, sum) = (frame.len() - FRAME_HEADER, checksum(&frame[FRAME_HEADER..]));
+        frame[..4].copy_from_slice(&(len as u32).to_le_bytes());
+        frame[4..FRAME_HEADER].copy_from_slice(&sum.to_le_bytes());
 
         if let Err(e) = self.check_fault(FaultOpKind::WalAppend, WAL_TABLE) {
             // Simulate a crash mid-append: half the frame reaches the disk.
@@ -510,12 +516,11 @@ impl WalStore {
         // Unsynced batched appends must be on disk before the log shrinks.
         self.sync_now()?;
         let last_seq = self.next_seq - 1;
-        let bytes = encode_snapshot(db, rules_text, last_seq);
         let tmp = self.dir.join(SNAP_TMP);
         let snap = self.dir.join(SNAP_FILE);
         {
             let mut f = File::create(&tmp).map_err(|e| wal_err("create snapshot.tmp", &e))?;
-            f.write_all(&bytes)
+            write_snapshot(&mut f, db, rules_text, last_seq)
                 .map_err(|e| wal_err("write snapshot", &e))?;
             f.sync_data().map_err(|e| wal_err("fsync snapshot", &e))?;
         }
@@ -542,6 +547,9 @@ fn wal_err(op: &str, e: &std::io::Error) -> StorageError {
     StorageError::Wal(format!("{op}: {e}"))
 }
 
+/// Bytes of a frame before its payload: `u32` length, `u64` checksum.
+const FRAME_HEADER: usize = 12;
+
 fn checksum(payload: &[u8]) -> u64 {
     let mut h = Fnv64::new();
     h.write(payload);
@@ -553,19 +561,19 @@ fn checksum(payload: &[u8]) -> u64 {
 /// claims, or the length is out of range.
 fn frame_at(bytes: &[u8], pos: usize) -> Option<(&[u8], u64, usize)> {
     let rest = &bytes[pos..];
-    if rest.len() < 12 {
+    if rest.len() < FRAME_HEADER {
         return None;
     }
     let len = u32::from_le_bytes(rest[..4].try_into().unwrap());
     if len > MAX_RECORD_BYTES {
         return None;
     }
-    let sum = u64::from_le_bytes(rest[4..12].try_into().unwrap());
-    let end = 12usize.checked_add(len as usize)?;
+    let sum = u64::from_le_bytes(rest[4..FRAME_HEADER].try_into().unwrap());
+    let end = FRAME_HEADER.checked_add(len as usize)?;
     if rest.len() < end {
         return None;
     }
-    Some((&rest[12..end], sum, pos + end))
+    Some((&rest[FRAME_HEADER..end], sum, pos + end))
 }
 
 /// Extracts the frame starting at `pos`, returning `(payload, end)` or
@@ -651,48 +659,66 @@ impl Enc {
     }
 }
 
-struct Dec<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+/// Decoder over the next `left` bytes of a source: a record payload
+/// (`&[u8]`), or a snapshot file read a buffer's worth at a time.
+struct Dec<R> {
+    src: R,
+    left: u64,
 }
 
-impl<'a> Dec<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Dec { bytes, pos: 0 }
+impl<R: Read> Dec<R> {
+    fn new(src: R, len: u64) -> Self {
+        Dec { src, left: len }
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], StorageError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.bytes.len())
-            .ok_or_else(|| StorageError::Wal("truncated record payload".into()))?;
-        let s = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(s)
+    fn truncated() -> StorageError {
+        StorageError::Wal("truncated record payload".into())
+    }
+
+    /// Fills `buf` with the next bytes of the input.
+    fn fill(&mut self, buf: &mut [u8]) -> Result<(), StorageError> {
+        self.left = self
+            .left
+            .checked_sub(buf.len() as u64)
+            .ok_or_else(Self::truncated)?;
+        self.src.read_exact(buf).map_err(|e| match e.kind() {
+            ErrorKind::UnexpectedEof => Self::truncated(),
+            _ => wal_err("read", &e),
+        })
+    }
+
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], StorageError> {
+        let mut bytes = [0; N];
+        self.fill(&mut bytes)?;
+        Ok(bytes)
     }
 
     fn done(&self) -> bool {
-        self.pos == self.bytes.len()
+        self.left == 0
     }
 
     fn u8(&mut self) -> Result<u8, StorageError> {
-        Ok(self.take(1)?[0])
+        Ok(self.array::<1>()?[0])
     }
 
     fn u32(&mut self) -> Result<u32, StorageError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+        Ok(u32::from_le_bytes(self.array()?))
     }
 
     fn u64(&mut self) -> Result<u64, StorageError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        Ok(u64::from_le_bytes(self.array()?))
     }
 
     fn str(&mut self) -> Result<String, StorageError> {
         let n = self.u32()? as usize;
-        let bytes = self.take(n)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| StorageError::Wal("invalid UTF-8 in record".into()))
+        // Checked against what is left of the input before allocating: a
+        // corrupt length cannot ask for gigabytes.
+        if n as u64 > self.left {
+            return Err(Self::truncated());
+        }
+        let mut bytes = vec![0; n];
+        self.fill(&mut bytes)?;
+        String::from_utf8(bytes).map_err(|_| StorageError::Wal("invalid UTF-8 in record".into()))
     }
 
     fn value(&mut self) -> Result<Value, StorageError> {
@@ -742,8 +768,8 @@ impl<'a> Dec<'a> {
 /// Record-kind tag (single kind today; the byte keeps the format open).
 const TAG_COMMIT: u8 = 1;
 
-fn encode_delta(delta: &CommitDelta) -> Vec<u8> {
-    let mut e = Enc::new();
+/// Appends `delta`'s record payload to `e`.
+fn encode_delta(delta: &CommitDelta, e: &mut Enc) {
     e.u8(TAG_COMMIT);
     e.u64(delta.seq);
     e.u32(delta.created.len() as u32);
@@ -781,11 +807,10 @@ fn encode_delta(delta: &CommitDelta) -> Vec<u8> {
     }
     e.u64(delta.next_tuple_id);
     e.u64(delta.post_digest);
-    e.buf
 }
 
 fn decode_delta(payload: &[u8]) -> Result<CommitDelta, StorageError> {
-    let mut d = Dec::new(payload);
+    let mut d = Dec::new(payload, payload.len() as u64);
     let tag = d.u8()?;
     if tag != TAG_COMMIT {
         return Err(StorageError::Wal(format!("unknown record tag {tag}")));
@@ -797,7 +822,10 @@ fn decode_delta(payload: &[u8]) -> Result<CommitDelta, StorageError> {
         created.push(d.schema()?);
     }
     let n = d.u32()? as usize;
-    let mut ops = Vec::with_capacity(n.min(1024));
+    // An op is at least `MIN_OP_BYTES` long, which bounds what a corrupt
+    // count can reserve by the payload that is actually there.
+    const MIN_OP_BYTES: usize = 1 + 4 + 8;
+    let mut ops = Vec::with_capacity(n.min(payload.len() / MIN_OP_BYTES));
     for _ in 0..n {
         let kind = d.u8()?;
         let table = d.str()?;
@@ -837,7 +865,15 @@ fn decode_delta(payload: &[u8]) -> Result<CommitDelta, StorageError> {
     })
 }
 
-fn encode_snapshot(db: &Database, rules_text: &str, last_seq: u64) -> Vec<u8> {
+/// Encodes a snapshot of `db` into `out`, a buffer's worth at a time: the
+/// image of a large database is never held in memory whole.
+fn write_snapshot(
+    out: &mut impl Write,
+    db: &Database,
+    rules_text: &str,
+    last_seq: u64,
+) -> std::io::Result<()> {
+    const FLUSH_AT: usize = 1 << 16;
     let mut e = Enc::new();
     e.buf.extend_from_slice(SNAP_MAGIC);
     e.u32(1); // format version
@@ -853,26 +889,36 @@ fn encode_snapshot(db: &Database, rules_text: &str, last_seq: u64) -> Vec<u8> {
         for (id, row) in t.iter() {
             e.u64(id.0);
             e.row(row);
+            if e.buf.len() >= FLUSH_AT {
+                out.write_all(&e.buf)?;
+                e.buf.clear();
+            }
         }
     }
-    e.buf
+    out.write_all(&e.buf)
 }
 
 /// Loads and verifies `snapshot.bin`, returning `(db, rules_text,
 /// last_seq)`, or `None` when the file does not exist.
 fn read_snapshot(path: &Path) -> Result<Option<(Database, String, u64)>, StorageError> {
-    let bytes = match std::fs::read(path) {
-        Ok(b) => b,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(wal_err("read snapshot.bin", &e)),
+    let file = match File::open(path) {
+        Ok(f) => f,
+        Err(e) if e.kind() == ErrorKind::NotFound => return Ok(None),
+        Err(e) => return Err(wal_err("open snapshot.bin", &e)),
     };
-    if bytes.len() < SNAP_MAGIC.len() || !bytes.starts_with(SNAP_MAGIC) {
+    let len = file
+        .metadata()
+        .map_err(|e| wal_err("stat snapshot.bin", &e))?
+        .len();
+    // Decoded as it is read: the image of a large database is never held
+    // in memory beside the database built from it.
+    let mut d = Dec::new(BufReader::with_capacity(1 << 16, file), len);
+    if d.array::<{ SNAP_MAGIC.len() }>().ok().as_ref() != Some(SNAP_MAGIC) {
         return Err(StorageError::Wal(format!(
             "{} is not a starling snapshot (bad magic)",
             path.display()
         )));
     }
-    let mut d = Dec::new(&bytes[SNAP_MAGIC.len()..]);
     let version = d.u32()?;
     if version != 1 {
         return Err(StorageError::Wal(format!(
@@ -971,11 +1017,13 @@ mod tests {
         assert_eq!(delta.created.len(), 1);
         assert_eq!(delta.ops.len(), 4);
         let mut rebuilt = base.clone();
-        delta.apply(&mut rebuilt).unwrap();
+        delta.clone().apply(&mut rebuilt).unwrap();
         assert_eq!(rebuilt, post);
 
         // Codec round-trip preserves the delta exactly.
-        let decoded = decode_delta(&encode_delta(&delta)).unwrap();
+        let mut e = Enc::new();
+        encode_delta(&delta, &mut e);
+        let decoded = decode_delta(&e.buf).unwrap();
         assert_eq!(decoded, delta);
     }
 
@@ -1217,11 +1265,10 @@ mod tests {
             let (mut store, _) = WalStore::open(&dir, SyncPolicy::Always).unwrap();
             let mut delta = CommitDelta::diff(&base, &mid);
             delta.post_digest ^= 1; // forged digest, checksum still valid
-            let payload = encode_delta(&{
-                let mut d = delta.clone();
-                d.seq = 1;
-                d
-            });
+            delta.seq = 1;
+            let mut e = Enc::new();
+            encode_delta(&delta, &mut e);
+            let payload = e.buf;
             let mut frame = Vec::new();
             frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
             frame.extend_from_slice(&checksum(&payload).to_le_bytes());
@@ -1265,6 +1312,45 @@ mod tests {
             WalStore::open(&dir, SyncPolicy::Always),
             Err(StorageError::Wal(_))
         ));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn damaged_snapshots_are_rejected_and_a_large_one_round_trips() {
+        let dir = tmpdir("snapdamage");
+        // Larger than the write and read buffers, with a string per row.
+        let mut db = sample_db();
+        for i in 0..20_000 {
+            db.insert("t", vec![Value::Int(i), Value::from("some text")])
+                .unwrap();
+        }
+        {
+            let (mut store, _) = WalStore::open(&dir, SyncPolicy::Always).unwrap();
+            store.snapshot(&db, "rules").unwrap();
+        }
+        let (_, rec) = WalStore::open(&dir, SyncPolicy::Always).unwrap();
+        assert!(rec.snapshot_loaded && rec.db == db && rec.rules_text == "rules");
+
+        let snap = dir.join(SNAP_FILE);
+        let good = std::fs::read(&snap).unwrap();
+        assert!(good.len() > 1 << 17);
+        let mut long_string = good.clone();
+        // The rules text's length prefix: magic, version, seq, digest, next id.
+        long_string[36..40].copy_from_slice(&u32::MAX.to_le_bytes());
+        let damaged: [&[u8]; 5] = [
+            &good[..good.len() - 1],
+            &good[..good.len() / 2],
+            &good[..4],
+            &[&good[..], b"x"].concat(),
+            &long_string,
+        ];
+        for bytes in damaged {
+            std::fs::write(&snap, bytes).unwrap();
+            assert!(matches!(
+                WalStore::open(&dir, SyncPolicy::Always),
+                Err(StorageError::Wal(_))
+            ));
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -165,15 +165,16 @@ exec 3>&- 3<&-
 echo "pipelined client killed mid-request-line"
 
 # The dead session's store claim is released when the server reaps the
-# connection; retry the reattach until it lands.
+# connection; retry the reattach until it lands. An attempt that finds the
+# store still claimed must leave the server up for the next one, so the
+# shutdown is sent only once the reattach has landed.
 REATTACHED=""
 for _ in $(seq 1 100); do
   REATTACHED=$("$BIN" client --addr "$ADDR4" <<'EOF' || true
 {"id":1,"op":"load","persist":"smoke"}
 {"id":2,"op":"digest"}
 {"id":3,"op":"ping"}
-{"id":4,"op":"shutdown"}
-{"id":5,"op":"quit"}
+{"id":4,"op":"quit"}
 EOF
 )
   echo "$REATTACHED" | grep -q '"id":1,"ok":true' && break
@@ -183,7 +184,11 @@ echo "$REATTACHED"
 echo "$REATTACHED" | grep -q '"id":1,"ok":true'
 echo "$REATTACHED" | grep -q '"id":2,"ok":true'
 echo "$REATTACHED" | grep -q '"id":3,"ok":true,"result":{"pong":true}'
-echo "$REATTACHED" | grep -q '"id":5,"ok":true,"result":{"bye":true}'
+echo "$REATTACHED" | grep -q '"id":4,"ok":true,"result":{"bye":true}'
+"$BIN" client --addr "$ADDR4" <<'EOF'
+{"id":5,"op":"shutdown"}
+{"id":6,"op":"quit"}
+EOF
 for _ in $(seq 1 100); do
   kill -0 "$SERVER2_PID" 2>/dev/null || break
   sleep 0.1

@@ -15,12 +15,21 @@
 //! 3. **Execution graphs** — full oracle exploration with `EvalMode::Plan`
 //!    vs `EvalMode::Interp` must yield identical graphs (the mode is an
 //!    explicit per-exploration parameter, so both paths run in one process
-//!    without any global switch).
+//!    without any global switch) — the user transition included, which
+//!    runs under the exploration's mode like every rule action.
+//! 4. **User statements** — seeded-random scripts through
+//!    `Session::execute_script` on a `Columnar`, a `Plan` and an `Interp`
+//!    session over one multi-chunk database: same outputs, same pending
+//!    transition, same committed state; a failing script fails in all three
+//!    and leaves all three at the snapshot. (That an `Interp` session runs
+//!    no plan code is shown as an allocation count by `tests/stmt_alloc.rs`.)
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use starling::engine::{explore_with_mode, EvalMode, ExploreConfig, RuleSet};
+use starling::engine::{
+    explore_with_mode, EvalMode, ExploreConfig, FirstEligible, Outcome, RuleSet, Session,
+};
 use starling::sql::ast::{
     Action, BinOp, ColumnRef, Expr, FromItem, InsertSource, InsertStmt, OrderItem, SelectItem,
     SelectStmt, Statement, TableRef, UpdateStmt,
@@ -703,4 +712,179 @@ fn exploration_graphs_agree_with_forced_interp() {
         let with_interp = graph_fingerprint(rules, db, actions, &cfg, EvalMode::Interp, name);
         assert_eq!(with_plans, with_interp, "{name}: graphs diverge");
     }
+}
+
+// ---------------------------------------------------------------------------
+// User statements: one executor, three modes.
+// ---------------------------------------------------------------------------
+
+const MODES: [EvalMode; 3] = [EvalMode::Columnar, EvalMode::Plan, EvalMode::Interp];
+
+/// `acct(id, bal, tag)` with `rows` rows (ids 0.., several storage chunks
+/// from 1 025 rows up), an empty `log(id, bal)`, and two unordered rules on
+/// `acct` — so a commit has a transition to process, and an exploration a
+/// choice to make.
+fn accounts(rows: i64) -> Session {
+    let mut s = Session::new();
+    s.execute_script(
+        "create table acct (id int, bal int null, tag varchar null);
+         create table log (id int, bal int null);
+         create rule flag on acct when inserted, updated(bal) \
+           if exists (select * from acct where bal > 900 and tag is null) \
+           then update acct set tag = 'high' where bal > 900 and tag is null end;
+         create rule audit on acct when updated(bal) \
+           then insert into log select id, bal from new_updated where bal > 500 end;",
+    )
+    .unwrap();
+    let mut state = s.state();
+    for id in 0..rows {
+        let bal = if id % 7 == 0 {
+            Value::Null
+        } else {
+            Value::Int(id % 1000)
+        };
+        let tag = if id % 3 == 0 {
+            Value::Null
+        } else {
+            Value::str("t")
+        };
+        state
+            .db
+            .insert("acct", vec![Value::Int(id), bal, tag])
+            .unwrap();
+    }
+    s.reset_to(state);
+    s
+}
+
+/// One seeded user script over [`accounts`]: 3–8 statements, about one
+/// script in four with a statement that fails partway.
+fn gen_user_script(rng: &mut StdRng, rows: i64) -> String {
+    let mut script = String::new();
+    let failing = rng.gen_bool(0.25);
+    let n = rng.gen_range(3..=8);
+    let fail_at = rng.gen_range(1..n);
+    for i in 0..n {
+        let a = rng.gen_range(0..rows);
+        let b = a + rng.gen_range(1..60i64);
+        let x = rng.gen_range(-5..1000);
+        let stmt = if failing && i == fail_at {
+            match rng.gen_range(0..4) {
+                // Fails evaluating the third target row's SET expression.
+                0 => format!(
+                    "update acct set bal = id / (id - {}) where id >= {a}",
+                    a + 2
+                ),
+                // Fails in the predicate, mid-scan.
+                1 => format!("delete from acct where 10 / (id - {a}) > 0"),
+                // Fails applying the first NULL `bal` as `log.id`, with the
+                // rows before it already in.
+                2 => format!(
+                    "insert into log select bal, id from acct where id >= {a} and id < {}",
+                    a + 14
+                ),
+                // A transition table outside a rule.
+                _ => "insert into log select id, bal from inserted".to_owned(),
+            }
+        } else {
+            match rng.gen_range(0..11) {
+                0 => format!(
+                    "insert into acct values ({}, {x}, 'n'), ({}, null, null)",
+                    rows + a,
+                    rows + b
+                ),
+                1 => {
+                    format!("insert into log select id, bal from acct where id >= {a} and id < {b}")
+                }
+                2 => format!("update acct set bal = bal + 1 where id = {a}"),
+                3 => {
+                    format!("update acct set bal = bal * 2, tag = 'r' where id >= {a} and id < {b}")
+                }
+                4 => "update log set bal = bal + 1".to_owned(),
+                5 => format!("delete from acct where id = {a}"),
+                6 => format!("delete from acct where id >= {a} and id < {b}"),
+                7 => "delete from log".to_owned(),
+                8 => format!(
+                    "select id, bal from acct where id >= {a} and id < {b} order by bal desc, id"
+                ),
+                9 => format!("select count(*) from acct where bal > {x}"),
+                _ => "rollback".to_owned(),
+            }
+        };
+        script.push_str(&stmt);
+        script.push_str(";\n");
+    }
+    script
+}
+
+#[test]
+fn user_scripts_agree_across_eval_modes() {
+    let rows = 2_500;
+    let base = accounts(rows);
+    let snapshot = base.db().state_digest();
+    let mut failed = 0;
+    for seed in 0..120u64 {
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x05e7);
+        let script = gen_user_script(&mut rng, rows);
+        let mut runs = MODES.map(|mode| {
+            let mut s = Session::new();
+            s.eval_mode = mode;
+            s.reset_to(base.state());
+            let out = s.execute_script(&script);
+            (s, out)
+        });
+        let what = |mode: EvalMode| format!("seed {seed} [{mode:?}]:\n{script}");
+        let [(reference, expected), rest @ ..] = &runs;
+        for (s, out) in rest {
+            match (expected, out) {
+                (Ok(a), Ok(b)) => assert_eq!(a, b, "{}", what(s.eval_mode)),
+                (Err(_), Err(_)) => {}
+                (a, b) => panic!("{a:?} vs {b:?}: {}", what(s.eval_mode)),
+            }
+            assert_eq!(
+                reference.pending_ops(),
+                s.pending_ops(),
+                "{}",
+                what(s.eval_mode)
+            );
+        }
+        if expected.is_err() {
+            // Aborted to the snapshot, whatever the statement had applied.
+            failed += 1;
+            for (s, _) in &runs {
+                assert!(s.pending_ops().is_empty(), "{}", what(s.eval_mode));
+                assert_eq!(s.db().state_digest(), snapshot, "{}", what(s.eval_mode));
+            }
+            continue;
+        }
+        let digests = runs.each_mut().map(|(s, _)| {
+            let result = s.commit(&mut FirstEligible).unwrap();
+            assert_eq!(result.outcome, Outcome::Quiescent, "{}", what(s.eval_mode));
+            s.db().state_digest()
+        });
+        assert!(
+            digests.iter().all(|d| *d == digests[0]),
+            "{digests:?}: {script}"
+        );
+    }
+    assert!((15..60).contains(&failed), "{failed} of 120 scripts failed");
+}
+
+/// The user transition of an exploration runs under the exploration's mode:
+/// a range `update` over a 3 000-row table as the initial transition, two
+/// unordered rules reacting to it.
+#[test]
+fn exploration_user_transition_agrees_across_eval_modes() {
+    let mut s = accounts(3_000);
+    let rules = std::sync::Arc::clone(s.ruleset_arc().unwrap());
+    let actions = [
+        parsed_action("update acct set bal = bal + 600 where id >= 1000 and id < 1040"),
+        parsed_action("delete from acct where id >= 2040 and id < 2050"),
+    ];
+    let cfg = ExploreConfig::default();
+    let [columnar, plan, interp] =
+        MODES.map(|mode| explore_with_mode(&rules, s.db(), &actions, &cfg, mode).unwrap());
+    assert!(!interp.truncated() && interp.states.len() > 2);
+    assert_eq!(columnar, interp);
+    assert_eq!(plan, interp);
 }

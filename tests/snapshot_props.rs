@@ -8,9 +8,10 @@
 //!   from-scratch recompute, under arbitrary insert/update/delete
 //!   sequences;
 //! * a table spanning several storage chunks agrees with a plain
-//!   `BTreeMap` model — rows, digests, columnar view, hash-index probes,
+//!   `BTreeMap` model — rows, digests, columnar view, join-index probes,
 //!   held snapshots — after every write that lands on, splits, empties or
-//!   merges chunks, and after every failed one;
+//!   merges chunks, and after every failed one; and a probe of an `Int`,
+//!   `Str` or `Bool` column's index equals a linear scan of the row store;
 //! * parallel `explore` produces a graph identical to sequential `explore`
 //!   on randomized rule workloads (the fault-sweep generator family) and
 //!   over a multi-chunk table the rules rewrite.
@@ -299,14 +300,9 @@ fn assert_table_matches(t: &Table, model: &Model) {
     assert!(replayed.eq(model.iter().map(|(id, row)| (*id, row.clone()))));
     for col in 0..2 {
         view.hash_index(col);
-        for key in (-1..7).map(Value::Int).chain([Value::Null]) {
-            let hits: Vec<TupleId> = view
-                .batches()
-                .flat_map(|b| {
-                    let hits = b.hash_index(col).get(&key);
-                    hits.into_iter().flatten().map(|&pos| b.ids()[pos as usize])
-                })
-                .collect();
+        let other_variants = [Value::Null, Value::Bool(true), Value::str("1")];
+        for key in (-1..7).map(Value::Int).chain(other_variants) {
+            let hits = probe_all(t, col, &key);
             let expected: Vec<TupleId> = model
                 .iter()
                 .filter(|(_, row)| !key.is_null() && row[col] == key)
@@ -315,6 +311,16 @@ fn assert_table_matches(t: &Table, model: &Model) {
             assert_eq!(hits, expected, "probe of column {col} for {key}");
         }
     }
+}
+
+/// The ids a join probe of `col` for `key` yields: every chunk's index in
+/// turn, which is scan order.
+fn probe_all(t: &Table, col: usize, key: &Value) -> Vec<TupleId> {
+    let mut hits = Vec::new();
+    for b in t.columnar().batches() {
+        hits.extend(b.probe(col, key).iter().map(|&pos| b.ids()[pos as usize]));
+    }
+    hits
 }
 
 /// `CommitDelta::diff`'s row operations as the whole-table merge-walk
@@ -388,6 +394,154 @@ proptest! {
                 let mut rebuilt = from.clone();
                 delta.apply(&mut rebuilt).unwrap();
                 prop_assert_eq!(&rebuilt, to);
+            }
+        }
+    }
+}
+
+/// Key pools of the typed-index property: duplicates, negatives, both
+/// `i64` extremes, and the values NULL slots hold as placeholders (`0`,
+/// `""`, `false`) present as real keys too; `None` is NULL.
+const INT_KEYS: [Option<i64>; 8] = [
+    None,
+    Some(i64::MIN),
+    Some(-7),
+    Some(0),
+    Some(0),
+    Some(3),
+    Some(41),
+    Some(i64::MAX),
+];
+const STR_KEYS: [Option<&str>; 6] = [None, Some(""), Some("a"), Some("ab"), Some("b"), None];
+const BOOL_KEYS: [Option<bool>; 3] = [None, Some(false), Some(true)];
+
+/// Row `n` of the typed table: a pseudo-random pick from each pool.
+fn typed_row(n: u64) -> Row {
+    // splitmix64's finalizer: consecutive `n` pick unrelated keys.
+    let mut z = n.wrapping_add(1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z ^= z >> 27;
+    let pick = |salt: u64, len: usize| (z >> salt) as usize % len;
+    vec![
+        int_or_null(INT_KEYS[pick(7, INT_KEYS.len())]),
+        STR_KEYS[pick(19, STR_KEYS.len())].map_or(Value::Null, Value::str),
+        BOOL_KEYS[pick(31, BOOL_KEYS.len())].map_or(Value::Null, Value::Bool),
+    ]
+}
+
+/// One step of the storm over the typed table (`rank` in thousandths of the
+/// current row count, `seed` feeding [`typed_row`]).
+#[derive(Clone, Debug)]
+enum TypedOp {
+    Append {
+        n: u64,
+        seed: u64,
+    },
+    /// Inserts between existing ids — into the middle of (full) chunks.
+    Interleave {
+        rank: usize,
+        run: usize,
+        seed: u64,
+    },
+    Update {
+        rank: usize,
+        run: usize,
+        seed: u64,
+    },
+    DeleteRun {
+        rank: usize,
+        run: usize,
+    },
+}
+
+fn typed_ops() -> impl Strategy<Value = Vec<TypedOp>> {
+    let op =
+        prop_oneof![
+            (1u64..600, any::<u64>()).prop_map(|(n, seed)| TypedOp::Append { n, seed }),
+            (0usize..1000, 1usize..30, any::<u64>())
+                .prop_map(|(rank, run, seed)| TypedOp::Interleave { rank, run, seed }),
+            (0usize..1000, 1usize..30, any::<u64>())
+                .prop_map(|(rank, run, seed)| TypedOp::Update { rank, run, seed }),
+            (0usize..1000, 1usize..500).prop_map(|(rank, run)| TypedOp::DeleteRun { rank, run }),
+        ];
+    proptest::collection::vec(op, 1..10)
+}
+
+proptest! {
+    /// A join-index probe equals a linear scan of the row store, for `Int`,
+    /// `Str` and `Bool` columns, across storms that fill, split, empty and
+    /// merge chunks: every pool key, keys below the first and above the
+    /// last, and — yielding nothing — NULL and keys of another variant.
+    #[test]
+    fn index_probe_equals_linear_scan(ops in typed_ops()) {
+        let mut db = Database::new();
+        let columns = vec![
+            ColumnDef::nullable("i", ValueType::Int),
+            ColumnDef::nullable("s", ValueType::Str),
+            ColumnDef::nullable("f", ValueType::Bool),
+        ];
+        db.create_table(TableSchema::new("x", columns).unwrap()).unwrap();
+        for n in 0..2500 {
+            // Odd ids only: `Interleave` fills the gaps.
+            db.insert_with_id("x", TupleId(2 * n + 1), typed_row(n)).unwrap();
+        }
+        let keys: Vec<Value> = (INT_KEYS.iter().map(|k| int_or_null(*k)))
+            .chain([-8, 1, 42].map(Value::Int))
+            .chain(STR_KEYS.iter().map(|k| k.map_or(Value::Null, Value::str)))
+            .chain(["A", "aa", "c"].map(Value::str))
+            .chain([Value::Bool(false), Value::Bool(true), Value::Float(0.0)])
+            .collect();
+        for op in ops.iter().map(Some).chain([None]) {
+            let ids = db.table("x").unwrap().ids();
+            let span = |rank: usize, run: usize| {
+                let from = ids.len() * rank / 1000;
+                from..(ids.len() * (rank + run) / 1000).min(ids.len())
+            };
+            match op {
+                Some(&TypedOp::Append { n, seed }) => {
+                    for k in 0..n {
+                        db.insert("x", typed_row(seed.wrapping_add(k))).unwrap();
+                    }
+                }
+                Some(&TypedOp::Interleave { rank, run, seed }) => {
+                    for (k, &id) in ids[span(rank, run)].iter().enumerate() {
+                        // Fails when the id above is taken; then nothing changes.
+                        let row = typed_row(seed.wrapping_add(k as u64));
+                        let _ = db.insert_with_id("x", TupleId(id.0 + 1), row);
+                    }
+                }
+                Some(&TypedOp::Update { rank, run, seed }) => {
+                    for (k, &id) in ids[span(rank, run)].iter().enumerate() {
+                        db.update("x", id, typed_row(seed.wrapping_add(k as u64))).unwrap();
+                    }
+                }
+                Some(&TypedOp::DeleteRun { rank, run }) => {
+                    for &id in &ids[span(rank, run)] {
+                        db.delete("x", id).unwrap();
+                    }
+                }
+                None => {}
+            }
+            let t = db.table("x").unwrap();
+            t.check_invariants();
+            // One linear scan of the row store: column → value → ids.
+            let mut scanned: [BTreeMap<&Value, Vec<TupleId>>; 3] = Default::default();
+            for (id, row) in t.iter() {
+                for (col, v) in row.iter().enumerate().filter(|(_, v)| !v.is_null()) {
+                    scanned[col].entry(v).or_default().push(id);
+                }
+            }
+            for (col, by_value) in scanned.iter().enumerate() {
+                for key in &keys {
+                    let expected = by_value.get(key).cloned().unwrap_or_default();
+                    let hits = probe_all(t, col, key);
+                    prop_assert!(
+                        hits == expected,
+                        "column {col} for {key}: {} hits, {} expected",
+                        hits.len(),
+                        expected.len()
+                    );
+                }
             }
         }
     }
