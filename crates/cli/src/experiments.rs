@@ -1,17 +1,15 @@
-//! Regenerates every experiment in `EXPERIMENTS.md` (E1–E13) and prints
-//! the result tables.
-//!
-//! ```sh
-//! cargo run --release -p starling-bench --bin experiments            # all
-//! cargo run --release -p starling-bench --bin experiments -- e3 e6   # some
-//! ```
+//! `starling experiments`: regenerates every table the reproduction cites
+//! (`EXPERIMENTS.md`; the committed run is `experiments_output.txt`).
 //!
 //! The paper is a theory paper — its "evaluation" is its figures, theorems,
 //! case studies, and the Section 9 subsumption claim. Each experiment here
 //! regenerates the corresponding artifact: soundness and conservatism rates
 //! against the exhaustive oracle, the subsumption table, the case-study
-//! narratives, and the scalability curves.
+//! narratives, and the scalability curves. Everything is seeded; only E9's
+//! wall-clock cells vary between runs, and `--check` masks them.
 
+use std::collections::BTreeSet;
+use std::fmt::Write as _;
 use std::time::Instant;
 
 use starling_analysis::certifications::Certifications;
@@ -22,67 +20,159 @@ use starling_analysis::confluence::{analyze_confluence, corollary_checks};
 use starling_analysis::context::AnalysisContext;
 use starling_analysis::observable::{analyze_observable_determinism, corollary_8_2};
 use starling_analysis::partial::{analyze_partial_confluence, significant_rules};
-use starling_analysis::partition::{partition_rules, IncrementalAnalyzer};
+use starling_analysis::partition::partition_rules;
 use starling_analysis::restricted::analyze_restricted;
 use starling_analysis::termination::{analyze_termination, TerminationVerdict};
-use starling_analysis::InteractiveSession;
+use starling_analysis::{load_script, IncrementalAnalysis, InteractiveSession};
 use starling_baselines::compare_all;
-use starling_bench::{build, corpus_config, scale_config};
 use starling_engine::{
     consider_rule, explore, explore_from_ops, EvalMode, ExecState, ExploreConfig, RuleId, RuleSet,
 };
 use starling_storage::Op;
+use starling_workloads::random::{generate, partitioned, GeneratedWorkload, RandomConfig};
 use starling_workloads::{constraints, power_network};
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let want = |name: &str| args.is_empty() || args.iter().any(|a| a == name);
+use crate::{CmdOutput, CmdStatus};
 
-    if want("e1") {
-        e1_commutativity();
+/// The committed run `--check` compares against, relative to the working
+/// directory (the repository root).
+const COMMITTED: &str = "experiments_output.txt";
+
+macro_rules! say {
+    ($out:expr, $($arg:tt)*) => {
+        let _ = writeln!($out, $($arg)*);
+    };
+}
+
+/// An experiment: the ids that select it, and what prints it.
+type Experiment = (&'static [&'static str], fn(&mut String));
+
+/// Every experiment, in print order.
+const EXPERIMENTS: &[Experiment] = &[
+    (&["e1"], e1_commutativity),
+    (&["e2", "e3", "e5"], e2_e3_e5_oracle_agreement),
+    (&["e4"], e4_partial_confluence),
+    (&["e6"], e6_subsumption),
+    (&["e7"], e7_power_network),
+    (&["e8"], e8_interactive_confluence),
+    (&["e9"], e9_scalability),
+    (&["e10"], e10_corollaries),
+    (&["e11"], e11_restricted),
+    (&["e12"], e12_incremental),
+    (&["e13"], e13_masking_finding),
+    (&["e14"], e14_refinement),
+];
+
+/// `starling experiments [e1 … e14] [--check]`: prints the tables named
+/// (all of them without ids). `--check` instead regenerates every table and
+/// compares it with `experiments_output.txt`, E9's wall-clock cells masked
+/// on both sides; a difference is [`CmdStatus::Stale`] with the differing
+/// lines.
+pub fn cmd_experiments(args: &[&str]) -> Result<CmdOutput, String> {
+    let check = args == ["--check"];
+    let ids = if check { &[] } else { args };
+    if let Some(unknown) = ids
+        .iter()
+        .find(|id| !EXPERIMENTS.iter().any(|(names, _)| names.contains(id)))
+    {
+        let known: Vec<&str> = EXPERIMENTS.iter().flat_map(|e| e.0).copied().collect();
+        return Err(format!(
+            "unknown experiment `{unknown}` (expected {}, or --check alone)",
+            known.join(", ")
+        ));
     }
-    if want("e2") || want("e3") || want("e5") {
-        e2_e3_e5_oracle_agreement();
+    let mut text = String::new();
+    for (names, run) in EXPERIMENTS {
+        if ids.is_empty() || names.iter().any(|n| ids.contains(n)) {
+            run(&mut text);
+        }
     }
-    if want("e4") {
-        e4_partial_confluence();
+    if !check {
+        return Ok(CmdOutput::ok(text));
     }
-    if want("e6") {
-        e6_subsumption();
+    let committed = std::fs::read_to_string(COMMITTED)
+        .map_err(|e| format!("cannot read `{COMMITTED}` (run from the repository root): {e}"))?;
+    Ok(match stale_lines(&committed, &text) {
+        None => CmdOutput::ok(format!("{COMMITTED} matches what the code prints\n")),
+        Some(diff) => CmdOutput {
+            text: format!("{COMMITTED} is stale (- committed, + what the code prints):\n{diff}"),
+            status: CmdStatus::Stale,
+        },
+    })
+}
+
+/// `text` with every wall-clock cell of E9's table — the columns after the
+/// rule count — replaced by `*`.
+fn mask_timings(text: &str) -> Vec<String> {
+    let mut in_e9 = false;
+    text.lines()
+        .map(|line| {
+            if line.starts_with("=== ") {
+                in_e9 = line.starts_with("=== E9:");
+            }
+            let mut cells = line.split_whitespace();
+            match cells.next() {
+                Some(rules) if in_e9 && rules.parse::<usize>().is_ok() => {
+                    format!("{rules}{}", " *".repeat(cells.count()))
+                }
+                _ => line.to_owned(),
+            }
+        })
+        .collect()
+}
+
+/// Where two runs differ once timings are masked, line by line (`-` the
+/// committed line, `+` the regenerated one), or `None` when they agree.
+fn stale_lines(committed: &str, regenerated: &str) -> Option<String> {
+    let (old, new) = (mask_timings(committed), mask_timings(regenerated));
+    let mut diff = String::new();
+    for n in 0..old.len().max(new.len()) {
+        if old.get(n) == new.get(n) {
+            continue;
+        }
+        for (mark, line) in [('-', old.get(n)), ('+', new.get(n))] {
+            if let Some(line) = line {
+                say!(diff, "{mark}{:>4}: {line}", n + 1);
+            }
+        }
     }
-    if want("e7") {
-        e7_power_network();
-    }
-    if want("e8") {
-        e8_interactive_confluence();
-    }
-    if want("e9") {
-        e9_scalability();
-    }
-    if want("e10") {
-        e10_corollaries();
-    }
-    if want("e11") {
-        e11_restricted();
-    }
-    if want("e12") {
-        e12_incremental();
-    }
-    if want("e13") {
-        e13_masking_finding();
-    }
-    if want("e14") {
-        e14_refinement();
+    (!diff.is_empty()).then_some(diff)
+}
+
+/// The standard experiment corpus configuration (matches the calibration
+/// used by the integration tests: a healthy mix of accepted and rejected
+/// rule sets).
+fn corpus_config(seed: u64) -> RandomConfig {
+    RandomConfig {
+        n_tables: 4,
+        n_cols: 2,
+        n_rules: 4,
+        max_actions: 2,
+        p_condition: 0.5,
+        p_observable: 0.2,
+        p_priority: 0.4,
+        rows_per_table: 2,
+        seed,
     }
 }
 
-fn header(id: &str, title: &str) {
-    println!("\n=== {id}: {title} ===");
+/// Generates and compiles a workload, returning everything the analyses
+/// need.
+fn build(cfg: &RandomConfig) -> (GeneratedWorkload, RuleSet, AnalysisContext) {
+    let w = generate(cfg);
+    let rules = w.compile();
+    let ctx = AnalysisContext::from_ruleset(&rules, Certifications::new());
+    (w, rules, ctx)
+}
+
+fn header(out: &mut String, id: &str, title: &str) {
+    say!(out, "\n=== {id}: {title} ===");
 }
 
 /// E1 — Lemma 6.1 commutativity vs the Figure 1 diamond oracle.
-fn e1_commutativity() {
+fn e1_commutativity(out: &mut String) {
     header(
+        out,
         "E1",
         "commutativity (Lemma 6.1 + condition 2') vs diamond oracle",
     );
@@ -96,7 +186,7 @@ fn e1_commutativity() {
     for seed in 0..60u64 {
         // Priority-free config: priorities are irrelevant to the diamond,
         // and without them commuting pairs co-trigger far more often.
-        let cfg = starling_workloads::random::RandomConfig {
+        let cfg = RandomConfig {
             n_rules: 6,
             p_priority: 0.0,
             p_observable: 0.3,
@@ -143,11 +233,12 @@ fn e1_commutativity() {
             }
         }
     }
-    println!("rule pairs examined:               {total_pairs}");
-    println!("statically commuting:              {static_commute}");
-    println!("diamond checks on commuting pairs: {diamonds}");
-    println!("diamond violations (MUST be 0):    {violations}");
-    println!(
+    say!(out, "rule pairs examined:               {total_pairs}");
+    say!(out, "statically commuting:              {static_commute}");
+    say!(out, "diamond checks on commuting pairs: {diamonds}");
+    say!(out, "diamond violations (MUST be 0):    {violations}");
+    say!(
+        out,
         "flagged pairs with real divergence: {flagged_with_divergence}/{flagged_checked} \
          (the rest is conservatism)"
     );
@@ -155,15 +246,15 @@ fn e1_commutativity() {
 }
 
 /// E2/E3/E5 — static verdicts vs oracle over the random corpus.
-fn e2_e3_e5_oracle_agreement() {
+fn e2_e3_e5_oracle_agreement(out: &mut String) {
     header(
+        out,
         "E2/E3/E5",
         "termination / confluence / observable determinism vs oracle",
     );
     let cfg = ExploreConfig::default()
         .with_max_states(2_000)
         .with_max_paths(20_000);
-    let mut rows = Vec::new();
     #[derive(Default)]
     struct Agg {
         accepted: usize,
@@ -218,21 +309,30 @@ fn e2_e3_e5_oracle_agreement() {
         tally(&mut term, term_ok, oracle_term);
         tally(&mut conf, conf_ok, oracle_conf);
         tally(&mut obs, obs_ok, oracle_obs);
-        rows.push((seed, term_ok, conf_ok, obs_ok));
     }
 
-    println!("property      accepted  oracle-refuted  rejected  rejected-but-clean*");
+    say!(
+        out,
+        "property      accepted  oracle-refuted  rejected  rejected-but-clean*"
+    );
     for (name, a) in [
         ("termination", &term),
         ("confluence", &conf),
         ("observable", &obs),
     ] {
-        println!(
+        say!(
+            out,
             "{name:<13} {:>8}  {:>14}  {:>8}  {:>18}",
-            a.accepted, a.refuted, a.rejected, a.rejected_but_clean
+            a.accepted,
+            a.refuted,
+            a.rejected,
+            a.rejected_but_clean
         );
     }
-    println!("* clean on every sampled initial state — conservatism, not error");
+    say!(
+        out,
+        "* clean on every sampled initial state — conservatism, not error"
+    );
     assert_eq!(
         term.refuted + conf.refuted + obs.refuted,
         0,
@@ -241,13 +341,13 @@ fn e2_e3_e5_oracle_agreement() {
 }
 
 /// E4 — Sig(T') growth and partial-confluence verdicts.
-fn e4_partial_confluence() {
-    header("E4", "partial confluence: Sig(T') growth as T' grows");
-    println!("seed  |T'|  |Sig|  rules  partial-confluent");
+fn e4_partial_confluence(out: &mut String) {
+    header(out, "E4", "partial confluence: Sig(T') growth as T' grows");
+    say!(out, "seed  |T'|  |Sig|  rules  partial-confluent");
     for seed in [3u64, 7, 11, 19] {
         // A sparse 12-rule workload over 12 tables: Sig(T') grows with T'
         // instead of immediately saturating.
-        let cfg = starling_workloads::random::RandomConfig {
+        let cfg = RandomConfig {
             n_tables: 12,
             n_cols: 2,
             n_rules: 12,
@@ -264,7 +364,8 @@ fn e4_partial_confluence() {
             let subset: Vec<&str> = all_tables.iter().take(k).map(String::as_str).collect();
             let sig = significant_rules(&ctx, &subset);
             let p = analyze_partial_confluence(&ctx, &subset);
-            println!(
+            say!(
+                out,
                 "{seed:>4}  {k:>4}  {:>5}  {:>5}  {}",
                 sig.len(),
                 rules.len(),
@@ -275,13 +376,13 @@ fn e4_partial_confluence() {
 }
 
 /// E6 — the Section 9 subsumption table.
-fn e6_subsumption() {
-    header("E6", "subsumption: Starling ⊇ HH91 ⊇ ZH90 ⊇ Ras90");
+fn e6_subsumption(out: &mut String) {
+    header(out, "E6", "subsumption: Starling ⊇ HH91 ⊇ ZH90 ⊇ Ras90");
     let n = 200u64;
     // Two corpora: the standard (dense) one, where rules interact heavily
     // and the stricter criteria accept almost nothing, and a sparse one
     // (many tables, few shared references) where the whole chain separates.
-    let sparse = |seed: u64| starling_workloads::random::RandomConfig {
+    let sparse = |seed: u64| RandomConfig {
         n_tables: 10,
         n_cols: 2,
         n_rules: 3,
@@ -313,35 +414,43 @@ fn e6_subsumption() {
             proper[1] += usize::from(row.hh91 && !row.zh90);
             proper[2] += usize::from(row.zh90 && !row.ras90);
         }
-        println!("-- {label} --");
-        println!("criterion     accepts/{n}");
+        say!(out, "-- {label} --");
+        say!(out, "criterion     accepts/{n}");
         for (name, c) in ["starling", "hh91-analog", "zh90-analog", "ras90-analog"]
             .iter()
             .zip(counts)
         {
-            println!("{name:<13} {c}");
+            say!(out, "{name:<13} {c}");
         }
-        println!(
+        say!(
+            out,
             "proper separations: starling>hh91: {}, hh91>zh90: {}, zh90>ras90: {}",
-            proper[0], proper[1], proper[2]
+            proper[0],
+            proper[1],
+            proper[2]
         );
-        println!("subsumption violations (MUST be 0): {violations}");
+        say!(out, "subsumption violations (MUST be 0): {violations}");
         assert_eq!(violations, 0);
     }
 }
 
 /// E7 — the power-network termination case study.
-fn e7_power_network() {
-    header("E7", "power-network case study (CW90, paper Section 5)");
+fn e7_power_network(out: &mut String) {
+    header(
+        out,
+        "E7",
+        "power-network case study (CW90, paper Section 5)",
+    );
     let w = power_network::workload();
     let (db, defs, directives) = w.build().unwrap();
     let rules = RuleSet::compile(&defs, db.catalog()).unwrap();
 
     let bare = AnalysisContext::from_ruleset(&rules, Certifications::new());
     let t0 = analyze_termination(&bare);
-    println!("cycles found: {}", t0.cycles.len());
+    say!(out, "cycles found: {}", t0.cycles.len());
     for c in &t0.cycles {
-        println!(
+        say!(
+            out,
             "  [{}] auto-certificates: {}, discharged: {}",
             c.rules.join(" -> "),
             c.certificates.len(),
@@ -351,7 +460,7 @@ fn e7_power_network() {
     let certs = Certifications::from_directives(&directives);
     let ctx = AnalysisContext::from_ruleset(&rules, certs);
     let t1 = analyze_termination(&ctx);
-    println!("with user certificate: verdict = {:?}", t1.verdict);
+    say!(out, "with user certificate: verdict = {:?}", t1.verdict);
 
     let g = explore(
         &rules,
@@ -360,7 +469,8 @@ fn e7_power_network() {
         &ExploreConfig::default(),
     )
     .unwrap();
-    println!(
+    say!(
+        out,
         "oracle: {} states, terminates = {:?}",
         g.states.len(),
         g.terminates()
@@ -368,8 +478,9 @@ fn e7_power_network() {
 }
 
 /// E8 — the iterative-confluence case study.
-fn e8_interactive_confluence() {
+fn e8_interactive_confluence(out: &mut String) {
     header(
+        out,
         "E8",
         "constraint maintenance: the Section 6.4 interactive loop",
     );
@@ -377,7 +488,8 @@ fn e8_interactive_confluence() {
     let (db, defs, _) = w.build().unwrap();
     let mut session = InteractiveSession::new(db.catalog().clone(), defs);
     let initial = session.analyze("initial").unwrap();
-    println!(
+    say!(
+        out,
         "initial: {} confluence violation(s), {} open cycle(s)",
         initial.confluence.violations.len(),
         initial
@@ -388,18 +500,21 @@ fn e8_interactive_confluence() {
             .count()
     );
     let added = session.order_until_confluent(25).unwrap();
-    println!("orderings added by the loop: {added:?}");
+    say!(out, "orderings added by the loop: {added:?}");
     for (i, h) in session.history().iter().enumerate() {
-        println!(
+        say!(
+            out,
             "  round {i}: {} violation(s) [{}]",
-            h.confluence_violations, h.action
+            h.confluence_violations,
+            h.action
         );
     }
     session.certify_terminates("cap_salary", "cap converges in one step");
     session.certify_terminates("maintain_totals", "recomputation is idempotent");
     session.certify_terminates("ri_emp_dept", "rollback ends processing");
     let f = session.analyze("final").unwrap();
-    println!(
+    say!(
+        out,
         "final: requirement holds = {}, termination = {:?}",
         f.confluence.requirement_holds(),
         f.termination.verdict
@@ -408,33 +523,46 @@ fn e8_interactive_confluence() {
 
 /// E9 — analysis scalability (quick wall-clock sweep; `benchmark/`'s
 /// `analyze_refine` workload gives the repeatable numbers).
-fn e9_scalability() {
+fn e9_scalability(out: &mut String) {
     header(
+        out,
         "E9",
         "analysis wall time vs rule-set size (single-shot, see benchmark/)",
     );
-    println!("rules  graph(us)  termination(us)  confluence(us)  observable(us)");
+    say!(
+        out,
+        "rules  graph(us)  termination(us)  confluence(us)  observable(us)"
+    );
     for n in [10usize, 25, 50, 100, 200, 400] {
-        let (_w, _rules, ctx) = build(&scale_config(n, 42));
-        let t0 = Instant::now();
-        let _ = starling_analysis::TriggeringGraph::build(&ctx);
-        let g_us = t0.elapsed().as_micros();
-        let t0 = Instant::now();
-        let _ = analyze_termination(&ctx);
-        let t_us = t0.elapsed().as_micros();
-        let t0 = Instant::now();
-        let _ = analyze_confluence(&ctx);
-        let c_us = t0.elapsed().as_micros();
-        let t0 = Instant::now();
-        let _ = analyze_observable_determinism(&ctx);
-        let o_us = t0.elapsed().as_micros();
-        println!("{n:>5}  {g_us:>9}  {t_us:>15}  {c_us:>14}  {o_us:>14}");
+        // Tables grow with the rules, so triggering density stays constant.
+        let (_w, _rules, ctx) = build(&RandomConfig {
+            n_tables: (n / 2).max(2),
+            n_cols: 3,
+            n_rules: n,
+            p_observable: 0.1,
+            p_priority: 0.3,
+            ..corpus_config(42)
+        });
+        let us = |analysis: &dyn Fn()| {
+            let started = Instant::now();
+            analysis();
+            started.elapsed().as_micros()
+        };
+        let g_us = us(&|| drop(starling_analysis::TriggeringGraph::build(&ctx)));
+        let t_us = us(&|| drop(analyze_termination(&ctx)));
+        let c_us = us(&|| drop(analyze_confluence(&ctx)));
+        let o_us = us(&|| drop(analyze_observable_determinism(&ctx)));
+        say!(out, "{n:>5}  {g_us:>9}  {t_us:>15}  {c_us:>14}  {o_us:>14}");
     }
 }
 
 /// E10 — corollary lints hold on every accepted rule set.
-fn e10_corollaries() {
-    header("E10", "corollaries 6.8/6.10 and 8.2 on accepted rule sets");
+fn e10_corollaries(out: &mut String) {
+    header(
+        out,
+        "E10",
+        "corollaries 6.8/6.10 and 8.2 on accepted rule sets",
+    );
     let mut accepted = 0usize;
     let mut failures = 0usize;
     for seed in 0..200u64 {
@@ -449,18 +577,21 @@ fn e10_corollaries() {
             failures += corollary_8_2(&ctx, &obs).len();
         }
     }
-    println!("accepted rule sets: {accepted}; corollary failures (MUST be 0): {failures}");
+    say!(
+        out,
+        "accepted rule sets: {accepted}; corollary failures (MUST be 0): {failures}"
+    );
     assert_eq!(failures, 0);
 }
 
 /// E11 — restricted user operations rescue properties.
-fn e11_restricted() {
-    header("E11", "restricted user operations (paper Section 9)");
+fn e11_restricted(out: &mut String) {
+    header(out, "E11", "restricted user operations (paper Section 9)");
     let mut total = 0usize;
     let mut rescued_term = 0usize;
     let mut rescued_conf = 0usize;
     for seed in 0..100u64 {
-        let (w, _rules, ctx) = build(&corpus_config(seed));
+        let (_w, _rules, ctx) = build(&corpus_config(seed));
         let full_term = analyze_termination(&ctx).is_guaranteed();
         let full_conf = analyze_confluence(&ctx).requirement_holds();
         if full_term && full_conf {
@@ -476,46 +607,65 @@ fn e11_restricted() {
         if !full_conf && r.confluence.requirement_holds() {
             rescued_conf += 1;
         }
-        let _ = w;
     }
-    println!(
+    say!(
+        out,
         "problematic rule sets: {total}; termination rescued by restriction: \
          {rescued_term}; confluence rescued: {rescued_conf}"
     );
 }
 
-/// E12 — incremental re-analysis.
-fn e12_incremental() {
-    header("E12", "partitioned incremental analysis (paper Section 9)");
-    let (catalog, defs) = starling_workloads::random::partitioned(8);
+/// E12 — the one incremental analyzer keeps §9's partition promise.
+fn e12_incremental(out: &mut String) {
+    header(
+        out,
+        "E12",
+        "incremental re-analysis stays inside the edited partition (paper Section 9)",
+    );
+    let (catalog, defs) = partitioned(8);
     let rules = RuleSet::compile(&defs, &catalog).expect("partitioned set compiles");
     let ctx = AnalysisContext::from_ruleset(&rules, Certifications::new());
     let parts = partition_rules(&ctx);
-    println!(
-        "{}-rule workload splits into {} partition(s)",
+    say!(
+        out,
+        "{}-rule workload splits into {} component(s)",
         ctx.len(),
         parts.len()
     );
-    let mut inc = IncrementalAnalyzer::new();
-    let _ = inc.analyze(&ctx);
-    println!(
-        "cold run: {} recomputed, {} cached",
-        inc.last_recomputed, inc.last_cached
-    );
-    let mut edited = ctx.clone();
-    let name = edited.name(0).to_owned();
-    edited.certs.certify_terminates(&name, "edit");
-    let _ = inc.analyze(&edited);
-    println!(
-        "after single-rule edit: {} recomputed, {} cached",
-        inc.last_recomputed, inc.last_cached
+    let rechecked = |inc: &IncrementalAnalysis| {
+        let pairs = inc.last_rechecked();
+        let component = |&(i, _): &(usize, usize)| parts.iter().position(|g| g.contains(&i));
+        let touched: BTreeSet<_> = pairs.iter().map(component).collect();
+        format!(
+            "{} of {} component(s) rechecked, {} pair(s)",
+            touched.len(),
+            parts.len(),
+            pairs.len()
+        )
+    };
+    let mut inc = IncrementalAnalysis::new();
+    let mut certs = Certifications::new();
+    let cold = inc.analyze(&rules, &certs, false, &[]);
+    say!(out, "cold run: {}", rechecked(&inc));
+    // A pair-level edit inside one component: certify the first flagged
+    // pair commutative.
+    let (a, b) = &cold.confluence.violations[0].conflict;
+    certs.certify_commute(a, b);
+    let warm = inc.analyze(&rules, &certs, false, &[]);
+    say!(out, "after certifying {a} ~ {b}: {}", rechecked(&inc));
+    say!(
+        out,
+        "violations: {} -> {}",
+        cold.confluence.violations.len(),
+        warm.confluence.violations.len()
     );
 }
 
 /// E14 — the Section 9 predicate-level refinement: how many conservative
 /// rejections does it recover on a corpus biased toward guarded writes?
-fn e14_refinement() {
+fn e14_refinement(out: &mut String) {
     header(
+        out,
         "E14",
         "predicate-level refinement (paper Section 9, 'less conservative methods')",
     );
@@ -534,65 +684,79 @@ fn e14_refinement() {
             recovered += 1;
         }
     }
-    println!(
+    say!(
+        out,
         "confluence rejections (plain): {rejected_plain}; recovered by refinement: {recovered}"
     );
-    println!(
+    say!(
+        out,
         "(the random generator rarely produces provably-disjoint predicates; \
          the curated cases are in tests/refinement_oracle.rs)"
     );
 }
 
-/// E13 — the masking finding (see tests/masking_finding.rs).
-fn e13_masking_finding() {
+/// E13 — the masking finding (`scripts/masking.rql`, tests/masking_finding.rs).
+fn e13_masking_finding(out: &mut String) {
     header(
+        out,
         "E13",
         "finding: Lemma 6.1 vs the strict Section 2 semantics (insert-masking)",
     );
-    let script = "
-        create table t0 (x int); create table t1 (y int); create table t2 (z int);
-    ";
-    let rules_src = "
-        create rule rule_a on t2 when inserted then insert into t0 values (8)
-          precedes rule_d end;
-        create rule rule_c on t0 when deleted then update t1 set y = y + 1
-          precedes rule_d end;
-        create rule rule_d on t1 when updated(y) then delete from t0 end;
-    ";
-    let mut session = starling_engine::Session::new();
-    session.execute_script(script).unwrap();
-    session
-        .execute_script("insert into t0 values (5); insert into t1 values (0);")
-        .unwrap();
-    session.commit(&mut starling_engine::FirstEligible).unwrap();
-    let defs = starling_engine::RuleProgram::parse(rules_src).unwrap().defs;
-    let rules = RuleSet::compile(&defs, session.db().catalog()).unwrap();
+    let script = load_script(include_str!("../../../scripts/masking.rql")).expect("script loads");
+    let rules = &script.rules;
     let a = rules.by_name("rule_a").unwrap();
     let c = rules.by_name("rule_c").unwrap();
-    println!(
+    say!(
+        out,
         "Lemma 6.1 (paper-exact) reasons for (rule_a, rule_c): {:?}",
         noncommutativity_reasons_lemma61(&a.sig, &c.sig)
     );
-    println!(
+    say!(
+        out,
         "Starling default reasons:                            {:?}",
         noncommutativity_reasons(&a.sig, &c.sig)
             .iter()
             .map(ToString::to_string)
             .collect::<Vec<_>>()
     );
-    let user: Vec<_> = starling_sql::parse_script("delete from t0; insert into t2 values (1);")
-        .unwrap()
-        .into_iter()
-        .filter_map(|s| match s {
-            starling_sql::ast::Statement::Dml(x) => Some(x),
-            _ => None,
-        })
-        .collect();
-    let g = explore(&rules, session.db(), &user, &ExploreConfig::default()).unwrap();
-    println!(
+    let cfg = ExploreConfig::default();
+    let g = explore(rules, &script.db, &script.user_actions, &cfg).unwrap();
+    say!(
+        out,
         "oracle: terminates = {:?}, distinct final DB states = {} (paper-exact \
          analysis accepts; Starling's condition 2' rejects)",
         g.terminates(),
         g.final_db_digests().len()
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const RUN: &str = "\n=== E1: x ===\nflagged: 11/35\n\n=== E9: wall time ===\n\
+        rules  graph(us)\n   10          5\n  400       4277\n\n=== E10: y ===\nfailures: 0\n";
+
+    #[test]
+    fn check_ignores_e9_timings_and_nothing_else() {
+        let retimed = RUN.replace("4277", "9").replace("  5\n", " 77\n");
+        assert_ne!(retimed, RUN);
+        assert_eq!(stale_lines(RUN, &retimed), None);
+        // A rule count, or a digit outside E9, is content.
+        let diff = stale_lines(RUN, &RUN.replace("11/35", "11/36")).unwrap();
+        assert_eq!(diff, "-   3: flagged: 11/35\n+   3: flagged: 11/36\n");
+        assert!(stale_lines(RUN, &RUN.replace("  400 ", "  401 ")).is_some());
+        let diff = stale_lines(RUN, &RUN.replace("failures: 0\n", "failures: 0\nmore\n")).unwrap();
+        assert_eq!(diff, "+  12: more\n");
+    }
+
+    #[test]
+    fn unknown_ids_are_usage_errors_and_shared_ids_select_one_table() {
+        let err = cmd_experiments(&["e4", "e15"]).unwrap_err();
+        assert!(err.contains("`e15`") && err.contains("e14"), "{err}");
+        assert!(cmd_experiments(&["e4", "--check"]).is_err());
+        let e3 = cmd_experiments(&["e10"]).unwrap();
+        assert_eq!(e3.status, CmdStatus::Ok);
+        assert_eq!(e3.text.matches("=== ").count(), 1);
+    }
 }

@@ -12,6 +12,8 @@
 //! * DML *after the first rule definition* — the user transition probed by
 //!   `explore`.
 
+pub mod experiments;
+
 use std::fmt::Write as _;
 
 use starling_analysis::certifications::Certifications;
@@ -42,6 +44,9 @@ pub enum CmdStatus {
     /// The fuzz harness found oracle disagreements (exit 4) — the analysis
     /// stack itself has a bug, as opposed to the analyzed script.
     Findings,
+    /// `experiments --check`: the committed tables are not what the code
+    /// prints (exit 1; the text is the diff).
+    Stale,
 }
 
 /// A command's rendered output plus its status.

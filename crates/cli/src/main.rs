@@ -5,16 +5,19 @@
 //! starling analyze <file> [--protect t1,t2]...   full analysis report
 //! starling graph <file> [--dot]                  triggering graph
 //! starling explore <file> [--max-states N]       execution-graph oracle
+//! starling explain <file> [rule]                 signature, or divergence witness
 //! starling run <file>                            execute with rule processing
 //! starling compare <file>                        baseline comparison (Sec. 9)
 //! starling serve [--addr H:P] [--workers N]      multi-session server
 //! starling client [--addr H:P]                   stdin/stdout protocol client
 //! starling recover <dir> [--verify]              inspect/verify durable stores
 //! starling fuzz [--seed N] [--cases N]           differential fuzz campaign
+//! starling experiments [e1 … e14] [--check]      the reproduction's tables
 //! ```
 //!
 //! Exit codes: `0` success (including definitive negative verdicts), `1`
-//! usage or script error, `2` transaction aborted, `3` inconclusive (a
+//! usage or script error (or `experiments --check` found the committed
+//! tables stale), `2` transaction aborted, `3` inconclusive (a
 //! resource budget ran out before a verdict), `4` the fuzz harness found
 //! oracle disagreements.
 
@@ -62,6 +65,11 @@ COMMANDS:
                parallel, and server-vs-CLI; disagreements are shrunk and
                pinned (no file argument; --seed N, --cases N, --budget N
                per-case state bound, --corpus-dir DIR, --mutate NAME)
+    experiments
+               Regenerate the reproduction's tables (EXPERIMENTS.md), all or
+               those named (e1 … e14; e2, e3 and e5 share one). --check diffs
+               them against ./experiments_output.txt, E9's wall-clock cells
+               masked (no file argument)
 
 OPTIONS:
     --protect t1,t2           (analyze) also check partial confluence w.r.t.
@@ -109,7 +117,7 @@ OPTIONS:
 
 EXIT CODES:
     0    success (definitive verdicts, including negative ones)
-    1    usage or script error
+    1    usage or script error; experiments --check: tables are stale
     2    transaction aborted (database restored to the snapshot)
     3    inconclusive: a budget (--max-states / --max-considerations /
          --timeout) ran out before a verdict
@@ -148,6 +156,7 @@ fn main() -> ExitCode {
                 CmdStatus::Aborted => ExitCode::from(EXIT_ABORTED),
                 CmdStatus::Inconclusive => ExitCode::from(EXIT_INCONCLUSIVE),
                 CmdStatus::Findings => ExitCode::from(EXIT_FINDINGS),
+                CmdStatus::Stale => ExitCode::from(EXIT_ERROR),
             }
         }
         Err(msg) => {
@@ -175,6 +184,10 @@ fn run(args: &[String]) -> Result<CmdOutput, String> {
     }
     if command == "recover" {
         return recover(&args[1..]);
+    }
+    if command == "experiments" {
+        let ids: Vec<&str> = args[1..].iter().map(String::as_str).collect();
+        return starling_cli::experiments::cmd_experiments(&ids);
     }
     let file = args.get(1).ok_or("missing script file")?;
     let src = std::fs::read_to_string(file).map_err(|e| format!("cannot read `{file}`: {e}"))?;

@@ -6,8 +6,14 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Runs the binary and returns `(exit_code, stdout, stderr)`.
 fn starling(args: &[&str]) -> (i32, String, String) {
+    starling_in(".".as_ref(), args)
+}
+
+/// [`starling`], run from `dir`.
+fn starling_in(dir: &std::path::Path, args: &[&str]) -> (i32, String, String) {
     let out = Command::new(env!("CARGO_BIN_EXE_starling"))
         .args(args)
+        .current_dir(dir)
         .output()
         .expect("binary runs");
     (
@@ -265,4 +271,41 @@ fn serve_rejects_the_retired_executor_flag() {
         "{stderr}"
     );
     assert!(stderr.contains("USAGE:"), "{stderr}");
+}
+
+#[test]
+fn experiments_select_by_id_and_reject_unknown_ids() {
+    let (code, stdout, _) = starling(&["experiments", "e12"]);
+    assert_eq!(code, 0);
+    assert_eq!(stdout.matches("=== ").count(), 1, "{stdout}");
+    assert!(stdout.contains("cold run: 8 of 8 component(s)"), "{stdout}");
+    assert!(
+        stdout.contains(": 1 of 8 component(s) rechecked"),
+        "{stdout}"
+    );
+
+    let (code, stdout, stderr) = starling(&["experiments", "nope"]);
+    assert_eq!((code, stdout.as_str()), (1, ""));
+    assert!(stderr.contains("unknown experiment `nope`"), "{stderr}");
+}
+
+/// The committed tables are what the code prints; one flipped digit is not.
+#[test]
+fn experiments_check_compares_with_the_committed_run() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let (code, stdout, stderr) = starling_in(&root, &["experiments", "--check"]);
+    assert_eq!(code, 0, "{stdout}{stderr}");
+
+    let committed = std::fs::read_to_string(root.join("experiments_output.txt")).unwrap();
+    let dir = std::env::temp_dir().join(format!("starling_e2e_check_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let flipped = committed.replacen("examined:               9", "examined:               8", 1);
+    std::fs::write(dir.join("experiments_output.txt"), flipped).unwrap();
+    let (code, stdout, _) = starling_in(&dir, &["experiments", "--check"]);
+    std::fs::remove_dir_all(&dir).unwrap();
+    assert_eq!(code, 1);
+    let diff: Vec<&str> = stdout.lines().skip(1).collect();
+    assert_eq!(diff.len(), 2, "{stdout}");
+    assert!(diff[0].starts_with("-   3: rule pairs examined:               8"));
+    assert!(diff[1].starts_with("+   3: rule pairs examined:               9"));
 }

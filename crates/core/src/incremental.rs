@@ -20,14 +20,18 @@
 //!
 //! # Dirty-set rules per mutation kind
 //!
-//! Writing `pairs(x)` for "all current pairs `{x, q}` plus every pair whose
-//! memoized closure contains `x` as a non-generating member":
+//! Writing `pairs(x)` for "`x`'s pairs, expanded through the conflict
+//! index": `{x, q}` for each of `x`'s index partners `q` in the current
+//! context, plus every memoized pair naming `x` as an endpoint or a
+//! non-generating closure member. Nothing else can matter: a non-partner
+//! pair is clean by construction now, and a pair that *was* flagged carries
+//! a memo entry — rechecked if still a candidate, dropped if not.
 //!
 //! * **redefined rule `x`** → `pairs(x)`, plus `pairs(m)` for every rule
 //!   `m` whose can-trigger edge to `x` changed (`m ∈ preds_old(x) Δ
 //!   preds_new(x)`), guarded on `x` being able to enter a closure at all
 //!   (some outgoing priority, old or new);
-//! * **added rule `x`** → all pairs `{x, q}`, plus `pairs(m)` for
+//! * **added rule `x`** → `pairs(x)`, plus `pairs(m)` for
 //!   `m ∈ preds(x)` under the same guard;
 //! * **dropped rule `r`** → its memo entries are deleted; pairs listing `r`
 //!   as a closure extra are rechecked. No predecessor expansion is needed:
@@ -44,6 +48,13 @@
 //!   where old and new computations can diverge every member is still an
 //!   old-closure member, so both witnesses are visible in the memo;
 //! * **refinement toggle** → full resweep (every verdict changed meaning).
+//!
+//! Every rechecked pair is thus a candidate of the current index, and a
+//! candidate pair lies inside one component of
+//! [`partition_rules`](crate::partition::partition_rules): the paper's §9
+//! promise — "analysis … needs to be repeated for a partition only when
+//! rules in that partition change" — kept at pair granularity
+//! ([`IncrementalAnalysis::last_rechecked`] lists the pairs).
 //!
 //! # Cold start: sparse, then parallel
 //!
@@ -66,6 +77,7 @@ use starling_engine::{PriorityOrder, RuleSet};
 
 use crate::certifications::Certifications;
 use crate::commutativity::prewarm_pairs;
+use crate::conflict_index::ConflictIndex;
 use crate::confluence::{
     check_pair, corollary_pair, ConfluenceAnalysis, ConfluenceVerdict, ConfluenceViolation,
 };
@@ -102,8 +114,13 @@ struct ConfluenceMemo {
     /// keyed `(sid_i, sid_j)` in rule-index orientation. Pairs absent here
     /// are known-clean.
     entries: HashMap<(u32, u32), PairEntry>,
-    /// sid → pairs whose closure contains it as a non-generating member.
-    extra_index: HashMap<u32, BTreeSet<(u32, u32)>>,
+    /// sid → the `entries` keys whose closure contains it, as an endpoint
+    /// or as a non-generating member: everything the memo holds on a rule
+    /// (unordered rows; a key appears once per row).
+    mentions: HashMap<u32, Vec<(u32, u32)>>,
+    /// How many pairs the full sweep that built this memo visited: what a
+    /// dirty set is weighed against before falling back to another one.
+    swept: usize,
 }
 
 /// Cumulative counters for one [`IncrementalAnalysis`] (surfaced by the
@@ -114,11 +131,12 @@ pub struct IncrementalStats {
     pub pair: PairStoreStats,
     /// Section 8 `Obs`-side pair store counters.
     pub obs_pair: PairStoreStats,
-    /// Analyses that swept every unordered pair.
+    /// Analyses that swept every candidate pair of the conflict index.
     pub full_sweeps: u64,
     /// Analyses that only rechecked a dirty set.
     pub incremental_sweeps: u64,
-    /// Dirty pairs rechecked by the most recent incremental analyze.
+    /// Pairs rechecked by the most recent analyze: a full sweep's
+    /// candidates, or an incremental one's dirty set.
     pub last_rechecked_pairs: u64,
 }
 
@@ -130,7 +148,7 @@ pub struct IncrementalAnalysis {
     memo: Option<ConfluenceMemo>,
     full_sweeps: u64,
     incremental_sweeps: u64,
-    last_rechecked: u64,
+    rechecked: Vec<(usize, usize)>,
 }
 
 impl Default for IncrementalAnalysis {
@@ -149,7 +167,7 @@ impl IncrementalAnalysis {
             memo: None,
             full_sweeps: 0,
             incremental_sweeps: 0,
-            last_rechecked: 0,
+            rechecked: Vec::new(),
         }
     }
 
@@ -169,8 +187,14 @@ impl IncrementalAnalysis {
             obs_pair: self.obs_store.stats(),
             full_sweeps: self.full_sweeps,
             incremental_sweeps: self.incremental_sweeps,
-            last_rechecked_pairs: self.last_rechecked,
+            last_rechecked_pairs: self.rechecked.len() as u64,
         }
+    }
+
+    /// The pairs the most recent analyze rechecked, as index pairs
+    /// `(i, j)`, `i < j`, into that analyze's rule set.
+    pub fn last_rechecked(&self) -> &[(usize, usize)] {
+        &self.rechecked
     }
 
     /// Runs the full analysis, reusing everything the inputs' diff against
@@ -212,14 +236,15 @@ impl IncrementalAnalysis {
         ctx: &AnalysisContext,
         outcome: &BindOutcome,
     ) -> (ConfluenceAnalysis, Vec<String>) {
+        // One index per analyze: a full sweep enumerates it, an incremental
+        // one expands its dirty rules through it.
+        let all: Vec<usize> = (0..ctx.len()).collect();
+        let index = ConflictIndex::build(ctx, &all);
         let incremental = self.memo.is_some() && !outcome.refine_flipped && !outcome.first_bind;
-        if incremental && !self.incremental_sweep(ctx, outcome) {
+        if incremental && self.incremental_sweep(ctx, outcome, &index) {
             self.incremental_sweeps += 1;
         } else {
-            if !incremental {
-                self.memo = None;
-                self.full_sweep(ctx);
-            }
+            self.full_sweep(ctx, &index);
             self.full_sweeps += 1;
         }
         self.assemble(ctx)
@@ -227,9 +252,8 @@ impl IncrementalAnalysis {
 
     /// Sweeps every candidate pair — the rest are clean by construction and
     /// take no memo entry — rebuilding the memo from nothing.
-    fn full_sweep(&mut self, ctx: &AnalysisContext) {
-        let all: Vec<usize> = (0..ctx.len()).collect();
-        let pairs = ctx.sweep_pairs(&all);
+    fn full_sweep(&mut self, ctx: &AnalysisContext, index: &ConflictIndex) {
+        let pairs = index.candidate_pairs();
         if self.parallel && pairs.len() >= PREWARM_MIN_PAIRS {
             prewarm_pairs(ctx, &pairs);
         }
@@ -238,21 +262,26 @@ impl IncrementalAnalysis {
             priority: ctx.priority.clone(),
             preds: Self::preds_of(ctx),
             entries: HashMap::new(),
-            extra_index: HashMap::new(),
+            mentions: HashMap::new(),
+            swept: pairs.len(),
         };
         for &(i, j) in &pairs {
             Self::recheck_into(ctx, &mut memo, i, j);
         }
-        self.last_rechecked = pairs.len() as u64;
+        self.rechecked = pairs;
         self.memo = Some(memo);
     }
 
     /// Propagates the dirty set and rechecks only those pairs. Returns
-    /// `true` if it fell back to a full sweep (huge dirty set, or rule
-    /// reordering the memo keys cannot survive).
-    fn incremental_sweep(&mut self, ctx: &AnalysisContext, outcome: &BindOutcome) -> bool {
+    /// `false`, leaving no memo, when only a full sweep will do (huge dirty
+    /// set, or rule reordering the memo keys cannot survive).
+    fn incremental_sweep(
+        &mut self,
+        ctx: &AnalysisContext,
+        outcome: &BindOutcome,
+        index: &ConflictIndex,
+    ) -> bool {
         let mut memo = self.memo.take().expect("incremental sweep without memo");
-        let n = ctx.len();
         let cur: HashMap<u32, usize> = ctx.sids.iter().enumerate().map(|(i, &s)| (s, i)).collect();
         let prev: HashMap<u32, usize> =
             memo.sids.iter().enumerate().map(|(i, &s)| (s, i)).collect();
@@ -263,8 +292,7 @@ impl IncrementalAnalysis {
         let survivors_now = ctx.sids.iter().copied().filter(|s| prev.contains_key(s));
         let survivors_then = memo.sids.iter().copied().filter(|s| cur.contains_key(s));
         if !survivors_now.eq(survivors_then) {
-            self.full_sweep(ctx);
-            return true;
+            return false;
         }
 
         let added: Vec<u32> = ctx
@@ -314,7 +342,7 @@ impl IncrementalAnalysis {
         // Both memberships are answerable from the memo — endpoints plus
         // `extras` — so the dirty set stays proportional to the real blast
         // radius instead of `pairs(y)`'s whole rows.
-        let mut preds_new: Option<HashMap<u32, Vec<u32>>> = None;
+        let preds_new = Self::preds_of(ctx);
         if memo.sids != ctx.sids || memo.priority != ctx.priority {
             let to_sids = |pairs: Vec<(usize, usize)>, sids: &[u32]| -> BTreeSet<(u32, u32)> {
                 pairs.into_iter().map(|(x, y)| (sids[x], sids[y])).collect()
@@ -323,9 +351,9 @@ impl IncrementalAnalysis {
             let new_gt = to_sids(ctx.priority.gt_pairs(), &ctx.sids);
             let mut px_cache: Option<(u32, BTreeSet<u32>)> = None;
             for &(x, y) in old_gt.symmetric_difference(&new_gt) {
-                // Only survivor↔survivor changes matter: pairs with a dead
-                // endpoint are purged wholesale below, and an added rule
-                // already dirties its whole row.
+                // Only survivor↔survivor changes matter: a dropped rule
+                // dirties every memo entry naming it below, and an added
+                // rule already dirties its whole row.
                 if !(prev.contains_key(&x)
                     && prev.contains_key(&y)
                     && cur.contains_key(&x)
@@ -338,7 +366,6 @@ impl IncrementalAnalysis {
                 // preds(x), old ∪ new (they differ only when trigger edges
                 // changed, which dirties those rules wholesale anyway).
                 if px_cache.as_ref().map(|c| c.0) != Some(x) {
-                    let preds_new = preds_new.get_or_insert_with(|| Self::preds_of(ctx));
                     let mut px: BTreeSet<u32> = memo
                         .preds
                         .get(&x)
@@ -360,39 +387,15 @@ impl IncrementalAnalysis {
                     dirty_rules.insert(y);
                     continue;
                 }
-                // Pairs whose closure contains y as an endpoint and a pred
-                // of x as the other endpoint or an extra.
-                for &p in px.iter() {
-                    if p != y {
-                        dirty_pairs.insert(norm(y, p));
-                    }
-                    if let Some(pairs) = memo.extra_index.get(&p) {
-                        for &k in pairs {
-                            if (k.0 == y || k.1 == y)
-                                && cur.contains_key(&k.0)
-                                && cur.contains_key(&k.1)
-                            {
-                                dirty_pairs.insert(k);
-                            }
-                        }
-                    }
-                }
-                // Pairs whose closure contains y as an extra and a pred of
-                // x anywhere (endpoint or fellow extra).
-                if let Some(pairs) = memo.extra_index.get(&y) {
-                    for &k in pairs {
-                        if !(cur.contains_key(&k.0) && cur.contains_key(&k.1)) {
-                            continue;
-                        }
-                        let hit = px.contains(&k.0)
-                            || px.contains(&k.1)
-                            || memo
-                                .entries
-                                .get(&k)
-                                .is_some_and(|e| e.extras.iter().any(|m| px.contains(m)));
-                        if hit {
-                            dirty_pairs.insert(k);
-                        }
+                // The pairs {y, pred of x}, which may hold no entry yet ...
+                let preds = px.iter().filter(|&&p| p != y);
+                dirty_pairs.extend(preds.map(|&p| norm(y, p)));
+                // ... and the memoized pairs whose closure contains y and
+                // a pred of x, each as an endpoint or an extra.
+                for &k in memo.mentions.get(&y).into_iter().flatten() {
+                    let extras = &memo.entries[&k].extras;
+                    if [k.0, k.1].iter().chain(extras).any(|m| px.contains(m)) {
+                        dirty_pairs.insert(k);
                     }
                 }
             }
@@ -410,7 +413,6 @@ impl IncrementalAnalysis {
             if !old_dom && !ctx.priority.dominates_any(cur[&x]) {
                 continue;
             }
-            let preds_new = preds_new.get_or_insert_with(|| Self::preds_of(ctx));
             let empty = Vec::new();
             let old_p: BTreeSet<u32> = memo
                 .preds
@@ -432,64 +434,45 @@ impl IncrementalAnalysis {
             }
         }
 
-        // Dropped rules: recheck the pairs that had them as closure extras
-        // (must be collected before the entries are deleted), then delete
-        // every memo entry mentioning a dead rule.
-        for &r in &removed {
-            if let Some(pairs) = memo.extra_index.get(&r) {
-                for &p in pairs {
-                    if cur.contains_key(&p.0) && cur.contains_key(&p.1) {
-                        dirty_pairs.insert(p);
-                    }
-                }
-            }
-        }
-        if !removed.is_empty() {
-            let dead_keys: Vec<(u32, u32)> = memo
-                .entries
-                .keys()
-                .filter(|k| !cur.contains_key(&k.0) || !cur.contains_key(&k.1))
-                .copied()
-                .collect();
-            for k in dead_keys {
-                Self::remove_entry(&mut memo, k);
-            }
-        }
-
-        // Expand dirty rules into pairs.
+        // Expand dirty rules into pairs, through the conflict index: a
+        // dirty rule's partners are the only rules it can hold a verdict
+        // with in this context, and whatever it — or a dropped rule — held
+        // one with before has a memo entry naming it, as an endpoint or a
+        // closure extra.
         for &d in &dirty_rules {
-            for &q in &ctx.sids {
-                if q != d {
-                    dirty_pairs.insert(norm(d, q));
-                }
-            }
-            if let Some(pairs) = memo.extra_index.get(&d) {
-                dirty_pairs.extend(pairs.iter().copied());
-            }
+            let partners = index.partners(cur[&d]);
+            dirty_pairs.extend(partners.into_iter().map(|q| norm(d, ctx.sid(q))));
+        }
+        for d in dirty_rules.iter().chain(&removed) {
+            dirty_pairs.extend(memo.mentions.get(d).into_iter().flatten());
         }
 
-        // A dirty set approaching the whole pair space is slower to
-        // enumerate than to resweep.
-        let total_pairs = n * n.saturating_sub(1) / 2;
-        if total_pairs > 0 && dirty_pairs.len() > total_pairs / 2 {
-            self.full_sweep(ctx);
-            return true;
+        // A dirty set approaching what a full sweep visits is slower to
+        // propagate than to resweep.
+        if dirty_pairs.len() > memo.swept / 2 {
+            return false;
         }
 
+        // A memoized pair with a dropped endpoint, or one the index no
+        // longer lists (clean by construction), only loses its entry.
+        let mut rechecked = Vec::new();
         for &(a, b) in &dirty_pairs {
             Self::remove_entry(&mut memo, (a, b));
-            let (i, j) = (cur[&a], cur[&b]);
-            if ctx.unordered(i, j) {
+            let (Some(&i), Some(&j)) = (cur.get(&a), cur.get(&b)) else {
+                continue;
+            };
+            if index.is_candidate(i, j) {
                 Self::recheck_into(ctx, &mut memo, i, j);
+                rechecked.push((i, j));
             }
         }
-        self.last_rechecked = dirty_pairs.len() as u64;
+        self.rechecked = rechecked;
 
         memo.sids = ctx.sids.clone();
         memo.priority = ctx.priority.clone();
-        memo.preds = preds_new.unwrap_or_else(|| Self::preds_of(ctx));
+        memo.preds = preds_new;
         self.memo = Some(memo);
-        false
+        true
     }
 
     /// Runs [`check_pair`] + [`corollary_pair`] for one unordered pair and
@@ -510,8 +493,8 @@ impl IncrementalAnalysis {
             return;
         }
         let key = (ctx.sid(i), ctx.sid(j));
-        for &e in &extras {
-            memo.extra_index.entry(e).or_default().insert(key);
+        for &m in [key.0, key.1].iter().chain(&extras) {
+            memo.mentions.entry(m).or_default().push(key);
         }
         memo.entries.insert(
             key,
@@ -525,13 +508,10 @@ impl IncrementalAnalysis {
 
     fn remove_entry(memo: &mut ConfluenceMemo, key: (u32, u32)) {
         if let Some(entry) = memo.entries.remove(&key) {
-            for e in entry.extras {
-                if let Some(set) = memo.extra_index.get_mut(&e) {
-                    set.remove(&key);
-                    if set.is_empty() {
-                        memo.extra_index.remove(&e);
-                    }
-                }
+            for m in [key.0, key.1].iter().chain(&entry.extras) {
+                let row = memo.mentions.get_mut(m).expect("a member is mentioned");
+                let at = row.iter().position(|k| *k == key);
+                row.swap_remove(at.expect("a member is mentioned"));
             }
         }
     }
@@ -733,6 +713,67 @@ mod tests {
         assert_eq!(stats.incremental_sweeps, 1, "{stats:?}");
         // 5 rules → 10 pairs; pairs(a) alone is 4.
         assert_eq!(stats.last_rechecked_pairs, 4, "{stats:?}");
+    }
+
+    /// The fallback weighs the dirty set against what a full sweep visits,
+    /// not against the pair space: 50 rules in ten table-disjoint groups of
+    /// five have 100 candidate pairs of 1225, and redefining two rules of
+    /// every group dirties 70 of them.
+    #[test]
+    fn a_dirty_set_over_half_the_candidates_falls_back_to_a_full_sweep() {
+        let mut cat = Catalog::new();
+        let mut src = String::new();
+        for g in 0..10 {
+            for t in [format!("t{g}"), format!("u{g}")] {
+                cat.add_table(
+                    TableSchema::new(t, vec![ColumnDef::new("x", ValueType::Int)]).unwrap(),
+                )
+                .unwrap();
+            }
+            for k in 0..5 {
+                src += &format!(
+                    "create rule r{g}_{k} on t{g} when inserted then update u{g} set x = {k} end;"
+                );
+            }
+        }
+        let mut d = defs(&src);
+        let certs = Certifications::new();
+        let mut inc = IncrementalAnalysis::sequential();
+        inc.analyze(&RuleSet::compile(&d, &cat).unwrap(), &certs, false, &[]);
+        assert_eq!(inc.stats().last_rechecked_pairs, 100);
+
+        for def in d
+            .iter_mut()
+            .filter(|def| def.name.ends_with("_0") || def.name.ends_with("_1"))
+        {
+            let redefined = format!(
+                "create rule {} on {} when deleted then update u{} set x = 9 end;",
+                def.name,
+                def.table,
+                &def.table[1..]
+            );
+            *def = defs(&redefined).pop().unwrap();
+        }
+        let got = inc.analyze(&RuleSet::compile(&d, &cat).unwrap(), &certs, false, &[]);
+        let stats = inc.stats();
+        assert_eq!(
+            (stats.full_sweeps, stats.incremental_sweeps),
+            (2, 0),
+            "{stats:?}"
+        );
+        let want = scratch_report(&cat, &d, &certs, false, &[]);
+        assert_eq!(got.to_json().to_string(), want.to_json().to_string());
+        assert_eq!(got.to_string(), want.to_string());
+
+        // One group's worth stays incremental, and inside that group.
+        d[0] = defs("create rule r0_0 on t0 when inserted then update u0 set x = 7 end;")
+            .pop()
+            .unwrap();
+        let got = inc.analyze(&RuleSet::compile(&d, &cat).unwrap(), &certs, false, &[]);
+        assert_eq!(inc.stats().incremental_sweeps, 1);
+        assert_eq!(inc.last_rechecked(), [(0, 1), (0, 2), (0, 3), (0, 4)]);
+        let want = scratch_report(&cat, &d, &certs, false, &[]);
+        assert_eq!(got.to_json().to_string(), want.to_json().to_string());
     }
 
     /// Rebinding identical inputs is a no-op sweep: zero dirty pairs.

@@ -66,15 +66,16 @@ fn set_bit(bits: &mut [u64], idx: usize, v: bool) {
     }
 }
 
-/// Absorbs everything a Lemma 6.1 verdict depends on for one rule: name,
-/// table, the three sets (length-prefixed, in `BTreeSet` order) and
+/// Fingerprint of everything a Lemma 6.1 verdict depends on for one rule:
+/// name, table, the three sets (length-prefixed, in `BTreeSet` order) and
 /// `observable`. In-memory only — the value may change between releases.
-pub(crate) fn hash_signature(h: &mut Fnv64, sig: &RuleSignature) {
+fn fingerprint(sig: &RuleSignature) -> u64 {
     fn write_col(h: &mut Fnv64, tag: u8, c: &ColRef) {
         h.write(&[tag]);
         h.write_str(&c.table);
         h.write_str(&c.column);
     }
+    let mut h = Fnv64::new();
     h.write_str(&sig.name);
     h.write_str(&sig.table);
     for ops in [&sig.triggered_by, &sig.performs] {
@@ -89,20 +90,15 @@ pub(crate) fn hash_signature(h: &mut Fnv64, sig: &RuleSignature) {
                     h.write(&[1]);
                     h.write_str(t);
                 }
-                Op::Update(c) => write_col(h, 2, c),
+                Op::Update(c) => write_col(&mut h, 2, c),
             }
         }
     }
     h.write_usize(sig.reads.len());
     for c in &sig.reads {
-        write_col(h, 3, c);
+        write_col(&mut h, 3, c);
     }
     h.write(&[u8::from(sig.observable)]);
-}
-
-fn fingerprint(sig: &RuleSignature) -> u64 {
-    let mut h = Fnv64::new();
-    hash_signature(&mut h, sig);
     h.finish()
 }
 

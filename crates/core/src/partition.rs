@@ -1,4 +1,4 @@
-//! Partitioned and incremental analysis (paper Section 9, first extension).
+//! Partitions of a rule set (paper Section 9, first extension).
 //!
 //! "Most rule applications can be partitioned into groups of rules such
 //! that, across partitions, rules reference different sets of tables and
@@ -8,20 +8,14 @@
 //!
 //! Two rules share a partition when they reference a common table (through
 //! their own table, `Reads`, or `Performs`) or are priority-ordered. The
-//! [`IncrementalAnalyzer`] caches per-partition results keyed by a content
-//! digest and recomputes only invalidated partitions.
+//! quote's second half is a property of the one incremental analyzer: every
+//! pair [`IncrementalAnalysis`](crate::IncrementalAnalysis) rechecks lies
+//! inside one partition (`tests/partition_equivalence.rs`).
 
 use std::collections::BTreeMap;
 
-use serde::Serialize;
-use starling_storage::Fnv64;
-
 use crate::conflict_index::ConflictIndex;
-use crate::confluence::{analyze_confluence_of, ConfluenceAnalysis};
 use crate::context::AnalysisContext;
-use crate::pair_store::hash_signature;
-use crate::termination::{analyze_termination_indexed, TerminationAnalysis};
-use crate::triggering_graph::TriggeringGraph;
 
 /// Union-find with path compression.
 struct UnionFind {
@@ -76,84 +70,6 @@ pub fn partition_rules(ctx: &AnalysisContext) -> Vec<Vec<usize>> {
     let mut out: Vec<Vec<usize>> = groups.into_values().collect();
     out.sort_by_key(|g| g[0]);
     out
-}
-
-/// Analysis results for one partition.
-#[derive(Clone, Debug, Serialize)]
-pub struct PartitionResult {
-    /// Rule names in the partition.
-    pub rules: Vec<String>,
-    /// Termination over the partition.
-    pub termination: TerminationAnalysis,
-    /// Confluence Requirement over the partition.
-    pub confluence: ConfluenceAnalysis,
-}
-
-/// Content digest of a partition: rule signatures plus relevant priorities
-/// and certifications. Equal digests ⇒ identical analysis results.
-fn partition_digest(ctx: &AnalysisContext, group: &[usize]) -> u64 {
-    let mut h = Fnv64::new();
-    for &i in group {
-        let s = &ctx.sigs[i];
-        hash_signature(&mut h, s);
-        if let Some(just) = ctx.certs.termination_certificate(&s.name) {
-            h.write_str(just);
-        }
-    }
-    for (k, &i) in group.iter().enumerate() {
-        for &j in &group[k + 1..] {
-            h.write(&[u8::from(ctx.gt(i, j)), u8::from(ctx.gt(j, i))]);
-            h.write(&[u8::from(
-                ctx.certs.commute_certified(ctx.name(i), ctx.name(j)),
-            )]);
-        }
-    }
-    h.finish()
-}
-
-/// Caching analyzer: repeated calls recompute only partitions whose content
-/// digest changed.
-#[derive(Default)]
-pub struct IncrementalAnalyzer {
-    cache: BTreeMap<u64, PartitionResult>,
-    /// Partitions analyzed fresh on the most recent call (for speedup
-    /// measurements).
-    pub last_recomputed: usize,
-    /// Partitions served from cache on the most recent call.
-    pub last_cached: usize,
-}
-
-impl IncrementalAnalyzer {
-    /// A fresh analyzer with an empty cache.
-    pub fn new() -> Self {
-        IncrementalAnalyzer::default()
-    }
-
-    /// Analyzes all partitions, using the cache where valid.
-    pub fn analyze(&mut self, ctx: &AnalysisContext) -> Vec<PartitionResult> {
-        self.last_recomputed = 0;
-        self.last_cached = 0;
-        let graph = TriggeringGraph::build(ctx);
-        let mut out = Vec::new();
-        for group in partition_rules(ctx) {
-            let key = partition_digest(ctx, &group);
-            if let Some(hit) = self.cache.get(&key) {
-                self.last_cached += 1;
-                out.push(hit.clone());
-                continue;
-            }
-            self.last_recomputed += 1;
-            let sub = graph.subgraph(&group);
-            let result = PartitionResult {
-                rules: group.iter().map(|&i| ctx.name(i).to_owned()).collect(),
-                termination: analyze_termination_indexed(ctx, sub, Some(&group)),
-                confluence: analyze_confluence_of(ctx, &group),
-            };
-            self.cache.insert(key, result.clone());
-            out.push(result);
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -217,42 +133,5 @@ mod tests {
                if exists (select * from a1) then delete from b1 end;");
         let p = partition_rules(&c);
         assert_eq!(p.len(), 1);
-    }
-
-    #[test]
-    fn incremental_cache_hits() {
-        let c = ctx(TWO_GROUPS);
-        let mut inc = IncrementalAnalyzer::new();
-        let r1 = inc.analyze(&c);
-        assert_eq!(r1.len(), 2);
-        assert_eq!(inc.last_recomputed, 2);
-        assert_eq!(inc.last_cached, 0);
-
-        // Unchanged rule set: everything cached.
-        let _ = inc.analyze(&c);
-        assert_eq!(inc.last_recomputed, 0);
-        assert_eq!(inc.last_cached, 2);
-
-        // Change one group (add a certification touching g1a only): just
-        // that partition recomputes.
-        let mut c2 = c.clone();
-        c2.certs.certify_terminates("g1a", "bounded");
-        let _ = inc.analyze(&c2);
-        assert_eq!(inc.last_recomputed, 1);
-        assert_eq!(inc.last_cached, 1);
-    }
-
-    #[test]
-    fn partition_results_match_whole_analysis() {
-        let c = ctx(TWO_GROUPS);
-        let mut inc = IncrementalAnalyzer::new();
-        let rs = inc.analyze(&c);
-        // Both groups are ping-pong cycles: each partition flags
-        // nontermination, as whole-set analysis would.
-        for r in &rs {
-            assert!(!r.termination.is_guaranteed());
-        }
-        let whole = crate::termination::analyze_termination(&c);
-        assert_eq!(whole.cycles.len(), 2);
     }
 }

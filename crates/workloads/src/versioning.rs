@@ -5,10 +5,10 @@
 //! Documents live in `doc`; every content update is recorded as an
 //! immutable row in `version`, and `doc.head` tracks the latest version
 //! number. The recording rule is triggered by updates of `doc.content` and
-//! itself updates `doc.head` — a self-edge in the triggering graph that the
-//! analyzer flags and a monotone certificate discharges (head only grows,
-//! and nothing bounds it... so the *user* certificate carries the argument:
-//! the rule is not triggered by `head`, only by `content`).
+//! itself updates `doc.head` — a different column, so the triggering graph
+//! is acyclic and termination is guaranteed outright; what the analyzer
+//! does flag is `snapshot` against `immutable_versions` (condition 2′), on
+//! which the oracle finds one final state (`tests/case_studies.rs`).
 
 use crate::Workload;
 

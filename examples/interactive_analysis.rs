@@ -1,6 +1,6 @@
 //! The full interactive-environment surface in one tour: the §6.4 loop,
-//! predicate-level refinement, restricted user operations, partitioned
-//! incremental re-analysis, and the baseline comparison.
+//! predicate-level refinement, restricted user operations, incremental
+//! re-analysis by partition, and the baseline comparison.
 //!
 //! ```sh
 //! cargo run --example interactive_analysis
@@ -9,8 +9,9 @@
 use starling::analysis::certifications::Certifications;
 use starling::analysis::confluence::analyze_confluence;
 use starling::analysis::context::AnalysisContext;
-use starling::analysis::partition::{partition_rules, IncrementalAnalyzer};
+use starling::analysis::partition::partition_rules;
 use starling::analysis::restricted::analyze_restricted;
+use starling::analysis::IncrementalAnalysis;
 use starling::baselines::compare_all;
 use starling::prelude::*;
 use starling::sql::ast::Statement;
@@ -85,19 +86,33 @@ fn main() {
     );
     assert!(restricted.all_guaranteed());
 
-    // 5. Partitioned incremental analysis: the counters and the inventory
-    //    cascade share the orders table here, so one partition; after
-    //    removing the shared trigger the partitions split.
+    // 5. Incremental re-analysis by partition (Section 9): the counters and
+    //    the inventory cascade share the orders table here, so one
+    //    partition. A second analyze of the same rules rechecks nothing;
+    //    certifying the counters' conflict rechecks pairs of that
+    //    partition only.
     let parts = partition_rules(&plain);
     println!("partitions: {}", parts.len());
-    let mut inc = IncrementalAnalyzer::new();
-    let _ = inc.analyze(&plain);
-    let _ = inc.analyze(&plain);
+    let mut inc = IncrementalAnalysis::new();
+    let mut certs = Certifications::new();
+    inc.analyze(&rules, &certs, false, &[]);
+    inc.analyze(&rules, &certs, false, &[]);
+    assert!(inc.last_rechecked().is_empty());
+    certs.certify_commute("count_a", "count_b");
+    inc.analyze(&rules, &certs, false, &[]);
+    let pairs = inc.last_rechecked();
+    let mut touched: Vec<_> = pairs
+        .iter()
+        .map(|&(i, _)| parts.iter().position(|g| g.contains(&i)))
+        .collect();
+    touched.dedup();
     println!(
-        "second incremental run: {} recomputed, {} cached",
-        inc.last_recomputed, inc.last_cached
+        "after certifying count_a ~ count_b: {} of {} partition(s) rechecked, {} pair(s)",
+        touched.len(),
+        parts.len(),
+        pairs.len()
     );
-    assert_eq!(inc.last_recomputed, 0);
+    assert_eq!(touched.len(), 1);
 
     // 6. Baseline comparison (Section 9).
     let row = compare_all(&plain);

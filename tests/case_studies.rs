@@ -7,7 +7,7 @@ use starling::analysis::context::AnalysisContext;
 use starling::analysis::report::AnalysisReport;
 use starling::analysis::termination::{analyze_termination, TerminationVerdict};
 use starling::prelude::*;
-use starling::workloads::{audit, constraints, power_network};
+use starling::workloads::{audit, constraints, power_network, versioning};
 
 #[test]
 fn e7_power_network_termination_study() {
@@ -107,4 +107,45 @@ fn e4_partial_confluence_on_case_study() {
     // dept-writer.
     assert!(partial.significant.iter().any(|r| r == "maintain_totals"));
     assert!(partial.significant.len() <= rules.len());
+}
+
+/// The introduction's versioning application. Termination is guaranteed
+/// outright (the triggering graph is acyclic: `snapshot` is triggered by
+/// `content` and writes `head`) and the oracle agrees; the one confluence
+/// flag is condition 2′ on `snapshot` / `immutable_versions` — conservative,
+/// the oracle reaches one final state — and certifying that pair is all the
+/// Confluence Requirement needs. One-sided, as everywhere: a static
+/// guarantee must hold on the oracle, a "may not" need not fail on it.
+#[test]
+fn versioning_workload_matches_static_and_oracle_verdicts() {
+    let w = versioning::workload();
+    let (db, defs, _) = w.build().unwrap();
+    let rules = RuleSet::compile(&defs, db.catalog()).unwrap();
+    let ctx = AnalysisContext::from_ruleset(&rules, Certifications::new());
+    let report = AnalysisReport::run(&ctx, &[]);
+    assert_eq!(report.termination.verdict, TerminationVerdict::Guaranteed);
+    let flagged: Vec<_> = report
+        .confluence
+        .violations
+        .iter()
+        .map(|v| &v.conflict)
+        .collect();
+    assert_eq!(
+        flagged,
+        [&("snapshot".to_owned(), "immutable_versions".to_owned())]
+    );
+    assert!(!report.observable.is_guaranteed());
+
+    let cfg = ExploreConfig::default();
+    let g = explore(&rules, &db, &w.user_actions().unwrap(), &cfg).unwrap();
+    assert_eq!(g.terminates(), Some(true));
+    assert_eq!(g.confluent(), Some(true));
+    assert_eq!(g.observably_deterministic(&cfg), Some(true));
+
+    let mut certs = Certifications::new();
+    certs.certify_commute("snapshot", "immutable_versions");
+    let certified = AnalysisContext::from_ruleset(&rules, certs);
+    assert!(AnalysisReport::run(&certified, &[])
+        .confluence
+        .requirement_holds());
 }

@@ -1,8 +1,8 @@
 //! Equivalence properties for the incremental analyzer (§6.4 loop).
 //!
 //! Drives fuzz-generated rule programs through random refinement
-//! sessions — certify/revoke, order/unorder, drop/re-add, refinement
-//! toggles — and after **every** step checks that
+//! sessions — certify/revoke, order/unorder, drop/re-add, redefine,
+//! refinement toggles — and after **every** step checks that
 //!
 //! 1. the incremental report is byte-identical (JSON and Display) to a
 //!    from-scratch [`AnalysisReport::run`] on the same inputs, and
@@ -14,229 +14,38 @@
 //!    triangle produces ([`AnalysisContext::with_dense_sweep`]).
 //!
 //! A direct property backs the third check: every pair the dense triangle
-//! finds anything on is a candidate.
+//! finds anything on is a candidate. And the walks check the §9 partition
+//! property of what each step rechecked (`walk::session`).
 //!
 //! Seeds are pinned: failures reproduce exactly in CI.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+mod walk;
+
 use starling_analysis::confluence::{check_pair, corollary_pair};
 use starling_analysis::context::AnalysisContext;
 use starling_analysis::observable::extend_with_obs;
-use starling_analysis::report::AnalysisReport;
-use starling_analysis::{Certifications, IncrementalAnalysis};
-use starling_engine::RuleSet;
+use starling_analysis::Certifications;
 use starling_fuzz::{generate, GenConfig};
-use starling_sql::RuleDef;
-use starling_storage::Catalog;
+use walk::{scratch, scratch_ctx};
 
-fn scratch_ctx(
-    cat: &Catalog,
-    defs: &[RuleDef],
-    certs: &Certifications,
-    refine: bool,
-) -> AnalysisContext {
-    let rs = RuleSet::compile(defs, cat).unwrap();
-    let ctx = AnalysisContext::from_ruleset(&rs, certs.clone());
-    if refine {
-        ctx.with_refinement()
-    } else {
-        ctx
-    }
-}
-
-fn scratch(
-    cat: &Catalog,
-    defs: &[RuleDef],
-    certs: &Certifications,
-    refine: bool,
-    protect: &[Vec<String>],
-) -> AnalysisReport {
-    AnalysisReport::run(&scratch_ctx(cat, defs, certs, refine), protect)
-}
-
-/// One random mutation of the editing state. Returns a label for failure
-/// messages; mutations that would not compile (priority cycles) are
-/// reverted, which keeps the walk deterministic per seed.
-#[allow(clippy::too_many_arguments)]
-fn mutate(
-    rng: &mut StdRng,
-    defs: &mut Vec<RuleDef>,
-    cat: &Catalog,
-    certs: &mut Certifications,
-    refine: &mut bool,
-    certified: &mut Vec<(String, String)>,
-    dropped: &mut Vec<RuleDef>,
-    last: &AnalysisReport,
-) -> String {
-    match rng.gen_range(0..6u32) {
-        0 => {
-            // Certify: prefer a real outstanding conflict, like a §6.4 user.
-            let (a, b) = match last.confluence.violations.first() {
-                Some(v) => v.conflict.clone(),
-                None => {
-                    let i = rng.gen_range(0..defs.len());
-                    let j = rng.gen_range(0..defs.len());
-                    (defs[i].name.clone(), defs[j].name.clone())
-                }
-            };
-            certs.certify_commute(&a, &b);
-            certified.push((a.clone(), b.clone()));
-            format!("certify {a}~{b}")
-        }
-        1 => match certified.pop() {
-            Some((a, b)) => {
-                certs.revoke_commute(&a, &b);
-                format!("revoke {a}~{b}")
-            }
-            None => "revoke (nothing certified)".to_owned(),
-        },
-        2 => {
-            // Order: a fresh low→high precedes edge can never close a cycle
-            // on its own, but the generated program already has edges, so
-            // compile-check and revert if one forms.
-            let i = rng.gen_range(0..defs.len().saturating_sub(1));
-            let j = rng.gen_range(i + 1..defs.len());
-            let target = defs[j].name.clone();
-            if defs[i].precedes.contains(&target) {
-                return "order (edge existed)".to_owned();
-            }
-            defs[i].precedes.push(target.clone());
-            if RuleSet::compile(defs, cat).is_err() {
-                defs[i].precedes.pop();
-                return "order (reverted, cycle)".to_owned();
-            }
-            format!("order {} > {target}", defs[i].name)
-        }
-        3 => {
-            let candidates: Vec<usize> = (0..defs.len())
-                .filter(|&i| !defs[i].precedes.is_empty())
-                .collect();
-            match candidates.first() {
-                Some(&i) => {
-                    let gone = defs[i].precedes.pop().unwrap();
-                    format!("unorder {} > {gone}", defs[i].name)
-                }
-                None => "unorder (no edges)".to_owned(),
-            }
-        }
-        4 if defs.len() > 2 => {
-            // Drop a random rule, stripping dangling ordering references.
-            let i = rng.gen_range(0..defs.len());
-            let victim = defs.remove(i);
-            for d in defs.iter_mut() {
-                d.precedes.retain(|n| n != &victim.name);
-                d.follows.retain(|n| n != &victim.name);
-            }
-            let label = format!("drop {}", victim.name);
-            dropped.push(victim);
-            label
-        }
-        5 => match dropped.pop() {
-            Some(mut back) => {
-                // Its own ordering lists may name since-dropped rules.
-                let known: Vec<String> = defs.iter().map(|d| d.name.clone()).collect();
-                back.precedes.retain(|n| known.contains(n));
-                back.follows.retain(|n| known.contains(n));
-                let label = format!("re-add {}", back.name);
-                defs.push(back);
-                if RuleSet::compile(defs, cat).is_err() {
-                    dropped.push(defs.pop().unwrap());
-                    return "re-add (reverted, cycle)".to_owned();
-                }
-                label
-            }
-            None => {
-                *refine = !*refine;
-                format!("toggle refine -> {refine}")
-            }
-        },
-        _ => {
-            *refine = !*refine;
-            format!("toggle refine -> {refine}")
-        }
-    }
-}
-
-/// Runs one seeded refinement session over `cfg`, checking all three
-/// analyzers against each other after every step. The cold sweep must visit
-/// at least `cold_pairs` pairs.
+/// One walk over the fuzz generator's seed-`seed` program of shape `cfg`,
+/// protecting its first table. It must actually exercise the incremental
+/// path — a suite where every step falls back to a full sweep proves
+/// nothing.
 fn session(seed: u64, cfg: &GenConfig, steps: usize, cold_pairs: u64) {
     let case = generate(seed, cfg);
-    let cat = case.catalog();
-    let mut defs = case.defs;
-    let mut certs = Certifications::new();
-    let mut refine = false;
     let protect = vec![vec![case.tables[0].name.clone()]];
-    let mut certified = Vec::new();
-    let mut dropped = Vec::new();
-    let mut par = IncrementalAnalysis::new();
-    let mut seq = IncrementalAnalysis::sequential();
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x9e3779b97f4a7c15);
-
-    let mut last = scratch(&cat, &defs, &certs, refine, &protect);
-    for step in 0..=steps {
-        let label = if step == 0 {
-            "initial".to_owned()
-        } else {
-            mutate(
-                &mut rng,
-                &mut defs,
-                &cat,
-                &mut certs,
-                &mut refine,
-                &mut certified,
-                &mut dropped,
-                &last,
-            )
-        };
-        let rs = RuleSet::compile(&defs, &cat).unwrap();
-        let got_par = par.analyze(&rs, &certs, refine, &protect);
-        let got_seq = seq.analyze(&rs, &certs, refine, &protect);
-        if step == 0 {
-            let visited = par.stats().last_rechecked_pairs;
-            assert!(
-                visited >= cold_pairs,
-                "seed {seed}: cold sweep of {visited}"
-            );
-        }
-        let want = scratch(&cat, &defs, &certs, refine, &protect);
-        let ctx = format!("seed {seed} step {step} ({label})");
-        assert_eq!(
-            got_par.to_json().to_string(),
-            want.to_json().to_string(),
-            "incremental(parallel) != from-scratch json at {ctx}"
-        );
-        assert_eq!(
-            got_par.to_string(),
-            want.to_string(),
-            "incremental(parallel) != from-scratch display at {ctx}"
-        );
-        assert_eq!(
-            got_seq.to_json().to_string(),
-            want.to_json().to_string(),
-            "incremental(sequential) != from-scratch json at {ctx}"
-        );
-        let dense = scratch_ctx(&cat, &defs, &certs, refine).with_dense_sweep();
-        let dense = AnalysisReport::run(&dense, &protect);
-        assert_eq!(
-            want.to_json().to_string(),
-            dense.to_json().to_string(),
-            "candidate sweep != dense sweep json at {ctx}"
-        );
-        assert_eq!(
-            want.to_string(),
-            dense.to_string(),
-            "candidate sweep != dense sweep display at {ctx}"
-        );
-        last = want;
-    }
-    // The walk must actually have exercised the incremental path — a
-    // suite where every step falls back to a full sweep proves nothing.
+    let walk = walk::session(
+        seed,
+        &case.catalog(),
+        case.defs,
+        &protect,
+        steps,
+        cold_pairs,
+    );
     assert!(
-        par.stats().incremental_sweeps >= 2,
-        "seed {seed}: walk never went incremental: {:?}",
-        par.stats()
+        walk.incremental_steps >= 2,
+        "seed {seed}: walk never went incremental"
     );
 }
 

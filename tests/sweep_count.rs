@@ -1,8 +1,9 @@
-//! What a cold analyze costs, as a count rather than a clock: the pairs the
+//! What an analyze costs, as a count rather than a clock: the pairs a cold
 //! sweep visits and the Lemma 6.1 derivations it makes follow the program's
 //! conflicts — rules that share a table, closures that can take a step —
 //! not its pair space. Tripling the rules of the benchmark's program must
-//! not triple either count.
+//! not triple either count. And a warm step follows one rule's conflicts,
+//! not its row of the pair space.
 
 use starling_analysis::confluence::pair_closure;
 use starling_analysis::{AnalysisContext, Certifications, IncrementalAnalysis};
@@ -55,4 +56,21 @@ fn a_cold_sweep_visits_the_conflicts_not_the_pair_space() {
     assert!(visited_1k <= 90_000, "1000 rules: visited {visited_1k}");
     assert!(visited_3k <= 110_000, "3000 rules: visited {visited_3k}");
     assert!(visited_3k < 2 * visited_1k && misses_3k < 2 * misses_1k);
+}
+
+#[test]
+fn a_warm_certify_step_rechecks_the_rules_partners_not_its_row() {
+    let case = generate(42, &GenConfig::scaled(1000));
+    let rs = RuleSet::compile(&case.defs, &case.catalog()).unwrap();
+    let mut certs = Certifications::new();
+    let mut analysis = IncrementalAnalysis::sequential();
+    analysis.analyze(&rs, &certs, false, &[]);
+    // The benchmark's certify step: a seeded rule and its successor.
+    certs.certify_commute(&case.defs[500].name, &case.defs[501].name);
+    analysis.analyze(&rs, &certs, false, &[]);
+    let stats = analysis.stats();
+    assert_eq!((stats.full_sweeps, stats.incremental_sweeps), (1, 1));
+    // Measured 58; the rule's row of the pair space is 999.
+    let rechecked = stats.last_rechecked_pairs;
+    assert!((1..400).contains(&rechecked), "rechecked {rechecked} pairs");
 }
