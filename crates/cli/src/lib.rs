@@ -210,7 +210,6 @@ pub fn cmd_explain_divergence(
         &script.db,
         &script.user_actions,
         cfg,
-        starling_engine::EvalMode::default(),
     )?;
     let status = match &ex.witness {
         Some(_) => CmdStatus::Ok,

@@ -28,7 +28,7 @@ use std::time::Duration;
 use starling_cli::{
     cmd_analyze, cmd_compare, cmd_explore, cmd_graph, cmd_run, CmdOutput, CmdStatus,
 };
-use starling_engine::{Budget, EvalMode};
+use starling_engine::Budget;
 
 const USAGE: &str = "\
 starling — analysis of database production rules (SIGMOD '92 reproduction)
@@ -167,8 +167,6 @@ fn main() -> ExitCode {
 }
 
 fn run(args: &[String]) -> Result<CmdOutput, String> {
-    // A mistyped STARLING_EVAL_MODE must not silently run the default mode.
-    EvalMode::try_from_env()?;
     let command = args.first().ok_or("missing command")?;
     if command == "help" || command == "--help" || command == "-h" {
         return Ok(CmdOutput {

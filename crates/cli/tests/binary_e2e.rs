@@ -235,30 +235,6 @@ fn bad_flag_value_is_a_usage_error() {
     std::fs::remove_file(path).ok();
 }
 
-/// A mistyped `STARLING_EVAL_MODE` (CI's forced-mode legs) must fail, not
-/// quietly run the default mode as every other test here does with it unset.
-#[test]
-fn eval_mode_env_typo_is_an_error() {
-    let path = script_file(SCRIPT);
-    let run = |mode: &str| {
-        let out = Command::new(env!("CARGO_BIN_EXE_starling"))
-            .args(["run", path.to_str().unwrap()])
-            .env("STARLING_EVAL_MODE", mode)
-            .output()
-            .expect("binary runs");
-        (
-            out.status.code(),
-            String::from_utf8_lossy(&out.stderr).into_owned(),
-        )
-    };
-    assert_eq!(run("row").0, Some(0));
-    let (code, stderr) = run("bogus");
-    assert_eq!(code, Some(1));
-    assert!(stderr.contains("STARLING_EVAL_MODE"), "{stderr}");
-    assert!(stderr.contains("columnar, row, plan, interp"), "{stderr}");
-    std::fs::remove_file(path).ok();
-}
-
 #[test]
 fn serve_rejects_the_retired_executor_flag() {
     // Spelled in two parts so a grep for the retired flag across the tree

@@ -440,9 +440,9 @@ impl ExecGraph {
     }
 }
 
-/// Applies user actions to a database under the environment-default
-/// [`EvalMode`], returning the resulting operations (the initial
-/// transition). The caller's `db` is mutated.
+/// Applies user actions to a database under the default [`EvalMode`],
+/// returning the resulting operations (the initial transition). The
+/// caller's `db` is mutated.
 pub fn apply_user_actions(
     db: &mut Database,
     actions: &[Action],
@@ -450,10 +450,10 @@ pub fn apply_user_actions(
     apply_user_actions_with_mode(db, actions, EvalMode::default())
 }
 
-/// [`apply_user_actions`] with an explicit [`EvalMode`]: an exploration or
-/// verification under [`EvalMode::Interp`] runs its user transition in the
-/// interpreter too, sharing no plan code with the default.
-pub fn apply_user_actions_with_mode(
+/// [`apply_user_actions`] with an explicit [`EvalMode`]: an exploration
+/// under [`EvalMode::Interp`] runs its user transition in the interpreter
+/// too, sharing no plan code with the default.
+fn apply_user_actions_with_mode(
     db: &mut Database,
     actions: &[Action],
     mode: EvalMode,
@@ -487,9 +487,9 @@ pub fn explore(
     explore_with_mode(rules, base_db, user_actions, cfg, EvalMode::default())
 }
 
-/// [`explore`] with an explicit [`EvalMode`] instead of the environment
-/// default — the differential tests run the oracle under both modes in one
-/// process and assert the graphs are identical.
+/// [`explore`] with an explicit [`EvalMode`] instead of the default — the
+/// differential tests run the oracle under every mode in one process and
+/// assert the graphs are identical.
 pub fn explore_with_mode(
     rules: &RuleSet,
     base_db: &Database,
@@ -514,20 +514,10 @@ pub fn explore_traced(
     user_actions: &[Action],
     cfg: &ExploreConfig,
 ) -> Result<(ExecGraph, DecisionLog), EngineError> {
-    explore_traced_with_mode(rules, base_db, user_actions, cfg, EvalMode::default())
-}
-
-/// [`explore_traced`] with an explicit [`EvalMode`].
-pub fn explore_traced_with_mode(
-    rules: &RuleSet,
-    base_db: &Database,
-    user_actions: &[Action],
-    cfg: &ExploreConfig,
-    mode: EvalMode,
-) -> Result<(ExecGraph, DecisionLog), EngineError> {
     let mut db = base_db.clone();
-    let ops = apply_user_actions_with_mode(&mut db, user_actions, mode)?;
+    let ops = apply_user_actions(&mut db, user_actions)?;
     let mut log = DecisionLog::new();
+    let mode = EvalMode::default();
     let graph = explore_impl(rules, base_db, db, &ops, cfg, false, mode, Some(&mut log))?;
     Ok((graph, log))
 }

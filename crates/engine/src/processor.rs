@@ -7,8 +7,6 @@
 //! (*quiescence*), a rollback occurs, or the consideration limit is hit
 //! (possible nontermination).
 
-use std::sync::OnceLock;
-
 use starling_sql::ast::Action;
 use starling_sql::eval::{exec_action, ActionOutcome, TransitionBinding};
 use starling_sql::plan::{compile_action, eval_condition, execute_action, ActionPlan, PlanMode};
@@ -24,18 +22,18 @@ use crate::strategy::ChoiceStrategy;
 
 /// How a processor evaluates rule conditions and actions.
 ///
-/// This used to be a process-global atomic, which made it impossible for
-/// two concurrent sessions (e.g. server connections) to use different
-/// evaluation paths — one flipping the switch flipped everyone. It is now
-/// an explicit per-processor value: the environment variable is only the
-/// *default*, never a global override.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+/// An argument, not a setting: every mode computes the same semantics, so
+/// the only reason to pick one is to compare them, and the differential
+/// suites, the fuzz oracle and the benchmark's twins pass it in code.
+/// Nothing selects it globally.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum EvalMode {
     /// Compiled physical plans executed batch-at-a-time: base-table scans
     /// borrow cached columnar views, vectorizable filters run as
     /// whole-column kernels over selection bitmaps, and non-vectorizable
     /// units fall back to row-at-a-time plan execution per statement (the
     /// fast path, and the default).
+    #[default]
     Columnar,
     /// Compiled physical plans executed row-at-a-time (the PR-3 engine) —
     /// kept as the differential oracle for the columnar kernels.
@@ -46,23 +44,6 @@ pub enum EvalMode {
 }
 
 impl EvalMode {
-    /// What `STARLING_EVAL_MODE` selects: unset or empty is
-    /// [`EvalMode::Columnar`]; anything [`str::parse`] rejects is an error
-    /// naming the variable, so a typo cannot silently test the default.
-    pub fn try_from_env() -> Result<Self, String> {
-        match std::env::var("STARLING_EVAL_MODE") {
-            Ok(v) if !v.is_empty() => v.parse().map_err(|e| format!("STARLING_EVAL_MODE: {e}")),
-            _ => Ok(EvalMode::Columnar),
-        }
-    }
-
-    /// The process default, read once per process and cached. Panics on an
-    /// unrecognised `STARLING_EVAL_MODE` (see [`EvalMode::try_from_env`]).
-    pub fn from_env() -> Self {
-        static FROM_ENV: OnceLock<EvalMode> = OnceLock::new();
-        *FROM_ENV.get_or_init(|| Self::try_from_env().unwrap_or_else(|e| panic!("{e}")))
-    }
-
     /// Whether this mode uses compiled plans.
     pub fn uses_plans(self) -> bool {
         matches!(self, EvalMode::Plan | EvalMode::Columnar)
@@ -75,29 +56,6 @@ impl EvalMode {
             EvalMode::Columnar => PlanMode::Columnar,
             _ => PlanMode::Row,
         }
-    }
-}
-
-impl std::str::FromStr for EvalMode {
-    type Err = String;
-
-    /// `columnar`, `row` (also accepted as `plan`), or `interp`.
-    fn from_str(s: &str) -> Result<Self, String> {
-        match s {
-            "columnar" => Ok(EvalMode::Columnar),
-            "row" | "plan" => Ok(EvalMode::Plan),
-            "interp" => Ok(EvalMode::Interp),
-            other => Err(format!(
-                "unknown eval mode `{other}` (accepted: columnar, row, plan, interp)"
-            )),
-        }
-    }
-}
-
-impl Default for EvalMode {
-    /// The environment-derived default (see [`EvalMode::from_env`]).
-    fn default() -> Self {
-        EvalMode::from_env()
     }
 }
 
@@ -360,8 +318,7 @@ pub struct Processor<'r> {
 
 impl<'r> Processor<'r> {
     /// A processor over a rule set with the default [`Budget`] (10 000
-    /// considerations, no deadline) and the environment-default
-    /// [`EvalMode`].
+    /// considerations, no deadline) and the default [`EvalMode`].
     pub fn new(rules: &'r RuleSet) -> Self {
         Processor {
             rules,

@@ -408,23 +408,18 @@ pub fn check_script(src: &str, budget: &Budget, mutation: Mutation) -> CaseOutco
         );
     }
 
-    // Oracle: sequential vs parallel. Both sides run the process-default
-    // evaluation mode, which is one of the three graphs already in hand.
-    let seq_json = match EvalMode::default() {
-        EvalMode::Columnar => &columnar_json,
-        EvalMode::Plan => &plan_json,
-        EvalMode::Interp => &interp_json,
-    };
+    // Oracle: sequential vs parallel. Both sides run the default evaluation
+    // mode, so the sequential side is the columnar graph already in hand.
     match explore_parallel(&loaded.rules, &loaded.db, &loaded.user_actions, budget) {
         Ok(gp) => {
             let par_json = explore_json(&gp, budget).to_string();
-            if par_json != *seq_json {
+            if par_json != columnar_json {
                 return outcome(
                     &g,
                     Some(Disagreement {
                         oracle: "parallelism",
                         witness: None,
-                        detail: format!("sequential: {seq_json}\nparallel:   {par_json}"),
+                        detail: format!("sequential: {columnar_json}\nparallel:   {par_json}"),
                     }),
                 );
             }
@@ -465,7 +460,6 @@ pub fn check_script(src: &str, budget: &Budget, mutation: Mutation) -> CaseOutco
                 &loaded.db,
                 &loaded.user_actions,
                 &w,
-                EvalMode::Columnar,
             ) {
                 Ok(true) => Some(starling_provenance::witness_compact(&loaded.rules, &w)),
                 _ => None,

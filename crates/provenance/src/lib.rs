@@ -37,7 +37,7 @@ pub use render::{explanation_json, witness_compact, witness_json, witness_text};
 pub use witness::{extract, verify, Witness};
 
 use starling_engine::{
-    explore_traced_with_mode, DecisionLog, EngineError, EvalMode, ExecGraph, ExploreConfig, RuleSet,
+    explore_traced, DecisionLog, EngineError, ExecGraph, ExploreConfig, RuleSet,
 };
 use starling_sql::ast::Action;
 use starling_storage::Database;
@@ -63,12 +63,11 @@ pub fn explain_divergence(
     base_db: &Database,
     actions: &[Action],
     cfg: &ExploreConfig,
-    mode: EvalMode,
 ) -> Result<Explanation, EngineError> {
-    let (graph, log) = explore_traced_with_mode(rules, base_db, actions, cfg, mode)?;
+    let (graph, log) = explore_traced(rules, base_db, actions, cfg)?;
     let witness = match witness::extract(rules, &graph) {
         Some(mut w) => {
-            w.replay_verified = witness::verify(rules, base_db, actions, &w, mode)?;
+            w.replay_verified = witness::verify(rules, base_db, actions, &w)?;
             Some(w)
         }
         None => None,

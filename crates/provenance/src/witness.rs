@@ -21,7 +21,7 @@
 //! non-commuting rule pair of the frontier.
 
 use starling_analysis::{noncommutativity_reasons, AnalysisContext, Certifications};
-use starling_engine::exec_graph::apply_user_actions_with_mode;
+use starling_engine::exec_graph::apply_user_actions;
 use starling_engine::{
     replay_rule_sequence, EngineError, EvalMode, ExecGraph, ExecState, RuleId, RuleSet,
 };
@@ -230,14 +230,13 @@ pub fn verify(
     base_db: &Database,
     actions: &[Action],
     w: &Witness,
-    mode: EvalMode,
 ) -> Result<bool, EngineError> {
     let mut db = base_db.clone();
-    let ops = apply_user_actions_with_mode(&mut db, actions, mode)?;
+    let ops = apply_user_actions(&mut db, actions)?;
     let replay = |branch: &[RuleId]| -> Result<u64, EngineError> {
         let mut st = ExecState::new(db.clone(), rules.len(), &ops);
         let seq: Vec<RuleId> = w.prefix.iter().chain(branch.iter()).copied().collect();
-        replay_rule_sequence(rules, &mut st, base_db, &seq, mode)?;
+        replay_rule_sequence(rules, &mut st, base_db, &seq, EvalMode::default())?;
         Ok(st.db.state_digest())
     };
     let l = replay(&w.left)?;
@@ -275,8 +274,7 @@ mod tests {
     fn race_yields_minimal_verified_witness() {
         let s = load_script(RACE).unwrap();
         let cfg = Budget::default();
-        let ex =
-            explain_divergence(&s.rules, &s.db, &s.user_actions, &cfg, Default::default()).unwrap();
+        let ex = explain_divergence(&s.rules, &s.db, &s.user_actions, &cfg).unwrap();
         let w = ex.witness.expect("two final digests -> witness");
         assert!(w.replay_verified, "replay must reproduce both digests");
         assert_ne!(w.left_digest, w.right_digest);
@@ -295,8 +293,7 @@ mod tests {
     fn confluent_program_has_no_witness() {
         let s = load_script(CONFLUENT).unwrap();
         let cfg = Budget::default();
-        let ex =
-            explain_divergence(&s.rules, &s.db, &s.user_actions, &cfg, Default::default()).unwrap();
+        let ex = explain_divergence(&s.rules, &s.db, &s.user_actions, &cfg).unwrap();
         assert!(ex.witness.is_none());
         assert_eq!(ex.log.ambiguous(), 0, "single eligible rule: no record");
     }

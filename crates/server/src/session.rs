@@ -6,9 +6,7 @@
 //! Each connection owns its session outright. The database handed out at
 //! `load` is a copy-on-write snapshot (PR 2): sessions of the same program
 //! share physical tables until one writes, and no session can observe
-//! another's writes. Evaluation mode is per-session state (PR 4's
-//! [`EvalMode`]): one session running the interpreter oracle cannot flip a
-//! neighbor onto the slow path.
+//! another's writes.
 //!
 //! ## Request atomicity
 //!
@@ -16,17 +14,16 @@
 //! stronger than the CLI: on any error response — script error, abort, or
 //! budget exhaustion — the session is reset to the [`Session::state`] taken
 //! when the request arrived (database, rule program, compiled rules: three
-//! refcounts), and keeps its evaluation mode and store attachment. A
-//! budget-exhausted `exec` therefore never commits a partially processed
-//! transition, and the error code tells the client which budget ran out.
+//! refcounts), and keeps its store attachment. A budget-exhausted `exec`
+//! therefore never commits a partially processed transition, and the error
+//! code tells the client which budget ran out.
 
 use std::sync::Arc;
 
 use starling_analysis::report::explore_json_with;
 use starling_analysis::{check_protected_tables, Certifications, IncrementalAnalysis};
 use starling_engine::{
-    explore_traced_with_mode, Budget, EngineError, EvalMode, FirstEligible, Outcome, RuleSet,
-    Session,
+    explore_traced, Budget, EngineError, FirstEligible, Outcome, RuleSet, Session,
 };
 use starling_provenance::{explanation_json, ProvCounters};
 use starling_sql::ast::{Action, Directive, Statement};
@@ -120,7 +117,6 @@ struct LastExplore {
     db: Database,
     actions: Vec<Action>,
     budget: Budget,
-    eval_mode: EvalMode,
 }
 
 impl ServerSession {
@@ -222,14 +218,6 @@ impl ServerSession {
     /// attaches to the store's recovered state. A store has at most one
     /// writer at a time.
     fn op_load(&mut self, req: &Json, cache: &ScriptCache) -> OpResult {
-        // Parsed up front, applied only with the new program: a load that
-        // fails leaves the session as it was, mode included.
-        let mode: EvalMode = match req.get("eval_mode") {
-            None => self.session.eval_mode,
-            Some(_) => str_field(req, "eval_mode")
-                .and_then(str::parse)
-                .map_err(|e| protocol(format!("`eval_mode`: {e}")))?,
-        };
         let persist = match req.get("persist") {
             None => None,
             Some(v) => {
@@ -250,7 +238,7 @@ impl ServerSession {
         };
         if let Some(name) = persist {
             if req.get("script").is_none() && req.get("digest").is_none() {
-                return self.attach_store(name, mode);
+                return self.attach_store(name);
             }
         }
         let (loaded, cached, key) = if let Some(d) = req.get("digest") {
@@ -273,7 +261,6 @@ impl ServerSession {
         let root = persist.map(|name| self.claim_store(name)).transpose()?;
         self.detach_durable();
         self.session.reset_to(loaded.state.clone());
-        self.session.eval_mode = mode;
         self.default_actions = loaded.user_actions.clone();
         if let Some((name, root)) = persist.zip(root) {
             if let Err(e) = self.session.persist_to(root.dir().join(name), root.sync()) {
@@ -316,7 +303,7 @@ impl ServerSession {
 
     /// `load` with `persist` but no program: attach to the named store's
     /// recovered state.
-    fn attach_store(&mut self, name: &str, mode: EvalMode) -> OpResult {
+    fn attach_store(&mut self, name: &str) -> OpResult {
         let root = self.claim_store(name)?;
         self.detach_durable();
         let opened = Session::open_durable(root.dir().join(name), root.sync());
@@ -324,7 +311,6 @@ impl ServerSession {
             root.release(name);
             engine(e)
         })?;
-        self.session.eval_mode = mode;
         self.default_actions = Vec::new();
         self.persist_name = Some(name.to_owned());
         Ok(Json::obj([
@@ -422,14 +408,8 @@ impl ServerSession {
             ));
         }
         let rules = self.session.ruleset_arc().map_err(engine)?.clone();
-        let (g, log) = explore_traced_with_mode(
-            &rules,
-            self.session.db(),
-            &actions,
-            &budget,
-            self.session.eval_mode,
-        )
-        .map_err(engine)?;
+        let (g, log) =
+            explore_traced(&rules, self.session.db(), &actions, &budget).map_err(engine)?;
         self.metrics.states_explored += g.states.len() as u64;
         self.prov.record_trace(&log);
         // Keep the probe (even for an inconclusive exploration) so a
@@ -439,7 +419,6 @@ impl ServerSession {
             db: self.session.db().clone(),
             actions: actions.clone(),
             budget,
-            eval_mode: self.session.eval_mode,
         });
         let verdicts = g.verdicts(&budget);
         let result = explore_json_with(&g, &verdicts);
@@ -468,7 +447,6 @@ impl ServerSession {
             &last.db,
             &last.actions,
             &last.budget,
-            last.eval_mode,
         )
         .map_err(engine)?;
         self.prov.record_trace(&ex.log);
@@ -499,10 +477,12 @@ impl ServerSession {
             }
             "terminates" => {
                 let rule = str_field(req, "rule").map_err(protocol)?;
-                let justification = req
-                    .get("justification")
-                    .and_then(Json::as_str)
-                    .unwrap_or("certified via protocol");
+                let justification = match req.get("justification") {
+                    None => "certified via protocol",
+                    Some(v) => v
+                        .as_str()
+                        .ok_or_else(|| protocol("`justification` must be a string"))?,
+                };
                 Directive::Terminates {
                     rule: rule.to_owned(),
                     justification: justification.to_owned(),
@@ -541,9 +521,9 @@ impl ServerSession {
         let d = match req.get("tables") {
             None => self.session.db().state_digest(),
             Some(v) => {
-                let names: Vec<&str> = v
+                let names = v
                     .as_arr()
-                    .map(|items| items.iter().filter_map(Json::as_str).collect())
+                    .and_then(|items| items.iter().map(Json::as_str).collect::<Option<Vec<_>>>())
                     .ok_or_else(|| protocol("`tables` must be an array of strings"))?;
                 self.session.db().digest_of_tables(&names)
             }
@@ -584,7 +564,7 @@ fn parse_actions(sql: &str) -> Result<Vec<Action>, OpError> {
         .map(|s| match s {
             Statement::Dml(a) => Ok(a),
             other => Err(script(format!(
-                "explore transitions must be DML only, got {other:?}"
+                "explore transitions must be DML only, got {other}"
             ))),
         })
         .collect()
@@ -994,44 +974,6 @@ mod tests {
             .is_ok());
     }
 
-    #[test]
-    fn eval_mode_is_per_session() {
-        let cache = ScriptCache::new();
-        let mut columnar = ServerSession::new();
-        let mut plan = ServerSession::new();
-        let mut interp = ServerSession::new();
-        let load = |mode: &str| {
-            Json::obj([
-                ("script", Json::from(SCRIPT)),
-                ("eval_mode", Json::from(mode)),
-            ])
-        };
-        columnar
-            .handle_op("load", &load("columnar"), &cache)
-            .unwrap();
-        plan.handle_op("load", &load("plan"), &cache).unwrap();
-        interp.handle_op("load", &load("interp"), &cache).unwrap();
-        assert_eq!(columnar.session.eval_mode, EvalMode::Columnar);
-        assert_eq!(plan.session.eval_mode, EvalMode::Plan);
-        assert_eq!(interp.session.eval_mode, EvalMode::Interp);
-        // Request atomicity covers the mode: a load that fails leaves it be.
-        let bad = Json::parse(r#"{"digest":"ffffffffffffffff","eval_mode":"interp"}"#).unwrap();
-        columnar.handle_op("load", &bad, &cache).unwrap_err();
-        assert_eq!(columnar.session.eval_mode, EvalMode::Columnar);
-        // All paths agree on the oracle result.
-        let a = plan
-            .handle_op("explore", &Json::parse("{}").unwrap(), &cache)
-            .unwrap();
-        let b = interp
-            .handle_op("explore", &Json::parse("{}").unwrap(), &cache)
-            .unwrap();
-        let c = columnar
-            .handle_op("explore", &Json::parse("{}").unwrap(), &cache)
-            .unwrap();
-        assert_eq!(a.to_string(), b.to_string());
-        assert_eq!(a.to_string(), c.to_string());
-    }
-
     fn durable_root() -> (Arc<DurableRoot>, std::path::PathBuf) {
         use std::sync::atomic::{AtomicU64, Ordering};
         static NEXT: AtomicU64 = AtomicU64::new(0);
@@ -1264,21 +1206,44 @@ mod tests {
     #[test]
     fn protocol_errors_do_not_kill_the_session() {
         let (mut s, cache) = loaded();
-        for bad in [
-            ("load", "{}"),
-            ("exec", "{}"),
-            ("certify", r#"{"kind":"zzz"}"#),
-            ("order", r#"{"higher":"a"}"#),
-            ("digest", r#"{"tables":3}"#),
-            ("nosuch", "{}"),
+        for (op, req, msg_has) in [
+            ("load", "{}", "`script`"),
+            ("exec", "{}", "`sql`"),
+            ("certify", r#"{"kind":"zzz"}"#, "certify kind"),
+            ("order", r#"{"higher":"a"}"#, "`lower`"),
+            ("digest", r#"{"tables":3}"#, "array of strings"),
+            // A wrongly typed element is not skipped: the digest of the
+            // rest would answer a question nobody asked.
+            ("digest", r#"{"tables":[1,"t"]}"#, "array of strings"),
+            ("digest", r#"{"tables":[1]}"#, "array of strings"),
+            (
+                "certify",
+                r#"{"kind":"terminates","rule":"a","justification":7}"#,
+                "`justification` must be a string",
+            ),
+            ("nosuch", "{}", "unknown op"),
         ] {
-            let (code, _, _) = s
-                .handle_op(bad.0, &Json::parse(bad.1).unwrap(), &cache)
+            let (code, msg, _) = s
+                .handle_op(op, &Json::parse(req).unwrap(), &cache)
                 .unwrap_err();
-            assert_eq!(code, ErrorCode::Protocol, "{}", bad.0);
+            assert_eq!(code, ErrorCode::Protocol, "{op} {req}: {msg}");
+            assert!(msg.contains(msg_has), "{op} {req}: {msg}");
         }
+        assert!(s.session.directives().is_empty(), "nothing was certified");
         assert!(s
             .handle_op("analyze", &Json::parse("{}").unwrap(), &cache)
             .is_ok());
+    }
+
+    /// A non-DML `explore` transition is named as the user wrote it, not as
+    /// the parser's AST.
+    #[test]
+    fn explore_rejects_non_dml_in_sql_form() {
+        let (mut s, cache) = loaded();
+        let req = Json::obj([("sql", Json::from("create table z (x int null);"))]);
+        let (code, msg, _) = s.handle_op("explore", &req, &cache).unwrap_err();
+        assert_eq!(code, ErrorCode::Script, "{msg}");
+        assert!(msg.contains("create table z"), "{msg}");
+        assert!(!msg.contains("CreateTable("), "{msg}");
     }
 }

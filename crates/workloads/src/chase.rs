@@ -161,14 +161,7 @@ mod tests {
         let w = order_sensitive();
         let (db, rules) = w.compile().unwrap();
         let cfg = Budget::default();
-        let ex = explain_divergence(
-            &rules,
-            &db,
-            &w.user_actions().unwrap(),
-            &cfg,
-            Default::default(),
-        )
-        .unwrap();
+        let ex = explain_divergence(&rules, &db, &w.user_actions().unwrap(), &cfg).unwrap();
         let witness = ex.witness.expect("label assignment depends on order");
         assert!(witness.replay_verified);
         assert_ne!(witness.left_digest, witness.right_digest);

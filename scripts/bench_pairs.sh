@@ -43,12 +43,6 @@ if [[ $2 == all ]]; then
 else
   WORKLOADS=$2
 fi
-for var in STARLING_EVAL_MODE STARLING_FORCE_INTERP; do
-  if [[ -n "${!var:-}" ]]; then
-    echo "$var is set; unset it so the default columnar engine is measured" >&2
-    exit 2
-  fi
-done
 
 ROOT=$PWD
 BUILD=$ROOT/.bench_build

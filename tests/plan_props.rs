@@ -23,12 +23,17 @@
 //!    transition, same committed state; a failing script fails in all three
 //!    and leaves all three at the snapshot. (That an `Interp` session runs
 //!    no plan code is shown as an allocation count by `tests/stmt_alloc.rs`.)
+//!    The same three modes explore one user transition, and replay each of
+//!    its final states through `replay_rule_sequence` — the primitive
+//!    `witness::verify` runs.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use starling::engine::exec_graph::apply_user_actions;
 use starling::engine::{
-    explore_with_mode, EvalMode, ExploreConfig, FirstEligible, Outcome, RuleSet, Session,
+    explore_with_mode, replay_rule_sequence, EvalMode, ExecGraph, ExecState, ExploreConfig,
+    FirstEligible, Outcome, RuleId, RuleSet, Session,
 };
 use starling::sql::ast::{
     Action, BinOp, ColumnRef, Expr, FromItem, InsertSource, InsertStmt, OrderItem, SelectItem,
@@ -870,9 +875,34 @@ fn user_scripts_agree_across_eval_modes() {
     assert!((15..60).contains(&failed), "{failed} of 120 scripts failed");
 }
 
+/// The rules along a shortest path of `g` from the initial state to
+/// `target`.
+fn path_to(g: &ExecGraph, target: usize) -> Vec<RuleId> {
+    let mut via = vec![None; g.states.len()];
+    let mut queue = std::collections::VecDeque::from([0]);
+    while let Some(at) = queue.pop_front() {
+        for &e in &g.states[at].out_edges {
+            let to = g.edges[e].to;
+            if to != 0 && via[to].is_none() {
+                via[to] = Some(e);
+                queue.push_back(to);
+            }
+        }
+    }
+    let mut seq = Vec::new();
+    let mut at = target;
+    while let Some(e) = via[at] {
+        seq.push(g.edges[e].rule);
+        at = g.edges[e].from;
+    }
+    seq.reverse();
+    seq
+}
+
 /// The user transition of an exploration runs under the exploration's mode:
 /// a range `update` over a 3 000-row table as the initial transition, two
-/// unordered rules reacting to it.
+/// unordered rules reacting to it. Each final state then replays under
+/// each mode to the database digest the graph recorded for it.
 #[test]
 fn exploration_user_transition_agrees_across_eval_modes() {
     let mut s = accounts(3_000);
@@ -887,4 +917,21 @@ fn exploration_user_transition_agrees_across_eval_modes() {
     assert!(!interp.truncated() && interp.states.len() > 2);
     assert_eq!(columnar, interp);
     assert_eq!(plan, interp);
+
+    let mut db = s.db().clone();
+    let ops = apply_user_actions(&mut db, &actions).unwrap();
+    assert!(!interp.final_states.is_empty());
+    for &f in &interp.final_states {
+        let seq = path_to(&interp, f);
+        assert!(!seq.is_empty());
+        for mode in MODES {
+            let mut st = ExecState::new(db.clone(), rules.len(), &ops);
+            replay_rule_sequence(&rules, &mut st, s.db(), &seq, mode).unwrap();
+            assert_eq!(
+                st.db.state_digest(),
+                interp.states[f].db_digest,
+                "final state {f} via {seq:?} [{mode:?}]"
+            );
+        }
+    }
 }

@@ -89,14 +89,7 @@ fn corpus_witnesses_replay_byte_identically() {
         if s.user_actions.is_empty() {
             continue;
         }
-        let ex = explain_divergence(
-            &s.rules,
-            &s.db,
-            &s.user_actions,
-            &budget,
-            Default::default(),
-        )
-        .unwrap();
+        let ex = explain_divergence(&s.rules, &s.db, &s.user_actions, &budget).unwrap();
         let distinct = ex.graph.final_db_digests().len();
         match ex.witness {
             Some(w) => {
@@ -110,8 +103,7 @@ fn corpus_witnesses_replay_byte_identically() {
                 // Replay is deterministic: running verification again
                 // reproduces the digests byte-identically.
                 assert!(
-                    witness::verify(&s.rules, &s.db, &s.user_actions, &w, Default::default())
-                        .unwrap(),
+                    witness::verify(&s.rules, &s.db, &s.user_actions, &w).unwrap(),
                     "{name}: second replay diverged from the first"
                 );
                 divergent += 1;
@@ -137,14 +129,8 @@ fn generated_witnesses_replay_on_pinned_seeds() {
         let case = generate(seed, &GenConfig::default());
         let s = load_script(&case.script())
             .unwrap_or_else(|e| panic!("seed {seed}: pinned case no longer loads: {e}"));
-        let ex = explain_divergence(
-            &s.rules,
-            &s.db,
-            &s.user_actions,
-            &budget,
-            Default::default(),
-        )
-        .unwrap_or_else(|e| panic!("seed {seed}: exploration failed: {e}"));
+        let ex = explain_divergence(&s.rules, &s.db, &s.user_actions, &budget)
+            .unwrap_or_else(|e| panic!("seed {seed}: exploration failed: {e}"));
         let w = ex
             .witness
             .unwrap_or_else(|| panic!("seed {seed}: pinned divergent case became confluent"));
@@ -167,28 +153,14 @@ fn chase_workloads_explain_cleanly() {
     // Confluent chase: no witness, no recorded ambiguity.
     let w = chase::terminating();
     let (db, rules) = w.compile().unwrap();
-    let ex = explain_divergence(
-        &rules,
-        &db,
-        &w.user_actions().unwrap(),
-        &budget,
-        Default::default(),
-    )
-    .unwrap();
+    let ex = explain_divergence(&rules, &db, &w.user_actions().unwrap(), &budget).unwrap();
     assert!(ex.witness.is_none(), "weakly acyclic chase is confluent");
     assert_eq!(ex.log.ambiguous(), 0);
 
     // Order-sensitive chase: witness, replay-verified.
     let w = chase::order_sensitive();
     let (db, rules) = w.compile().unwrap();
-    let ex = explain_divergence(
-        &rules,
-        &db,
-        &w.user_actions().unwrap(),
-        &budget,
-        Default::default(),
-    )
-    .unwrap();
+    let ex = explain_divergence(&rules, &db, &w.user_actions().unwrap(), &budget).unwrap();
     let witness = ex.witness.expect("shared label supply diverges");
     assert!(witness.replay_verified);
     assert!(ex.log.ambiguous() >= 1);

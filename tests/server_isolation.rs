@@ -227,44 +227,6 @@ fn aborts_and_budget_exhaustion_do_not_perturb_neighbors() {
     server.join();
 }
 
-#[test]
-fn eval_mode_is_isolated_across_sessions() {
-    // One session on the interpreter path, one on the plan path,
-    // concurrently: identical observable results, and neither flips the
-    // other (the regression this guards: the old process-global
-    // FORCE_INTERP override).
-    let script = base_script();
-    let server = Server::bind("127.0.0.1:0").expect("bind");
-    let addr = server.local_addr();
-    let digests: Vec<String> = std::thread::scope(|scope| {
-        let handles: Vec<_> = ["plan", "interp"]
-            .into_iter()
-            .map(|mode| {
-                let script = &script;
-                scope.spawn(move || {
-                    let mut c = Client::connect_ready(addr, READY).expect("connect");
-                    let mut load = load_op(script);
-                    if let Json::Obj(pairs) = &mut load {
-                        pairs.push(("eval_mode".into(), Json::from(mode)));
-                    }
-                    c.expect_ok(&load).expect("load");
-                    c.expect_ok(&exec_op(&exec_sql(7))).expect("exec");
-                    let d = wire_digest(&mut c);
-                    c.quit().expect("quit");
-                    d
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("session"))
-            .collect()
-    });
-    assert_eq!(digests[0], digests[1], "plan and interp sessions diverged");
-    server.shutdown();
-    server.join();
-}
-
 /// The §6.4 refinement loop over the wire: certify → analyze → order →
 /// analyze on one session reuses pair verdicts (visible through the
 /// `stats` op's per-session `pair_cache` counters) and never leaks

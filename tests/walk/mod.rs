@@ -30,6 +30,7 @@ pub fn scratch_ctx(
     }
 }
 
+#[allow(dead_code)] // incremental_props calls it; partition_equivalence does not
 pub fn scratch(
     cat: &Catalog,
     defs: &[RuleDef],
