@@ -15,8 +15,8 @@ use crate::eval::expr::eval_expr;
 use crate::eval::select::contains_aggregate;
 
 use super::{
-    ActionPlan, CompiledSelect, CondPlan, DeletePlan, InsertPlan, InsertSourcePlan, JoinKey, PExpr,
-    RulePlan, SelectPlan, Slot, SourceMeta, SourcePlan, UpdatePlan,
+    vector, ActionPlan, CompiledSelect, CondPlan, DeletePlan, InsertPlan, InsertSourcePlan,
+    JoinKey, PExpr, RulePlan, ScanPred, SelectPlan, Slot, SourceMeta, SourcePlan, UpdatePlan,
 };
 
 /// Compiles a whole rule: condition plus every action. Never fails — units
@@ -577,6 +577,7 @@ impl<'c> Compiler<'c> {
                 sref,
                 pushed: Vec::new(),
                 vpushed: Vec::new(),
+                vkey: None,
                 join: None,
             });
         }
@@ -711,6 +712,14 @@ impl<'c> Compiler<'c> {
                 }));
             }
         }
+        // Rule plans only: the memo never evicts (see `SourcePlan::vkey`).
+        if self.rule_table.is_some() {
+            for sp in &mut sources {
+                if matches!(sp.sref, super::SourceRef::Base(_)) && !sp.vpushed.is_empty() {
+                    sp.vkey = vector::selection_key(&sp.vpushed);
+                }
+            }
+        }
 
         let mut order_by = Vec::with_capacity(s.order_by.len());
         for o in &s.order_by {
@@ -784,18 +793,15 @@ impl<'c> Compiler<'c> {
                     name: stmt.table.clone(),
                     table: stmt.table.clone(),
                 };
-                let (pred, pred_vec) = match &stmt.where_clause {
-                    None => (None, false),
-                    Some(w) => {
-                        let (pe, vec) = self.compile_scan_pred(&meta, w)?;
-                        (Some(pe), vec)
-                    }
-                };
+                let pred = stmt
+                    .where_clause
+                    .as_ref()
+                    .map(|w| self.compile_scan_pred(&meta, w))
+                    .transpose()?;
                 Ok(ActionPlan::Delete(DeletePlan {
                     table: stmt.table.clone(),
                     meta,
                     pred,
-                    pred_vec,
                     cache_slots: self.caches,
                 }))
             }
@@ -809,13 +815,11 @@ impl<'c> Compiler<'c> {
                     name: stmt.table.clone(),
                     table: stmt.table.clone(),
                 };
-                let (pred, pred_vec) = match &stmt.where_clause {
-                    None => (None, false),
-                    Some(w) => {
-                        let (pe, vec) = self.compile_scan_pred(&meta, w)?;
-                        (Some(pe), vec)
-                    }
-                };
+                let pred = stmt
+                    .where_clause
+                    .as_ref()
+                    .map(|w| self.compile_scan_pred(&meta, w))
+                    .transpose()?;
                 let mut sets = Vec::with_capacity(stmt.sets.len());
                 for (_, e) in &stmt.sets {
                     sets.push(self.compile_in_scope(&meta, e)?);
@@ -827,7 +831,6 @@ impl<'c> Compiler<'c> {
                     set_cols: stmt.sets.iter().map(|(c, _)| c.clone()).collect(),
                     sets,
                     pred,
-                    pred_vec,
                     cache_slots: self.caches,
                 }))
             }
@@ -849,13 +852,20 @@ impl<'c> Compiler<'c> {
     /// target table's batch: it must be statically infallible *and*
     /// boolean (so whole-vector evaluation cannot surface an error or a
     /// type failure a per-row scan would order differently) on top of the
-    /// structural `vec_safe_pred` check.
-    fn compile_scan_pred(&mut self, meta: &SourceMeta, e: &Expr) -> CResult<(PExpr, bool)> {
+    /// structural `vec_safe_pred` check. A rule's vectorizable predicate
+    /// also gets its selection's memo key (a rule's only: the memo never
+    /// evicts, see [`super::SourcePlan::vkey`]).
+    fn compile_scan_pred(&mut self, meta: &SourceMeta, e: &Expr) -> CResult<ScanPred> {
         self.scopes.push(vec![meta.clone()]);
         let r = self.compile_expr(e);
-        let out = r.map(|(pe, info)| {
-            let vec = info.infallible && info.ty.boolish() && self.vec_safe_pred(&pe, 0);
-            (pe, vec)
+        let out = r.map(|(pred, info)| {
+            let vec = info.infallible && info.ty.boolish() && self.vec_safe_pred(&pred, 0);
+            let key = if vec && self.rule_table.is_some() {
+                vector::selection_key(std::slice::from_ref(&pred))
+            } else {
+                None
+            };
+            ScanPred { pred, vec, key }
         });
         self.scopes.pop();
         out
@@ -1001,4 +1011,112 @@ fn arith_ty(a: STy, b: STy) -> STy {
 
 fn compiled_infallible(p: &SelectPlan) -> bool {
     matches!(p, SelectPlan::Compiled(cs) if cs.infallible)
+}
+
+#[cfg(test)]
+mod tests {
+    use starling_storage::{ColumnDef, SelectionKey, TableSchema};
+
+    use super::*;
+    use crate::ast::Statement;
+    use crate::{parse_expr, parse_statement};
+
+    fn catalog() -> Catalog {
+        let mut cat = Catalog::new();
+        for name in ["t", "evt"] {
+            let cols = vec![
+                ColumnDef::new("k", ValueType::Int),
+                ColumnDef::new("v", ValueType::Int),
+            ];
+            cat.add_table(TableSchema::new(name, cols).unwrap())
+                .unwrap();
+        }
+        cat
+    }
+
+    /// The memo keys of every source of every compiled subquery in `e`,
+    /// outermost first.
+    fn keys(e: &PExpr, out: &mut Vec<Option<SelectionKey>>) {
+        match e {
+            PExpr::Exists { select, .. } => {
+                if let SelectPlan::Compiled(cs) = select.as_ref() {
+                    out.extend(cs.sources.iter().map(|s| s.vkey.clone()));
+                }
+            }
+            PExpr::Binary { lhs, rhs, .. } => {
+                keys(lhs, out);
+                keys(rhs, out);
+            }
+            _ => {}
+        }
+    }
+
+    fn condition_keys(cond: &str) -> Vec<Option<SelectionKey>> {
+        let e = parse_expr(cond).unwrap();
+        let CondPlan::Compiled { pred, .. } = compile_condition(&e, &catalog(), Some("evt")) else {
+            panic!("{cond} did not compile");
+        };
+        let mut out = Vec::new();
+        keys(&pred, &mut out);
+        out
+    }
+
+    fn scan_pred(sql: &str, rule_table: Option<&str>) -> ScanPred {
+        let Statement::Dml(a) = parse_statement(sql).unwrap() else {
+            panic!("not DML: {sql}");
+        };
+        match compile_action(&a, &catalog(), rule_table) {
+            ActionPlan::Update(UpdatePlan { pred, .. })
+            | ActionPlan::Delete(DeletePlan { pred, .. }) => pred.expect("a WHERE"),
+            other => panic!("{sql}: {other:?}"),
+        }
+    }
+
+    /// A rule's plans key each base source with vectorizable conjuncts, and
+    /// the same conjuncts get the same key in another rule, behind a join
+    /// or in another source position; a transition-table source and a
+    /// source without such conjuncts get none.
+    #[test]
+    fn a_rules_sources_share_keys_by_conjunct() {
+        let scan = condition_keys("exists (select * from t where v > 8 and k > 5)");
+        let joined = condition_keys(
+            "exists (select * from inserted i, t where t.k = i.k and t.v > 8 and t.k > 5)",
+        );
+        let other = condition_keys("exists (select * from t where v > 8 and k >= 5)");
+        let bare = condition_keys("exists (select * from t)");
+        assert!(scan[0].is_some());
+        assert_eq!(joined, vec![None, scan[0].clone()]);
+        assert_ne!(other[0], scan[0]);
+        assert_eq!(bare, vec![None]);
+    }
+
+    /// A rule action's vectorizable `WHERE` is keyed; a user statement's
+    /// (compiled with no rule table) and a non-vectorizable one are not.
+    #[test]
+    fn only_a_rules_vectorizable_dml_predicate_is_keyed() {
+        let update = "update t set v = 0 where k >= 10 and k < 20";
+        let rule = scan_pred(update, Some("evt"));
+        assert!(rule.vec && rule.key.is_some());
+        let user = scan_pred(update, None);
+        assert!(user.vec && user.key.is_none());
+        let delete = scan_pred("delete from t where k >= 10 and k < 20", Some("evt"));
+        assert_eq!(delete.key, rule.key);
+        let fallible = scan_pred("delete from t where k + 1 > 10", Some("evt"));
+        assert!(!fallible.vec && fallible.key.is_none());
+    }
+
+    /// A user select (no rule table) carries no key anywhere.
+    #[test]
+    fn a_user_select_has_no_key() {
+        let Statement::Dml(Action::Select(s)) =
+            parse_statement("select * from t where v > 8 and k > 5").unwrap()
+        else {
+            unreachable!()
+        };
+        let (SelectPlan::Compiled(cs), _) = compile_select(&s, &catalog(), None) else {
+            panic!("did not compile");
+        };
+        assert!(!cs.sources[0].vpushed.is_empty());
+        assert!(cs.sources[0].vkey.is_none());
+    }
 }

@@ -10,19 +10,27 @@
 //! In [`PlanMode::Columnar`], base-table scans borrow the table's cached
 //! [`TableBatch`]es — one per storage chunk, in chunk (= id) order — and
 //! the compiler-classified `vpushed` conjuncts run as whole-column kernels
-//! ([`super::vector`]) that flip each chunk's selection-vector bits;
-//! enumeration then walks the chunks in order and only the set bits in
-//! each (ascending — scan order), equality joins probe each chunk's cached
-//! sorted column index in the same order, and rows materialize back into
-//! `Row`s only at the DML / result-set boundary. Everything not vectorizable
-//! (residual conjuncts, transition tables, fallible filters, `Interp`
-//! nodes) executes exactly as in [`PlanMode::Row`].
+//! ([`super::vector`]) that flip each chunk's selection-vector bits.
+//! Enumeration walks the chunks in order and only the set bits in each
+//! (ascending — scan order); equality joins probe each chunk's cached
+//! sorted column index in the same order; rows materialize back into
+//! `Row`s only at the DML / result-set boundary. A chunk's selection is
+//! fetched when the enumeration first reaches the chunk (a scan arriving
+//! at it, a join probe hitting it), so an `EXISTS` stops at the first
+//! matching chunk and a probed source costs the chunks its probes land in.
+//! For a rule's plans the fetch goes through the batch's memo
+//! ([`TableBatch::selection`]): a chunk version's selection under one
+//! predicate is computed once, however many states, considerations and
+//! explorations share the chunk. Everything not vectorizable (residual
+//! conjuncts, transition tables, fallible filters, `Interp` nodes)
+//! executes exactly as in [`PlanMode::Row`].
 
+use std::cell::OnceCell;
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
 
-use starling_storage::{Bitmap, Database, Row, TableBatch, TupleId, Value};
+use starling_storage::{Bitmap, Database, Row, Selection, TableBatch, TupleId, Value};
 
 use crate::ast::BinOp;
 use crate::error::SqlError;
@@ -37,7 +45,7 @@ use crate::eval::{ActionOutcome, ResultSet, TupleOp};
 
 use super::{
     vector, ActionPlan, CompiledSelect, CondPlan, DeletePlan, InsertPlan, InsertSourcePlan, PExpr,
-    PlanMode, SelectPlan, SourceMeta, SourceRef, UpdatePlan,
+    PlanMode, ScanPred, SelectPlan, SourceMeta, SourcePlan, SourceRef, UpdatePlan,
 };
 
 /// Evaluates a compiled rule condition (3VL result, like `eval_bool`).
@@ -157,7 +165,6 @@ fn exec_delete_plan(
         transitions,
         &dp.meta,
         dp.pred.as_ref(),
-        dp.pred_vec,
         dp.cache_slots,
         mode,
     )?
@@ -190,7 +197,6 @@ fn exec_update_plan(
             transitions,
             &up.meta,
             up.pred.as_ref(),
-            up.pred_vec,
             up.cache_slots,
             mode,
         )?;
@@ -230,34 +236,35 @@ fn exec_update_plan(
 /// a borrowed binding, and no row is materialized here).
 ///
 /// With a vectorizable predicate in columnar mode, the whole scan is one
-/// kernel evaluation per cached chunk batch; victims come from each
-/// selection's set bits, which are ascending within id-ordered chunks and
-/// therefore in id order like the row path.
+/// kernel evaluation per cached chunk batch — or, for a rule action's
+/// predicate, one memo lookup per chunk it did not compute before; victims
+/// come from each selection's set bits, which are ascending within
+/// id-ordered chunks and therefore in id order like the row path.
 fn scan_matching<'a>(
     db: &'a Database,
     transitions: Option<&'a TransitionBinding>,
     meta: &SourceMeta,
-    pred: Option<&PExpr>,
-    pred_vec: bool,
+    pred: Option<&ScanPred>,
     cache_slots: usize,
     mode: PlanMode,
 ) -> Result<Vec<(TupleId, Bound<'a>)>, SqlError> {
     let tbl = db.table(&meta.table)?;
-    let Some(p) = pred else {
+    let Some(sp) = pred else {
         return Ok(tbl.iter().map(|(id, r)| (id, Bound::Row(r))).collect());
     };
     let mut out = Vec::new();
-    if pred_vec && mode == PlanMode::Columnar {
+    if sp.vec && mode == PlanMode::Columnar {
+        let preds = std::slice::from_ref(&sp.pred);
         for batch in tbl.columnar().batches() {
-            let sel = vector::eval_pred(p, batch)?;
+            let sel = batch.selection(sp.key.as_ref(), || vector::select(preds, batch))?;
             out.extend(
-                sel.t
-                    .iter_ones()
+                sel.iter_ones()
                     .map(|pos| (batch.ids()[pos], Bound::Batch(batch, pos as u32))),
             );
         }
         return Ok(out);
     }
+    let p = &sp.pred;
     // One frame for the whole scan, rebound row by row.
     let mut ex = Exec::new(db, transitions, cache_slots, mode);
     ex.scopes.push(Frame {
@@ -303,12 +310,33 @@ impl Bound<'_> {
 
 /// Rows of one compiled source, as the executor scans them.
 enum Src<'a> {
-    /// Borrowed row vector (row mode; transition tables in every mode).
-    Rows(Vec<&'a Row>),
+    /// Borrowed row vector (row mode; transition tables in every mode),
+    /// with its join index, built at the first probe: positions by join
+    /// key, in scan order, NULL keys skipped (never equal).
+    Rows(Vec<&'a Row>, OnceCell<BTreeMap<Value, Vec<usize>>>),
     /// A table's cached chunk batches in scan order, each with the
-    /// selection produced by its `vpushed` kernels (`None` = all rows;
-    /// avoids an all-ones bitmap for unfiltered scans).
-    Batch(Vec<(&'a TableBatch, Option<Bitmap>)>),
+    /// selection its source's `vpushed` kernels leave, fetched when the
+    /// enumeration first reaches the chunk ([`chunk_selection`]).
+    Batch(Vec<(&'a TableBatch, OnceCell<Selection>)>),
+}
+
+/// Chunk `batch`'s selection under source `sp`'s vectorizable conjuncts
+/// (`None`: there are none, every row survives), computed — or, for a
+/// rule's plan, taken from the batch's memo — on first touch and kept in
+/// `cell` for the rest of the statement.
+fn chunk_selection<'s>(
+    sp: &SourcePlan,
+    batch: &TableBatch,
+    cell: &'s OnceCell<Selection>,
+) -> Result<Option<&'s Bitmap>, SqlError> {
+    if sp.vpushed.is_empty() {
+        return Ok(None);
+    }
+    if cell.get().is_none() {
+        let sel = batch.selection(sp.vkey.as_ref(), || vector::select(&sp.vpushed, batch))?;
+        let _ = cell.set(sel);
+    }
+    Ok(cell.get().map(|s| &**s))
 }
 
 /// One frame of bound source rows. `rows[i]` is `None` until the
@@ -639,10 +667,11 @@ impl<'a, 'p> Exec<'a, 'p> {
         })
     }
 
-    /// Collects source rows (borrowed rows, or columnar batches with their
-    /// kernel-computed selections), pushes the frame, evaluates `pre`
-    /// conjuncts once, and enumerates matching combinations; `on_leaf`
-    /// runs per surviving leaf and returns `true` to stop early.
+    /// Collects source rows (borrowed rows, or columnar batches whose
+    /// selections are fetched chunk by chunk as the enumeration reaches
+    /// them), pushes the frame, evaluates `pre` conjuncts once, and
+    /// enumerates matching combinations; `on_leaf` runs per surviving leaf
+    /// and returns `true` to stop early.
     fn exec_compiled(
         &mut self,
         cs: &'p CompiledSelect,
@@ -655,27 +684,16 @@ impl<'a, 'p> Exec<'a, 'p> {
             match &sp.sref {
                 SourceRef::Base(t) => {
                     let tbl = db.table(t)?;
-                    if self.mode == PlanMode::Columnar {
-                        let mut chunks = Vec::new();
-                        for batch in tbl.columnar().batches() {
-                            // Fold this source's vectorizable conjuncts into
-                            // one selection: a row survives iff every
-                            // conjunct is TRUE (`is_true`), i.e. the AND of
-                            // the `t` bitmaps.
-                            let mut sel: Option<Bitmap> = None;
-                            for p in &sp.vpushed {
-                                let b = vector::eval_pred(p, batch)?;
-                                match &mut sel {
-                                    None => sel = Some(b.t),
-                                    Some(s) => s.and_assign(&b.t),
-                                }
-                            }
-                            chunks.push((batch, sel));
-                        }
-                        srcs.push(Src::Batch(chunks));
+                    srcs.push(if self.mode == PlanMode::Columnar {
+                        Src::Batch(
+                            tbl.columnar()
+                                .batches()
+                                .map(|batch| (batch, OnceCell::new()))
+                                .collect(),
+                        )
                     } else {
-                        srcs.push(Src::Rows(tbl.rows().collect()));
-                    }
+                        Src::Rows(tbl.rows().collect(), OnceCell::new())
+                    });
                 }
                 SourceRef::Transition(tt) => {
                     let b = transitions.ok_or_else(|| {
@@ -684,7 +702,7 @@ impl<'a, 'p> Exec<'a, 'p> {
                             tt.name()
                         ))
                     })?;
-                    srcs.push(Src::Rows(b.rows(*tt).iter().collect()));
+                    srcs.push(Src::Rows(b.rows(*tt).iter().collect(), OnceCell::new()));
                 }
             }
         }
@@ -711,15 +729,13 @@ impl<'a, 'p> Exec<'a, 'p> {
                 return Ok(());
             }
         }
-        let mut joins: Vec<Option<BTreeMap<Value, Vec<usize>>>> = vec![None; cs.sources.len()];
-        self.enum_rec(cs, srcs, &mut joins, 0, on_leaf).map(|_| ())
+        self.enum_rec(cs, srcs, 0, on_leaf).map(|_| ())
     }
 
     fn enum_rec(
         &mut self,
         cs: &'p CompiledSelect,
         srcs: &[Src<'a>],
-        joins: &mut [Option<BTreeMap<Value, Vec<usize>>>],
         i: usize,
         on_leaf: &mut dyn FnMut(&mut Self) -> Result<bool, SqlError>,
     ) -> Result<bool, SqlError> {
@@ -731,7 +747,8 @@ impl<'a, 'p> Exec<'a, 'p> {
             }
             return on_leaf(self);
         }
-        if let Some(jk) = &cs.sources[i].join {
+        let sp = &cs.sources[i];
+        if let Some(jk) = &sp.join {
             let probe = self.eval(&jk.probe)?;
             if probe.is_null() {
                 return Ok(false);
@@ -740,14 +757,19 @@ impl<'a, 'p> Exec<'a, 'p> {
                 Src::Batch(chunks) => {
                     // Probe each chunk's cached index, in chunk order: hits
                     // are ascending positions, so matches keep scan order;
-                    // each is filtered through its chunk's selection.
-                    for (batch, sel) in chunks {
-                        for &pos in batch.probe(jk.build_col, &probe) {
-                            if sel.as_ref().is_none_or(|s| s.get(pos as usize))
+                    // each is filtered through its chunk's selection, which
+                    // only a chunk with hits ever computes.
+                    for (batch, cell) in chunks {
+                        let hits = batch.probe(jk.build_col, &probe);
+                        if hits.is_empty() {
+                            continue;
+                        }
+                        let sel = chunk_selection(sp, batch, cell)?;
+                        for &pos in hits {
+                            if sel.is_none_or(|s| s.get(pos as usize))
                                 && self.bind_and_descend(
                                     cs,
                                     srcs,
-                                    joins,
                                     i,
                                     Bound::Batch(batch, pos),
                                     on_leaf,
@@ -758,12 +780,8 @@ impl<'a, 'p> Exec<'a, 'p> {
                         }
                     }
                 }
-                Src::Rows(rows) => {
-                    if joins[i].is_none() {
-                        // Lazy build: index this source's rows by the join
-                        // column, in scan order (so matches enumerate in the
-                        // same order a nested loop would), skipping NULL
-                        // keys (never equal).
+                Src::Rows(rows, index) => {
+                    let index = index.get_or_init(|| {
                         let mut map: BTreeMap<Value, Vec<usize>> = BTreeMap::new();
                         for (pos, row) in rows.iter().enumerate() {
                             let key = &row[jk.build_col];
@@ -771,17 +789,11 @@ impl<'a, 'p> Exec<'a, 'p> {
                                 map.entry(key.clone()).or_default().push(pos);
                             }
                         }
-                        joins[i] = Some(map);
-                    }
-                    let hits = joins[i]
-                        .as_ref()
-                        .expect("join index built above")
-                        .get(&probe)
-                        .cloned()
-                        .unwrap_or_default();
-                    for pos in hits {
+                        map
+                    });
+                    for &pos in index.get(&probe).map_or(&[][..], Vec::as_slice) {
                         let bound = Bound::Row(rows[pos]);
-                        if self.bind_and_descend(cs, srcs, joins, i, bound, on_leaf)? {
+                        if self.bind_and_descend(cs, srcs, i, bound, on_leaf)? {
                             return Ok(true);
                         }
                     }
@@ -789,26 +801,30 @@ impl<'a, 'p> Exec<'a, 'p> {
             }
         } else {
             match &srcs[i] {
-                Src::Rows(rows) => {
+                Src::Rows(rows, _) => {
                     for row in rows {
                         let bound = Bound::Row(row);
-                        if self.bind_and_descend(cs, srcs, joins, i, bound, on_leaf)? {
+                        if self.bind_and_descend(cs, srcs, i, bound, on_leaf)? {
                             return Ok(true);
                         }
                     }
                 }
                 Src::Batch(chunks) => {
-                    for (batch, sel) in chunks {
+                    // Chunk at a time: a chunk's selection is fetched only
+                    // once the chunks before it are exhausted, so an
+                    // `EXISTS` stops at the first chunk with a match.
+                    for (batch, cell) in chunks {
                         // Walk only the selection's set bits (ascending =
                         // scan order), never materializing the filtered-out
                         // rows.
-                        let positions: &mut dyn Iterator<Item = usize> = match sel {
-                            None => &mut (0..batch.len()),
-                            Some(s) => &mut s.iter_ones(),
-                        };
+                        let positions: &mut dyn Iterator<Item = usize> =
+                            match chunk_selection(sp, batch, cell)? {
+                                None => &mut (0..batch.len()),
+                                Some(s) => &mut s.iter_ones(),
+                            };
                         for pos in positions {
                             let bound = Bound::Batch(batch, pos as u32);
-                            if self.bind_and_descend(cs, srcs, joins, i, bound, on_leaf)? {
+                            if self.bind_and_descend(cs, srcs, i, bound, on_leaf)? {
                                 return Ok(true);
                             }
                         }
@@ -827,7 +843,6 @@ impl<'a, 'p> Exec<'a, 'p> {
         &mut self,
         cs: &'p CompiledSelect,
         srcs: &[Src<'a>],
-        joins: &mut [Option<BTreeMap<Value, Vec<usize>>>],
         i: usize,
         bound: Bound<'a>,
         on_leaf: &mut dyn FnMut(&mut Self) -> Result<bool, SqlError>,
@@ -846,7 +861,7 @@ impl<'a, 'p> Exec<'a, 'p> {
                 return Ok(false);
             }
         }
-        self.enum_rec(cs, srcs, joins, i + 1, on_leaf)
+        self.enum_rec(cs, srcs, i + 1, on_leaf)
     }
 }
 
@@ -854,4 +869,88 @@ impl<'a, 'p> Exec<'a, 'p> {
 /// symmetric with the interpreter's short-circuit structure).
 fn or3_like(a: Value, b: Value) -> Value {
     crate::eval::expr::or3(a, b)
+}
+
+#[cfg(test)]
+mod tests {
+    use starling_storage::{ColumnDef, TableSchema, ValueType};
+
+    use super::*;
+    use crate::parse_expr;
+    use crate::plan::compile_condition;
+
+    /// `t(k, v)` with `v = k % 10`: two full chunks and a partial one.
+    fn db() -> Database {
+        let mut db = Database::new();
+        let cols = vec![
+            ColumnDef::new("k", ValueType::Int),
+            ColumnDef::new("v", ValueType::Int),
+        ];
+        db.create_table(TableSchema::new("t", cols).unwrap())
+            .unwrap();
+        for k in 0..2_100 {
+            db.insert("t", vec![Value::Int(k), Value::Int(k % 10)])
+                .unwrap();
+        }
+        db
+    }
+
+    /// Selections memoized per chunk of `t`.
+    fn memoized(db: &Database) -> Vec<usize> {
+        let batches = db.table("t").unwrap().columnar().batches();
+        batches.map(TableBatch::memoized).collect()
+    }
+
+    fn eval(db: &Database, cond: &str, mode: PlanMode) -> Value {
+        let plan = compile_condition(&parse_expr(cond).unwrap(), db.catalog(), Some("t"));
+        eval_condition(&plan, db, None, mode).unwrap()
+    }
+
+    /// A rule condition stores one selection per chunk it reaches, full or
+    /// partial: an `EXISTS` that matches in the first chunk never touches
+    /// the others; row mode stores nothing; and past the cap the kernels
+    /// run unmemoized, with the same answers.
+    #[test]
+    fn the_memo_holds_what_a_rules_scan_reached() {
+        let db = db();
+        let never = |n: usize| format!("exists (select * from t where v > {} and k >= 0)", 9 + n);
+        assert_eq!(eval(&db, &never(0), PlanMode::Row), Value::Bool(false));
+        assert_eq!(memoized(&db), [0, 0, 0]);
+        assert_eq!(eval(&db, &never(0), PlanMode::Columnar), Value::Bool(false));
+        assert_eq!(memoized(&db), [1, 1, 1]);
+        // Early exit: the first chunk matches, the others are never reached.
+        let early = "exists (select * from t where v = 3 and k < 500)";
+        assert_eq!(eval(&db, early, PlanMode::Columnar), Value::Bool(true));
+        assert_eq!(memoized(&db), [2, 1, 1]);
+        // A hit answers like the miss did.
+        assert_eq!(eval(&db, early, PlanMode::Columnar), Value::Bool(true));
+        assert_eq!(memoized(&db), [2, 1, 1]);
+        for n in 1..=TableBatch::MEMO_CAP {
+            assert_eq!(eval(&db, &never(n), PlanMode::Columnar), Value::Bool(false));
+        }
+        let cap = TableBatch::MEMO_CAP;
+        assert_eq!(memoized(&db), [cap, cap, cap]);
+        let late = "exists (select * from t where v = 9 and k > 2000)";
+        assert_eq!(eval(&db, late, PlanMode::Columnar), Value::Bool(true));
+        assert_eq!(eval(&db, late, PlanMode::Row), Value::Bool(true));
+        assert_eq!(memoized(&db), [cap, cap, cap]);
+    }
+
+    /// A join source computes the selection of the chunks its probes land
+    /// in, and of no other.
+    #[test]
+    fn a_probed_source_costs_the_chunks_its_probes_hit() {
+        let db = db();
+        let binding = TransitionBinding {
+            inserted: vec![vec![Value::Int(1_500), Value::Int(0)]],
+            ..TransitionBinding::empty("t")
+        };
+        let cond = "exists (select * from inserted i, t where t.k = i.k and t.v >= 0)";
+        let plan = compile_condition(&parse_expr(cond).unwrap(), db.catalog(), Some("t"));
+        for mode in [PlanMode::Row, PlanMode::Columnar] {
+            let got = eval_condition(&plan, &db, Some(&binding), mode).unwrap();
+            assert_eq!(got, Value::Bool(true), "{mode:?}");
+        }
+        assert_eq!(memoized(&db), [0, 1, 0]);
+    }
 }

@@ -38,7 +38,7 @@ mod compile;
 mod exec;
 pub mod vector;
 
-use starling_storage::Value;
+use starling_storage::{SelectionKey, Value};
 
 use crate::ast::{Action, Expr, SelectStmt, TransitionTable};
 
@@ -59,10 +59,14 @@ pub enum PlanMode {
     /// Batch-oriented: base-table scans borrow the table's cached columnar
     /// view (one batch per storage chunk), vectorizable conjuncts
     /// ([`SourcePlan::vpushed`]) run as whole-column kernels flipping
-    /// selection-vector bits, and equality joins probe each chunk's cached
-    /// sorted column index. Non-vectorizable units (residual conjuncts,
-    /// transition-table scans, `Interp` fallbacks) execute exactly as in
-    /// `Row` mode, at statement granularity.
+    /// selection-vector bits — once per chunk version for a rule's plans,
+    /// which memoize them in the batch ([`SourcePlan::vkey`]) — and
+    /// equality joins probe each chunk's cached sorted column index. A
+    /// chunk's selection is computed when the enumeration first reaches
+    /// it, so an `EXISTS` stops at the first matching chunk.
+    /// Non-vectorizable units (residual conjuncts, transition-table scans,
+    /// `Interp` fallbacks) execute exactly as in `Row` mode, at statement
+    /// granularity.
     Columnar,
 }
 
@@ -126,11 +130,19 @@ pub struct SourcePlan {
     /// compiler proved *vectorizable*: infallible, boolean-typed, and
     /// built only from this source's own columns and constants. In
     /// [`PlanMode::Columnar`] they run as whole-column kernels producing a
-    /// selection bitmap before enumeration; in [`PlanMode::Row`] (or for
+    /// chunk's selection bitmap when enumeration reaches the chunk; in
+    /// [`PlanMode::Row`] (or for
     /// transition-table sources, which have no columnar view) they are
     /// checked per row exactly like `pushed`. Order between `vpushed` and
     /// `pushed` is immaterial: both sets are statically infallible.
     pub vpushed: Vec<PExpr>,
+    /// The memo key of `vpushed`'s per-chunk selection (an exact encoding
+    /// of the conjuncts; see [`starling_storage::TableBatch::selection`]).
+    /// Set on a base-table source of a rule's plan only. The memo holds at
+    /// most [`starling_storage::TableBatch::MEMO_CAP`] keys and never
+    /// evicts, so the keys of ad-hoc user statements would take the slots
+    /// the rules' conditions, re-evaluated at every consideration, need.
+    pub vkey: Option<SelectionKey>,
     /// Optional equality-join key for this source.
     pub join: Option<JoinKey>,
 }
@@ -329,6 +341,21 @@ pub struct InsertPlan {
     pub cache_slots: usize,
 }
 
+/// The compiled `WHERE` of a `DELETE` or `UPDATE`, scanned over the target
+/// table.
+#[derive(Clone, Debug)]
+pub struct ScanPred {
+    /// The predicate, under the scan frame.
+    pub pred: PExpr,
+    /// Whether `pred` is vectorizable (see [`SourcePlan::vpushed`]): in
+    /// columnar mode the victim scan runs as a kernel over each chunk's
+    /// batch instead of per-row frame evaluation.
+    pub vec: bool,
+    /// The memo key of the kernel's per-chunk selection: a rule action's
+    /// vectorizable predicate only (see [`SourcePlan::vkey`]).
+    pub key: Option<SelectionKey>,
+}
+
 /// A compiled `DELETE`: scan, filter, then apply.
 #[derive(Clone, Debug)]
 pub struct DeletePlan {
@@ -337,11 +364,7 @@ pub struct DeletePlan {
     /// Binding metadata for the scan frame.
     pub meta: SourceMeta,
     /// Compiled `WHERE` (absent = delete all).
-    pub pred: Option<PExpr>,
-    /// Whether `pred` is vectorizable (see [`SourcePlan::vpushed`]): in
-    /// columnar mode the victim scan runs as a kernel over the target
-    /// table's batch instead of per-row frame evaluation.
-    pub pred_vec: bool,
+    pub pred: Option<ScanPred>,
     /// Cache slots to allocate per execution.
     pub cache_slots: usize,
 }
@@ -361,9 +384,7 @@ pub struct UpdatePlan {
     /// Compiled `SET` right-hand sides, in statement order.
     pub sets: Vec<PExpr>,
     /// Compiled `WHERE` (absent = update all).
-    pub pred: Option<PExpr>,
-    /// Whether `pred` is vectorizable (see [`DeletePlan::pred_vec`]).
-    pub pred_vec: bool,
+    pub pred: Option<ScanPred>,
     /// Cache slots to allocate per execution.
     pub cache_slots: usize,
 }

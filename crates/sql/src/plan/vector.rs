@@ -23,11 +23,16 @@
 //! Fast paths exist for `Int` columns (the common rule-condition shape);
 //! everything else goes through a per-element loop over materialized
 //! [`Value`]s, which is still frame-free and allocation-light.
+//!
+//! A kernel's selection is a pure function of one batch's columns, so a
+//! rule's plans memoize it in the batch under `selection_key`, the exact
+//! encoding of the predicates that computed it (see
+//! [`TableBatch::selection`]).
 
 use std::cmp::Ordering;
 use std::ops::Not;
 
-use starling_storage::{Bitmap, Column, ColumnData, TableBatch, Value};
+use starling_storage::{Bitmap, Column, ColumnData, SelectionKey, TableBatch, Value};
 
 use crate::ast::BinOp;
 use crate::error::SqlError;
@@ -286,6 +291,117 @@ pub(crate) fn eval_pred(e: &PExpr, batch: &TableBatch) -> Result<Bool3, SqlError
     }
 }
 
+/// The rows of `batch` on which every one of `preds` is TRUE: the AND of
+/// their `t` bitmaps (a scan keeps a row iff each conjunct is TRUE), and
+/// every row for an empty list.
+pub(crate) fn select(preds: &[PExpr], batch: &TableBatch) -> Result<Bitmap, SqlError> {
+    let mut sel: Option<Bitmap> = None;
+    for p in preds {
+        let b = eval_pred(p, batch)?;
+        match &mut sel {
+            None => sel = Some(b.t),
+            Some(s) => s.and_assign(&b.t),
+        }
+    }
+    Ok(sel.unwrap_or_else(|| Bitmap::ones(batch.len())))
+}
+
+/// The memo key of [`select`]`(preds, ·)`: a prefix-free byte encoding of
+/// the predicates, in order, with each slot reduced to its column index
+/// (every slot of a vectorizable predicate is a depth-0 column of the one
+/// source the batch belongs to). Constants keep their variant, so `1`,
+/// `1.0`, `'1'` and `NULL` differ, and floats are encoded by their bits.
+/// Equal keys therefore mean equal predicates, and so equal selections
+/// over any one batch. `None` for a node outside the kernel subset, which
+/// `Compiler::vec_safe_pred` never lets through.
+pub(crate) fn selection_key(preds: &[PExpr]) -> Option<SelectionKey> {
+    // A conjunct or two encode in 20–60 bytes: one allocation, no regrowth,
+    // for the keys every rule compile computes.
+    let mut out = Vec::with_capacity(64);
+    for p in preds {
+        encode(p, &mut out)?;
+    }
+    Some(SelectionKey::new(out))
+}
+
+fn encode(e: &PExpr, out: &mut Vec<u8>) -> Option<()> {
+    match e {
+        PExpr::Const(v) => {
+            out.push(b'c');
+            match v {
+                Value::Null => out.push(0),
+                Value::Bool(b) => out.extend([1, u8::from(*b)]),
+                Value::Int(i) => {
+                    out.push(2);
+                    out.extend(i.to_le_bytes());
+                }
+                Value::Float(f) => {
+                    out.push(3);
+                    out.extend(f.to_bits().to_le_bytes());
+                }
+                Value::Str(s) => {
+                    out.push(4);
+                    out.extend((s.len() as u64).to_le_bytes());
+                    out.extend(s.as_bytes());
+                }
+            }
+        }
+        PExpr::Slot(s) => {
+            out.push(b's');
+            out.extend((s.col as u64).to_le_bytes());
+        }
+        PExpr::Binary { op, lhs, rhs } => {
+            out.extend([b'b', *op as u8]);
+            encode(lhs, out)?;
+            encode(rhs, out)?;
+        }
+        PExpr::Not(x) => {
+            out.push(b'!');
+            encode(x, out)?;
+        }
+        PExpr::IsNull { expr, negated } => {
+            out.extend([b'n', u8::from(*negated)]);
+            encode(expr, out)?;
+        }
+        PExpr::Between {
+            expr,
+            low,
+            high,
+            negated,
+        } => {
+            out.extend([b'w', u8::from(*negated)]);
+            encode(expr, out)?;
+            encode(low, out)?;
+            encode(high, out)?;
+        }
+        PExpr::InList {
+            expr,
+            list,
+            negated,
+        } => {
+            out.extend([b'i', u8::from(*negated)]);
+            out.extend((list.len() as u64).to_le_bytes());
+            encode(expr, out)?;
+            for item in list {
+                encode(item, out)?;
+            }
+        }
+        PExpr::Like {
+            expr,
+            pattern,
+            negated,
+        } => {
+            out.extend([b'l', u8::from(*negated)]);
+            encode(expr, out)?;
+            encode(pattern, out)?;
+        }
+        PExpr::Neg(_) | PExpr::InSelect { .. } | PExpr::Exists { .. } | PExpr::Scalar { .. } => {
+            return None
+        }
+    }
+    Some(())
+}
+
 fn not_vectorizable() -> SqlError {
     SqlError::eval("internal: non-vectorizable expression reached a vector kernel")
 }
@@ -388,4 +504,136 @@ fn cmp_int(l: &IntOperand, r: &IntOperand, n: usize, pred: impl Fn(i64, i64) -> 
         f_words[w] = !hits & valid;
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::plan::Slot;
+
+    fn col(col: usize) -> PExpr {
+        PExpr::Slot(Slot {
+            depth: 0,
+            source: 0,
+            col,
+        })
+    }
+
+    fn lit(v: impl Into<Value>) -> Box<PExpr> {
+        Box::new(PExpr::Const(v.into()))
+    }
+
+    fn cmp(op: BinOp, lhs: PExpr, rhs: Box<PExpr>) -> PExpr {
+        PExpr::Binary {
+            op,
+            lhs: Box::new(lhs),
+            rhs,
+        }
+    }
+
+    fn key(p: &PExpr) -> SelectionKey {
+        selection_key(std::slice::from_ref(p)).expect("in the kernel subset")
+    }
+
+    /// Every difference a kernel can see is a different key.
+    #[test]
+    fn keys_differ_wherever_the_selection_may() {
+        let in_list = |items: [i64; 2], negated| PExpr::InList {
+            expr: Box::new(col(0)),
+            list: items.map(|i| PExpr::Const(Value::Int(i))).into(),
+            negated,
+        };
+        let like = |pattern: &str, negated| PExpr::Like {
+            expr: Box::new(col(2)),
+            pattern: lit(pattern),
+            negated,
+        };
+        let between = |negated| PExpr::Between {
+            expr: Box::new(col(0)),
+            low: lit(1),
+            high: lit(2),
+            negated,
+        };
+        let is_null = |negated| PExpr::IsNull {
+            expr: Box::new(col(0)),
+            negated,
+        };
+        let preds = [
+            // Constants that differ only in variant.
+            cmp(BinOp::Eq, col(0), lit(1)),
+            cmp(BinOp::Eq, col(0), lit(1.0)),
+            cmp(BinOp::Eq, col(0), lit("1")),
+            cmp(BinOp::Eq, col(0), lit(Value::Null)),
+            // `<` against `<=`, and a `NOT`.
+            cmp(BinOp::Lt, col(0), lit(1)),
+            cmp(BinOp::Le, col(0), lit(1)),
+            PExpr::Not(Box::new(cmp(BinOp::Lt, col(0), lit(1)))),
+            // Another column.
+            cmp(BinOp::Eq, col(1), lit(1)),
+            // `negated` flags.
+            is_null(false),
+            is_null(true),
+            between(false),
+            between(true),
+            // IN-list order and polarity.
+            in_list([1, 2], false),
+            in_list([2, 1], false),
+            in_list([1, 2], true),
+            // LIKE patterns and polarity.
+            like("a%", false),
+            like("a_", false),
+            like("a%", true),
+        ];
+        let keys: Vec<SelectionKey> = preds.iter().map(key).collect();
+        for (i, a) in keys.iter().enumerate() {
+            for (j, b) in keys.iter().enumerate().skip(i + 1) {
+                assert_ne!(a, b, "{:?} and {:?} share a key", preds[i], preds[j]);
+            }
+        }
+    }
+
+    /// The encoding is prefix-free: a list of predicates never collides
+    /// with a shorter or a reordered one, nor with one whose string
+    /// constant swallows a neighbour.
+    #[test]
+    fn keys_of_predicate_lists_are_exact() {
+        let (a, b) = (
+            cmp(BinOp::Gt, col(1), lit(8)),
+            cmp(BinOp::Gt, col(0), lit(5)),
+        );
+        let both = selection_key(&[a.clone(), b.clone()]).unwrap();
+        assert_ne!(both, key(&a));
+        assert_ne!(both, selection_key(&[b.clone(), a.clone()]).unwrap());
+        let s = |x: &str| cmp(BinOp::Eq, col(2), lit(x));
+        assert_ne!(
+            selection_key(&[s("ab"), s("c")]),
+            selection_key(&[s("a"), s("bc")])
+        );
+        assert_eq!(both, selection_key(&[a, b]).unwrap());
+    }
+
+    /// A slot is keyed by its column only: the same conjunct gets one key
+    /// in any source position.
+    #[test]
+    fn a_conjunct_keys_alike_in_every_source_position() {
+        let at = |source| {
+            cmp(
+                BinOp::Ge,
+                PExpr::Slot(Slot {
+                    depth: 0,
+                    source,
+                    col: 1,
+                }),
+                lit(3),
+            )
+        };
+        assert_eq!(key(&at(0)), key(&at(2)));
+    }
+
+    /// Outside the kernel subset there is no key.
+    #[test]
+    fn no_key_outside_the_kernel_subset() {
+        let neg = cmp(BinOp::Gt, PExpr::Neg(Box::new(col(0))), lit(1));
+        assert!(selection_key(&[cmp(BinOp::Gt, col(0), lit(1)), neg]).is_none());
+    }
 }

@@ -22,11 +22,20 @@
 //! equality with NULL never matches): the *validity* bitmap decides, since
 //! a NULL slot's data is a placeholder (`0`, `""`, `false`) that must not
 //! be mistaken for a key.
+//!
+//! Beside the indexes sits a small memo of row selections
+//! ([`TableBatch::selection`]): the bitmap a predicate over this batch's
+//! columns alone selects, under the predicate's exact [`SelectionKey`]. A
+//! batch lives exactly as long as one immutable chunk version, so such a
+//! selection can never go stale; a condition re-evaluated over a table a
+//! rule action barely changed recomputes the selections of the written
+//! chunks only. A batch memoizes at most [`TableBatch::MEMO_CAP`] keys.
 
 use std::cmp::Ordering;
-use std::sync::OnceLock;
+use std::ops::Deref;
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
-use crate::column::{Column, ColumnData};
+use crate::column::{Bitmap, Column, ColumnData};
 use crate::schema::TableSchema;
 use crate::tuple::{Row, Tuple, TupleId};
 use crate::value::Value;
@@ -42,10 +51,55 @@ pub struct TableBatch {
     /// by (value, position). `OnceLock` so concurrent explorers (scoped
     /// threads in `explore_parallel`) can race to build them safely.
     indexes: Vec<OnceLock<Vec<u32>>>,
+    /// Memoized selections, at most [`Self::MEMO_CAP`], behind a lock for
+    /// the same concurrent explorers.
+    memo: Mutex<Vec<(SelectionKey, Arc<Bitmap>)>>,
+}
+
+/// The exact key of a memoized selection: a byte encoding of the predicate
+/// that computes it, injective over the predicates the caller memoizes.
+/// Two keys match only when their bytes are equal; no hash stands in for
+/// them.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct SelectionKey(Arc<[u8]>);
+
+impl SelectionKey {
+    /// The key spelled by `bytes`.
+    pub fn new(bytes: Vec<u8>) -> Self {
+        SelectionKey(bytes.into())
+    }
+}
+
+/// A batch's row selection ([`TableBatch::selection`]): computed for this
+/// caller, or shared out of the batch's memo.
+#[derive(Debug)]
+pub enum Selection {
+    /// Computed and not memoized (no key, or a full memo).
+    Computed(Bitmap),
+    /// Held by the batch's memo.
+    Memo(Arc<Bitmap>),
+}
+
+impl Deref for Selection {
+    type Target = Bitmap;
+
+    fn deref(&self) -> &Bitmap {
+        match self {
+            Selection::Computed(b) => b,
+            Selection::Memo(b) => b,
+        }
+    }
 }
 
 impl TableBatch {
-    /// Flattens one chunk (its tuples, in scan order) into a batch. Index positions are `u32`: a chunk holds far fewer rows (a
+    /// Most selections one batch memoizes; once full, further keys are
+    /// computed on every call. The benchmark's widest program keeps ten
+    /// keys per chunk.
+    pub const MEMO_CAP: usize = 16;
+
+    /// Flattens one chunk (its tuples, in scan order) into a batch.
+    ///
+    /// Index positions are `u32`. A chunk holds far fewer rows (a
     /// compile-time fact, asserted beside `CHUNK_ROWS`), and any other
     /// caller is held to the same bound here.
     pub(crate) fn build(schema: &TableSchema, tuples: &[Tuple]) -> Self {
@@ -65,7 +119,56 @@ impl TableBatch {
             columns,
             len,
             indexes,
+            memo: Mutex::new(Vec::new()),
         }
+    }
+
+    /// The selection `compute` returns over this batch, memoized under
+    /// `key`. `compute` must be a pure function of this batch's columns,
+    /// and `key` must identify it exactly: a hit returns what an earlier
+    /// call computed under an equal key. Without a key, and once the memo
+    /// holds [`Self::MEMO_CAP`] keys, `compute` just runs. It runs outside
+    /// the lock, so racing callers may both compute a key; the first to
+    /// store it wins, and both get the same bits.
+    pub fn selection<E>(
+        &self,
+        key: Option<&SelectionKey>,
+        compute: impl FnOnce() -> Result<Bitmap, E>,
+    ) -> Result<Selection, E> {
+        let Some(key) = key else {
+            return compute().map(Selection::Computed);
+        };
+        let lookup = |memo: &[(SelectionKey, Arc<Bitmap>)]| {
+            memo.iter()
+                .find(|(k, _)| k == key)
+                .map(|(_, sel)| Selection::Memo(Arc::clone(sel)))
+        };
+        if let Some(hit) = lookup(&self.memo()) {
+            return Ok(hit);
+        }
+        let sel = compute()?;
+        let mut memo = self.memo();
+        if let Some(hit) = lookup(&memo) {
+            return Ok(hit);
+        }
+        if memo.len() == Self::MEMO_CAP {
+            return Ok(Selection::Computed(sel));
+        }
+        let sel = Arc::new(sel);
+        memo.push((key.clone(), Arc::clone(&sel)));
+        Ok(Selection::Memo(sel))
+    }
+
+    /// How many selections the memo holds (diagnostic, for the tests).
+    #[doc(hidden)]
+    pub fn memoized(&self) -> usize {
+        self.memo().len()
+    }
+
+    /// The memo, locked. Nothing panics while holding the lock, so a
+    /// poisoned lock still guards a consistent vector.
+    fn memo(&self) -> std::sync::MutexGuard<'_, Vec<(SelectionKey, Arc<Bitmap>)>> {
+        self.memo.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Number of rows.
@@ -246,6 +349,39 @@ mod tests {
         for miss in [6, 8, i64::MIN, i64::MAX] {
             assert!(b.probe(0, &Value::Int(miss)).is_empty());
         }
+    }
+
+    /// A one-byte key.
+    fn key(n: u8) -> SelectionKey {
+        SelectionKey::new(vec![n])
+    }
+
+    #[test]
+    fn a_hit_hands_out_the_stored_bits_without_computing() {
+        let b = ints(&[Value::Int(1), Value::Int(2), Value::Int(3)]);
+        let calls = std::cell::Cell::new(0);
+        let select = |bits: Bitmap| {
+            calls.set(calls.get() + 1);
+            Ok::<_, ()>(bits)
+        };
+        let first = b
+            .selection(Some(&key(0)), || select(Bitmap::ones(3)))
+            .unwrap();
+        let again = b
+            .selection(Some(&key(0)), || select(Bitmap::zeros(3)))
+            .unwrap();
+        assert_eq!(calls.get(), 1);
+        let (Selection::Memo(x), Selection::Memo(y)) = (&first, &again) else {
+            panic!("a keyed selection memoizes: {first:?}, {again:?}");
+        };
+        assert!(Arc::ptr_eq(x, y));
+        // No key: computed every time, stored never.
+        let unkeyed = b.selection(None, || select(Bitmap::zeros(3))).unwrap();
+        assert!(matches!(unkeyed, Selection::Computed(_)));
+        assert_eq!((calls.get(), b.memoized()), (2, 1));
+        // An error is passed through and stores nothing.
+        assert!(b.selection(Some(&key(1)), || Err(())).is_err());
+        assert_eq!(b.memoized(), 1);
     }
 
     #[test]

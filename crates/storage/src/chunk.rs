@@ -2,9 +2,10 @@
 //! batch derived from them — the unit of sharing between table versions
 //! (see [`crate::table`]). A chunk is immutable while more than one version
 //! holds its `Arc`, so every such version sees these tuples and shares the
-//! batch (and, inside it, the per-column join indexes) built from them on
-//! first use. The tuples can only be written through [`Chunk::tuples_mut`],
-//! which drops the batch first, so a batch never outlives its tuples.
+//! batch built from them on first use — and, inside it, the per-column join
+//! indexes and the memoized predicate selections. The tuples can only be
+//! written through [`Chunk::tuples_mut`], which drops the batch first, so a
+//! batch (with every index and selection in it) never outlives its tuples.
 
 use std::sync::OnceLock;
 

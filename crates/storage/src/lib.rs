@@ -55,7 +55,7 @@ pub mod tuple;
 pub mod value;
 pub mod wal;
 
-pub use batch::TableBatch;
+pub use batch::{Selection, SelectionKey, TableBatch};
 pub use column::{Bitmap, Column, ColumnData};
 pub use database::Database;
 pub use digest::{CanonicalDigest, Fnv64};

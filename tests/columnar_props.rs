@@ -20,18 +20,27 @@
 //!    must mirror `Table::iter` exactly across copy-on-write snapshots and
 //!    mutations (a written chunk's batch is invalidated, never shared
 //!    stale), on one-chunk and multi-chunk tables alike.
+//! 5. **Memoized selections** — a rule's per-chunk selections, kept in the
+//!    chunk's batch, are transparent: explores that run on memo hits, and
+//!    parallel explores whose threads race to fill the memo, give the
+//!    graphs every mode gives, and a write drops what it invalidates.
 
 use std::ops::Not;
 
-use starling::engine::{explore_with_mode, EvalMode, ExploreConfig, RuleSet};
+use starling::analysis::load_script;
+use starling::engine::{explore_parallel, explore_with_mode, EvalMode, ExploreConfig, RuleSet};
 use starling::sql::ast::{Action, Statement};
-use starling::sql::eval::{eval_select, exec_action, Env, EvalCtx};
-use starling::sql::parse_statement;
+use starling::sql::eval::expr::eval_bool;
+use starling::sql::eval::{eval_select, exec_action, ActionOutcome, Env, EvalCtx};
 use starling::sql::plan::vector::Bool3;
 use starling::sql::plan::{
-    compile_action, compile_select, execute_action, execute_select, PlanMode,
+    compile_action, compile_condition, compile_select, eval_condition, execute_action,
+    execute_select, PlanMode,
 };
-use starling::storage::{Bitmap, ColumnDef, Database, TableSchema, TupleId, Value, ValueType};
+use starling::sql::{parse_expr, parse_statement};
+use starling::storage::{
+    Bitmap, ColumnDef, Database, TableBatch, TableSchema, TupleId, Value, ValueType,
+};
 use starling::workloads::cond_stress::CondStress;
 use starling::workloads::{corpus, random, CorpusEntry};
 
@@ -558,4 +567,170 @@ fn columnar_view_tracks_cow_mutation() {
     assert_eq!(snapshot.state_digest(), snap_digest);
     assert_view_matches(&snapshot, "k", "grown snapshot after writer mutations");
     assert_eq!(snapshot.table("k").unwrap().len(), ids.len());
+}
+
+// ---------------------------------------------------------------------------
+// Memoized per-chunk selections.
+// ---------------------------------------------------------------------------
+
+/// Selections memoized in each chunk batch of `big`.
+fn memoized(db: &Database) -> Vec<usize> {
+    let batches = db.table("big").unwrap().columnar().batches();
+    batches.map(TableBatch::memoized).collect()
+}
+
+/// The shape of `explore_bigwrite` over `chunks` full chunks: a linear
+/// cascade whose rule `w{i}` joins its transition table to `big`, scans
+/// `big` to its end, and rewrites ten rows of chunk `i` — one rewritten
+/// chunk per state.
+fn bigwrite(chunks: i64) -> (RuleSet, Database, Vec<Action>) {
+    let rows = 1024 * chunks;
+    let mut s = String::from("create table big (k int, v int);\n");
+    for i in 0..chunks {
+        s.push_str(&format!("create table step{i} (x int);\n"));
+    }
+    for i in 1..chunks {
+        let slice = 1024 * i + 100;
+        s.push_str(&format!(
+            "create rule w{i} on step{prev} when inserted \
+               if exists (select * from inserted i, big b where b.k = i.x and b.v < 100) \
+                  and exists (select * from big where v > 8 and k > {last}) \
+               then update big set v = -{i} where k >= {slice} and k < {end}; \
+                    insert into step{i} values ({next}) end;\n",
+            prev = i - 1,
+            last = rows - 11,
+            end = slice + 10,
+            next = 1024 * i + 500,
+        ));
+    }
+    s.push_str("insert into step0 values (7);\n");
+    let loaded = load_script(&s).unwrap();
+    let mut db = loaded.db;
+    for k in 0..rows {
+        db.insert("big", vec![Value::Int(k), Value::Int(k % 10)])
+            .unwrap();
+    }
+    ((*loaded.rules).clone(), db, loaded.user_actions)
+}
+
+/// Explores repeated on one `Database` run the second time on the memo
+/// its full chunks kept from the first — and give the graphs and final
+/// digests every mode gives, both times; so does a parallel explore whose
+/// scoped threads race to fill a fresh memo.
+#[test]
+fn memoized_selections_are_transparent_across_explores() {
+    let cfg = ExploreConfig::default()
+        .with_max_states(5_000)
+        .with_max_paths(10_000);
+    let chunked = CondStress {
+        rows: 4_102,
+        fan: 3,
+    };
+    let cases = [
+        (
+            "cond_chunks/write",
+            (
+                chunked.write_rules(),
+                chunked.database(),
+                chunked.user_actions(),
+            ),
+        ),
+        ("bigwrite", bigwrite(5)),
+    ];
+    for (name, (rules, db, actions)) in &cases {
+        let fingerprint =
+            |mode, what: &str| graph_fingerprint(rules, db, actions, &cfg, mode, what);
+        // Threads first, so they race on an empty memo.
+        let par = explore_parallel(rules, db, actions, &cfg).unwrap();
+        let mut par_digests: Vec<u64> = par
+            .final_dbs
+            .iter()
+            .map(|(_, fdb)| fdb.state_digest())
+            .collect();
+        par_digests.sort_unstable();
+        let filled = memoized(db);
+        assert!(filled.iter().any(|&n| n > 0), "{name}: memo unused");
+
+        let first = fingerprint(EvalMode::Columnar, name);
+        assert_eq!(
+            (par.states.len(), par.edges.len(), par_digests),
+            first,
+            "{name}: parallel vs sequential graphs diverge"
+        );
+        // Every key the explore asks for is already there: all hits.
+        assert_eq!(memoized(db), filled, "{name}: a sequential explore missed");
+        let row = fingerprint(EvalMode::Plan, name);
+        let interp = fingerprint(EvalMode::Interp, name);
+        let again = fingerprint(EvalMode::Columnar, name);
+        assert_eq!(memoized(db), filled, "{name}: a repeated explore missed");
+        for (what, other) in [("row-plan", &row), ("interp", &interp), ("repeat", &again)] {
+            assert_eq!(&first, other, "{name}: columnar vs {what} graphs diverge");
+        }
+    }
+
+    // The bigwrite shape rewrites one chunk per state, and only that one;
+    // a chunk no rule writes keeps one selection per condition source and
+    // one per rule's update.
+    let (rules, db, actions) = &cases[1].1;
+    assert_eq!(memoized(db)[0], 2 + 4);
+    let g = explore_with_mode(rules, db, actions, &cfg, EvalMode::Columnar).unwrap();
+    let (_, last) = g.final_dbs.first().unwrap();
+    let (shared, total) = last
+        .table("big")
+        .unwrap()
+        .chunks_shared_with(db.table("big").unwrap());
+    assert_eq!((shared, total), (1, 5), "one chunk rewritten per rule");
+}
+
+/// A write to a memoized full chunk drops its batch and with it every
+/// selection: the predicate's answer flips, in place and through a
+/// copy-on-write snapshot alike, while the unwritten version keeps its
+/// memo and its answer.
+#[test]
+fn a_write_drops_the_selections_of_the_chunk_it_touches() {
+    let (_, base, _) = bigwrite(3);
+    let cond = parse_expr("exists (select * from big where v = 100 and k < 2000)").unwrap();
+    let plan = compile_condition(&cond, base.catalog(), Some("big"));
+    let Statement::Dml(delete) = parse_statement("delete from big where v = 100").unwrap() else {
+        unreachable!()
+    };
+    let delete = compile_action(&delete, base.catalog(), Some("big"));
+    let check = |db: &Database, want: bool, what: &str| {
+        let ctx = EvalCtx {
+            db,
+            transitions: None,
+        };
+        let interp = eval_bool(&cond, &mut Env::new(&ctx)).unwrap();
+        for mode in [PlanMode::Columnar, PlanMode::Row] {
+            let got = eval_condition(&plan, db, None, mode).unwrap();
+            assert_eq!(got, interp, "{what} [{mode:?}]");
+        }
+        assert_eq!(interp, Value::Bool(want), "{what}");
+    };
+
+    check(&base, false, "before");
+    assert_eq!(memoized(&base), [1, 1, 1]);
+    let mut db = base.clone();
+    let id = db.table("big").unwrap().ids()[5];
+    db.update("big", id, vec![Value::Int(5), Value::Int(100)])
+        .unwrap();
+    assert_eq!(memoized(&db), [0, 1, 1], "the written chunk starts over");
+    check(&db, true, "after a write through a snapshot");
+    check(&base, false, "the snapshot's own version");
+    assert_eq!(memoized(&base), [1, 1, 1]);
+
+    // The rule action's keyed scan sees the flip too, then the flip back
+    // in place.
+    let mut undone = db.clone();
+    let outcome = execute_action(&delete, &mut undone, None, PlanMode::Columnar).unwrap();
+    assert!(matches!(outcome, ActionOutcome::Effects(e) if e.len() == 1));
+    check(&undone, false, "after the rule action deleted it");
+    let mut in_place = db;
+    in_place
+        .update("big", id, vec![Value::Int(5), Value::Int(5)])
+        .unwrap();
+    check(&in_place, false, "after an in-place write back");
+    let mut none = base.clone();
+    let outcome = execute_action(&delete, &mut none, None, PlanMode::Columnar).unwrap();
+    assert!(matches!(outcome, ActionOutcome::Effects(e) if e.is_empty()));
 }
