@@ -187,7 +187,7 @@ pub fn cmd_explore(
 }
 
 /// `starling explain` without a rule argument: explores the script's user
-/// transition with provenance tracing and, when the oracle reaches more
+/// transition, counts its choice points and, when the oracle reaches more
 /// than one final database state, prints a minimal divergence witness —
 /// one common state plus two firing sequences, replay-verified through the
 /// engine before being reported.
@@ -226,7 +226,7 @@ pub fn cmd_explain_divergence(
         out,
         "explored {} state(s), {} ambiguous choice point(s), {} distinct final DB state(s){}",
         ex.graph.states.len(),
-        ex.log.ambiguous(),
+        ex.graph.choice_points(),
         ex.graph.final_db_digests().len(),
         match ex.graph.truncation {
             Some(r) => format!(" [TRUNCATED: {r}]"),
@@ -492,7 +492,7 @@ pub fn cmd_explain(src: &str, rule_name: &str) -> Result<String, EngineError> {
 }
 
 /// `starling fuzz`: the differential fuzz campaign — generate random rule
-/// programs, cross-check the five oracles, shrink and pin disagreements
+/// programs, cross-check the four oracles, shrink and pin disagreements
 /// (see `starling_fuzz`). Exit-code contract: [`CmdStatus::Findings`] on
 /// any disagreement, so CI fails loudly; a clean campaign is
 /// [`CmdStatus::Ok`] no matter how many explorations were truncated

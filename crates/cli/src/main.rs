@@ -61,10 +61,11 @@ COMMANDS:
                additionally reloads each store through a full engine session
                and cross-checks digests
     fuzz       Differential fuzz campaign: random rule programs cross-checked
-               through analyzer-vs-oracle, plan-vs-interp, sequential-vs-
-               parallel, and server-vs-CLI; disagreements are shrunk and
-               pinned (no file argument; --seed N, --cases N, --budget N
-               per-case state bound, --corpus-dir DIR, --mutate NAME)
+               through four oracles (analyzer-vs-oracle, plan-vs-interp,
+               server-vs-CLI, in-memory-vs-durable); disagreements are
+               shrunk and pinned (no file argument; --seed N, --cases N,
+               --budget N per-case state bound, --corpus-dir DIR, --mutate
+               NAME)
     experiments
                Regenerate the reproduction's tables (EXPERIMENTS.md), all or
                those named (e1 … e14; e2, e3 and e5 share one). --check diffs

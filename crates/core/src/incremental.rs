@@ -171,8 +171,10 @@ impl IncrementalAnalysis {
         }
     }
 
-    /// A fresh analyzer that never spawns threads (identical reports; used
-    /// by the determinism property tests and as a bench baseline).
+    /// A fresh analyzer that never spawns threads: the reference the
+    /// property tests hold the threaded cold prewarm to (identical reports
+    /// after every step of a refinement walk). The tests that count what an
+    /// analyze visits use it too.
     pub fn sequential() -> Self {
         IncrementalAnalysis {
             parallel: false,

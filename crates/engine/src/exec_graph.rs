@@ -16,7 +16,7 @@
 //! transitions, the oracle checks one — so oracle violations refute a static
 //! "guaranteed" verdict, never the converse.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap, VecDeque};
 
 use starling_sql::ast::Action;
 use starling_sql::eval::ActionOutcome;
@@ -33,76 +33,6 @@ use crate::state::ExecState;
 /// Exploration bounds: the oracle reads `max_states`, `max_paths`, and
 /// `deadline` from a shared [`Budget`].
 pub type ExploreConfig = Budget;
-
-/// One recorded choice point: a state at which more than one rule was
-/// eligible, so the processor's `Choose` was a genuine decision. States
-/// with exactly one eligible rule carry implicit provenance (their sole
-/// out-edge) and are never recorded — that is what keeps tracing at
-/// near-zero cost on deterministic programs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ChoicePoint {
-    /// Index of the ambiguous state in [`ExecGraph::states`].
-    pub state: usize,
-    /// Canonical digest of that state (`StateNode::digest`).
-    pub state_digest: u64,
-    /// Index into [`DecisionLog::alt_sets`] of the interned eligible set.
-    pub alt_set: usize,
-}
-
-/// Why-provenance side channel recorded during a traced exploration.
-///
-/// The log never feeds back into exploration: a traced run produces an
-/// [`ExecGraph`] structurally identical to the untraced one (asserted by
-/// tests). Eligible sets are interned — rule programs tend to reach the
-/// same ambiguous frontier from many states, so each distinct set is
-/// stored once and choice points reference it by index.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct DecisionLog {
-    /// Interned eligible-rule sets, in first-appearance order.
-    pub alt_sets: Vec<Vec<RuleId>>,
-    /// One record per ambiguous expanded state, in expansion order.
-    pub choice_points: Vec<ChoicePoint>,
-    /// Total states expanded (ambiguous or not).
-    pub expanded: usize,
-    /// `alt_sets` index by eligible set, for interning.
-    intern: HashMap<Vec<RuleId>, usize>,
-}
-
-impl DecisionLog {
-    /// An empty log.
-    pub fn new() -> Self {
-        DecisionLog::default()
-    }
-
-    /// Records the expansion of state `state` (digest `digest`) with the
-    /// given eligible set. Only ambiguous states (more than one eligible
-    /// rule) produce a [`ChoicePoint`].
-    fn record(&mut self, state: usize, digest: u64, eligible: &[RuleId]) {
-        self.expanded += 1;
-        if eligible.len() <= 1 {
-            return;
-        }
-        let alt_set = match self.intern.get(eligible) {
-            Some(&i) => i,
-            None => {
-                let i = self.alt_sets.len();
-                self.alt_sets.push(eligible.to_vec());
-                self.intern.insert(eligible.to_vec(), i);
-                i
-            }
-        };
-        self.choice_points.push(ChoicePoint {
-            state,
-            state_digest: digest,
-            alt_set,
-        });
-    }
-
-    /// Number of recorded (ambiguous) choice points.
-    pub fn ambiguous(&self) -> usize {
-        self.choice_points.len()
-    }
-}
 
 /// One node of the execution graph.
 #[derive(Clone, Debug, PartialEq)]
@@ -213,6 +143,17 @@ impl ExecGraph {
     pub fn truncated(&self) -> bool {
         self.truncation.is_some()
     }
+
+    /// The number of choice points: states with two or more out-edges,
+    /// where more than one rule was eligible and the processor's `Choose`
+    /// was a genuine decision.
+    pub fn choice_points(&self) -> usize {
+        self.states
+            .iter()
+            .filter(|s| s.out_edges.len() >= 2)
+            .count()
+    }
+
     /// Whether the graph contains a directed cycle (⇒ an infinite execution
     /// path exists ⇒ nontermination is possible).
     pub fn has_cycle(&self) -> bool {
@@ -499,61 +440,32 @@ pub fn explore_with_mode(
 ) -> Result<ExecGraph, EngineError> {
     let mut db = base_db.clone();
     let ops = apply_user_actions_with_mode(&mut db, user_actions, mode)?;
-    explore_impl(rules, base_db, db, &ops, cfg, false, mode, None)
+    explore_impl(rules, base_db, db, &ops, cfg, mode)
 }
 
-/// [`explore`] with why-provenance recording: alongside the graph, returns
-/// the [`DecisionLog`] of choice points encountered during exploration.
-///
-/// The returned graph is identical to the untraced [`explore`] result —
-/// recording happens in the sequential merge loop and never influences
-/// expansion order, state numbering, or truncation.
+/// [`explore`] under its former provenance name; the choice-point count it
+/// used to log is [`ExecGraph::choice_points`]. ROADMAP item 1(C) deletes
+/// it.
+#[doc(hidden)]
 pub fn explore_traced(
     rules: &RuleSet,
     base_db: &Database,
     user_actions: &[Action],
     cfg: &ExploreConfig,
-) -> Result<(ExecGraph, DecisionLog), EngineError> {
-    let mut db = base_db.clone();
-    let ops = apply_user_actions(&mut db, user_actions)?;
-    let mut log = DecisionLog::new();
-    let mode = EvalMode::default();
-    let graph = explore_impl(rules, base_db, db, &ops, cfg, false, mode, Some(&mut log))?;
-    Ok((graph, log))
+) -> Result<ExecGraph, EngineError> {
+    explore(rules, base_db, user_actions, cfg)
 }
 
-/// [`explore`], expanding each BFS level across threads.
-///
-/// The resulting graph — state numbering, edge order, truncation, every
-/// digest set — is **byte-identical** to the sequential [`explore`]
-/// (asserted by tests): levels are merged into the graph in the same
-/// `(parent index, rule id)` order the sequential explorer produces, and
-/// expanding one state depends only on that state, never on the graph built
-/// so far. The deadline budget is the one exception — wall-clock truncation
-/// cuts wherever the clock expires in either mode.
-///
-/// Falls back to sequential expansion when a fault plan is installed
-/// (injection counters are shared across snapshots, so expansion *order*
-/// decides which operation dies) and for small levels (thread dispatch
-/// costs more than the work).
+/// [`explore`] under its former level-parallel name. ROADMAP item 1(C)
+/// deletes it.
+#[doc(hidden)]
 pub fn explore_parallel(
     rules: &RuleSet,
     base_db: &Database,
     user_actions: &[Action],
     cfg: &ExploreConfig,
 ) -> Result<ExecGraph, EngineError> {
-    let mut db = base_db.clone();
-    let ops = apply_user_actions(&mut db, user_actions)?;
-    explore_impl(
-        rules,
-        base_db,
-        db,
-        &ops,
-        cfg,
-        true,
-        EvalMode::default(),
-        None,
-    )
+    explore(rules, base_db, user_actions, cfg)
 }
 
 /// Exploration entry point when the initial transition is already available
@@ -565,32 +477,20 @@ pub fn explore_from_ops(
     initial_ops: &[TupleOp],
     cfg: &ExploreConfig,
 ) -> Result<ExecGraph, EngineError> {
-    explore_impl(
-        rules,
-        base_db,
-        db,
-        initial_ops,
-        cfg,
-        false,
-        EvalMode::default(),
-        None,
-    )
+    explore_impl(rules, base_db, db, initial_ops, cfg, EvalMode::default())
 }
 
-/// One expanded edge awaiting its merge into the graph: the rule
-/// considered, the successor state, and the step record.
-type Expansion = (RuleId, ExecState, StepOutcome);
-
-/// Expands every eligible rule choice from `src`. Pure with respect to the
-/// graph: the result depends only on `(src, eligible, rules, base_db)`,
-/// which is what makes level-parallel expansion safe.
+/// Expands every eligible rule choice from `src`, in `eligible` order. The
+/// whole state is expanded before any successor is merged, so an error in
+/// any choice fails the exploration even where an earlier sibling would
+/// trip the row budget.
 fn expand_state(
     rules: &RuleSet,
     src: &ExecState,
     eligible: &[RuleId],
     base_db: &Database,
     mode: EvalMode,
-) -> Result<Vec<Expansion>, EngineError> {
+) -> Result<Vec<(RuleId, ExecState, StepOutcome)>, EngineError> {
     let mut out = Vec::with_capacity(eligible.len());
     for &rule in eligible {
         // Deciding whether the rule fires *before* touching the successor
@@ -611,31 +511,17 @@ fn expand_state(
     Ok(out)
 }
 
-/// Levels at least this large are dispatched across threads in parallel
-/// mode; smaller levels expand inline (thread dispatch would dominate).
-const PARALLEL_MIN_LEVEL: usize = 8;
-
-#[allow(clippy::too_many_arguments)]
+/// The breadth-first explorer every entry point runs: states are numbered
+/// in discovery order and expanded in that order, each rule choice in
+/// `Choose` order.
 fn explore_impl(
     rules: &RuleSet,
     base_db: &Database,
     db: Database,
     initial_ops: &[TupleOp],
     cfg: &ExploreConfig,
-    parallel: bool,
     mode: EvalMode,
-    mut trace: Option<&mut DecisionLog>,
 ) -> Result<ExecGraph, EngineError> {
-    // Fault-plan injection counters are shared across snapshots and advance
-    // on every observed operation, so expansion *order* decides which
-    // operation dies: with a plan installed, always run sequentially.
-    let parallel = parallel && base_db.fault_state().is_none() && db.fault_state().is_none();
-    let workers = if parallel {
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-    } else {
-        1
-    };
-
     let initial = ExecState::new(db, rules.len(), initial_ops);
     let clock = cfg.start_clock();
 
@@ -649,157 +535,72 @@ fn explore_impl(
     // digest -> state index. Digests are already uniformly distributed, so
     // a hash index beats an ordered map; iteration order is never observed.
     let mut index: HashMap<u64, usize> = HashMap::new();
-    // The frontier's concrete states (needed to expand), index for index
-    // with `frontier`. A state is dropped as soon as it has been expanded —
-    // dedup needs only its digest — so memory tracks two levels, not the
-    // whole graph.
-    let mut concrete: Vec<ExecState> = Vec::new();
-    // The BFS frontier under construction: states discovered while merging
-    // level L form level L+1, in discovery order (the sequential explorer's
-    // queue order).
-    let mut frontier: Vec<usize> = Vec::new();
+    // Discovered states awaiting expansion, with their concrete `(D, TR)`.
+    // A state is dropped as soon as it has been expanded — dedup needs only
+    // its digest — so memory tracks the frontier, not the whole graph.
+    let mut queue: VecDeque<(usize, ExecState)> = VecDeque::new();
 
-    let add_state = |st: ExecState,
-                     graph: &mut ExecGraph,
-                     index: &mut HashMap<u64, usize>,
-                     concrete: &mut Vec<ExecState>,
-                     frontier: &mut Vec<usize>,
-                     rules: &RuleSet|
-     -> usize {
-        let digest = st.digest();
-        if let Some(&i) = index.get(&digest) {
-            return i;
-        }
-        let triggered = st.triggered(rules);
-        let i = graph.states.len();
-        let is_final = triggered.is_empty();
-        graph.states.push(StateNode {
-            digest,
-            db_digest: st.db.state_digest(),
-            triggered,
-            out_edges: Vec::new(),
-            is_final,
-        });
-        if is_final {
-            graph.final_states.push(i);
-            // A copy-on-write handle: refcount bump, not a copy.
-            graph.final_dbs.push((i, st.db.clone()));
-        }
-        index.insert(digest, i);
-        concrete.push(st);
-        frontier.push(i);
-        i
-    };
-
-    add_state(
-        initial,
-        &mut graph,
-        &mut index,
-        &mut concrete,
-        &mut frontier,
-        rules,
-    );
-
-    'levels: while !frontier.is_empty() {
-        let level = std::mem::take(&mut frontier);
-        let level_states = std::mem::take(&mut concrete);
-        // Eligible choices per level state; fixed before expansion begins
-        // (the level's nodes are already in the graph).
-        let eligible: Vec<Vec<RuleId>> = level
-            .iter()
-            .map(|&i| {
-                if graph.states[i].is_final {
-                    Vec::new()
-                } else {
-                    rules.priority().choose(&graph.states[i].triggered)
-                }
-            })
-            .collect();
-
-        // Parallel mode: expand the whole level on scoped threads up front.
-        // Workers only read `level_states`/`eligible`; results land in
-        // per-chunk slots, so no locks and no ordering races.
-        let mut batch: Vec<Option<Result<Vec<Expansion>, EngineError>>> = Vec::new();
-        if workers > 1 && level.len() >= PARALLEL_MIN_LEVEL {
-            batch.resize_with(level.len(), || None);
-            let chunk = level.len().div_ceil(workers);
-            let level_states = &level_states;
-            let eligible = &eligible;
-            std::thread::scope(|s| {
-                let mut slots: &mut [Option<Result<Vec<Expansion>, EngineError>>] = &mut batch;
-                for (k0, srcs) in level_states.chunks(chunk).enumerate() {
-                    let (head, tail) = slots.split_at_mut(srcs.len());
-                    slots = tail;
-                    let base = k0 * chunk;
-                    s.spawn(move || {
-                        for (off, (src, slot)) in srcs.iter().zip(head.iter_mut()).enumerate() {
-                            let elig = &eligible[base + off];
-                            if elig.is_empty() {
-                                continue;
-                            }
-                            *slot = Some(expand_state(rules, src, elig, base_db, mode));
-                        }
-                    });
-                }
+    let mut add_state =
+        |st: ExecState, graph: &mut ExecGraph, queue: &mut VecDeque<(usize, ExecState)>| -> usize {
+            let digest = st.digest();
+            if let Some(&i) = index.get(&digest) {
+                return i;
+            }
+            let triggered = st.triggered(rules);
+            let i = graph.states.len();
+            let is_final = triggered.is_empty();
+            graph.states.push(StateNode {
+                digest,
+                db_digest: st.db.state_digest(),
+                triggered,
+                out_edges: Vec::new(),
+                is_final,
             });
-        }
+            if is_final {
+                graph.final_states.push(i);
+                // A copy-on-write handle: refcount bump, not a copy.
+                graph.final_dbs.push((i, st.db.clone()));
+            }
+            index.insert(digest, i);
+            queue.push_back((i, st));
+            i
+        };
 
-        // Merge in (parent index, rule id) order — exactly the sequential
-        // explorer's order, so state numbering, edge order, and truncation
-        // points match it byte for byte.
-        for (k, (&i, src)) in level.iter().zip(level_states).enumerate() {
-            if graph.states.len() > cfg.max_states {
-                graph.truncation = Some(TruncationReason::States);
-                break 'levels;
+    add_state(initial, &mut graph, &mut queue);
+
+    'explore: while let Some((i, src)) = queue.pop_front() {
+        if graph.states.len() > cfg.max_states {
+            graph.truncation = Some(TruncationReason::States);
+            break;
+        }
+        if clock.expired() {
+            graph.truncation = Some(TruncationReason::Deadline);
+            break;
+        }
+        if graph.states[i].is_final {
+            continue;
+        }
+        let eligible = rules.priority().choose(&graph.states[i].triggered);
+        for (rule, next, step) in expand_state(rules, &src, &eligible, base_db, mode)? {
+            // Per-state row guard: a program whose firings multiply rows
+            // (e.g. `insert into t select ... from t`) grows databases
+            // exponentially while staying under `max_states`.
+            if next.db.total_rows() > cfg.max_rows {
+                graph.truncation = Some(TruncationReason::Rows);
+                break 'explore;
             }
-            if clock.expired() {
-                graph.truncation = Some(TruncationReason::Deadline);
-                break 'levels;
-            }
-            if graph.states[i].is_final {
-                continue;
-            }
-            let expansions = match batch.get_mut(k).and_then(Option::take) {
-                Some(r) => r?,
-                None => expand_state(rules, &src, &eligible[k], base_db, mode)?,
-            };
-            // Provenance: record the decision made at this state. Recording
-            // sits in the sequential merge loop (identical across parallel
-            // and sequential exploration) and after the truncation guards,
-            // so the log covers exactly the states actually expanded.
-            if let Some(log) = trace.as_deref_mut() {
-                log.record(i, graph.states[i].digest, &eligible[k]);
-            }
-            for (rule, next, step) in expansions {
-                // Per-state row guard: a program whose firings multiply rows
-                // (e.g. `insert into t select ... from t`) grows databases
-                // exponentially while staying under `max_states`. Checked at
-                // merge time, in the sequential order, so parallel and
-                // sequential exploration truncate at the identical point.
-                if next.db.total_rows() > cfg.max_rows {
-                    graph.truncation = Some(TruncationReason::Rows);
-                    break 'levels;
-                }
-                let to = add_state(
-                    next,
-                    &mut graph,
-                    &mut index,
-                    &mut concrete,
-                    &mut frontier,
-                    rules,
-                );
-                let e = graph.edges.len();
-                graph.edges.push(EdgeInfo {
-                    from: i,
-                    to,
-                    rule,
-                    fired: step.fired,
-                    rolled_back: step.rolled_back,
-                    observables: step.observables,
-                    ops: step.ops,
-                });
-                graph.states[i].out_edges.push(e);
-            }
+            let to = add_state(next, &mut graph, &mut queue);
+            let e = graph.edges.len();
+            graph.edges.push(EdgeInfo {
+                from: i,
+                to,
+                rule,
+                fired: step.fired,
+                rolled_back: step.rolled_back,
+                observables: step.observables,
+                ops: step.ops,
+            });
+            graph.states[i].out_edges.push(e);
         }
     }
     Ok(graph)
@@ -870,6 +671,7 @@ mod tests {
         assert_eq!(g.final_states.len(), 1);
         // initial --r--> final
         assert_eq!(g.edges.len(), 1);
+        assert_eq!(g.choice_points(), 0);
     }
 
     #[test]
@@ -940,6 +742,8 @@ mod tests {
         assert_eq!(g.terminates(), Some(true));
         assert_eq!(g.confluent(), Some(false));
         assert_eq!(g.final_db_digests().len(), 2);
+        // The one genuine decision is at the root.
+        assert_eq!(g.choice_points(), 1);
         // But confluent with respect to `t` alone.
         assert_eq!(g.partially_confluent(&["t"]), Some(true));
         assert_eq!(g.partially_confluent(&["out"]), Some(false));
@@ -1262,102 +1066,13 @@ mod tests {
         );
     }
 
-    /// The parallel explorer must produce a **byte-identical** graph to the
-    /// sequential one: same state numbering, same edge order, same
-    /// everything. Exercised across shapes — diamond, cycle, rollback, and
-    /// a fan-out wide enough to cross `PARALLEL_MIN_LEVEL` so the threaded
-    /// path actually runs.
+    /// `max_states` equal to the true state count leaves the graph complete
+    /// (full verdicts, no truncation); one less truncates it with
+    /// `TruncationReason::States`.
     #[test]
-    fn parallel_explore_is_byte_identical() {
-        let cfg = ExploreConfig::default();
-        let shapes: Vec<(Database, &str, Vec<&str>)> = vec![
-            (
-                db_with(&[("t", &["a"]), ("x", &["v"]), ("y", &["v"])]),
-                "create rule wx on t when inserted then insert into x values (1) end;
-                 create rule wy on t when inserted then insert into y values (2) end;",
-                vec!["insert into t values (1)"],
-            ),
-            (
-                db_with(&[("t", &["a"])]),
-                // Four unordered observables: levels reach 24 states, well
-                // past the parallel dispatch threshold.
-                "create rule o1 on t when inserted then select 1 end;
-                 create rule o2 on t when inserted then select 2 end;
-                 create rule o3 on t when inserted then select 3 end;
-                 create rule o4 on t when inserted then select 4 end;",
-                vec!["insert into t values (1)"],
-            ),
-            (
-                db_with(&[("t", &["a"])]),
-                "create rule guard on t when inserted then rollback end",
-                vec!["insert into t values (1)"],
-            ),
-        ];
-        for (db, src, acts) in shapes {
-            let rs = rules(&db, src);
-            let seq = explore(&rs, &db, &actions(&acts), &cfg).unwrap();
-            let par = explore_parallel(&rs, &db, &actions(&acts), &cfg).unwrap();
-            assert_eq!(seq, par);
-            assert_eq!(seq.final_db_digests(), par.final_db_digests());
-            assert_eq!(seq.observable_streams(&cfg), par.observable_streams(&cfg));
-        }
-    }
-
-    /// Parallel exploration with a cycle: identical graph, identical
-    /// verdicts.
-    #[test]
-    fn parallel_explore_matches_on_cycles() {
-        let mut db = db_with(&[("t", &["a"])]);
-        db.insert("t", vec![starling_storage::Value::Int(0)])
-            .unwrap();
-        let rs = rules(
-            &db,
-            "create rule tgl on t when updated(a) then \
-               update t set a = 1 - a end",
-        );
-        let cfg = ExploreConfig::default();
-        let acts = actions(&["update t set a = 1 - a"]);
-        let seq = explore(&rs, &db, &acts, &cfg).unwrap();
-        let par = explore_parallel(&rs, &db, &acts, &cfg).unwrap();
-        assert_eq!(seq, par);
-        assert_eq!(par.terminates(), Some(false));
-    }
-
-    /// State-budget truncation cuts at the same state index in both modes
-    /// (truncation is part of the byte-identical contract; only the
-    /// wall-clock deadline is exempt).
-    #[test]
-    fn parallel_explore_truncates_identically() {
+    fn exact_state_budget_boundary() {
         let db = db_with(&[("t", &["a"])]);
-        let rs = rules(
-            &db,
-            "create rule grow on t when inserted then \
-               insert into t select a + 1 from inserted end",
-        );
-        let cfg = ExploreConfig::default()
-            .with_max_states(50)
-            .with_max_paths(100);
-        let acts = actions(&["insert into t values (1)"]);
-        let seq = explore(&rs, &db, &acts, &cfg).unwrap();
-        let par = explore_parallel(&rs, &db, &acts, &cfg).unwrap();
-        assert_eq!(seq, par);
-        assert_eq!(par.truncation, Some(TruncationReason::States));
-    }
-
-    /// Exhausting `max_states` *exactly at the last frontier* is the edge
-    /// case where sequential and parallel exploration could plausibly
-    /// diverge: the parallel explorer has already expanded the whole level
-    /// on worker threads when the merge loop decides whether the budget
-    /// tripped. With `max_states` equal to the true state count the graph
-    /// must be complete (full verdicts, no truncation); with one less it
-    /// must truncate with `TruncationReason::States` — and both modes must
-    /// agree byte for byte in both cases. The fan is wide enough to cross
-    /// `PARALLEL_MIN_LEVEL`, so the threaded path really runs.
-    #[test]
-    fn exact_state_budget_boundary_matches_across_modes() {
-        let db = db_with(&[("t", &["a"])]);
-        // Five unordered observables: middle levels reach C(5,2) = 10
-        // parallel-expanded states, past PARALLEL_MIN_LEVEL.
+        // Five unordered observables: every subset of them is a state.
         let rs = rules(
             &db,
             "create rule o1 on t when inserted then select 1 end;
@@ -1372,36 +1087,26 @@ mod tests {
             assert!(!g.truncated());
             g.states.len()
         };
-        assert!(n > PARALLEL_MIN_LEVEL, "fan too narrow to exercise threads");
 
         // Budget == exact state count: complete graph, full verdicts.
         let exact = ExploreConfig::default().with_max_states(n);
-        let seq = explore(&rs, &db, &acts, &exact).unwrap();
-        let par = explore_parallel(&rs, &db, &acts, &exact).unwrap();
-        assert_eq!(seq, par);
-        assert_eq!(seq.truncation, None);
-        assert_eq!(seq.termination_verdict(), Verdict::Holds);
-        assert_eq!(par.termination_verdict(), Verdict::Holds);
-        assert_eq!(seq.confluence_verdict(), par.confluence_verdict());
+        let g = explore(&rs, &db, &acts, &exact).unwrap();
+        assert_eq!(g.truncation, None);
+        assert_eq!(g.termination_verdict(), Verdict::Holds);
 
-        // Budget == one less: both modes truncate at the identical point
-        // with the identical reason.
+        // Budget == one less: truncated, with the state budget as reason.
         let under = ExploreConfig::default().with_max_states(n - 1);
-        let seq = explore(&rs, &db, &acts, &under).unwrap();
-        let par = explore_parallel(&rs, &db, &acts, &under).unwrap();
-        assert_eq!(seq, par);
-        assert_eq!(seq.truncation, Some(TruncationReason::States));
+        let g = explore(&rs, &db, &acts, &under).unwrap();
+        assert_eq!(g.truncation, Some(TruncationReason::States));
         assert_eq!(
-            seq.termination_verdict(),
+            g.termination_verdict(),
             Verdict::Inconclusive(TruncationReason::States)
         );
-        assert_eq!(seq.termination_verdict(), par.termination_verdict());
     }
 
     /// The per-state row budget truncates a database-growing program with
-    /// its own reason, identically in both modes — the guard that keeps a
-    /// fuzz campaign's memory bounded when a generated rule multiplies rows
-    /// on every firing.
+    /// its own reason — the guard that keeps a fuzz campaign's memory
+    /// bounded when a generated rule multiplies rows on every firing.
     #[test]
     fn row_budget_truncates_with_reason() {
         let db = db_with(&[("t", &["a"])]);
@@ -1414,22 +1119,21 @@ mod tests {
         );
         let cfg = ExploreConfig::default().with_max_rows(64);
         let acts = actions(&["insert into t values (1)"]);
-        let seq = explore(&rs, &db, &acts, &cfg).unwrap();
-        let par = explore_parallel(&rs, &db, &acts, &cfg).unwrap();
-        assert_eq!(seq, par);
-        assert_eq!(seq.truncation, Some(TruncationReason::Rows));
+        let g = explore(&rs, &db, &acts, &cfg).unwrap();
+        assert_eq!(g.truncation, Some(TruncationReason::Rows));
         assert_eq!(
-            seq.termination_verdict(),
+            g.termination_verdict(),
             Verdict::Inconclusive(TruncationReason::Rows)
         );
         // Every state actually kept respects the cap.
-        assert!(seq.states.len() < 20, "cap should trip within a few states");
+        assert!(g.states.len() < 20, "cap should trip within a few states");
     }
 
-    /// With a fault plan installed the parallel entry point falls back to
-    /// sequential expansion, so injection points stay deterministic.
+    /// Fault-plan injection counters advance on every observed operation,
+    /// so the explorer's fixed expansion order makes the injection point
+    /// deterministic: two runs from identical fresh fault states agree.
     #[test]
-    fn parallel_explore_with_fault_plan_is_deterministic() {
+    fn fault_plan_exploration_is_deterministic() {
         use starling_storage::{FaultPlan, FaultSpec};
         let mk = || {
             let mut db = db_with(&[("t", &["a"]), ("x", &["v"]), ("y", &["v"])]);
@@ -1443,20 +1147,12 @@ mod tests {
         );
         let cfg = ExploreConfig::default();
         let acts = actions(&["insert into t values (1)"]);
-        // Two parallel runs from identical fresh fault states agree with a
-        // sequential run — because the fallback *is* the sequential path.
-        let seq = explore(&rs, &mk(), &acts, &cfg);
-        let par1 = explore_parallel(&rs, &mk(), &acts, &cfg);
-        let par2 = explore_parallel(&rs, &mk(), &acts, &cfg);
-        match (seq, par1, par2) {
-            (Ok(a), Ok(b), Ok(c)) => {
-                assert_eq!(a, b);
-                assert_eq!(b, c);
-            }
-            (Err(a), Err(b), Err(c)) => {
-                assert_eq!(a.to_string(), b.to_string());
-                assert_eq!(b.to_string(), c.to_string());
-            }
+        match (
+            explore(&rs, &mk(), &acts, &cfg),
+            explore(&rs, &mk(), &acts, &cfg),
+        ) {
+            (Ok(a), Ok(b)) => assert_eq!(a, b),
+            (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string()),
             other => panic!("divergent outcomes: {other:?}"),
         }
     }

@@ -65,8 +65,8 @@ pub use budget::{Budget, BudgetClock, TruncationReason, Verdict};
 pub use durability::Durability;
 pub use error::EngineError;
 pub use exec_graph::{
-    explore, explore_from_ops, explore_parallel, explore_traced, explore_with_mode, ChoicePoint,
-    DecisionLog, ExecGraph, ExploreConfig, Verdicts,
+    explore, explore_from_ops, explore_parallel, explore_traced, explore_with_mode, ExecGraph,
+    ExploreConfig, Verdicts,
 };
 pub use observable::{ObservableEvent, ObservableKind};
 pub use ops::{NetChange, NetEffect, TupleOp};

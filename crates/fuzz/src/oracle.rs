@@ -1,23 +1,23 @@
-//! The differential harness: one generated (or replayed) script, five
+//! The differential harness: one generated (or replayed) script, four
 //! cross-checked oracles.
 //!
-//! | oracle        | left side                     | right side                  |
-//! |---------------|-------------------------------|-----------------------------|
-//! | `analyzer`    | §5–§8 static verdicts         | bounded exec-graph oracle   |
-//! | `eval-mode`   | columnar-plan exploration     | row-plan exploration and    |
-//! |               |                               | AST-interpreter exploration |
-//! | `parallelism` | sequential exploration        | level-parallel exploration  |
-//! | `transport`   | in-process load + explore     | server session (wire shape) |
-//! | `durability`  | in-memory session commit      | WAL-attached session, then  |
-//! |               |                               | drop-and-reopen recovery    |
+//! | oracle       | left side                     | right side                  |
+//! |--------------|-------------------------------|-----------------------------|
+//! | `analyzer`   | §5–§8 static verdicts         | bounded exec-graph oracle   |
+//! | `eval-mode`  | columnar-plan exploration     | row-plan exploration and    |
+//! |              |                               | AST-interpreter exploration |
+//! | `transport`  | in-process load + explore     | server session (wire shape) |
+//! | `durability` | in-memory session commit      | WAL-attached session, then  |
+//! |              |                               | drop-and-reopen recovery    |
 //!
 //! Directionality matters for the analyzer oracle: the static analysis
 //! quantifies over *all* databases while the exec graph checks *one* initial
 //! state, so only one implication is checkable — a static "guaranteed" must
 //! never coexist with a dynamic counterexample ([`Verdict::Fails`]). A
 //! dynamic `Holds` with a static "may not" is the analyzer being
-//! conservative, which is correct. The other three oracles demand byte
-//! equality of the serialized graph summary.
+//! conservative, which is correct. `eval-mode` and `transport` demand byte
+//! equality of the serialized graph summary; `durability` demands equal
+//! databases.
 //!
 //! A zeroth check rides along for free: each loaded rule definition must
 //! survive print → parse unchanged (the fixpoint property the SQL layer's
@@ -27,8 +27,7 @@
 use starling_analysis::loader::load_script;
 use starling_analysis::report::{explore_json, explore_json_with, AnalysisReport};
 use starling_engine::{
-    explore_parallel, explore_with_mode, Budget, EvalMode, ExecGraph, FirstEligible, RuleProgram,
-    Session, Verdict,
+    explore_with_mode, Budget, EvalMode, ExecGraph, FirstEligible, RuleProgram, Session, Verdict,
 };
 use starling_server::{ErrorCode, ScriptCache, ServerSession};
 use starling_sql::json::Json;
@@ -279,7 +278,7 @@ pub fn check_script(src: &str, budget: &Budget, mutation: Mutation) -> CaseOutco
         return disagree("round-trip", detail);
     }
 
-    // Fifth oracle: durability. Runs the whole script (user transition
+    // Oracle: durability. Runs the whole script (user transition
     // included) through an in-memory and a WAL-attached session, then a
     // drop-and-reopen crash simulation — so it fires on every case, even
     // ones with no explorable transition or an erroring transition (where
@@ -329,21 +328,6 @@ pub fn check_script(src: &str, budget: &Budget, mutation: Mutation) -> CaseOutco
                     "eval-mode",
                     format!("columnar error: {a}\nrow-plan error: {b}\ninterp error:   {c}"),
                 );
-            }
-            match explore_parallel(&loaded.rules, &loaded.db, &loaded.user_actions, budget) {
-                Ok(_) => {
-                    return disagree(
-                        "parallelism",
-                        format!("sequential explore errored ({a}) but parallel succeeded"),
-                    )
-                }
-                Err(p) if p.to_string() != a.to_string() => {
-                    return disagree(
-                        "parallelism",
-                        format!("sequential error: {a}\nparallel error: {p}"),
-                    )
-                }
-                Err(_) => {}
             }
             match server_explore_json(src, budget) {
                 Ok(j) => {
@@ -406,34 +390,6 @@ pub fn check_script(src: &str, budget: &Budget, mutation: Mutation) -> CaseOutco
                 ),
             }),
         );
-    }
-
-    // Oracle: sequential vs parallel. Both sides run the default evaluation
-    // mode, so the sequential side is the columnar graph already in hand.
-    match explore_parallel(&loaded.rules, &loaded.db, &loaded.user_actions, budget) {
-        Ok(gp) => {
-            let par_json = explore_json(&gp, budget).to_string();
-            if par_json != columnar_json {
-                return outcome(
-                    &g,
-                    Some(Disagreement {
-                        oracle: "parallelism",
-                        witness: None,
-                        detail: format!("sequential: {columnar_json}\nparallel:   {par_json}"),
-                    }),
-                );
-            }
-        }
-        Err(e) => {
-            return outcome(
-                &g,
-                Some(Disagreement {
-                    oracle: "parallelism",
-                    witness: None,
-                    detail: format!("sequential succeeded but parallel errored: {e}"),
-                }),
-            )
-        }
     }
 
     // Oracle: analyzer vs exec graph. A static guarantee must never meet a

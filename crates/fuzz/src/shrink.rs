@@ -11,7 +11,7 @@
 //! least one action and the case keeps at least one user statement).
 //!
 //! The total number of re-checks is capped: shrinking is a debugging aid,
-//! not a search, and each check runs five oracles.
+//! not a search, and each check runs four oracles.
 
 use starling_engine::Budget;
 

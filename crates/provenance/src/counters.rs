@@ -1,6 +1,6 @@
 //! Provenance bookkeeping counters, reported by the server `stats` op.
 
-use starling_engine::DecisionLog;
+use starling_engine::ExecGraph;
 use starling_sql::json::Json;
 
 use crate::witness::Witness;
@@ -8,9 +8,9 @@ use crate::witness::Witness;
 /// Cumulative provenance counters for one session or process.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ProvCounters {
-    /// Traced explorations whose decision log was recorded.
+    /// Explored graphs recorded.
     pub traces_recorded: usize,
-    /// Choice points (ambiguous states) recorded across all traces.
+    /// Choice points (ambiguous states) across the recorded graphs.
     pub choice_points: usize,
     /// Divergence witnesses extracted.
     pub witnesses_extracted: usize,
@@ -24,10 +24,10 @@ impl ProvCounters {
         ProvCounters::default()
     }
 
-    /// Accounts one traced exploration.
-    pub fn record_trace(&mut self, log: &DecisionLog) {
+    /// Accounts one explored graph.
+    pub fn record_explore(&mut self, graph: &ExecGraph) {
         self.traces_recorded += 1;
-        self.choice_points += log.ambiguous();
+        self.choice_points += graph.choice_points();
     }
 
     /// Accounts one extracted witness.

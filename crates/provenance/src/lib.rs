@@ -8,11 +8,9 @@
 //!
 //! The pipeline:
 //!
-//! 1. **Record** — [`starling_engine::explore_traced`] explores exactly as
-//!    the untraced oracle does, while logging a compact
-//!    [`DecisionLog`] of choice points:
-//!    interned eligible-rule sets at the states where more than one rule
-//!    was eligible. Deterministic programs record nothing.
+//! 1. **Explore** — [`starling_engine::explore`] builds the execution
+//!    graph. Its choice points are the states with more than one out-edge
+//!    ([`ExecGraph::choice_points`]); deterministic programs have none.
 //! 2. **Explain** — given two final database digests, [`witness::extract`]
 //!    walks canonical decision traces back to the latest common ancestor,
 //!    takes the divergence frontier (the first choice point where the
@@ -36,35 +34,31 @@ pub use counters::ProvCounters;
 pub use render::{explanation_json, witness_compact, witness_json, witness_text};
 pub use witness::{extract, verify, Witness};
 
-use starling_engine::{
-    explore_traced, DecisionLog, EngineError, ExecGraph, ExploreConfig, RuleSet,
-};
+use starling_engine::{explore, EngineError, ExecGraph, ExploreConfig, RuleSet};
 use starling_sql::ast::Action;
 use starling_storage::Database;
 
-/// The result of a traced exploration plus divergence explanation.
+/// The result of an exploration plus divergence explanation.
 #[derive(Clone, Debug)]
 pub struct Explanation {
-    /// The explored graph (identical to the untraced oracle's).
+    /// The explored graph.
     pub graph: ExecGraph,
-    /// The recorded decision log.
-    pub log: DecisionLog,
     /// The minimized, replay-verified witness — `None` iff the explored
     /// graph has at most one final database digest (confluent as far as
     /// the budget could see).
     pub witness: Option<Witness>,
 }
 
-/// Explores `rules` from the initial transition `actions` with provenance
-/// tracing, and — if the oracle finds more than one final database state —
-/// extracts, minimizes, and replay-verifies a divergence witness.
+/// Explores `rules` from the initial transition `actions` and — if the
+/// oracle finds more than one final database state — extracts, minimizes,
+/// and replay-verifies a divergence witness.
 pub fn explain_divergence(
     rules: &RuleSet,
     base_db: &Database,
     actions: &[Action],
     cfg: &ExploreConfig,
 ) -> Result<Explanation, EngineError> {
-    let (graph, log) = explore_traced(rules, base_db, actions, cfg)?;
+    let graph = explore(rules, base_db, actions, cfg)?;
     let witness = match witness::extract(rules, &graph) {
         Some(mut w) => {
             w.replay_verified = witness::verify(rules, base_db, actions, &w)?;
@@ -72,9 +66,5 @@ pub fn explain_divergence(
         }
         None => None,
     };
-    Ok(Explanation {
-        graph,
-        log,
-        witness,
-    })
+    Ok(Explanation { graph, witness })
 }

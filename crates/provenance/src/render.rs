@@ -59,7 +59,7 @@ pub fn witness_json(rules: &RuleSet, w: &Witness) -> Json {
 pub fn explanation_json(rules: &RuleSet, ex: &Explanation, cfg: &ExploreConfig) -> Json {
     Json::obj([
         ("explore", explore_json(&ex.graph, cfg)),
-        ("choice_points", Json::from(ex.log.ambiguous())),
+        ("choice_points", Json::from(ex.graph.choice_points())),
         (
             "witness",
             ex.witness

@@ -22,9 +22,7 @@ use std::sync::Arc;
 
 use starling_analysis::report::explore_json_with;
 use starling_analysis::{check_protected_tables, Certifications, IncrementalAnalysis};
-use starling_engine::{
-    explore_traced, Budget, EngineError, FirstEligible, Outcome, RuleSet, Session,
-};
+use starling_engine::{explore, Budget, EngineError, FirstEligible, Outcome, RuleSet, Session};
 use starling_provenance::{explanation_json, ProvCounters};
 use starling_sql::ast::{Action, Directive, Statement};
 use starling_sql::json::{digest_json, Json};
@@ -408,10 +406,9 @@ impl ServerSession {
             ));
         }
         let rules = self.session.ruleset_arc().map_err(engine)?.clone();
-        let (g, log) =
-            explore_traced(&rules, self.session.db(), &actions, &budget).map_err(engine)?;
+        let g = explore(&rules, self.session.db(), &actions, &budget).map_err(engine)?;
         self.metrics.states_explored += g.states.len() as u64;
-        self.prov.record_trace(&log);
+        self.prov.record_explore(&g);
         // Keep the probe (even for an inconclusive exploration) so a
         // follow-up `explain` can derive the divergence witness.
         self.last_explore = Some(LastExplore {
@@ -433,7 +430,7 @@ impl ServerSession {
     }
 
     /// `explain`: why-provenance for the session's last `explore`. Re-runs
-    /// that exploration with tracing and answers with the choice-point
+    /// that exploration and answers with the choice-point
     /// count plus — when the oracle reached more than one final database
     /// state — a minimal, replay-verified divergence witness (`null` when
     /// confluent). The graph summary rides along in the `explore` field.
@@ -449,7 +446,7 @@ impl ServerSession {
             &last.budget,
         )
         .map_err(engine)?;
-        self.prov.record_trace(&ex.log);
+        self.prov.record_explore(&ex.graph);
         if let Some(w) = &ex.witness {
             self.prov.record_witness(w);
         }

@@ -48,11 +48,12 @@ pub struct TableBatch {
     columns: Vec<Column>,
     len: usize,
     /// Lazily built per-column join indexes: the non-NULL positions sorted
-    /// by (value, position). `OnceLock` so concurrent explorers (scoped
-    /// threads in `explore_parallel`) can race to build them safely.
+    /// by (value, position). `OnceLock` so concurrent readers can race to
+    /// build them safely: server workers share a cached program's tables,
+    /// and so their chunk versions, across sessions.
     indexes: Vec<OnceLock<Vec<u32>>>,
     /// Memoized selections, at most [`Self::MEMO_CAP`], behind a lock for
-    /// the same concurrent explorers.
+    /// the same concurrent readers.
     memo: Mutex<Vec<(SelectionKey, Arc<Bitmap>)>>,
 }
 

@@ -22,13 +22,13 @@
 //!    stale), on one-chunk and multi-chunk tables alike.
 //! 5. **Memoized selections** — a rule's per-chunk selections, kept in the
 //!    chunk's batch, are transparent: explores that run on memo hits, and
-//!    parallel explores whose threads race to fill the memo, give the
-//!    graphs every mode gives, and a write drops what it invalidates.
+//!    explores on threads racing to fill the memo, give the graphs every
+//!    mode gives, and a write drops what it invalidates.
 
 use std::ops::Not;
 
 use starling::analysis::load_script;
-use starling::engine::{explore_parallel, explore_with_mode, EvalMode, ExploreConfig, RuleSet};
+use starling::engine::{explore, explore_with_mode, EvalMode, ExecGraph, ExploreConfig, RuleSet};
 use starling::sql::ast::{Action, Statement};
 use starling::sql::eval::expr::eval_bool;
 use starling::sql::eval::{eval_select, exec_action, ActionOutcome, Env, EvalCtx};
@@ -613,10 +613,11 @@ fn bigwrite(chunks: i64) -> (RuleSet, Database, Vec<Action>) {
     ((*loaded.rules).clone(), db, loaded.user_actions)
 }
 
-/// Explores repeated on one `Database` run the second time on the memo
-/// its full chunks kept from the first — and give the graphs and final
-/// digests every mode gives, both times; so does a parallel explore whose
-/// scoped threads race to fill a fresh memo.
+/// Explores racing on one `Database` — as server workers share a cached
+/// program's tables across sessions — fill its fresh memo and each give
+/// the graph a lone explore gives; later explores on that `Database` run
+/// on the memo, all hits, and give the graphs and final digests every mode
+/// gives.
 #[test]
 fn memoized_selections_are_transparent_across_explores() {
     let cfg = ExploreConfig::default()
@@ -640,30 +641,33 @@ fn memoized_selections_are_transparent_across_explores() {
     for (name, (rules, db, actions)) in &cases {
         let fingerprint =
             |mode, what: &str| graph_fingerprint(rules, db, actions, &cfg, mode, what);
-        // Threads first, so they race on an empty memo.
-        let par = explore_parallel(rules, db, actions, &cfg).unwrap();
-        let mut par_digests: Vec<u64> = par
-            .final_dbs
-            .iter()
-            .map(|(_, fdb)| fdb.state_digest())
-            .collect();
-        par_digests.sort_unstable();
+        // Threads first, released together, so they race on an empty memo.
+        let start = std::sync::Barrier::new(3);
+        let racing: Vec<ExecGraph> = std::thread::scope(|s| {
+            let explores: Vec<_> = (0..3)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        explore(rules, db, actions, &cfg).unwrap()
+                    })
+                })
+                .collect();
+            explores.into_iter().map(|h| h.join().unwrap()).collect()
+        });
         let filled = memoized(db);
         assert!(filled.iter().any(|&n| n > 0), "{name}: memo unused");
 
+        // Every key a lone explore asks for is already there: all hits.
+        let alone = explore(rules, db, actions, &cfg).unwrap();
+        assert_eq!(memoized(db), filled, "{name}: a lone explore missed");
+        for g in &racing {
+            assert_eq!(g, &alone, "{name}: racing vs lone graphs diverge");
+        }
         let first = fingerprint(EvalMode::Columnar, name);
-        assert_eq!(
-            (par.states.len(), par.edges.len(), par_digests),
-            first,
-            "{name}: parallel vs sequential graphs diverge"
-        );
-        // Every key the explore asks for is already there: all hits.
-        assert_eq!(memoized(db), filled, "{name}: a sequential explore missed");
         let row = fingerprint(EvalMode::Plan, name);
         let interp = fingerprint(EvalMode::Interp, name);
-        let again = fingerprint(EvalMode::Columnar, name);
         assert_eq!(memoized(db), filled, "{name}: a repeated explore missed");
-        for (what, other) in [("row-plan", &row), ("interp", &interp), ("repeat", &again)] {
+        for (what, other) in [("row-plan", &row), ("interp", &interp)] {
             assert_eq!(&first, other, "{name}: columnar vs {what} graphs diverge");
         }
     }

@@ -2,16 +2,16 @@
 //! witnesses), checked over the pinned fuzz corpus, fresh generated
 //! programs, and the chase workloads:
 //!
-//! * tracing is free of observable effect: provenance-on and
-//!   provenance-off explorations produce structurally identical graphs;
+//! * a graph's choice points are exactly its expanded states where
+//!   `Choose` returned more than one rule;
 //! * every extracted witness replays: both firing sequences, run through
 //!   the engine from the common state, reproduce the two claimed final
 //!   database digests byte-identically — and those digests differ;
 //! * confluent explorations yield no witness, and deterministic programs
-//!   record no choice points.
+//!   have no choice points.
 
 use starling_analysis::load_script;
-use starling_engine::{explore, explore_traced, Budget};
+use starling_engine::{explore, Budget, TruncationReason};
 use starling_fuzz::{generate, GenConfig};
 use starling_provenance::{explain_divergence, witness};
 use starling_workloads::chase;
@@ -45,36 +45,37 @@ fn corpus_scripts() -> Vec<(String, String)> {
     out
 }
 
+/// A state's out-edges are one per rule `Choose` returns for it, so on a
+/// graph that is not row-truncated the states with two or more out-edges
+/// are exactly the expanded states with two or more eligible rules.
 #[test]
-fn tracing_never_perturbs_exploration() {
+fn choice_points_are_the_states_with_several_eligible_rules() {
     let budget = fuzz_budget();
+    let generated = (0..25u64).map(|seed| {
+        (
+            format!("seed {seed}"),
+            generate(seed, &GenConfig::default()).script(),
+        )
+    });
     let mut checked = 0;
-    for (name, src) in corpus_scripts() {
-        let s = load_script(&src).expect("corpus script loads");
-        if s.user_actions.is_empty() {
-            continue;
-        }
-        let plain = explore(&s.rules, &s.db, &s.user_actions, &budget).unwrap();
-        let (traced, _) = explore_traced(&s.rules, &s.db, &s.user_actions, &budget).unwrap();
-        assert_eq!(plain, traced, "{name}: tracing changed the graph");
-        checked += 1;
-    }
-    // Generated programs cover shapes the corpus does not (rollbacks,
-    // observables, multi-table cascades).
-    for seed in 0..25u64 {
-        let case = generate(seed, &GenConfig::default());
-        let src = case.script();
+    for (name, src) in corpus_scripts().into_iter().chain(generated) {
         let Ok(s) = load_script(&src) else { continue };
         if s.user_actions.is_empty() {
             continue;
         }
-        let plain = explore(&s.rules, &s.db, &s.user_actions, &budget);
-        let traced = explore_traced(&s.rules, &s.db, &s.user_actions, &budget);
-        match (plain, traced) {
-            (Ok(p), Ok((t, _))) => assert_eq!(p, t, "seed {seed}: tracing changed the graph"),
-            (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string(), "seed {seed}"),
-            (a, b) => panic!("seed {seed}: tracing changed the outcome: {a:?} vs {b:?}"),
+        let Ok(g) = explore(&s.rules, &s.db, &s.user_actions, &budget) else {
+            continue;
+        };
+        if g.truncation == Some(TruncationReason::Rows) {
+            continue;
         }
+        let ambiguous = g
+            .states
+            .iter()
+            .filter(|st| !st.out_edges.is_empty())
+            .filter(|st| s.rules.priority().choose(&st.triggered).len() >= 2)
+            .count();
+        assert_eq!(g.choice_points(), ambiguous, "{name}");
         checked += 1;
     }
     assert!(checked >= 10, "property must actually exercise programs");
@@ -141,7 +142,7 @@ fn generated_witnesses_replay_on_pinned_seeds() {
             "seed {seed}: minimization made the witness longer"
         );
         assert!(
-            ex.log.ambiguous() >= 1,
+            ex.graph.choice_points() >= 1,
             "seed {seed}: divergence needs a choice point"
         );
     }
@@ -150,12 +151,12 @@ fn generated_witnesses_replay_on_pinned_seeds() {
 #[test]
 fn chase_workloads_explain_cleanly() {
     let budget = Budget::default();
-    // Confluent chase: no witness, no recorded ambiguity.
+    // Confluent chase: no witness, no choice point.
     let w = chase::terminating();
     let (db, rules) = w.compile().unwrap();
     let ex = explain_divergence(&rules, &db, &w.user_actions().unwrap(), &budget).unwrap();
     assert!(ex.witness.is_none(), "weakly acyclic chase is confluent");
-    assert_eq!(ex.log.ambiguous(), 0);
+    assert_eq!(ex.graph.choice_points(), 0);
 
     // Order-sensitive chase: witness, replay-verified.
     let w = chase::order_sensitive();
@@ -163,5 +164,5 @@ fn chase_workloads_explain_cleanly() {
     let ex = explain_divergence(&rules, &db, &w.user_actions().unwrap(), &budget).unwrap();
     let witness = ex.witness.expect("shared label supply diverges");
     assert!(witness.replay_verified);
-    assert!(ex.log.ambiguous() >= 1);
+    assert!(ex.graph.choice_points() >= 1);
 }

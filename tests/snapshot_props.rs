@@ -1,5 +1,6 @@
 //! Property tests for the copy-on-write snapshot layer, the incremental
-//! per-table digest cache, and the parallel execution-graph oracle:
+//! per-table digest cache, and explores sharing one database across
+//! threads:
 //!
 //! * a CoW clone plus divergent mutation is observationally equal to a deep
 //!   copy — the snapshot never sees writes through the other handle, and
@@ -12,21 +13,19 @@
 //!   held snapshots — after every write that lands on, splits, empties or
 //!   merges chunks, and after every failed one; and a probe of an `Int`,
 //!   `Str` or `Bool` column's index equals a linear scan of the row store;
-//! * parallel `explore` produces a graph identical to sequential `explore`
-//!   on randomized rule workloads (the fault-sweep generator family) and
-//!   over a multi-chunk table the rules rewrite.
+//! * explores racing on one database over a multi-chunk table the rules
+//!   rewrite each produce the graph a lone explore does.
 
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 
-use starling::engine::{explore, explore_parallel, ExploreConfig};
+use starling::engine::{explore, ExploreConfig};
 use starling::storage::{
     CanonicalDigest, ColumnDef, CommitDelta, Database, FaultPlan, FaultSpec, Row, RowOp, Table,
-    TableSchema, TupleId, Value, ValueType,
+    TableBatch, TableSchema, TupleId, Value, ValueType,
 };
 use starling::workloads::cond_stress::CondStress;
-use starling::workloads::random::{generate, RandomConfig};
 
 const TABLES: [&str; 3] = ["t0", "t1", "t2"];
 
@@ -619,48 +618,13 @@ proptest! {
             }
         }
     }
-
-    /// Parallel exploration is byte-identical to sequential exploration on
-    /// randomized workloads (the generator family the fault sweep uses).
-    #[test]
-    fn parallel_explore_equals_sequential_on_random_workloads(
-        seed in 0u64..24,
-        salt in 0u64..3,
-    ) {
-        let w = generate(&RandomConfig {
-            n_tables: 3,
-            n_cols: 2,
-            n_rules: 4,
-            max_actions: 2,
-            p_condition: 0.5,
-            p_observable: 0.2,
-            p_priority: 0.2,
-            rows_per_table: 2,
-            seed,
-        });
-        let rules = w.compile();
-        let base = w.seed_database();
-        let actions = w.user_transition(salt);
-        let cfg = ExploreConfig::default()
-            .with_max_states(600)
-            .with_max_paths(2_000);
-        let seq = explore(&rules, &base, &actions, &cfg);
-        let par = explore_parallel(&rules, &base, &actions, &cfg);
-        match (seq, par) {
-            (Ok(a), Ok(b)) => {
-                prop_assert_eq!(&a, &b);
-                prop_assert_eq!(a.final_db_digests(), b.final_db_digests());
-                prop_assert_eq!(a.truncation, b.truncation);
-            }
-            (Err(a), Err(b)) => prop_assert_eq!(a.to_string(), b.to_string()),
-            (a, b) => prop_assert!(false, "divergent outcomes: {:?} vs {:?}", a, b),
-        }
-    }
 }
 
-/// The same over a `big` of several chunks that every rule rewrites: the
-/// workers of one level share table versions, so they race to build the
-/// chunk batches and indexes the sequential explorer builds alone.
+/// Explores running at once on one `Database` — as server workers share a
+/// cached program's tables across sessions — over a `big` of several chunks
+/// that every rule rewrites: the threads share table versions, so they race
+/// to build the chunk batches, indexes and selections one explore builds
+/// alone, and each must still produce that explore's graph.
 #[test]
 fn parallel_explore_equals_sequential_over_a_multi_chunk_table() {
     let size = CondStress {
@@ -670,9 +634,23 @@ fn parallel_explore_equals_sequential_over_a_multi_chunk_table() {
     let (rules, base, actions) = (size.write_rules(), size.database(), size.user_actions());
     assert!(chunks(base.table("big").unwrap()) >= 4);
     let cfg = ExploreConfig::default();
-    let seq = explore(&rules, &base, &actions, &cfg).unwrap();
-    let par = explore_parallel(&rules, &base, &actions, &cfg).unwrap();
-    assert_eq!(seq, par);
-    assert_eq!(seq.final_db_digests(), par.final_db_digests());
-    assert_eq!(seq.confluent(), Some(true));
+    let start = std::sync::Barrier::new(3);
+    let racing: Vec<_> = std::thread::scope(|s| {
+        let explores: Vec<_> = (0..3)
+            .map(|_| {
+                s.spawn(|| {
+                    start.wait();
+                    explore(&rules, &base, &actions, &cfg).unwrap()
+                })
+            })
+            .collect();
+        explores.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    let alone = explore(&rules, &size.database(), &actions, &cfg).unwrap();
+    for g in &racing {
+        assert_eq!(g, &alone);
+    }
+    assert_eq!(alone.confluent(), Some(true));
+    let memo = base.table("big").unwrap().columnar().batches();
+    assert!(memo.map(TableBatch::memoized).any(|n| n > 0), "memo unused");
 }
