@@ -19,14 +19,17 @@ use starling_sql::ast::Directive;
 
 /// The set of user certifications in force for an analysis.
 ///
-/// Both sets sit behind `Arc`, copied on write: every analysis context and
+/// Both maps sit behind `Arc`, copied on write: every analysis context and
 /// the pair store's record of the previous bind hold a clone, and a
-/// refinement session has tens of thousands of certified pairs.
+/// refinement session has tens of thousands of certified pairs. Each rule's
+/// set of certified partners sits behind an `Arc` of its own, so a toggle
+/// copies the map's keys and the one set it edits, and two versions diff
+/// by skipping the sets they still share.
 #[derive(Clone, Debug, Default, PartialEq, Eq, Serialize)]
 pub struct Certifications {
     /// Certified pairs, normalized: smaller name → the larger names (never
     /// an empty set), so a lookup by `&str` allocates nothing.
-    commute: Arc<BTreeMap<String, BTreeSet<String>>>,
+    commute: Arc<BTreeMap<String, Arc<BTreeSet<String>>>>,
     terminates: Arc<BTreeMap<String, String>>,
 }
 
@@ -68,10 +71,10 @@ impl Certifications {
     pub fn certify_commute(&mut self, a: &str, b: &str) {
         let (lo, hi) = norm(a, b);
         if !self.commute_certified(lo, hi) {
-            Arc::make_mut(&mut self.commute)
+            let his = Arc::make_mut(&mut self.commute)
                 .entry(lo.to_owned())
-                .or_default()
-                .insert(hi.to_owned());
+                .or_default();
+            Arc::make_mut(his).insert(hi.to_owned());
         }
     }
 
@@ -89,9 +92,10 @@ impl Certifications {
         }
         let commute = Arc::make_mut(&mut self.commute);
         let his = commute.get_mut(lo).expect("certified pair has an entry");
-        his.remove(hi);
-        if his.is_empty() {
+        if his.len() == 1 {
             commute.remove(lo);
+        } else {
+            Arc::make_mut(his).remove(hi);
         }
         true
     }
@@ -116,8 +120,9 @@ impl Certifications {
     }
 
     /// The normalized pairs certified in exactly one of `self` and `prev`.
-    /// Clones of one value share their set, which is the common case between
-    /// two analyses and costs a pointer comparison.
+    /// Clones of one value share their map, which is the common case between
+    /// two analyses and costs a pointer comparison; after a toggle they
+    /// still share every set but one, and only that one is compared.
     pub(crate) fn commute_changes<'a>(&'a self, prev: &'a Self) -> Vec<(&'a str, &'a str)> {
         static NONE: BTreeSet<String> = BTreeSet::new();
         let mut out = Vec::new();
@@ -125,7 +130,11 @@ impl Certifications {
             return out;
         }
         for (lo, his) in self.commute.iter() {
-            let old = prev.commute.get(lo).unwrap_or(&NONE);
+            let old = match prev.commute.get(lo) {
+                Some(old) if Arc::ptr_eq(his, old) => continue,
+                Some(old) => &**old,
+                None => &NONE,
+            };
             out.extend(
                 his.symmetric_difference(old)
                     .map(|hi| (lo.as_str(), hi.as_str())),
@@ -205,6 +214,24 @@ mod tests {
         b.certify_commute("d", "e");
         assert_eq!(a, b);
         assert!(a.commute_changes(&b).is_empty());
+    }
+
+    #[test]
+    fn a_toggle_copies_the_one_set_it_edits() {
+        let mut a = Certifications::new();
+        a.certify_commute("a", "b");
+        a.certify_commute("a", "c");
+        a.certify_commute("d", "e");
+        let mut b = a.clone();
+        b.certify_commute("a", "z");
+        assert!(!Arc::ptr_eq(&a.commute, &b.commute));
+        assert!(Arc::ptr_eq(&a.commute["d"], &b.commute["d"]));
+        assert!(!Arc::ptr_eq(&a.commute["a"], &b.commute["a"]));
+        assert_eq!(b.commute_changes(&a), vec![("a", "z")]);
+        // Revoking a set's last pair drops its key without copying it.
+        b.revoke_commute("d", "e");
+        assert!(!b.commute.contains_key("d"));
+        assert_eq!(b.commute_changes(&a), vec![("a", "z"), ("d", "e")]);
     }
 
     #[test]

@@ -420,7 +420,7 @@ mod tests {
             .unwrap()
             .rules()
             .iter()
-            .map(|r| r.sig.clone())
+            .map(|r| RuleSignature::clone(&r.sig))
             .collect()
     }
 

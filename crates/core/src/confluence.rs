@@ -15,6 +15,8 @@
 //! imply confluence. Violations are isolated per generating pair, with the
 //! §6.4 remedies attached (certify commutativity, or order the pair).
 
+use std::sync::Arc;
+
 use serde::Serialize;
 
 use crate::commutativity::{commutes_idx, noncommutativity_reasons_idx, NoncommutativityReason};
@@ -218,7 +220,7 @@ fn suggestions(
 /// Corollary 6.8/6.9/6.10 checks: structural facts that *must* hold of any
 /// rule set our analysis finds confluent. Returns human-readable failures
 /// (all empty on a confluent-verdict rule set — property-tested).
-pub fn corollary_checks(ctx: &AnalysisContext, analysis: &ConfluenceAnalysis) -> Vec<String> {
+pub fn corollary_checks(ctx: &AnalysisContext, analysis: &ConfluenceAnalysis) -> Vec<Arc<str>> {
     let mut out = Vec::new();
     if !analysis.requirement_holds() {
         return out;
@@ -232,25 +234,32 @@ pub fn corollary_checks(ctx: &AnalysisContext, analysis: &ConfluenceAnalysis) ->
 
 /// The Corollary 6.8/6.10 lint messages for one **unordered** pair, in the
 /// order `corollary_checks` emits them. Shared by the incremental
-/// analyzer, which caches them per pair.
+/// analyzer, which caches them per pair and hands the same lines to every
+/// report it assembles.
 #[doc(hidden)]
-pub fn corollary_pair(ctx: &AnalysisContext, i: usize, j: usize) -> Vec<String> {
+pub fn corollary_pair(ctx: &AnalysisContext, i: usize, j: usize) -> Vec<Arc<str>> {
     let mut out = Vec::new();
     // Corollary 6.8: unordered pairs commute.
     if !commutes_idx(ctx, i, j) {
-        out.push(format!(
-            "corollary 6.8 violated: unordered `{}`/`{}` do not commute",
-            ctx.name(i),
-            ctx.name(j)
-        ));
+        out.push(
+            format!(
+                "corollary 6.8 violated: unordered `{}`/`{}` do not commute",
+                ctx.name(i),
+                ctx.name(j)
+            )
+            .into(),
+        );
     }
     // Corollary 6.10: triggering pairs are ordered.
     if ctx.can_trigger(i, j) || ctx.can_trigger(j, i) {
-        out.push(format!(
-            "corollary 6.10 violated: `{}` may trigger `{}` but they are unordered",
-            ctx.name(i),
-            ctx.name(j)
-        ));
+        out.push(
+            format!(
+                "corollary 6.10 violated: `{}` may trigger `{}` but they are unordered",
+                ctx.name(i),
+                ctx.name(j)
+            )
+            .into(),
+        );
     }
     out
 }

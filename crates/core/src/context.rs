@@ -10,8 +10,8 @@ use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
 
 use starling_engine::{PriorityOrder, RuleId, RuleSet};
-use starling_sql::RuleSignature;
-use starling_storage::Op;
+use starling_sql::{RuleDef, RuleSignature};
+use starling_storage::{Catalog, Op};
 
 use crate::certifications::Certifications;
 use crate::conflict_index::ConflictIndex;
@@ -20,8 +20,9 @@ use crate::pair_store::{BindOutcome, PairStore};
 /// Everything the static analyses need to know about a rule set.
 #[derive(Clone, Debug)]
 pub struct AnalysisContext {
-    /// Per-rule static signatures (Section 3 definitions).
-    pub sigs: Vec<RuleSignature>,
+    /// Per-rule static signatures (Section 3 definitions), shared with the
+    /// rule set they came from.
+    pub sigs: Vec<Arc<RuleSignature>>,
     /// The transitively closed priority order `P`.
     pub priority: PriorityOrder,
     /// User certifications in force.
@@ -29,10 +30,10 @@ pub struct AnalysisContext {
     /// Rule definitions, when available (absent for synthetic/extended
     /// signatures such as the Section 8 `Obs` extension). Only the
     /// expression-level special-case detectors need them.
-    pub defs: Vec<Option<starling_sql::RuleDef>>,
+    pub defs: Vec<Option<Arc<RuleDef>>>,
     /// The catalog, when available (needed by the predicate-level
     /// commutativity refinement).
-    pub catalog: Option<starling_storage::Catalog>,
+    pub catalog: Option<Arc<Catalog>>,
     /// Enable the Section 9 "less conservative methods" refinement:
     /// predicate-level analysis may discharge Lemma 6.1 conditions 4/5 when
     /// the conflicting writes are provably disjoint. Off by default
@@ -67,20 +68,28 @@ impl AnalysisContext {
     /// Builds a context bound to a shared persistent store. The returned
     /// [`BindOutcome`] describes exactly which cached pair verdicts the
     /// bind invalidated — the incremental analyzer's dirty-set seed.
+    ///
+    /// The context shares the rule set's signatures, definitions and
+    /// catalog: building it copies handles, not ASTs.
     pub fn bound_to_store(
         rules: &RuleSet,
         certs: Certifications,
         refine: bool,
         store: &Arc<PairStore>,
     ) -> (Self, BindOutcome) {
-        let sigs: Vec<RuleSignature> = rules.rules().iter().map(|r| r.sig.clone()).collect();
+        let sigs: Vec<Arc<RuleSignature>> =
+            rules.rules().iter().map(|r| Arc::clone(&r.sig)).collect();
         let outcome = store.bind(&sigs, &certs, refine);
         let ctx = AnalysisContext {
             sigs,
             priority: rules.priority().clone(),
             certs,
-            defs: rules.rules().iter().map(|r| Some(r.def.clone())).collect(),
-            catalog: Some(rules.catalog().clone()),
+            defs: rules
+                .rules()
+                .iter()
+                .map(|r| Some(Arc::clone(&r.def)))
+                .collect(),
+            catalog: Some(Arc::clone(rules.shared_catalog())),
             refine,
             store: Arc::clone(store),
             sids: outcome.sids.clone(),
@@ -94,11 +103,11 @@ impl AnalysisContext {
     /// Builds a context directly from parts (used by `extend_with_obs`,
     /// whose synthetic signatures have no rule set behind them).
     pub(crate) fn from_parts(
-        sigs: Vec<RuleSignature>,
+        sigs: Vec<Arc<RuleSignature>>,
         priority: PriorityOrder,
         certs: Certifications,
-        defs: Vec<Option<starling_sql::RuleDef>>,
-        catalog: Option<starling_storage::Catalog>,
+        defs: Vec<Option<Arc<RuleDef>>>,
+        catalog: Option<Arc<Catalog>>,
         refine: bool,
         store: Arc<PairStore>,
     ) -> Self {
@@ -175,8 +184,8 @@ impl AnalysisContext {
     }
 
     /// The rule definition for rule `i`, when available.
-    pub fn rule_def(&self, i: usize) -> Option<&starling_sql::RuleDef> {
-        self.defs.get(i).and_then(Option::as_ref)
+    pub fn rule_def(&self, i: usize) -> Option<&RuleDef> {
+        self.defs.get(i).and_then(Option::as_deref)
     }
 
     /// Number of rules.
@@ -332,7 +341,7 @@ impl AnalysisContext {
 pub(crate) mod tests {
     use starling_sql::ast::Statement;
     use starling_sql::parse_script;
-    use starling_storage::{Catalog, ColumnDef, TableSchema, ValueType};
+    use starling_storage::{ColumnDef, TableSchema, ValueType};
 
     use super::*;
 

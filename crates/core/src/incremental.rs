@@ -91,13 +91,12 @@ use crate::termination::analyze_termination;
 /// Don't bother spinning up threads below this many candidate pairs.
 const PREWARM_MIN_PAIRS: usize = 1 << 12;
 
-/// Memoized per-pair confluence results for one non-trivial unordered pair.
-#[derive(Clone, Debug)]
-struct PairEntry {
+/// What one unordered pair contributes to a report. The lint lines are
+/// shared with every report assembled while the entry lives.
+#[derive(Debug)]
+struct PairOutput {
     violations: Vec<ConfluenceViolation>,
-    corollary: Vec<String>,
-    /// Closure members beyond the generating pair, as store ids (sorted).
-    extras: Vec<u32>,
+    corollary: Vec<Arc<str>>,
 }
 
 /// Everything the dirty-set propagation diffs against.
@@ -111,10 +110,14 @@ struct ConfluenceMemo {
     /// sid → sids of rules that could trigger it at the last analyze.
     preds: HashMap<u32, Vec<u32>>,
     /// Unordered pairs with any violations, lints, or closure extras,
-    /// keyed `(sid_i, sid_j)` in rule-index orientation. Pairs absent here
-    /// are known-clean.
-    entries: HashMap<(u32, u32), PairEntry>,
-    /// sid → the `entries` keys whose closure contains it, as an endpoint
+    /// keyed `(sid_i, sid_j)` in rule-index orientation, each with its
+    /// closure members beyond the generating pair (store ids, sorted).
+    /// Pairs absent here are known-clean.
+    extras: HashMap<(u32, u32), Vec<u32>>,
+    /// The pairs of `extras` with violations or lints: all a report reads,
+    /// apart from the far more numerous pairs that only have extras.
+    outputs: HashMap<(u32, u32), PairOutput>,
+    /// sid → the `extras` keys whose closure contains it, as an endpoint
     /// or as a non-generating member: everything the memo holds on a rule
     /// (unordered rows; a key appears once per row).
     mentions: HashMap<u32, Vec<(u32, u32)>>,
@@ -237,7 +240,7 @@ impl IncrementalAnalysis {
         &mut self,
         ctx: &AnalysisContext,
         outcome: &BindOutcome,
-    ) -> (ConfluenceAnalysis, Vec<String>) {
+    ) -> (ConfluenceAnalysis, Vec<Arc<str>>) {
         // One index per analyze: a full sweep enumerates it, an incremental
         // one expands its dirty rules through it.
         let all: Vec<usize> = (0..ctx.len()).collect();
@@ -263,7 +266,8 @@ impl IncrementalAnalysis {
             sids: ctx.sids.clone(),
             priority: ctx.priority.clone(),
             preds: Self::preds_of(ctx),
-            entries: HashMap::new(),
+            extras: HashMap::new(),
+            outputs: HashMap::new(),
             mentions: HashMap::new(),
             swept: pairs.len(),
         };
@@ -395,8 +399,11 @@ impl IncrementalAnalysis {
                 // ... and the memoized pairs whose closure contains y and
                 // a pred of x, each as an endpoint or an extra.
                 for &k in memo.mentions.get(&y).into_iter().flatten() {
-                    let extras = &memo.entries[&k].extras;
-                    if [k.0, k.1].iter().chain(extras).any(|m| px.contains(m)) {
+                    if [k.0, k.1]
+                        .iter()
+                        .chain(&memo.extras[&k])
+                        .any(|m| px.contains(m))
+                    {
                         dirty_pairs.insert(k);
                     }
                 }
@@ -498,19 +505,22 @@ impl IncrementalAnalysis {
         for &m in [key.0, key.1].iter().chain(&extras) {
             memo.mentions.entry(m).or_default().push(key);
         }
-        memo.entries.insert(
-            key,
-            PairEntry {
-                violations,
-                corollary,
-                extras,
-            },
-        );
+        if !(violations.is_empty() && corollary.is_empty()) {
+            memo.outputs.insert(
+                key,
+                PairOutput {
+                    violations,
+                    corollary,
+                },
+            );
+        }
+        memo.extras.insert(key, extras);
     }
 
     fn remove_entry(memo: &mut ConfluenceMemo, key: (u32, u32)) {
-        if let Some(entry) = memo.entries.remove(&key) {
-            for m in [key.0, key.1].iter().chain(&entry.extras) {
+        if let Some(extras) = memo.extras.remove(&key) {
+            memo.outputs.remove(&key);
+            for m in [key.0, key.1].iter().chain(&extras) {
                 let row = memo.mentions.get_mut(m).expect("a member is mentioned");
                 let at = row.iter().position(|k| *k == key);
                 row.swap_remove(at.expect("a member is mentioned"));
@@ -533,15 +543,19 @@ impl IncrementalAnalysis {
     /// Rebuilds the [`ConfluenceAnalysis`] and the `corollary_checks` output
     /// from the memo in one ordered pass, in the exact `(i, j)` scan order
     /// of `analyze_confluence` (the lints are empty whenever the requirement
-    /// fails, exactly like the original early return).
-    fn assemble(&self, ctx: &AnalysisContext) -> (ConfluenceAnalysis, Vec<String>) {
+    /// fails, exactly like the original early return). Lint lines are
+    /// shared with the memo, not copied.
+    fn assemble(&self, ctx: &AnalysisContext) -> (ConfluenceAnalysis, Vec<Arc<str>>) {
         let memo = self.memo.as_ref().expect("assemble without memo");
-        let cur: HashMap<u32, usize> = ctx.sids.iter().enumerate().map(|(i, &s)| (s, i)).collect();
-        let mut keyed: Vec<((usize, usize), &PairEntry)> = memo
-            .entries
+        // Store id → rule index. Store ids are dense, so a vector will do.
+        let mut cur = vec![u32::MAX; ctx.sids.iter().max().map_or(0, |&m| m as usize + 1)];
+        for (i, &s) in ctx.sids.iter().enumerate() {
+            cur[s as usize] = i as u32;
+        }
+        let mut keyed: Vec<((u32, u32), &PairOutput)> = memo
+            .outputs
             .iter()
-            .filter(|(_, e)| !(e.violations.is_empty() && e.corollary.is_empty()))
-            .map(|(k, e)| ((cur[&k.0], cur[&k.1]), e))
+            .map(|(k, e)| ((cur[k.0 as usize], cur[k.1 as usize]), e))
             .collect();
         keyed.sort_unstable_by_key(|&(ij, _)| ij);
         let violations: Vec<ConfluenceViolation> = keyed

@@ -13,7 +13,10 @@
 //! confluence with respect to `{Obs}`. A unique final `Obs` value means a
 //! unique order and appearance of observable actions.
 
+use std::sync::Arc;
+
 use serde::Serialize;
+use starling_sql::RuleSignature;
 
 use crate::confluence::ConfluenceAnalysis;
 use crate::context::AnalysisContext;
@@ -61,19 +64,28 @@ impl ObservableAnalysis {
 /// to a fresh private store otherwise, matching the old clear-everything
 /// behavior.
 pub fn extend_with_obs(ctx: &AnalysisContext) -> AnalysisContext {
-    let mut sigs = ctx.sigs.clone();
-    for sig in &mut sigs {
-        if sig.observable {
-            sig.reads
+    // Only the observable rules' signatures change; the rest are shared.
+    let sigs = ctx
+        .sigs
+        .iter()
+        .map(|sig| {
+            if !sig.observable {
+                return Arc::clone(sig);
+            }
+            let mut widened = RuleSignature::clone(sig);
+            widened
+                .reads
                 .insert(starling_storage::ColRef::new(OBS_TABLE, "log"));
-            sig.performs
+            widened
+                .performs
                 .insert(starling_storage::Op::Insert(OBS_TABLE.to_owned()));
-        }
-    }
+            Arc::new(widened)
+        })
+        .collect();
     let store = ctx
         .obs_store
         .clone()
-        .unwrap_or_else(|| std::sync::Arc::new(crate::pair_store::PairStore::new()));
+        .unwrap_or_else(|| Arc::new(crate::pair_store::PairStore::new()));
     let mut extended = AnalysisContext::from_parts(
         sigs,
         ctx.priority.clone(),

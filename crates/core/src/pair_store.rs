@@ -35,7 +35,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::RwLock;
+use std::sync::{Arc, RwLock};
 
 use starling_sql::RuleSignature;
 use starling_storage::{ColRef, Fnv64, Op};
@@ -216,7 +216,7 @@ impl PairStore {
     /// previous bind and invalidating exactly the stale entries.
     pub fn bind(
         &self,
-        sigs: &[RuleSignature],
+        sigs: &[Arc<RuleSignature>],
         certs: &Certifications,
         refine: bool,
     ) -> BindOutcome {
@@ -232,7 +232,14 @@ impl PairStore {
         for sig in sigs {
             let fp = fingerprint(sig);
             let next = inner.fps.len() as u32;
-            let sid = *inner.ids.entry(sig.name.clone()).or_insert(next);
+            // `get` before `insert`: a known name costs no key clone.
+            let sid = match inner.ids.get(&sig.name) {
+                Some(&sid) => sid,
+                None => {
+                    inner.ids.insert(sig.name.clone(), next);
+                    next
+                }
+            };
             if sid == next {
                 inner.fps.push(fp);
                 let cap = inner.fps.len();
@@ -388,7 +395,7 @@ mod tests {
         assert_send_sync::<PairStore>();
     };
 
-    fn three_sigs() -> Vec<RuleSignature> {
+    fn three_sigs() -> Vec<Arc<RuleSignature>> {
         ctx_from(
             "create rule a on t when inserted then update u set x = 1 end;
              create rule b on t when deleted then update u set x = 2 end;
@@ -410,6 +417,14 @@ mod tests {
         let again = store.bind(&sigs, &certs, false);
         assert!(again.unchanged());
         assert_eq!(again.sids, first.sids);
+        // Equal signatures behind other handles find nothing changed either.
+        let copies: Vec<_> = sigs
+            .iter()
+            .map(|s| Arc::new(RuleSignature::clone(s)))
+            .collect();
+        let copied = store.bind(&copies, &certs, false);
+        assert!(copied.unchanged());
+        assert_eq!(copied.sids, first.sids);
         assert_eq!(store.verdict(0, 1), Some(false));
         assert_eq!(store.stats().invalidations, 0);
     }
@@ -424,7 +439,8 @@ mod tests {
         store.set_verdict(1, 2, true);
         store.set_reasons(1, 2, Vec::new());
         // Redefine rule c (sid 2): its two pairs drop, pair (a, b) survives.
-        sigs[2].observable = !sigs[2].observable;
+        let c = Arc::make_mut(&mut sigs[2]);
+        c.observable = !c.observable;
         let out2 = store.bind(&sigs, &Certifications::new(), false);
         assert_eq!(out2.changed_rules, vec![2]);
         assert_eq!(out2.sids, out.sids);
@@ -443,7 +459,7 @@ mod tests {
         store.set_verdict(1, 2, true);
         // Drop rule b, then re-add it unchanged: its dormant entries are
         // still valid, so nothing is invalidated.
-        let two: Vec<RuleSignature> = vec![sigs[0].clone(), sigs[2].clone()];
+        let two = vec![Arc::clone(&sigs[0]), Arc::clone(&sigs[2])];
         let out = store.bind(&two, &Certifications::new(), false);
         assert!(out.unchanged());
         let back = store.bind(&sigs, &Certifications::new(), false);

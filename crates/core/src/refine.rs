@@ -36,7 +36,7 @@ pub fn refine_reasons(
     reasons: Vec<NoncommutativityReason>,
 ) -> Vec<NoncommutativityReason> {
     let (Some(a), Some(b), Some(catalog)) =
-        (ctx.rule_def(i), ctx.rule_def(j), ctx.catalog.as_ref())
+        (ctx.rule_def(i), ctx.rule_def(j), ctx.catalog.as_deref())
     else {
         return reasons;
     };

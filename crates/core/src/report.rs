@@ -2,6 +2,7 @@
 //! development environment" the paper's introduction envisions.
 
 use std::fmt;
+use std::sync::Arc;
 
 use serde::Serialize;
 
@@ -27,8 +28,9 @@ pub struct AnalysisReport {
     /// Confluence (Section 6).
     pub confluence: ConfluenceAnalysis,
     /// Corollary 6.8/6.10 lint results (always empty when confluence is
-    /// accepted; reported for transparency).
-    pub corollary_failures: Vec<String>,
+    /// accepted; reported for transparency). The incremental analyzer
+    /// shares each line with its memo.
+    pub corollary_failures: Vec<Arc<str>>,
     /// Observable determinism (Section 8).
     pub observable: ObservableAnalysis,
     /// Partial confluence per requested table set (Section 7).
@@ -89,11 +91,7 @@ impl AnalysisReport {
             ("observable", observable_json(&self.observable)),
             (
                 "corollary_failures",
-                Json::arr(
-                    self.corollary_failures
-                        .iter()
-                        .map(|s| Json::from(s.as_str())),
-                ),
+                Json::arr(self.corollary_failures.iter().map(|s| Json::from(&**s))),
             ),
             ("all_guaranteed", Json::from(self.all_guaranteed())),
         ])

@@ -2,6 +2,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 use starling_sql::validate::validate_rule;
 use starling_sql::{RuleDef, RuleSignature};
@@ -21,14 +22,17 @@ impl fmt::Display for RuleId {
 }
 
 /// A validated rule with its precomputed static signature and physical plan.
+///
+/// The definition and the signature sit behind `Arc`: an analysis context
+/// built from the rule set shares them instead of copying every AST.
 #[derive(Clone, Debug)]
 pub struct CompiledRule {
     /// Index in the rule set.
     pub id: RuleId,
     /// The rule definition as written.
-    pub def: RuleDef,
+    pub def: Arc<RuleDef>,
     /// `Triggered-By` / `Performs` / `Reads` / `Observable` (Section 3).
-    pub sig: RuleSignature,
+    pub sig: Arc<RuleSignature>,
     /// Compiled condition/action plans (see [`starling_sql::plan`]),
     /// built once here and evaluated on every consideration.
     pub plan: starling_sql::plan::RulePlan,
@@ -47,7 +51,7 @@ pub struct RuleSet {
     rules: Vec<CompiledRule>,
     priority: PriorityOrder,
     by_name: BTreeMap<String, RuleId>,
-    catalog: Catalog,
+    catalog: Arc<Catalog>,
 }
 
 impl RuleSet {
@@ -85,8 +89,8 @@ impl RuleSet {
             let plan = starling_sql::plan::compile_rule(def, catalog);
             rules.push(CompiledRule {
                 id: RuleId(i),
-                def: def.clone(),
-                sig,
+                def: Arc::new(def.clone()),
+                sig: Arc::new(sig),
                 plan,
             });
         }
@@ -97,12 +101,17 @@ impl RuleSet {
             rules,
             priority,
             by_name,
-            catalog: catalog.clone(),
+            catalog: Arc::new(catalog.clone()),
         })
     }
 
     /// The catalog the rules were compiled against.
     pub fn catalog(&self) -> &Catalog {
+        &self.catalog
+    }
+
+    /// The catalog as a shared handle.
+    pub fn shared_catalog(&self) -> &Arc<Catalog> {
         &self.catalog
     }
 

@@ -114,6 +114,7 @@ impl Json {
     /// trailing garbage rejected).
     pub fn parse(src: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
+            src,
             bytes: src.as_bytes(),
             pos: 0,
         };
@@ -180,62 +181,118 @@ impl fmt::Display for Json {
     /// Compact single-line rendering (the newline-delimited protocol
     /// depends on values never containing a raw newline).
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Json::Null => f.write_str("null"),
-            Json::Bool(b) => f.write_str(if *b { "true" } else { "false" }),
-            Json::Int(i) => write!(f, "{i}"),
-            Json::Float(x) if x.is_finite() => {
-                // Guarantee a re-parseable number (Rust prints `1` for 1.0).
-                if x.fract() == 0.0 && x.abs() < 1e15 {
-                    write!(f, "{x:.1}")
-                } else {
-                    write!(f, "{x}")
-                }
+        write_value(f, self)
+    }
+}
+
+/// Writes `v`'s compact rendering straight into `f`: the one encoder
+/// behind [`Json`]'s `Display`.
+fn write_value(f: &mut fmt::Formatter<'_>, v: &Json) -> fmt::Result {
+    match v {
+        Json::Null => f.write_str("null"),
+        Json::Bool(b) => f.write_str(if *b { "true" } else { "false" }),
+        Json::Int(i) => write_int(f, *i),
+        // Guarantee a re-parseable number (Rust prints `1` for 1.0).
+        Json::Float(x) if x.is_finite() => {
+            if x.fract() == 0.0 && x.abs() < 1e15 {
+                write!(f, "{x:.1}")
+            } else {
+                write!(f, "{x}")
             }
-            // NaN/inf have no JSON representation.
-            Json::Float(_) => f.write_str("null"),
-            Json::Str(s) => write_escaped(f, s),
-            Json::Arr(items) => {
-                f.write_str("[")?;
-                for (i, v) in items.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(",")?;
-                    }
-                    write!(f, "{v}")?;
+        }
+        // NaN/inf have no JSON representation.
+        Json::Float(_) => f.write_str("null"),
+        Json::Str(s) => write_escaped(f, s),
+        Json::Arr(items) => {
+            f.write_str("[")?;
+            for (i, v) in items.iter().enumerate() {
+                if i > 0 {
+                    f.write_str(",")?;
                 }
-                f.write_str("]")
+                write_value(f, v)?;
             }
-            Json::Obj(pairs) => {
-                f.write_str("{")?;
-                for (i, (k, v)) in pairs.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(",")?;
-                    }
-                    write_escaped(f, k)?;
-                    f.write_str(":")?;
-                    write!(f, "{v}")?;
+            f.write_str("]")
+        }
+        Json::Obj(pairs) => {
+            f.write_str("{")?;
+            for (i, (k, v)) in pairs.iter().enumerate() {
+                if i > 0 {
+                    f.write_str(",")?;
                 }
-                f.write_str("}")
+                write_escaped(f, k)?;
+                f.write_str(":")?;
+                write_value(f, v)?;
             }
+            f.write_str("}")
         }
     }
 }
 
-fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
-    f.write_str("\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\r' => f.write_str("\\r")?,
-            '\t' => f.write_str("\\t")?,
-            '\u{08}' => f.write_str("\\b")?,
-            '\u{0C}' => f.write_str("\\f")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => write!(f, "{c}")?,
+/// Decimal digits of `i`, most significant first, without `fmt`'s
+/// integer machinery.
+fn write_int(f: &mut fmt::Formatter<'_>, i: i64) -> fmt::Result {
+    let mut buf = [0u8; 20];
+    let mut at = buf.len();
+    let mut n = i.unsigned_abs();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
         }
     }
+    if i < 0 {
+        f.write_str("-")?;
+    }
+    f.write_str(std::str::from_utf8(&buf[at..]).expect("ASCII digits are valid UTF-8"))
+}
+
+/// Per byte: 0 if a string literal carries it as is, else the character
+/// after the backslash of its escape (`u` for `\u00XX`).
+const ESCAPE: [u8; 256] = {
+    let mut table = [0u8; 256];
+    let mut b = 0;
+    while b < 0x20 {
+        table[b] = b'u';
+        b += 1;
+    }
+    table[0x08] = b'b';
+    table[0x09] = b't';
+    table[0x0A] = b'n';
+    table[0x0C] = b'f';
+    table[0x0D] = b'r';
+    table[b'"' as usize] = b'"';
+    table[b'\\' as usize] = b'\\';
+    table
+};
+
+/// `s` as a JSON string literal. Only `"`, `\` and bytes below 0x20 are
+/// escaped; every run of bytes between two of them is copied in one step.
+/// They are all ASCII, so no run splits a UTF-8 sequence.
+fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    f.write_str("\"")?;
+    let mut run = 0;
+    for (at, &b) in s.as_bytes().iter().enumerate() {
+        let escape = ESCAPE[usize::from(b)];
+        if escape == 0 {
+            continue;
+        }
+        f.write_str(&s[run..at])?;
+        let seq = [
+            b'\\',
+            escape,
+            b'0',
+            b'0',
+            HEX[usize::from(b >> 4)],
+            HEX[usize::from(b & 0xF)],
+        ];
+        let len = if escape == b'u' { seq.len() } else { 2 };
+        f.write_str(std::str::from_utf8(&seq[..len]).expect("escapes are ASCII"))?;
+        run = at + 1;
+    }
+    f.write_str(&s[run..])?;
     f.write_str("\"")
 }
 
@@ -260,6 +317,7 @@ impl std::error::Error for JsonError {}
 const MAX_DEPTH: usize = 128;
 
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -421,18 +479,17 @@ impl<'a> Parser<'a> {
                 }
                 Some(c) if c < 0x20 => return Err(self.err("raw control character in string")),
                 Some(_) => {
-                    // Copy one UTF-8 scalar (input is &str, so boundaries
-                    // are valid).
+                    // Copy the run up to the next quote, backslash or
+                    // control byte (the bytes the writer escapes) in one
+                    // step. Those are all ASCII, so the run ends on a char
+                    // boundary of the `&str` input.
                     let start = self.pos;
-                    let mut end = start + 1;
-                    while end < self.bytes.len() && (self.bytes[end] & 0xC0) == 0x80 {
-                        end += 1;
-                    }
-                    out.push_str(
-                        std::str::from_utf8(&self.bytes[start..end])
-                            .map_err(|_| self.err("invalid UTF-8"))?,
-                    );
-                    self.pos = end;
+                    let run = self.bytes[start..]
+                        .iter()
+                        .position(|&b| ESCAPE[usize::from(b)] != 0)
+                        .unwrap_or(self.bytes.len() - start);
+                    self.pos = start + run;
+                    out.push_str(&self.src[start..self.pos]);
                 }
             }
         }
@@ -584,5 +641,215 @@ mod tests {
         assert_eq!(Json::from(3usize), Json::Int(3));
         assert_eq!(Json::from(Some("x")), Json::Str("x".into()));
         assert_eq!(Json::from(None::<i64>), Json::Null);
+    }
+
+    #[test]
+    fn malformed_strings_fail_at_the_same_offsets() {
+        for (src, pos, message) in [
+            ("\"abé", 5, "unterminated string"),
+            ("[\"ok\",\"a\u{1}b\"]", 8, "raw control character in string"),
+            ("{\"k\\q\":1}", 4, "invalid escape"),
+        ] {
+            let err = Json::parse(src).unwrap_err();
+            assert_eq!((err.pos, err.message.as_str()), (pos, message), "{src:?}");
+        }
+    }
+
+    /// The char-at-a-time writer the byte-level one replaced: the
+    /// differential tests hold the encoder to its output byte for byte.
+    struct Reference<'a>(&'a Json);
+
+    impl fmt::Display for Reference<'_> {
+        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+            match self.0 {
+                Json::Null => f.write_str("null"),
+                Json::Bool(b) => f.write_str(if *b { "true" } else { "false" }),
+                Json::Int(i) => write!(f, "{i}"),
+                Json::Float(x) if x.is_finite() => {
+                    if x.fract() == 0.0 && x.abs() < 1e15 {
+                        write!(f, "{x:.1}")
+                    } else {
+                        write!(f, "{x}")
+                    }
+                }
+                Json::Float(_) => f.write_str("null"),
+                Json::Str(s) => reference_escaped(f, s),
+                Json::Arr(items) => {
+                    f.write_str("[")?;
+                    for (i, v) in items.iter().enumerate() {
+                        if i > 0 {
+                            f.write_str(",")?;
+                        }
+                        write!(f, "{}", Reference(v))?;
+                    }
+                    f.write_str("]")
+                }
+                Json::Obj(pairs) => {
+                    f.write_str("{")?;
+                    for (i, (k, v)) in pairs.iter().enumerate() {
+                        if i > 0 {
+                            f.write_str(",")?;
+                        }
+                        reference_escaped(f, k)?;
+                        f.write_str(":")?;
+                        write!(f, "{}", Reference(v))?;
+                    }
+                    f.write_str("}")
+                }
+            }
+        }
+    }
+
+    fn reference_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
+        f.write_str("\"")?;
+        for c in s.chars() {
+            match c {
+                '"' => f.write_str("\\\"")?,
+                '\\' => f.write_str("\\\\")?,
+                '\n' => f.write_str("\\n")?,
+                '\r' => f.write_str("\\r")?,
+                '\t' => f.write_str("\\t")?,
+                '\u{08}' => f.write_str("\\b")?,
+                '\u{0C}' => f.write_str("\\f")?,
+                c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
+                c => write!(f, "{c}")?,
+            }
+        }
+        f.write_str("\"")
+    }
+
+    /// splitmix64: seeded, dependency-free.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        fn pick<T: Copy>(&mut self, from: &[T]) -> T {
+            from[self.below(from.len())]
+        }
+    }
+
+    /// Every byte that needs escaping, the ASCII neighbours that do not,
+    /// and 2-, 3- and 4-byte UTF-8.
+    fn string(rng: &mut Rng) -> String {
+        const PIECES: &[&str] = &[
+            "a",
+            "Z9",
+            " ",
+            "/",
+            "'",
+            "\"",
+            "\\",
+            "\u{7f}",
+            "é",
+            "ß",
+            "\u{7ff}",
+            "\u{800}",
+            "€",
+            "\u{ffff}",
+            "😀",
+            "\u{10ffff}",
+        ];
+        let mut s = String::new();
+        for _ in 0..rng.below(8) {
+            if rng.below(3) == 0 {
+                s.push(char::from(rng.below(0x20) as u8));
+            } else {
+                s.push_str(rng.pick(PIECES));
+            }
+        }
+        s
+    }
+
+    fn value(rng: &mut Rng, depth: usize, floats: bool) -> Json {
+        const INTS: &[i64] = &[i64::MIN, i64::MIN + 1, -1, 0, 1, 9, 10, i64::MAX];
+        const FLOATS: &[f64] = &[
+            -0.0,
+            0.0,
+            1e15,
+            -1e15,
+            1e-7,
+            0.1,
+            2.0,
+            123_456.789,
+            1e300,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        match rng.below(if depth == 0 { 5 } else { 7 }) {
+            0 => Json::Null,
+            1 => Json::Bool(rng.below(2) == 0),
+            2 if rng.below(2) == 0 => Json::Int(rng.pick(INTS)),
+            2 => Json::Int(rng.next() as i64 >> rng.below(64)),
+            3 if floats && rng.below(2) == 0 => Json::Float(rng.pick(FLOATS)),
+            3 if floats => Json::Float(f64::from_bits(rng.next())),
+            3 => Json::Int(rng.next() as i64),
+            4 => Json::Str(string(rng)),
+            5 => Json::Arr(
+                (0..rng.below(5))
+                    .map(|_| value(rng, depth - 1, floats))
+                    .collect(),
+            ),
+            _ => Json::Obj(
+                (0..rng.below(5))
+                    .map(|_| (string(rng), value(rng, depth - 1, floats)))
+                    .collect(),
+            ),
+        }
+    }
+
+    /// Arrays and objects alternating `depth` levels deep around `leaf`.
+    fn nested(depth: usize, leaf: Json) -> Json {
+        (0..depth).fold(leaf, |inner, level| {
+            if level % 2 == 0 {
+                Json::Arr(vec![Json::Null, inner])
+            } else {
+                Json::Obj(vec![(String::new(), inner)])
+            }
+        })
+    }
+
+    #[test]
+    fn writer_matches_the_reference_on_random_trees() {
+        let mut rng = Rng(42);
+        for _ in 0..2_000 {
+            let v = value(&mut rng, 4, true);
+            assert_eq!(v.to_string(), Reference(&v).to_string(), "{v:?}");
+            let exact = value(&mut rng, 4, false);
+            let text = exact.to_string();
+            assert_eq!(text, Reference(&exact).to_string(), "{exact:?}");
+            assert_eq!(Json::parse(&text).unwrap(), exact, "{text}");
+        }
+    }
+
+    #[test]
+    fn writer_matches_the_reference_on_every_escape_and_at_depth() {
+        let every: String = (0u32..0x300).filter_map(char::from_u32).collect();
+        let all = Json::Obj(vec![
+            (every.clone(), Json::Str(every.clone())),
+            (String::new(), Json::Str(String::new())),
+            ("😀\u{10ffff}".into(), Json::Int(i64::MIN)),
+        ]);
+        let deep = nested(100, all.clone());
+        for v in [all, deep] {
+            let text = v.to_string();
+            assert_eq!(text, Reference(&v).to_string());
+            assert_eq!(Json::parse(&text).unwrap(), v);
+        }
+        assert_eq!(
+            Json::Str("\u{0}\u{1f}\u{7f}".into()).to_string(),
+            "\"\\u0000\\u001f\u{7f}\""
+        );
     }
 }

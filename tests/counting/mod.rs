@@ -1,5 +1,6 @@
 //! The counting allocator of the allocation-count tests (`write_alloc`,
-//! `stmt_alloc`, `cond_alloc`) and the table they measure. Each of those is a test binary
+//! `stmt_alloc`, `cond_alloc`, `analyze_alloc`) and the table the first
+//! three measure. Each of those is a test binary
 //! of its own, because the allocator is process-wide; the counters are per
 //! thread, so the harness's own threads do not disturb a count.
 

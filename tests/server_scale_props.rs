@@ -171,7 +171,15 @@ fn two_thousand_pipelined_sessions_match_serial_replay() {
         .map(|i| serial_reference(&script, i, &cache))
         .collect();
 
-    let server = Server::bind("127.0.0.1:0").expect("bind");
+    // Every session pipelines 4 requests at once, 8 192 in all, and the
+    // default admission cap is 4 096: under it, a slow worker pool refuses
+    // some as `overloaded`, which serial replay never answers. This test is
+    // about isolation and order, not admission, so the cap clears them all.
+    let cfg = ServerConfig {
+        max_inflight: 8 * sessions,
+        ..ServerConfig::default()
+    };
+    let server = Server::bind_cfg("127.0.0.1:0", None, cfg).expect("bind");
     let addr = server.local_addr();
     let mut warm = Client::connect_ready(addr, READY).expect("warm connect");
     warm.expect_ok(&load_op(&script)).expect("warm load");
@@ -213,6 +221,10 @@ fn two_thousand_pipelined_sessions_match_serial_replay() {
         got
     });
 
+    let mut probe = Client::connect_ready(addr, READY).expect("probe connect");
+    let refused = count(&sched_stats(&mut probe), "refused");
+    probe.quit().expect("probe quit");
+    assert_eq!(refused, 0, "admission refused requests");
     for i in 0..sessions {
         assert_eq!(
             got[i], expected[i],
