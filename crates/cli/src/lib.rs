@@ -17,10 +17,10 @@ pub mod experiments;
 use std::fmt::Write as _;
 
 use starling_analysis::certifications::Certifications;
-use starling_analysis::check_protected_tables;
 use starling_analysis::context::AnalysisContext;
-use starling_analysis::report::{explore_json_with, AnalysisReport};
+use starling_analysis::report::explore_json_with;
 use starling_analysis::triggering_graph::TriggeringGraph;
+use starling_analysis::InteractiveSession;
 use starling_baselines::compare_all;
 use starling_engine::{
     explore, Budget, EngineError, ExploreConfig, FirstEligible, Outcome, RuleSet, RunResult,
@@ -76,11 +76,9 @@ pub fn cmd_analyze(
     refine: bool,
     json: bool,
 ) -> Result<String, EngineError> {
-    let script = load_script(src)?;
-    check_protected_tables(script.db.catalog(), protect).map_err(EngineError::InvalidStatement)?;
-    let mut ctx = script.context();
-    ctx.refine = refine;
-    let report = AnalysisReport::run(&ctx, protect);
+    let s = load_script(src)?;
+    let session = Session::restore(s.db, s.defs, Some(s.rules), s.directives);
+    let report = InteractiveSession::new(session).analyze(refine, protect)?;
     if json {
         return Ok(format!("{}\n", report.to_json()));
     }

@@ -82,11 +82,8 @@ use crate::confluence::{
     check_pair, corollary_pair, ConfluenceAnalysis, ConfluenceVerdict, ConfluenceViolation,
 };
 use crate::context::AnalysisContext;
-use crate::observable::analyze_observable_determinism;
 use crate::pair_store::{BindOutcome, PairStore, PairStoreStats};
-use crate::partial::analyze_partial_confluence;
 use crate::report::AnalysisReport;
-use crate::termination::analyze_termination;
 
 /// Don't bother spinning up threads below this many candidate pairs.
 const PREWARM_MIN_PAIRS: usize = 1 << 12;
@@ -216,23 +213,7 @@ impl IncrementalAnalysis {
             AnalysisContext::bound_to_store(rules, certs.clone(), refine, &self.store);
         ctx.set_obs_store(Arc::clone(&self.obs_store));
         let (confluence, corollary_failures) = self.confluence(&ctx, &outcome);
-        let termination = analyze_termination(&ctx);
-        let observable = analyze_observable_determinism(&ctx);
-        let partial = protect
-            .iter()
-            .map(|tables| {
-                let refs: Vec<&str> = tables.iter().map(String::as_str).collect();
-                analyze_partial_confluence(&ctx, &refs)
-            })
-            .collect();
-        AnalysisReport {
-            rule_count: ctx.len(),
-            termination,
-            confluence,
-            corollary_failures,
-            observable,
-            partial,
-        }
+        AnalysisReport::assemble(&ctx, confluence, corollary_failures, protect)
     }
 
     /// The confluence analysis and the Corollary 6.8/6.10 lints.

@@ -1,68 +1,48 @@
 //! The interactive analysis loop (paper Section 6.4 and the introduction's
-//! "interactive development environment").
+//! "interactive development environment"): analyze, then certify a flagged
+//! pair or order it, then re-analyze.
 //!
-//! A session holds a rule set plus the user's evolving certifications and
-//! added orderings. After each change the analyses re-run; the history
-//! records how verdicts evolve. This reproduces the paper's observation
-//! (footnote 6) that "a source of non-confluence can appear to *move
-//! around*, requiring an iterative process of adding orderings (or
-//! certifying commutativity) until the rule set is made confluent".
+//! An [`InteractiveSession`] is an engine [`Session`] plus one
+//! [`IncrementalAnalysis`]. The session's rule program is the only copy of
+//! the rules: a certification is a `declare` directive in it, an ordering an
+//! `alter rule`, and each edit is persisted when the session is durable.
+//! [`InteractiveSession::analyze`] reads the certifications from the
+//! directives and the rules from [`Session::ruleset_arc`], so it compiles
+//! only after the program changed, and the analyzer re-derives only what
+//! the edit dirtied. Because the analyzer diffs its inputs on every call,
+//! the session may also be edited directly (the server's `exec` runs rule
+//! DDL that way). The server's `certify` / `order` / `analyze` ops and the
+//! CLI's `analyze` all run through this driver.
+//!
+//! [`InteractiveSession::order_until_confluent`] reproduces the paper's
+//! footnote 6: "a source of non-confluence can appear to *move around*,
+//! requiring an iterative process of adding orderings (or certifying
+//! commutativity) until the rule set is made confluent".
 
-use starling_engine::{RuleProgram, RuleSet};
-use starling_sql::RuleDef;
-use starling_storage::Catalog;
+use std::sync::Arc;
+
+use starling_engine::{EngineError, Session};
+use starling_sql::ast::{Directive, Statement};
 
 use crate::certifications::Certifications;
 use crate::incremental::{IncrementalAnalysis, IncrementalStats};
+use crate::partial::check_protected_tables;
 use crate::report::AnalysisReport;
 
-/// One step in the interactive history.
-#[derive(Clone, Debug)]
-pub struct HistoryEntry {
-    /// What the user did.
-    pub action: String,
-    /// Violations remaining after the step.
-    pub confluence_violations: usize,
-    /// Undischarged cycles remaining after the step.
-    pub open_cycles: usize,
-    /// Whether everything is now guaranteed.
-    pub all_guaranteed: bool,
-}
-
-/// An interactive analysis session. Holds a persistent
-/// [`IncrementalAnalysis`] so each refinement step re-derives only what it
-/// changed rather than recomputing the whole report.
+/// An engine session driven through the §6.4 loop. See the module docs.
 pub struct InteractiveSession {
-    catalog: Catalog,
-    program: RuleProgram,
-    certs: Certifications,
-    history: Vec<HistoryEntry>,
+    /// The session whose rule program the loop analyzes and edits.
+    pub session: Session,
     analysis: IncrementalAnalysis,
 }
 
 impl InteractiveSession {
-    /// Starts a session over a catalog and rule definitions.
-    pub fn new(catalog: Catalog, defs: Vec<RuleDef>) -> Self {
+    /// Drives `session`'s rule program.
+    pub fn new(session: Session) -> Self {
         InteractiveSession {
-            catalog,
-            program: RuleProgram {
-                defs,
-                directives: Vec::new(),
-            },
-            certs: Certifications::new(),
-            history: Vec::new(),
+            session,
             analysis: IncrementalAnalysis::new(),
         }
-    }
-
-    /// The step history so far.
-    pub fn history(&self) -> &[HistoryEntry] {
-        &self.history
-    }
-
-    /// Current certifications.
-    pub fn certifications(&self) -> &Certifications {
-        &self.certs
     }
 
     /// Pair-store and sweep counters for the session's analyzer.
@@ -70,112 +50,120 @@ impl InteractiveSession {
         self.analysis.stats()
     }
 
-    /// Runs the analyses, recording a history entry labeled `action`.
+    /// The full report over the current rules and certifications.
+    /// `refine` enables the Section 9 predicate-level refinement; `protect`
+    /// lists table subsets for partial confluence, each of which must be
+    /// non-empty and name only catalog tables.
     pub fn analyze(
         &mut self,
-        action: &str,
-    ) -> Result<AnalysisReport, starling_engine::EngineError> {
-        let rs = RuleSet::compile(&self.program.defs, &self.catalog)?;
-        let report = self.analysis.analyze(&rs, &self.certs, false, &[]);
-        self.history.push(HistoryEntry {
-            action: action.to_owned(),
-            confluence_violations: report.confluence.violations.len(),
-            open_cycles: report
-                .termination
-                .cycles
-                .iter()
-                .filter(|c| !c.discharged)
-                .count(),
-            all_guaranteed: report.all_guaranteed(),
-        });
-        Ok(report)
+        refine: bool,
+        protect: &[Vec<String>],
+    ) -> Result<AnalysisReport, EngineError> {
+        check_protected_tables(self.session.db().catalog(), protect)
+            .map_err(EngineError::InvalidStatement)?;
+        let certs = Certifications::from_directives(self.session.directives());
+        let rules = Arc::clone(self.session.ruleset_arc()?);
+        Ok(self.analysis.analyze(&rules, &certs, refine, protect))
     }
 
-    /// §6.4 Approach 1: certify that a flagged pair actually commutes.
-    pub fn certify_commute(&mut self, a: &str, b: &str) {
-        self.certs.certify_commute(a, b);
+    /// §6.4 Approach 1 (`declare commute`) or §5's user certificate
+    /// (`declare terminates`).
+    pub fn certify(&mut self, directive: Directive) -> Result<(), EngineError> {
+        self.edit(Statement::Directive(directive))
     }
 
-    /// §5: certify that cycles through a rule terminate.
-    pub fn certify_terminates(&mut self, rule: &str, justification: &str) {
-        self.certs.certify_terminates(rule, justification);
+    /// §6.4 Approach 2: adds the priority `higher precedes lower`. Refused,
+    /// with nothing changed in memory or in the store, when either rule is
+    /// unknown, when `higher == lower`, or when `lower` already precedes
+    /// `higher` (the ordering would make the priority cyclic).
+    pub fn order(&mut self, higher: &str, lower: &str) -> Result<(), EngineError> {
+        let rules = self.session.ruleset_arc()?;
+        let id = |name: &str| {
+            rules.by_name(name).map(|r| r.id).ok_or_else(|| {
+                EngineError::InvalidStatement(format!("order: no rule named `{name}`"))
+            })
+        };
+        let (hi, lo) = (id(higher)?, id(lower)?);
+        if hi == lo {
+            return Err(EngineError::InvalidStatement(format!(
+                "order: rule `{higher}` cannot precede itself"
+            )));
+        }
+        if rules.priority().gt(lo, hi) {
+            return Err(EngineError::InvalidStatement(format!(
+                "order: `{lower}` already precedes `{higher}`; the reverse would be cyclic"
+            )));
+        }
+        self.edit(Statement::AlterRule {
+            name: higher.to_owned(),
+            precedes: vec![lower.to_owned()],
+            follows: Vec::new(),
+        })
     }
 
-    /// §6.4 Approach 2: add a user-defined priority (`higher precedes
-    /// lower`), amending the rule definitions themselves.
-    pub fn add_ordering(&mut self, higher: &str, lower: &str) -> bool {
-        self.program
-            .alter_rule(higher, &[lower.to_owned()], &[])
-            .is_ok()
+    /// Applies one refinement and persists it. If the append fails, the
+    /// engine has already rolled memory back to the durable base: nothing
+    /// changed, in memory or on disk.
+    fn edit(&mut self, stmt: Statement) -> Result<(), EngineError> {
+        self.session.execute(&stmt)?;
+        self.session.persist_changes()
     }
 
-    /// Drives the §6.4 loop automatically, preferring orderings: while
-    /// confluence violations remain, order the first violating pair and
-    /// re-analyze. Returns the number of orderings added, or `None` if a
-    /// fixpoint was not reached within `max_rounds` (e.g. a violation whose
-    /// generating pair is already ordered transitively elsewhere).
+    /// Drives the §6.4 loop automatically, preferring orderings: each round
+    /// analyzes and, while confluence violations remain, orders the first
+    /// violating pair. Returns each round's report, at most `max_rounds`;
+    /// the loop converged iff the last one has no violation, and then
+    /// added one ordering per earlier round.
     pub fn order_until_confluent(
         &mut self,
         max_rounds: usize,
-    ) -> Result<Option<usize>, starling_engine::EngineError> {
-        for added in 0..max_rounds {
-            let report = self.analyze("auto-order step")?;
-            let Some(v) = report.confluence.violations.first() else {
-                return Ok(Some(added));
-            };
-            let (a, b) = (v.pair.0.clone(), v.pair.1.clone());
-            if !self.add_ordering(&a, &b) {
-                return Ok(None);
-            }
-            // Adding an ordering can create a priority cycle; surface the
-            // compile error naturally on the next analyze() call.
+    ) -> Result<Vec<AnalysisReport>, EngineError> {
+        let mut rounds = Vec::new();
+        for _ in 0..max_rounds {
+            let report = self.analyze(false, &[])?;
+            let first = report.confluence.violations.first().map(|v| v.pair.clone());
+            rounds.push(report);
+            let Some((a, b)) = first else { break };
+            self.order(&a, &b)?;
         }
-        Ok(None)
+        Ok(rounds)
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use starling_storage::{ColumnDef, TableSchema, ValueType};
-
     use super::*;
 
-    fn setup(src: &str) -> InteractiveSession {
-        let mut cat = Catalog::new();
-        for name in ["t", "u", "v"] {
-            cat.add_table(
-                TableSchema::new(name, vec![ColumnDef::new("x", ValueType::Int)]).unwrap(),
-            )
+    fn setup(rules: &str) -> InteractiveSession {
+        let mut s = Session::new();
+        s.execute_script("create table t (x int); create table u (x int); create table v (x int);")
             .unwrap();
-        }
-        InteractiveSession::new(cat, RuleProgram::parse(src).unwrap().defs)
+        s.execute_script(rules).unwrap();
+        InteractiveSession::new(s)
     }
+
+    const RACE: &str = "create rule a on t when inserted then update u set x = 1 end;
+                        create rule b on t when inserted then update u set x = 2 end;";
 
     #[test]
     fn certify_loop_reaches_green() {
-        let mut s = setup(
-            "create rule a on t when inserted then update u set x = 1 end;
-             create rule b on t when inserted then update u set x = 2 end;",
-        );
-        let r1 = s.analyze("initial").unwrap();
+        let mut s = setup(RACE);
+        let r1 = s.analyze(false, &[]).unwrap();
         assert_eq!(r1.confluence.violations.len(), 1);
 
-        s.certify_commute("a", "b");
-        let r2 = s.analyze("after certify").unwrap();
+        s.certify(Directive::Commute("a".into(), "b".into()))
+            .unwrap();
+        let r2 = s.analyze(false, &[]).unwrap();
         assert!(r2.confluence.requirement_holds());
-        assert!(s.history()[1].all_guaranteed);
+        assert!(r2.all_guaranteed());
     }
 
     #[test]
     fn ordering_loop_reaches_green() {
-        let mut s = setup(
-            "create rule a on t when inserted then update u set x = 1 end;
-             create rule b on t when inserted then update u set x = 2 end;",
-        );
-        let added = s.order_until_confluent(10).unwrap();
-        assert_eq!(added, Some(1));
-        let r = s.analyze("final").unwrap();
-        assert!(r.confluence.requirement_holds());
+        let mut s = setup(RACE);
+        let rounds = s.order_until_confluent(10).unwrap();
+        assert_eq!(rounds.len(), 2, "one ordering, then a clean round");
+        assert!(rounds[1].confluence.requirement_holds());
     }
 
     /// The paper's footnote 6: ordering one pair can surface a new
@@ -191,43 +179,59 @@ mod tests {
              create rule b on t when inserted then update u set x = 2 end;
              create rule c on v when inserted then update u set x = 3 end;",
         );
-        let added = s.order_until_confluent(20).unwrap();
-        assert!(
-            added.unwrap_or(0) >= 2,
-            "expected at least two rounds: {added:?}"
-        );
-        let r = s.analyze("final").unwrap();
-        assert!(r.confluence.requirement_holds());
-        // History shows the violation count decreasing over rounds.
-        let counts: Vec<usize> = s
-            .history()
+        let rounds = s.order_until_confluent(20).unwrap();
+        assert!(rounds.len() >= 3, "expected at least two orderings");
+        assert!(rounds.last().unwrap().confluence.requirement_holds());
+        // The violation count never rises over the rounds.
+        let counts: Vec<usize> = rounds
             .iter()
-            .map(|h| h.confluence_violations)
+            .map(|r| r.confluence.violations.len())
             .collect();
         assert!(counts.windows(2).all(|w| w[1] <= w[0]), "{counts:?}");
     }
 
     #[test]
     fn session_analyzer_reuses_pair_verdicts() {
-        let mut s = setup(
-            "create rule a on t when inserted then update u set x = 1 end;
-             create rule b on t when inserted then update u set x = 2 end;",
-        );
-        s.analyze("initial").unwrap();
+        let mut s = setup(RACE);
+        s.analyze(false, &[]).unwrap();
         let cold = s.analysis_stats();
-        s.certify_commute("a", "b");
-        s.analyze("after certify").unwrap();
+        s.certify(Directive::Commute("a".into(), "b".into()))
+            .unwrap();
+        s.analyze(false, &[]).unwrap();
         let warm = s.analysis_stats();
         assert!(warm.pair.hits > cold.pair.hits, "{warm:?}");
         // Exactly the certified pair's verdict was invalidated.
         assert_eq!(warm.pair.invalidations, cold.pair.invalidations + 1);
     }
 
+    /// An unknown rule, a self-order and a reversed ordering, direct or
+    /// through the closure, are refused up front and leave the program
+    /// exactly as it was; re-stating an implied ordering is accepted.
     #[test]
-    fn add_ordering_unknown_rule() {
-        let mut s = setup("create rule a on t when inserted then delete from t end");
-        assert!(!s.add_ordering("zz", "a"));
-        assert!(s.add_ordering("a", "a")); // recorded; compile will reject
-        assert!(s.analyze("self-cycle").is_err());
+    fn order_refuses_what_would_not_compile() {
+        let mut s = setup(
+            "create rule a on t when inserted then delete from u end;
+             create rule b on t when inserted then delete from u end;
+             create rule c on t when inserted then delete from u end;",
+        );
+        s.order("a", "b").unwrap();
+        s.order("b", "c").unwrap();
+        let before = s.session.state().program;
+        for (higher, lower, says) in [
+            ("zz", "a", "no rule named `zz`"),
+            ("a", "nosuch", "no rule named `nosuch`"),
+            ("a", "a", "cannot precede itself"),
+            ("b", "a", "already precedes"),
+            ("c", "a", "already precedes"),
+        ] {
+            let err = s.order(higher, lower).unwrap_err();
+            assert!(
+                matches!(&err, EngineError::InvalidStatement(m) if m.contains(says)),
+                "{higher} > {lower}: {err}"
+            );
+            assert!(Arc::ptr_eq(&s.session.state().program, &before));
+        }
+        s.order("a", "c").unwrap();
+        assert!(s.analyze(false, &[]).unwrap().all_guaranteed());
     }
 }

@@ -41,9 +41,22 @@ impl AnalysisReport {
     /// Runs the full analysis. `protect` lists table subsets for partial
     /// confluence (each entry one `T'`).
     pub fn run(ctx: &AnalysisContext, protect: &[Vec<String>]) -> Self {
-        let termination = analyze_termination(ctx);
         let confluence = analyze_confluence(ctx);
         let corollary_failures = corollary_checks(ctx, &confluence);
+        Self::assemble(ctx, confluence, corollary_failures, protect)
+    }
+
+    /// A report around an already derived confluence half — the only half
+    /// [`AnalysisReport::run`] and the incremental analyzer derive
+    /// differently. Termination, observable determinism and partial
+    /// confluence are computed here, for both.
+    pub(crate) fn assemble(
+        ctx: &AnalysisContext,
+        confluence: ConfluenceAnalysis,
+        corollary_failures: Vec<Arc<str>>,
+        protect: &[Vec<String>],
+    ) -> Self {
+        let termination = analyze_termination(ctx);
         let observable = analyze_observable_determinism(ctx);
         let partial = protect
             .iter()

@@ -118,17 +118,7 @@ impl TerminationAnalysis {
 
 /// Runs termination analysis over a context.
 pub fn analyze_termination(ctx: &AnalysisContext) -> TerminationAnalysis {
-    let graph = TriggeringGraph::build(ctx);
-    analyze_termination_of_graph(ctx, graph)
-}
-
-/// Termination analysis over a pre-built (possibly restricted) graph whose
-/// node indices coincide with `ctx` rule indices.
-pub(crate) fn analyze_termination_of_graph(
-    ctx: &AnalysisContext,
-    graph: TriggeringGraph,
-) -> TerminationAnalysis {
-    analyze_termination_indexed(ctx, graph, None)
+    analyze_termination_indexed(ctx, TriggeringGraph::build(ctx), None)
 }
 
 /// Core analysis. When `indices` is given, graph node `k` corresponds to
@@ -143,7 +133,7 @@ pub(crate) fn analyze_termination_indexed(
     for scc in graph.cyclic_sccs() {
         let ctx_rules: Vec<usize> = scc.iter().map(|&k| to_ctx(k)).collect();
         let mut certificates = Vec::new();
-        for (&node, &rule) in scc.iter().zip(&ctx_rules) {
+        for &rule in &ctx_rules {
             let name = ctx.name(rule);
             if let Some(justification) = ctx.certs.termination_certificate(name) {
                 certificates.push(CycleCertificate::User {
@@ -153,7 +143,6 @@ pub(crate) fn analyze_termination_indexed(
             } else if let Some(cert) = auto_certify(ctx, rule, &ctx_rules) {
                 certificates.push(cert);
             }
-            let _ = node;
         }
         // The SCC is discharged when removing certified rules leaves the
         // SCC subgraph acyclic (every cycle passes through a certificate).

@@ -79,7 +79,7 @@ pub use program::RuleProgram;
 pub use ruleset::{CompiledRule, RuleId, RuleSet};
 pub use session::{Session, SessionState};
 pub use state::ExecState;
-pub use strategy::{ChoiceStrategy, FirstEligible, LastEligible, Scripted, SeededRandom};
+pub use strategy::{ChoiceStrategy, FirstEligible, LastEligible, Scripted};
 
 /// Convenient result alias for engine operations.
 pub type Result<T> = std::result::Result<T, EngineError>;

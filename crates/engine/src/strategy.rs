@@ -35,42 +35,6 @@ impl ChoiceStrategy for LastEligible {
     }
 }
 
-/// Deterministic pseudo-random choice (xorshift64*), reproducible from the
-/// seed. No external RNG dependency is needed for this.
-#[derive(Clone, Debug)]
-pub struct SeededRandom {
-    state: u64,
-}
-
-impl SeededRandom {
-    /// A strategy from a seed (0 is mapped to a fixed non-zero state).
-    pub fn new(seed: u64) -> Self {
-        SeededRandom {
-            state: if seed == 0 {
-                0x9e37_79b9_7f4a_7c15
-            } else {
-                seed
-            },
-        }
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        let mut x = self.state;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.state = x;
-        x.wrapping_mul(0x2545_f491_4f6c_dd1d)
-    }
-}
-
-impl ChoiceStrategy for SeededRandom {
-    fn choose(&mut self, eligible: &[RuleId]) -> RuleId {
-        let i = (self.next_u64() % eligible.len() as u64) as usize;
-        eligible[i]
-    }
-}
-
 /// Follows a script of indices (each taken modulo the eligible count);
 /// after the script is exhausted, falls back to the first eligible rule.
 /// Used to drive execution down a specific path.
@@ -108,20 +72,6 @@ mod tests {
         let e = ids(&[1, 3, 5]);
         assert_eq!(FirstEligible.choose(&e), RuleId(1));
         assert_eq!(LastEligible.choose(&e), RuleId(5));
-    }
-
-    #[test]
-    fn seeded_random_is_reproducible_and_in_range() {
-        let e = ids(&[0, 1, 2, 3]);
-        let mut a = SeededRandom::new(42);
-        let mut b = SeededRandom::new(42);
-        for _ in 0..50 {
-            let x = a.choose(&e);
-            assert_eq!(x, b.choose(&e));
-            assert!(e.contains(&x));
-        }
-        // Zero seed still works.
-        let _ = SeededRandom::new(0).choose(&e);
     }
 
     #[test]

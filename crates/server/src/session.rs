@@ -1,5 +1,6 @@
 //! One connection's session: an engine [`Session`] seeded from a cached
-//! program snapshot, plus the per-session request handlers.
+//! program snapshot and driven through the §6.4 loop
+//! ([`InteractiveSession`]), plus the per-session request handlers.
 //!
 //! ## Isolation
 //!
@@ -21,7 +22,7 @@
 use std::sync::Arc;
 
 use starling_analysis::report::explore_json_with;
-use starling_analysis::{check_protected_tables, Certifications, IncrementalAnalysis};
+use starling_analysis::InteractiveSession;
 use starling_engine::{explore, Budget, EngineError, FirstEligible, Outcome, RuleSet, Session};
 use starling_provenance::{explanation_json, ProvCounters};
 use starling_sql::ast::{Action, Directive, Statement};
@@ -87,7 +88,9 @@ fn engine(e: EngineError) -> OpError {
 
 /// One connection's server-side session state.
 pub struct ServerSession {
-    session: Session,
+    /// The engine session and its §6.4 driver: `analyze` after a
+    /// `certify`/`order` refinement re-derives only the dirtied pairs.
+    driver: InteractiveSession,
     /// The loaded script's user transition — the default probe for
     /// `explore` when the request does not carry its own DML.
     default_actions: Vec<Action>,
@@ -98,9 +101,6 @@ pub struct ServerSession {
     persist_name: Option<String>,
     /// Counters for `stats`.
     pub metrics: SessionMetrics,
-    /// Persistent incremental analyzer: `analyze` after a `certify`/`order`
-    /// refinement re-derives only the dirtied pairs.
-    analysis: IncrementalAnalysis,
     /// Provenance counters (traces, witnesses, minimization), for `stats`.
     prov: ProvCounters,
     /// The last `explore`'s inputs, kept so `explain` can re-derive its
@@ -121,12 +121,11 @@ impl ServerSession {
     /// An empty session (no program loaded).
     pub fn new() -> Self {
         ServerSession {
-            session: Session::new(),
+            driver: InteractiveSession::new(Session::new()),
             default_actions: Vec::new(),
             durable_root: None,
             persist_name: None,
             metrics: SessionMetrics::default(),
-            analysis: IncrementalAnalysis::new(),
             prov: ProvCounters::new(),
             last_explore: None,
         }
@@ -141,7 +140,7 @@ impl ServerSession {
     /// Detaches from the current durable store, if any (final snapshot
     /// included), then releases the single-writer claim.
     fn detach_durable(&mut self) {
-        self.session.detach_durable();
+        self.driver.session.detach_durable();
         if let (Some(name), Some(root)) = (self.persist_name.take(), &self.durable_root) {
             root.release(&name);
         }
@@ -172,7 +171,7 @@ impl ServerSession {
     /// Includes the incremental analyzer's pair-cache counters so clients
     /// can observe that a certify/order refinement step reused verdicts.
     pub fn stats_json(&self) -> Json {
-        let a = self.analysis.stats();
+        let a = self.driver.analysis_stats();
         let Json::Obj(mut fields) = self.metrics.to_json() else {
             unreachable!("metrics serialize to an object");
         };
@@ -258,10 +257,14 @@ impl ServerSession {
         // old session and its store binding intact.
         let root = persist.map(|name| self.claim_store(name)).transpose()?;
         self.detach_durable();
-        self.session.reset_to(loaded.state.clone());
+        self.driver.session.reset_to(loaded.state.clone());
         self.default_actions = loaded.user_actions.clone();
         if let Some((name, root)) = persist.zip(root) {
-            if let Err(e) = self.session.persist_to(root.dir().join(name), root.sync()) {
+            if let Err(e) = self
+                .driver
+                .session
+                .persist_to(root.dir().join(name), root.sync())
+            {
                 // The freshly loaded program stays usable in memory; only
                 // the durable binding failed (e.g. the store already holds
                 // data — attach instead of initializing).
@@ -271,7 +274,7 @@ impl ServerSession {
             self.persist_name = Some(name.to_owned());
         }
         let mut fields = vec![
-            ("rules", Json::from(self.session.rule_defs().len())),
+            ("rules", Json::from(self.driver.session.rule_defs().len())),
             ("user_actions", Json::from(self.default_actions.len())),
             ("cached", Json::from(cached)),
             ("script_digest", digest_json(key)),
@@ -305,19 +308,22 @@ impl ServerSession {
         let root = self.claim_store(name)?;
         self.detach_durable();
         let opened = Session::open_durable(root.dir().join(name), root.sync());
-        self.session = opened.map_err(|e| {
+        self.driver.session = opened.map_err(|e| {
             root.release(name);
             engine(e)
         })?;
         self.default_actions = Vec::new();
         self.persist_name = Some(name.to_owned());
         Ok(Json::obj([
-            ("rules", Json::from(self.session.rule_defs().len())),
+            ("rules", Json::from(self.driver.session.rule_defs().len())),
             ("user_actions", Json::Int(0)),
             ("cached", Json::Bool(false)),
             ("persist", Json::from(name)),
             ("recovered", Json::Bool(true)),
-            ("digest", digest_json(self.session.db().state_digest())),
+            (
+                "digest",
+                digest_json(self.driver.session.db().state_digest()),
+            ),
         ]))
     }
 
@@ -326,16 +332,16 @@ impl ServerSession {
     fn op_exec(&mut self, req: &Json) -> OpResult {
         let sql = str_field(req, "sql").map_err(protocol)?;
         let budget = budget_from_request(req).map_err(protocol)?;
-        let cp = self.session.state();
-        self.session.budget = budget;
-        let ran = self
-            .session
+        let session = &mut self.driver.session;
+        let cp = session.state();
+        session.budget = budget;
+        let ran = session
             .execute_script(sql)
-            .and_then(|outputs| Ok((outputs, self.session.commit(&mut FirstEligible)?)));
+            .and_then(|outputs| Ok((outputs, session.commit(&mut FirstEligible)?)));
         let (outputs, run) = match ran {
             Ok(r) => r,
             Err(e) => {
-                self.session.reset_to(cp);
+                session.reset_to(cp);
                 return Err(engine(e));
             }
         };
@@ -349,16 +355,16 @@ impl ServerSession {
             Outcome::Quiescent | Outcome::RolledBack => Ok(Json::obj([
                 ("outputs", Json::arr(outputs.iter().map(output_json))),
                 ("run", summary),
-                ("digest", digest_json(self.session.db().state_digest())),
+                ("digest", digest_json(session.db().state_digest())),
             ])),
             Outcome::Aborted => {
-                self.session.reset_to(cp);
+                session.reset_to(cp);
                 let msg = run.error.map(|e| e.to_string());
                 let msg = msg.unwrap_or_else(|| "transaction aborted".to_owned());
                 Err((ErrorCode::Aborted, msg, Some(summary)))
             }
             Outcome::LimitExceeded => {
-                self.session.reset_to(cp);
+                session.reset_to(cp);
                 let msg = run.truncation.map(|r| r.to_string());
                 let msg = msg.unwrap_or_else(|| "budget exhausted".to_owned());
                 Err((ErrorCode::Inconclusive, msg, Some(summary)))
@@ -376,10 +382,12 @@ impl ServerSession {
                 .ok_or_else(|| protocol("`refine` must be a boolean"))?,
         };
         let protect = parse_protect(req)?;
-        check_protected_tables(self.session.db().catalog(), &protect).map_err(script)?;
-        let certs = Certifications::from_directives(self.session.directives());
-        let rules = self.session.ruleset_arc().map_err(engine)?.clone();
-        let report = self.analysis.analyze(&rules, &certs, refine, &protect);
+        let report = self.driver.analyze(refine, &protect).map_err(|e| match e {
+            // Only the protect check refuses this way (compiling never
+            // does); its message goes out without the variant's prefix.
+            EngineError::InvalidStatement(msg) => script(msg),
+            e => engine(e),
+        })?;
         Ok(report.to_json())
     }
 
@@ -405,15 +413,15 @@ impl ServerSession {
                  DML after the rule definitions",
             ));
         }
-        let rules = self.session.ruleset_arc().map_err(engine)?.clone();
-        let g = explore(&rules, self.session.db(), &actions, &budget).map_err(engine)?;
+        let rules = self.driver.session.ruleset_arc().map_err(engine)?.clone();
+        let g = explore(&rules, self.driver.session.db(), &actions, &budget).map_err(engine)?;
         self.metrics.states_explored += g.states.len() as u64;
         self.prov.record_explore(&g);
         // Keep the probe (even for an inconclusive exploration) so a
         // follow-up `explain` can derive the divergence witness.
         self.last_explore = Some(LastExplore {
             rules: rules.clone(),
-            db: self.session.db().clone(),
+            db: self.driver.session.db().clone(),
             actions: actions.clone(),
             budget,
         });
@@ -453,14 +461,6 @@ impl ServerSession {
         Ok(explanation_json(&last.rules, &ex, &last.budget))
     }
 
-    /// Applies one §6.4 refinement to the rule program and persists it. If
-    /// the append fails, the engine has already rolled memory back to the
-    /// durable base: nothing changed, in memory or on disk.
-    fn refine(&mut self, edit: Statement) -> Result<(), OpError> {
-        self.session.execute(&edit).map_err(engine)?;
-        self.session.persist_changes().map_err(engine)
-    }
-
     /// `certify`: the §6.4 refinement loop's certification step, as a
     /// stateful session mutation. `{"kind":"commute","a":..,"b":..}` or
     /// `{"kind":"terminates","rule":..,"justification":..}`.
@@ -487,24 +487,22 @@ impl ServerSession {
             }
             other => return Err(protocol(format!("unknown certify kind `{other}`"))),
         };
-        self.refine(Statement::Directive(directive))?;
+        self.driver.certify(directive).map_err(engine)?;
         Ok(Json::obj([(
             "directives",
-            Json::from(self.session.directives().len()),
+            Json::from(self.driver.session.directives().len()),
         )]))
     }
 
     /// `order`: the §6.4 refinement loop's ordering step —
     /// `{"higher":..,"lower":..}` adds the priority `higher precedes
-    /// lower` to the session's rule definitions.
+    /// lower` to the session's rule definitions. An unknown rule, a
+    /// self-order or a reversed ordering is a `script` error that changes
+    /// nothing.
     fn op_order(&mut self, req: &Json) -> OpResult {
         let higher = str_field(req, "higher").map_err(protocol)?;
         let lower = str_field(req, "lower").map_err(protocol)?;
-        self.refine(Statement::AlterRule {
-            name: higher.to_owned(),
-            precedes: vec![lower.to_owned()],
-            follows: Vec::new(),
-        })?;
+        self.driver.order(higher, lower).map_err(engine)?;
         Ok(Json::obj([(
             "ordered",
             Json::arr([Json::from(higher), Json::from(lower)]),
@@ -516,13 +514,13 @@ impl ServerSession {
     /// isolation witness used by the tests.
     fn op_digest(&mut self, req: &Json) -> OpResult {
         let d = match req.get("tables") {
-            None => self.session.db().state_digest(),
+            None => self.driver.session.db().state_digest(),
             Some(v) => {
                 let names = v
                     .as_arr()
                     .and_then(|items| items.iter().map(Json::as_str).collect::<Option<Vec<_>>>())
                     .ok_or_else(|| protocol("`tables` must be an array of strings"))?;
-                self.session.db().digest_of_tables(&names)
+                self.driver.session.db().digest_of_tables(&names)
             }
         };
         Ok(Json::obj([("digest", digest_json(d))]))
@@ -834,13 +832,13 @@ mod tests {
         s.handle_op("load", &req, &cache).unwrap();
         let empty = Json::parse("{}").unwrap();
         s.handle_op("analyze", &empty, &cache).unwrap();
-        let cold = s.analysis.stats();
+        let cold = s.driver.analysis_stats();
         assert_eq!(cold.full_sweeps, 1);
 
         let req = Json::parse(r#"{"kind":"commute","a":"a","b":"b"}"#).unwrap();
         s.handle_op("certify", &req, &cache).unwrap();
         s.handle_op("analyze", &empty, &cache).unwrap();
-        let warm = s.analysis.stats();
+        let warm = s.driver.analysis_stats();
         assert!(warm.pair.hits > cold.pair.hits, "{warm:?}");
         // Exactly the certified pair's verdict was invalidated.
         assert_eq!(warm.pair.invalidations, cold.pair.invalidations + 1);
@@ -848,7 +846,7 @@ mod tests {
         let req = Json::parse(r#"{"higher":"a","lower":"b"}"#).unwrap();
         s.handle_op("order", &req, &cache).unwrap();
         s.handle_op("analyze", &empty, &cache).unwrap();
-        let after_order = s.analysis.stats();
+        let after_order = s.driver.analysis_stats();
         assert_eq!(after_order.full_sweeps, 1, "{after_order:?}");
         assert_eq!(after_order.incremental_sweeps, 2, "{after_order:?}");
 
@@ -876,6 +874,44 @@ mod tests {
                 .map(<[Json]>::len),
             Some(1)
         );
+    }
+
+    /// After `a` precedes `b`: an `order` naming an unknown rule, one
+    /// ordering a rule before itself, and one reversing the ordering.
+    const REFUSED_ORDERS: [&str; 3] = [
+        r#"{"higher":"a","lower":"nosuch"}"#,
+        r#"{"higher":"a","lower":"a"}"#,
+        r#"{"higher":"b","lower":"a"}"#,
+    ];
+
+    fn order_refused(s: &mut ServerSession, cache: &ScriptCache) {
+        for req in REFUSED_ORDERS {
+            let req = Json::parse(req).unwrap();
+            let (code, msg, data) = s.handle_op("order", &req, cache).unwrap_err();
+            assert_eq!(code, ErrorCode::Script, "{req}: {msg}");
+            assert!(data.is_none());
+        }
+    }
+
+    /// A refused `order` changes nothing: the session answers `analyze`,
+    /// `explore` and `exec` byte for byte as one that never sent it.
+    #[test]
+    fn refused_orders_change_nothing() {
+        let (mut s, cache) = loaded();
+        let (mut clean, _) = loaded();
+        let a_first = Json::parse(r#"{"higher":"a","lower":"b"}"#).unwrap();
+        s.handle_op("order", &a_first, &cache).unwrap();
+        clean.handle_op("order", &a_first, &cache).unwrap();
+        order_refused(&mut s, &cache);
+        for (op, req) in [
+            ("analyze", "{}"),
+            ("explore", "{}"),
+            ("exec", r#"{"sql":"insert into t values (2);"}"#),
+        ] {
+            let req = Json::parse(req).unwrap();
+            let answer = |s: &mut ServerSession| s.handle_op(op, &req, &cache).unwrap().to_string();
+            assert_eq!(answer(&mut s), answer(&mut clean), "{op}");
+        }
     }
 
     #[test]
@@ -1043,6 +1079,34 @@ mod tests {
             a.get("confluence_guaranteed").and_then(Json::as_bool),
             Some(true)
         );
+        drop(s2);
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    /// Reopening a durable store after refused `order`s recovers the
+    /// program as it was before them.
+    #[test]
+    fn refused_orders_are_not_persisted() {
+        let (root, dir) = durable_root();
+        let cache = ScriptCache::new();
+        let mut s = ServerSession::new();
+        s.set_durable_root(Some(Arc::clone(&root)));
+        let req = Json::obj([
+            ("script", Json::from(SCRIPT)),
+            ("persist", Json::from("refused")),
+        ]);
+        s.handle_op("load", &req, &cache).unwrap();
+        let a_first = Json::parse(r#"{"higher":"a","lower":"b"}"#).unwrap();
+        s.handle_op("order", &a_first, &cache).unwrap();
+        let before = s.driver.session.state().program;
+        order_refused(&mut s, &cache);
+        drop(s);
+
+        let mut s2 = ServerSession::new();
+        s2.set_durable_root(Some(Arc::clone(&root)));
+        let req = Json::obj([("persist", Json::from("refused"))]);
+        s2.handle_op("load", &req, &cache).unwrap();
+        assert_eq!(*s2.driver.session.state().program, *before);
         drop(s2);
         let _ = std::fs::remove_dir_all(dir);
     }
@@ -1226,7 +1290,10 @@ mod tests {
             assert_eq!(code, ErrorCode::Protocol, "{op} {req}: {msg}");
             assert!(msg.contains(msg_has), "{op} {req}: {msg}");
         }
-        assert!(s.session.directives().is_empty(), "nothing was certified");
+        assert!(
+            s.driver.session.directives().is_empty(),
+            "nothing was certified"
+        );
         assert!(s
             .handle_op("analyze", &Json::parse("{}").unwrap(), &cache)
             .is_ok());

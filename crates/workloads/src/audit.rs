@@ -65,7 +65,7 @@ insert into transfer values (1, 1, 2, 600);
 /// Ordering that makes the audit stream deterministic.
 pub const RESOLUTIONS: &str = "
 -- audit_low precedes audit_large  (apply by re-defining audit_low), or via
--- the interactive session's add_ordering(\"audit_low\", \"audit_large\").
+-- the interactive session's order(\"audit_low\", \"audit_large\").
 ";
 
 #[cfg(test)]

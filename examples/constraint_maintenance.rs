@@ -7,42 +7,50 @@
 //! cargo run --example constraint_maintenance
 //! ```
 
+use starling::engine::RuleProgram;
 use starling::prelude::*;
 use starling::workloads::constraints;
 
 fn main() {
     let w = constraints::workload();
     let (db, defs, _) = w.build().expect("workload builds");
-
-    let mut session = InteractiveSession::new(db.catalog().clone(), defs);
+    let mut session = InteractiveSession::new(Session::restore(db, defs, None, Vec::new()));
 
     // Round 0: the raw rule set.
-    let report = session.analyze("initial").expect("analysis runs");
+    let report = session.analyze(false, &[]).expect("analysis runs");
     println!("=== initial analysis ===\n{report}");
     assert!(!report.confluence.requirement_holds());
 
     // Drive the Section 6.4 loop: order the first violating pair, repeat.
-    let added = session
-        .order_until_confluent(20)
-        .expect("analysis runs")
-        .expect("loop converges");
-    println!("=== loop converged after adding {added} ordering(s) ===");
-    for (i, step) in session.history().iter().enumerate() {
+    let rounds = session.order_until_confluent(20).expect("analysis runs");
+    let last = rounds.last().expect("at least one round");
+    assert!(last.confluence.requirement_holds(), "loop converges");
+    println!(
+        "=== loop converged after adding {} ordering(s) ===",
+        rounds.len() - 1
+    );
+    for (i, r) in rounds.iter().enumerate() {
         println!(
-            "  round {i}: {} violation(s), {} open cycle(s) [{}]",
-            step.confluence_violations, step.open_cycles, step.action
+            "  round {i}: {} violation(s), {} open cycle(s)",
+            r.confluence.violations.len(),
+            r.termination
+                .cycles
+                .iter()
+                .filter(|c| !c.discharged)
+                .count()
         );
     }
 
     // Cycles through cap_salary / maintain_totals remain (they retrigger
     // themselves); discharge them with the workload's documented
     // certificates.
-    session.certify_terminates(
-        "cap_salary",
-        "one application brings every salary to the cap",
-    );
-    session.certify_terminates("maintain_totals", "recomputation is idempotent");
-    let final_report = session.analyze("after certificates").unwrap();
+    for certificate in RuleProgram::parse(constraints::RESOLUTIONS)
+        .unwrap()
+        .directives
+    {
+        session.certify(certificate).unwrap();
+    }
+    let final_report = session.analyze(false, &[]).unwrap();
     println!("\n=== final analysis ===\n{final_report}");
     assert!(final_report.confluence.requirement_holds());
     assert!(final_report.termination.is_guaranteed());

@@ -72,9 +72,10 @@ fn main() {
     }
 
     // 3. The interactive loop orders the rest.
-    let mut interactive = InteractiveSession::new(session.db().catalog().clone(), defs.clone());
-    let added = interactive.order_until_confluent(10).unwrap();
-    println!("interactive loop added {added:?} ordering(s)");
+    let mut interactive = InteractiveSession::new(session);
+    let rounds = interactive.order_until_confluent(10).unwrap();
+    assert!(rounds.last().unwrap().confluence.requirement_holds());
+    println!("interactive loop added {} ordering(s)", rounds.len() - 1);
 
     // 4. Restricted user operations: if users only ever delete orders,
     //    nothing is reachable and every property holds.

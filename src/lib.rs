@@ -59,8 +59,7 @@ pub mod prelude {
         AnalysisContext, AnalysisReport, Certifications, InteractiveSession,
     };
     pub use starling_engine::{
-        explore, ExecState, ExploreConfig, FirstEligible, Outcome, Processor, RuleSet,
-        SeededRandom, Session,
+        explore, ExecState, ExploreConfig, FirstEligible, Outcome, Processor, RuleSet, Session,
     };
     pub use starling_sql::{parse_script, parse_statement};
     pub use starling_storage::{Catalog, Database, Value};
