@@ -1,16 +1,6 @@
 //! Library backing the `starling` CLI: script loading and the command
 //! implementations, separated from `main` so they are unit-testable.
-//!
-//! ## Script convention
-//!
-//! A `.rql` script is a single file of statements, processed in order:
-//!
-//! * `create table` — schema;
-//! * DML *before the first rule definition* — seed data;
-//! * `create rule ... end` — the rule set;
-//! * `declare commute` / `declare terminates` — certifications;
-//! * DML *after the first rule definition* — the user transition probed by
-//!   `explore`.
+//! Scripts follow the loader's convention ([`starling_analysis::loader`]).
 
 pub mod experiments;
 

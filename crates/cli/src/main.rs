@@ -160,14 +160,44 @@ fn main() -> ExitCode {
                 CmdStatus::Stale => ExitCode::from(EXIT_ERROR),
             }
         }
-        Err(msg) => {
+        Err(Failure::Usage(msg)) => {
             let _ = writeln!(std::io::stderr(), "error: {msg}\n\n{USAGE}");
+            ExitCode::from(EXIT_ERROR)
+        }
+        Err(Failure::Failed(msg)) => {
+            let _ = writeln!(std::io::stderr(), "error: {msg}");
             ExitCode::from(EXIT_ERROR)
         }
     }
 }
 
-fn run(args: &[String]) -> Result<CmdOutput, String> {
+/// Why a command did not run to an answer. Only a malformed command line
+/// prints the usage text; a script the command refused does not.
+enum Failure {
+    /// A missing command or file, an unknown option, a bad flag value.
+    Usage(String),
+    /// Anything after the command line was understood.
+    Failed(String),
+}
+
+impl From<String> for Failure {
+    fn from(msg: String) -> Self {
+        Failure::Usage(msg)
+    }
+}
+
+impl From<&str> for Failure {
+    fn from(msg: &str) -> Self {
+        Failure::Usage(msg.to_owned())
+    }
+}
+
+/// A failure after the command line was understood.
+fn failed(e: impl std::fmt::Display) -> Failure {
+    Failure::Failed(e.to_string())
+}
+
+fn run(args: &[String]) -> Result<CmdOutput, Failure> {
     let command = args.first().ok_or("missing command")?;
     if command == "help" || command == "--help" || command == "-h" {
         return Ok(CmdOutput {
@@ -186,10 +216,11 @@ fn run(args: &[String]) -> Result<CmdOutput, String> {
     }
     if command == "experiments" {
         let ids: Vec<&str> = args[1..].iter().map(String::as_str).collect();
-        return starling_cli::experiments::cmd_experiments(&ids);
+        return Ok(starling_cli::experiments::cmd_experiments(&ids)?);
     }
     let file = args.get(1).ok_or("missing script file")?;
-    let src = std::fs::read_to_string(file).map_err(|e| format!("cannot read `{file}`: {e}"))?;
+    let src =
+        std::fs::read_to_string(file).map_err(|e| failed(format!("cannot read `{file}`: {e}")))?;
 
     let mut rule_arg: Option<String> = None;
     let mut protect: Vec<Vec<String>> = Vec::new();
@@ -226,7 +257,7 @@ fn run(args: &[String]) -> Result<CmdOutput, String> {
                 rule_arg = Some(other.to_owned());
                 i += 1;
             }
-            other => return Err(format!("unknown option `{other}`")),
+            other => return Err(format!("unknown option `{other}`").into()),
         }
     }
 
@@ -252,14 +283,14 @@ fn run(args: &[String]) -> Result<CmdOutput, String> {
             text,
             status: CmdStatus::Ok,
         }),
-        other => return Err(format!("unknown command `{other}`")),
+        other => return Err(format!("unknown command `{other}`").into()),
     };
-    result.map_err(|e| e.to_string())
+    result.map_err(failed)
 }
 
 /// The value of the numeric flag at `args[*i]`, stepping `i` past both.
 /// `what` words the flag's operand in the error ("a number").
-fn value<T: std::str::FromStr>(args: &[String], i: &mut usize, what: &str) -> Result<T, String>
+fn value<T: std::str::FromStr>(args: &[String], i: &mut usize, what: &str) -> Result<T, Failure>
 where
     T::Err: std::fmt::Display,
 {
@@ -278,7 +309,7 @@ where
 /// corpus dir defaults to `tests/fuzz_corpus` when running from a checkout
 /// (where the pinned-reproducer replay test will pick new findings up), and
 /// to nowhere otherwise.
-fn fuzz(args: &[String]) -> Result<CmdOutput, String> {
+fn fuzz(args: &[String]) -> Result<CmdOutput, Failure> {
     let mut config = starling_fuzz::FuzzConfig {
         cases: 500,
         ..starling_fuzz::FuzzConfig::default()
@@ -328,7 +359,7 @@ fn fuzz(args: &[String]) -> Result<CmdOutput, String> {
                 })?;
                 i += 2;
             }
-            other => return Err(format!("unknown option `{other}`")),
+            other => return Err(format!("unknown option `{other}`").into()),
         }
     }
     config.corpus_dir = match corpus_dir {
@@ -343,24 +374,24 @@ fn fuzz(args: &[String]) -> Result<CmdOutput, String> {
 
 /// The `recover` subcommand: report (and with `--verify` cross-check) what
 /// crash recovery yields for the durable store(s) under a directory.
-fn recover(args: &[String]) -> Result<CmdOutput, String> {
+fn recover(args: &[String]) -> Result<CmdOutput, Failure> {
     let mut dir: Option<&str> = None;
     let mut verify = false;
     for arg in args {
         match arg.as_str() {
             "--verify" => verify = true,
             other if dir.is_none() && !other.starts_with("--") => dir = Some(other),
-            other => return Err(format!("unknown option `{other}`")),
+            other => return Err(format!("unknown option `{other}`").into()),
         }
     }
     let dir = dir.ok_or("recover needs a store or data directory")?;
-    starling_cli::cmd_recover(std::path::Path::new(dir), verify).map_err(|e| e.to_string())
+    starling_cli::cmd_recover(std::path::Path::new(dir), verify).map_err(failed)
 }
 
 /// The `serve` and `client` subcommands. Both stream to stdout directly
 /// (the listening line must appear before `serve` blocks; responses must
 /// appear as they arrive), so they return an empty [`CmdOutput`].
-fn serve_or_client(command: &str, args: &[String]) -> Result<CmdOutput, String> {
+fn serve_or_client(command: &str, args: &[String]) -> Result<CmdOutput, Failure> {
     let mut addr = "127.0.0.1:7878".to_owned();
     let mut data_dir: Option<String> = None;
     let mut sync = starling_storage::SyncPolicy::Always;
@@ -396,7 +427,7 @@ fn serve_or_client(command: &str, args: &[String]) -> Result<CmdOutput, String> 
                 })?;
                 i += 2;
             }
-            other => return Err(format!("unknown option `{other}`")),
+            other => return Err(format!("unknown option `{other}`").into()),
         }
     }
     match command {
@@ -406,7 +437,7 @@ fn serve_or_client(command: &str, args: &[String]) -> Result<CmdOutput, String> 
                 Some(d) => {
                     let dir = std::path::Path::new(d);
                     std::fs::create_dir_all(dir)
-                        .map_err(|e| format!("cannot create data dir `{d}`: {e}"))?;
+                        .map_err(|e| failed(format!("cannot create data dir `{d}`: {e}")))?;
                     // Startup recovery scan: prove every existing store is
                     // recoverable (and report torn tails) before serving.
                     match starling_cli::cmd_recover(dir, false) {
@@ -414,13 +445,13 @@ fn serve_or_client(command: &str, args: &[String]) -> Result<CmdOutput, String> 
                         Err(e) if e.to_string().contains("no durable stores") => {
                             println!("data dir `{d}`: no stores yet");
                         }
-                        Err(e) => return Err(format!("data dir `{d}`: {e}")),
+                        Err(e) => return Err(failed(format!("data dir `{d}`: {e}"))),
                     }
                     Some(starling_server::DurableRoot::new(dir, sync))
                 }
             };
             let server = starling_server::Server::bind_cfg(&addr, durable, cfg)
-                .map_err(|e| format!("cannot bind `{addr}`: {e}"))?;
+                .map_err(|e| failed(format!("cannot bind `{addr}`: {e}")))?;
             // Scripts parse this line for the (possibly ephemeral) port.
             println!("starling-server listening on {}", server.local_addr());
             server.join();
@@ -428,14 +459,14 @@ fn serve_or_client(command: &str, args: &[String]) -> Result<CmdOutput, String> 
         }
         "client" => {
             let mut client = starling_server::Client::connect(&addr)
-                .map_err(|e| format!("cannot connect to `{addr}`: {e}"))?;
+                .map_err(|e| failed(format!("cannot connect to `{addr}`: {e}")))?;
             let stdin = std::io::stdin();
             let mut line = String::new();
             loop {
                 line.clear();
                 let n = stdin
                     .read_line(&mut line)
-                    .map_err(|e| format!("stdin: {e}"))?;
+                    .map_err(|e| failed(format!("stdin: {e}")))?;
                 if n == 0 {
                     break;
                 }
@@ -444,7 +475,7 @@ fn serve_or_client(command: &str, args: &[String]) -> Result<CmdOutput, String> 
                 }
                 let response = client
                     .raw_request(line.trim_end())
-                    .map_err(|e| format!("connection lost: {e}"))?;
+                    .map_err(|e| failed(format!("connection lost: {e}")))?;
                 println!("{response}");
             }
         }

@@ -106,6 +106,26 @@ fn bad_script_reports_parse_error() {
     let (code, _, stderr) = starling(&["analyze", path.to_str().unwrap()]);
     assert_eq!(code, 1);
     assert!(stderr.contains("parse error"), "{stderr}");
+    // A script error is not a usage error: no usage text.
+    assert!(!stderr.contains("USAGE:"), "{stderr}");
+    std::fs::remove_file(path).ok();
+}
+
+/// A rule whose `updated(c)` names no column of its table is refused where
+/// it is defined: a script error (exit 1), not an aborted commit (exit 2).
+#[test]
+fn run_refuses_an_unknown_updated_column() {
+    let path = script_file(
+        "create table t (x int);
+         create rule r on t when updated(nope) then delete from t end;
+         insert into t values (1);",
+    );
+    let (code, stdout, stderr) = starling(&["run", path.to_str().unwrap()]);
+    assert_eq!(code, 1, "{stdout}");
+    assert!(
+        stderr.contains("`updated(nope)` names no column"),
+        "{stderr}"
+    );
     std::fs::remove_file(path).ok();
 }
 

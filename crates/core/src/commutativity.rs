@@ -138,19 +138,11 @@ fn directed_conditions<'a>(
     fired: &mut impl FnMut(Fired<'a>) -> ControlFlow<()>,
 ) -> ControlFlow<()> {
     // Condition 1: a's Performs intersects b's Triggered-By.
-    if b.triggered_by.iter().any(|op| a.performs.contains(op)) {
+    if a.can_trigger(b) {
         fired(Fired::Triggers)?;
     }
     // Condition 2: b ∈ Can-Untrigger(Performs(a)).
-    let untriggers = a.performs.iter().any(|op| match op {
-        Op::Delete(t) => b.triggered_by.iter().any(|tb| match tb {
-            Op::Insert(t2) => t2 == t,
-            Op::Update(c) => &c.table == t,
-            Op::Delete(_) => false,
-        }),
-        _ => false,
-    });
-    if untriggers {
+    if a.performs.iter().any(|op| b.untriggered_by(op)) {
         fired(Fired::Untriggers)?;
     }
     // Condition 2′: a's inserts can mask b's triggering deletes.
@@ -387,63 +379,33 @@ pub fn prewarm_pairs(ctx: &AnalysisContext, pairs: &[(usize, usize)]) {
 
 #[cfg(test)]
 mod tests {
-    use starling_engine::RuleSet;
-    use starling_sql::ast::Statement;
-    use starling_sql::parse_script;
-    use starling_storage::{Catalog, ColumnDef, TableSchema, ValueType};
-
     use super::*;
-
-    fn sigs(src: &str, tables: &[(&str, &[&str])]) -> Vec<RuleSignature> {
-        let mut cat = Catalog::new();
-        for (name, cols) in tables {
-            cat.add_table(
-                TableSchema::new(
-                    *name,
-                    cols.iter()
-                        .map(|c| ColumnDef::new(*c, ValueType::Int))
-                        .collect(),
-                )
-                .unwrap(),
-            )
-            .unwrap();
-        }
-        let defs: Vec<_> = parse_script(src)
-            .unwrap()
-            .into_iter()
-            .filter_map(|s| match s {
-                Statement::CreateRule(r) => Some(r),
-                _ => None,
-            })
-            .collect();
-        RuleSet::compile(&defs, &cat)
-            .unwrap()
-            .rules()
-            .iter()
-            .map(|r| RuleSignature::clone(&r.sig))
-            .collect()
-    }
+    use crate::context::tests::ctx_from;
 
     const TABLES: &[(&str, &[&str])] = &[("t", &["x", "y"]), ("u", &["x"]), ("v", &["x"])];
 
     #[test]
     fn disjoint_rules_commute() {
-        let s = sigs(
+        let s = ctx_from(
             "create rule a on t when inserted then insert into u values (1) end;
              create rule b on t when deleted then insert into v values (1) end;",
             TABLES,
-        );
+            Certifications::new(),
+        )
+        .sigs;
         assert!(noncommutativity_reasons(&s[0], &s[1]).is_empty());
         assert!(commutes(&s[0], &s[1], &Certifications::new()));
     }
 
     #[test]
     fn condition1_triggering() {
-        let s = sigs(
+        let s = ctx_from(
             "create rule a on t when inserted then insert into u values (1) end;
              create rule b on u when inserted then insert into v values (1) end;",
             TABLES,
-        );
+            Certifications::new(),
+        )
+        .sigs;
         let rs = noncommutativity_reasons(&s[0], &s[1]);
         assert!(rs.iter().any(
             |r| matches!(r, NoncommutativityReason::Triggers { who, whom }
@@ -454,11 +416,13 @@ mod tests {
     #[test]
     fn condition2_untriggering() {
         // a deletes from u; b is triggered by inserts into u.
-        let s = sigs(
+        let s = ctx_from(
             "create rule a on t when inserted then delete from u end;
              create rule b on u when inserted then insert into v values (1) end;",
             TABLES,
-        );
+            Certifications::new(),
+        )
+        .sigs;
         let rs = noncommutativity_reasons(&s[0], &s[1]);
         assert!(rs.iter().any(
             |r| matches!(r, NoncommutativityReason::Untriggers { who, whom }
@@ -468,13 +432,15 @@ mod tests {
 
     #[test]
     fn condition3_write_read() {
-        let s = sigs(
+        let s = ctx_from(
             "create rule a on t when inserted then update u set x = 1 end;
              create rule b on t when deleted \
                if exists (select * from u where x > 0) \
                then insert into v values (1) end;",
             TABLES,
-        );
+            Certifications::new(),
+        )
+        .sigs;
         let rs = noncommutativity_reasons(&s[0], &s[1]);
         assert!(rs.iter().any(
             |r| matches!(r, NoncommutativityReason::WriteRead { who, whom, .. }
@@ -486,11 +452,13 @@ mod tests {
     fn condition4_insert_vs_write_without_read() {
         // b deletes from u without reading it (paper footnote 3: possible
         // in SQL) — condition 4 is what catches this, not condition 3.
-        let s = sigs(
+        let s = ctx_from(
             "create rule a on t when inserted then insert into u values (1) end;
              create rule b on t when deleted then delete from u end;",
             TABLES,
-        );
+            Certifications::new(),
+        )
+        .sigs;
         let rs = noncommutativity_reasons(&s[0], &s[1]);
         assert!(rs.iter().any(
             |r| matches!(r, NoncommutativityReason::InsertWrite { who, table, whom }
@@ -500,11 +468,13 @@ mod tests {
 
     #[test]
     fn condition5_update_update() {
-        let s = sigs(
+        let s = ctx_from(
             "create rule a on t when inserted then update u set x = 1 end;
              create rule b on t when deleted then update u set x = 2 end;",
             TABLES,
-        );
+            Certifications::new(),
+        )
+        .sigs;
         let rs = noncommutativity_reasons(&s[0], &s[1]);
         let count = rs
             .iter()
@@ -516,11 +486,13 @@ mod tests {
     #[test]
     fn condition6_reversal() {
         // The asymmetric case: only b affects a; reversal must catch it.
-        let s = sigs(
+        let s = ctx_from(
             "create rule a on u when inserted then insert into v values (1) end;
              create rule b on t when inserted then insert into u values (1) end;",
             TABLES,
-        );
+            Certifications::new(),
+        )
+        .sigs;
         let rs = noncommutativity_reasons(&s[0], &s[1]);
         assert!(rs.iter().any(
             |r| matches!(r, NoncommutativityReason::Triggers { who, whom }
@@ -530,21 +502,25 @@ mod tests {
 
     #[test]
     fn self_commutes() {
-        let s = sigs(
+        let s = ctx_from(
             "create rule a on t when inserted then update t set x = x + 1 end",
             TABLES,
-        );
+            Certifications::new(),
+        )
+        .sigs;
         assert!(noncommutativity_reasons(&s[0], &s[0]).is_empty());
         assert!(commutes(&s[0], &s[0], &Certifications::new()));
     }
 
     #[test]
     fn certification_overrides() {
-        let s = sigs(
+        let s = ctx_from(
             "create rule a on t when inserted then update u set x = 1 end;
              create rule b on t when deleted then update u set x = 2 end;",
             TABLES,
-        );
+            Certifications::new(),
+        )
+        .sigs;
         let mut certs = Certifications::new();
         assert!(!commutes(&s[0], &s[1], &certs));
         certs.certify_commute("a", "b");
@@ -554,11 +530,13 @@ mod tests {
     #[test]
     fn reads_via_own_action_where_clause() {
         // a updates t.y; b deletes from t where y > 0 (reads t.y).
-        let s = sigs(
+        let s = ctx_from(
             "create rule a on u when inserted then update t set y = 1 end;
              create rule b on u when deleted then delete from t where y > 0 end;",
             TABLES,
-        );
+            Certifications::new(),
+        )
+        .sigs;
         let rs = noncommutativity_reasons(&s[0], &s[1]);
         assert!(rs
             .iter()
@@ -569,11 +547,12 @@ mod tests {
     /// ground truth on every pair, on first and repeated queries.
     #[test]
     fn memoized_pair_results_match_ground_truth() {
-        let ctx = crate::context::tests::ctx_from(
+        let ctx = ctx_from(
             "create rule a on t when inserted then update u set x = 1 end;
              create rule b on t when deleted then update u set x = 2 end;
              create rule c on t when inserted then insert into v values (1) end;",
             TABLES,
+            Certifications::new(),
         );
         for _round in 0..2 {
             for i in 0..ctx.len() {
@@ -597,12 +576,13 @@ mod tests {
     /// post-sweep query is answered from the store.
     #[test]
     fn prewarm_matches_sequential_verdicts() {
-        let ctx = crate::context::tests::ctx_from(
+        let ctx = ctx_from(
             "create rule a on t when inserted then update u set x = 1 end;
              create rule b on t when deleted then update u set x = 2 end;
              create rule c on t when inserted then insert into v values (1) end;
              create rule d on u when inserted then delete from v end;",
             TABLES,
+            Certifications::new(),
         );
         prewarm_pairs(&ctx, &ctx.dense_pairs(&[0, 1, 2, 3]));
         let warm = ctx.pair_store().stats();

@@ -158,6 +158,7 @@ impl<'a> ConflictIndex<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::certifications::Certifications;
     use crate::context::tests::ctx_from;
 
     const TABLES: &[(&str, &[&str])] = &[("t", &["x"]), ("u", &["x"]), ("v", &["x"])];
@@ -182,10 +183,11 @@ mod tests {
 
     #[test]
     fn empty_program_and_single_rule_have_no_candidates() {
-        assert!(candidates(&ctx_from("", TABLES)).is_empty());
+        assert!(candidates(&ctx_from("", TABLES, Certifications::new())).is_empty());
         let one = ctx_from(
             "create rule a on t when inserted then insert into u values (1) end",
             TABLES,
+            Certifications::new(),
         );
         assert!(candidates(&one).is_empty());
     }
@@ -200,6 +202,7 @@ mod tests {
              create rule b on v when inserted then delete from v end;
              create rule c on t when deleted then delete from u end;",
             TABLES,
+            Certifications::new(),
         );
         assert_eq!(candidates(&ctx), vec![(0, 2)]);
     }
@@ -212,6 +215,7 @@ mod tests {
              create rule b on u when inserted then delete from u end;
              create rule c on v when inserted then delete from v end;",
             TABLES,
+            Certifications::new(),
         );
         assert_eq!(ctx.priority.ordered_pair_count(), 0);
         assert_eq!(candidates(&ctx), vec![(0, 1)]);
@@ -226,6 +230,7 @@ mod tests {
              create rule rj on v when inserted then delete from v end;
              create rule h on u when inserted then delete from u precedes rj end;",
             TABLES,
+            Certifications::new(),
         );
         assert_eq!(candidates(&ctx), vec![(0, 1), (0, 2)]);
         // Restricted to {ri, rj}, h still drives the step from outside.
@@ -273,7 +278,7 @@ mod tests {
                     below(10)
                 );
             }
-            let ctx = ctx_from(&src, &tables);
+            let ctx = ctx_from(&src, &tables, Certifications::new());
             let pairs = candidates(&ctx);
             total += pairs.len();
             let shares = |&(i, j): &(usize, usize)| {

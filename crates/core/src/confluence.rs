@@ -266,47 +266,16 @@ pub fn corollary_pair(ctx: &AnalysisContext, i: usize, j: usize) -> Vec<Arc<str>
 
 #[cfg(test)]
 mod tests {
-    use starling_engine::RuleSet;
-    use starling_sql::ast::Statement;
-    use starling_sql::parse_script;
-    use starling_storage::{Catalog, ColumnDef, TableSchema, ValueType};
-
-    use crate::certifications::Certifications;
-
     use super::*;
-
-    fn ctx(src: &str, tables: &[(&str, &[&str])], certs: Certifications) -> AnalysisContext {
-        let mut cat = Catalog::new();
-        for (name, cols) in tables {
-            cat.add_table(
-                TableSchema::new(
-                    *name,
-                    cols.iter()
-                        .map(|c| ColumnDef::new(*c, ValueType::Int))
-                        .collect(),
-                )
-                .unwrap(),
-            )
-            .unwrap();
-        }
-        let defs: Vec<_> = parse_script(src)
-            .unwrap()
-            .into_iter()
-            .filter_map(|s| match s {
-                Statement::CreateRule(r) => Some(r),
-                _ => None,
-            })
-            .collect();
-        let rs = RuleSet::compile(&defs, &cat).unwrap();
-        AnalysisContext::from_ruleset(&rs, certs)
-    }
+    use crate::certifications::Certifications;
+    use crate::context::tests::ctx_from;
 
     const TABLES: &[(&str, &[&str])] =
         &[("t", &["x"]), ("u", &["x"]), ("v", &["x"]), ("w", &["x"])];
 
     #[test]
     fn disjoint_rules_confluent() {
-        let a = analyze_confluence(&ctx(
+        let a = analyze_confluence(&ctx_from(
             "create rule a on t when inserted then insert into u values (1) end;
              create rule b on t when deleted then insert into v values (1) end;",
             TABLES,
@@ -318,7 +287,7 @@ mod tests {
 
     #[test]
     fn conflicting_unordered_pair_flagged() {
-        let a = analyze_confluence(&ctx(
+        let a = analyze_confluence(&ctx_from(
             "create rule a on t when inserted then update u set x = 1 end;
              create rule b on t when inserted then update u set x = 2 end;",
             TABLES,
@@ -334,7 +303,7 @@ mod tests {
 
     #[test]
     fn ordering_the_pair_restores_confluence() {
-        let a = analyze_confluence(&ctx(
+        let a = analyze_confluence(&ctx_from(
             "create rule a on t when inserted then update u set x = 1 precedes b end;
              create rule b on t when inserted then update u set x = 2 end;",
             TABLES,
@@ -348,7 +317,7 @@ mod tests {
     fn certification_restores_confluence() {
         let mut certs = Certifications::new();
         certs.certify_commute("a", "b");
-        let a = analyze_confluence(&ctx(
+        let a = analyze_confluence(&ctx_from(
             "create rule a on t when inserted then update u set x = 1 end;
              create rule b on t when inserted then update u set x = 2 end;",
             TABLES,
@@ -361,7 +330,7 @@ mod tests {
     fn closure_pulls_in_prioritized_triggered_rules() {
         // ri triggers h (via insert into u), and h > rj. Then h ∈ R1, and
         // h vs rj must commute — they don't (both update v.x).
-        let a = analyze_confluence(&ctx(
+        let a = analyze_confluence(&ctx_from(
             "create rule ri on t when inserted then insert into u values (1) end;
              create rule rj on t when inserted then update v set x = 2 end;
              create rule h on u when inserted then update v set x = 1 precedes rj end;",
@@ -386,7 +355,7 @@ mod tests {
         // (Definition 6.5 requires r > r2 ∈ P), so no violation from (ri, rj)
         // via h... but (rj, h) is itself an unordered pair and h/rj still
         // conflict directly through their own pair.
-        let c = ctx(
+        let c = ctx_from(
             "create rule ri on t when inserted then insert into u values (1) end;
              create rule rj on t when inserted then update v set x = 2 end;
              create rule h on u when inserted then update v set x = 1 end;",
@@ -411,7 +380,7 @@ mod tests {
     #[test]
     fn self_pair_never_checked() {
         // A self-triggering rule must not generate a (r, r) violation.
-        let a = analyze_confluence(&ctx(
+        let a = analyze_confluence(&ctx_from(
             "create rule grow on t when inserted then insert into t values (1) end",
             TABLES,
             Certifications::new(),
@@ -422,7 +391,7 @@ mod tests {
 
     #[test]
     fn corollaries_hold_on_confluent_sets() {
-        let c = ctx(
+        let c = ctx_from(
             "create rule a on t when inserted then insert into u values (1) precedes b end;
              create rule b on u when inserted then insert into v values (1) end;",
             TABLES,
@@ -437,7 +406,7 @@ mod tests {
     fn corollary_610_triggering_pairs_must_be_ordered() {
         // a triggers b, unordered: the Confluence Requirement itself must
         // flag this (condition 1 makes them noncommutative).
-        let c = ctx(
+        let c = ctx_from(
             "create rule a on t when inserted then insert into u values (1) end;
              create rule b on u when inserted then insert into v values (1) end;",
             TABLES,
@@ -449,7 +418,7 @@ mod tests {
 
     #[test]
     fn totally_ordered_set_trivially_confluent() {
-        let a = analyze_confluence(&ctx(
+        let a = analyze_confluence(&ctx_from(
             "create rule a on t when inserted then update u set x = 1 precedes b, c end;
              create rule b on t when inserted then update u set x = 2 precedes c end;
              create rule c on t when inserted then update u set x = 3 end;",

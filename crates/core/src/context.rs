@@ -212,56 +212,25 @@ impl AnalysisContext {
     /// result of `r`'s action — `{r' | Performs(r) ∩ Triggered-By(r') ≠ ∅}`
     /// (possibly including `r` itself).
     pub fn triggers(&self, r: usize) -> Vec<usize> {
-        let performs = &self.sigs[r].performs;
-        self.sigs
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.triggered_by.iter().any(|op| performs.contains(op)))
-            .map(|(i, _)| i)
+        (0..self.len())
+            .filter(|&q| self.can_trigger(r, q))
             .collect()
     }
 
     /// Whether `r`'s action can trigger `q`.
     pub fn can_trigger(&self, r: usize, q: usize) -> bool {
-        self.sigs[q]
-            .triggered_by
-            .iter()
-            .any(|op| self.sigs[r].performs.contains(op))
+        self.sigs[r].can_trigger(&self.sigs[q])
     }
 
     /// The paper's `Can-Untrigger(O')`: rules that can be untriggered by
-    /// operations in `O'` — a rule triggered by insertions into (or updates
-    /// of) `t` can be untriggered by deletions from `t`, which may undo the
-    /// triggering changes.
+    /// operations in `O'` (see [`RuleSignature::untriggered_by`]).
     pub fn can_untrigger<'o>(&self, ops: impl IntoIterator<Item = &'o Op> + Clone) -> Vec<usize> {
         self.sigs
             .iter()
             .enumerate()
-            .filter(|(_, s)| {
-                ops.clone().into_iter().any(|op| match op {
-                    Op::Delete(t) => s.triggered_by.iter().any(|tb| match tb {
-                        Op::Insert(t2) => t2 == t,
-                        Op::Update(c) => &c.table == t,
-                        Op::Delete(_) => false,
-                    }),
-                    _ => false,
-                })
-            })
+            .filter(|(_, s)| ops.clone().into_iter().any(|op| s.untriggered_by(op)))
             .map(|(i, _)| i)
             .collect()
-    }
-
-    /// Whether rule `q` can be untriggered by `r`'s action
-    /// (`q ∈ Can-Untrigger(Performs(r))`).
-    pub fn can_untrigger_rule(&self, r: usize, q: usize) -> bool {
-        self.sigs[r].performs.iter().any(|op| match op {
-            Op::Delete(t) => self.sigs[q].triggered_by.iter().any(|tb| match tb {
-                Op::Insert(t2) => t2 == t,
-                Op::Update(c) => &c.table == t,
-                Op::Delete(_) => false,
-            }),
-            _ => false,
-        })
     }
 
     /// Whether two rules are unordered (Section 6.2): neither has priority
@@ -339,36 +308,36 @@ impl AnalysisContext {
 
 #[cfg(test)]
 pub(crate) mod tests {
-    use starling_sql::ast::Statement;
-    use starling_sql::parse_script;
+    use starling_engine::RuleProgram;
     use starling_storage::{ColumnDef, TableSchema, ValueType};
 
     use super::*;
 
-    pub(crate) fn ctx_from(src: &str, tables: &[(&str, &[&str])]) -> AnalysisContext {
+    /// A catalog of `Int` tables, each with the columns listed.
+    pub(crate) fn catalog(tables: &[(&str, &[&str])]) -> Catalog {
         let mut cat = Catalog::new();
         for (name, cols) in tables {
-            cat.add_table(
-                TableSchema::new(
-                    *name,
-                    cols.iter()
-                        .map(|c| ColumnDef::new(*c, ValueType::Int))
-                        .collect(),
-                )
-                .unwrap(),
-            )
-            .unwrap();
+            let cols = cols.iter().map(|c| ColumnDef::new(*c, ValueType::Int));
+            cat.add_table(TableSchema::new(*name, cols.collect()).unwrap())
+                .unwrap();
         }
-        let defs: Vec<_> = parse_script(src)
-            .unwrap()
-            .into_iter()
-            .filter_map(|s| match s {
-                Statement::CreateRule(r) => Some(r),
-                _ => None,
-            })
-            .collect();
-        let rs = RuleSet::compile(&defs, &cat).unwrap();
-        AnalysisContext::from_ruleset(&rs, Certifications::new())
+        cat
+    }
+
+    /// The rules of `src`, in order.
+    pub(crate) fn defs(src: &str) -> Vec<RuleDef> {
+        RuleProgram::parse(src).unwrap().defs
+    }
+
+    /// The context of the rules of `src` over `tables`, with `certs` in
+    /// force: how every analysis test builds one.
+    pub(crate) fn ctx_from(
+        src: &str,
+        tables: &[(&str, &[&str])],
+        certs: Certifications,
+    ) -> AnalysisContext {
+        let rs = RuleSet::compile(&defs(src), &catalog(tables)).unwrap();
+        AnalysisContext::from_ruleset(&rs, certs)
     }
 
     #[test]
@@ -378,6 +347,7 @@ pub(crate) mod tests {
              create rule b on u when inserted then delete from t end;
              create rule c on t when deleted then update t set x = 0 end;",
             &[("t", &["x"]), ("u", &["y"])],
+            Certifications::new(),
         );
         // a inserts into u -> triggers b; b deletes from t -> triggers c;
         // c updates t.x -> triggers nobody (no updated-rules on t.x).
@@ -393,6 +363,7 @@ pub(crate) mod tests {
         let ctx = ctx_from(
             "create rule grow on t when inserted then insert into t values (1) end",
             &[("t", &["x"])],
+            Certifications::new(),
         );
         assert_eq!(ctx.triggers(0), vec![0]);
     }
@@ -405,16 +376,15 @@ pub(crate) mod tests {
              create rule del_watch on t when deleted then update u set y = 0 end;
              create rule killer on u when inserted then delete from t end;",
             &[("t", &["x"]), ("u", &["y"])],
+            Certifications::new(),
         );
         // killer deletes from t: can untrigger insert- and update-triggered
-        // rules on t, but not delete-triggered ones.
-        assert!(ctx.can_untrigger_rule(3, 0));
-        assert!(ctx.can_untrigger_rule(3, 1));
-        assert!(!ctx.can_untrigger_rule(3, 2));
+        // rules on t, but not delete-triggered ones, nor itself.
+        assert_eq!(ctx.can_untrigger(&ctx.sigs[3].performs), vec![0, 1]);
         // Non-deleting rules untrigger nothing.
-        assert!(!ctx.can_untrigger_rule(0, 3));
-        let ops: Vec<Op> = ctx.sigs[3].performs.iter().cloned().collect();
-        assert_eq!(ctx.can_untrigger(&ops), vec![0, 1]);
+        for r in 0..3 {
+            assert!(ctx.can_untrigger(&ctx.sigs[r].performs).is_empty());
+        }
     }
 
     #[test]
@@ -424,6 +394,7 @@ pub(crate) mod tests {
              create rule b on t when inserted then delete from t end;
              create rule c on t when inserted then delete from t end;",
             &[("t", &["x"])],
+            Certifications::new(),
         );
         assert_eq!(ctx.dense_pairs(&[0, 1, 2]), vec![(0, 2), (1, 2)]);
         assert_eq!(ctx.unordered_pair_count(&[0, 1, 2]), 2);
@@ -440,6 +411,7 @@ pub(crate) mod tests {
              create rule c on t when deleted then update t set x = 0 end;
              create rule grow on t when inserted then insert into t values (1) end;",
             &[("t", &["x"]), ("u", &["y"])],
+            Certifications::new(),
         );
         let adj = Arc::clone(ctx.triggers_adjacency());
         for r in 0..ctx.len() {
@@ -452,6 +424,7 @@ pub(crate) mod tests {
         let ctx = ctx_from(
             "create rule a on t when inserted then delete from t end",
             &[("t", &["x"])],
+            Certifications::new(),
         );
         assert_eq!(ctx.index_of("a"), Some(0));
         assert_eq!(ctx.name(0), "a");

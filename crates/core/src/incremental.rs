@@ -567,33 +567,13 @@ impl IncrementalAnalysis {
 
 #[cfg(test)]
 mod tests {
-    use starling_sql::ast::Statement;
-    use starling_sql::{parse_script, RuleDef};
+    use starling_sql::RuleDef;
     use starling_storage::{Catalog, ColumnDef, TableSchema, ValueType};
 
     use super::*;
+    use crate::context::tests::{catalog, defs};
 
-    fn catalog() -> Catalog {
-        let mut cat = Catalog::new();
-        for name in ["t", "u", "v"] {
-            cat.add_table(
-                TableSchema::new(name, vec![ColumnDef::new("x", ValueType::Int)]).unwrap(),
-            )
-            .unwrap();
-        }
-        cat
-    }
-
-    fn defs(src: &str) -> Vec<RuleDef> {
-        parse_script(src)
-            .unwrap()
-            .into_iter()
-            .filter_map(|s| match s {
-                Statement::CreateRule(r) => Some(r),
-                _ => None,
-            })
-            .collect()
-    }
+    const TABLES: &[(&str, &[&str])] = &[("t", &["x"]), ("u", &["x"]), ("v", &["x"])];
 
     fn scratch_report(
         cat: &Catalog,
@@ -614,7 +594,7 @@ mod tests {
     /// incremental report against a from-scratch run after each step.
     #[test]
     fn every_mutation_kind_matches_from_scratch() {
-        let cat = catalog();
+        let cat = catalog(TABLES);
         let mut d = defs(
             "create rule a on t when inserted then update u set x = 1 end;
              create rule b on t when inserted then update u set x = 2 end;
@@ -690,7 +670,7 @@ mod tests {
     /// pairs mentioning the certified rule, not the whole pair space.
     #[test]
     fn certify_rechecks_linear_pair_set() {
-        let cat = catalog();
+        let cat = catalog(TABLES);
         let d = defs(
             "create rule a on t when inserted then update u set x = 1 end;
              create rule b on t when inserted then update u set x = 2 end;
@@ -776,7 +756,7 @@ mod tests {
     /// Rebinding identical inputs is a no-op sweep: zero dirty pairs.
     #[test]
     fn identical_rebind_rechecks_nothing() {
-        let cat = catalog();
+        let cat = catalog(TABLES);
         let d = defs(
             "create rule a on t when inserted then update u set x = 1 end;
              create rule b on t when inserted then update u set x = 2 end;",

@@ -156,40 +156,18 @@ pub fn corollary_8_2(ctx: &AnalysisContext, analysis: &ObservableAnalysis) -> Ve
 
 #[cfg(test)]
 mod tests {
-    use starling_engine::RuleSet;
-    use starling_sql::ast::Statement;
-    use starling_sql::parse_script;
-    use starling_storage::{Catalog, ColumnDef, TableSchema, ValueType};
-
-    use crate::certifications::Certifications;
-
     use super::*;
+    use crate::certifications::Certifications;
+    use crate::context::tests::ctx_from;
 
-    fn ctx(src: &str, certs: Certifications) -> AnalysisContext {
-        let mut cat = Catalog::new();
-        for name in ["t", "u", "v"] {
-            cat.add_table(
-                TableSchema::new(name, vec![ColumnDef::new("x", ValueType::Int)]).unwrap(),
-            )
-            .unwrap();
-        }
-        let defs: Vec<_> = parse_script(src)
-            .unwrap()
-            .into_iter()
-            .filter_map(|s| match s {
-                Statement::CreateRule(r) => Some(r),
-                _ => None,
-            })
-            .collect();
-        let rs = RuleSet::compile(&defs, &cat).unwrap();
-        AnalysisContext::from_ruleset(&rs, certs)
-    }
+    const TABLES: &[(&str, &[&str])] = &[("t", &["x"]), ("u", &["x"]), ("v", &["x"])];
 
     #[test]
     fn unordered_observables_flagged() {
-        let a = analyze_observable_determinism(&ctx(
+        let a = analyze_observable_determinism(&ctx_from(
             "create rule obs1 on t when inserted then select x from t end;
              create rule obs2 on t when inserted then select x from u end;",
+            TABLES,
             Certifications::new(),
         ));
         assert_eq!(a.observable_rules, vec!["obs1", "obs2"]);
@@ -200,9 +178,10 @@ mod tests {
 
     #[test]
     fn ordered_observables_deterministic() {
-        let a = analyze_observable_determinism(&ctx(
+        let a = analyze_observable_determinism(&ctx_from(
             "create rule obs1 on t when inserted then select x from t precedes obs2 end;
              create rule obs2 on t when inserted then select x from u end;",
+            TABLES,
             Certifications::new(),
         ));
         assert!(a.is_guaranteed());
@@ -212,9 +191,10 @@ mod tests {
     fn confluent_but_not_observably_deterministic() {
         // Orthogonality, direction 1: no database writes at all (trivially
         // confluent) but two unordered observables.
-        let c = ctx(
+        let c = ctx_from(
             "create rule obs1 on t when inserted then select 1 end;
              create rule obs2 on t when inserted then select 2 end;",
+            TABLES,
             Certifications::new(),
         );
         let conf = crate::confluence::analyze_confluence(&c);
@@ -226,9 +206,10 @@ mod tests {
     #[test]
     fn observably_deterministic_but_not_confluent() {
         // Orthogonality, direction 2: conflicting writers, no observables.
-        let c = ctx(
+        let c = ctx_from(
             "create rule w1 on t when inserted then update u set x = 1 end;
              create rule w2 on t when inserted then update u set x = 2 end;",
+            TABLES,
             Certifications::new(),
         );
         let conf = crate::confluence::analyze_confluence(&c);
@@ -243,9 +224,10 @@ mod tests {
         // writer updates t.x which obs reads: they do not commute, so
         // writer ∈ Sig(Obs) even though it is not observable. writer and
         // obs are unordered → violation.
-        let a = analyze_observable_determinism(&ctx(
+        let a = analyze_observable_determinism(&ctx_from(
             "create rule obs on t when inserted then select x from t end;
              create rule writer on u when inserted then update t set x = 1 end;",
+            TABLES,
             Certifications::new(),
         ));
         assert_eq!(a.observable_rules, vec!["obs"]);
@@ -255,9 +237,10 @@ mod tests {
 
     #[test]
     fn corollary_8_2_holds_on_accepted_sets() {
-        let c = ctx(
+        let c = ctx_from(
             "create rule obs1 on t when inserted then select x from t precedes obs2 end;
              create rule obs2 on t when inserted then select x from u end;",
+            TABLES,
             Certifications::new(),
         );
         let a = analyze_observable_determinism(&c);
@@ -267,9 +250,10 @@ mod tests {
 
     #[test]
     fn extend_adds_obs_only_to_observable() {
-        let c = ctx(
+        let c = ctx_from(
             "create rule obs on t when inserted then rollback end;
              create rule silent on t when inserted then delete from u end;",
+            TABLES,
             Certifications::new(),
         );
         let e = extend_with_obs(&c);

@@ -401,6 +401,7 @@ mod tests {
              create rule b on t when deleted then update u set x = 2 end;
              create rule c on t when inserted then insert into u values (1) end;",
             &[("t", &["x"]), ("u", &["x"])],
+            Certifications::new(),
         )
         .sigs
     }

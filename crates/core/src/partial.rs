@@ -150,40 +150,9 @@ pub fn analyze_partial_confluence_of(
 
 #[cfg(test)]
 mod tests {
-    use starling_engine::RuleSet;
-    use starling_sql::ast::Statement;
-    use starling_sql::parse_script;
-    use starling_storage::{Catalog, ColumnDef, TableSchema, ValueType};
-
-    use crate::certifications::Certifications;
-
     use super::*;
-
-    fn ctx(src: &str, tables: &[(&str, &[&str])], certs: Certifications) -> AnalysisContext {
-        let mut cat = Catalog::new();
-        for (name, cols) in tables {
-            cat.add_table(
-                TableSchema::new(
-                    *name,
-                    cols.iter()
-                        .map(|c| ColumnDef::new(*c, ValueType::Int))
-                        .collect(),
-                )
-                .unwrap(),
-            )
-            .unwrap();
-        }
-        let defs: Vec<_> = parse_script(src)
-            .unwrap()
-            .into_iter()
-            .filter_map(|s| match s {
-                Statement::CreateRule(r) => Some(r),
-                _ => None,
-            })
-            .collect();
-        let rs = RuleSet::compile(&defs, &cat).unwrap();
-        AnalysisContext::from_ruleset(&rs, certs)
-    }
+    use crate::certifications::Certifications;
+    use crate::context::tests::ctx_from;
 
     const TABLES: &[(&str, &[&str])] = &[("data", &["x"]), ("scratch", &["x"]), ("t", &["x"])];
 
@@ -191,7 +160,7 @@ mod tests {
     /// confluent with respect to the data table.
     #[test]
     fn scratch_conflict_is_partially_confluent() {
-        let c = ctx(
+        let c = ctx_from(
             "create rule a on t when inserted then update scratch set x = 1 end;
              create rule b on t when inserted then update scratch set x = 2 end;
              create rule keeper on t when deleted then update data set x = 0 end;",
@@ -216,7 +185,7 @@ mod tests {
     /// commute with rules that do.
     #[test]
     fn sig_closure_recruits_noncommuting_rules() {
-        let c = ctx(
+        let c = ctx_from(
             // writer writes data; feeder triggers writer (condition 1: they
             // do not commute) so feeder is significant too.
             "create rule feeder on t when inserted then insert into scratch values (1) end;
@@ -231,7 +200,7 @@ mod tests {
     /// Termination is checked on Sig(T') processed alone (footnote 7).
     #[test]
     fn sig_termination_checked_on_subgraph() {
-        let c = ctx(
+        let c = ctx_from(
             // Cycle between two data-writers: partial confluence must fail
             // on the termination premise even before commutativity.
             "create rule p on data when updated(x) then insert into t values (1) end;
@@ -253,7 +222,7 @@ mod tests {
         // other) keeps them out of Sig(data) only if they commute with
         // keeper — which they do.
         certs.certify_commute("spin_a", "spin_b");
-        let c = ctx(
+        let c = ctx_from(
             "create rule spin_a on scratch when inserted then insert into scratch values (1) end;
              create rule keeper on t when deleted then update data set x = 0 end;",
             TABLES,
@@ -269,7 +238,7 @@ mod tests {
 
     #[test]
     fn empty_tables_empty_sig() {
-        let c = ctx(
+        let c = ctx_from(
             "create rule a on t when inserted then update scratch set x = 1 end",
             TABLES,
             Certifications::new(),

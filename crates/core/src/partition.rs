@@ -74,34 +74,16 @@ pub fn partition_rules(ctx: &AnalysisContext) -> Vec<Vec<usize>> {
 
 #[cfg(test)]
 mod tests {
-    use starling_engine::RuleSet;
-    use starling_sql::ast::Statement;
-    use starling_sql::parse_script;
-    use starling_storage::{Catalog, ColumnDef, TableSchema, ValueType};
-
-    use crate::certifications::Certifications;
-
     use super::*;
+    use crate::certifications::Certifications;
+    use crate::context::tests::ctx_from;
 
-    fn ctx(src: &str) -> AnalysisContext {
-        let mut cat = Catalog::new();
-        for name in ["a1", "a2", "b1", "b2"] {
-            cat.add_table(
-                TableSchema::new(name, vec![ColumnDef::new("x", ValueType::Int)]).unwrap(),
-            )
-            .unwrap();
-        }
-        let defs: Vec<_> = parse_script(src)
-            .unwrap()
-            .into_iter()
-            .filter_map(|s| match s {
-                Statement::CreateRule(r) => Some(r),
-                _ => None,
-            })
-            .collect();
-        let rs = RuleSet::compile(&defs, &cat).unwrap();
-        AnalysisContext::from_ruleset(&rs, Certifications::new())
-    }
+    const TABLES: &[(&str, &[&str])] = &[
+        ("a1", &["x"]),
+        ("a2", &["x"]),
+        ("b1", &["x"]),
+        ("b2", &["x"]),
+    ];
 
     const TWO_GROUPS: &str =
         "create rule g1a on a1 when inserted then insert into a2 values (1) end;
@@ -111,16 +93,18 @@ mod tests {
 
     #[test]
     fn disjoint_tables_split() {
-        let c = ctx(TWO_GROUPS);
+        let c = ctx_from(TWO_GROUPS, TABLES, Certifications::new());
         let p = partition_rules(&c);
         assert_eq!(p, vec![vec![0, 1], vec![2, 3]]);
     }
 
     #[test]
     fn priority_merges_partitions() {
-        let c = ctx(
+        let c = ctx_from(
             "create rule g1a on a1 when inserted then delete from a1 precedes g2a end;
              create rule g2a on b1 when inserted then delete from b1 end;",
+            TABLES,
+            Certifications::new(),
         );
         let p = partition_rules(&c);
         assert_eq!(p, vec![vec![0, 1]]);
@@ -128,9 +112,13 @@ mod tests {
 
     #[test]
     fn shared_read_merges_partitions() {
-        let c = ctx("create rule w on a1 when inserted then delete from a1 end;
+        let c = ctx_from(
+            "create rule w on a1 when inserted then delete from a1 end;
              create rule r on b1 when inserted \
-               if exists (select * from a1) then delete from b1 end;");
+               if exists (select * from a1) then delete from b1 end;",
+            TABLES,
+            Certifications::new(),
+        );
         let p = partition_rules(&c);
         assert_eq!(p.len(), 1);
     }

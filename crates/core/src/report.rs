@@ -429,40 +429,19 @@ impl fmt::Display for AnalysisReport {
 
 #[cfg(test)]
 mod tests {
-    use starling_engine::RuleSet;
-    use starling_sql::ast::Statement;
-    use starling_sql::parse_script;
-    use starling_storage::{Catalog, ColumnDef, TableSchema, ValueType};
-
-    use crate::certifications::Certifications;
-
     use super::*;
+    use crate::certifications::Certifications;
+    use crate::context::tests::ctx_from;
 
-    fn ctx(src: &str) -> AnalysisContext {
-        let mut cat = Catalog::new();
-        for name in ["t", "u"] {
-            cat.add_table(
-                TableSchema::new(name, vec![ColumnDef::new("x", ValueType::Int)]).unwrap(),
-            )
-            .unwrap();
-        }
-        let defs: Vec<_> = parse_script(src)
-            .unwrap()
-            .into_iter()
-            .filter_map(|s| match s {
-                Statement::CreateRule(r) => Some(r),
-                _ => None,
-            })
-            .collect();
-        let rs = RuleSet::compile(&defs, &cat).unwrap();
-        AnalysisContext::from_ruleset(&rs, Certifications::new())
-    }
+    const TABLES: &[(&str, &[&str])] = &[("t", &["x"]), ("u", &["x"])];
 
     #[test]
     fn clean_rule_set_all_green() {
-        let c = ctx(
+        let c = ctx_from(
             "create rule a on t when inserted then insert into u values (1) precedes b end;
              create rule b on u when inserted then update u set x = 0 end;",
+            TABLES,
+            Certifications::new(),
         );
         let r = AnalysisReport::run(&c, &[]);
         assert!(r.all_guaranteed());
@@ -474,9 +453,11 @@ mod tests {
 
     #[test]
     fn problematic_rule_set_reported() {
-        let c = ctx(
+        let c = ctx_from(
             "create rule p on t when inserted then insert into u values (1) end;
              create rule q on u when inserted then insert into t values (1) end;",
+            TABLES,
+            Certifications::new(),
         );
         let r = AnalysisReport::run(&c, &[vec!["t".to_owned()]]);
         assert!(!r.all_guaranteed());
@@ -492,7 +473,11 @@ mod tests {
     fn requirement_without_termination_is_not_confluence() {
         // Self-loop rule: no unordered pairs (requirement trivially holds),
         // but termination fails, so confluence is not guaranteed.
-        let c = ctx("create rule s on t when inserted then insert into t values (1) end");
+        let c = ctx_from(
+            "create rule s on t when inserted then insert into t values (1) end",
+            TABLES,
+            Certifications::new(),
+        );
         let r = AnalysisReport::run(&c, &[]);
         assert!(r.confluence.requirement_holds());
         assert!(!r.confluence_guaranteed());
@@ -502,7 +487,11 @@ mod tests {
     #[test]
     fn report_is_serializable() {
         fn assert_serialize<T: serde::Serialize>(_: &T) {}
-        let c = ctx("create rule a on t when inserted then delete from t end");
+        let c = ctx_from(
+            "create rule a on t when inserted then delete from t end",
+            TABLES,
+            Certifications::new(),
+        );
         let r = AnalysisReport::run(&c, &[]);
         assert_serialize(&r);
     }

@@ -91,34 +91,11 @@ pub fn analyze_restricted(ctx: &AnalysisContext, allowed: &[Op]) -> RestrictedAn
 
 #[cfg(test)]
 mod tests {
-    use starling_engine::RuleSet;
-    use starling_sql::ast::Statement;
-    use starling_sql::parse_script;
-    use starling_storage::{Catalog, ColumnDef, TableSchema, ValueType};
-
-    use crate::certifications::Certifications;
-
     use super::*;
+    use crate::certifications::Certifications;
+    use crate::context::tests::ctx_from;
 
-    fn ctx(src: &str) -> AnalysisContext {
-        let mut cat = Catalog::new();
-        for name in ["t", "u", "v"] {
-            cat.add_table(
-                TableSchema::new(name, vec![ColumnDef::new("x", ValueType::Int)]).unwrap(),
-            )
-            .unwrap();
-        }
-        let defs: Vec<_> = parse_script(src)
-            .unwrap()
-            .into_iter()
-            .filter_map(|s| match s {
-                Statement::CreateRule(r) => Some(r),
-                _ => None,
-            })
-            .collect();
-        let rs = RuleSet::compile(&defs, &cat).unwrap();
-        AnalysisContext::from_ruleset(&rs, Certifications::new())
-    }
+    const TABLES: &[(&str, &[&str])] = &[("t", &["x"]), ("u", &["x"]), ("v", &["x"])];
 
     const SRC: &str = "create rule ping on t when inserted then insert into u values (1) end;
          create rule pong on u when inserted then insert into t values (1) end;
@@ -126,7 +103,7 @@ mod tests {
 
     #[test]
     fn reachability_closure() {
-        let c = ctx(SRC);
+        let c = ctx_from(SRC, TABLES, Certifications::new());
         // Inserts into t reach ping and (through it) pong.
         let r = reachable_rules(&c, &[Op::Insert("t".into())]);
         assert_eq!(r, vec![0, 1]);
@@ -140,7 +117,7 @@ mod tests {
 
     #[test]
     fn restriction_rescues_termination() {
-        let c = ctx(SRC);
+        let c = ctx_from(SRC, TABLES, Certifications::new());
         // Unrestricted: ping/pong cycle ⇒ may not terminate.
         let full = crate::termination::analyze_termination(&c);
         assert!(!full.is_guaranteed());
@@ -154,7 +131,7 @@ mod tests {
 
     #[test]
     fn restriction_does_not_hide_reachable_cycles() {
-        let c = ctx(SRC);
+        let c = ctx_from(SRC, TABLES, Certifications::new());
         let a = analyze_restricted(&c, &[Op::Insert("t".into())]);
         assert_eq!(a.reachable, vec!["ping", "pong"]);
         assert!(!a.termination.is_guaranteed());
@@ -162,10 +139,12 @@ mod tests {
 
     #[test]
     fn restricted_confluence_and_observability() {
-        let c = ctx(
+        let c = ctx_from(
             "create rule w1 on t when inserted then update u set x = 1 end;
              create rule w2 on t when inserted then update u set x = 2 end;
              create rule solo on v when deleted then select x from v end;",
+            TABLES,
+            Certifications::new(),
         );
         // Unrestricted confluence fails (w1/w2).
         assert!(!crate::confluence::analyze_confluence(&c).requirement_holds());

@@ -305,44 +305,13 @@ fn has_bound(e: &Expr, col: &str, dir: Direction) -> bool {
 
 #[cfg(test)]
 mod tests {
-    use crate::certifications::Certifications;
-    use crate::context::AnalysisContext;
-    use starling_engine::RuleSet;
-    use starling_sql::ast::Statement;
-    use starling_sql::parse_script;
-    use starling_storage::{Catalog, ColumnDef, TableSchema, ValueType};
-
     use super::*;
-
-    fn ctx(src: &str, tables: &[(&str, &[&str])], certs: Certifications) -> AnalysisContext {
-        let mut cat = Catalog::new();
-        for (name, cols) in tables {
-            cat.add_table(
-                TableSchema::new(
-                    *name,
-                    cols.iter()
-                        .map(|c| ColumnDef::new(*c, ValueType::Int))
-                        .collect(),
-                )
-                .unwrap(),
-            )
-            .unwrap();
-        }
-        let defs: Vec<_> = parse_script(src)
-            .unwrap()
-            .into_iter()
-            .filter_map(|s| match s {
-                Statement::CreateRule(r) => Some(r),
-                _ => None,
-            })
-            .collect();
-        let rs = RuleSet::compile(&defs, &cat).unwrap();
-        AnalysisContext::from_ruleset(&rs, certs)
-    }
+    use crate::certifications::Certifications;
+    use crate::context::tests::ctx_from;
 
     #[test]
     fn acyclic_is_guaranteed() {
-        let a = analyze_termination(&ctx(
+        let a = analyze_termination(&ctx_from(
             "create rule a on t when inserted then insert into u values (1) end;
              create rule b on u when inserted then update v set x = 1 end;",
             &[("t", &["x"]), ("u", &["x"]), ("v", &["x"])],
@@ -355,7 +324,7 @@ mod tests {
 
     #[test]
     fn cycle_flagged_and_isolated() {
-        let a = analyze_termination(&ctx(
+        let a = analyze_termination(&ctx_from(
             "create rule ping on t when inserted then insert into u values (1) end;
              create rule pong on u when inserted then insert into t values (1) end;
              create rule bystander on v when inserted then update v set x = 0 end;",
@@ -372,7 +341,7 @@ mod tests {
     fn user_certificate_discharges() {
         let mut certs = Certifications::new();
         certs.certify_terminates("ping", "u is bounded by invariant");
-        let a = analyze_termination(&ctx(
+        let a = analyze_termination(&ctx_from(
             "create rule ping on t when inserted then insert into u values (1) end;
              create rule pong on u when inserted then insert into t values (1) end;",
             &[("t", &["x"]), ("u", &["x"])],
@@ -390,7 +359,7 @@ mod tests {
     fn delete_only_auto_certificate() {
         // purge only deletes from t; watch updates u. No cycle rule inserts
         // into t, so purge is auto-certified.
-        let a = analyze_termination(&ctx(
+        let a = analyze_termination(&ctx_from(
             "create rule purge on u when updated(x) then delete from t end;
              create rule watch on t when deleted then update u set x = 0 end;",
             &[("t", &["y"]), ("u", &["x"])],
@@ -406,7 +375,7 @@ mod tests {
     #[test]
     fn delete_only_blocked_by_cycle_insert() {
         // Same shape, but watch also inserts into t: no certificate.
-        let a = analyze_termination(&ctx(
+        let a = analyze_termination(&ctx_from(
             "create rule purge on u when updated(x) then delete from t end;
              create rule watch on t when deleted then \
                update u set x = 0; insert into t values (1) end;",
@@ -421,7 +390,7 @@ mod tests {
     fn monotone_update_auto_certificate() {
         // Self-triggering bounded increment (the paper's second special
         // case: "increments values ... some value is less than 10").
-        let a = analyze_termination(&ctx(
+        let a = analyze_termination(&ctx_from(
             "create rule inc on t when updated(x) then \
                update t set x = x + 1 where x < 10 end",
             &[("t", &["x"])],
@@ -436,7 +405,7 @@ mod tests {
 
     #[test]
     fn monotone_without_bound_not_certified() {
-        let a = analyze_termination(&ctx(
+        let a = analyze_termination(&ctx_from(
             "create rule inc on t when updated(x) then update t set x = x + 1 end",
             &[("t", &["x"])],
             Certifications::new(),
@@ -446,7 +415,7 @@ mod tests {
 
     #[test]
     fn monotone_decreasing_with_lower_bound() {
-        let a = analyze_termination(&ctx(
+        let a = analyze_termination(&ctx_from(
             "create rule dec on t when updated(x) then \
                update t set x = x - 2 where x > 0 and x < 100 end",
             &[("t", &["x"])],
@@ -459,7 +428,7 @@ mod tests {
     fn monotone_blocked_by_opposing_writer() {
         // dec decrements bounded below, but pump writes the same column:
         // no certificate, cycle stands.
-        let a = analyze_termination(&ctx(
+        let a = analyze_termination(&ctx_from(
             "create rule dec on t when updated(x) then \
                update t set x = x - 1 where x > 0 end;
              create rule pump on t when updated(x) then \
@@ -477,7 +446,7 @@ mod tests {
         // SCC where certifying one rule is not enough: a <-> b and a <-> c.
         let mut certs = Certifications::new();
         certs.certify_terminates("b", "bounded");
-        let a1 = analyze_termination(&ctx(
+        let a1 = analyze_termination(&ctx_from(
             "create rule a on t when inserted then \
                insert into u values (1); insert into v values (1) end;
              create rule b on u when inserted then insert into t values (1) end;
@@ -489,7 +458,7 @@ mod tests {
         assert!(!a1.cycles[0].discharged);
 
         certs.certify_terminates("a", "bounded");
-        let a2 = analyze_termination(&ctx(
+        let a2 = analyze_termination(&ctx_from(
             "create rule a on t when inserted then \
                insert into u values (1); insert into v values (1) end;
              create rule b on u when inserted then insert into t values (1) end;

@@ -4,7 +4,6 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
-use starling_sql::validate::validate_rule;
 use starling_sql::{RuleDef, RuleSignature};
 use starling_storage::Catalog;
 
@@ -69,7 +68,6 @@ impl RuleSet {
         let mut rules = Vec::with_capacity(defs.len());
         let mut edges = Vec::new();
         for (i, def) in defs.iter().enumerate() {
-            validate_rule(def, catalog)?;
             let sig = RuleSignature::of_rule(def, catalog)?;
             let resolve = |name: &str| -> Result<RuleId, EngineError> {
                 by_name

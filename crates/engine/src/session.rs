@@ -10,8 +10,8 @@ use std::sync::Arc;
 
 use starling_sql::ast::{Directive, Statement};
 use starling_sql::eval::{ActionOutcome, ResultSet};
-use starling_sql::parse_script;
-use starling_sql::validate::{validate_dml, validate_rule};
+use starling_sql::validate::validate_dml;
+use starling_sql::{parse_script, RuleSignature};
 use starling_storage::wal::{SyncPolicy, WalStore};
 use starling_storage::Database;
 
@@ -135,7 +135,7 @@ impl Session {
         let (store, recovered) = WalStore::open(dir, sync)?;
         let program = RuleProgram::parse(&recovered.rules_text)?;
         for def in &program.defs {
-            validate_rule(def, recovered.db.catalog())?;
+            RuleSignature::of_rule(def, recovered.db.catalog())?;
         }
         let mut s = Session::new();
         s.state.db = recovered.db;
@@ -321,7 +321,7 @@ impl Session {
             }
             Statement::CreateRule(def) => {
                 // Validate eagerly so errors surface at definition time.
-                validate_rule(def, self.state.db.catalog())?;
+                RuleSignature::of_rule(def, self.state.db.catalog())?;
                 self.edit_rules().create_rule(def.clone())?;
                 Ok(ScriptOutput::RuleCreated(def.name.clone()))
             }
@@ -547,6 +547,19 @@ mod tests {
             .execute_script("create rule r on t when deleted then delete from t end")
             .unwrap_err();
         assert!(matches!(err, EngineError::DuplicateRule(_)));
+    }
+
+    /// A rule whose `updated(c)` names no column of its table is refused
+    /// when it is defined, not at the next commit.
+    #[test]
+    fn unknown_updated_column_refused_at_definition() {
+        let mut s = Session::new();
+        s.execute_script("create table emp (id int)").unwrap();
+        let err = s
+            .execute_script("create rule r on emp when updated(nope) then delete from emp end")
+            .unwrap_err();
+        assert!(err.to_string().contains("`updated(nope)`"), "{err}");
+        assert!(s.rule_defs().is_empty());
     }
 
     #[test]

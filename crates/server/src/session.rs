@@ -1024,6 +1024,27 @@ mod tests {
             .unwrap()
     }
 
+    /// A rule whose `updated(c)` names no column of its table fails the
+    /// request that defines it: a `script` error that changes nothing.
+    #[test]
+    fn exec_refuses_an_unknown_updated_column() {
+        let (mut s, cache) = loaded();
+        let before = digest_of(&mut s, &cache);
+        let req = Json::obj([(
+            "sql",
+            Json::from(
+                "create rule r on t when updated(nope) then delete from t end;\
+                 insert into t values (7);",
+            ),
+        )]);
+        let (code, msg, data) = s.handle_op("exec", &req, &cache).unwrap_err();
+        assert_eq!(code, ErrorCode::Script, "{msg}");
+        assert!(msg.contains("`updated(nope)`"), "{msg}");
+        assert!(data.is_none());
+        assert_eq!(digest_of(&mut s, &cache), before);
+        assert_eq!(s.driver.session.rule_defs().len(), 2);
+    }
+
     #[test]
     fn durable_store_survives_session_teardown() {
         let (root, dir) = durable_root();

@@ -21,9 +21,14 @@
 //!
 //! * semantic [`validate`]-ion against a catalog (unknown tables/columns,
 //!   transition tables used without the matching triggering operation,
-//!   aggregate placement, type errors);
-//! * syntactic extraction ([`refs`]) of the paper's Section 3 definitions:
-//!   `Triggered-By`, `Performs`, `Reads`, and `Observable`;
+//!   aggregate placement, type errors): one walk over a statement's names,
+//!   which over a rule also collects its `Reads`;
+//! * the paper's Section 3 definitions ([`refs`]): `Triggered-By`,
+//!   `Performs`, `Reads` and `Observable` from
+//!   [`RuleSignature::of_rule`], which validates the rule, and the
+//!   `Triggers` / `Can-Untrigger` relations between signatures; `refs` also
+//!   holds the scope every column name resolves through, in validation and
+//!   in the [`plan`] compiler alike;
 //! * an [`eval`]-uator with SQL three-valued logic, subqueries (including
 //!   correlated), aggregates, and transition-table references, executing
 //!   against a [`starling_storage::Database`] and reporting tuple-level

@@ -13,10 +13,12 @@ use crate::ast::{Action, BinOp, Expr, InsertSource, RuleDef, SelectItem, SelectS
 use crate::eval::env::{Env, EvalCtx};
 use crate::eval::expr::eval_expr;
 use crate::eval::select::contains_aggregate;
+use crate::refs::Scope;
 
 use super::{
     vector, ActionPlan, CompiledSelect, CondPlan, DeletePlan, InsertPlan, InsertSourcePlan,
-    JoinKey, PExpr, RulePlan, ScanPred, SelectPlan, Slot, SourceMeta, SourcePlan, UpdatePlan,
+    JoinKey, PExpr, RulePlan, ScanPred, SelectPlan, Slot, SourceMeta, SourcePlan, SourceRef,
+    UpdatePlan,
 };
 
 /// Compiles a whole rule: condition plus every action. Never fails — units
@@ -164,8 +166,9 @@ impl Info {
 struct Compiler<'c> {
     catalog: &'c Catalog,
     rule_table: Option<&'c str>,
-    /// Scope stack mirroring the evaluator's frame stack, outermost first.
-    scopes: Vec<Vec<SourceMeta>>,
+    /// The validator's scope stack, mirroring the evaluator's frame stack:
+    /// a name it cannot resolve bails to the interpreter.
+    scope: Scope<'c>,
     /// Subquery cache slots allocated so far in the current unit.
     caches: usize,
     /// Empty database for constant folding via the interpreter.
@@ -177,66 +180,10 @@ impl<'c> Compiler<'c> {
         Compiler {
             catalog,
             rule_table,
-            scopes: Vec::new(),
+            scope: Scope::new(catalog, rule_table),
             caches: 0,
             scratch: Database::new(),
         }
-    }
-
-    /// Resolves a column reference exactly as `Env::lookup` would,
-    /// innermost scope first. Returns the slot, its static type, and the
-    /// absolute scope index it resolved in.
-    fn resolve(&self, qualifier: Option<&str>, column: &str) -> CResult<(Slot, STy, usize)> {
-        for (abs, scope) in self.scopes.iter().enumerate().rev() {
-            let depth = self.scopes.len() - 1 - abs;
-            match qualifier {
-                Some(q) => {
-                    if let Some((si, m)) = scope.iter().enumerate().find(|(_, m)| m.name == q) {
-                        // `Env::lookup` stops at a name match even when the
-                        // column is absent (runtime error) — mirror by
-                        // bailing to the interpreter.
-                        let schema = self.catalog.table(&m.table).map_err(|_| Bail)?;
-                        let col = schema.column_index(column).ok_or(Bail)?;
-                        let ty = STy::of_decl(schema.columns[col].ty);
-                        return Ok((
-                            Slot {
-                                depth,
-                                source: si,
-                                col,
-                            },
-                            ty,
-                            abs,
-                        ));
-                    }
-                }
-                None => {
-                    let mut found = None;
-                    for (si, m) in scope.iter().enumerate() {
-                        let Ok(schema) = self.catalog.table(&m.table) else {
-                            continue;
-                        };
-                        if let Some(col) = schema.column_index(column) {
-                            if found.is_some() {
-                                return Err(Bail); // ambiguous
-                            }
-                            found = Some((si, col, STy::of_decl(schema.columns[col].ty)));
-                        }
-                    }
-                    if let Some((si, col, ty)) = found {
-                        return Ok((
-                            Slot {
-                                depth,
-                                source: si,
-                                col,
-                            },
-                            ty,
-                            abs,
-                        ));
-                    }
-                }
-            }
-        }
-        Err(Bail)
     }
 
     /// Tries to fold a node whose operands are all constants by evaluating
@@ -259,8 +206,9 @@ impl<'c> Compiler<'c> {
         match e {
             Expr::Literal(v) => Ok((PExpr::Const(v.clone()), Info::constant(STy::of_value(v)))),
             Expr::Column(c) => {
-                let (slot, ty, abs) = self.resolve(c.qualifier.as_deref(), &c.column)?;
-                let mut info = Info::constant(ty);
+                let slot = self.scope.resolve(c).map_err(|_| Bail)?;
+                let mut info = Info::constant(STy::of_decl(self.slot_decl_ty(&slot).ok_or(Bail)?));
+                let abs = self.scope.frame_count() - 1 - slot.depth;
                 info.refs.insert((abs, slot.source));
                 Ok((PExpr::Slot(slot), info))
             }
@@ -554,33 +502,39 @@ impl<'c> Compiler<'c> {
             return Err(Bail);
         }
 
-        // Sources and binding metadata.
-        let mut metas = Vec::with_capacity(s.from.len());
-        let mut sources = Vec::with_capacity(s.from.len());
-        for item in &s.from {
-            let (table, sref) = match &item.table {
-                TableRef::Base(t) => {
-                    self.catalog.table(t).map_err(|_| Bail)?;
-                    (t.clone(), super::SourceRef::Base(t.clone()))
-                }
-                TableRef::Transition(tt) => {
-                    let table = self.rule_table.ok_or(Bail)?.to_owned();
-                    self.catalog.table(&table).map_err(|_| Bail)?;
-                    (table, super::SourceRef::Transition(*tt))
-                }
-            };
-            metas.push(SourceMeta {
-                name: item.binding().to_owned(),
-                table,
-            });
-            sources.push(SourcePlan {
-                sref,
+        self.scope.push_from(&s.from).map_err(|_| Bail)?;
+        let my_abs = self.scope.frame_count() - 1;
+        let body = self.compile_select_body(s, my_abs);
+        self.scope.pop();
+        let (cs, tys, mut info) = body?;
+        // References to this select's own scope are satisfied internally;
+        // only outer references propagate.
+        info.refs.retain(|(abs, _)| *abs < my_abs);
+        Ok((cs, tys, info))
+    }
+
+    /// The scoped part of select compilation (the caller pushes the
+    /// select's frame and pops it, on success and failure alike).
+    fn compile_select_body(
+        &mut self,
+        s: &SelectStmt,
+        my_abs: usize,
+    ) -> CResult<(CompiledSelect, Vec<STy>, Info)> {
+        let metas = self.scope.innermost().to_vec();
+        let mut sources: Vec<SourcePlan> = s
+            .from
+            .iter()
+            .map(|item| SourcePlan {
+                sref: match &item.table {
+                    TableRef::Base(t) => SourceRef::Base(t.clone()),
+                    TableRef::Transition(tt) => SourceRef::Transition(*tt),
+                },
                 pushed: Vec::new(),
                 vpushed: Vec::new(),
                 vkey: None,
                 join: None,
-            });
-        }
+            })
+            .collect();
 
         // Output column names (mirrors `output_columns`).
         let mut columns = Vec::new();
@@ -602,27 +556,6 @@ impl<'c> Compiler<'c> {
             }
         }
 
-        self.scopes.push(metas.clone());
-        let my_abs = self.scopes.len() - 1;
-        let body = self.compile_select_body(s, my_abs, metas, sources, columns);
-        self.scopes.pop();
-        let (cs, tys, mut info) = body?;
-        // References to this select's own scope are satisfied internally;
-        // only outer references propagate.
-        info.refs.retain(|(abs, _)| *abs < my_abs);
-        Ok((cs, tys, info))
-    }
-
-    /// The scoped part of select compilation (the caller pushes and pops
-    /// the scope around this, on success and failure alike).
-    fn compile_select_body(
-        &mut self,
-        s: &SelectStmt,
-        my_abs: usize,
-        metas: Vec<SourceMeta>,
-        mut sources: Vec<SourcePlan>,
-        columns: Vec<String>,
-    ) -> CResult<(CompiledSelect, Vec<STy>, Info)> {
         let mut info = Info::constant(STy::Any);
 
         // Projection, with wildcards pre-expanded into slots.
@@ -715,7 +648,7 @@ impl<'c> Compiler<'c> {
         // Rule plans only: the memo never evicts (see `SourcePlan::vkey`).
         if self.rule_table.is_some() {
             for sp in &mut sources {
-                if matches!(sp.sref, super::SourceRef::Base(_)) && !sp.vpushed.is_empty() {
+                if matches!(sp.sref, SourceRef::Base(_)) && !sp.vpushed.is_empty() {
                     sp.vkey = vector::selection_key(&sp.vpushed);
                 }
             }
@@ -841,9 +774,9 @@ impl<'c> Compiler<'c> {
     /// UPDATE bind the target table's row exactly like the interpreter's
     /// `matching_tuples`).
     fn compile_in_scope(&mut self, meta: &SourceMeta, e: &Expr) -> CResult<PExpr> {
-        self.scopes.push(vec![meta.clone()]);
+        self.scope.push_table(&meta.table).map_err(|_| Bail)?;
         let r = self.compile_expr(e);
-        self.scopes.pop();
+        self.scope.pop();
         r.map(|(pe, _)| pe)
     }
 
@@ -856,7 +789,7 @@ impl<'c> Compiler<'c> {
     /// also gets its selection's memo key (a rule's only: the memo never
     /// evicts, see [`super::SourcePlan::vkey`]).
     fn compile_scan_pred(&mut self, meta: &SourceMeta, e: &Expr) -> CResult<ScanPred> {
-        self.scopes.push(vec![meta.clone()]);
+        self.scope.push_table(&meta.table).map_err(|_| Bail)?;
         let r = self.compile_expr(e);
         let out = r.map(|(pred, info)| {
             let vec = info.infallible && info.ty.boolish() && self.vec_safe_pred(&pred, 0);
@@ -867,7 +800,7 @@ impl<'c> Compiler<'c> {
             };
             ScanPred { pred, vec, key }
         });
-        self.scopes.pop();
+        self.scope.pop();
         out
     }
 
@@ -968,10 +901,7 @@ impl<'c> Compiler<'c> {
     /// Declared column type of a slot, resolved against the compile-time
     /// scope stack (the innermost scope is the select being compiled).
     fn slot_decl_ty(&self, s: &Slot) -> Option<ValueType> {
-        let scope = self
-            .scopes
-            .get(self.scopes.len().checked_sub(1 + s.depth)?)?;
-        let meta = scope.get(s.source)?;
+        let meta = self.scope.binding(s)?;
         let schema = self.catalog.table(&meta.table).ok()?;
         Some(schema.columns.get(s.col)?.ty)
     }

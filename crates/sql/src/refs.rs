@@ -10,11 +10,16 @@
 //! * **Reads(r)** — every `t.c` referenced in a select or where clause of
 //!   `r`'s condition or action, with transition-table references mapped to
 //!   the rule's table (footnote 1 of the paper: the language does not
-//!   distinguish positive from negative reads);
+//!   distinguish positive from negative reads), recorded by the validating
+//!   walk of [`crate::validate`] as it resolves each name;
 //! * **Observable(r)** — whether the action performs data retrieval or
-//!   rollback (Section 8).
+//!   rollback (Section 8);
 //!
-//! The same scope-resolution machinery is reused by [`crate::validate`].
+//! and, beside the signature, the two Section 3 relations between rules
+//! built from it: `Triggers` and `Can-Untrigger`.
+//!
+//! It also holds the scope stack every column name resolves through, in
+//! validation and in the plan compiler alike.
 
 use std::collections::BTreeSet;
 
@@ -22,47 +27,27 @@ use starling_storage::{Catalog, ColRef, Op};
 
 use crate::ast::*;
 use crate::error::SqlError;
+use crate::plan::{Slot, SourceMeta};
 
-/// A resolved column: which *schema* table it reads, through which binding.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ResolvedColumn {
-    /// The base table whose column is read. For transition-table references
-    /// this is the rule's table.
-    pub table: String,
-    /// The column name.
-    pub column: String,
-    /// If resolved through a transition table, which one.
-    pub transition: Option<TransitionTable>,
-}
-
-/// One name binding introduced by a `FROM` item.
-#[derive(Clone, Debug)]
-struct Binding {
-    /// The in-scope name (alias or table name).
-    name: String,
-    /// The schema table this binding reads from.
-    table: String,
-    /// Transition table, if any.
-    transition: Option<TransitionTable>,
-}
-
-/// Lexical scope stack for column resolution.
+/// Lexical scope stack for column resolution: the one resolver that
+/// validation ([`crate::validate`]) and the plan compiler ([`crate::plan`])
+/// bind names through.
 ///
 /// Frames are searched innermost-first; within a frame an unqualified column
 /// must resolve to exactly one binding (else it is ambiguous). Outer frames
 /// provide correlated-subquery bindings.
-pub struct Scope<'a> {
+pub(crate) struct Scope<'a> {
     catalog: &'a Catalog,
     /// The rule's table, when resolving inside a rule (enables transition
     /// tables).
     rule_table: Option<&'a str>,
-    frames: Vec<Vec<Binding>>,
+    frames: Vec<Vec<SourceMeta>>,
 }
 
 impl<'a> Scope<'a> {
     /// A scope for expressions inside a rule on `rule_table`, or outside any
     /// rule when `rule_table` is `None`.
-    pub fn new(catalog: &'a Catalog, rule_table: Option<&'a str>) -> Self {
+    pub(crate) fn new(catalog: &'a Catalog, rule_table: Option<&'a str>) -> Self {
         Scope {
             catalog,
             rule_table,
@@ -70,35 +55,30 @@ impl<'a> Scope<'a> {
         }
     }
 
-    /// Pushes a frame of bindings from `FROM` items.
-    pub fn push_from(&mut self, items: &[FromItem]) -> Result<(), SqlError> {
+    /// Pushes a frame of bindings from `FROM` items. A transition table
+    /// binds the rule's table.
+    pub(crate) fn push_from(&mut self, items: &[FromItem]) -> Result<(), SqlError> {
         let mut frame = Vec::with_capacity(items.len());
         for item in items {
-            let (table, transition) = match &item.table {
-                TableRef::Base(t) => {
-                    self.catalog.table(t)?; // must exist
-                    (t.clone(), None)
-                }
-                TableRef::Transition(tt) => match self.rule_table {
-                    Some(rt) => (rt.to_owned(), Some(*tt)),
-                    None => {
-                        return Err(SqlError::validate(format!(
-                            "transition table `{}` referenced outside a rule",
-                            tt.name()
-                        )))
-                    }
-                },
+            let table = match &item.table {
+                TableRef::Base(t) => t,
+                TableRef::Transition(tt) => self.rule_table.ok_or_else(|| {
+                    SqlError::validate(format!(
+                        "transition table `{}` referenced outside a rule",
+                        tt.name()
+                    ))
+                })?,
             };
+            self.catalog.table(table)?; // must exist
             let name = item.binding().to_owned();
-            if frame.iter().any(|b: &Binding| b.name == name) {
+            if frame.iter().any(|b: &SourceMeta| b.name == name) {
                 return Err(SqlError::validate(format!(
                     "duplicate binding `{name}` in from clause"
                 )));
             }
-            frame.push(Binding {
+            frame.push(SourceMeta {
                 name,
-                table,
-                transition,
+                table: table.to_owned(),
             });
         }
         self.frames.push(frame);
@@ -107,68 +87,70 @@ impl<'a> Scope<'a> {
 
     /// Pushes a frame binding a single base table under its own name (the
     /// implicit scope of `UPDATE`/`DELETE` targets).
-    pub fn push_table(&mut self, table: &str) -> Result<(), SqlError> {
+    pub(crate) fn push_table(&mut self, table: &str) -> Result<(), SqlError> {
         self.catalog.table(table)?;
-        self.frames.push(vec![Binding {
+        self.frames.push(vec![SourceMeta {
             name: table.to_owned(),
             table: table.to_owned(),
-            transition: None,
         }]);
         Ok(())
     }
 
     /// Pops the innermost frame.
-    pub fn pop(&mut self) {
+    pub(crate) fn pop(&mut self) {
         self.frames.pop();
     }
 
-    /// All tables bound by the innermost frame, as `(schema table,
-    /// transition)` pairs — used to expand `SELECT *`.
-    pub fn innermost_tables(&self) -> Vec<(String, Option<TransitionTable>)> {
-        self.frames
-            .last()
-            .map(|f| f.iter().map(|b| (b.table.clone(), b.transition)).collect())
-            .unwrap_or_default()
+    /// How many frames are pushed.
+    pub(crate) fn frame_count(&self) -> usize {
+        self.frames.len()
     }
 
-    /// Resolves a column reference against the scope stack.
-    pub fn resolve(&self, col: &ColumnRef) -> Result<ResolvedColumn, SqlError> {
-        for frame in self.frames.iter().rev() {
+    /// The bindings of the innermost frame, in `FROM` order.
+    pub(crate) fn innermost(&self) -> &[SourceMeta] {
+        self.frames.last().map_or(&[], Vec::as_slice)
+    }
+
+    /// The binding a resolved slot reads, if `slot` is one of this scope's.
+    pub(crate) fn binding(&self, slot: &Slot) -> Option<&SourceMeta> {
+        let frame = self.frames.len().checked_sub(1 + slot.depth)?;
+        self.frames[frame].get(slot.source)
+    }
+
+    /// Resolves a column reference against the scope stack, to its frame
+    /// distance from the innermost, its `FROM` index and its column index.
+    /// A qualified name stops at the first frame that binds its qualifier,
+    /// even when that table lacks the column, as the interpreter's lookup
+    /// does.
+    pub(crate) fn resolve(&self, col: &ColumnRef) -> Result<Slot, SqlError> {
+        for (depth, frame) in self.frames.iter().rev().enumerate() {
+            let slot = |source, col| Slot { depth, source, col };
             match &col.qualifier {
                 Some(q) => {
-                    if let Some(b) = frame.iter().find(|b| &b.name == q) {
+                    if let Some((si, b)) = frame.iter().enumerate().find(|(_, b)| &b.name == q) {
                         let schema = self.catalog.table(&b.table)?;
-                        if schema.column_index(&col.column).is_none() {
+                        let Some(ci) = schema.column_index(&col.column) else {
                             return Err(SqlError::validate(format!(
                                 "table `{}` (bound as `{q}`) has no column `{}`",
                                 b.table, col.column
                             )));
-                        }
-                        return Ok(ResolvedColumn {
-                            table: b.table.clone(),
-                            column: col.column.clone(),
-                            transition: b.transition,
-                        });
+                        };
+                        return Ok(slot(si, ci));
                     }
                 }
                 None => {
-                    let mut matches = frame.iter().filter(|b| {
-                        self.catalog
-                            .table(&b.table)
-                            .is_ok_and(|s| s.column_index(&col.column).is_some())
+                    let mut matches = frame.iter().enumerate().filter_map(|(si, b)| {
+                        let schema = self.catalog.table(&b.table).ok()?;
+                        Some((si, schema.column_index(&col.column)?))
                     });
-                    if let Some(first) = matches.next() {
+                    if let Some((si, ci)) = matches.next() {
                         if matches.next().is_some() {
                             return Err(SqlError::validate(format!(
                                 "ambiguous column `{}`",
                                 col.column
                             )));
                         }
-                        return Ok(ResolvedColumn {
-                            table: first.table.clone(),
-                            column: col.column.clone(),
-                            transition: first.transition,
-                        });
+                        return Ok(slot(si, ci));
                     }
                 }
             }
@@ -196,11 +178,13 @@ pub struct RuleSignature {
 }
 
 impl RuleSignature {
-    /// Computes the signature of a rule against a catalog.
+    /// Validates a rule against a catalog and computes its signature.
     ///
-    /// Fails when names do not resolve; full semantic validation (including
-    /// transition-table legality) is in [`crate::validate`].
+    /// `Reads` is what the validating walk ([`crate::validate`]) resolved;
+    /// the walk's errors come first, then an `updated(c)` that names no
+    /// column of the rule's table.
     pub fn of_rule(rule: &RuleDef, catalog: &Catalog) -> Result<Self, SqlError> {
+        let reads = crate::validate::rule_reads(rule, catalog)?;
         let schema = catalog.table(&rule.table)?;
 
         let mut triggered_by = BTreeSet::new();
@@ -249,161 +233,33 @@ impl RuleSignature {
             }
         }
 
-        let mut reads = BTreeSet::new();
-        let mut scope = Scope::new(catalog, Some(&rule.table));
-        if let Some(cond) = &rule.condition {
-            collect_expr(cond, &mut scope, &mut reads)?;
-        }
-        for a in &rule.actions {
-            collect_action(a, &mut scope, &mut reads)?;
-        }
-
-        let observable = rule.actions.iter().any(Action::is_observable);
-
         Ok(RuleSignature {
             name: rule.name.clone(),
             table: rule.table.clone(),
             triggered_by,
             performs,
             reads,
-            observable,
+            observable: rule.actions.iter().any(Action::is_observable),
         })
     }
-}
 
-/// Collects reads from an action statement.
-pub(crate) fn collect_action(
-    action: &Action,
-    scope: &mut Scope<'_>,
-    reads: &mut BTreeSet<ColRef>,
-) -> Result<(), SqlError> {
-    match action {
-        Action::Insert(i) => match &i.source {
-            InsertSource::Values(rows) => {
-                for row in rows {
-                    for e in row {
-                        collect_expr(e, scope, reads)?;
-                    }
-                }
-                Ok(())
-            }
-            InsertSource::Select(s) => collect_select(s, scope, reads),
-        },
-        Action::Delete(d) => {
-            if let Some(w) = &d.where_clause {
-                scope.push_table(&d.table)?;
-                let r = collect_expr(w, scope, reads);
-                scope.pop();
-                r?;
-            }
-            Ok(())
-        }
-        Action::Update(u) => {
-            scope.push_table(&u.table)?;
-            let r = (|| {
-                for (_, e) in &u.sets {
-                    collect_expr(e, scope, reads)?;
-                }
-                if let Some(w) = &u.where_clause {
-                    collect_expr(w, scope, reads)?;
-                }
-                Ok(())
-            })();
-            scope.pop();
-            r
-        }
-        Action::Select(s) => collect_select(s, scope, reads),
-        Action::Rollback => Ok(()),
+    /// `Triggers`: whether this rule's action can trigger `q`, i.e.
+    /// `Performs(self) ∩ Triggered-By(q) ≠ ∅` (`q` may be this rule).
+    pub fn can_trigger(&self, q: &RuleSignature) -> bool {
+        q.triggered_by.iter().any(|op| self.performs.contains(op))
     }
-}
 
-fn collect_select(
-    s: &SelectStmt,
-    scope: &mut Scope<'_>,
-    reads: &mut BTreeSet<ColRef>,
-) -> Result<(), SqlError> {
-    scope.push_from(&s.from)?;
-    let r = (|| {
-        for item in &s.items {
-            match item {
-                SelectItem::Wildcard => {
-                    // `select *` reads every column of every from-item.
-                    for (table, _) in scope.innermost_tables() {
-                        let schema = scope.catalog.table(&table)?;
-                        for c in schema.column_names() {
-                            reads.insert(ColRef::new(table.clone(), c));
-                        }
-                    }
-                }
-                SelectItem::Expr { expr, .. } => collect_expr(expr, scope, reads)?,
-            }
-        }
-        if let Some(w) = &s.where_clause {
-            collect_expr(w, scope, reads)?;
-        }
-        for e in &s.group_by {
-            collect_expr(e, scope, reads)?;
-        }
-        if let Some(h) = &s.having {
-            collect_expr(h, scope, reads)?;
-        }
-        for o in &s.order_by {
-            collect_expr(&o.expr, scope, reads)?;
-        }
-        Ok(())
-    })();
-    scope.pop();
-    r
-}
-
-fn collect_expr(
-    e: &Expr,
-    scope: &mut Scope<'_>,
-    reads: &mut BTreeSet<ColRef>,
-) -> Result<(), SqlError> {
-    match e {
-        Expr::Literal(_) => Ok(()),
-        Expr::Column(c) => {
-            let rc = scope.resolve(c)?;
-            // Transition references read the rule's table (paper: "for every
-            // (trans).c referenced, t.c is in Reads(r) for r's triggering
-            // table t").
-            reads.insert(ColRef::new(rc.table, rc.column));
-            Ok(())
-        }
-        Expr::Binary { lhs, rhs, .. } => {
-            collect_expr(lhs, scope, reads)?;
-            collect_expr(rhs, scope, reads)
-        }
-        Expr::Neg(x) | Expr::Not(x) => collect_expr(x, scope, reads),
-        Expr::IsNull { expr, .. } => collect_expr(expr, scope, reads),
-        Expr::InList { expr, list, .. } => {
-            collect_expr(expr, scope, reads)?;
-            for x in list {
-                collect_expr(x, scope, reads)?;
-            }
-            Ok(())
-        }
-        Expr::InSelect { expr, select, .. } => {
-            collect_expr(expr, scope, reads)?;
-            collect_select(select, scope, reads)
-        }
-        Expr::Between {
-            expr, low, high, ..
-        } => {
-            collect_expr(expr, scope, reads)?;
-            collect_expr(low, scope, reads)?;
-            collect_expr(high, scope, reads)
-        }
-        Expr::Like { expr, pattern, .. } => {
-            collect_expr(expr, scope, reads)?;
-            collect_expr(pattern, scope, reads)
-        }
-        Expr::Exists(s) | Expr::ScalarSubquery(s) => collect_select(s, scope, reads),
-        Expr::Aggregate { arg, .. } => match arg {
-            Some(x) => collect_expr(x, scope, reads),
-            None => Ok(()),
-        },
+    /// `Can-Untrigger`: whether performing `op` can untrigger this rule. A
+    /// rule triggered by insertions into (or updates of) `t` can be
+    /// untriggered by deletions from `t`, which may undo the triggering
+    /// changes.
+    pub fn untriggered_by(&self, op: &Op) -> bool {
+        let Op::Delete(t) = op else { return false };
+        self.triggered_by.iter().any(|tb| match tb {
+            Op::Insert(t2) => t2 == t,
+            Op::Update(c) => &c.table == t,
+            Op::Delete(_) => false,
+        })
     }
 }
 
@@ -523,6 +379,24 @@ mod tests {
             panic!()
         };
         assert!(RuleSignature::of_rule(&r, &catalog()).is_err());
+    }
+
+    /// The walk's errors come before the `updated(c)` check: a rule with
+    /// both reports its action's.
+    #[test]
+    fn action_error_precedes_unknown_updated_column() {
+        let Statement::CreateRule(r) = parse_statement(
+            "create rule r on emp when updated(nope) then delete from dept where zzz = 1 end",
+        )
+        .unwrap() else {
+            panic!()
+        };
+        let err = RuleSignature::of_rule(&r, &catalog()).unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("rule `r`: cannot resolve column `zzz`"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -1,7 +1,10 @@
-//! Semantic validation of statements against a catalog.
+//! Semantic validation of statements against a catalog: the one walk over
+//! a statement's names.
 //!
-//! Beyond the name resolution performed by [`crate::refs`], validation
-//! enforces:
+//! The walk resolves every column through the scope stack of
+//! [`crate::refs`] and records each resolved column as read, so walking a
+//! rule also yields its `Reads` ([`crate::RuleSignature::of_rule`] is that
+//! walk). Beyond name resolution, validation enforces:
 //!
 //! * transition tables may only be referenced when the rule's transition
 //!   predicate includes the corresponding operation (paper Section 2: "A rule
@@ -12,14 +15,17 @@
 //! * `UPDATE ... SET` columns exist;
 //! * `IN (SELECT ...)` and scalar subqueries produce exactly one column.
 
-use starling_storage::Catalog;
+use std::collections::BTreeSet;
+
+use starling_storage::{Catalog, ColRef};
 
 use crate::ast::*;
 use crate::error::SqlError;
 use crate::refs::Scope;
 
-/// Validates a rule definition against a catalog.
-pub fn validate_rule(rule: &RuleDef, catalog: &Catalog) -> Result<(), SqlError> {
+/// Validates a rule's condition and actions and returns every column they
+/// read, transition-table columns mapped to the rule's table.
+pub(crate) fn rule_reads(rule: &RuleDef, catalog: &Catalog) -> Result<BTreeSet<ColRef>, SqlError> {
     if rule.events.is_empty() {
         return Err(SqlError::validate(format!(
             "rule `{}` has no triggering operations",
@@ -28,10 +34,9 @@ pub fn validate_rule(rule: &RuleDef, catalog: &Catalog) -> Result<(), SqlError> 
     }
     catalog.table(&rule.table)?;
 
-    let allowed = AllowedTransitions::of(rule);
-    let mut scope = Scope::new(catalog, Some(&rule.table));
+    let mut w = Walker::new(catalog, Some(&rule.table), AllowedTransitions::of(rule));
     if let Some(cond) = &rule.condition {
-        check_expr(cond, catalog, &mut scope, &allowed, ExprPos::Where)?;
+        w.expr(cond, ExprPos::Where)?;
     }
     if rule.actions.is_empty() {
         return Err(SqlError::validate(format!(
@@ -40,17 +45,15 @@ pub fn validate_rule(rule: &RuleDef, catalog: &Catalog) -> Result<(), SqlError> 
         )));
     }
     for a in &rule.actions {
-        validate_action_inner(a, catalog, &mut scope, &allowed)
-            .map_err(|e| prefix(&rule.name, e))?;
+        w.action(a).map_err(|e| prefix(&rule.name, e))?;
     }
-    Ok(())
+    Ok(w.reads)
 }
 
 /// Validates a standalone DML statement (no rule context: transition tables
 /// are rejected).
 pub fn validate_dml(action: &Action, catalog: &Catalog) -> Result<(), SqlError> {
-    let mut scope = Scope::new(catalog, None);
-    validate_action_inner(action, catalog, &mut scope, &AllowedTransitions::none())
+    Walker::new(catalog, None, AllowedTransitions::none()).action(action)
 }
 
 fn prefix(rule: &str, e: SqlError) -> SqlError {
@@ -105,252 +108,261 @@ enum ExprPos {
     InsideAggregate,
 }
 
-fn validate_action_inner(
-    action: &Action,
-    catalog: &Catalog,
-    scope: &mut Scope<'_>,
-    allowed: &AllowedTransitions,
-) -> Result<(), SqlError> {
-    match action {
-        Action::Insert(i) => {
-            let schema = catalog.table(&i.table)?;
-            let arity = match &i.columns {
-                Some(cols) => {
-                    for c in cols {
-                        if schema.column_index(c).is_none() {
-                            return Err(SqlError::validate(format!(
-                                "insert target `{}` has no column `{c}`",
-                                i.table
-                            )));
+/// The walk: the scope names resolve in, the transition tables the rule
+/// may name, and every column resolved so far.
+struct Walker<'a> {
+    catalog: &'a Catalog,
+    scope: Scope<'a>,
+    allowed: AllowedTransitions,
+    reads: BTreeSet<ColRef>,
+}
+
+impl<'a> Walker<'a> {
+    fn new(catalog: &'a Catalog, rule_table: Option<&'a str>, allowed: AllowedTransitions) -> Self {
+        Walker {
+            catalog,
+            scope: Scope::new(catalog, rule_table),
+            allowed,
+            reads: BTreeSet::new(),
+        }
+    }
+
+    /// Runs `f` inside the frame the caller just pushed, then pops it.
+    fn in_frame(
+        &mut self,
+        f: impl FnOnce(&mut Self) -> Result<(), SqlError>,
+    ) -> Result<(), SqlError> {
+        let r = f(self);
+        self.scope.pop();
+        r
+    }
+
+    fn action(&mut self, action: &Action) -> Result<(), SqlError> {
+        match action {
+            Action::Insert(i) => {
+                let schema = self.catalog.table(&i.table)?;
+                let arity = match &i.columns {
+                    Some(cols) => {
+                        for c in cols {
+                            if schema.column_index(c).is_none() {
+                                return Err(SqlError::validate(format!(
+                                    "insert target `{}` has no column `{c}`",
+                                    i.table
+                                )));
+                            }
+                        }
+                        cols.len()
+                    }
+                    None => schema.arity(),
+                };
+                match &i.source {
+                    InsertSource::Values(rows) => {
+                        for row in rows {
+                            if row.len() != arity {
+                                return Err(SqlError::validate(format!(
+                                    "insert into `{}` expects {arity} values, got {}",
+                                    i.table,
+                                    row.len()
+                                )));
+                            }
+                            for e in row {
+                                self.expr(e, ExprPos::Where)?;
+                            }
                         }
                     }
-                    cols.len()
+                    InsertSource::Select(s) => {
+                        self.select(s)?;
+                        if let Some(n) = self.select_width(s) {
+                            if n != arity {
+                                return Err(SqlError::validate(format!(
+                                    "insert into `{}` expects {arity} columns, select yields {n}",
+                                    i.table
+                                )));
+                            }
+                        }
+                    }
                 }
-                None => schema.arity(),
+                Ok(())
+            }
+            Action::Delete(d) => {
+                self.catalog.table(&d.table)?;
+                if let Some(w) = &d.where_clause {
+                    self.scope.push_table(&d.table)?;
+                    self.in_frame(|me| me.expr(w, ExprPos::Where))?;
+                }
+                Ok(())
+            }
+            Action::Update(u) => {
+                let schema = self.catalog.table(&u.table)?;
+                for (c, _) in &u.sets {
+                    if schema.column_index(c).is_none() {
+                        return Err(SqlError::validate(format!(
+                            "update target `{}` has no column `{c}`",
+                            u.table
+                        )));
+                    }
+                }
+                self.scope.push_table(&u.table)?;
+                self.in_frame(|me| {
+                    for (_, e) in &u.sets {
+                        me.expr(e, ExprPos::Where)?;
+                    }
+                    if let Some(w) = &u.where_clause {
+                        me.expr(w, ExprPos::Where)?;
+                    }
+                    Ok(())
+                })
+            }
+            Action::Select(s) => self.select(s),
+            Action::Rollback => Ok(()),
+        }
+    }
+
+    /// Output width of a select, when statically computable.
+    fn select_width(&mut self, s: &SelectStmt) -> Option<usize> {
+        // Wildcard width needs the from-item schemas in scope.
+        self.scope.push_from(&s.from).ok()?;
+        let mut n = 0;
+        for item in &s.items {
+            n += match item {
+                SelectItem::Wildcard => self
+                    .scope
+                    .innermost()
+                    .iter()
+                    .map(|b| self.catalog.table(&b.table).map_or(0, |t| t.arity()))
+                    .sum(),
+                SelectItem::Expr { .. } => 1,
             };
-            match &i.source {
-                InsertSource::Values(rows) => {
-                    for row in rows {
-                        if row.len() != arity {
-                            return Err(SqlError::validate(format!(
-                                "insert into `{}` expects {arity} values, got {}",
-                                i.table,
-                                row.len()
-                            )));
-                        }
-                        for e in row {
-                            check_expr(e, catalog, scope, allowed, ExprPos::Where)?;
-                        }
-                    }
-                }
-                InsertSource::Select(s) => {
-                    check_select(s, catalog, scope, allowed)?;
-                    if let Some(n) = select_width(s, catalog, scope) {
-                        if n != arity {
-                            return Err(SqlError::validate(format!(
-                                "insert into `{}` expects {arity} columns, select yields {n}",
-                                i.table
-                            )));
-                        }
-                    }
-                }
-            }
-            Ok(())
         }
-        Action::Delete(d) => {
-            catalog.table(&d.table)?;
-            if let Some(w) = &d.where_clause {
-                scope.push_table(&d.table)?;
-                let r = check_expr(w, catalog, scope, allowed, ExprPos::Where);
-                scope.pop();
-                r?;
-            }
-            Ok(())
-        }
-        Action::Update(u) => {
-            let schema = catalog.table(&u.table)?;
-            for (c, _) in &u.sets {
-                if schema.column_index(c).is_none() {
+        self.scope.pop();
+        Some(n)
+    }
+
+    fn select(&mut self, s: &SelectStmt) -> Result<(), SqlError> {
+        for fi in &s.from {
+            if let TableRef::Transition(t) = &fi.table {
+                if !self.allowed.permits(*t) {
                     return Err(SqlError::validate(format!(
-                        "update target `{}` has no column `{c}`",
-                        u.table
+                        "transition table `{}` does not correspond to any triggering operation",
+                        t.name()
                     )));
                 }
             }
-            scope.push_table(&u.table)?;
-            let r = (|| {
-                for (_, e) in &u.sets {
-                    check_expr(e, catalog, scope, allowed, ExprPos::Where)?;
-                }
-                if let Some(w) = &u.where_clause {
-                    check_expr(w, catalog, scope, allowed, ExprPos::Where)?;
-                }
-                Ok(())
-            })();
-            scope.pop();
-            r
         }
-        Action::Select(s) => check_select(s, catalog, scope, allowed),
-        Action::Rollback => Ok(()),
-    }
-}
-
-/// Output width of a select, when statically computable.
-fn select_width(s: &SelectStmt, catalog: &Catalog, scope: &mut Scope<'_>) -> Option<usize> {
-    let mut n = 0;
-    // Wildcard width needs the from-item schemas in scope.
-    if scope.push_from(&s.from).is_err() {
-        return None;
-    }
-    for item in &s.items {
-        match item {
-            SelectItem::Wildcard => {
-                for (t, _) in scope.innermost_tables() {
-                    match catalog.table(&t) {
-                        Ok(schema) => n += schema.arity(),
-                        Err(_) => {
-                            scope.pop();
-                            return None;
+        self.scope.push_from(&s.from)?;
+        self.in_frame(|me| {
+            if s.items.is_empty() {
+                return Err(SqlError::validate("empty select list"));
+            }
+            for item in &s.items {
+                match item {
+                    // `select *` reads every column of every from-item.
+                    SelectItem::Wildcard => {
+                        for b in me.scope.innermost() {
+                            let schema = me.catalog.table(&b.table)?;
+                            for c in schema.column_names() {
+                                me.reads.insert(ColRef::new(b.table.clone(), c));
+                            }
                         }
                     }
+                    SelectItem::Expr { expr, .. } => me.expr(expr, ExprPos::SelectItem)?,
                 }
             }
-            SelectItem::Expr { .. } => n += 1,
-        }
-    }
-    scope.pop();
-    Some(n)
-}
-
-fn check_select(
-    s: &SelectStmt,
-    catalog: &Catalog,
-    scope: &mut Scope<'_>,
-    allowed: &AllowedTransitions,
-) -> Result<(), SqlError> {
-    for fi in &s.from {
-        if let TableRef::Transition(t) = &fi.table {
-            if !allowed.permits(*t) {
-                return Err(SqlError::validate(format!(
-                    "transition table `{}` does not correspond to any triggering operation",
-                    t.name()
-                )));
+            if let Some(w) = &s.where_clause {
+                me.expr(w, ExprPos::Where)?;
             }
-        }
-    }
-    scope.push_from(&s.from)?;
-    let r = (|| {
-        if s.items.is_empty() {
-            return Err(SqlError::validate("empty select list"));
-        }
-        for item in &s.items {
-            match item {
-                SelectItem::Wildcard => {}
-                SelectItem::Expr { expr, .. } => {
-                    check_expr(expr, catalog, scope, allowed, ExprPos::SelectItem)?
-                }
+            for e in &s.group_by {
+                me.expr(e, ExprPos::Where)?;
             }
-        }
-        if let Some(w) = &s.where_clause {
-            check_expr(w, catalog, scope, allowed, ExprPos::Where)?;
-        }
-        for e in &s.group_by {
-            check_expr(e, catalog, scope, allowed, ExprPos::Where)?;
-        }
-        if let Some(h) = &s.having {
-            // HAVING may contain aggregates, like a select item.
-            check_expr(h, catalog, scope, allowed, ExprPos::SelectItem)?;
-        }
-        for o in &s.order_by {
-            // ORDER BY keys may be aggregates when the query is grouped.
-            let pos = if s.group_by.is_empty() {
-                ExprPos::Where
-            } else {
-                ExprPos::SelectItem
-            };
-            check_expr(&o.expr, catalog, scope, allowed, pos)?;
-        }
-        Ok(())
-    })();
-    scope.pop();
-    r
-}
-
-fn check_subquery_single_column(
-    s: &SelectStmt,
-    catalog: &Catalog,
-    scope: &mut Scope<'_>,
-    what: &str,
-) -> Result<(), SqlError> {
-    if let Some(n) = select_width(s, catalog, scope) {
-        if n != 1 {
-            return Err(SqlError::validate(format!(
-                "{what} must produce exactly one column, got {n}"
-            )));
-        }
-    }
-    Ok(())
-}
-
-fn check_expr(
-    e: &Expr,
-    catalog: &Catalog,
-    scope: &mut Scope<'_>,
-    allowed: &AllowedTransitions,
-    pos: ExprPos,
-) -> Result<(), SqlError> {
-    match e {
-        Expr::Literal(_) => Ok(()),
-        Expr::Column(c) => scope.resolve(c).map(|_| ()),
-        Expr::Binary { lhs, rhs, .. } => {
-            // Operands of a binary op are no longer "directly" a select item,
-            // but aggregates inside arithmetic in a select item are fine:
-            // keep position.
-            check_expr(lhs, catalog, scope, allowed, pos)?;
-            check_expr(rhs, catalog, scope, allowed, pos)
-        }
-        Expr::Neg(x) | Expr::Not(x) => check_expr(x, catalog, scope, allowed, pos),
-        Expr::IsNull { expr, .. } => check_expr(expr, catalog, scope, allowed, pos),
-        Expr::InList { expr, list, .. } => {
-            check_expr(expr, catalog, scope, allowed, pos)?;
-            for x in list {
-                check_expr(x, catalog, scope, allowed, pos)?;
+            if let Some(h) = &s.having {
+                // HAVING may contain aggregates, like a select item.
+                me.expr(h, ExprPos::SelectItem)?;
+            }
+            for o in &s.order_by {
+                // ORDER BY keys may be aggregates when the query is grouped.
+                let pos = if s.group_by.is_empty() {
+                    ExprPos::Where
+                } else {
+                    ExprPos::SelectItem
+                };
+                me.expr(&o.expr, pos)?;
             }
             Ok(())
+        })
+    }
+
+    fn single_column(&mut self, s: &SelectStmt, what: &str) -> Result<(), SqlError> {
+        match self.select_width(s) {
+            Some(n) if n != 1 => Err(SqlError::validate(format!(
+                "{what} must produce exactly one column, got {n}"
+            ))),
+            _ => Ok(()),
         }
-        Expr::InSelect { expr, select, .. } => {
-            check_expr(expr, catalog, scope, allowed, pos)?;
-            check_select(select, catalog, scope, allowed)?;
-            check_subquery_single_column(select, catalog, scope, "IN subquery")
-        }
-        Expr::Between {
-            expr, low, high, ..
-        } => {
-            check_expr(expr, catalog, scope, allowed, pos)?;
-            check_expr(low, catalog, scope, allowed, pos)?;
-            check_expr(high, catalog, scope, allowed, pos)
-        }
-        Expr::Like { expr, pattern, .. } => {
-            check_expr(expr, catalog, scope, allowed, pos)?;
-            check_expr(pattern, catalog, scope, allowed, pos)
-        }
-        Expr::Exists(s) => check_select(s, catalog, scope, allowed),
-        Expr::ScalarSubquery(s) => {
-            check_select(s, catalog, scope, allowed)?;
-            check_subquery_single_column(s, catalog, scope, "scalar subquery")
-        }
-        Expr::Aggregate { arg, .. } => {
-            if pos == ExprPos::InsideAggregate {
-                return Err(SqlError::validate("nested aggregate"));
+    }
+
+    fn expr(&mut self, e: &Expr, pos: ExprPos) -> Result<(), SqlError> {
+        match e {
+            Expr::Literal(_) => Ok(()),
+            Expr::Column(c) => {
+                // A transition table binds the rule's table, so its columns
+                // read the rule's table (paper: "for every (trans).c
+                // referenced, t.c is in Reads(r) for r's triggering table t").
+                let slot = self.scope.resolve(c)?;
+                let b = self.scope.binding(&slot).expect("a resolved slot");
+                self.reads
+                    .insert(ColRef::new(b.table.clone(), c.column.clone()));
+                Ok(())
             }
-            if pos != ExprPos::SelectItem {
-                return Err(SqlError::validate(
-                    "aggregate is only allowed in a select list",
-                ));
+            Expr::Binary { lhs, rhs, .. } => {
+                // Operands of a binary op are no longer "directly" a select
+                // item, but aggregates inside arithmetic in a select item are
+                // fine: keep position.
+                self.expr(lhs, pos)?;
+                self.expr(rhs, pos)
             }
-            match arg {
-                Some(x) => check_expr(x, catalog, scope, allowed, ExprPos::InsideAggregate),
-                None => Ok(()),
+            Expr::Neg(x) | Expr::Not(x) => self.expr(x, pos),
+            Expr::IsNull { expr, .. } => self.expr(expr, pos),
+            Expr::InList { expr, list, .. } => {
+                self.expr(expr, pos)?;
+                for x in list {
+                    self.expr(x, pos)?;
+                }
+                Ok(())
+            }
+            Expr::InSelect { expr, select, .. } => {
+                self.expr(expr, pos)?;
+                self.select(select)?;
+                self.single_column(select, "IN subquery")
+            }
+            Expr::Between {
+                expr, low, high, ..
+            } => {
+                self.expr(expr, pos)?;
+                self.expr(low, pos)?;
+                self.expr(high, pos)
+            }
+            Expr::Like { expr, pattern, .. } => {
+                self.expr(expr, pos)?;
+                self.expr(pattern, pos)
+            }
+            Expr::Exists(s) => self.select(s),
+            Expr::ScalarSubquery(s) => {
+                self.select(s)?;
+                self.single_column(s, "scalar subquery")
+            }
+            Expr::Aggregate { arg, .. } => {
+                if pos == ExprPos::InsideAggregate {
+                    return Err(SqlError::validate("nested aggregate"));
+                }
+                if pos != ExprPos::SelectItem {
+                    return Err(SqlError::validate(
+                        "aggregate is only allowed in a select list",
+                    ));
+                }
+                match arg {
+                    Some(x) => self.expr(x, ExprPos::InsideAggregate),
+                    None => Ok(()),
+                }
             }
         }
     }
@@ -386,7 +398,7 @@ mod tests {
         let Statement::CreateRule(r) = parse_statement(src).unwrap() else {
             panic!()
         };
-        validate_rule(&r, &catalog())
+        rule_reads(&r, &catalog()).map(drop)
     }
 
     fn check_stmt(src: &str) -> Result<(), SqlError> {
@@ -486,7 +498,7 @@ mod tests {
             precedes: vec![],
             follows: vec![],
         };
-        assert!(validate_rule(&rule, &catalog()).is_err());
+        assert!(rule_reads(&rule, &catalog()).is_err());
     }
 
     #[test]
@@ -514,7 +526,7 @@ mod tests {
             order_by: vec![],
         };
         let cat = catalog();
-        let mut scope = Scope::new(&cat, None);
-        assert!(check_select(&s, &cat, &mut scope, &AllowedTransitions::none()).is_err());
+        let mut w = Walker::new(&cat, None, AllowedTransitions::none());
+        assert!(w.select(&s).is_err());
     }
 }

@@ -386,7 +386,7 @@ fn random_dml(rng: &mut StdRng, catalog: &Catalog) -> Action {
 
 #[cfg(test)]
 mod tests {
-    use starling_sql::validate::validate_rule;
+    use starling_sql::RuleSignature;
 
     use super::*;
 
@@ -421,7 +421,7 @@ mod tests {
                 ..RandomConfig::default()
             });
             for def in &w.defs {
-                validate_rule(def, &w.catalog)
+                RuleSignature::of_rule(def, &w.catalog)
                     .unwrap_or_else(|e| panic!("seed {seed}, rule {}: {e}", def.name));
             }
             let rs = w.compile();
