@@ -44,8 +44,7 @@
 //!     create rule a on t when inserted then update u set x = 1 end;
 //!     create rule b on t when inserted then update u set x = 2 end;
 //! ").unwrap();
-//! let rules = RuleSet::compile(&session.rule_defs().to_vec(),
-//!                              session.db().catalog()).unwrap();
+//! let rules = RuleSet::compile(session.rule_defs(), session.db().catalog()).unwrap();
 //! let ctx = AnalysisContext::from_ruleset(&rules, Certifications::new());
 //! let report = AnalysisReport::run(&ctx, &[]);
 //!

@@ -542,7 +542,7 @@ fn explore_impl(
 
     let mut add_state =
         |st: ExecState, graph: &mut ExecGraph, queue: &mut VecDeque<(usize, ExecState)>| -> usize {
-            let digest = st.digest();
+            let (db_digest, digest) = st.digests();
             if let Some(&i) = index.get(&digest) {
                 return i;
             }
@@ -551,7 +551,7 @@ fn explore_impl(
             let is_final = triggered.is_empty();
             graph.states.push(StateNode {
                 digest,
-                db_digest: st.db.state_digest(),
+                db_digest,
                 triggered,
                 out_edges: Vec::new(),
                 is_final,

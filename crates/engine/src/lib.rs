@@ -76,7 +76,7 @@ pub use processor::{
     Outcome, Processor, RunResult, StepOutcome,
 };
 pub use program::RuleProgram;
-pub use ruleset::{CompiledRule, RuleId, RuleSet};
+pub use ruleset::{CompiledRule, LazyPlan, RuleId, RuleSet};
 pub use session::{Session, SessionState};
 pub use state::ExecState;
 pub use strategy::{ChoiceStrategy, FirstEligible, LastEligible, Scripted};

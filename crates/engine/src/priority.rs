@@ -32,7 +32,10 @@ impl PriorityOrder {
     ///
     /// `names` is used only for error reporting; `names.len()` defines the
     /// number of rules.
-    pub fn from_edges(names: &[String], edges: &[(usize, usize)]) -> Result<Self, EngineError> {
+    pub fn from_edges<S: AsRef<str>>(
+        names: &[S],
+        edges: &[(usize, usize)],
+    ) -> Result<Self, EngineError> {
         let n = names.len();
         let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
         for &(hi, lo) in edges {
@@ -105,7 +108,7 @@ impl PriorityOrder {
         if cyclic.contains(&true) {
             let cyclic: Vec<String> = (0..n)
                 .filter(|&i| cyclic[i])
-                .map(|i| names[i].clone())
+                .map(|i| names[i].as_ref().to_owned())
                 .collect();
             return Err(EngineError::PriorityCycle(cyclic));
         }

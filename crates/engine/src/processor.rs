@@ -63,11 +63,12 @@ impl EvalMode {
 /// executor, for user statements and rule actions alike, and the one place
 /// that chooses between compiled plans and the interpreter.
 ///
-/// A rule action arrives with the `plan` its rule set compiled; a user
-/// statement arrives with `None` and is compiled here, each time it runs,
-/// outside any rule (so a transition-table reference compiles to an
-/// `Interp` node and fails in the interpreter as it always did). Under
-/// [`EvalMode::Interp`] nothing is compiled and no plan code runs.
+/// A rule action arrives with the `plan` its rule built on its first
+/// consideration; a user statement arrives with `None` and is compiled
+/// here, each time it runs, outside any rule (so a transition-table
+/// reference compiles to an `Interp` node and fails in the interpreter as
+/// it always did). Under [`EvalMode::Interp`] nothing is compiled — no
+/// statement and no rule plan — and no plan code runs.
 pub(crate) fn execute_statement(
     action: &Action,
     plan: Option<&ActionPlan>,
@@ -168,26 +169,28 @@ pub fn rule_fires(
     mode: EvalMode,
 ) -> Result<bool, EngineError> {
     let rule = rules.get(id);
-    match (&rule.def.condition, &rule.plan.condition) {
-        (None, _) => Ok(true),
-        (Some(cond), plan) => {
-            let binding = state.transition_binding(rules, id);
-            let v = match plan {
-                Some(plan) if mode.uses_plans() => {
-                    eval_condition(plan, &state.db, Some(&binding), mode.plan_mode())?
-                }
-                _ => {
-                    let ctx = starling_sql::eval::EvalCtx {
-                        db: &state.db,
-                        transitions: Some(&binding),
-                    };
-                    let mut env = starling_sql::eval::Env::new(&ctx);
-                    starling_sql::eval::expr::eval_bool(cond, &mut env)?
-                }
+    let Some(cond) = &rule.def.condition else {
+        return Ok(true);
+    };
+    let binding = state.transition_binding(rules, id);
+    // Only a plan-evaluating mode reads (and so builds) the rule's plans.
+    let plan = if mode.uses_plans() {
+        rule.plan.condition.as_ref()
+    } else {
+        None
+    };
+    let v = match plan {
+        Some(plan) => eval_condition(plan, &state.db, Some(&binding), mode.plan_mode())?,
+        None => {
+            let ctx = starling_sql::eval::EvalCtx {
+                db: &state.db,
+                transitions: Some(&binding),
             };
-            Ok(starling_sql::eval::expr::is_true(&v))
+            let mut env = starling_sql::eval::Env::new(&ctx);
+            starling_sql::eval::expr::eval_bool(cond, &mut env)?
         }
-    }
+    };
+    Ok(starling_sql::eval::expr::is_true(&v))
 }
 
 /// Considers rule `id` from `state`, mutating it in place: the edge
@@ -271,8 +274,10 @@ pub fn consider_fired_rule(
         ..StepOutcome::unfired()
     };
 
-    for (action, plan) in rule.def.actions.iter().zip(&rule.plan.actions) {
-        match execute_statement(action, Some(plan), &mut state.db, Some(&binding), mode)? {
+    let plans = mode.uses_plans().then(|| &rule.plan.actions);
+    for (i, action) in rule.def.actions.iter().enumerate() {
+        let plan = plans.map(|plans| &plans[i]);
+        match execute_statement(action, plan, &mut state.db, Some(&binding), mode)? {
             ActionOutcome::Effects(fx) => {
                 // Every effect of one statement is the same kind of
                 // operation on the same table and columns.

@@ -2,8 +2,10 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::Arc;
+use std::ops::Deref;
+use std::sync::{Arc, OnceLock};
 
+use starling_sql::plan::{compile_rule, RulePlan};
 use starling_sql::{RuleDef, RuleSignature};
 use starling_storage::Catalog;
 
@@ -20,7 +22,8 @@ impl fmt::Display for RuleId {
     }
 }
 
-/// A validated rule with its precomputed static signature and physical plan.
+/// A validated rule with its precomputed static signature and its physical
+/// plan, built when the engine first considers the rule.
 ///
 /// The definition and the signature sit behind `Arc`: an analysis context
 /// built from the rule set shares them instead of copying every AST.
@@ -33,14 +36,54 @@ pub struct CompiledRule {
     /// `Triggered-By` / `Performs` / `Reads` / `Observable` (Section 3).
     pub sig: Arc<RuleSignature>,
     /// Compiled condition/action plans (see [`starling_sql::plan`]),
-    /// built once here and evaluated on every consideration.
-    pub plan: starling_sql::plan::RulePlan,
+    /// built on the rule's first consideration under a plan-evaluating
+    /// mode and evaluated on every one after. Analysis never builds them.
+    pub plan: LazyPlan,
 }
 
 impl CompiledRule {
     /// The rule's name.
     pub fn name(&self) -> &str {
         &self.def.name
+    }
+}
+
+/// A rule's [`RulePlan`], compiled by the first dereference.
+///
+/// The plan is exactly `compile_rule(def, catalog)`; only the moment it is
+/// built moves. A rule set shared through `Arc` compiles each plan at most
+/// once, whichever thread considers the rule first.
+#[derive(Clone)]
+pub struct LazyPlan {
+    def: Arc<RuleDef>,
+    catalog: Arc<Catalog>,
+    plan: OnceLock<RulePlan>,
+}
+
+impl LazyPlan {
+    /// The plan if it has been built, without building it.
+    pub fn get(&self) -> Option<&RulePlan> {
+        self.plan.get()
+    }
+}
+
+impl Deref for LazyPlan {
+    type Target = RulePlan;
+
+    fn deref(&self) -> &RulePlan {
+        self.plan
+            .get_or_init(|| compile_rule(&self.def, &self.catalog))
+    }
+}
+
+impl fmt::Debug for LazyPlan {
+    /// The plan's state only: the definition and catalog it compiles from
+    /// print with the rule and the rule set.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.get() {
+            Some(plan) => fmt::Debug::fmt(plan, f),
+            None => f.write_str("<not compiled>"),
+        }
     }
 }
 
@@ -56,8 +99,11 @@ pub struct RuleSet {
 impl RuleSet {
     /// Compiles rule definitions against a catalog: validates each rule,
     /// computes signatures, resolves `precedes`/`follows` names, and builds
-    /// the priority closure.
+    /// the priority closure. Physical plans are not built here but on a
+    /// rule's first consideration (see [`CompiledRule::plan`]), so an
+    /// analysis-only caller never pays for them.
     pub fn compile(defs: &[RuleDef], catalog: &Catalog) -> Result<Self, EngineError> {
+        let catalog = Arc::new(catalog.clone());
         let mut by_name = BTreeMap::new();
         for (i, def) in defs.iter().enumerate() {
             if by_name.insert(def.name.clone(), RuleId(i)).is_some() {
@@ -68,7 +114,7 @@ impl RuleSet {
         let mut rules = Vec::with_capacity(defs.len());
         let mut edges = Vec::new();
         for (i, def) in defs.iter().enumerate() {
-            let sig = RuleSignature::of_rule(def, catalog)?;
+            let sig = RuleSignature::of_rule(def, &catalog)?;
             let resolve = |name: &str| -> Result<RuleId, EngineError> {
                 by_name
                     .get(name)
@@ -84,22 +130,26 @@ impl RuleSet {
             for fl in &def.follows {
                 edges.push((resolve(fl)?.0, i));
             }
-            let plan = starling_sql::plan::compile_rule(def, catalog);
+            let def = Arc::new(def.clone());
             rules.push(CompiledRule {
                 id: RuleId(i),
-                def: Arc::new(def.clone()),
+                plan: LazyPlan {
+                    def: Arc::clone(&def),
+                    catalog: Arc::clone(&catalog),
+                    plan: OnceLock::new(),
+                },
+                def,
                 sig: Arc::new(sig),
-                plan,
             });
         }
 
-        let names: Vec<String> = defs.iter().map(|d| d.name.clone()).collect();
+        let names: Vec<&str> = defs.iter().map(|d| d.name.as_str()).collect();
         let priority = PriorityOrder::from_edges(&names, &edges)?;
         Ok(RuleSet {
             rules,
             priority,
             by_name,
-            catalog: Arc::new(catalog.clone()),
+            catalog,
         })
     }
 

@@ -126,8 +126,16 @@ impl ExecState {
     /// Canonical digest of the full state `(D, TR)` — used by the
     /// execution-graph explorer to deduplicate states and detect cycles.
     pub fn digest(&self) -> u64 {
+        self.digests().1
+    }
+
+    /// The database's digest (`Database::state_digest`) and the full
+    /// state's ([`Self::digest`]) from one pass over the database: the
+    /// state digest continues the hasher the database digest stops at.
+    pub fn digests(&self) -> (u64, u64) {
         let mut h = Fnv64::new();
         self.db.digest_into(&mut h);
+        let db = h.finish();
         h.write_usize(self.pending.len());
         let empty = EMPTY.digest();
         for p in &self.pending {
@@ -136,7 +144,7 @@ impl ExecState {
                 None => empty,
             });
         }
-        h.finish()
+        (db, h.finish())
     }
 
     /// Digest of the state *as the paper defines state identity* (Section

@@ -935,3 +935,36 @@ fn exploration_user_transition_agrees_across_eval_modes() {
         }
     }
 }
+
+/// A rule's plans are built on its first consideration under a
+/// plan-evaluating mode, never before: an `Interp` exploration of the
+/// power-network script leaves every plan unbuilt, and a `Columnar` one
+/// builds the plans of exactly the rules it considered.
+#[test]
+fn rule_plans_are_built_on_first_planned_consideration() {
+    let path = format!("{}/scripts/power_network.rql", env!("CARGO_MANIFEST_DIR"));
+    let src = std::fs::read_to_string(&path).unwrap();
+    let s = starling::analysis::load_script(&src).unwrap();
+    let built = || -> Vec<bool> {
+        s.rules
+            .rules()
+            .iter()
+            .map(|r| r.plan.get().is_some())
+            .collect()
+    };
+    assert!(built().iter().all(|b| !b), "compiling built a plan");
+    let cfg = ExploreConfig::default();
+    let interp = explore_with_mode(&s.rules, &s.db, &s.user_actions, &cfg, EvalMode::Interp);
+    assert!(interp.unwrap().edges.len() > 1);
+    assert!(
+        built().iter().all(|b| !b),
+        "an Interp exploration built a plan"
+    );
+
+    let g = explore_with_mode(&s.rules, &s.db, &s.user_actions, &cfg, EvalMode::Columnar).unwrap();
+    let mut considered = vec![false; s.rules.len()];
+    for e in &g.edges {
+        considered[e.rule.0] = true;
+    }
+    assert_eq!(built(), considered);
+}

@@ -12,6 +12,7 @@
 //! bounds — never timings.
 
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{PoisonError, RwLock, RwLockReadGuard};
 use std::time::Duration;
 
 use starling_server::{
@@ -23,6 +24,17 @@ use starling_storage::SyncPolicy;
 
 /// How long a test client polls for server readiness before giving up.
 const READY: Duration = Duration::from_secs(10);
+
+/// `idle_sessions_cost_no_threads` counts the process's threads, which every
+/// other test here spawns (servers, worker pools, client drivers): it holds
+/// this lock exclusively, the others hold it shared, so its count sees only
+/// its own server.
+static THREADS: RwLock<()> = RwLock::new(());
+
+/// A shared hold on [`THREADS`] for a test that spawns threads.
+fn spawns_threads() -> RwLockReadGuard<'static, ()> {
+    THREADS.read().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn op(json: &str) -> Json {
     Json::parse(json).expect("test op json")
@@ -151,6 +163,7 @@ fn count(j: &Json, key: &str) -> i64 {
 /// embedded `id`s are part of the compared bytes).
 #[test]
 fn two_thousand_pipelined_sessions_match_serial_replay() {
+    let _threads = spawns_threads();
     let limit = raise_fd_limit(16 * 1024);
     // Each session holds one socket on each side of the loopback plus
     // headroom for the harness; scale down only if the hard fd limit is
@@ -245,6 +258,7 @@ fn two_thousand_pipelined_sessions_match_serial_replay() {
 /// on their own connections.
 #[test]
 fn pipelined_responses_preserve_request_order() {
+    let _threads = spawns_threads();
     let server = Server::bind("127.0.0.1:0").expect("bind");
     let mut c = Client::connect_ready(server.local_addr(), READY).expect("connect");
     c.expect_ok(&load_op(&format!(
@@ -286,6 +300,7 @@ fn pipelined_responses_preserve_request_order() {
 /// gaps), so the queue never runs dry and hands #2 an early turn.
 #[test]
 fn cheap_sessions_pass_a_heavy_pipeline() {
+    let _threads = spawns_threads();
     let cfg = ServerConfig {
         workers: 1,
         ..ServerConfig::default()
@@ -401,6 +416,7 @@ fn cheap_sessions_pass_a_heavy_pipeline() {
 /// gauge drains.
 #[test]
 fn overload_refusals_are_typed_and_ordered() {
+    let _threads = spawns_threads();
     // Two heavy execs saturate the admission gauge (cap 2) and occupy two
     // workers; the third worker keeps delivering refusals and stats while
     // the server is "full".
@@ -500,6 +516,7 @@ fn overload_refusals_are_typed_and_ordered() {
 /// dropped session's durable store unlocked for re-attachment.
 #[test]
 fn mid_pipeline_disconnect_leaves_neighbors_and_stores_intact() {
+    let _threads = spawns_threads();
     let dir = std::env::temp_dir().join(format!("starling-scale-faults-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let server = Server::bind_with(
@@ -591,6 +608,7 @@ fn mid_pipeline_disconnect_leaves_neighbors_and_stores_intact() {
 /// cleanly afterwards.
 #[test]
 fn worker_panic_is_contained() {
+    let _threads = spawns_threads();
     let dir = std::env::temp_dir().join(format!("starling-scale-panic-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let cfg = ServerConfig {
@@ -667,6 +685,7 @@ fn worker_panic_is_contained() {
 #[cfg(target_os = "linux")]
 #[test]
 fn idle_sessions_cost_no_threads() {
+    let _alone = THREADS.write().unwrap_or_else(PoisonError::into_inner);
     raise_fd_limit(4096);
     let threads = || -> i64 {
         let status = std::fs::read_to_string("/proc/self/status").expect("proc status");
@@ -686,9 +705,10 @@ fn idle_sessions_cost_no_threads() {
     // Make the accepts observable before measuring.
     first.expect_ok(&op(r#"{"op":"ping"}"#)).expect("ping");
     let after = threads();
-    // Other tests in this binary run concurrently and spawn their own
-    // threads, so allow unrelated jitter — what matters is that 512 idle
-    // sessions did not cost ~512 threads (the legacy executor's price).
+    // The other tests in this binary wait on `THREADS`, but the harness
+    // may still start threads of its own, so allow some jitter — what
+    // matters is that 512 idle sessions did not cost ~512 threads (the
+    // legacy executor's price).
     assert!(
         after <= before + 64,
         "512 idle connections grew the thread count {before} -> {after}"
