@@ -129,6 +129,30 @@ fn run_refuses_an_unknown_updated_column() {
     std::fs::remove_file(path).ok();
 }
 
+/// A grouped select reading a column outside `GROUP BY` and every
+/// aggregate is refused where its rule is defined: `run` is a script error
+/// (exit 1), not an aborted commit (exit 2), and `analyze` certifies
+/// nothing.
+#[test]
+fn a_misplaced_grouped_column_is_a_script_error() {
+    let path = script_file(
+        "create table t (x int);
+         create table u (x int, n int);
+         create rule r on t when inserted then insert into u select x, count(*) from t end;
+         insert into t values (1);",
+    );
+    let p = path.to_str().unwrap();
+    let refused = "column `x` must appear in GROUP BY or inside an aggregate";
+    let (code, stdout, stderr) = starling(&["run", p]);
+    assert_eq!(code, 1, "{stdout}");
+    assert!(stderr.contains(refused), "{stderr}");
+    let (code, stdout, stderr) = starling(&["analyze", p]);
+    assert_eq!(code, 1, "{stdout}");
+    assert!(stderr.contains(refused), "{stderr}");
+    assert!(!stdout.contains("TERMINATION"), "{stdout}");
+    std::fs::remove_file(path).ok();
+}
+
 #[test]
 fn explore_truncation_exits_inconclusive() {
     // Unbounded growth truncates at the tiny bound: exit code 3 and the

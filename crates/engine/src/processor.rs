@@ -65,10 +65,10 @@ impl EvalMode {
 ///
 /// A rule action arrives with the `plan` its rule built on its first
 /// consideration; a user statement arrives with `None` and is compiled
-/// here, each time it runs, outside any rule (so a transition-table
-/// reference compiles to an `Interp` node and fails in the interpreter as
-/// it always did). Under [`EvalMode::Interp`] nothing is compiled — no
-/// statement and no rule plan — and no plan code runs.
+/// here, each time it runs, outside any rule (a statement the validator
+/// would refuse, such as a transition-table reference, is refused here
+/// with the validator's error). Under [`EvalMode::Interp`] nothing is
+/// compiled — no statement and no rule plan — and no plan code runs.
 pub(crate) fn execute_statement(
     action: &Action,
     plan: Option<&ActionPlan>,
@@ -83,7 +83,7 @@ pub(crate) fn execute_statement(
     let plan = match plan {
         Some(plan) => plan,
         None => {
-            compiled = compile_action(action, db.catalog(), None);
+            compiled = compile_action(action, db.catalog(), None)?;
             &compiled
         }
     };

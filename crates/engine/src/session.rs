@@ -562,6 +562,32 @@ mod tests {
         assert!(s.rule_defs().is_empty());
     }
 
+    /// A grouped select that reads a column outside `GROUP BY` and outside
+    /// every aggregate is refused when its rule is defined, not at every
+    /// commit that fires the rule; the session is left as it was.
+    #[test]
+    fn misplaced_grouped_column_refused_at_definition() {
+        let mut s = Session::new();
+        s.execute_script("create table t (x int); create table u (x int, n int)")
+            .unwrap();
+        let err = s
+            .execute_script(
+                "create rule r on t when inserted \
+                 then insert into u select x, count(*) from t end",
+            )
+            .unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("column `x` must appear in GROUP BY or inside an aggregate"),
+            "{err}"
+        );
+        assert!(s.rule_defs().is_empty());
+        s.execute_script("insert into t values (1)").unwrap();
+        let run = s.commit(&mut FirstEligible).unwrap();
+        assert_eq!(run.outcome, Outcome::Quiescent);
+        assert_eq!(s.db().table("u").unwrap().len(), 0);
+    }
+
     #[test]
     fn directives_recorded() {
         let mut s = Session::new();

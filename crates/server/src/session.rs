@@ -1045,6 +1045,28 @@ mod tests {
         assert_eq!(s.driver.session.rule_defs().len(), 2);
     }
 
+    /// A rule whose grouped select reads a column outside `GROUP BY` and
+    /// every aggregate fails the request that defines it: a `script` error
+    /// that changes nothing.
+    #[test]
+    fn exec_refuses_a_misplaced_grouped_column() {
+        let (mut s, cache) = loaded();
+        let before = digest_of(&mut s, &cache);
+        let req = Json::obj([(
+            "sql",
+            Json::from(
+                "create rule r on t when inserted then insert into u select x, count(*) from t end;\
+                 insert into t values (7);",
+            ),
+        )]);
+        let (code, msg, data) = s.handle_op("exec", &req, &cache).unwrap_err();
+        assert_eq!(code, ErrorCode::Script, "{msg}");
+        assert!(msg.contains("must appear in GROUP BY"), "{msg}");
+        assert!(data.is_none());
+        assert_eq!(digest_of(&mut s, &cache), before);
+        assert_eq!(s.driver.session.rule_defs().len(), 2);
+    }
+
     #[test]
     fn durable_store_survives_session_teardown() {
         let (root, dir) = durable_root();

@@ -46,13 +46,8 @@ pub fn eval_select(s: &SelectStmt, env: &mut Env<'_>) -> Result<ResultSet, SqlEr
         &mut frames,
     )?;
 
-    let aggregated = s.items.iter().any(|i| match i {
-        SelectItem::Expr { expr, .. } => contains_aggregate(expr),
-        SelectItem::Wildcard => false,
-    });
-
     let columns = output_columns(s, env)?;
-    let grouped = aggregated || !s.group_by.is_empty() || s.having.is_some();
+    let grouped = is_grouped(s);
 
     let mut rows: Vec<Row> = Vec::new();
     let mut sort_keys: Vec<Vec<Value>> = Vec::new();
@@ -292,6 +287,17 @@ fn output_columns(s: &SelectStmt, env: &Env<'_>) -> Result<Vec<String>, SqlError
     Ok(out)
 }
 
+/// Whether a select is *grouped* (an aggregate item, a `GROUP BY` or a
+/// `HAVING`): its items, `HAVING` and `ORDER BY` keys run once per group.
+pub(crate) fn is_grouped(s: &SelectStmt) -> bool {
+    !s.group_by.is_empty()
+        || s.having.is_some()
+        || s.items.iter().any(|i| match i {
+            SelectItem::Expr { expr, .. } => contains_aggregate(expr),
+            SelectItem::Wildcard => false,
+        })
+}
+
 /// Whether an expression contains an aggregate call (at this query level;
 /// subqueries have their own levels).
 pub fn contains_aggregate(e: &Expr) -> bool {
@@ -379,8 +385,14 @@ fn eval_aggregate(
             values.push(v);
         }
     }
+    aggregate(func, &values)
+}
+
+/// Folds an aggregate over a group's non-NULL argument values in frame
+/// order (`count(*)`: one per row), for the interpreter and plans alike.
+pub(crate) fn aggregate(func: Aggregate, values: &[Value]) -> Result<Value, SqlError> {
     match func {
-        Aggregate::Count => Ok(Value::Int(values.len() as i64)),
+        Aggregate::Count | Aggregate::CountStar => Ok(Value::Int(values.len() as i64)),
         Aggregate::Min => Ok(values
             .iter()
             .try_fold(None::<Value>, |acc, v| sql_extreme(acc, v, true))?
@@ -396,7 +408,7 @@ fn eval_aggregate(
             let mut all_int = true;
             let mut fsum = 0.0;
             let mut isum: i64 = 0;
-            for v in &values {
+            for v in values {
                 match v {
                     Value::Int(i) => {
                         isum = isum
@@ -425,7 +437,6 @@ fn eval_aggregate(
                 Ok(Value::Float(fsum / values.len() as f64))
             }
         }
-        Aggregate::CountStar => unreachable!("handled above"),
     }
 }
 

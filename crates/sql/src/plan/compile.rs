@@ -1,61 +1,67 @@
 //! Lowering validated ASTs into physical plans.
 //!
-//! Compilation is total: any construct outside the compilable subset makes
-//! the enclosing unit (select, condition, or whole action) fall back to an
-//! `Interp` node carrying the original AST, so plan execution is *always*
-//! semantically the interpreter — just faster on the common paths.
+//! Compilation is total on validated statements: every statement the
+//! validator accepts lowers to a plan. Names bind through the validator's
+//! own [`Scope`], so a statement that reaches the compiler unvalidated and
+//! names something unknown is refused with the validator's error.
 
 use std::collections::BTreeSet;
 
 use starling_storage::{Catalog, Database, Value, ValueType};
 
-use crate::ast::{Action, BinOp, Expr, InsertSource, RuleDef, SelectItem, SelectStmt, TableRef};
-use crate::eval::env::{Env, EvalCtx};
-use crate::eval::expr::eval_expr;
-use crate::eval::select::contains_aggregate;
+use crate::ast::{
+    Action, Aggregate, BinOp, Expr, InsertSource, RuleDef, SelectItem, SelectStmt, TableRef,
+};
+use crate::error::SqlError;
+use crate::eval::select::is_grouped;
 use crate::refs::Scope;
+use crate::validate::{grouped_wildcard, not_grouped, target_column};
 
+use super::exec::eval_const;
 use super::{
-    vector, ActionPlan, CompiledSelect, CondPlan, DeletePlan, InsertPlan, InsertSourcePlan,
-    JoinKey, PExpr, RulePlan, ScanPred, SelectPlan, Slot, SourceMeta, SourcePlan, SourceRef,
-    UpdatePlan,
+    vector, ActionPlan, CondPlan, DeletePlan, GroupPlan, InsertPlan, InsertSourcePlan, JoinKey,
+    PExpr, RulePlan, ScanPred, SelectPlan, Slot, SourcePlan, SourceRef, UpdatePlan,
 };
 
-/// Compiles a whole rule: condition plus every action. Never fails — units
-/// outside the compilable subset become `Interp` fallbacks.
+/// Compiles a whole rule: condition plus every action. Panics on an
+/// invalid rule: a rule set validates its rules before it builds a plan.
 pub fn compile_rule(def: &RuleDef, catalog: &Catalog) -> RulePlan {
+    let table = Some(def.table.as_str());
+    let valid = "a validated rule compiles";
     RulePlan {
         condition: def
             .condition
             .as_ref()
-            .map(|e| compile_condition(e, catalog, Some(&def.table))),
+            .map(|e| compile_condition(e, catalog, table).expect(valid)),
         actions: def
             .actions
             .iter()
-            .map(|a| compile_action(a, catalog, Some(&def.table)))
+            .map(|a| compile_action(a, catalog, table).expect(valid))
             .collect(),
     }
 }
 
 /// Compiles a boolean condition expression (evaluated with no row scope).
-pub fn compile_condition(e: &Expr, catalog: &Catalog, rule_table: Option<&str>) -> CondPlan {
+pub fn compile_condition(
+    e: &Expr,
+    catalog: &Catalog,
+    rule_table: Option<&str>,
+) -> Result<CondPlan, SqlError> {
     let mut c = Compiler::new(catalog, rule_table);
-    match c.compile_expr(e) {
-        Ok((pred, _)) => CondPlan::Compiled {
-            pred,
-            cache_slots: c.caches,
-        },
-        Err(Bail) => CondPlan::Interp(e.clone()),
-    }
+    let (pred, _) = c.compile_expr(e)?;
+    Ok(CondPlan {
+        pred,
+        cache_slots: c.caches,
+    })
 }
 
 /// Compiles one action statement.
-pub fn compile_action(a: &Action, catalog: &Catalog, rule_table: Option<&str>) -> ActionPlan {
-    let mut c = Compiler::new(catalog, rule_table);
-    match c.compile_action_inner(a) {
-        Ok(plan) => plan,
-        Err(Bail) => ActionPlan::Interp(a.clone()),
-    }
+pub fn compile_action(
+    a: &Action,
+    catalog: &Catalog,
+    rule_table: Option<&str>,
+) -> Result<ActionPlan, SqlError> {
+    Compiler::new(catalog, rule_table).compile_action_inner(a)
 }
 
 /// Compiles a standalone select; returns the plan and its cache-slot count.
@@ -63,17 +69,13 @@ pub fn compile_select(
     s: &SelectStmt,
     catalog: &Catalog,
     rule_table: Option<&str>,
-) -> (SelectPlan, usize) {
+) -> Result<(SelectPlan, usize), SqlError> {
     let mut c = Compiler::new(catalog, rule_table);
-    let (plan, _, _) = c.compile_subquery(s);
-    (plan, c.caches)
+    let (plan, _, _) = c.compile_select_inner(s)?;
+    Ok((plan, c.caches))
 }
 
-/// Marker for "outside the compilable subset": the enclosing unit falls
-/// back to the interpreter.
-struct Bail;
-
-type CResult<T> = Result<T, Bail>;
+type CResult<T> = Result<T, SqlError>;
 
 /// Static type of a compiled expression: `X` means "a value of variant `X`
 /// or NULL at runtime"; `Null` means always NULL; `Any` means unknown.
@@ -135,9 +137,6 @@ impl STy {
 struct Info {
     /// Resolved column references as (absolute scope index, source index).
     refs: BTreeSet<(usize, usize)>,
-    /// Whether the expression may reference anything (an `Interp` subplan
-    /// whose references are unknown).
-    refs_all: bool,
     /// Static result type.
     ty: STy,
     /// Whether evaluation can never raise an error.
@@ -148,7 +147,6 @@ impl Info {
     fn constant(ty: STy) -> Info {
         Info {
             refs: BTreeSet::new(),
-            refs_all: false,
             ty,
             infallible: true,
         }
@@ -158,7 +156,6 @@ impl Info {
     /// the caller).
     fn absorb(&mut self, other: &Info) {
         self.refs.extend(other.refs.iter().copied());
-        self.refs_all |= other.refs_all;
         self.infallible &= other.infallible;
     }
 }
@@ -167,11 +164,11 @@ struct Compiler<'c> {
     catalog: &'c Catalog,
     rule_table: Option<&'c str>,
     /// The validator's scope stack, mirroring the evaluator's frame stack:
-    /// a name it cannot resolve bails to the interpreter.
+    /// a name it cannot resolve is refused with the validator's error.
     scope: Scope<'c>,
     /// Subquery cache slots allocated so far in the current unit.
     caches: usize,
-    /// Empty database for constant folding via the interpreter.
+    /// Empty database for constant folding.
     scratch: Database,
 }
 
@@ -186,19 +183,22 @@ impl<'c> Compiler<'c> {
         }
     }
 
-    /// Tries to fold a node whose operands are all constants by evaluating
-    /// the equivalent literal AST with the interpreter. Nodes that error at
-    /// compile time are kept unfolded so the error still surfaces (in the
-    /// same place) at runtime.
-    fn fold(&self, synth: Expr, unfolded: PExpr) -> (PExpr, Option<Value>) {
-        let ctx = EvalCtx {
-            db: &self.scratch,
-            transitions: None,
+    /// Folds an operator node whose operands are all constants by
+    /// evaluating it. A node that errors is kept unfolded, so the error
+    /// still surfaces (in the same place) at runtime.
+    fn fold(&self, node: PExpr, info: Info) -> (PExpr, Info) {
+        let is_const = |x: &PExpr| matches!(x, PExpr::Const(_));
+        let constant = match &node {
+            PExpr::Neg(x) | PExpr::Not(x) => is_const(x),
+            PExpr::Binary { lhs, rhs, .. } => is_const(lhs) && is_const(rhs),
+            _ => false,
         };
-        let mut env = Env::new(&ctx);
-        match eval_expr(&synth, &mut env) {
-            Ok(v) => (PExpr::Const(v.clone()), Some(v)),
-            Err(_) => (unfolded, None),
+        match constant.then(|| eval_const(&node, &self.scratch)) {
+            Some(Ok(v)) => {
+                let ty = STy::of_value(&v);
+                (PExpr::Const(v), Info::constant(ty))
+            }
+            _ => (node, info),
         }
     }
 
@@ -206,8 +206,11 @@ impl<'c> Compiler<'c> {
         match e {
             Expr::Literal(v) => Ok((PExpr::Const(v.clone()), Info::constant(STy::of_value(v)))),
             Expr::Column(c) => {
-                let slot = self.scope.resolve(c).map_err(|_| Bail)?;
-                let mut info = Info::constant(STy::of_decl(self.slot_decl_ty(&slot).ok_or(Bail)?));
+                let slot = self.scope.resolve(c)?;
+                let ty = self
+                    .slot_decl_ty(&slot)
+                    .expect("a resolved slot has a type");
+                let mut info = Info::constant(STy::of_decl(ty));
                 let abs = self.scope.frame_count() - 1 - slot.depth;
                 info.refs.insert((abs, slot.source));
                 Ok((PExpr::Slot(slot), info))
@@ -225,30 +228,14 @@ impl<'c> Compiler<'c> {
                 info.absorb(&xi);
                 // Int negation can overflow; Float and Null cannot fail.
                 info.infallible &= matches!(xi.ty, STy::Float | STy::Null);
-                if let PExpr::Const(v) = &px {
-                    let synth = Expr::Neg(Box::new(Expr::Literal(v.clone())));
-                    let (folded, fv) = self.fold(synth, PExpr::Neg(Box::new(px.clone())));
-                    if let Some(v) = fv {
-                        return Ok((folded, Info::constant(STy::of_value(&v))));
-                    }
-                    return Ok((folded, info));
-                }
-                Ok((PExpr::Neg(Box::new(px)), info))
+                Ok(self.fold(PExpr::Neg(Box::new(px)), info))
             }
             Expr::Not(x) => {
                 let (px, xi) = self.compile_expr(x)?;
                 let mut info = Info::constant(STy::Bool);
                 info.absorb(&xi);
                 info.infallible &= xi.ty.boolish();
-                if let PExpr::Const(v) = &px {
-                    let synth = Expr::Not(Box::new(Expr::Literal(v.clone())));
-                    let (folded, fv) = self.fold(synth, PExpr::Not(Box::new(px.clone())));
-                    if let Some(v) = fv {
-                        return Ok((folded, Info::constant(STy::of_value(&v))));
-                    }
-                    return Ok((folded, info));
-                }
-                Ok((PExpr::Not(Box::new(px)), info))
+                Ok(self.fold(PExpr::Not(Box::new(px)), info))
             }
             Expr::IsNull { expr, negated } => {
                 let (px, xi) = self.compile_expr(expr)?;
@@ -298,13 +285,12 @@ impl<'c> Compiler<'c> {
                 negated,
             } => {
                 let (pe, ei) = self.compile_expr(expr)?;
-                let (plan, tys, si) = self.compile_subquery(select);
+                let (plan, tys, si) = self.compile_select_inner(select)?;
                 let cache = self.alloc_cache(&si);
                 let mut info = Info::constant(STy::Bool);
                 info.absorb(&ei);
                 info.absorb(&si);
-                info.infallible &=
-                    tys.len() == 1 && ei.ty.comparable(tys[0]) && compiled_infallible(&plan);
+                info.infallible &= tys.len() == 1 && ei.ty.comparable(tys[0]) && plan.infallible;
                 Ok((
                     PExpr::InSelect {
                         expr: Box::new(pe),
@@ -361,11 +347,11 @@ impl<'c> Compiler<'c> {
                 ))
             }
             Expr::Exists(select) => {
-                let (plan, _, si) = self.compile_subquery(select);
+                let (plan, _, si) = self.compile_select_inner(select)?;
                 let cache = self.alloc_cache(&si);
                 let mut info = Info::constant(STy::Bool);
                 info.absorb(&si);
-                info.infallible &= compiled_infallible(&plan);
+                info.infallible &= plan.infallible;
                 Ok((
                     PExpr::Exists {
                         select: Box::new(plan),
@@ -375,7 +361,7 @@ impl<'c> Compiler<'c> {
                 ))
             }
             Expr::ScalarSubquery(select) => {
-                let (plan, tys, si) = self.compile_subquery(select);
+                let (plan, tys, si) = self.compile_select_inner(select)?;
                 let cache = self.alloc_cache(&si);
                 let mut info = Info::constant(tys.first().copied().unwrap_or(STy::Any));
                 info.absorb(&si);
@@ -390,7 +376,10 @@ impl<'c> Compiler<'c> {
                     info,
                 ))
             }
-            Expr::Aggregate { .. } => Err(Bail),
+            // A grouped select's clauses lower through `compile_grouped`.
+            Expr::Aggregate { .. } => Err(SqlError::validate(
+                "aggregate is only allowed in a select list",
+            )),
         }
     }
 
@@ -428,34 +417,19 @@ impl<'c> Compiler<'c> {
             false
         };
 
-        if let (PExpr::Const(a), PExpr::Const(b)) = (&pl, &pr) {
-            let synth = Expr::bin(op, Expr::Literal(a.clone()), Expr::Literal(b.clone()));
-            let unfolded = PExpr::Binary {
-                op,
-                lhs: Box::new(pl.clone()),
-                rhs: Box::new(pr.clone()),
-            };
-            let (folded, fv) = self.fold(synth, unfolded);
-            if let Some(v) = fv {
-                return Ok((folded, Info::constant(STy::of_value(&v))));
-            }
-            return Ok((folded, info));
-        }
-        Ok((
-            PExpr::Binary {
-                op,
-                lhs: Box::new(pl),
-                rhs: Box::new(pr),
-            },
-            info,
-        ))
+        let node = PExpr::Binary {
+            op,
+            lhs: Box::new(pl),
+            rhs: Box::new(pr),
+        };
+        Ok(self.fold(node, info))
     }
 
     /// Allocates a cache slot for a subquery that cannot observe any
     /// enclosing row scope (its result is fixed for a whole statement
     /// execution).
     fn alloc_cache(&mut self, si: &Info) -> Option<usize> {
-        if si.refs.is_empty() && !si.refs_all {
+        if si.refs.is_empty() {
             let slot = self.caches;
             self.caches += 1;
             Some(slot)
@@ -464,53 +438,18 @@ impl<'c> Compiler<'c> {
         }
     }
 
-    /// Compiles a subquery, falling back to `Interp` on `Bail`. Returns the
-    /// plan, the static types of its output columns (empty for `Interp`),
-    /// and an `Info` describing references to *enclosing* scopes.
-    fn compile_subquery(&mut self, s: &SelectStmt) -> (SelectPlan, Vec<STy>, Info) {
-        match self.compile_select_inner(s) {
-            Ok((cs, tys, info)) => (SelectPlan::Compiled(cs), tys, info),
-            Err(Bail) => {
-                // The interpreter resolves names dynamically, so an Interp
-                // subplan may reference anything and fail in any way.
-                let info = Info {
-                    refs: BTreeSet::new(),
-                    refs_all: true,
-                    ty: STy::Any,
-                    infallible: false,
-                };
-                (SelectPlan::Interp(s.clone()), Vec::new(), info)
-            }
-        }
-    }
-
-    fn compile_select_inner(
-        &mut self,
-        s: &SelectStmt,
-    ) -> CResult<(CompiledSelect, Vec<STy>, Info)> {
-        // Grouped and aggregate selects keep the interpreter's dedicated
-        // machinery.
-        let aggregated = s.items.iter().any(|i| match i {
-            SelectItem::Expr { expr, .. } => contains_aggregate(expr),
-            SelectItem::Wildcard => false,
-        });
-        if aggregated
-            || !s.group_by.is_empty()
-            || s.having.is_some()
-            || s.order_by.iter().any(|o| contains_aggregate(&o.expr))
-        {
-            return Err(Bail);
-        }
-
-        self.scope.push_from(&s.from).map_err(|_| Bail)?;
+    /// Compiles a select. Returns the plan, the static types of its output
+    /// columns, and an `Info` describing references to *enclosing* scopes.
+    fn compile_select_inner(&mut self, s: &SelectStmt) -> CResult<(SelectPlan, Vec<STy>, Info)> {
+        self.scope.push_from(&s.from)?;
         let my_abs = self.scope.frame_count() - 1;
         let body = self.compile_select_body(s, my_abs);
         self.scope.pop();
-        let (cs, tys, mut info) = body?;
+        let (plan, tys, mut info) = body?;
         // References to this select's own scope are satisfied internally;
         // only outer references propagate.
         info.refs.retain(|(abs, _)| *abs < my_abs);
-        Ok((cs, tys, info))
+        Ok((plan, tys, info))
     }
 
     /// The scoped part of select compilation (the caller pushes the
@@ -519,8 +458,7 @@ impl<'c> Compiler<'c> {
         &mut self,
         s: &SelectStmt,
         my_abs: usize,
-    ) -> CResult<(CompiledSelect, Vec<STy>, Info)> {
-        let metas = self.scope.innermost().to_vec();
+    ) -> CResult<(SelectPlan, Vec<STy>, Info)> {
         let mut sources: Vec<SourcePlan> = s
             .from
             .iter()
@@ -541,8 +479,8 @@ impl<'c> Compiler<'c> {
         for (i, item) in s.items.iter().enumerate() {
             match item {
                 SelectItem::Wildcard => {
-                    for m in &metas {
-                        let schema = self.catalog.table(&m.table).map_err(|_| Bail)?;
+                    for b in self.scope.innermost() {
+                        let schema = self.catalog.table(&b.table)?;
                         columns.extend(schema.column_names().map(str::to_owned));
                     }
                 }
@@ -557,15 +495,23 @@ impl<'c> Compiler<'c> {
         }
 
         let mut info = Info::constant(STy::Any);
+        let grouped = is_grouped(s);
+        // A grouped select's aggregates, in order of appearance.
+        let mut aggs = Vec::new();
 
         // Projection, with wildcards pre-expanded into slots.
         let mut proj = Vec::new();
         let mut tys = Vec::new();
         for item in &s.items {
             match item {
+                SelectItem::Wildcard if grouped => return Err(grouped_wildcard()),
+                SelectItem::Expr { expr, .. } if grouped => {
+                    proj.push(self.compile_grouped(expr, &s.group_by, &mut aggs, &mut info)?);
+                    tys.push(STy::Any);
+                }
                 SelectItem::Wildcard => {
-                    for (si, m) in metas.iter().enumerate() {
-                        let schema = self.catalog.table(&m.table).map_err(|_| Bail)?;
+                    for (si, b) in self.scope.innermost().iter().enumerate() {
+                        let schema = self.catalog.table(&b.table)?;
                         for col in 0..schema.arity() {
                             proj.push(PExpr::Slot(Slot {
                                 depth: 0,
@@ -656,30 +602,107 @@ impl<'c> Compiler<'c> {
 
         let mut order_by = Vec::with_capacity(s.order_by.len());
         for o in &s.order_by {
-            let (pe, ei) = self.compile_expr(&o.expr)?;
-            info.absorb(&ei);
+            let pe = if grouped {
+                self.compile_grouped(&o.expr, &s.group_by, &mut aggs, &mut info)?
+            } else {
+                let (pe, ei) = self.compile_expr(&o.expr)?;
+                info.absorb(&ei);
+                pe
+            };
             order_by.push((pe, o.desc));
         }
+        let mut group = None;
+        if grouped {
+            let having = s.having.as_ref();
+            let having = having.map(|h| self.compile_grouped(h, &s.group_by, &mut aggs, &mut info));
+            let mut keys = Vec::with_capacity(s.group_by.len());
+            for k in &s.group_by {
+                let (pk, ki) = self.compile_expr(k)?;
+                info.absorb(&ki);
+                keys.push(pk);
+            }
+            group = Some(GroupPlan {
+                keys,
+                aggs,
+                having: having.transpose()?,
+            });
+        }
 
-        let cs = CompiledSelect {
+        let plan = SelectPlan {
             sources,
-            metas,
             pre,
             filter,
+            group,
             proj,
             distinct: s.distinct,
             order_by,
             columns,
-            infallible: info.infallible,
+            // A grouped select's rows exist only once its enumeration has
+            // ended: it never takes the `EXISTS` exit.
+            infallible: info.infallible && !grouped,
         };
-        Ok((cs, tys, info))
+        Ok((plan, tys, info))
+    }
+
+    /// Lowers a grouped select's item, `HAVING` or `ORDER BY` key onto its
+    /// group frame ([`GroupPlan`]): a `GROUP BY` key reads its column, an
+    /// aggregate a new one (pushed to `aggs`, its argument compiled under
+    /// the select's frame).
+    fn compile_grouped(
+        &mut self,
+        e: &Expr,
+        group_by: &[Expr],
+        aggs: &mut Vec<(Aggregate, Option<PExpr>)>,
+        info: &mut Info,
+    ) -> CResult<PExpr> {
+        let column = |col| {
+            PExpr::Slot(Slot {
+                depth: 0,
+                source: 0,
+                col,
+            })
+        };
+        if let Some(i) = group_by.iter().position(|k| k == e) {
+            return Ok(column(i));
+        }
+        if let Some(err) = not_grouped(e) {
+            return Err(err);
+        }
+        let mut lower = |x| self.compile_grouped(x, group_by, aggs, info).map(Box::new);
+        Ok(match e {
+            Expr::Binary { op, lhs, rhs } => PExpr::Binary {
+                op: *op,
+                lhs: lower(lhs)?,
+                rhs: lower(rhs)?,
+            },
+            Expr::Neg(x) => PExpr::Neg(lower(x)?),
+            Expr::Not(x) => PExpr::Not(lower(x)?),
+            Expr::IsNull { expr, negated } => PExpr::IsNull {
+                expr: lower(expr)?,
+                negated: *negated,
+            },
+            Expr::Aggregate { func, arg } => {
+                let arg = match arg.as_deref() {
+                    Some(x) => {
+                        let (px, xi) = self.compile_expr(x)?;
+                        info.absorb(&xi);
+                        Some(px)
+                    }
+                    None => None,
+                };
+                aggs.push((*func, arg));
+                column(group_by.len() + aggs.len() - 1)
+            }
+            Expr::Literal(v) => PExpr::Const(v.clone()),
+            _ => unreachable!("`not_grouped` refuses the rest"),
+        })
     }
 
     fn compile_action_inner(&mut self, a: &Action) -> CResult<ActionPlan> {
         match a {
             Action::Rollback => Ok(ActionPlan::Rollback),
             Action::Select(s) => {
-                let (plan, _, _) = self.compile_subquery(s);
+                let (plan, _, _) = self.compile_select_inner(s)?;
                 Ok(ActionPlan::Select {
                     plan,
                     cache_slots: self.caches,
@@ -698,16 +721,18 @@ impl<'c> Compiler<'c> {
                         }
                         InsertSourcePlan::Values(out)
                     }
-                    InsertSource::Select(s) => InsertSourcePlan::Select(self.compile_subquery(s).0),
+                    InsertSource::Select(s) => {
+                        InsertSourcePlan::Select(Box::new(self.compile_select_inner(s)?.0))
+                    }
                 };
-                let schema = self.catalog.table(&stmt.table).map_err(|_| Bail)?;
+                let schema = self.catalog.table(&stmt.table)?;
                 let arity = schema.arity();
                 let col_map = match &stmt.columns {
                     None => None,
                     Some(cols) => {
                         let mut indices = Vec::with_capacity(cols.len());
                         for c in cols {
-                            indices.push(schema.column_index(c).ok_or(Bail)?);
+                            indices.push(target_column(schema, "insert", c)?);
                         }
                         Some(indices)
                     }
@@ -721,45 +746,35 @@ impl<'c> Compiler<'c> {
                 }))
             }
             Action::Delete(stmt) => {
-                self.catalog.table(&stmt.table).map_err(|_| Bail)?;
-                let meta = SourceMeta {
-                    name: stmt.table.clone(),
-                    table: stmt.table.clone(),
-                };
+                self.catalog.table(&stmt.table)?;
                 let pred = stmt
                     .where_clause
                     .as_ref()
-                    .map(|w| self.compile_scan_pred(&meta, w))
+                    .map(|w| self.compile_scan_pred(&stmt.table, w))
                     .transpose()?;
                 Ok(ActionPlan::Delete(DeletePlan {
                     table: stmt.table.clone(),
-                    meta,
                     pred,
                     cache_slots: self.caches,
                 }))
             }
             Action::Update(stmt) => {
-                let schema = self.catalog.table(&stmt.table).map_err(|_| Bail)?;
+                let schema = self.catalog.table(&stmt.table)?;
                 let mut set_indices = Vec::with_capacity(stmt.sets.len());
                 for (c, _) in &stmt.sets {
-                    set_indices.push(schema.column_index(c).ok_or(Bail)?);
+                    set_indices.push(target_column(schema, "update", c)?);
                 }
-                let meta = SourceMeta {
-                    name: stmt.table.clone(),
-                    table: stmt.table.clone(),
-                };
                 let pred = stmt
                     .where_clause
                     .as_ref()
-                    .map(|w| self.compile_scan_pred(&meta, w))
+                    .map(|w| self.compile_scan_pred(&stmt.table, w))
                     .transpose()?;
                 let mut sets = Vec::with_capacity(stmt.sets.len());
                 for (_, e) in &stmt.sets {
-                    sets.push(self.compile_in_scope(&meta, e)?);
+                    sets.push(self.compile_in_scope(&stmt.table, e)?);
                 }
                 Ok(ActionPlan::Update(UpdatePlan {
                     table: stmt.table.clone(),
-                    meta: meta.clone(),
                     set_indices,
                     set_cols: stmt.sets.iter().map(|(c, _)| c.clone()).collect(),
                     sets,
@@ -773,8 +788,8 @@ impl<'c> Compiler<'c> {
     /// Compiles an expression under a single-source scan scope (DELETE and
     /// UPDATE bind the target table's row exactly like the interpreter's
     /// `matching_tuples`).
-    fn compile_in_scope(&mut self, meta: &SourceMeta, e: &Expr) -> CResult<PExpr> {
-        self.scope.push_table(&meta.table).map_err(|_| Bail)?;
+    fn compile_in_scope(&mut self, table: &str, e: &Expr) -> CResult<PExpr> {
+        self.scope.push_table(table)?;
         let r = self.compile_expr(e);
         self.scope.pop();
         r.map(|(pe, _)| pe)
@@ -788,8 +803,8 @@ impl<'c> Compiler<'c> {
     /// structural `vec_safe_pred` check. A rule's vectorizable predicate
     /// also gets its selection's memo key (a rule's only: the memo never
     /// evicts, see [`super::SourcePlan::vkey`]).
-    fn compile_scan_pred(&mut self, meta: &SourceMeta, e: &Expr) -> CResult<ScanPred> {
-        self.scope.push_table(&meta.table).map_err(|_| Bail)?;
+    fn compile_scan_pred(&mut self, table: &str, e: &Expr) -> CResult<ScanPred> {
+        self.scope.push_table(table)?;
         let r = self.compile_expr(e);
         let out = r.map(|(pred, info)| {
             let vec = info.infallible && info.ty.boolish() && self.vec_safe_pred(&pred, 0);
@@ -939,10 +954,6 @@ fn arith_ty(a: STy, b: STy) -> STy {
     }
 }
 
-fn compiled_infallible(p: &SelectPlan) -> bool {
-    matches!(p, SelectPlan::Compiled(cs) if cs.infallible)
-}
-
 #[cfg(test)]
 mod tests {
     use starling_storage::{ColumnDef, SelectionKey, TableSchema};
@@ -969,9 +980,7 @@ mod tests {
     fn keys(e: &PExpr, out: &mut Vec<Option<SelectionKey>>) {
         match e {
             PExpr::Exists { select, .. } => {
-                if let SelectPlan::Compiled(cs) = select.as_ref() {
-                    out.extend(cs.sources.iter().map(|s| s.vkey.clone()));
-                }
+                out.extend(select.sources.iter().map(|s| s.vkey.clone()));
             }
             PExpr::Binary { lhs, rhs, .. } => {
                 keys(lhs, out);
@@ -983,9 +992,7 @@ mod tests {
 
     fn condition_keys(cond: &str) -> Vec<Option<SelectionKey>> {
         let e = parse_expr(cond).unwrap();
-        let CondPlan::Compiled { pred, .. } = compile_condition(&e, &catalog(), Some("evt")) else {
-            panic!("{cond} did not compile");
-        };
+        let CondPlan { pred, .. } = compile_condition(&e, &catalog(), Some("evt")).unwrap();
         let mut out = Vec::new();
         keys(&pred, &mut out);
         out
@@ -995,7 +1002,7 @@ mod tests {
         let Statement::Dml(a) = parse_statement(sql).unwrap() else {
             panic!("not DML: {sql}");
         };
-        match compile_action(&a, &catalog(), rule_table) {
+        match compile_action(&a, &catalog(), rule_table).unwrap() {
             ActionPlan::Update(UpdatePlan { pred, .. })
             | ActionPlan::Delete(DeletePlan { pred, .. }) => pred.expect("a WHERE"),
             other => panic!("{sql}: {other:?}"),
@@ -1043,9 +1050,7 @@ mod tests {
         else {
             unreachable!()
         };
-        let (SelectPlan::Compiled(cs), _) = compile_select(&s, &catalog(), None) else {
-            panic!("did not compile");
-        };
+        let (cs, _) = compile_select(&s, &catalog(), None).unwrap();
         assert!(!cs.sources[0].vpushed.is_empty());
         assert!(cs.sources[0].vkey.is_none());
     }

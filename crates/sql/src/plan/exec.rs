@@ -1,11 +1,11 @@
 //! Plan execution over borrowed storage rows and columnar batches.
 //!
-//! The executor keeps a stack of row frames exactly like the interpreter's
-//! [`Env`], but frames hold *borrowed* bindings ([`Bound`]: a `&Row`, or a
-//! position in one of a table's cached chunk batches) instead of cloned
-//! rows, and column access is positional. `Interp` fallback nodes rebuild an
-//! interpreter environment from the current frames, so mixed plans still
-//! agree with pure interpretation.
+//! The executor keeps a stack of row frames like the interpreter's
+//! environment, but frames hold *borrowed* bindings ([`Bound`]: a `&Row`,
+//! or a position in one of a table's cached chunk batches) instead of
+//! cloned rows, and column access is positional. It shares the
+//! interpreter's value-level primitives (3VL, comparison, arithmetic, the
+//! aggregate fold) and nothing else: no plan node runs the interpreter.
 //!
 //! In [`PlanMode::Columnar`], base-table scans borrow the table's cached
 //! [`TableBatch`]es — one per storage chunk, in chunk (= id) order — and
@@ -22,8 +22,8 @@
 //! ([`TableBatch::selection`]): a chunk version's selection under one
 //! predicate is computed once, however many states, considerations and
 //! explorations share the chunk. Everything not vectorizable (residual
-//! conjuncts, transition tables, fallible filters, `Interp` nodes)
-//! executes exactly as in [`PlanMode::Row`].
+//! conjuncts, transition tables, fallible filters, grouping) executes
+//! exactly as in [`PlanMode::Row`].
 
 use std::cell::OnceCell;
 use std::cmp::Ordering;
@@ -34,18 +34,17 @@ use starling_storage::{Bitmap, Database, Row, Selection, TableBatch, TupleId, Va
 
 use crate::ast::BinOp;
 use crate::error::SqlError;
-use crate::eval::dml::exec_action;
-use crate::eval::env::{Env, EvalCtx, RowBinding, TransitionBinding};
+use crate::eval::env::TransitionBinding;
 use crate::eval::expr::{
-    and3, arith, cmp_bool, compare_values, eval_bool, in_result, is_true, like_values, neg_value,
-    not3, sql_eq,
+    and3, arith, cmp_bool, compare_values, in_result, is_true, like_values, neg_value, not3, or3,
+    sql_eq,
 };
-use crate::eval::select::eval_select;
+use crate::eval::select::aggregate;
 use crate::eval::{ActionOutcome, ResultSet, TupleOp};
 
 use super::{
-    vector, ActionPlan, CompiledSelect, CondPlan, DeletePlan, InsertPlan, InsertSourcePlan, PExpr,
-    PlanMode, ScanPred, SelectPlan, SourceMeta, SourcePlan, SourceRef, UpdatePlan,
+    vector, ActionPlan, CondPlan, DeletePlan, GroupPlan, InsertPlan, InsertSourcePlan, PExpr,
+    PlanMode, ScanPred, SelectPlan, SourcePlan, SourceRef, UpdatePlan,
 };
 
 /// Evaluates a compiled rule condition (3VL result, like `eval_bool`).
@@ -55,17 +54,12 @@ pub fn eval_condition(
     transitions: Option<&TransitionBinding>,
     mode: PlanMode,
 ) -> Result<Value, SqlError> {
-    match plan {
-        CondPlan::Interp(e) => {
-            let ctx = EvalCtx { db, transitions };
-            let mut env = Env::new(&ctx);
-            eval_bool(e, &mut env)
-        }
-        CondPlan::Compiled { pred, cache_slots } => {
-            let mut ex = Exec::new(db, transitions, *cache_slots, mode);
-            ex.eval_bool_p(pred)
-        }
-    }
+    Exec::new(db, transitions, plan.cache_slots, mode).eval_bool_p(&plan.pred)
+}
+
+/// Evaluates an expression that reads no row (for constant folding).
+pub(super) fn eval_const(e: &PExpr, db: &Database) -> Result<Value, SqlError> {
+    Exec::new(db, None, 0, PlanMode::Row).eval(e)
 }
 
 /// Executes a select plan from an empty row scope.
@@ -76,8 +70,7 @@ pub fn execute_select(
     transitions: Option<&TransitionBinding>,
     mode: PlanMode,
 ) -> Result<ResultSet, SqlError> {
-    let mut ex = Exec::new(db, transitions, cache_slots, mode);
-    ex.run_select_plan(plan)
+    Exec::new(db, transitions, cache_slots, mode).select(plan)
 }
 
 /// Executes a compiled action statement, mirroring
@@ -90,11 +83,10 @@ pub fn execute_action(
     mode: PlanMode,
 ) -> Result<ActionOutcome, SqlError> {
     match plan {
-        ActionPlan::Interp(a) => exec_action(a, db, transitions),
         ActionPlan::Rollback => Ok(ActionOutcome::Rollback),
         ActionPlan::Select { plan, cache_slots } => {
             let mut ex = Exec::new(db, transitions, *cache_slots, mode);
-            ex.run_select_plan(plan).map(ActionOutcome::Rows)
+            ex.select(plan).map(ActionOutcome::Rows)
         }
         ActionPlan::Insert(ip) => exec_insert_plan(ip, db, transitions, mode),
         ActionPlan::Delete(dp) => exec_delete_plan(dp, db, transitions, mode),
@@ -123,7 +115,7 @@ fn exec_insert_plan(
                 }
                 out
             }
-            InsertSourcePlan::Select(sp) => ex.run_select_plan(sp)?.rows,
+            InsertSourcePlan::Select(sp) => ex.select(sp)?.rows,
         }
     };
     let full_rows: Vec<Row> = match &ip.col_map {
@@ -163,7 +155,7 @@ fn exec_delete_plan(
     let victims: Vec<TupleId> = scan_matching(
         db,
         transitions,
-        &dp.meta,
+        &dp.table,
         dp.pred.as_ref(),
         dp.cache_slots,
         mode,
@@ -195,19 +187,16 @@ fn exec_update_plan(
         let targets = scan_matching(
             db,
             transitions,
-            &up.meta,
+            &up.table,
             up.pred.as_ref(),
             up.cache_slots,
             mode,
         )?;
         planned.reserve(targets.len());
         let mut ex = Exec::new(&*db, transitions, up.cache_slots, mode);
-        ex.scopes.push(Frame {
-            metas: std::slice::from_ref(&up.meta),
-            rows: vec![None],
-        });
+        ex.scopes.push(vec![None]);
         for (id, old) in targets {
-            ex.scopes[0].rows[0] = Some(old);
+            ex.scopes[0][0] = Some(old);
             let mut new = old.to_row();
             for (idx, pe) in up.set_indices.iter().zip(&up.sets) {
                 new[*idx] = ex.eval(pe)?;
@@ -243,12 +232,12 @@ fn exec_update_plan(
 fn scan_matching<'a>(
     db: &'a Database,
     transitions: Option<&'a TransitionBinding>,
-    meta: &SourceMeta,
+    table: &str,
     pred: Option<&ScanPred>,
     cache_slots: usize,
     mode: PlanMode,
 ) -> Result<Vec<(TupleId, Bound<'a>)>, SqlError> {
-    let tbl = db.table(&meta.table)?;
+    let tbl = db.table(table)?;
     let Some(sp) = pred else {
         return Ok(tbl.iter().map(|(id, r)| (id, Bound::Row(r))).collect());
     };
@@ -267,12 +256,9 @@ fn scan_matching<'a>(
     let p = &sp.pred;
     // One frame for the whole scan, rebound row by row.
     let mut ex = Exec::new(db, transitions, cache_slots, mode);
-    ex.scopes.push(Frame {
-        metas: std::slice::from_ref(meta),
-        rows: vec![None],
-    });
+    ex.scopes.push(vec![None]);
     for (id, row) in tbl.iter() {
-        ex.scopes[0].rows[0] = Some(Bound::Row(row));
+        ex.scopes[0][0] = Some(Bound::Row(row));
         if is_true(&ex.eval_bool_p(p)?) {
             out.push((id, Bound::Row(row)));
         }
@@ -282,7 +268,7 @@ fn scan_matching<'a>(
 
 /// One bound source row: a borrowed `Row`, or a position in a borrowed
 /// chunk batch (column access materializes single values on demand;
-/// whole rows materialize only at `Interp` fallbacks and DML boundaries).
+/// whole rows materialize only at DML boundaries).
 #[derive(Clone, Copy)]
 enum Bound<'a> {
     Row(&'a Row),
@@ -299,7 +285,7 @@ impl Bound<'_> {
         }
     }
 
-    /// The full row (for interpreter fallbacks).
+    /// The full row (an `UPDATE`'s new row starts as a copy of the old).
     fn to_row(self) -> Row {
         match self {
             Bound::Row(r) => r.clone(),
@@ -339,13 +325,13 @@ fn chunk_selection<'s>(
     Ok(cell.get().map(|s| &**s))
 }
 
-/// One frame of bound source rows. `rows[i]` is `None` until the
-/// enumerator binds source `i` (plan resolution guarantees no expression
-/// reads an unbound slot).
-struct Frame<'a, 'p> {
-    metas: &'p [SourceMeta],
-    rows: Vec<Option<Bound<'a>>>,
-}
+/// One frame of bound source rows. Source `i` is `None` until the
+/// enumerator binds it (plan resolution guarantees no expression reads an
+/// unbound slot).
+type Frame<'a> = Vec<Option<Bound<'a>>>;
+
+/// A group's row: its keys, then its aggregates' values or errors.
+type GroupRow = [Result<Value, SqlError>];
 
 /// Cached result of an uncorrelated subquery, fixed for one statement
 /// execution.
@@ -359,15 +345,15 @@ enum Cached {
 
 /// The plan executor: database, transition binding, frame stack, and
 /// subquery caches.
-struct Exec<'a, 'p> {
+struct Exec<'a> {
     db: &'a Database,
     transitions: Option<&'a TransitionBinding>,
-    scopes: Vec<Frame<'a, 'p>>,
+    scopes: Vec<Frame<'a>>,
     caches: Vec<Option<Cached>>,
     mode: PlanMode,
 }
 
-impl<'a, 'p> Exec<'a, 'p> {
+impl<'a> Exec<'a> {
     fn new(
         db: &'a Database,
         transitions: Option<&'a TransitionBinding>,
@@ -385,7 +371,7 @@ impl<'a, 'p> Exec<'a, 'p> {
 
     /// Mirrors `eval_expr` over compiled nodes, delegating to the shared
     /// 3VL primitives so semantics cannot drift.
-    fn eval(&mut self, e: &'p PExpr) -> Result<Value, SqlError> {
+    fn eval(&mut self, e: &PExpr) -> Result<Value, SqlError> {
         match e {
             PExpr::Const(v) => Ok(v.clone()),
             PExpr::Slot(s) => {
@@ -396,7 +382,6 @@ impl<'a, 'p> Exec<'a, 'p> {
                     .checked_sub(1 + s.depth)
                     .ok_or_else(unbound)?;
                 let bound = self.scopes[fi]
-                    .rows
                     .get(s.source)
                     .copied()
                     .flatten()
@@ -419,7 +404,7 @@ impl<'a, 'p> Exec<'a, 'p> {
                         return Ok(Value::Bool(true));
                     }
                     let r = self.eval_bool_p(rhs)?;
-                    Ok(or3_like(l, r))
+                    Ok(or3(l, r))
                 }
                 op if op.is_comparison() => {
                     let l = self.eval(lhs)?;
@@ -520,7 +505,7 @@ impl<'a, 'p> Exec<'a, 'p> {
     }
 
     /// Mirrors `eval_bool`: the result must be boolean-valued (3VL).
-    fn eval_bool_p(&mut self, e: &'p PExpr) -> Result<Value, SqlError> {
+    fn eval_bool_p(&mut self, e: &PExpr) -> Result<Value, SqlError> {
         match self.eval(e)? {
             v @ (Value::Bool(_) | Value::Null) => Ok(v),
             v => Err(SqlError::eval(format!("expected boolean, got {v}"))),
@@ -529,7 +514,7 @@ impl<'a, 'p> Exec<'a, 'p> {
 
     /// `EXISTS` with cache and (for infallible compiled subplans) early
     /// exit at the first matching row.
-    fn exists(&mut self, plan: &'p SelectPlan, cache: Option<usize>) -> Result<bool, SqlError> {
+    fn exists(&mut self, plan: &SelectPlan, cache: Option<usize>) -> Result<bool, SqlError> {
         if let Some(slot) = cache {
             match &self.caches[slot] {
                 Some(Cached::Bool(b)) => return Ok(*b),
@@ -537,18 +522,17 @@ impl<'a, 'p> Exec<'a, 'p> {
                 None => {}
             }
         }
-        let found = match plan {
-            SelectPlan::Compiled(cs) if cs.infallible => {
-                let mut found = false;
-                self.exec_compiled(cs, &mut |_| {
-                    found = true;
-                    Ok(true)
-                })?;
-                found
-            }
+        let found = if plan.infallible {
+            let mut found = false;
+            self.exec_compiled(plan, &mut |_| {
+                found = true;
+                Ok(true)
+            })?;
+            found
+        } else {
             // Fallible subqueries are fully materialized so errors surface
             // exactly as under interpretation.
-            _ => !self.select_rows(plan, cache)?.is_empty(),
+            !self.select_rows(plan, cache)?.is_empty()
         };
         if let Some(slot) = cache {
             if self.caches[slot].is_none() {
@@ -561,7 +545,7 @@ impl<'a, 'p> Exec<'a, 'p> {
     /// Materialized rows of a subquery, with caching for uncorrelated ones.
     fn select_rows(
         &mut self,
-        plan: &'p SelectPlan,
+        plan: &SelectPlan,
         cache: Option<usize>,
     ) -> Result<Rc<Vec<Row>>, SqlError> {
         if let Some(slot) = cache {
@@ -569,7 +553,7 @@ impl<'a, 'p> Exec<'a, 'p> {
                 return Ok(Rc::clone(r));
             }
         }
-        let rs = self.run_select_plan(plan)?;
+        let rs = self.select(plan)?;
         let rc = Rc::new(rs.rows);
         if let Some(slot) = cache {
             self.caches[slot] = Some(Cached::Rows(Rc::clone(&rc)));
@@ -577,55 +561,29 @@ impl<'a, 'p> Exec<'a, 'p> {
         Ok(rc)
     }
 
-    /// Runs a select plan to a full result set.
-    fn run_select_plan(&mut self, plan: &'p SelectPlan) -> Result<ResultSet, SqlError> {
-        match plan {
-            SelectPlan::Compiled(cs) => self.exec_select_result(cs),
-            SelectPlan::Interp(stmt) => {
-                // Rebuild the interpreter environment from the current
-                // frames (outermost first), cloning only the bound rows.
-                let ctx = EvalCtx {
-                    db: self.db,
-                    transitions: self.transitions,
-                };
-                let mut env = Env::new(&ctx);
-                for frame in &self.scopes {
-                    let bindings: Vec<RowBinding> = frame
-                        .metas
-                        .iter()
-                        .zip(&frame.rows)
-                        .filter_map(|(m, r)| {
-                            r.map(|bound| RowBinding {
-                                name: m.name.clone(),
-                                table: m.table.clone(),
-                                row: bound.to_row(),
-                            })
-                        })
-                        .collect();
-                    env.push(bindings);
-                }
-                eval_select(stmt, &mut env)
+    /// Full pipeline: enumerate (and group), project, DISTINCT, ORDER BY.
+    fn select(&mut self, cs: &SelectPlan) -> Result<ResultSet, SqlError> {
+        let (mut rows, mut keys) = match &cs.group {
+            Some(g) => self.grouped_rows(cs, g)?,
+            None => {
+                let mut rows: Vec<Row> = Vec::new();
+                let mut keys: Vec<Vec<Value>> = Vec::new();
+                self.exec_compiled(cs, &mut |ex| {
+                    let mut row = Vec::with_capacity(cs.proj.len());
+                    for p in &cs.proj {
+                        row.push(ex.eval(p)?);
+                    }
+                    let mut k = Vec::with_capacity(cs.order_by.len());
+                    for (p, _) in &cs.order_by {
+                        k.push(ex.eval(p)?);
+                    }
+                    rows.push(row);
+                    keys.push(k);
+                    Ok(false)
+                })?;
+                (rows, keys)
             }
-        }
-    }
-
-    /// Full pipeline: enumerate, project, DISTINCT, ORDER BY.
-    fn exec_select_result(&mut self, cs: &'p CompiledSelect) -> Result<ResultSet, SqlError> {
-        let mut rows: Vec<Row> = Vec::new();
-        let mut keys: Vec<Vec<Value>> = Vec::new();
-        self.exec_compiled(cs, &mut |ex| {
-            let mut row = Vec::with_capacity(cs.proj.len());
-            for p in &cs.proj {
-                row.push(ex.eval(p)?);
-            }
-            let mut k = Vec::with_capacity(cs.order_by.len());
-            for (p, _) in &cs.order_by {
-                k.push(ex.eval(p)?);
-            }
-            rows.push(row);
-            keys.push(k);
-            Ok(false)
-        })?;
+        };
 
         if cs.distinct {
             let mut seen: BTreeSet<Row> = BTreeSet::new();
@@ -667,6 +625,90 @@ impl<'a, 'p> Exec<'a, 'p> {
         })
     }
 
+    /// A grouped select's rows and `ORDER BY` keys, one per group that
+    /// passes `HAVING`, in key order. As in the interpreter, a key's error
+    /// waits until the enumeration has ended without a `WHERE` error, and
+    /// an aggregate's until a clause of its group reads it.
+    fn grouped_rows(
+        &mut self,
+        cs: &SelectPlan,
+        g: &GroupPlan,
+    ) -> Result<(Vec<Row>, Vec<Vec<Value>>), SqlError> {
+        // Per group, per aggregate: its non-NULL argument values (a
+        // placeholder per row for `count(*)`), or its first argument error.
+        let fresh = || vec![Ok(Vec::new()); g.aggs.len()];
+        let mut groups = BTreeMap::new();
+        if g.keys.is_empty() {
+            groups.insert(Vec::new(), fresh());
+        }
+        let mut key_error = None;
+        self.exec_compiled(cs, &mut |ex| {
+            if key_error.is_none() {
+                match g.keys.iter().map(|k| ex.eval(k)).collect() {
+                    Ok(key) => {
+                        let args = groups.entry(key).or_insert_with(fresh);
+                        for (slot, (_, arg)) in args.iter_mut().zip(&g.aggs) {
+                            let Ok(values) = slot else { continue };
+                            match arg.as_ref().map_or(Ok(Value::Bool(true)), |x| ex.eval(x)) {
+                                Ok(Value::Null) => {}
+                                Ok(v) => values.push(v),
+                                Err(e) => *slot = Err(e),
+                            }
+                        }
+                    }
+                    Err(e) => key_error = Some(e),
+                }
+            }
+            Ok(false)
+        })?;
+        if let Some(e) = key_error {
+            return Err(e);
+        }
+        let (mut rows, mut keys) = (Vec::new(), Vec::new());
+        for (key, args) in groups {
+            let aggs = args.into_iter().zip(&g.aggs);
+            let aggs = aggs.map(|(values, (func, _))| aggregate(*func, &values?));
+            let frame: Vec<_> = key.into_iter().map(Ok).chain(aggs).collect();
+            let mut eval = |p| self.eval_grouped(p, &frame);
+            let having = g.having.as_ref().map(&mut eval).transpose()?;
+            if having.is_some_and(|v| !is_true(&v)) {
+                continue;
+            }
+            rows.push(cs.proj.iter().map(&mut eval).collect::<Result<_, _>>()?);
+            keys.push(
+                cs.order_by
+                    .iter()
+                    .map(|(p, _)| eval(p))
+                    .collect::<Result<_, _>>()?,
+            );
+        }
+        Ok((rows, keys))
+    }
+
+    /// Evaluates a grouped select's `HAVING`, item or `ORDER BY` key over a
+    /// group's row; an aggregate's error surfaces when it is read. Like
+    /// the interpreter, it evaluates every operand, `AND`/`OR`'s included,
+    /// before it applies the operator to their values.
+    fn eval_grouped(&mut self, e: &PExpr, row: &GroupRow) -> Result<Value, SqlError> {
+        let mut operand = |x| Ok::<_, SqlError>(Box::new(PExpr::Const(self.eval_grouped(x, row)?)));
+        let node = match e {
+            PExpr::Slot(s) => return row[s.col].clone(),
+            PExpr::Binary { op, lhs, rhs } => PExpr::Binary {
+                op: *op,
+                lhs: operand(lhs)?,
+                rhs: operand(rhs)?,
+            },
+            PExpr::Neg(x) => PExpr::Neg(operand(x)?),
+            PExpr::Not(x) => PExpr::Not(operand(x)?),
+            PExpr::IsNull { expr, negated } => PExpr::IsNull {
+                expr: operand(expr)?,
+                negated: *negated,
+            },
+            constant => return self.eval(constant),
+        };
+        self.eval(&node)
+    }
+
     /// Collects source rows (borrowed rows, or columnar batches whose
     /// selections are fetched chunk by chunk as the enumeration reaches
     /// them), pushes the frame, evaluates `pre` conjuncts once, and
@@ -674,7 +716,7 @@ impl<'a, 'p> Exec<'a, 'p> {
     /// and returns `true` to stop early.
     fn exec_compiled(
         &mut self,
-        cs: &'p CompiledSelect,
+        cs: &SelectPlan,
         on_leaf: &mut dyn FnMut(&mut Self) -> Result<bool, SqlError>,
     ) -> Result<(), SqlError> {
         let db = self.db;
@@ -706,10 +748,7 @@ impl<'a, 'p> Exec<'a, 'p> {
                 }
             }
         }
-        self.scopes.push(Frame {
-            metas: &cs.metas,
-            rows: vec![None; cs.sources.len()],
-        });
+        self.scopes.push(vec![None; cs.sources.len()]);
         let result = self.exec_enum(cs, &srcs, on_leaf);
         self.scopes.pop();
         result
@@ -717,7 +756,7 @@ impl<'a, 'p> Exec<'a, 'p> {
 
     fn exec_enum(
         &mut self,
-        cs: &'p CompiledSelect,
+        cs: &SelectPlan,
         srcs: &[Src<'a>],
         on_leaf: &mut dyn FnMut(&mut Self) -> Result<bool, SqlError>,
     ) -> Result<(), SqlError> {
@@ -734,7 +773,7 @@ impl<'a, 'p> Exec<'a, 'p> {
 
     fn enum_rec(
         &mut self,
-        cs: &'p CompiledSelect,
+        cs: &SelectPlan,
         srcs: &[Src<'a>],
         i: usize,
         on_leaf: &mut dyn FnMut(&mut Self) -> Result<bool, SqlError>,
@@ -841,14 +880,14 @@ impl<'a, 'p> Exec<'a, 'p> {
     /// sources (row mode, transition tables) check them per row here.
     fn bind_and_descend(
         &mut self,
-        cs: &'p CompiledSelect,
+        cs: &SelectPlan,
         srcs: &[Src<'a>],
         i: usize,
         bound: Bound<'a>,
         on_leaf: &mut dyn FnMut(&mut Self) -> Result<bool, SqlError>,
     ) -> Result<bool, SqlError> {
         let fi = self.scopes.len() - 1;
-        self.scopes[fi].rows[i] = Some(bound);
+        self.scopes[fi][i] = Some(bound);
         if matches!(bound, Bound::Row(_)) {
             for p in &cs.sources[i].vpushed {
                 if !is_true(&self.eval_bool_p(p)?) {
@@ -863,12 +902,6 @@ impl<'a, 'p> Exec<'a, 'p> {
         }
         self.enum_rec(cs, srcs, i + 1, on_leaf)
     }
-}
-
-/// Kleene OR (the `or3` primitive, aliased to keep the `eval` match arms
-/// symmetric with the interpreter's short-circuit structure).
-fn or3_like(a: Value, b: Value) -> Value {
-    crate::eval::expr::or3(a, b)
 }
 
 #[cfg(test)]
@@ -902,7 +935,7 @@ mod tests {
     }
 
     fn eval(db: &Database, cond: &str, mode: PlanMode) -> Value {
-        let plan = compile_condition(&parse_expr(cond).unwrap(), db.catalog(), Some("t"));
+        let plan = compile_condition(&parse_expr(cond).unwrap(), db.catalog(), Some("t")).unwrap();
         eval_condition(&plan, db, None, mode).unwrap()
     }
 
@@ -946,7 +979,7 @@ mod tests {
             ..TransitionBinding::empty("t")
         };
         let cond = "exists (select * from inserted i, t where t.k = i.k and t.v >= 0)";
-        let plan = compile_condition(&parse_expr(cond).unwrap(), db.catalog(), Some("t"));
+        let plan = compile_condition(&parse_expr(cond).unwrap(), db.catalog(), Some("t")).unwrap();
         for mode in [PlanMode::Row, PlanMode::Columnar] {
             let got = eval_condition(&plan, &db, Some(&binding), mode).unwrap();
             assert_eq!(got, Value::Bool(true), "{mode:?}");

@@ -12,7 +12,7 @@
 //! * constant subexpressions folded at compile time;
 //! * single-table predicates pushed into the owning scan ([`SourcePlan::
 //!   pushed`]), with conjuncts free of local references hoisted out of the
-//!   enumeration entirely ([`CompiledSelect::pre`]);
+//!   enumeration entirely ([`SelectPlan::pre`]);
 //! * equality joins executed by index lookup ([`JoinKey`]) instead of
 //!   nested-loop cross product;
 //! * execution over *borrowed* rows from storage (no per-source table
@@ -20,13 +20,15 @@
 //! * uncorrelated subqueries computed once per statement execution and
 //!   cached (`cache` slots).
 //!
-//! Compilation is **total**: anything outside the compilable subset
-//! (grouped/aggregate selects, unresolvable names, transition tables
-//! outside a rule) falls back to an `Interp` plan node that carries the
-//! original AST and delegates to [`crate::eval`] at execution time. The
-//! interpreter therefore stays the semantic oracle; the invariant —
-//! enforced by `tests/plan_props.rs` — is that a compiled plan and the
-//! interpreter produce identical results (or both fail) on every input.
+//! Compilation is **total on validated statements**: every construct the
+//! validator ([`crate::validate`]) accepts lowers to a plan, grouped and
+//! aggregate selects included, and no plan holds an AST. A statement that
+//! reaches the compiler unvalidated and names something it cannot bind is
+//! refused with the error the validator would report. The interpreter in
+//! [`crate::eval`] is not a production path: it is the semantic oracle,
+//! and the invariant — enforced by `tests/plan_props.rs` — is that a
+//! compiled plan and the interpreter produce identical results (or both
+//! fail) on every input.
 //!
 //! Predicate pushdown and conjunct reordering are only applied when *every*
 //! `WHERE` conjunct is statically infallible (cannot raise an evaluation
@@ -40,7 +42,7 @@ pub mod vector;
 
 use starling_storage::{SelectionKey, Value};
 
-use crate::ast::{Action, Expr, SelectStmt, TransitionTable};
+use crate::ast::{Aggregate, TransitionTable};
 
 pub use compile::{compile_action, compile_condition, compile_rule, compile_select};
 pub use exec::{eval_condition, execute_action, execute_select};
@@ -65,7 +67,7 @@ pub enum PlanMode {
     /// chunk's selection is computed when the enumeration first reaches
     /// it, so an `EXISTS` stops at the first matching chunk.
     /// Non-vectorizable units (residual conjuncts, transition-table scans,
-    /// `Interp` fallbacks) execute exactly as in `Row` mode, at statement
+    /// grouping) execute exactly as in `Row` mode, at statement
     /// granularity.
     Columnar,
 }
@@ -81,17 +83,6 @@ pub struct Slot {
     pub source: usize,
     /// Column index within the source's row.
     pub col: usize,
-}
-
-/// Binding metadata of one compiled source (mirrors the interpreter's
-/// `RowBinding` names so `Interp` fallbacks can rebuild an [`crate::eval::
-/// Env`] mid-plan).
-#[derive(Clone, Debug)]
-pub struct SourceMeta {
-    /// In-scope binding name (alias or table name).
-    pub name: String,
-    /// Schema table the rows conform to.
-    pub table: String,
 }
 
 /// Where a compiled source's rows come from.
@@ -233,24 +224,11 @@ pub enum PExpr {
     },
 }
 
-/// A select: either fully compiled, or the original AST for interpreter
-/// fallback (grouped/aggregate queries, unresolvable names).
+/// A compiled select pipeline.
 #[derive(Clone, Debug)]
-pub enum SelectPlan {
-    /// Compiled pipeline.
-    Compiled(CompiledSelect),
-    /// Interpreter fallback (evaluated via [`crate::eval::eval_select`]
-    /// with the current plan scopes rebuilt as an environment).
-    Interp(SelectStmt),
-}
-
-/// A fully compiled select pipeline.
-#[derive(Clone, Debug)]
-pub struct CompiledSelect {
+pub struct SelectPlan {
     /// Sources in `FROM` order, with pushed predicates and join keys.
     pub sources: Vec<SourcePlan>,
-    /// Binding metadata per source (for `Interp` sub-fallbacks).
-    pub metas: Vec<SourceMeta>,
     /// Conjuncts with no references to this select's own sources:
     /// evaluated once before enumeration; any non-TRUE value empties the
     /// result.
@@ -258,6 +236,9 @@ pub struct CompiledSelect {
     /// The residual `WHERE` filter evaluated at each leaf (only present
     /// when pushdown was not legal; `pushed`/`pre` are then empty).
     pub filter: Option<PExpr>,
+    /// Grouping, for a grouped select: `proj` and `order_by` then read its
+    /// group frame instead of the sources.
+    pub group: Option<GroupPlan>,
     /// Projection expressions (wildcards pre-expanded to slots).
     pub proj: Vec<PExpr>,
     /// DISTINCT flag.
@@ -271,18 +252,31 @@ pub struct CompiledSelect {
     pub infallible: bool,
 }
 
-/// A compiled rule condition.
+/// The grouping of a select with an aggregate item, a `GROUP BY` or a
+/// `HAVING`. Each enumerated row evaluates `keys` and the aggregates'
+/// arguments; groups come out in key order, and without `GROUP BY` there
+/// is exactly one, even over no rows. A group's frame is one row, its keys
+/// then its aggregate values: `having`, `proj` and `order_by` read it as
+/// source 0 at depth 0, through slots, constants and operators only.
 #[derive(Clone, Debug)]
-pub enum CondPlan {
-    /// Compiled predicate plus the number of subquery cache slots it uses.
-    Compiled {
-        /// The predicate.
-        pred: PExpr,
-        /// Cache slots to allocate per evaluation.
-        cache_slots: usize,
-    },
-    /// Interpreter fallback.
-    Interp(Expr),
+pub struct GroupPlan {
+    /// `GROUP BY` keys, under the select's frame.
+    pub keys: Vec<PExpr>,
+    /// Aggregates with their arguments (`None` for `count(*)`); aggregate
+    /// `i` is group-frame column `keys.len() + i`.
+    pub aggs: Vec<(Aggregate, Option<PExpr>)>,
+    /// `HAVING`, over the group frame.
+    pub having: Option<PExpr>,
+}
+
+/// A compiled rule condition: the predicate plus the number of subquery
+/// cache slots it uses.
+#[derive(Clone, Debug)]
+pub struct CondPlan {
+    /// The predicate.
+    pub pred: PExpr,
+    /// Cache slots to allocate per evaluation.
+    pub cache_slots: usize,
 }
 
 /// The compiled form of one rule: condition plan plus one plan per action.
@@ -312,8 +306,6 @@ pub enum ActionPlan {
     },
     /// `ROLLBACK`.
     Rollback,
-    /// Interpreter fallback for the whole statement.
-    Interp(Action),
 }
 
 /// Source rows of a compiled `INSERT`.
@@ -322,7 +314,7 @@ pub enum InsertSourcePlan {
     /// `VALUES` tuples.
     Values(Vec<Vec<PExpr>>),
     /// `INSERT ... SELECT`.
-    Select(SelectPlan),
+    Select(Box<SelectPlan>),
 }
 
 /// A compiled `INSERT`: evaluate sources against the pre-statement state,
@@ -361,8 +353,6 @@ pub struct ScanPred {
 pub struct DeletePlan {
     /// Target table.
     pub table: String,
-    /// Binding metadata for the scan frame.
-    pub meta: SourceMeta,
     /// Compiled `WHERE` (absent = delete all).
     pub pred: Option<ScanPred>,
     /// Cache slots to allocate per execution.
@@ -375,8 +365,6 @@ pub struct DeletePlan {
 pub struct UpdatePlan {
     /// Target table.
     pub table: String,
-    /// Binding metadata for the scan / SET frames.
-    pub meta: SourceMeta,
     /// Resolved `SET` target column indices.
     pub set_indices: Vec<usize>,
     /// `SET` column names (for effect reporting).

@@ -27,7 +27,14 @@ use starling_storage::{Catalog, ColRef, Op};
 
 use crate::ast::*;
 use crate::error::SqlError;
-use crate::plan::{Slot, SourceMeta};
+use crate::plan::Slot;
+
+/// One name in scope: a `FROM` item's binding name (alias or table name)
+/// and the schema table its rows conform to.
+pub(crate) struct Binding {
+    pub(crate) name: String,
+    pub(crate) table: String,
+}
 
 /// Lexical scope stack for column resolution: the one resolver that
 /// validation ([`crate::validate`]) and the plan compiler ([`crate::plan`])
@@ -41,7 +48,7 @@ pub(crate) struct Scope<'a> {
     /// The rule's table, when resolving inside a rule (enables transition
     /// tables).
     rule_table: Option<&'a str>,
-    frames: Vec<Vec<SourceMeta>>,
+    frames: Vec<Vec<Binding>>,
 }
 
 impl<'a> Scope<'a> {
@@ -71,12 +78,12 @@ impl<'a> Scope<'a> {
             };
             self.catalog.table(table)?; // must exist
             let name = item.binding().to_owned();
-            if frame.iter().any(|b: &SourceMeta| b.name == name) {
+            if frame.iter().any(|b: &Binding| b.name == name) {
                 return Err(SqlError::validate(format!(
                     "duplicate binding `{name}` in from clause"
                 )));
             }
-            frame.push(SourceMeta {
+            frame.push(Binding {
                 name,
                 table: table.to_owned(),
             });
@@ -89,7 +96,7 @@ impl<'a> Scope<'a> {
     /// implicit scope of `UPDATE`/`DELETE` targets).
     pub(crate) fn push_table(&mut self, table: &str) -> Result<(), SqlError> {
         self.catalog.table(table)?;
-        self.frames.push(vec![SourceMeta {
+        self.frames.push(vec![Binding {
             name: table.to_owned(),
             table: table.to_owned(),
         }]);
@@ -107,12 +114,12 @@ impl<'a> Scope<'a> {
     }
 
     /// The bindings of the innermost frame, in `FROM` order.
-    pub(crate) fn innermost(&self) -> &[SourceMeta] {
+    pub(crate) fn innermost(&self) -> &[Binding] {
         self.frames.last().map_or(&[], Vec::as_slice)
     }
 
     /// The binding a resolved slot reads, if `slot` is one of this scope's.
-    pub(crate) fn binding(&self, slot: &Slot) -> Option<&SourceMeta> {
+    pub(crate) fn binding(&self, slot: &Slot) -> Option<&Binding> {
         let frame = self.frames.len().checked_sub(1 + slot.depth)?;
         self.frames[frame].get(slot.source)
     }

@@ -11,16 +11,19 @@
 //!   may refer only to transition tables corresponding to its triggering
 //!   operations");
 //! * aggregates appear only in select lists, never nested;
+//! * a grouped select's items, `HAVING` and `ORDER BY` keys combine only
+//!   `GROUP BY` keys, aggregates and literals;
 //! * `INSERT` arity matches the target column list / schema;
 //! * `UPDATE ... SET` columns exist;
 //! * `IN (SELECT ...)` and scalar subqueries produce exactly one column.
 
 use std::collections::BTreeSet;
 
-use starling_storage::{Catalog, ColRef};
+use starling_storage::{Catalog, ColRef, TableSchema};
 
 use crate::ast::*;
 use crate::error::SqlError;
+use crate::eval::select::is_grouped;
 use crate::refs::Scope;
 
 /// Validates a rule's condition and actions and returns every column they
@@ -100,10 +103,11 @@ impl AllowedTransitions {
     }
 }
 
-/// Where an expression occurs; aggregates are legal only in select items.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum ExprPos {
-    SelectItem,
+/// Where an expression occurs.
+#[derive(Clone, Copy)]
+enum ExprPos<'e> {
+    /// An item, `HAVING` or `ORDER BY` key of a select grouped by these keys.
+    Grouped(&'e [Expr]),
     Where,
     InsideAggregate,
 }
@@ -144,12 +148,7 @@ impl<'a> Walker<'a> {
                 let arity = match &i.columns {
                     Some(cols) => {
                         for c in cols {
-                            if schema.column_index(c).is_none() {
-                                return Err(SqlError::validate(format!(
-                                    "insert target `{}` has no column `{c}`",
-                                    i.table
-                                )));
-                            }
+                            target_column(schema, "insert", c)?;
                         }
                         cols.len()
                     }
@@ -195,12 +194,7 @@ impl<'a> Walker<'a> {
             Action::Update(u) => {
                 let schema = self.catalog.table(&u.table)?;
                 for (c, _) in &u.sets {
-                    if schema.column_index(c).is_none() {
-                        return Err(SqlError::validate(format!(
-                            "update target `{}` has no column `{c}`",
-                            u.table
-                        )));
-                    }
+                    target_column(schema, "update", c)?;
                 }
                 self.scope.push_table(&u.table)?;
                 self.in_frame(|me| {
@@ -254,8 +248,16 @@ impl<'a> Walker<'a> {
             if s.items.is_empty() {
                 return Err(SqlError::validate("empty select list"));
             }
+            // A grouped select's clauses are evaluated once per group.
+            let grouped = is_grouped(s);
+            let pos = if grouped {
+                ExprPos::Grouped(&s.group_by)
+            } else {
+                ExprPos::Where
+            };
             for item in &s.items {
                 match item {
+                    SelectItem::Wildcard if grouped => return Err(grouped_wildcard()),
                     // `select *` reads every column of every from-item.
                     SelectItem::Wildcard => {
                         for b in me.scope.innermost() {
@@ -265,7 +267,7 @@ impl<'a> Walker<'a> {
                             }
                         }
                     }
-                    SelectItem::Expr { expr, .. } => me.expr(expr, ExprPos::SelectItem)?,
+                    SelectItem::Expr { expr, .. } => me.expr(expr, pos)?,
                 }
             }
             if let Some(w) = &s.where_clause {
@@ -274,18 +276,8 @@ impl<'a> Walker<'a> {
             for e in &s.group_by {
                 me.expr(e, ExprPos::Where)?;
             }
-            if let Some(h) = &s.having {
-                // HAVING may contain aggregates, like a select item.
-                me.expr(h, ExprPos::SelectItem)?;
-            }
-            for o in &s.order_by {
-                // ORDER BY keys may be aggregates when the query is grouped.
-                let pos = if s.group_by.is_empty() {
-                    ExprPos::Where
-                } else {
-                    ExprPos::SelectItem
-                };
-                me.expr(&o.expr, pos)?;
+            for e in s.having.iter().chain(s.order_by.iter().map(|o| &o.expr)) {
+                me.expr(e, pos)?;
             }
             Ok(())
         })
@@ -300,7 +292,17 @@ impl<'a> Walker<'a> {
         }
     }
 
-    fn expr(&mut self, e: &Expr, pos: ExprPos) -> Result<(), SqlError> {
+    fn expr(&mut self, e: &Expr, pos: ExprPos<'_>) -> Result<(), SqlError> {
+        // Per group, a `GROUP BY` key (walked with the keys) reads the
+        // group's key; the rest combines keys, aggregates and literals.
+        if let ExprPos::Grouped(keys) = pos {
+            if keys.contains(e) {
+                return Ok(());
+            }
+            if let Some(err) = not_grouped(e) {
+                return Err(err);
+            }
+        }
         match e {
             Expr::Literal(_) => Ok(()),
             Expr::Column(c) => {
@@ -351,10 +353,10 @@ impl<'a> Walker<'a> {
                 self.single_column(s, "scalar subquery")
             }
             Expr::Aggregate { arg, .. } => {
-                if pos == ExprPos::InsideAggregate {
+                if let ExprPos::InsideAggregate = pos {
                     return Err(SqlError::validate("nested aggregate"));
                 }
-                if pos != ExprPos::SelectItem {
+                if let ExprPos::Where = pos {
                     return Err(SqlError::validate(
                         "aggregate is only allowed in a select list",
                     ));
@@ -366,6 +368,34 @@ impl<'a> Walker<'a> {
             }
         }
     }
+}
+
+/// Why `e`, which is no `GROUP BY` key, cannot be evaluated once per
+/// group (the interpreter's message); `None` for a literal, an aggregate or
+/// an operator over such operands.
+pub(crate) fn not_grouped(e: &Expr) -> Option<SqlError> {
+    let why = match e {
+        Expr::Column(c) => format!("column `{c}` must appear in GROUP BY or inside an aggregate"),
+        Expr::Literal(_) | Expr::Aggregate { .. } | Expr::Binary { .. } => return None,
+        Expr::Neg(_) | Expr::Not(_) | Expr::IsNull { .. } => return None,
+        _ => "unsupported expression in a grouped select list".to_owned(),
+    };
+    Some(SqlError::validate(why))
+}
+
+/// The index of column `c` of an `insert` or `update` target.
+pub(crate) fn target_column(schema: &TableSchema, stmt: &str, c: &str) -> Result<usize, SqlError> {
+    schema.column_index(c).ok_or_else(|| {
+        SqlError::validate(format!(
+            "{stmt} target `{}` has no column `{c}`",
+            schema.name
+        ))
+    })
+}
+
+/// The error for a `*` item in a grouped select.
+pub(crate) fn grouped_wildcard() -> SqlError {
+    SqlError::validate("cannot use `*` with aggregates or GROUP BY")
 }
 
 #[cfg(test)]
@@ -475,6 +505,72 @@ mod tests {
         );
         let e = check_stmt("select sum(sum(salary)) from emp").unwrap_err();
         assert!(e.to_string().contains("nested aggregate"), "{e}");
+    }
+
+    /// A grouped select reads only `GROUP BY` keys, aggregates and literals
+    /// in its items, `HAVING` and `ORDER BY` keys, with the interpreter's
+    /// messages; an aggregate `ORDER BY` key is legal whenever the select
+    /// is grouped.
+    #[test]
+    fn grouped_placement_checked() {
+        for ok in [
+            "select dno, count(*) from emp group by dno",
+            "select salary / 10, max(id) from emp group by salary / 10",
+            "select count(*) from emp order by count(*)",
+            "select dno from emp group by dno having sum(salary) > dno * 2 order by sum(id) desc",
+            "select -count(*), not (min(id) is null) from emp having true",
+            "select id from emp where dno in (select dno from dept group by dno)",
+        ] {
+            check_stmt(ok).unwrap_or_else(|e| panic!("{ok}: {e}"));
+        }
+        let column =
+            |c: &str| format!("column `{c}` must appear in GROUP BY or inside an aggregate");
+        let unsupported = "unsupported expression in a grouped select list".to_owned();
+        for (bad, why) in [
+            ("select dno, count(*) from emp", column("dno")),
+            ("select salary from emp group by dno", column("salary")),
+            ("select emp.dno from emp group by dno", column("emp.dno")),
+            (
+                "select count(*) from emp group by dno having salary > 1",
+                column("salary"),
+            ),
+            ("select count(*) from emp order by id", column("id")),
+            (
+                "select dno from emp group by dno order by salary",
+                column("salary"),
+            ),
+            ("select id from emp having count(*) > 1", column("id")),
+            (
+                "select *, count(*) from emp",
+                "cannot use `*` with aggregates or GROUP BY".to_owned(),
+            ),
+            (
+                "select * from emp group by dno",
+                "cannot use `*` with aggregates or GROUP BY".to_owned(),
+            ),
+            (
+                "select count(*) between 1 and 2 from emp",
+                unsupported.clone(),
+            ),
+            ("select count(*) in (1, 2) from emp", unsupported.clone()),
+            (
+                "select (select max(budget) from dept), count(*) from emp",
+                unsupported.clone(),
+            ),
+            (
+                "select dno from emp group by dno having exists (select * from dept)",
+                unsupported,
+            ),
+        ] {
+            let e = check_stmt(bad).unwrap_err();
+            assert_eq!(e, SqlError::validate(why), "{bad}");
+        }
+        // A non-grouped select still refuses an aggregate ORDER BY key.
+        let e = check_stmt("select id from emp order by count(*)").unwrap_err();
+        assert!(
+            e.to_string().contains("only allowed in a select list"),
+            "{e}"
+        );
     }
 
     #[test]

@@ -107,7 +107,7 @@ fn assert_select_agrees(sql: &str, db: &Database) {
     };
     let mut env = Env::new(&ctx);
     let interp = eval_select(&sel, &mut env);
-    let (plan, slots) = compile_select(&sel, db.catalog(), None);
+    let (plan, slots) = compile_select(&sel, db.catalog(), None).unwrap();
     for mode in [PlanMode::Columnar, PlanMode::Row] {
         let planned = execute_select(&plan, slots, db, None, mode);
         match (&interp, planned) {
@@ -128,7 +128,7 @@ fn assert_action_agrees(sql: &str, db: &Database) {
     };
     let mut db_interp = db.clone();
     let interp = exec_action(&action, &mut db_interp, None);
-    let plan = compile_action(&action, db.catalog(), None);
+    let plan = compile_action(&action, db.catalog(), None).unwrap();
     for mode in [PlanMode::Columnar, PlanMode::Row] {
         let mut db_plan = db.clone();
         let planned = execute_action(&plan, &mut db_plan, None, mode);
@@ -202,7 +202,7 @@ fn curated_selects_agree_across_modes() {
         "select w.i, k.j from w, k where w.i = k.i and w.i > 0",
         "select w.i, k.j from w, k where w.i = k.i and k.j is not null",
         "select a.i, b.i from k a, k b where a.i = b.i and a.j < b.j",
-        // Subqueries force SelectPlan::Interp fallback inside conditions.
+        // Subqueries: a correlated EXISTS probes `k` by the outer row.
         "select i from w where exists (select * from k where k.i = w.i)",
         "select i from w where i in (select i from k where j is not null)",
     ];
@@ -694,11 +694,11 @@ fn memoized_selections_are_transparent_across_explores() {
 fn a_write_drops_the_selections_of_the_chunk_it_touches() {
     let (_, base, _) = bigwrite(3);
     let cond = parse_expr("exists (select * from big where v = 100 and k < 2000)").unwrap();
-    let plan = compile_condition(&cond, base.catalog(), Some("big"));
+    let plan = compile_condition(&cond, base.catalog(), Some("big")).unwrap();
     let Statement::Dml(delete) = parse_statement("delete from big where v = 100").unwrap() else {
         unreachable!()
     };
-    let delete = compile_action(&delete, base.catalog(), Some("big"));
+    let delete = compile_action(&delete, base.catalog(), Some("big")).unwrap();
     let check = |db: &Database, want: bool, what: &str| {
         let ctx = EvalCtx {
             db,

@@ -38,7 +38,7 @@ fn a_rule_condition_allocates_for_the_chunks_an_action_rewrote() {
          and exists (select * from big where v > 8 and k > 99988)",
     )
     .unwrap();
-    let plan = compile_condition(&cond, db.catalog(), Some("big"));
+    let plan = compile_condition(&cond, db.catalog(), Some("big")).unwrap();
     let binding = TransitionBinding {
         inserted: vec![vec![Value::Int(50_004), Value::Int(4)]],
         ..TransitionBinding::empty("big")
@@ -53,7 +53,7 @@ fn a_rule_condition_allocates_for_the_chunks_an_action_rewrote() {
         unreachable!()
     };
     let mut next = db.clone();
-    let action = compile_action(&update, db.catalog(), Some("big"));
+    let action = compile_action(&update, db.catalog(), Some("big")).unwrap();
     execute_action(&action, &mut next, None, PlanMode::Columnar).unwrap();
     let (shared, total) = next
         .table("big")

@@ -9,7 +9,9 @@
 //! * static confluence (requirement + termination) ⇒ no sampled graph may
 //!   have two distinct final database states;
 //! * static observable determinism ⇒ no sampled graph may have two
-//!   distinct observable streams.
+//!   distinct observable streams;
+//! * static partial confluence with respect to `{t}` (Theorem 7.2) ⇒ no
+//!   sampled graph may have two final states that differ on `t`.
 //!
 //! The converse direction (conservatism) is *measured*, not asserted — see
 //! the benches.
@@ -18,8 +20,9 @@ use starling::analysis::certifications::Certifications;
 use starling::analysis::confluence::analyze_confluence;
 use starling::analysis::context::AnalysisContext;
 use starling::analysis::observable::analyze_observable_determinism;
+use starling::analysis::partial::analyze_partial_confluence;
 use starling::analysis::termination::{analyze_termination, TerminationVerdict};
-use starling::engine::{explore_from_ops, ExploreConfig};
+use starling::engine::{explore_from_ops, ExploreConfig, Verdict};
 use starling::workloads::random::{generate, RandomConfig};
 
 fn small_config(seed: u64) -> RandomConfig {
@@ -43,6 +46,8 @@ struct Stats {
     term_guaranteed: usize,
     conf_guaranteed: usize,
     obs_guaranteed: usize,
+    /// (program, table) pairs with partial confluence guaranteed.
+    partial_guaranteed: usize,
     graphs: usize,
     truncated: usize,
 }
@@ -56,6 +61,7 @@ fn static_guarantees_hold_on_the_oracle() {
         term_guaranteed: 0,
         conf_guaranteed: 0,
         obs_guaranteed: 0,
+        partial_guaranteed: 0,
         graphs: 0,
         truncated: 0,
     };
@@ -74,10 +80,17 @@ fn static_guarantees_hold_on_the_oracle() {
         stats.term_guaranteed += usize::from(term_ok);
         stats.conf_guaranteed += usize::from(conf_ok);
         stats.obs_guaranteed += usize::from(obs_ok);
+        let partial_ok: Vec<&str> = w
+            .catalog
+            .tables()
+            .map(|t| t.name.as_str())
+            .filter(|t| analyze_partial_confluence(&ctx, &[t]).is_guaranteed())
+            .collect();
+        stats.partial_guaranteed += partial_ok.len();
 
         // Nothing guaranteed means nothing to refute: skip the (possibly
         // expensive, nonterminating) exploration.
-        if !(term_ok || conf_ok || obs_ok) {
+        if !(term_ok || conf_ok || obs_ok || !partial_ok.is_empty()) {
             continue;
         }
 
@@ -112,6 +125,14 @@ fn static_guarantees_hold_on_the_oracle() {
                     w.script()
                 );
             }
+            for t in &partial_ok {
+                assert_ne!(
+                    g.partial_confluence_verdict(&[t]),
+                    Verdict::Fails,
+                    "seed {seed} salt {salt}: static partial confluence on `{t}` refuted\n{}",
+                    w.script()
+                );
+            }
             if obs_ok && term_ok {
                 assert_ne!(
                     g.observably_deterministic(&cfg),
@@ -128,6 +149,7 @@ fn static_guarantees_hold_on_the_oracle() {
     assert!(stats.term_guaranteed > 3, "{}", stats.term_guaranteed);
     assert!(stats.conf_guaranteed > 0, "{}", stats.conf_guaranteed);
     assert!(stats.obs_guaranteed > 0, "{}", stats.obs_guaranteed);
+    assert!(stats.partial_guaranteed > 0, "{}", stats.partial_guaranteed);
     assert!(stats.graphs > 60, "{}", stats.graphs);
     assert!(
         stats.truncated * 2 < stats.graphs,

@@ -5,18 +5,22 @@
 //! contract on three levels:
 //!
 //! 1. **Statements** — hand-written SQL covering NULL/3VL edge cases,
-//!    joins, subqueries, DISTINCT/ORDER BY, and error paths (division by
-//!    zero, multi-row scalar subqueries), plus seeded-random SELECTs and
-//!    DML over a mixed-type fixture. Compiled execution must produce the
-//!    same result set / effects / final state, or fail iff the interpreter
-//!    fails (error *messages* may differ; only existence must match).
-//! 2. **Rule conditions** — every corpus and case-study rule condition,
-//!    compiled and evaluated against transition bindings.
-//! 3. **Execution graphs** — full oracle exploration with `EvalMode::Plan`
-//!    vs `EvalMode::Interp` must yield identical graphs (the mode is an
-//!    explicit per-exploration parameter, so both paths run in one process
-//!    without any global switch) — the user transition included, which
-//!    runs under the exploration's mode like every rule action.
+//!    joins, subqueries, DISTINCT/ORDER BY, grouping and aggregates, and
+//!    error paths (division by zero, multi-row scalar subqueries, an
+//!    aggregate over strings), plus seeded-random SELECTs (grouped ones
+//!    included) and DML over a mixed-type fixture. Compiled execution must
+//!    produce the same result set / effects / final state, or fail with
+//!    the interpreter's error. The compiler may refuse only a statement the
+//!    validator refuses.
+//! 2. **Rule conditions** — every corpus, case-study and
+//!    `scripts/salary_rules.rql` rule condition, compiled and evaluated
+//!    against transition bindings.
+//! 3. **Execution graphs** — full oracle exploration with
+//!    `EvalMode::Columnar` and `EvalMode::Plan` vs `EvalMode::Interp` must
+//!    yield identical graphs (the mode is an explicit per-exploration
+//!    parameter, so all paths run in one process without any global
+//!    switch) — the user transition included, which runs under the
+//!    exploration's mode like every rule action.
 //! 4. **User statements** — seeded-random scripts through
 //!    `Session::execute_script` on a `Columnar`, a `Plan` and an `Interp`
 //!    session over one multi-chunk database: same outputs, same pending
@@ -30,14 +34,15 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use starling::analysis::loader::{load_script, LoadedScript};
 use starling::engine::exec_graph::apply_user_actions;
 use starling::engine::{
     explore_with_mode, replay_rule_sequence, EvalMode, ExecGraph, ExecState, ExploreConfig,
     FirstEligible, Outcome, RuleId, RuleSet, Session,
 };
 use starling::sql::ast::{
-    Action, BinOp, ColumnRef, Expr, FromItem, InsertSource, InsertStmt, OrderItem, SelectItem,
-    SelectStmt, Statement, TableRef, UpdateStmt,
+    Action, Aggregate, BinOp, ColumnRef, Expr, FromItem, InsertSource, InsertStmt, OrderItem,
+    SelectItem, SelectStmt, Statement, TableRef, UpdateStmt,
 };
 use starling::sql::eval::expr::eval_bool;
 use starling::sql::eval::{eval_select, exec_action, Env, EvalCtx, TransitionBinding};
@@ -45,10 +50,13 @@ use starling::sql::plan::{
     compile_action, compile_condition, compile_select, eval_condition, execute_action,
     execute_select, PlanMode,
 };
-use starling::sql::{parse_expr, parse_statement};
+use starling::sql::validate::validate_dml;
+use starling::sql::{parse_expr, parse_statement, SqlError};
 use starling::storage::{Catalog, ColumnDef, Database, TableSchema, Value, ValueType};
 use starling::workloads::cond_stress::CondStress;
-use starling::workloads::{audit, corpus, power_network, random, CorpusEntry};
+use starling::workloads::{
+    audit, constraints, corpus, power_network, random, versioning, CorpusEntry,
+};
 
 /// Fixture: three tables with nullable columns, NULLs, duplicate values
 /// (for DISTINCT), zeros (for division errors), and LIKE-able strings.
@@ -120,6 +128,21 @@ fn parsed_action(sql: &str) -> Action {
     }
 }
 
+/// The compiler is total on validated statements and refuses only what the
+/// validator refuses: a compile error must be a statement `validate_dml`
+/// rejects too (the interpreter, which keeps its own runtime checks, may
+/// still run it on data where the fault never shows).
+fn compiled<T>(plan: Result<T, SqlError>, stmt: &Action, db: &Database, what: &str) -> Option<T> {
+    let valid = validate_dml(stmt, db.catalog());
+    match plan {
+        Ok(plan) => Some(plan),
+        Err(e) => {
+            assert!(valid.is_err(), "{what}: validated, yet refused: {e}");
+            None
+        }
+    }
+}
+
 /// Asserts the plan/interpreter contract for one SELECT: identical result
 /// sets, or both fail.
 fn assert_select_agrees(s: &SelectStmt, db: &Database, what: &str) {
@@ -129,12 +152,16 @@ fn assert_select_agrees(s: &SelectStmt, db: &Database, what: &str) {
     };
     let mut env = Env::new(&ctx);
     let interp = eval_select(s, &mut env);
-    let (plan, slots) = compile_select(s, db.catalog(), None);
+    let stmt = Action::Select(s.clone());
+    let Some((plan, slots)) = compiled(compile_select(s, db.catalog(), None), &stmt, db, what)
+    else {
+        return;
+    };
     for mode in [PlanMode::Row, PlanMode::Columnar] {
         let planned = execute_select(&plan, slots, db, None, mode);
         match (&interp, planned) {
             (Ok(a), Ok(b)) => assert_eq!(*a, b, "{what} [{mode:?}]: results diverge"),
-            (Err(_), Err(_)) => {}
+            (Err(a), Err(b)) => assert_eq!(a, &b, "{what} [{mode:?}]: errors diverge"),
             (a, b) => panic!("{what} [{mode:?}]: interp {a:?} vs plan {b:?}"),
         }
     }
@@ -146,13 +173,15 @@ fn assert_select_agrees(s: &SelectStmt, db: &Database, what: &str) {
 fn assert_action_agrees(a: &Action, db: &Database, what: &str) {
     let mut db_interp = db.clone();
     let interp = exec_action(a, &mut db_interp, None);
-    let plan = compile_action(a, db.catalog(), None);
+    let Some(plan) = compiled(compile_action(a, db.catalog(), None), a, db, what) else {
+        return;
+    };
     for mode in [PlanMode::Row, PlanMode::Columnar] {
         let mut db_plan = db.clone();
         let planned = execute_action(&plan, &mut db_plan, None, mode);
         match (&interp, planned) {
             (Ok(x), Ok(y)) => assert_eq!(*x, y, "{what} [{mode:?}]: outcomes diverge"),
-            (Err(_), Err(_)) => {}
+            (Err(a), Err(b)) => assert_eq!(a, &b, "{what} [{mode:?}]: errors diverge"),
             (x, y) => panic!("{what} [{mode:?}]: interp {x:?} vs plan {y:?}"),
         }
         assert_eq!(
@@ -207,12 +236,49 @@ fn curated_selects_agree() {
         "select a / (a - a) from t",
         "select a from t where a > 1 and 10 / 0 > 1",
         "select -a from t",
-        // Aggregates and grouping (interpreter fallback, still must agree).
+        // Aggregates and grouping.
         "select count(*) from t",
         "select a, count(*) from t group by a order by a",
         "select sum(b), min(s) from t",
         "select a from t group by a having count(*) > 1",
         "select a, max(b) from t group by a order by max(b) desc",
+        "select count(*) from t order by count(*)",
+        "select distinct count(*) from t group by a order by count(*)",
+        "select a / 2, sum(b) - count(*) from t group by a / 2 order by a / 2 desc",
+        // NULL group keys.
+        "select b, count(*) from t group by b order by b",
+        "select s, count(*), min(a) from t group by s",
+        // Empty input: one group without GROUP BY, none with it.
+        "select count(*), sum(a), max(s), avg(b) from t where a > 100",
+        "select a, count(*) from t where a > 100 group by a",
+        "select count(*) from t where a > 100 having count(*) = 0",
+        // SUM and AVG over all-NULL input; COUNT(c) beside COUNT(*).
+        "select sum(b), avg(b), count(b), count(*) from u where b is null",
+        "select count(b), count(*), count(s) from t",
+        // MIN and MAX over strings.
+        "select min(s), max(s) from t",
+        "select a, max(s), min(s) from t group by a order by a",
+        // Errors: a SUM over strings fails only in a group HAVING keeps,
+        // and every operand of a grouped AND is evaluated.
+        "select sum(s) from t group by s is null having s is null",
+        "select sum(s) from t group by s is null",
+        "select count(*) from t group by a having false and sum(s) > 0",
+        "select count(*) from t having count(*) = 0 and 1 / 0 > 1",
+        "select a / 0, count(*) from t group by a / 0",
+        // The interpreter enumerates every row before it computes a key,
+        // and evaluates every argument of a group before it folds them.
+        "select count(*) from t where 10 / (a - 3) > -100 group by s + 1",
+        "select sum((select s from t x where x.b < t.a)) from t",
+        // Correlated and nested aggregate subqueries.
+        "select a, (select sum(b) from u where u.a = t.a) from t order by a",
+        "select a from t where (select count(*) from u where u.a = t.a) > 1",
+        "select a from t where exists (select count(*) from u where u.a = t.a)",
+        "select a from t where a in (select a from u group by a having count(*) > 1)",
+        "select sum((select max(a) from v where v.a > t.a)) from t",
+        // Misplaced grouped operands: refused before they run.
+        "select a, count(*) from t",
+        "select * from t group by a",
+        "select count(*) between 1 and 9 from t",
         // No FROM clause.
         "select 1 + 1",
         // Transition table outside a rule: both must fail.
@@ -243,6 +309,11 @@ fn curated_actions_agree() {
         "update u set b = 10 / (a - 1)",
         "update t set b = (select a from v where a > 5) where a = 1",
         "select a from t where b > 2",
+        "insert into v select count(*) from t",
+        "insert into u select a, sum(b) from t group by a",
+        "update t set b = (select max(b) from u where u.a = t.a)",
+        "update u set b = (select sum(s) from t where t.a = u.a)",
+        "delete from v where a < (select avg(a) from t)",
         "rollback",
     ];
     for sql in cases {
@@ -403,7 +474,7 @@ fn gen_select(
             desc: rng.gen_bool(0.5),
         })
         .collect();
-    SelectStmt {
+    let mut s = SelectStmt {
         distinct: rng.gen_bool(0.3),
         items,
         from,
@@ -411,7 +482,113 @@ fn gen_select(
         group_by: vec![],
         having: None,
         order_by,
+    };
+    if rng.gen_bool(0.3) {
+        group(rng, &mut s, &scope, depth);
     }
+    s
+}
+
+/// Makes `s` a grouped select: `GROUP BY` keys (sometimes none), items,
+/// an optional `HAVING` and `ORDER BY` keys built from keys, aggregates
+/// and literals — and now and then a bare column, `*` or a `BETWEEN`,
+/// which the validator must refuse.
+fn group(
+    rng: &mut StdRng,
+    s: &mut SelectStmt,
+    scope: &[(String, &'static [&'static str])],
+    depth: u32,
+) {
+    s.group_by = (0..rng.gen_range(0..=2))
+        .map(|_| gen_expr(rng, scope, depth.min(1)))
+        .collect();
+    let keys = s.group_by.clone();
+    s.items = if rng.gen_bool(0.03) {
+        vec![SelectItem::Wildcard]
+    } else {
+        (0..rng.gen_range(1..=3))
+            .map(|_| SelectItem::Expr {
+                expr: gen_grouped(rng, scope, &keys, 2),
+                alias: None,
+            })
+            .collect()
+    };
+    s.having = rng.gen_bool(0.4).then(|| gen_grouped(rng, scope, &keys, 2));
+    s.order_by = (0..rng.gen_range(0..=2))
+        .map(|_| OrderItem {
+            expr: gen_grouped(rng, scope, &keys, 1),
+            desc: rng.gen_bool(0.5),
+        })
+        .collect();
+}
+
+/// An expression a grouped select evaluates once per group.
+fn gen_grouped(
+    rng: &mut StdRng,
+    scope: &[(String, &'static [&'static str])],
+    keys: &[Expr],
+    depth: u32,
+) -> Expr {
+    let pick = if depth == 0 {
+        rng.gen_range(0..3)
+    } else {
+        rng.gen_range(0..9)
+    };
+    let sub = |rng: &mut StdRng| Box::new(gen_grouped(rng, scope, keys, depth.saturating_sub(1)));
+    match pick {
+        0 if !keys.is_empty() => keys[rng.gen_range(0..keys.len())].clone(),
+        0 | 1 => gen_aggregate(rng, scope),
+        2 => Expr::Literal(gen_value(rng)),
+        3 => Expr::Binary {
+            op: [BinOp::Add, BinOp::Sub, BinOp::Mul, BinOp::Div][rng.gen_range(0..4usize)],
+            lhs: sub(rng),
+            rhs: sub(rng),
+        },
+        4 => Expr::Binary {
+            op: [BinOp::Eq, BinOp::Lt, BinOp::Ge][rng.gen_range(0..3usize)],
+            lhs: sub(rng),
+            rhs: sub(rng),
+        },
+        5 => Expr::Binary {
+            op: if rng.gen_bool(0.5) {
+                BinOp::And
+            } else {
+                BinOp::Or
+            },
+            lhs: sub(rng),
+            rhs: sub(rng),
+        },
+        6 => match rng.gen_range(0..3) {
+            0 => Expr::Neg(sub(rng)),
+            1 => Expr::Not(sub(rng)),
+            _ => Expr::IsNull {
+                expr: sub(rng),
+                negated: rng.gen_bool(0.5),
+            },
+        },
+        7 if rng.gen_bool(0.2) => Expr::Between {
+            expr: sub(rng),
+            low: sub(rng),
+            high: sub(rng),
+            negated: false,
+        },
+        // A bare column: misplaced unless it happens to be a key.
+        7 => gen_column(rng, scope),
+        _ => gen_aggregate(rng, scope),
+    }
+}
+
+fn gen_aggregate(rng: &mut StdRng, scope: &[(String, &'static [&'static str])]) -> Expr {
+    let func = [
+        Aggregate::CountStar,
+        Aggregate::Count,
+        Aggregate::Sum,
+        Aggregate::Avg,
+        Aggregate::Min,
+        Aggregate::Max,
+    ][rng.gen_range(0..6usize)];
+    let arg = (func != Aggregate::CountStar).then(|| Box::new(gen_expr(rng, scope, 1)));
+    Expr::Aggregate { func, arg }
 }
 
 fn gen_action(rng: &mut StdRng, depth: u32) -> Action {
@@ -466,7 +643,7 @@ fn gen_action(rng: &mut StdRng, depth: u32) -> Action {
 #[test]
 fn random_selects_agree() {
     let db = fixture();
-    for seed in 0..400u64 {
+    for seed in 0..600u64 {
         let mut rng = StdRng::seed_from_u64(seed);
         let s = gen_select(&mut rng, &[], 3);
         assert_select_agrees(&s, &db, &format!("seed {seed}: {s:?}"));
@@ -487,6 +664,25 @@ fn random_actions_agree() {
 // Rule conditions: corpus, case studies, and transition-table binding.
 // ---------------------------------------------------------------------------
 
+/// The case studies whose rules the condition and graph levels cover; the
+/// `constraints`, `audit` and `versioning` rules hold correlated aggregate
+/// subqueries.
+fn case_studies() -> [starling::workloads::Workload; 4] {
+    [
+        power_network::workload(),
+        audit::workload(),
+        constraints::workload(),
+        versioning::workload(),
+    ]
+}
+
+/// `scripts/salary_rules.rql`, whose `maintain_totals` action is a
+/// correlated `sum` subquery.
+fn salary_rules() -> LoadedScript {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/scripts/salary_rules.rql");
+    load_script(&std::fs::read_to_string(path).unwrap()).unwrap()
+}
+
 /// Asserts the contract for one rule condition under a transition binding.
 fn assert_condition_agrees(
     cond: &Expr,
@@ -502,12 +698,13 @@ fn assert_condition_agrees(
     };
     let mut env = Env::new(&ctx);
     let interp = eval_bool(cond, &mut env);
-    let plan = compile_condition(cond, catalog, Some(rule_table));
+    let plan =
+        compile_condition(cond, catalog, Some(rule_table)).expect("a rule condition compiles");
     for mode in [PlanMode::Row, PlanMode::Columnar] {
         let planned = eval_condition(&plan, db, Some(binding), mode);
         match (&interp, planned) {
             (Ok(a), Ok(b)) => assert_eq!(*a, b, "{what} [{mode:?}]: condition values diverge"),
-            (Err(_), Err(_)) => {}
+            (Err(a), Err(b)) => assert_eq!(a, &b, "{what} [{mode:?}]: errors diverge"),
             (a, b) => panic!("{what} [{mode:?}]: interp {a:?} vs plan {b:?}"),
         }
     }
@@ -551,10 +748,18 @@ fn corpus_and_case_study_conditions_agree() {
         }
     }
 
-    // Case studies: conditions against the seeded databases, with bindings
-    // drawn from each rule's own table rows.
-    for w in [power_network::workload(), audit::workload()] {
-        let (db, rules) = w.compile().unwrap();
+    // Case studies and the salary script: conditions against the seeded
+    // databases, with bindings drawn from each rule's own table rows.
+    let mut studies: Vec<(String, Database, RuleSet)> = case_studies()
+        .into_iter()
+        .map(|w| {
+            let (db, rules) = w.compile().unwrap();
+            (w.name.to_owned(), db, rules)
+        })
+        .collect();
+    let salary = salary_rules();
+    studies.push(("salary_rules".into(), salary.db, (*salary.rules).clone()));
+    for (name, db, rules) in &studies {
         for r in rules.rules() {
             let Some(cond) = &r.def.condition else {
                 continue;
@@ -579,9 +784,9 @@ fn corpus_and_case_study_conditions_agree() {
                     cond,
                     rules.catalog(),
                     &r.def.table,
-                    &db,
+                    db,
                     b,
-                    &format!("case_study/{} rule {} ({tag})", w.name, r.name()),
+                    &format!("case_study/{name} rule {} ({tag})", r.name()),
                 );
             }
         }
@@ -643,8 +848,8 @@ fn graph_fingerprint(
 }
 
 /// Full oracle exploration must be bit-identical between the compiled-plan
-/// path ([`EvalMode::Plan`]) and forced interpretation
-/// ([`EvalMode::Interp`]).
+/// paths ([`EvalMode::Columnar`], [`EvalMode::Plan`]) and forced
+/// interpretation ([`EvalMode::Interp`]).
 #[test]
 fn exploration_graphs_agree_with_forced_interp() {
     let cfg = ExploreConfig::default()
@@ -689,15 +894,20 @@ fn exploration_graphs_agree_with_forced_interp() {
         ));
     }
 
-    // Case study (audit terminates quickly; power_network is covered by the
-    // pinned-digest case-study tests, whose expectations predate the plan
-    // layer).
-    {
-        let w = audit::workload();
+    // Case studies and the salary script (power_network's 2 132 states are
+    // covered by the pinned-digest case-study tests).
+    for w in case_studies().into_iter().skip(1) {
         let (db, rules) = w.compile().unwrap();
         let actions = w.user_actions().unwrap();
         cases.push((format!("case_study/{}", w.name), rules, db, actions));
     }
+    let salary = salary_rules();
+    cases.push((
+        "script/salary_rules".into(),
+        (*salary.rules).clone(),
+        salary.db,
+        salary.user_actions,
+    ));
 
     // Random workloads.
     for seed in 0..6u64 {
@@ -713,9 +923,11 @@ fn exploration_graphs_agree_with_forced_interp() {
     }
 
     for (name, rules, db, actions) in &cases {
-        let with_plans = graph_fingerprint(rules, db, actions, &cfg, EvalMode::Plan, name);
         let with_interp = graph_fingerprint(rules, db, actions, &cfg, EvalMode::Interp, name);
-        assert_eq!(with_plans, with_interp, "{name}: graphs diverge");
+        for mode in [EvalMode::Columnar, EvalMode::Plan] {
+            let with_plans = graph_fingerprint(rules, db, actions, &cfg, mode, name);
+            assert_eq!(with_plans, with_interp, "{name} [{mode:?}]: graphs diverge");
+        }
     }
 }
 

@@ -36,7 +36,7 @@ fn write_cost(rows: i64) -> ((isize, isize), Heap, usize) {
     else {
         unreachable!()
     };
-    let plan = compile_action(&update, db.catalog(), None);
+    let plan = compile_action(&update, db.catalog(), None).unwrap();
     let (written, ()) = heap_of(|| {
         // The effect list is the caller's; the new version is what stays.
         drop(execute_action(&plan, &mut db, None, PlanMode::Columnar).unwrap());
