@@ -29,8 +29,9 @@ use starling_engine::{
     consider_rule, explore, explore_from_ops, EvalMode, ExecState, ExploreConfig, RuleId,
     RuleProgram, RuleSet, Session,
 };
+use starling_fuzz::gen::partitioned;
+use starling_fuzz::{generate, FuzzCase, GenConfig};
 use starling_storage::Op;
-use starling_workloads::random::{generate, partitioned, GeneratedWorkload, RandomConfig};
 use starling_workloads::{constraints, power_network};
 
 use crate::{CmdOutput, CmdStatus};
@@ -140,30 +141,13 @@ fn stale_lines(committed: &str, regenerated: &str) -> Option<String> {
     (!diff.is_empty()).then_some(diff)
 }
 
-/// The standard experiment corpus configuration (matches the calibration
-/// used by the integration tests: a healthy mix of accepted and rejected
-/// rule sets).
-fn corpus_config(seed: u64) -> RandomConfig {
-    RandomConfig {
-        n_tables: 4,
-        n_cols: 2,
-        n_rules: 4,
-        max_actions: 2,
-        p_condition: 0.5,
-        p_observable: 0.2,
-        p_priority: 0.4,
-        rows_per_table: 2,
-        seed,
-    }
-}
-
-/// Generates and compiles a workload, returning everything the analyses
+/// Generates and compiles a program, returning everything the analyses
 /// need.
-fn build(cfg: &RandomConfig) -> (GeneratedWorkload, RuleSet, AnalysisContext) {
-    let w = generate(cfg);
-    let rules = w.compile();
+fn build(seed: u64, cfg: &GenConfig) -> (FuzzCase, RuleSet, AnalysisContext) {
+    let case = generate(seed, cfg);
+    let rules = RuleSet::compile(&case.defs, &case.catalog()).expect("generated program compiles");
     let ctx = AnalysisContext::from_ruleset(&rules, Certifications::new());
-    (w, rules, ctx)
+    (case, rules, ctx)
 }
 
 fn header(out: &mut String, id: &str, title: &str) {
@@ -184,17 +168,18 @@ fn e1_commutativity(out: &mut String) {
     let mut flagged_with_divergence = 0usize;
     let mut flagged_checked = 0usize;
 
+    // Priority-free config: priorities are irrelevant to the diamond, and
+    // without them commuting pairs co-trigger far more often.
+    let cfg = GenConfig {
+        max_rules: 6,
+        min_rules: 6,
+        p_order: 0.0,
+        p_observable: 0.3,
+        ..GenConfig::CORPUS
+    };
     for seed in 0..60u64 {
-        // Priority-free config: priorities are irrelevant to the diamond,
-        // and without them commuting pairs co-trigger far more often.
-        let cfg = RandomConfig {
-            n_rules: 6,
-            p_priority: 0.0,
-            p_observable: 0.3,
-            ..corpus_config(seed)
-        };
-        let (w, rules, _ctx) = build(&cfg);
-        let base_db = w.seed_database();
+        let (case, rules, _ctx) = build(seed, &cfg);
+        let base_db = case.database();
         let n = rules.len();
         for i in 0..n {
             for j in (i + 1)..n {
@@ -204,7 +189,7 @@ fn e1_commutativity(out: &mut String) {
                         .is_empty();
                 static_commute += usize::from(commute);
                 for salt in 0..4u64 {
-                    let actions = w.user_transition(salt + 100);
+                    let actions = case.transition(seed ^ (salt + 100), &cfg);
                     let mut working = base_db.clone();
                     let Ok(ops) =
                         starling_engine::exec_graph::apply_user_actions(&mut working, &actions)
@@ -216,13 +201,21 @@ fn e1_commutativity(out: &mut String) {
                     if !state.is_triggered(&rules, ri) || !state.is_triggered(&rules, rj) {
                         continue;
                     }
-                    let mut s1 = state.clone();
-                    consider_rule(&rules, &mut s1, ri, &base_db, EvalMode::default()).unwrap();
-                    consider_rule(&rules, &mut s1, rj, &base_db, EvalMode::default()).unwrap();
-                    let mut s2 = state.clone();
-                    consider_rule(&rules, &mut s2, rj, &base_db, EvalMode::default()).unwrap();
-                    consider_rule(&rules, &mut s2, ri, &base_db, EvalMode::default()).unwrap();
-                    let same = s1.semantic_digest(&rules) == s2.semantic_digest(&rules);
+                    // One side of the diamond. A rollback ends processing,
+                    // as it does in the processor and the explorer: the
+                    // second rule is then never considered.
+                    let path = |first, second| {
+                        let mut s = state.clone();
+                        let mode = EvalMode::default();
+                        if !consider_rule(&rules, &mut s, first, &base_db, mode)
+                            .unwrap()
+                            .rolled_back
+                        {
+                            consider_rule(&rules, &mut s, second, &base_db, mode).unwrap();
+                        }
+                        s.semantic_digest(&rules)
+                    };
+                    let same = path(ri, rj) == path(rj, ri);
                     if commute {
                         diamonds += 1;
                         violations += usize::from(!same);
@@ -255,7 +248,10 @@ fn e2_e3_e5_oracle_agreement(out: &mut String) {
     );
     let cfg = ExploreConfig::default()
         .with_max_states(2_000)
-        .with_max_paths(20_000);
+        .with_max_paths(20_000)
+        // A generated `insert … select` from its own table doubles it on
+        // every firing.
+        .with_max_rows(200);
     #[derive(Default)]
     struct Agg {
         accepted: usize,
@@ -266,7 +262,7 @@ fn e2_e3_e5_oracle_agreement(out: &mut String) {
     let (mut term, mut conf, mut obs) = (Agg::default(), Agg::default(), Agg::default());
 
     for seed in 0..80u64 {
-        let (w, rules, ctx) = build(&corpus_config(seed));
+        let (case, rules, ctx) = build(seed, &GenConfig::CORPUS);
         let t = analyze_termination(&ctx);
         let c = analyze_confluence(&ctx);
         let o = analyze_observable_determinism(&ctx);
@@ -274,12 +270,12 @@ fn e2_e3_e5_oracle_agreement(out: &mut String) {
         let conf_ok = c.requirement_holds() && t.is_guaranteed();
         let obs_ok = o.is_guaranteed() && term_ok;
 
-        let base_db = w.seed_database();
+        let base_db = case.database();
         let mut oracle_term = Some(true);
         let mut oracle_conf = Some(true);
         let mut oracle_obs = Some(true);
         for salt in 0..3u64 {
-            let actions = w.user_transition(salt * 31 + 5);
+            let actions = case.transition(seed ^ (salt * 31 + 5), &GenConfig::CORPUS);
             let mut working = base_db.clone();
             let Ok(ops) = starling_engine::exec_graph::apply_user_actions(&mut working, &actions)
             else {
@@ -345,24 +341,29 @@ fn e2_e3_e5_oracle_agreement(out: &mut String) {
 fn e4_partial_confluence(out: &mut String) {
     header(out, "E4", "partial confluence: Sig(T') growth as T' grows");
     say!(out, "seed  |T'|  |Sig|  rules  partial-confluent");
+    // A sparse 12-rule program over up to 12 tables: Sig(T') grows with T'
+    // instead of immediately saturating.
+    let cfg = GenConfig {
+        max_tables: 12,
+        max_cols: 2,
+        max_rules: 12,
+        min_rules: 12,
+        max_actions: 1,
+        max_rows: 1,
+        p_condition: 0.3,
+        p_order: 0.2,
+        p_observable: 0.0,
+        p_rollback: 0.0,
+        ..GenConfig::default()
+    };
     for seed in [3u64, 7, 11, 19] {
-        // A sparse 12-rule workload over 12 tables: Sig(T') grows with T'
-        // instead of immediately saturating.
-        let cfg = RandomConfig {
-            n_tables: 12,
-            n_cols: 2,
-            n_rules: 12,
-            max_actions: 1,
-            p_condition: 0.3,
-            p_observable: 0.0,
-            p_priority: 0.2,
-            rows_per_table: 1,
-            seed,
-        };
-        let (_w, rules, ctx) = build(&cfg);
-        let all_tables: Vec<String> = (0..12).map(|i| format!("t{i}")).collect();
-        for k in [1usize, 3, 6, 12] {
-            let subset: Vec<&str> = all_tables.iter().take(k).map(String::as_str).collect();
+        let (case, rules, ctx) = build(seed, &cfg);
+        // T' grows through the program's own tables, whatever their count.
+        let n = case.tables.len();
+        let mut sizes: Vec<usize> = [1, 3, 6, 12].map(|k: usize| k.min(n)).to_vec();
+        sizes.dedup();
+        for k in sizes {
+            let subset: Vec<&str> = case.tables[..k].iter().map(|t| t.name.as_str()).collect();
             let sig = significant_rules(&ctx, &subset);
             let p = analyze_partial_confluence(&ctx, &subset);
             say!(
@@ -383,28 +384,16 @@ fn e6_subsumption(out: &mut String) {
     // Two corpora: the standard (dense) one, where rules interact heavily
     // and the stricter criteria accept almost nothing, and a sparse one
     // (many tables, few shared references) where the whole chain separates.
-    let sparse = |seed: u64| RandomConfig {
-        n_tables: 10,
-        n_cols: 2,
-        n_rules: 3,
-        max_actions: 1,
-        p_condition: 0.2,
-        p_observable: 0.0,
-        p_priority: 0.3,
-        rows_per_table: 1,
-        seed,
-    };
-    for (label, dense) in [("dense corpus", true), ("sparse corpus", false)] {
+    let corpora = [
+        ("dense corpus", GenConfig::CORPUS),
+        ("sparse corpus", GenConfig::SPARSE),
+    ];
+    for (label, cfg) in corpora {
         let mut counts = [0usize; 4];
         let mut proper = [0usize; 3];
         let mut violations = 0usize;
         for seed in 0..n {
-            let cfg = if dense {
-                corpus_config(seed)
-            } else {
-                sparse(seed)
-            };
-            let (_w, _rules, ctx) = build(&cfg);
+            let (_case, _rules, ctx) = build(seed, &cfg);
             let row = compare_all(&ctx);
             violations += usize::from(row.subsumption_violation().is_some());
             counts[0] += usize::from(row.starling);
@@ -540,15 +529,14 @@ fn e9_scalability(out: &mut String) {
         "rules  graph(us)  termination(us)  confluence(us)  observable(us)"
     );
     for n in [10usize, 25, 50, 100, 200, 400] {
-        // Tables grow with the rules, so triggering density stays constant.
-        let (_w, _rules, ctx) = build(&RandomConfig {
-            n_tables: (n / 2).max(2),
-            n_cols: 3,
-            n_rules: n,
+        // The benchmark's shape: tables grow with the rules, so triggering
+        // density stays constant. Observable actions are kept so the §8
+        // column measures something.
+        let cfg = GenConfig {
             p_observable: 0.1,
-            p_priority: 0.3,
-            ..corpus_config(42)
-        });
+            ..GenConfig::scaled(n)
+        };
+        let (_case, _rules, ctx) = build(42, &cfg);
         let us = |analysis: &dyn Fn()| {
             let started = Instant::now();
             analysis();
@@ -572,7 +560,7 @@ fn e10_corollaries(out: &mut String) {
     let mut accepted = 0usize;
     let mut failures = 0usize;
     for seed in 0..200u64 {
-        let (_w, _rules, ctx) = build(&corpus_config(seed));
+        let (_case, _rules, ctx) = build(seed, &GenConfig::CORPUS);
         let conf = analyze_confluence(&ctx);
         if conf.requirement_holds() {
             accepted += 1;
@@ -597,7 +585,7 @@ fn e11_restricted(out: &mut String) {
     let mut rescued_term = 0usize;
     let mut rescued_conf = 0usize;
     for seed in 0..100u64 {
-        let (_w, _rules, ctx) = build(&corpus_config(seed));
+        let (_case, _rules, ctx) = build(seed, &GenConfig::CORPUS);
         let full_term = analyze_termination(&ctx).is_guaranteed();
         let full_conf = analyze_confluence(&ctx).requirement_holds();
         if full_term && full_conf {
@@ -678,7 +666,7 @@ fn e14_refinement(out: &mut String) {
     let mut rejected_plain = 0usize;
     let mut recovered = 0usize;
     for seed in 0..150u64 {
-        let (_w, rules, ctx) = build(&corpus_config(seed));
+        let (_case, rules, ctx) = build(seed, &GenConfig::CORPUS);
         let plain = analyze_confluence(&ctx).requirement_holds();
         if plain {
             continue;

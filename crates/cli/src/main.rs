@@ -315,21 +315,14 @@ fn fuzz(args: &[String]) -> Result<CmdOutput, Failure> {
         ..starling_fuzz::FuzzConfig::default()
     };
     let mut corpus_dir: Option<String> = None;
+    let mut max_rows: Option<usize> = None;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
             "--seed" => config.seed = value(args, &mut i, "a number")?,
             "--cases" => config.cases = value(args, &mut i, "a number")?,
             "--budget" => config.budget.max_states = value(args, &mut i, "a number")?,
-            "--max-rows" => {
-                let rows: usize = value(args, &mut i, "a number")?;
-                config.gen.max_rows = rows;
-                // Generated tables start larger, so the exploration row cap
-                // must scale with them or every case truncates immediately.
-                // The default ratio (3 seed rows : 2000 budget rows) is
-                // preserved, with the stock budget as the floor.
-                config.budget.max_rows = config.budget.max_rows.max(rows.saturating_mul(700));
-            }
+            "--max-rows" => max_rows = Some(value(args, &mut i, "a number")?),
             "--rules" => {
                 let rules: usize = value(args, &mut i, "a number")?;
                 if rules == 0 {
@@ -338,7 +331,8 @@ fn fuzz(args: &[String]) -> Result<CmdOutput, Failure> {
                 // Scale the whole generator shape, not just the rule count:
                 // tables grow with rules so the conflict density (and hence
                 // report size) stays bounded, and seed rows drop to zero.
-                // --max-rows after --rules can re-enable seed data.
+                // An explicit --max-rows, in either order, re-enables seed
+                // data: it is applied after the loop.
                 let scaled = starling_fuzz::GenConfig::scaled(rules);
                 config.gen.max_rules = scaled.max_rules;
                 config.gen.min_rules = scaled.min_rules;
@@ -361,6 +355,14 @@ fn fuzz(args: &[String]) -> Result<CmdOutput, Failure> {
             }
             other => return Err(format!("unknown option `{other}`").into()),
         }
+    }
+    if let Some(rows) = max_rows {
+        config.gen.max_rows = rows;
+        // Generated tables start larger, so the exploration row cap must
+        // scale with them or every case truncates immediately. The default
+        // ratio (3 seed rows : 2000 budget rows) is preserved, with the
+        // stock budget as the floor.
+        config.budget.max_rows = config.budget.max_rows.max(rows.saturating_mul(700));
     }
     config.corpus_dir = match corpus_dir {
         Some(d) => Some(std::path::PathBuf::from(d)),

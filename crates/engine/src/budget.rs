@@ -23,9 +23,9 @@ pub enum TruncationReason {
     /// Path enumeration hit its root-to-final path limit
     /// ([`Budget::max_paths`]).
     Paths,
-    /// A state's database exceeded the per-state row limit
-    /// ([`Budget::max_rows`]) — the rule program grows the database faster
-    /// than exploration can bound it (e.g. a self-referencing
+    /// A state's database exceeded the row limit ([`Budget::max_rows`]) —
+    /// the rule program grows the database faster than exploration or
+    /// processing can bound it (e.g. a self-referencing
     /// `insert ... select` that multiplies rows on every firing).
     Rows,
     /// The wall-clock deadline expired ([`Budget::deadline`]).
@@ -47,8 +47,8 @@ impl fmt::Display for TruncationReason {
 /// Resource bounds shared by the rule processor and the oracle.
 ///
 /// `ExploreConfig` is an alias of this type: exploration reads
-/// `max_states` / `max_paths` / `deadline`, the processor reads
-/// `max_considerations` / `deadline`. One budget can drive both, so a CLI
+/// `max_states` / `max_paths` / `max_rows` / `deadline`, the processor
+/// reads `max_considerations` / `max_rows` / `deadline`. One budget can drive both, so a CLI
 /// `--timeout` bounds an entire `analyze`/`explore`/`run` invocation
 /// coherently.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -59,8 +59,9 @@ pub struct Budget {
     pub max_states: usize,
     /// Maximum root-to-final paths enumerated for observable streams.
     pub max_paths: usize,
-    /// Maximum total rows any single explored state's database may hold.
-    /// Guards against rule programs whose actions multiply rows on every
+    /// Maximum total rows any single explored state's database — or a
+    /// processing run's database after a consideration — may hold. Guards
+    /// against rule programs whose actions multiply rows on every
     /// firing (exponential database growth stays within `max_states` while
     /// exhausting memory). The default is effectively unlimited.
     pub max_rows: usize,

@@ -417,6 +417,11 @@ impl<'r> Processor<'r> {
                 result.outcome = Outcome::RolledBack;
                 return Ok(result);
             }
+            if state.db.total_rows() > self.budget.max_rows {
+                result.outcome = Outcome::LimitExceeded;
+                result.truncation = Some(TruncationReason::Rows);
+                return Ok(result);
+            }
         }
     }
 }
@@ -519,6 +524,32 @@ mod tests {
         assert_eq!(res.considerations.len(), 50);
         assert_eq!(res.truncation, Some(TruncationReason::Considerations));
         assert!(res.error.is_none());
+    }
+
+    /// A table-doubling rule stops at the row budget, not after the
+    /// consideration budget has let the table grow exponentially.
+    #[test]
+    fn row_budget_bounds_a_run() {
+        let mut db = db_with(&[("t", &["x"])]);
+        let rs = rules(
+            &db,
+            "create rule grow on t when inserted then insert into t select x + 1 from t end",
+        );
+        let snapshot = db.clone();
+        let op = ins(&mut db, "t", &[1]);
+        let mut st = ExecState::new(db, rs.len(), &[op]);
+        let budget = Budget::default()
+            .with_max_considerations(16)
+            .with_max_rows(100);
+        let res = Processor::new(&rs)
+            .with_budget(&budget)
+            .run(&mut st, &snapshot, &mut FirstEligible)
+            .unwrap();
+        assert_eq!(res.outcome, Outcome::LimitExceeded);
+        assert_eq!(res.truncation, Some(TruncationReason::Rows));
+        // One consideration past the cap: 64 rows, then 128.
+        assert_eq!(st.db.total_rows(), 128);
+        assert_eq!(res.considerations.len(), 7);
     }
 
     /// A zero wall-clock deadline stops the run before any consideration

@@ -1,7 +1,7 @@
 //! Fault-sweep harness: exhaustive atomicity checking under injected
 //! storage faults.
 //!
-//! For a generated workload, the sweep first runs the user transition with
+//! For a generated case, the sweep first runs its user transition with
 //! no faults to learn `N`, the number of mutating storage operations the
 //! transaction performs (user DML plus every rule action). It then replays
 //! the transaction `N + 1` times, injecting a one-shot storage fault before
@@ -19,19 +19,20 @@
 //! Violations are collected, not panicked, so property tests can report
 //! every broken index of a sweep at once.
 
-use starling_engine::{FirstEligible, Outcome, Session};
+use starling_engine::{Budget, FirstEligible, Outcome, Session};
 use starling_sql::ast::Statement;
 use starling_storage::{FaultPlan, FaultSpec};
 
-use crate::random::GeneratedWorkload;
+use crate::gen::FuzzCase;
 
-/// Result of one fault sweep over a workload's user transition.
+/// Result of one fault sweep over a case's user transition.
 #[derive(Clone, Debug)]
 pub struct SweepReport {
     /// Mutating storage ops in the fault-free run (the sweep's `N`).
     pub mutating_ops: u64,
-    /// Outcome of the fault-free run (`Quiescent`, or `LimitExceeded` for
-    /// non-terminating rule sets — both are legal reference points).
+    /// Outcome of the fault-free run (`Quiescent`, `RolledBack`, or
+    /// `LimitExceeded` when the budget ran out — all are legal reference
+    /// points).
     pub clean_outcome: Outcome,
     /// Runs that aborted back to the snapshot (expected: one per `k < N`).
     pub aborted: usize,
@@ -49,40 +50,19 @@ impl SweepReport {
     }
 }
 
-/// DDL + deterministic seed rows for the workload's catalog, as a script.
-/// (Seeds go through the session like everything else, so the sweep
-/// exercises exactly the code paths a user would.)
-fn setup_script(w: &GeneratedWorkload) -> String {
-    let mut s = String::new();
-    for t in w.catalog.tables() {
-        let cols: Vec<String> = t
-            .columns
-            .iter()
-            .map(|c| format!("{} int", c.name))
-            .collect();
-        s.push_str(&format!("create table {} ({});\n", t.name, cols.join(", ")));
-    }
-    for t in w.catalog.tables() {
-        for row in 0..w.config.rows_per_table {
-            let vals: Vec<String> = (0..t.arity())
-                .map(|c| ((row + c) % 10).to_string())
-                .collect();
-            s.push_str(&format!(
-                "insert into {} values ({});\n",
-                t.name,
-                vals.join(", ")
-            ));
-        }
-    }
-    s
-}
-
-/// A session with the workload's tables and seed data committed and its
-/// rules defined, poised before the user transition.
-fn build_session(w: &GeneratedWorkload, limit: usize) -> Session {
+/// A session with the case's tables and seed rows committed and its rules
+/// defined, poised before the user transition. Setup goes through the
+/// session like everything else, so the sweep exercises exactly the code
+/// paths a user would.
+fn build_session(case: &FuzzCase, budget: &Budget) -> Session {
+    let setup = FuzzCase {
+        defs: Vec::new(),
+        user_actions: Vec::new(),
+        ..case.clone()
+    };
     let mut s = Session::new();
-    s.budget.max_considerations = limit;
-    s.execute_script(&setup_script(w)).expect("setup script");
+    s.budget = *budget;
+    s.execute_script(&setup.script()).expect("setup script");
     // No rules exist yet, so the seed commit quiesces trivially.
     let seeded = s.commit(&mut FirstEligible).expect("seed commit");
     assert_eq!(
@@ -90,36 +70,32 @@ fn build_session(w: &GeneratedWorkload, limit: usize) -> Session {
         Outcome::Quiescent,
         "seed commit is rule-free"
     );
-    s.execute_script(&w.script()).expect("rule definitions");
+    let rules: String = case.defs.iter().map(|d| format!("{d};\n")).collect();
+    s.execute_script(&rules).expect("rule definitions");
     s
 }
 
-/// Executes the user transition (salted as in
-/// [`GeneratedWorkload::user_transition`]) and commits. Errors surface from
+/// Executes the case's user transition and commits. Errors surface from
 /// the statement that hit them; the session has already rolled back.
-fn drive(
-    s: &mut Session,
-    w: &GeneratedWorkload,
-    salt: u64,
-) -> Result<Outcome, starling_engine::EngineError> {
-    for a in w.user_transition(salt) {
-        s.execute(&Statement::Dml(a))?;
+fn drive(s: &mut Session, case: &FuzzCase) -> Result<Outcome, starling_engine::EngineError> {
+    for a in &case.user_actions {
+        s.execute(&Statement::Dml(a.clone()))?;
     }
     Ok(s.commit(&mut FirstEligible)?.outcome)
 }
 
-/// Sweeps one workload: injects a storage fault at every mutating-op index
-/// of the transaction and checks snapshot-or-committed at each.
+/// Sweeps one case: injects a storage fault at every mutating-op index of
+/// its user transition and checks snapshot-or-committed at each.
 ///
-/// `limit` bounds rule processing per run (non-terminating rule sets stop
-/// at [`Outcome::LimitExceeded`], which is still a deterministic reference
-/// state for the unfired-fault runs).
-pub fn fault_sweep(w: &GeneratedWorkload, salt: u64, limit: usize) -> SweepReport {
+/// `budget` bounds rule processing per run (non-terminating or
+/// table-doubling rule sets stop at [`Outcome::LimitExceeded`], which is
+/// still a deterministic reference state for the unfired-fault runs).
+pub fn fault_sweep(case: &FuzzCase, budget: &Budget) -> SweepReport {
     // Reference run: an empty fault plan fires nothing but counts ops.
-    let mut clean = build_session(w, limit);
+    let mut clean = build_session(case, budget);
     let pre_digest = clean.db().state_digest();
     clean.install_fault_plan(FaultPlan::new());
-    let clean_outcome = drive(&mut clean, w, salt).expect("fault-free run");
+    let clean_outcome = drive(&mut clean, case).expect("fault-free run");
     let clean_digest = clean.db().state_digest();
     let mutating_ops = clean
         .db()
@@ -137,9 +113,9 @@ pub fn fault_sweep(w: &GeneratedWorkload, salt: u64, limit: usize) -> SweepRepor
 
     // `k = mutating_ops` is the control: its fault never fires.
     for k in 0..=mutating_ops {
-        let mut s = build_session(w, limit);
+        let mut s = build_session(case, budget);
         s.install_fault_plan(FaultPlan::single(FaultSpec::nth(k)));
-        let res = drive(&mut s, w, salt);
+        let res = drive(&mut s, case);
         let fired = s.db().fault_state().is_some_and(|f| f.any_fired());
         let digest = s.db().state_digest();
 
@@ -184,27 +160,29 @@ pub fn fault_sweep(w: &GeneratedWorkload, salt: u64, limit: usize) -> SweepRepor
 
 #[cfg(test)]
 mod tests {
-    use crate::random::{generate, RandomConfig};
+    use crate::gen::{generate, GenConfig};
 
     use super::*;
 
-    fn small(seed: u64) -> RandomConfig {
-        RandomConfig {
-            n_tables: 3,
-            n_cols: 2,
-            n_rules: 3,
-            max_actions: 2,
-            rows_per_table: 2,
-            seed,
-            ..RandomConfig::default()
-        }
+    const SMALL: GenConfig = GenConfig {
+        max_tables: 3,
+        max_rules: 3,
+        min_rules: 3,
+        p_order: 0.2,
+        p_observable: 0.15,
+        ..GenConfig::CORPUS
+    };
+
+    fn budget() -> Budget {
+        Budget::default()
+            .with_max_considerations(40)
+            .with_max_rows(100)
     }
 
     #[test]
-    fn sweep_holds_on_sampled_workloads() {
+    fn sweep_holds_on_sampled_cases() {
         for seed in 0..8 {
-            let w = generate(&small(seed));
-            let report = fault_sweep(&w, 17, 40);
+            let report = fault_sweep(&generate(seed, &SMALL), &budget());
             assert!(report.holds(), "seed {seed}: {:#?}", report.violations);
             // Every fault index before N fires and aborts; the control
             // commits identically to the fault-free run.
@@ -216,8 +194,7 @@ mod tests {
     #[test]
     fn sweep_counts_user_dml_and_rule_actions() {
         // At least the user's own mutating statements are observed.
-        let w = generate(&small(3));
-        let report = fault_sweep(&w, 17, 40);
+        let report = fault_sweep(&generate(3, &SMALL), &budget());
         assert!(report.mutating_ops > 0, "{report:?}");
     }
 }

@@ -9,6 +9,11 @@
 //! downward in rule-index order so the priority order stays acyclic (a
 //! priority *cycle* is a script error, not an interesting execution).
 //!
+//! It is the repository's one random-program generator: the fuzz
+//! campaigns, the reproduction's experiments, the property suites and the
+//! benchmark's analysis workload all draw from [`generate`], each through
+//! a [`GenConfig`] of its own.
+//!
 //! Everything is a pure function of the seed: the RNG is the vendored
 //! splitmix64 [`StdRng`] and no iteration order depends on a hash map, so a
 //! fuzz run's report is byte-identical across repetitions — the property the
@@ -18,8 +23,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use starling_sql::ast::{
     Action, BinOp, DeleteStmt, Expr, FromItem, InsertSource, InsertStmt, RuleDef, SelectItem,
-    SelectStmt, TableRef, TransitionTable, TriggerEvent, UpdateStmt,
+    SelectStmt, Statement, TableRef, TransitionTable, TriggerEvent, UpdateStmt,
 };
+use starling_storage::{Catalog, ColumnDef, Database, TableSchema, Value, ValueType};
 
 /// Size and probability knobs for [`generate`]. The defaults keep programs
 /// small enough that one exploration under the fuzz budget runs in
@@ -77,6 +83,40 @@ impl Default for GenConfig {
 pub const DENSE_ORDER_LIMIT: usize = 64;
 
 impl GenConfig {
+    /// The reproduction's standard corpus (the E-tables and the soundness
+    /// suites): four-rule programs over up to four two-column tables,
+    /// dense enough that rules interact, with a healthy mix of accepted and
+    /// rejected rule sets.
+    pub const CORPUS: GenConfig = GenConfig {
+        max_tables: 4,
+        max_cols: 2,
+        max_rules: 4,
+        min_rules: 4,
+        max_actions: 2,
+        max_rows: 2,
+        max_user_actions: 3,
+        p_condition: 0.5,
+        p_order: 0.4,
+        p_observable: 0.2,
+        p_rollback: 0.04,
+    };
+
+    /// A sparse corpus (§9's subsumption chain separates on it): three
+    /// single-action rules over up to ten tables, few shared references.
+    pub const SPARSE: GenConfig = GenConfig {
+        max_tables: 10,
+        max_cols: 2,
+        max_rules: 3,
+        min_rules: 3,
+        max_actions: 1,
+        max_rows: 1,
+        max_user_actions: 2,
+        p_condition: 0.2,
+        p_order: 0.3,
+        p_observable: 0.0,
+        p_rollback: 0.0,
+    };
+
     /// A config for large analysis workloads: up to `rules` rules spread
     /// over proportionally many tables. Keeping tables ≈ rules/2 bounds the
     /// number of conflicting pairs (rules collide only when their tables
@@ -123,12 +163,11 @@ pub struct FuzzCase {
 }
 
 impl FuzzCase {
-    /// The case's schema as a [`Catalog`](starling_storage::Catalog) —
+    /// The case's schema as a [`Catalog`] —
     /// lets large cases compile via `RuleSet::compile(&case.defs, ...)`
     /// directly, without rendering and re-parsing a multi-megabyte script.
-    pub fn catalog(&self) -> starling_storage::Catalog {
-        use starling_storage::{ColumnDef, TableSchema, ValueType};
-        let mut cat = starling_storage::Catalog::new();
+    pub fn catalog(&self) -> Catalog {
+        let mut cat = Catalog::new();
         for t in &self.tables {
             let cols = (0..t.cols)
                 .map(|c| ColumnDef::new(format!("c{c}"), ValueType::Int))
@@ -137,6 +176,28 @@ impl FuzzCase {
                 .expect("generated table names are unique");
         }
         cat
+    }
+
+    /// A database over [`FuzzCase::catalog`] holding the case's seed rows —
+    /// the state its script's setup statements commit.
+    pub fn database(&self) -> Database {
+        let mut db = Database::new();
+        for schema in self.catalog().tables() {
+            db.create_table(schema.clone()).expect("fresh catalog");
+        }
+        for (ti, vals) in &self.rows {
+            let row = vals.iter().map(|&v| Value::Int(v)).collect();
+            db.insert(&self.tables[*ti].name, row).expect("typed row");
+        }
+        db
+    }
+
+    /// Another user transition over the case's tables, drawn from `salt` by
+    /// the same drawer [`generate`] uses for [`FuzzCase::user_actions`]. A
+    /// caller probing many programs folds each program's seed into the salt.
+    pub fn transition(&self, salt: u64, cfg: &GenConfig) -> Vec<Action> {
+        let mut rng = StdRng::seed_from_u64(salt ^ 0x7a5a_17e5_0000_0000);
+        gen_transition(&mut rng, cfg, &self.tables, &self.defs)
     }
 
     /// Renders the case as a runnable script per the loader convention:
@@ -433,6 +494,47 @@ fn gen_events(rng: &mut StdRng, table_cols: usize) -> Vec<TriggerEvent> {
     events
 }
 
+/// A user transition: `1..=max_user_actions` plain DML statements, biased
+/// toward tables that have rules so most transitions trigger something.
+fn gen_transition(
+    rng: &mut StdRng,
+    cfg: &GenConfig,
+    tables: &[TableSpec],
+    defs: &[RuleDef],
+) -> Vec<Action> {
+    let n_user = rng.gen_range(1..=cfg.max_user_actions);
+    let mut user_actions = Vec::new();
+    for _ in 0..n_user {
+        let ti = if !defs.is_empty() && rng.gen_bool(0.8) {
+            let def = &defs[rng.gen_range(0..defs.len())];
+            tables.iter().position(|t| t.name == def.table).unwrap()
+        } else {
+            rng.gen_range(0..tables.len())
+        };
+        let t = &tables[ti];
+        user_actions.push(match rng.gen_range(0..3u32) {
+            0 => Action::Update(UpdateStmt {
+                table: t.name.clone(),
+                sets: vec![(
+                    format!("c{}", rng.gen_range(0..t.cols)),
+                    scalar(rng, t.cols),
+                )],
+                where_clause: rng.gen_bool(0.5).then(|| predicate(rng, t.cols)),
+            }),
+            1 => Action::Delete(DeleteStmt {
+                table: t.name.clone(),
+                where_clause: Some(predicate(rng, t.cols)),
+            }),
+            _ => Action::Insert(InsertStmt {
+                table: t.name.clone(),
+                columns: None,
+                source: InsertSource::Values(vec![(0..t.cols).map(|_| lit(rng)).collect()]),
+            }),
+        });
+    }
+    user_actions
+}
+
 /// Generates one case from a seed. Same seed + same config ⇒ identical case.
 pub fn generate(seed: u64, cfg: &GenConfig) -> FuzzCase {
     // Decorrelate from other users of the seed (e.g. the harness's own
@@ -525,38 +627,7 @@ pub fn generate(seed: u64, cfg: &GenConfig) -> FuzzCase {
         }
     }
 
-    // The user transition: plain DML, biased toward tables that have rules
-    // so most cases actually trigger something.
-    let n_user = rng.gen_range(1..=cfg.max_user_actions);
-    let mut user_actions = Vec::new();
-    for _ in 0..n_user {
-        let ti = if rng.gen_bool(0.8) {
-            let def = &defs[rng.gen_range(0..defs.len())];
-            tables.iter().position(|t| t.name == def.table).unwrap()
-        } else {
-            rng.gen_range(0..tables.len())
-        };
-        let t = &tables[ti];
-        user_actions.push(match rng.gen_range(0..3u32) {
-            0 => Action::Update(UpdateStmt {
-                table: t.name.clone(),
-                sets: vec![(
-                    format!("c{}", rng.gen_range(0..t.cols)),
-                    scalar(&mut rng, t.cols),
-                )],
-                where_clause: rng.gen_bool(0.5).then(|| predicate(&mut rng, t.cols)),
-            }),
-            1 => Action::Delete(DeleteStmt {
-                table: t.name.clone(),
-                where_clause: Some(predicate(&mut rng, t.cols)),
-            }),
-            _ => Action::Insert(InsertStmt {
-                table: t.name.clone(),
-                columns: None,
-                source: InsertSource::Values(vec![(0..t.cols).map(|_| lit(&mut rng)).collect()]),
-            }),
-        });
-    }
+    let user_actions = gen_transition(&mut rng, cfg, &tables, &defs);
 
     FuzzCase {
         tables,
@@ -564,6 +635,74 @@ pub fn generate(seed: u64, cfg: &GenConfig) -> FuzzCase {
         defs,
         user_actions,
     }
+}
+
+/// `k` genuinely independent partitions of five rules each: `k` small
+/// generated programs, every table and rule renamed into its partition's
+/// namespace (`p3_t0`, `p3_r0`) so that no two share a table. Returns the
+/// combined catalog and rule definitions.
+pub fn partitioned(k: usize) -> (Catalog, Vec<RuleDef>) {
+    // At most two tables keep a partition's five rules one component; the
+    // partition tests check that every one is.
+    let cfg = GenConfig {
+        max_tables: 2,
+        max_cols: 2,
+        min_rules: 5,
+        max_rules: 5,
+        max_actions: 2,
+        p_order: 0.3,
+        p_observable: 0.1,
+        p_rollback: 0.0,
+        ..GenConfig::default()
+    };
+    let mut catalog = Catalog::new();
+    let mut defs = Vec::new();
+    for p in 0..k {
+        let case = generate(p as u64, &cfg);
+        for schema in case.catalog().tables() {
+            let name = format!("p{p}_{}", schema.name);
+            catalog
+                .add_table(TableSchema::new(name, schema.columns.clone()).expect("same columns"))
+                .expect("distinct tables");
+        }
+        for def in &case.defs {
+            let renamed = namespace_tokens(&def.to_string(), p);
+            let Ok(Statement::CreateRule(def)) = starling_sql::parse_statement(&renamed) else {
+                unreachable!("a renamed rule parses as a rule")
+            };
+            defs.push(def);
+        }
+    }
+    (catalog, defs)
+}
+
+/// Prefixes every `t<digits>` / `r<digits>` identifier token of `script`
+/// with `p{p}_`. Generated identifiers are exactly `t<digits>` (tables),
+/// `r<digits>` (rules) and `c<digits>` (columns), so a token-boundary scan
+/// renames every table and rule of a generated script and nothing else.
+pub fn namespace_tokens(script: &str, p: usize) -> String {
+    let chars: Vec<char> = script.chars().collect();
+    let ident = |c: char| c.is_alphanumeric() || c == '_';
+    let mut out = String::with_capacity(script.len() + 64);
+    let mut i = 0;
+    while i < chars.len() {
+        let c = chars[i];
+        if (i == 0 || !ident(chars[i - 1])) && (c == 't' || c == 'r') {
+            let mut j = i + 1;
+            while j < chars.len() && chars[j].is_ascii_digit() {
+                j += 1;
+            }
+            if j > i + 1 && (j == chars.len() || !ident(chars[j])) {
+                out.push_str(&format!("p{p}_"));
+                out.extend(&chars[i..j]);
+                i = j;
+                continue;
+            }
+        }
+        out.push(c);
+        i += 1;
+    }
+    out
 }
 
 #[cfg(test)]
@@ -621,6 +760,56 @@ mod tests {
         assert!(edges > 0, "sparse sampling produced no priority edges");
         starling_engine::RuleSet::compile(&a.defs, &a.catalog())
             .expect("scaled case compiles (names resolve, priority acyclic)");
+    }
+
+    /// FNV-1a over `bytes`, continuing from `h`.
+    fn fnv(h: u64, bytes: &[u8]) -> u64 {
+        bytes.iter().fold(h, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// The generator's bytes are pinned: one digest over the default
+    /// config's scripts for seeds 0..200 (the fuzz campaigns' and the
+    /// property suites' shape), and one each for the benchmark's full and
+    /// `--check` programs, `scaled(1000)` and `scaled(50)` at seed 42. A
+    /// change to any draw shows here, not as a silent shift in every
+    /// experiment.
+    #[test]
+    fn generated_bytes_are_pinned() {
+        const BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+        let script = |seed, cfg: &GenConfig| generate(seed, cfg).script();
+        let default = (0..200).fold(BASIS, |h, seed| {
+            fnv(h, script(seed, &GenConfig::default()).as_bytes())
+        });
+        assert_eq!(default, 0x39ba_3b4e_6d4c_ebbf);
+        let full = fnv(BASIS, script(42, &GenConfig::scaled(1000)).as_bytes());
+        assert_eq!(full, 0x7493_2de0_db4a_65ec);
+        let check = fnv(BASIS, script(42, &GenConfig::scaled(50)).as_bytes());
+        assert_eq!(check, 0xd927_3ef2_7472_d06d);
+    }
+
+    #[test]
+    fn drawn_transitions_are_valid_and_vary() {
+        let cfg = GenConfig::default();
+        for seed in 0..50 {
+            let case = generate(seed, &cfg);
+            let catalog = case.catalog();
+            let drawn: Vec<_> = (0..8).map(|salt| case.transition(salt, &cfg)).collect();
+            for a in drawn.iter().flatten() {
+                starling_sql::validate::validate_dml(a, &catalog)
+                    .unwrap_or_else(|e| panic!("seed {seed}: {a}: {e}"));
+            }
+            assert!(drawn.iter().any(|t| t != &drawn[0]), "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn database_holds_the_seed_rows() {
+        let case = generate(3, &GenConfig::default());
+        let db = case.database();
+        assert_eq!(db.total_rows(), case.rows.len());
+        assert_eq!(db.catalog(), &case.catalog());
     }
 
     /// The sparse path only engages above the limit: default-sized programs

@@ -7,7 +7,10 @@
 //! program runs through four independent implementations of "what does this
 //! program do" ([`oracle`]), any disagreement is greedily shrunk to a
 //! minimal reproducer ([`mod@shrink`]) and pinned as a runnable `.star` script
-//! ([`corpus`]) that replays as an ordinary `cargo test` regression.
+//! ([`corpus`]) that replays as an ordinary `cargo test` regression. The
+//! same generator feeds the reproduction's experiments and property suites,
+//! and [`mod@fault_sweep`] checks a generated transaction's atomicity under
+//! a storage fault injected at every mutating-op index.
 //!
 //! Everything is deterministic: the same `(seed, cases, budget)` triple
 //! produces the same cases, the same oracle answers, and a byte-identical
@@ -16,6 +19,7 @@
 //! for exactly this reason; the per-case bound is `max_states`.
 
 pub mod corpus;
+pub mod fault_sweep;
 pub mod gen;
 pub mod oracle;
 pub mod shrink;
@@ -24,6 +28,7 @@ use std::path::PathBuf;
 
 use starling_engine::Budget;
 
+pub use fault_sweep::{fault_sweep, SweepReport};
 pub use gen::{generate, FuzzCase, GenConfig};
 pub use oracle::{check_script, CaseOutcome, Disagreement, Mutation};
 pub use shrink::shrink;

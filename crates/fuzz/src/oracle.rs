@@ -171,12 +171,11 @@ fn durability_check_in(src: &str, budget: &Budget, dir: &std::path::Path) -> Opt
     let mut mem = Session::new();
     let mut dur = Session::new();
     // A tight consideration cap bounds commit-time rule processing:
-    // generated programs are often nonterminating, and — unlike the
-    // exploration oracles, whose budget carries `max_rows` — a session
-    // commit has no row cap, so a table-doubling rule under the full case
-    // budget would grow state exponentially. A handful of firings exercises
-    // the WAL exactly as well, and both sides hitting the limit (with
-    // identical truncated state) is itself an agreement.
+    // generated programs are often nonterminating, and these sessions keep
+    // the default (unlimited) row budget, so a table-doubling rule under
+    // the full case budget would grow state exponentially. A handful of
+    // firings exercises the WAL exactly as well, and both sides hitting the
+    // limit (with identical truncated state) is itself an agreement.
     let cap = budget.max_considerations.min(6);
     mem.budget.max_considerations = cap;
     dur.budget.max_considerations = cap;

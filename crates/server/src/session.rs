@@ -914,6 +914,30 @@ mod tests {
         }
     }
 
+    /// A commit honours the request's row budget: a table-doubling rule
+    /// stops at `max_rows` long before its consideration cap, and the
+    /// session is reset to its pre-request state.
+    #[test]
+    fn exec_honours_the_row_budget() {
+        let cache = ScriptCache::new();
+        let mut s = ServerSession::new();
+        let src = "create table t (x int);\n\
+                   create rule grow on t when inserted then \
+                     insert into t select x + 1 from t end;";
+        let req = Json::obj([("script", Json::from(src))]);
+        s.handle_op("load", &req, &cache).unwrap();
+        let digest = Json::parse("{}").unwrap();
+        let before = s.handle_op("digest", &digest, &cache).unwrap();
+        let req = Json::parse(
+            r#"{"sql":"insert into t values (1);","budget":{"max_rows":100,"max_considerations":16}}"#,
+        )
+        .unwrap();
+        let (code, msg, _) = s.handle_op("exec", &req, &cache).unwrap_err();
+        assert_eq!(code, ErrorCode::Inconclusive);
+        assert!(msg.contains("row budget exhausted"), "{msg}");
+        assert_eq!(s.handle_op("digest", &digest, &cache).unwrap(), before);
+    }
+
     #[test]
     fn budget_exhaustion_is_inconclusive_and_atomic() {
         let cache = ScriptCache::new();

@@ -1,4 +1,4 @@
-//! Chase-style linear existential rules (ROADMAP item 5(b)), after the
+//! Chase-style linear existential rules (ROADMAP item 15), after the
 //! termination studies of Calautti, Gottlob & Pieris on linear
 //! tuple-generating dependencies.
 //!

@@ -1,11 +1,9 @@
 //! # starling-workloads
 //!
-//! Workload generators and case studies for the Starling experiments.
+//! Case studies and hand-built workloads for the Starling experiments.
+//! (Random rule programs come from `starling_fuzz::gen`, the one
+//! generator.)
 //!
-//! * [`random`] — a seeded, parameterized generator of *valid* rule sets,
-//!   initial databases, and user transitions. Every experiment that
-//!   compares static verdicts against the execution-graph oracle draws its
-//!   corpus from here, reproducibly.
 //! * [`power_network`] — a reconstruction of the power-network design
 //!   application of \[CW90\], the paper's Section 5 termination case study:
 //!   a cascade of deletions whose triggering cycle is discharged by
@@ -23,9 +21,6 @@
 //! * [`cond_stress`] — condition-heavy rule programs (joins and filters
 //!   over a reference table of any size), the evaluation-mode
 //!   differentials' input.
-//! * [`mod@fault_sweep`] — exhaustive atomicity checking under injected storage
-//!   faults: replay a transaction with a fault at every mutating-op index
-//!   and verify the database is always snapshot-or-committed.
 //! * [`chase`] — chase-style linear existential rules (Calautti et al.):
 //!   weakly acyclic, non-terminating, and order-sensitive TGD sets whose
 //!   fresh-label arithmetic imports the chase's termination and confluence
@@ -36,14 +31,10 @@ pub mod chase;
 pub mod cond_stress;
 pub mod constraints;
 pub mod corpus;
-pub mod fault_sweep;
 pub mod power_network;
-pub mod random;
 pub mod versioning;
 
 pub use corpus::{corpus, CorpusEntry};
-pub use fault_sweep::{fault_sweep, SweepReport};
-pub use random::{GeneratedWorkload, RandomConfig};
 
 use starling_engine::RuleSet;
 use starling_sql::ast::Statement;

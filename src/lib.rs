@@ -21,7 +21,7 @@
 //! | [`analysis`] | `starling-analysis` | the paper's analyses (Sections 3–8) |
 //! | [`provenance`] | `starling-provenance` | decision traces, divergence witnesses |
 //! | [`baselines`] | `starling-baselines` | HH91/ZH90/Ras90-analog comparators |
-//! | [`workloads`] | `starling-workloads` | generators and case studies |
+//! | [`workloads`] | `starling-workloads` | case studies (random programs come from `starling-fuzz`) |
 //!
 //! ## Quickstart
 //!

@@ -28,7 +28,9 @@
 use std::ops::Not;
 
 use starling::analysis::load_script;
-use starling::engine::{explore, explore_with_mode, EvalMode, ExecGraph, ExploreConfig, RuleSet};
+use starling::engine::{
+    explore, explore_with_mode, EvalMode, ExecGraph, ExploreConfig, RuleSet, TruncationReason,
+};
 use starling::sql::ast::{Action, Statement};
 use starling::sql::eval::expr::eval_bool;
 use starling::sql::eval::{eval_select, exec_action, ActionOutcome, Env, EvalCtx};
@@ -42,7 +44,8 @@ use starling::storage::{
     Bitmap, ColumnDef, Database, TableBatch, TableSchema, TupleId, Value, ValueType,
 };
 use starling::workloads::cond_stress::CondStress;
-use starling::workloads::{corpus, random, CorpusEntry};
+use starling::workloads::{corpus, CorpusEntry};
+use starling_fuzz::{generate, FuzzCase, GenConfig};
 
 /// Fixture exercising every column representation: `Int` (non-null ints),
 /// `Bool` (nullable bools), `Mixed` (a float column that also holds ints —
@@ -328,18 +331,6 @@ fn exploration_graphs_agree_across_modes() {
         chunked.user_actions(),
     ));
 
-    for seed in 0..8u64 {
-        let w = random::generate(&random::RandomConfig {
-            seed,
-            n_rules: 5,
-            ..random::RandomConfig::default()
-        });
-        let rules = w.compile();
-        let db = w.seed_database();
-        let actions = w.user_transition(0xc01a);
-        cases.push((format!("random/seed{seed}"), rules, db, actions));
-    }
-
     for (name, rules, db, actions) in &cases {
         let columnar = graph_fingerprint(rules, db, actions, &cfg, EvalMode::Columnar, name);
         let row = graph_fingerprint(rules, db, actions, &cfg, EvalMode::Plan, name);
@@ -350,6 +341,45 @@ fn exploration_graphs_agree_across_modes() {
             "{name}: columnar vs interp graphs diverge"
         );
     }
+
+    for seed in 0..8u64 {
+        let case = generate(seed, &GenConfig::default());
+        let columnar = generated_fingerprint(&case, EvalMode::Columnar);
+        let row = generated_fingerprint(&case, EvalMode::Plan);
+        let interp = generated_fingerprint(&case, EvalMode::Interp);
+        assert_eq!(
+            columnar, row,
+            "seed {seed}: columnar vs row-plan graphs diverge"
+        );
+        assert_eq!(
+            columnar, interp,
+            "seed {seed}: columnar vs interp graphs diverge"
+        );
+    }
+}
+
+/// A generated program's exploration under `mode`, fingerprinted with its
+/// truncation. Generated programs need not terminate, and a self-feeding
+/// `insert … select` doubles its table on every firing, so the budget caps
+/// rows and a truncated graph is compared as explored, as the fuzz
+/// campaign's eval-mode oracle compares it.
+fn generated_fingerprint(
+    case: &FuzzCase,
+    mode: EvalMode,
+) -> (Option<TruncationReason>, usize, usize, Vec<u64>) {
+    let cfg = ExploreConfig::default()
+        .with_max_states(5_000)
+        .with_max_paths(10_000)
+        .with_max_rows(200);
+    let rules = RuleSet::compile(&case.defs, &case.catalog()).unwrap();
+    let g = explore_with_mode(&rules, &case.database(), &case.user_actions, &cfg, mode).unwrap();
+    let mut digests: Vec<u64> = g
+        .final_dbs
+        .iter()
+        .map(|(_, fdb)| fdb.state_digest())
+        .collect();
+    digests.sort_unstable();
+    (g.truncation, g.states.len(), g.edges.len(), digests)
 }
 
 // ---------------------------------------------------------------------------

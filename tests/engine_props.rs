@@ -7,10 +7,26 @@ use proptest::prelude::*;
 
 use starling::analysis::load_script;
 use starling::engine::{
-    ExecState, FirstEligible, NetEffect, PriorityOrder, Processor, RuleId, Scripted, TupleOp,
+    Budget, ExecState, FirstEligible, NetEffect, PriorityOrder, Processor, RuleId, RuleSet,
+    Scripted, TupleOp,
 };
 use starling::storage::{CanonicalDigest, Fnv64, TupleId, Value};
-use starling::workloads::random::{generate, RandomConfig};
+use starling_fuzz::{generate, GenConfig};
+
+/// Four-rule programs over up to three two-column tables.
+const SMALL: GenConfig = GenConfig {
+    max_tables: 3,
+    p_order: 0.2,
+    ..GenConfig::CORPUS
+};
+
+/// 60 considerations, and a row cap: a generated `insert … select` from
+/// its own table doubles it on every firing.
+fn run_budget() -> Budget {
+    Budget::default()
+        .with_max_considerations(60)
+        .with_max_rows(200)
+}
 
 /// Random DAG edges over `n` rules: only downward edges `(i, j)` with
 /// `i < j`, so construction never fails.
@@ -236,20 +252,10 @@ proptest! {
         seed in 0u64..40,
         picks in proptest::collection::vec(0usize..4, 0..30),
     ) {
-        let w = generate(&RandomConfig {
-            n_tables: 3,
-            n_cols: 2,
-            n_rules: 4,
-            max_actions: 2,
-            p_condition: 0.5,
-            p_observable: 0.2,
-            p_priority: 0.2,
-            rows_per_table: 2,
-            seed,
-        });
-        let rules = w.compile();
-        let base = w.seed_database();
-        let actions = w.user_transition(3);
+        let case = generate(seed, &SMALL);
+        let rules = RuleSet::compile(&case.defs, &case.catalog()).unwrap();
+        let base = case.database();
+        let actions = case.transition(seed ^ 3, &SMALL);
 
         let run = |picks: &[usize]| {
             let mut db = base.clone();
@@ -258,7 +264,7 @@ proptest! {
             let mut st = ExecState::new(db, rules.len(), &ops);
             let mut strategy = Scripted::new(picks.to_vec());
             let res = Processor::new(&rules)
-                .with_limit(60)
+                .with_budget(&run_budget())
                 .run(&mut st, &base, &mut strategy)
                 .ok()?;
             Some((
@@ -280,20 +286,17 @@ proptest! {
     /// with it equals a run scripted with all-zero picks.
     #[test]
     fn first_eligible_equals_zero_script(seed in 0u64..40) {
-        let w = generate(&RandomConfig {
-            n_tables: 3,
-            n_cols: 2,
-            n_rules: 4,
+        let cfg = GenConfig {
             max_actions: 1,
             p_condition: 0.4,
+            p_order: 0.3,
             p_observable: 0.1,
-            p_priority: 0.3,
-            rows_per_table: 2,
-            seed,
-        });
-        let rules = w.compile();
-        let base = w.seed_database();
-        let actions = w.user_transition(9);
+            ..SMALL
+        };
+        let case = generate(seed, &cfg);
+        let rules = RuleSet::compile(&case.defs, &case.catalog()).unwrap();
+        let base = case.database();
+        let actions = case.transition(seed ^ 9, &cfg);
 
         let mut db1 = base.clone();
         let Ok(ops1) = starling::engine::exec_graph::apply_user_actions(&mut db1, &actions)
@@ -302,7 +305,7 @@ proptest! {
         };
         let mut st1 = ExecState::new(db1, rules.len(), &ops1);
         let r1 = Processor::new(&rules)
-            .with_limit(60)
+            .with_budget(&run_budget())
             .run(&mut st1, &base, &mut FirstEligible)
             .unwrap();
 
@@ -312,7 +315,7 @@ proptest! {
         let mut st2 = ExecState::new(db2, rules.len(), &ops2);
         let mut zeros = Scripted::new(vec![]);
         let r2 = Processor::new(&rules)
-            .with_limit(60)
+            .with_budget(&run_budget())
             .run(&mut st2, &base, &mut zeros)
             .unwrap();
 

@@ -11,8 +11,15 @@
 
 use proptest::prelude::*;
 
-use starling::workloads::fault_sweep::fault_sweep;
-use starling::workloads::random::{generate, RandomConfig};
+use starling::engine::Budget;
+use starling_fuzz::{fault_sweep, generate, FuzzCase, GenConfig};
+
+const CONFIG: GenConfig = GenConfig {
+    max_tables: 3,
+    p_order: 0.2,
+    p_observable: 0.15,
+    ..GenConfig::CORPUS
+};
 
 proptest! {
     #[test]
@@ -20,18 +27,17 @@ proptest! {
         seed in 0u64..500,
         salt in 1u64..50,
     ) {
-        let w = generate(&RandomConfig {
-            n_tables: 3,
-            n_cols: 2,
-            n_rules: 4,
-            max_actions: 2,
-            p_condition: 0.5,
-            p_observable: 0.15,
-            p_priority: 0.2,
-            rows_per_table: 2,
-            seed,
-        });
-        let report = fault_sweep(&w, salt, 40);
+        let case = generate(seed, &CONFIG);
+        let case = FuzzCase {
+            user_actions: case.transition(seed ^ salt, &CONFIG),
+            ..case
+        };
+        // A generated `insert … select` from its own table doubles it on
+        // every firing: the row cap bounds each run.
+        let budget = Budget::default()
+            .with_max_considerations(40)
+            .with_max_rows(100);
+        let report = fault_sweep(&case, &budget);
         prop_assert!(
             report.holds(),
             "seed {} salt {}: {:?}",

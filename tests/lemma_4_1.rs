@@ -22,32 +22,25 @@ use std::collections::BTreeSet;
 
 use starling::analysis::certifications::Certifications;
 use starling::analysis::context::AnalysisContext;
-use starling::engine::{explore_from_ops, ExploreConfig, RuleId};
-use starling::workloads::random::{generate, RandomConfig};
+use starling::engine::{explore_from_ops, ExploreConfig, RuleId, RuleSet};
+use starling_fuzz::{generate, GenConfig};
 
 #[test]
 fn lemma_4_1_holds_on_every_explored_edge() {
     let cfg = ExploreConfig::default()
         .with_max_states(800)
-        .with_max_paths(1);
+        .with_max_paths(1)
+        // A generated `insert … select` from its own table doubles it on
+        // every firing.
+        .with_max_rows(200);
     let mut edges_checked = 0usize;
 
     for seed in 0..50u64 {
-        let w = generate(&RandomConfig {
-            n_tables: 4,
-            n_cols: 2,
-            n_rules: 4,
-            max_actions: 2,
-            p_condition: 0.5,
-            p_observable: 0.2,
-            p_priority: 0.4,
-            rows_per_table: 2,
-            seed,
-        });
-        let rules = w.compile();
+        let case = generate(seed, &GenConfig::CORPUS);
+        let rules = RuleSet::compile(&case.defs, &case.catalog()).unwrap();
         let ctx = AnalysisContext::from_ruleset(&rules, Certifications::new());
-        let base_db = w.seed_database();
-        let actions = w.user_transition(13);
+        let base_db = case.database();
+        let actions = case.transition(seed ^ 13, &GenConfig::CORPUS);
         let mut working = base_db.clone();
         let Ok(ops) = starling::engine::exec_graph::apply_user_actions(&mut working, &actions)
         else {
@@ -68,7 +61,7 @@ fn lemma_4_1_holds_on_every_explored_edge() {
             assert!(
                 eligible.contains(&r),
                 "seed {seed}: considered rule {r} not in Choose(TR1)\n{}",
-                w.script()
+                case.script()
             );
 
             // Property 2: O' ⊆ Performs(r); empty if the condition failed.

@@ -22,24 +22,22 @@ use starling::analysis::context::AnalysisContext;
 use starling::analysis::observable::analyze_observable_determinism;
 use starling::analysis::partial::analyze_partial_confluence;
 use starling::analysis::termination::{analyze_termination, TerminationVerdict};
-use starling::engine::{explore_from_ops, ExploreConfig, Verdict};
-use starling::workloads::random::{generate, RandomConfig};
+use starling::engine::{explore_from_ops, ExploreConfig, RuleSet, Verdict};
+use starling_fuzz::{generate, FuzzCase, GenConfig};
 
-fn small_config(seed: u64) -> RandomConfig {
-    // Calibrated so the corpus contains statically-accepted rule sets for
-    // every property (probed: ~2/3 terminate, ~1/6 confluent, ~2/3
-    // observably deterministic at these densities).
-    RandomConfig {
-        n_tables: 4,
-        n_cols: 2,
-        n_rules: 4,
-        max_actions: 2,
-        p_condition: 0.5,
-        p_observable: 0.2,
-        p_priority: 0.4,
-        rows_per_table: 2,
-        seed,
-    }
+fn build(seed: u64) -> (FuzzCase, RuleSet) {
+    let case = generate(seed, &GenConfig::CORPUS);
+    let rules = RuleSet::compile(&case.defs, &case.catalog()).unwrap();
+    (case, rules)
+}
+
+/// The oracle's budget. A generated `insert … select` from its own table
+/// doubles it on every firing, so the row cap bounds each state.
+fn budget() -> ExploreConfig {
+    ExploreConfig::default()
+        .with_max_states(2_000)
+        .with_max_paths(20_000)
+        .with_max_rows(200)
 }
 
 struct Stats {
@@ -54,9 +52,7 @@ struct Stats {
 
 #[test]
 fn static_guarantees_hold_on_the_oracle() {
-    let cfg = ExploreConfig::default()
-        .with_max_states(2_000)
-        .with_max_paths(20_000);
+    let cfg = budget();
     let mut stats = Stats {
         term_guaranteed: 0,
         conf_guaranteed: 0,
@@ -67,8 +63,7 @@ fn static_guarantees_hold_on_the_oracle() {
     };
 
     for seed in 0..60 {
-        let w = generate(&small_config(seed));
-        let rules = w.compile();
+        let (case, rules) = build(seed);
         let ctx = AnalysisContext::from_ruleset(&rules, Certifications::new());
 
         let term = analyze_termination(&ctx);
@@ -80,9 +75,9 @@ fn static_guarantees_hold_on_the_oracle() {
         stats.term_guaranteed += usize::from(term_ok);
         stats.conf_guaranteed += usize::from(conf_ok);
         stats.obs_guaranteed += usize::from(obs_ok);
-        let partial_ok: Vec<&str> = w
-            .catalog
-            .tables()
+        let partial_ok: Vec<&str> = case
+            .tables
+            .iter()
             .map(|t| t.name.as_str())
             .filter(|t| analyze_partial_confluence(&ctx, &[t]).is_guaranteed())
             .collect();
@@ -94,9 +89,10 @@ fn static_guarantees_hold_on_the_oracle() {
             continue;
         }
 
-        let base_db = w.seed_database();
+        let base_db = case.database();
         for salt in 0..3u64 {
-            let actions = w.user_transition(salt.wrapping_mul(0x9e37) + 1);
+            let actions =
+                case.transition(seed ^ (salt.wrapping_mul(0x9e37) + 1), &GenConfig::CORPUS);
             let mut working = base_db.clone();
             let Ok(ops) = starling::engine::exec_graph::apply_user_actions(&mut working, &actions)
             else {
@@ -114,7 +110,7 @@ fn static_guarantees_hold_on_the_oracle() {
                     g.terminates(),
                     Some(false),
                     "seed {seed} salt {salt}: static termination refuted by oracle\n{}",
-                    w.script()
+                    case.script()
                 );
             }
             if conf_ok {
@@ -122,7 +118,7 @@ fn static_guarantees_hold_on_the_oracle() {
                     g.confluent(),
                     Some(false),
                     "seed {seed} salt {salt}: static confluence refuted by oracle\n{}",
-                    w.script()
+                    case.script()
                 );
             }
             for t in &partial_ok {
@@ -130,7 +126,7 @@ fn static_guarantees_hold_on_the_oracle() {
                     g.partial_confluence_verdict(&[t]),
                     Verdict::Fails,
                     "seed {seed} salt {salt}: static partial confluence on `{t}` refuted\n{}",
-                    w.script()
+                    case.script()
                 );
             }
             if obs_ok && term_ok {
@@ -138,7 +134,7 @@ fn static_guarantees_hold_on_the_oracle() {
                     g.observably_deterministic(&cfg),
                     Some(false),
                     "seed {seed} salt {salt}: static observable determinism refuted\n{}",
-                    w.script()
+                    case.script()
                 );
             }
         }
@@ -163,21 +159,18 @@ fn static_guarantees_hold_on_the_oracle() {
 /// yet behaves fine on a sampled state (the price of decidability).
 #[test]
 fn conservatism_is_observable_in_the_corpus() {
-    let cfg = ExploreConfig::default()
-        .with_max_states(2_000)
-        .with_max_paths(20_000);
+    let cfg = budget();
     let mut found = false;
     for seed in 0..120 {
-        let w = generate(&small_config(seed));
-        let rules = w.compile();
+        let (case, rules) = build(seed);
         let ctx = AnalysisContext::from_ruleset(&rules, Certifications::new());
         let conf = analyze_confluence(&ctx);
         let term = analyze_termination(&ctx);
         if conf.requirement_holds() || !term.is_guaranteed() {
             continue;
         }
-        let base_db = w.seed_database();
-        let actions = w.user_transition(7);
+        let base_db = case.database();
+        let actions = case.transition(seed ^ 7, &GenConfig::CORPUS);
         let mut working = base_db.clone();
         let Ok(ops) = starling::engine::exec_graph::apply_user_actions(&mut working, &actions)
         else {

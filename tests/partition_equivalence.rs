@@ -6,7 +6,9 @@
 //! and their execution may be interleaved, they have no effect on each
 //! other". "… and it needs to be repeated for a partition only when rules
 //! in that partition change": the incremental analyzer that ships rechecks
-//! nothing outside the partitions a refinement step changed.
+//! nothing outside the partitions a refinement step changed. The renamer
+//! that builds the partitions also gives the first metamorphic relation:
+//! renaming every table and rule changes no verdict.
 
 mod walk;
 
@@ -18,8 +20,8 @@ use starling::analysis::context::AnalysisContext;
 use starling::analysis::partition::partition_rules;
 use starling::analysis::termination::analyze_termination;
 use starling::analysis::IncrementalAnalysis;
-use starling::engine::RuleSet;
-use starling::workloads::random::partitioned;
+use starling::engine::{explore, Budget, RuleSet};
+use starling_fuzz::gen::{namespace_tokens, partitioned};
 use starling_fuzz::{generate, GenConfig};
 
 fn partitioned_rules(k: usize) -> RuleSet {
@@ -160,4 +162,49 @@ fn warm_steps_recheck_only_the_partitions_that_changed() {
     let protect = vec![vec![case.tables[0].name.clone()]];
     let walk = walk::session(35, &case.catalog(), case.defs, &protect, 8, 0);
     assert!(walk.incremental_steps >= 2);
+}
+
+/// α-renaming is invisible to the analyzer and the oracle: prefixing every
+/// table and rule of a generated script changes its `analyze --json` report
+/// only by that prefix, and its explored graph not at all (states, edges,
+/// final states, verdicts).
+#[test]
+fn renaming_tables_and_rules_changes_no_verdict() {
+    let budget = Budget::default()
+        .with_max_states(300)
+        .with_max_paths(2_000)
+        .with_max_rows(2_000);
+    let mut explored = 0;
+    for seed in 0..200 {
+        let script = generate(seed, &GenConfig::default()).script();
+        let renamed = namespace_tokens(&script, 7);
+        assert_ne!(renamed, script, "seed {seed}: nothing renamed");
+        let analyze = |src: &str| starling_cli::cmd_analyze(src, &[], false, true);
+        let (Ok(report), Ok(renamed_report)) = (analyze(&script), analyze(&renamed)) else {
+            panic!("seed {seed}: one side of the renaming failed to analyze\n{script}");
+        };
+        assert_eq!(
+            renamed_report.replace("p7_", ""),
+            report,
+            "seed {seed}\n{script}"
+        );
+
+        let graph = |src: &str| {
+            let s = starling::analysis::load_script(src).unwrap();
+            let g = explore(&s.rules, &s.db, &s.user_actions, &budget).ok()?;
+            Some((
+                g.states.len(),
+                g.edges.len(),
+                g.final_dbs.len(),
+                g.verdicts(&budget),
+            ))
+        };
+        let original = graph(&script);
+        assert_eq!(graph(&renamed), original, "seed {seed}\n{script}");
+        explored += usize::from(original.is_some());
+    }
+    assert!(
+        explored > 150,
+        "only {explored} of 200 transitions explored"
+    );
 }

@@ -38,7 +38,7 @@ use starling::analysis::loader::{load_script, LoadedScript};
 use starling::engine::exec_graph::apply_user_actions;
 use starling::engine::{
     explore_with_mode, replay_rule_sequence, EvalMode, ExecGraph, ExecState, ExploreConfig,
-    FirstEligible, Outcome, RuleId, RuleSet, Session,
+    FirstEligible, Outcome, RuleId, RuleSet, Session, TruncationReason,
 };
 use starling::sql::ast::{
     Action, Aggregate, BinOp, ColumnRef, Expr, FromItem, InsertSource, InsertStmt, OrderItem,
@@ -54,9 +54,8 @@ use starling::sql::validate::validate_dml;
 use starling::sql::{parse_expr, parse_statement, SqlError};
 use starling::storage::{Catalog, ColumnDef, Database, TableSchema, Value, ValueType};
 use starling::workloads::cond_stress::CondStress;
-use starling::workloads::{
-    audit, constraints, corpus, power_network, random, versioning, CorpusEntry,
-};
+use starling::workloads::{audit, constraints, corpus, power_network, versioning, CorpusEntry};
+use starling_fuzz::{generate, FuzzCase, GenConfig};
 
 /// Fixture: three tables with nullable columns, NULLs, duplicate values
 /// (for DISTINCT), zeros (for division errors), and LIKE-able strings.
@@ -909,19 +908,6 @@ fn exploration_graphs_agree_with_forced_interp() {
         salary.user_actions,
     ));
 
-    // Random workloads.
-    for seed in 0..6u64 {
-        let w = random::generate(&random::RandomConfig {
-            seed,
-            n_rules: 5,
-            ..random::RandomConfig::default()
-        });
-        let rules = w.compile();
-        let db = w.seed_database();
-        let actions = w.user_transition(0xd1ff);
-        cases.push((format!("random/seed{seed}"), rules, db, actions));
-    }
-
     for (name, rules, db, actions) in &cases {
         let with_interp = graph_fingerprint(rules, db, actions, &cfg, EvalMode::Interp, name);
         for mode in [EvalMode::Columnar, EvalMode::Plan] {
@@ -929,6 +915,42 @@ fn exploration_graphs_agree_with_forced_interp() {
             assert_eq!(with_plans, with_interp, "{name} [{mode:?}]: graphs diverge");
         }
     }
+
+    for seed in 0..6u64 {
+        let case = generate(seed, &GenConfig::default());
+        let with_interp = generated_fingerprint(&case, EvalMode::Interp);
+        for mode in [EvalMode::Columnar, EvalMode::Plan] {
+            let with_plans = generated_fingerprint(&case, mode);
+            assert_eq!(
+                with_plans, with_interp,
+                "seed {seed} [{mode:?}]: graphs diverge"
+            );
+        }
+    }
+}
+
+/// A generated program's exploration under `mode`, fingerprinted with its
+/// truncation. Generated programs need not terminate, and a self-feeding
+/// `insert … select` doubles its table on every firing, so the budget caps
+/// rows and a truncated graph is compared as explored, as the fuzz
+/// campaign's eval-mode oracle compares it.
+fn generated_fingerprint(
+    case: &FuzzCase,
+    mode: EvalMode,
+) -> (Option<TruncationReason>, usize, usize, Vec<u64>) {
+    let cfg = ExploreConfig::default()
+        .with_max_states(5_000)
+        .with_max_paths(10_000)
+        .with_max_rows(200);
+    let rules = RuleSet::compile(&case.defs, &case.catalog()).unwrap();
+    let g = explore_with_mode(&rules, &case.database(), &case.user_actions, &cfg, mode).unwrap();
+    let mut digests: Vec<u64> = g
+        .final_dbs
+        .iter()
+        .map(|(_, fdb)| fdb.state_digest())
+        .collect();
+    digests.sort_unstable();
+    (g.truncation, g.states.len(), g.edges.len(), digests)
 }
 
 // ---------------------------------------------------------------------------

@@ -20,10 +20,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use proptest::prelude::*;
 
-use starling::engine::{FirstEligible, Session};
+use starling::engine::{FirstEligible, Outcome, Session};
 use starling::sql::ast::Statement;
 use starling::storage::{Database, FaultPlan, FaultSpec, SyncPolicy, WalStore};
-use starling::workloads::random::{generate, RandomConfig};
+use starling_fuzz::{generate, FuzzCase, GenConfig};
 
 /// A fresh scratch directory for one store. Never reused; removed by the
 /// caller only after its assertions pass.
@@ -66,33 +66,39 @@ proptest! {
     /// final snapshot and reopening recovers the acknowledged state.
     #[test]
     fn random_sequences_recover_exactly(seed in 0u64..40, salt in 1u64..4) {
-        let w = generate(&RandomConfig {
-            n_tables: 3,
-            n_cols: 2,
-            n_rules: 4,
-            max_actions: 2,
-            p_condition: 0.5,
+        let cfg = GenConfig {
+            max_tables: 3,
+            p_order: 0.2,
             p_observable: 0.0,
-            p_priority: 0.2,
-            rows_per_table: 2,
-            seed,
-        });
-        let script = w.script();
+            ..GenConfig::CORPUS
+        };
+        let case = generate(seed, &cfg);
+        let setup = FuzzCase {
+            defs: Vec::new(),
+            user_actions: Vec::new(),
+            ..case.clone()
+        };
+        let rules: String = case.defs.iter().map(|d| format!("{d};\n")).collect();
         let dir = scratch_dir("random");
 
         let mut mem = Session::new();
         let mut dur = Session::new();
-        mem.budget.max_considerations = 200;
-        dur.budget.max_considerations = 200;
+        for s in [&mut mem, &mut dur] {
+            // A generated `insert … select` from its own table doubles it
+            // on every firing: the row cap bounds each commit.
+            s.budget.max_considerations = 200;
+            s.budget.max_rows = 200;
+        }
         dur.persist_to(&dir, SyncPolicy::Always).unwrap();
 
-        // The schema/rules/seed script, then a few extra transitions.
+        // The schema and seed rows, the rules, then a few transitions.
         let mut steps: Vec<Vec<Statement>> = vec![
-            starling::sql::parse_script(&script).unwrap(),
+            starling::sql::parse_script(&setup.script()).unwrap(),
+            starling::sql::parse_script(&rules).unwrap(),
         ];
         for extra in 0..2u64 {
             steps.push(
-                w.user_transition(salt + extra)
+                case.transition(seed ^ (salt + extra), &cfg)
                     .into_iter()
                     .map(Statement::Dml)
                     .collect(),
@@ -101,6 +107,7 @@ proptest! {
         for (k, step) in steps.into_iter().enumerate() {
             let mut results = Vec::new();
             for (label, s) in [("mem", &mut mem), ("dur", &mut dur)] {
+                let checkpoint = s.state();
                 let mut errs = Vec::new();
                 for stmt in &step {
                     if let Err(e) = s.execute(stmt) {
@@ -113,6 +120,11 @@ proptest! {
                 } else {
                     None
                 };
+                // A budget-exhausted commit is not acknowledged: its caller
+                // discards it, as the server does.
+                if outcome == Some(Outcome::LimitExceeded) {
+                    s.reset_to(checkpoint);
+                }
                 results.push((label, errs, outcome));
             }
             // The attachment must not change semantics: same errors, same

@@ -5,7 +5,8 @@
 use starling::analysis::certifications::Certifications;
 use starling::analysis::context::AnalysisContext;
 use starling::baselines::compare_all;
-use starling::workloads::random::{generate, RandomConfig};
+use starling::engine::RuleSet;
+use starling_fuzz::{generate, GenConfig};
 
 #[test]
 fn subsumption_chain_over_random_corpus() {
@@ -13,44 +14,36 @@ fn subsumption_chain_over_random_corpus() {
     let mut proper_starling_hh91 = 0usize;
     let mut proper_hh91_zh90 = 0usize;
 
-    for seed in 0..300 {
-        // Half the corpus is dense (rules interact heavily: separates
-        // Starling from the priority-blind HH91-analog), half sparse (many
-        // tables, little interaction: lets the stricter criteria accept
-        // something, separating the rest of the chain).
-        let w = generate(&if seed < 150 {
-            RandomConfig {
-                n_tables: 4,
-                n_cols: 2,
-                n_rules: 5,
-                max_actions: 1,
-                p_condition: 0.4,
-                p_observable: 0.1,
-                p_priority: 0.4,
-                rows_per_table: 2,
-                seed,
-            }
-        } else {
-            RandomConfig {
-                n_tables: 10,
-                n_cols: 2,
-                n_rules: 3,
-                max_actions: 1,
-                p_condition: 0.2,
-                p_observable: 0.0,
-                p_priority: 0.3,
-                rows_per_table: 1,
-                seed,
-            }
-        });
-        let rules = w.compile();
+    for seed in 0..700 {
+        // The first 150 programs are dense (rules interact heavily:
+        // separates Starling from the priority-blind HH91-analog), the rest
+        // sparse (many tables, little interaction: lets the stricter
+        // criteria accept something, separating the rest of the chain).
+        // HH91 ⊋ ZH90 needs two commuting writers of one table, which about
+        // one sparse program in 250 has.
+        let case = generate(
+            seed,
+            &if seed < 150 {
+                GenConfig {
+                    max_rules: 5,
+                    min_rules: 5,
+                    max_actions: 1,
+                    p_condition: 0.4,
+                    p_observable: 0.1,
+                    ..GenConfig::CORPUS
+                }
+            } else {
+                GenConfig::SPARSE
+            },
+        );
+        let rules = RuleSet::compile(&case.defs, &case.catalog()).unwrap();
         let ctx = AnalysisContext::from_ruleset(&rules, Certifications::new());
         let row = compare_all(&ctx);
         assert_eq!(
             row.subsumption_violation(),
             None,
             "seed {seed}: {row:?}\n{}",
-            w.script()
+            case.script()
         );
         accepts[0] += usize::from(row.starling);
         accepts[1] += usize::from(row.hh91);
