@@ -1,7 +1,6 @@
 //! Side-by-side comparison of all criteria on one rule set, and the
 //! subsumption checker used by experiment E6.
 
-use serde::Serialize;
 use starling_analysis::confluence::analyze_confluence;
 use starling_analysis::context::AnalysisContext;
 use starling_analysis::termination::analyze_termination;
@@ -9,7 +8,7 @@ use starling_analysis::termination::analyze_termination;
 use crate::{hh91, ras90, zh90};
 
 /// Identifies one of the compared criteria.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum BaselineId {
     /// Starling's confluence analysis (Confluence Requirement + termination).
     Starling,
@@ -22,7 +21,7 @@ pub enum BaselineId {
 }
 
 /// Accept/reject verdicts of every criterion on one rule set.
-#[derive(Clone, Copy, Debug, Serialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct ComparisonRow {
     /// Starling: Confluence Requirement holds *and* termination guaranteed.
     pub starling: bool,

@@ -15,13 +15,12 @@
 //! a rule set in which a noncommuting pair is priority-ordered is accepted
 //! by Starling and rejected here — the "proper subsumption" of Section 9.
 
-use serde::Serialize;
 use starling_analysis::commutativity::noncommutativity_reasons;
 use starling_analysis::context::AnalysisContext;
 use starling_analysis::triggering_graph::TriggeringGraph;
 
 /// The HH91-analog verdict.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct Hh91Verdict {
     /// Whether the criterion accepts the rule set.
     pub accepted: bool,

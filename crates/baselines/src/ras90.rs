@@ -15,13 +15,12 @@
 //! table another rule is triggered by without tripping any Lemma 6.1
 //! condition, e.g. an `UPDATE` against an insert-triggered table.)
 
-use serde::Serialize;
 use starling_analysis::context::AnalysisContext;
 
 use crate::zh90;
 
 /// The Ras90-analog verdict.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct Ras90Verdict {
     /// Whether the criterion accepts the rule set.
     pub accepted: bool,

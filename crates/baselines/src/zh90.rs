@@ -7,13 +7,12 @@
 //! table at all, even commutatively (e.g. two pure inserters into the same
 //! table, which Lemma 6.1 happily accepts, are rejected here).
 
-use serde::Serialize;
 use starling_analysis::context::AnalysisContext;
 
 use crate::hh91;
 
 /// The ZH90-analog verdict.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct Zh90Verdict {
     /// Whether the criterion accepts the rule set.
     pub accepted: bool,

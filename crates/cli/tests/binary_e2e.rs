@@ -153,6 +153,80 @@ fn a_misplaced_grouped_column_is_a_script_error() {
     std::fs::remove_file(path).ok();
 }
 
+/// An ill-typed rule, whose every firing would abort its commit, is
+/// refused where it is defined: `run` is a script error (exit 1), not an
+/// aborted commit (exit 2), and `analyze` certifies nothing.
+#[test]
+fn ill_typed_rules_are_script_errors() {
+    for (rule, why) in [
+        (
+            "then insert into u values ('x')",
+            "type mismatch for `u.x`: expected INTEGER, found VARCHAR",
+        ),
+        (
+            "then update t set a = 'x'",
+            "type mismatch for `t.a`: expected INTEGER, found VARCHAR",
+        ),
+        (
+            "if exists (select * from t where a = 'x') then delete from u",
+            "cannot compare INTEGER with VARCHAR",
+        ),
+        (
+            "then insert into u select a + 'x' from inserted",
+            "arithmetic on non-numeric values INTEGER and VARCHAR",
+        ),
+        (
+            "if exists (select * from t where a) then delete from u",
+            "expected boolean, got INTEGER",
+        ),
+        (
+            "then insert into u values (null)",
+            "NULL written to non-nullable column `u.x`",
+        ),
+    ] {
+        let path = script_file(&format!(
+            "create table t (a int); create table u (x int); insert into t values (1);
+             create rule r on t when inserted {rule} end;
+             insert into t values (2);"
+        ));
+        let p = path.to_str().unwrap();
+        let (code, stdout, stderr) = starling(&["run", p]);
+        assert_eq!(code, 1, "{rule}: {stdout}");
+        assert!(stderr.contains(why), "{rule}: {stderr}");
+        let (code, stdout, stderr) = starling(&["analyze", p]);
+        assert_eq!(code, 1, "{rule}: {stdout}");
+        assert!(stderr.contains(why), "{rule}: {stderr}");
+        assert!(!stdout.contains("TERMINATION"), "{stdout}");
+        std::fs::remove_file(path).ok();
+    }
+}
+
+/// The user transition (the DML after the first rule) is validated when
+/// the script loads: `analyze`, `explore` and `explain` refuse it with
+/// `run`'s message instead of certifying the script or failing in storage.
+#[test]
+fn a_bad_user_transition_is_refused_by_every_command() {
+    for transition in [
+        "insert into nosuch values (1);",
+        "insert into u values (1, 2);",
+    ] {
+        let path = script_file(&format!(
+            "create table t (a int); create table u (x int); insert into t values (1);
+             create rule r on t when inserted then delete from u end;
+             {transition}"
+        ));
+        let p = path.to_str().unwrap();
+        let (code, _, refused) = starling(&["run", p]);
+        assert_eq!(code, 1, "{refused}");
+        for cmd in ["analyze", "explore", "explain"] {
+            let (code, stdout, stderr) = starling(&[cmd, p]);
+            assert_eq!(code, 1, "{cmd} {transition}: {stdout}");
+            assert_eq!(stderr, refused, "{cmd} {transition}");
+        }
+        std::fs::remove_file(path).ok();
+    }
+}
+
 #[test]
 fn explore_truncation_exits_inconclusive() {
     // Unbounded growth truncates at the tiny bound: exit code 3 and the

@@ -14,7 +14,6 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use serde::Serialize;
 use starling_sql::ast::Directive;
 
 /// The set of user certifications in force for an analysis.
@@ -25,7 +24,7 @@ use starling_sql::ast::Directive;
 /// set of certified partners sits behind an `Arc` of its own, so a toggle
 /// copies the map's keys and the one set it edits, and two versions diff
 /// by skipping the sets they still share.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Certifications {
     /// Certified pairs, normalized: smaller name → the larger names (never
     /// an empty set), so a lookup by `&str` allocates nothing.

@@ -12,7 +12,6 @@
 use std::fmt;
 use std::ops::ControlFlow;
 
-use serde::Serialize;
 use starling_sql::RuleSignature;
 use starling_storage::{ColRef, Op};
 
@@ -23,7 +22,7 @@ use crate::context::AnalysisContext;
 /// that fired). `who`/`whom` are rule names; each condition is reported in
 /// the direction it fired (condition 6 is covered by testing both
 /// directions).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum NoncommutativityReason {
     /// Condition 1: `who` can cause `whom` to become triggered.
     Triggers {

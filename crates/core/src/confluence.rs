@@ -17,13 +17,11 @@
 
 use std::sync::Arc;
 
-use serde::Serialize;
-
 use crate::commutativity::{commutes_idx, noncommutativity_reasons_idx, NoncommutativityReason};
 use crate::context::AnalysisContext;
 
 /// The Definition 6.5 closure for one unordered pair.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PairClosure {
     /// The generating unordered pair (rule indices `(i, j)`).
     pub pair: (usize, usize),
@@ -121,7 +119,7 @@ pub fn check_pair(
 }
 
 /// One violation of the Confluence Requirement.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ConfluenceViolation {
     /// The generating unordered pair (names).
     pub pair: (String, String),
@@ -134,7 +132,7 @@ pub struct ConfluenceViolation {
 }
 
 /// Verdict of the confluence analysis.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ConfluenceVerdict {
     /// The Confluence Requirement holds: confluent, **provided termination
     /// is also guaranteed** (Theorem 6.7's second premise).
@@ -144,7 +142,7 @@ pub enum ConfluenceVerdict {
 }
 
 /// The result of confluence analysis.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct ConfluenceAnalysis {
     /// Verdict.
     pub verdict: ConfluenceVerdict,

@@ -21,6 +21,7 @@ use std::sync::Arc;
 use starling_engine::{EngineError, FirstEligible, RuleProgram, RuleSet, Session};
 use starling_sql::ast::{Action, Directive, RuleDef, Statement};
 use starling_sql::parse_script;
+use starling_sql::validate::validate_dml;
 use starling_storage::Database;
 
 use crate::certifications::Certifications;
@@ -51,7 +52,8 @@ impl LoadedScript {
 }
 
 /// Parses and loads a script. Rules are validated when the whole script has
-/// been read (at the final compile), so a rule may precede its tables.
+/// been read (at the final compile), so a rule may precede its tables; the
+/// user transition is validated after them, against the same catalog.
 pub fn load_script(src: &str) -> Result<LoadedScript, EngineError> {
     let stmts = parse_script(src)?;
     let mut session = Session::new();
@@ -82,6 +84,9 @@ pub fn load_script(src: &str) -> Result<LoadedScript, EngineError> {
     session.commit(&mut FirstEligible)?;
     let RuleProgram { defs, directives } = program;
     let rules = Arc::new(RuleSet::compile(&defs, session.db().catalog())?);
+    for a in &user_actions {
+        validate_dml(a, session.db().catalog())?;
+    }
     Ok(LoadedScript {
         db: session.db().clone(),
         rules,

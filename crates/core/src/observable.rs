@@ -15,7 +15,6 @@
 
 use std::sync::Arc;
 
-use serde::Serialize;
 use starling_sql::RuleSignature;
 
 use crate::confluence::ConfluenceAnalysis;
@@ -28,7 +27,7 @@ use crate::termination::TerminationAnalysis;
 pub const OBS_TABLE: &str = "#obs";
 
 /// The result of observable-determinism analysis.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct ObservableAnalysis {
     /// Names of the observable rules.
     pub observable_rules: Vec<String>,

@@ -15,7 +15,6 @@
 //! rule set of their own) and satisfy the Confluence Requirement, then the
 //! full rule set is confluent with respect to `T'`.
 
-use serde::Serialize;
 use starling_storage::Catalog;
 
 use crate::commutativity::commutes_idx;
@@ -79,7 +78,7 @@ pub fn significant_rules_in(
 }
 
 /// The result of partial confluence analysis with respect to `T'`.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct PartialConfluenceAnalysis {
     /// The protected tables `T'`.
     pub tables: Vec<String>,

@@ -4,8 +4,6 @@
 use std::fmt;
 use std::sync::Arc;
 
-use serde::Serialize;
-
 use starling_engine::{ExecGraph, ExploreConfig, Verdict, Verdicts};
 use starling_sql::json::{digest_json, Json};
 
@@ -19,7 +17,7 @@ use crate::termination::{
 
 /// A complete analysis of a rule set: termination, confluence, observable
 /// determinism, and optionally partial confluence for requested tables.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct AnalysisReport {
     /// Number of rules analyzed.
     pub rule_count: usize,
@@ -482,17 +480,5 @@ mod tests {
         assert!(r.confluence.requirement_holds());
         assert!(!r.confluence_guaranteed());
         assert!(r.to_string().contains("Theorem 6.7 needs both"));
-    }
-
-    #[test]
-    fn report_is_serializable() {
-        fn assert_serialize<T: serde::Serialize>(_: &T) {}
-        let c = ctx_from(
-            "create rule a on t when inserted then delete from t end",
-            TABLES,
-            Certifications::new(),
-        );
-        let r = AnalysisReport::run(&c, &[]);
-        assert_serialize(&r);
     }
 }

@@ -9,7 +9,6 @@
 //! then analyzed over the reachable subset — which "may guarantee
 //! properties that otherwise do not hold".
 
-use serde::Serialize;
 use starling_storage::Op;
 
 use crate::confluence::{analyze_confluence_of, ConfluenceAnalysis};
@@ -34,7 +33,7 @@ pub fn reachable_rules(ctx: &AnalysisContext, allowed: &[Op]) -> Vec<usize> {
 }
 
 /// Results of the restricted analyses.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct RestrictedAnalysis {
     /// The allowed initial operations, rendered.
     pub allowed: Vec<String>,

@@ -19,7 +19,6 @@
 //! acyclic — i.e., every cycle passes through a certified rule, the paper's
 //! "on each cycle, there is some rule r such that ...".
 
-use serde::Serialize;
 use starling_sql::ast::{Action, BinOp, Expr};
 use starling_storage::Op;
 
@@ -27,7 +26,7 @@ use crate::context::AnalysisContext;
 use crate::triggering_graph::TriggeringGraph;
 
 /// Why a rule on a cycle is considered safe.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum CycleCertificate {
     /// The user declared `declare terminates <rule> '<justification>'`.
     User {
@@ -65,7 +64,7 @@ impl CycleCertificate {
 }
 
 /// One cyclic SCC of the triggering graph, with any certificates found.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct ProblemCycle {
     /// Names of the rules in the SCC.
     pub rules: Vec<String>,
@@ -76,7 +75,7 @@ pub struct ProblemCycle {
 }
 
 /// Overall verdict.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TerminationVerdict {
     /// The triggering graph is acyclic (Theorem 5.1): unconditionally
     /// guaranteed.
@@ -89,7 +88,7 @@ pub enum TerminationVerdict {
 }
 
 /// The result of termination analysis.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct TerminationAnalysis {
     /// The triggering graph.
     pub graph: TriggeringGraph,

@@ -7,12 +7,10 @@
 
 use std::fmt::Write as _;
 
-use serde::Serialize;
-
 use crate::context::AnalysisContext;
 
 /// The triggering graph of a rule set.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TriggeringGraph {
     /// Rule names, indexed by rule.
     pub names: Vec<String>,

@@ -488,6 +488,7 @@ impl Default for Session {
 
 #[cfg(test)]
 mod tests {
+    use starling_sql::SqlError;
     use starling_storage::Value;
 
     use crate::strategy::FirstEligible;
@@ -586,6 +587,55 @@ mod tests {
         let run = s.commit(&mut FirstEligible).unwrap();
         assert_eq!(run.outcome, Outcome::Quiescent);
         assert_eq!(s.db().table("u").unwrap().len(), 0);
+    }
+
+    /// A rule that is ill-typed, so that every firing would abort its
+    /// commit, is refused when it is defined with the validator's error;
+    /// the session keeps no rule and its database.
+    #[test]
+    fn ill_typed_rules_refused_at_definition() {
+        for (rule, why) in [
+            (
+                "then insert into u values ('x')",
+                "type mismatch for `u.x`: expected INTEGER, found VARCHAR",
+            ),
+            (
+                "then update t set a = 'x'",
+                "type mismatch for `t.a`: expected INTEGER, found VARCHAR",
+            ),
+            (
+                "if exists (select * from t where a = 'x') then delete from u",
+                "cannot compare INTEGER with VARCHAR",
+            ),
+            (
+                "then insert into u select a + 'x' from inserted",
+                "arithmetic on non-numeric values INTEGER and VARCHAR",
+            ),
+            (
+                "if exists (select * from t where a) then delete from u",
+                "expected boolean, got INTEGER",
+            ),
+            (
+                "then insert into u values (null)",
+                "NULL written to non-nullable column `u.x`",
+            ),
+        ] {
+            let mut s = Session::new();
+            s.execute_script(
+                "create table t (a int); create table u (x int); insert into t values (1)",
+            )
+            .unwrap();
+            s.commit(&mut FirstEligible).unwrap();
+            let err = s
+                .execute_script(&format!("create rule r on t when inserted {rule} end"))
+                .unwrap_err();
+            let EngineError::Sql(SqlError::Validate(msg)) = &err else {
+                panic!("{rule}: {err}");
+            };
+            assert!(msg.ends_with(why), "{rule}: {msg}");
+            assert!(s.rule_defs().is_empty());
+            assert_eq!(s.db().table("t").unwrap().len(), 1);
+        }
     }
 
     #[test]

@@ -1091,6 +1091,54 @@ mod tests {
         assert_eq!(s.driver.session.rule_defs().len(), 2);
     }
 
+    /// A rule that is ill-typed, so that every firing would abort its
+    /// commit, fails the request that defines it with the validation
+    /// error; nothing changes.
+    #[test]
+    fn exec_refuses_an_ill_typed_rule() {
+        let (mut s, cache) = loaded();
+        let before = digest_of(&mut s, &cache);
+        for (rule, why) in [
+            (
+                "then insert into u values ('x')",
+                "expected INTEGER, found VARCHAR",
+            ),
+            (
+                "then update t set x = 'x'",
+                "expected INTEGER, found VARCHAR",
+            ),
+            (
+                "if exists (select * from t where x = 'x') then delete from u",
+                "cannot compare INTEGER with VARCHAR",
+            ),
+            (
+                "then insert into u select x + 'x' from inserted",
+                "arithmetic on non-numeric values INTEGER and VARCHAR",
+            ),
+            (
+                "if exists (select * from t where x) then delete from u",
+                "expected boolean, got INTEGER",
+            ),
+            (
+                "then insert into u values (null)",
+                "NULL written to non-nullable column `u.x`",
+            ),
+        ] {
+            let sql =
+                format!("create rule r on t when inserted {rule} end; insert into t values (7);");
+            let req = Json::obj([("sql", Json::from(sql.as_str()))]);
+            let (code, msg, data) = s.handle_op("exec", &req, &cache).unwrap_err();
+            assert_eq!(code, ErrorCode::Script, "{msg}");
+            assert!(
+                msg.starts_with("validation error: ") && msg.ends_with(why),
+                "{msg}"
+            );
+            assert!(data.is_none());
+            assert_eq!(digest_of(&mut s, &cache), before);
+            assert_eq!(s.driver.session.rule_defs().len(), 2);
+        }
+    }
+
     #[test]
     fn durable_store_survives_session_teardown() {
         let (root, dir) = durable_root();

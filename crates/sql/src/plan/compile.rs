@@ -14,7 +14,7 @@ use crate::ast::{
 };
 use crate::error::SqlError;
 use crate::eval::select::is_grouped;
-use crate::refs::Scope;
+use crate::refs::{Scope, Ty};
 use crate::validate::{grouped_wildcard, not_grouped, target_column};
 
 use super::exec::eval_const;
@@ -77,74 +77,18 @@ pub fn compile_select(
 
 type CResult<T> = Result<T, SqlError>;
 
-/// Static type of a compiled expression: `X` means "a value of variant `X`
-/// or NULL at runtime"; `Null` means always NULL; `Any` means unknown.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum STy {
-    Int,
-    Float,
-    Str,
-    Bool,
-    Null,
-    Any,
-}
-
-impl STy {
-    fn of_value(v: &Value) -> STy {
-        match v {
-            Value::Null => STy::Null,
-            Value::Bool(_) => STy::Bool,
-            Value::Int(_) => STy::Int,
-            Value::Float(_) => STy::Float,
-            Value::Str(_) => STy::Str,
-        }
-    }
-
-    fn of_decl(ty: ValueType) -> STy {
-        match ty {
-            ValueType::Bool => STy::Bool,
-            ValueType::Int => STy::Int,
-            // A Float column accepts Int values too, so its static type is
-            // only "numeric" — which `Any` approximates conservatively for
-            // join-key purposes; comparisons still see it as numeric below.
-            ValueType::Float => STy::Float,
-            ValueType::Str => STy::Str,
-        }
-    }
-
-    fn is_numeric(self) -> bool {
-        matches!(self, STy::Int | STy::Float)
-    }
-
-    /// Whether `sql_cmp` between these static types can never fail.
-    fn comparable(self, other: STy) -> bool {
-        if self == STy::Null || other == STy::Null {
-            return true;
-        }
-        if self == STy::Any || other == STy::Any {
-            return false;
-        }
-        self == other || (self.is_numeric() && other.is_numeric())
-    }
-
-    /// Whether a value of this type always passes `eval_bool`.
-    fn boolish(self) -> bool {
-        matches!(self, STy::Bool | STy::Null)
-    }
-}
-
 /// Static facts about a compiled expression.
 struct Info {
     /// Resolved column references as (absolute scope index, source index).
     refs: BTreeSet<(usize, usize)>,
     /// Static result type.
-    ty: STy,
+    ty: Ty,
     /// Whether evaluation can never raise an error.
     infallible: bool,
 }
 
 impl Info {
-    fn constant(ty: STy) -> Info {
+    fn constant(ty: Ty) -> Info {
         Info {
             refs: BTreeSet::new(),
             ty,
@@ -195,7 +139,7 @@ impl<'c> Compiler<'c> {
         };
         match constant.then(|| eval_const(&node, &self.scratch)) {
             Some(Ok(v)) => {
-                let ty = STy::of_value(&v);
+                let ty = Ty::of_value(&v);
                 (PExpr::Const(v), Info::constant(ty))
             }
             _ => (node, info),
@@ -204,13 +148,10 @@ impl<'c> Compiler<'c> {
 
     fn compile_expr(&mut self, e: &Expr) -> CResult<(PExpr, Info)> {
         match e {
-            Expr::Literal(v) => Ok((PExpr::Const(v.clone()), Info::constant(STy::of_value(v)))),
+            Expr::Literal(v) => Ok((PExpr::Const(v.clone()), Info::constant(Ty::of_value(v)))),
             Expr::Column(c) => {
-                let slot = self.scope.resolve(c)?;
-                let ty = self
-                    .slot_decl_ty(&slot)
-                    .expect("a resolved slot has a type");
-                let mut info = Info::constant(STy::of_decl(ty));
+                let (slot, ty) = self.scope.resolve(c)?;
+                let mut info = Info::constant(Ty::of_decl(ty));
                 let abs = self.scope.frame_count() - 1 - slot.depth;
                 info.refs.insert((abs, slot.source));
                 Ok((PExpr::Slot(slot), info))
@@ -218,33 +159,28 @@ impl<'c> Compiler<'c> {
             Expr::Binary { op, lhs, rhs } => self.compile_binary(*op, lhs, rhs),
             Expr::Neg(x) => {
                 let (px, xi) = self.compile_expr(x)?;
-                let ty = match xi.ty {
-                    STy::Int => STy::Int,
-                    STy::Float => STy::Float,
-                    STy::Null => STy::Null,
-                    _ => STy::Any,
-                };
-                let mut info = Info::constant(ty);
+                let mut info = Info::constant(xi.ty.neg().unwrap_or(Ty::Unknown));
                 info.absorb(&xi);
-                // Int negation can overflow; Float and Null cannot fail.
-                info.infallible &= matches!(xi.ty, STy::Float | STy::Null);
+                // Int negation can overflow, and a FLOAT column may hold
+                // INTEGER values: only NULL cannot fail.
+                info.infallible &= xi.ty == Ty::Null;
                 Ok(self.fold(PExpr::Neg(Box::new(px)), info))
             }
             Expr::Not(x) => {
                 let (px, xi) = self.compile_expr(x)?;
-                let mut info = Info::constant(STy::Bool);
+                let mut info = Info::constant(Ty::Bool);
                 info.absorb(&xi);
                 info.infallible &= xi.ty.boolish();
                 Ok(self.fold(PExpr::Not(Box::new(px)), info))
             }
             Expr::IsNull { expr, negated } => {
                 let (px, xi) = self.compile_expr(expr)?;
-                let mut info = Info::constant(STy::Bool);
+                let mut info = Info::constant(Ty::Bool);
                 info.absorb(&xi);
                 if let PExpr::Const(v) = &px {
                     return Ok((
                         PExpr::Const(Value::Bool(v.is_null() != *negated)),
-                        Info::constant(STy::Bool),
+                        Info::constant(Ty::Bool),
                     ));
                 }
                 Ok((
@@ -261,7 +197,7 @@ impl<'c> Compiler<'c> {
                 negated,
             } => {
                 let (pe, ei) = self.compile_expr(expr)?;
-                let mut info = Info::constant(STy::Bool);
+                let mut info = Info::constant(Ty::Bool);
                 info.absorb(&ei);
                 let mut plist = Vec::with_capacity(list.len());
                 for item in list {
@@ -287,7 +223,7 @@ impl<'c> Compiler<'c> {
                 let (pe, ei) = self.compile_expr(expr)?;
                 let (plan, tys, si) = self.compile_select_inner(select)?;
                 let cache = self.alloc_cache(&si);
-                let mut info = Info::constant(STy::Bool);
+                let mut info = Info::constant(Ty::Bool);
                 info.absorb(&ei);
                 info.absorb(&si);
                 info.infallible &= tys.len() == 1 && ei.ty.comparable(tys[0]) && plan.infallible;
@@ -310,7 +246,7 @@ impl<'c> Compiler<'c> {
                 let (pe, ei) = self.compile_expr(expr)?;
                 let (pl, li) = self.compile_expr(low)?;
                 let (ph, hi) = self.compile_expr(high)?;
-                let mut info = Info::constant(STy::Bool);
+                let mut info = Info::constant(Ty::Bool);
                 info.absorb(&ei);
                 info.absorb(&li);
                 info.absorb(&hi);
@@ -332,11 +268,11 @@ impl<'c> Compiler<'c> {
             } => {
                 let (pe, ei) = self.compile_expr(expr)?;
                 let (pp, pi) = self.compile_expr(pattern)?;
-                let mut info = Info::constant(STy::Bool);
+                let mut info = Info::constant(Ty::Bool);
                 info.absorb(&ei);
                 info.absorb(&pi);
                 info.infallible &=
-                    matches!(ei.ty, STy::Str | STy::Null) && matches!(pi.ty, STy::Str | STy::Null);
+                    matches!(ei.ty, Ty::Str | Ty::Null) && matches!(pi.ty, Ty::Str | Ty::Null);
                 Ok((
                     PExpr::Like {
                         expr: Box::new(pe),
@@ -349,7 +285,7 @@ impl<'c> Compiler<'c> {
             Expr::Exists(select) => {
                 let (plan, _, si) = self.compile_select_inner(select)?;
                 let cache = self.alloc_cache(&si);
-                let mut info = Info::constant(STy::Bool);
+                let mut info = Info::constant(Ty::Bool);
                 info.absorb(&si);
                 info.infallible &= plan.infallible;
                 Ok((
@@ -363,7 +299,7 @@ impl<'c> Compiler<'c> {
             Expr::ScalarSubquery(select) => {
                 let (plan, tys, si) = self.compile_select_inner(select)?;
                 let cache = self.alloc_cache(&si);
-                let mut info = Info::constant(tys.first().copied().unwrap_or(STy::Any));
+                let mut info = Info::constant(tys.first().copied().unwrap_or(Ty::Unknown));
                 info.absorb(&si);
                 // More than one result row is a runtime error, so a scalar
                 // subquery is never statically infallible.
@@ -390,22 +326,19 @@ impl<'c> Compiler<'c> {
         // operand is ever evaluated, so the right side can be dropped.
         if op == BinOp::And {
             if let PExpr::Const(Value::Bool(false)) = pl {
-                return Ok((PExpr::Const(Value::Bool(false)), Info::constant(STy::Bool)));
+                return Ok((PExpr::Const(Value::Bool(false)), Info::constant(Ty::Bool)));
             }
         }
         if op == BinOp::Or {
             if let PExpr::Const(Value::Bool(true)) = pl {
-                return Ok((PExpr::Const(Value::Bool(true)), Info::constant(STy::Bool)));
+                return Ok((PExpr::Const(Value::Bool(true)), Info::constant(Ty::Bool)));
             }
         }
         let (pr, ri) = self.compile_expr(rhs)?;
 
-        let ty = if matches!(op, BinOp::And | BinOp::Or) || op.is_comparison() {
-            STy::Bool
-        } else {
-            arith_ty(li.ty, ri.ty)
-        };
-        let mut info = Info::constant(ty);
+        // Ill-typed operands compile to a node that raises the
+        // interpreter's error where it would.
+        let mut info = Info::constant(Ty::binary(op, li.ty, ri.ty).unwrap_or(Ty::Unknown));
         info.absorb(&li);
         info.absorb(&ri);
         info.infallible &= if matches!(op, BinOp::And | BinOp::Or) {
@@ -440,7 +373,7 @@ impl<'c> Compiler<'c> {
 
     /// Compiles a select. Returns the plan, the static types of its output
     /// columns, and an `Info` describing references to *enclosing* scopes.
-    fn compile_select_inner(&mut self, s: &SelectStmt) -> CResult<(SelectPlan, Vec<STy>, Info)> {
+    fn compile_select_inner(&mut self, s: &SelectStmt) -> CResult<(SelectPlan, Vec<Ty>, Info)> {
         self.scope.push_from(&s.from)?;
         let my_abs = self.scope.frame_count() - 1;
         let body = self.compile_select_body(s, my_abs);
@@ -458,7 +391,7 @@ impl<'c> Compiler<'c> {
         &mut self,
         s: &SelectStmt,
         my_abs: usize,
-    ) -> CResult<(SelectPlan, Vec<STy>, Info)> {
+    ) -> CResult<(SelectPlan, Vec<Ty>, Info)> {
         let mut sources: Vec<SourcePlan> = s
             .from
             .iter()
@@ -480,8 +413,7 @@ impl<'c> Compiler<'c> {
             match item {
                 SelectItem::Wildcard => {
                     for b in self.scope.innermost() {
-                        let schema = self.catalog.table(&b.table)?;
-                        columns.extend(schema.column_names().map(str::to_owned));
+                        columns.extend(b.schema.column_names().map(str::to_owned));
                     }
                 }
                 SelectItem::Expr { expr, alias } => columns.push(match alias {
@@ -494,7 +426,7 @@ impl<'c> Compiler<'c> {
             }
         }
 
-        let mut info = Info::constant(STy::Any);
+        let mut info = Info::constant(Ty::Unknown);
         let grouped = is_grouped(s);
         // A grouped select's aggregates, in order of appearance.
         let mut aggs = Vec::new();
@@ -507,18 +439,17 @@ impl<'c> Compiler<'c> {
                 SelectItem::Wildcard if grouped => return Err(grouped_wildcard()),
                 SelectItem::Expr { expr, .. } if grouped => {
                     proj.push(self.compile_grouped(expr, &s.group_by, &mut aggs, &mut info)?);
-                    tys.push(STy::Any);
+                    tys.push(Ty::Unknown);
                 }
                 SelectItem::Wildcard => {
                     for (si, b) in self.scope.innermost().iter().enumerate() {
-                        let schema = self.catalog.table(&b.table)?;
-                        for col in 0..schema.arity() {
+                        for col in 0..b.schema.arity() {
                             proj.push(PExpr::Slot(Slot {
                                 depth: 0,
                                 source: si,
                                 col,
                             }));
-                            tys.push(STy::of_decl(schema.columns[col].ty));
+                            tys.push(Ty::of_decl(b.schema.columns[col].ty));
                             info.refs.insert((my_abs, si));
                         }
                     }
@@ -827,9 +758,9 @@ impl<'c> Compiler<'c> {
     /// row path would have skipped.
     fn vec_safe_pred(&self, p: &PExpr, si: usize) -> bool {
         match p {
-            PExpr::Const(v) => matches!(v, Value::Bool(_) | Value::Null),
-            // A bare column only passes `eval_bool` when declared boolean.
-            PExpr::Slot(s) => slot_is_local(s, si) && self.slot_decl_ty(s) == Some(ValueType::Bool),
+            // Boolean here: the gate typed every operand of `AND`, `OR` and
+            // `NOT` boolean, or the predicate would be fallible.
+            PExpr::Const(_) | PExpr::Slot(_) => self.vec_safe_val(p, si),
             PExpr::Binary { op, lhs, rhs } => match op {
                 BinOp::And | BinOp::Or => {
                     self.vec_safe_pred(lhs, si) && self.vec_safe_pred(rhs, si)
@@ -902,8 +833,8 @@ impl<'c> Compiler<'c> {
         if probe.depth == 0 && probe.source >= si {
             return None;
         }
-        let build_ty = self.slot_decl_ty(build)?;
-        let probe_ty = self.slot_decl_ty(probe)?;
+        let build_ty = self.scope.column(build)?.1.ty;
+        let probe_ty = self.scope.column(probe)?.1.ty;
         if build_ty != probe_ty || build_ty == ValueType::Float {
             return None;
         }
@@ -911,14 +842,6 @@ impl<'c> Compiler<'c> {
             build_col: build.col,
             probe: Box::new(PExpr::Slot(*probe)),
         })
-    }
-
-    /// Declared column type of a slot, resolved against the compile-time
-    /// scope stack (the innermost scope is the select being compiled).
-    fn slot_decl_ty(&self, s: &Slot) -> Option<ValueType> {
-        let meta = self.scope.binding(s)?;
-        let schema = self.catalog.table(&meta.table).ok()?;
-        Some(schema.columns.get(s.col)?.ty)
     }
 }
 
@@ -939,19 +862,6 @@ fn flatten_and<'e>(e: &'e Expr, out: &mut Vec<&'e Expr>) {
 
 fn slot_is_local(s: &Slot, si: usize) -> bool {
     s.depth == 0 && s.source == si
-}
-
-/// Result type of an arithmetic operator over static operand types.
-fn arith_ty(a: STy, b: STy) -> STy {
-    let int_ok = |t: STy| matches!(t, STy::Int | STy::Null);
-    let num_ok = |t: STy| matches!(t, STy::Int | STy::Float | STy::Null);
-    if int_ok(a) && int_ok(b) {
-        STy::Int
-    } else if num_ok(a) && num_ok(b) {
-        STy::Float
-    } else {
-        STy::Any
-    }
 }
 
 #[cfg(test)]

@@ -18,22 +18,26 @@
 //! and, beside the signature, the two Section 3 relations between rules
 //! built from it: `Triggers` and `Can-Untrigger`.
 //!
-//! It also holds the scope stack every column name resolves through, in
+//! It also holds the scope stack every column name resolves through, and
+//! the static type lattice (`Ty`) every expression is typed in, in
 //! validation and in the plan compiler alike.
 
 use std::collections::BTreeSet;
+use std::fmt;
 
-use starling_storage::{Catalog, ColRef, Op};
+use starling_storage::{
+    Catalog, ColRef, ColumnDef, Op, StorageError, TableSchema, Value, ValueType,
+};
 
 use crate::ast::*;
 use crate::error::SqlError;
 use crate::plan::Slot;
 
 /// One name in scope: a `FROM` item's binding name (alias or table name)
-/// and the schema table its rows conform to.
-pub(crate) struct Binding {
+/// and the schema its rows conform to.
+pub(crate) struct Binding<'a> {
     pub(crate) name: String,
-    pub(crate) table: String,
+    pub(crate) schema: &'a TableSchema,
 }
 
 /// Lexical scope stack for column resolution: the one resolver that
@@ -48,7 +52,7 @@ pub(crate) struct Scope<'a> {
     /// The rule's table, when resolving inside a rule (enables transition
     /// tables).
     rule_table: Option<&'a str>,
-    frames: Vec<Vec<Binding>>,
+    frames: Vec<Vec<Binding<'a>>>,
 }
 
 impl<'a> Scope<'a> {
@@ -76,17 +80,14 @@ impl<'a> Scope<'a> {
                     ))
                 })?,
             };
-            self.catalog.table(table)?; // must exist
+            let schema = self.catalog.table(table)?;
             let name = item.binding().to_owned();
             if frame.iter().any(|b: &Binding| b.name == name) {
                 return Err(SqlError::validate(format!(
                     "duplicate binding `{name}` in from clause"
                 )));
             }
-            frame.push(Binding {
-                name,
-                table: table.to_owned(),
-            });
+            frame.push(Binding { name, schema });
         }
         self.frames.push(frame);
         Ok(())
@@ -95,10 +96,10 @@ impl<'a> Scope<'a> {
     /// Pushes a frame binding a single base table under its own name (the
     /// implicit scope of `UPDATE`/`DELETE` targets).
     pub(crate) fn push_table(&mut self, table: &str) -> Result<(), SqlError> {
-        self.catalog.table(table)?;
+        let schema = self.catalog.table(table)?;
         self.frames.push(vec![Binding {
             name: table.to_owned(),
-            table: table.to_owned(),
+            schema,
         }]);
         Ok(())
     }
@@ -114,55 +115,221 @@ impl<'a> Scope<'a> {
     }
 
     /// The bindings of the innermost frame, in `FROM` order.
-    pub(crate) fn innermost(&self) -> &[Binding] {
+    pub(crate) fn innermost(&self) -> &[Binding<'a>] {
         self.frames.last().map_or(&[], Vec::as_slice)
     }
 
-    /// The binding a resolved slot reads, if `slot` is one of this scope's.
-    pub(crate) fn binding(&self, slot: &Slot) -> Option<&Binding> {
+    /// The column a resolved slot reads, if `slot` is one of this scope's.
+    pub(crate) fn column(&self, slot: &Slot) -> Option<(&'a TableSchema, &'a ColumnDef)> {
         let frame = self.frames.len().checked_sub(1 + slot.depth)?;
-        self.frames[frame].get(slot.source)
+        let schema = self.frames[frame].get(slot.source)?.schema;
+        Some((schema, schema.columns.get(slot.col)?))
     }
 
     /// Resolves a column reference against the scope stack, to its frame
-    /// distance from the innermost, its `FROM` index and its column index.
-    /// A qualified name stops at the first frame that binds its qualifier,
-    /// even when that table lacks the column, as the interpreter's lookup
-    /// does.
-    pub(crate) fn resolve(&self, col: &ColumnRef) -> Result<Slot, SqlError> {
+    /// distance from the innermost, its `FROM` index and its column index,
+    /// and yields the column's declared type. A qualified name stops at the
+    /// first frame that binds its qualifier, even when that table lacks the
+    /// column, as the interpreter's lookup does.
+    pub(crate) fn resolve(&self, col: &ColumnRef) -> Result<(Slot, ValueType), SqlError> {
         for (depth, frame) in self.frames.iter().rev().enumerate() {
-            let slot = |source, col| Slot { depth, source, col };
+            let slot = |source, schema: &TableSchema, col: usize| {
+                (Slot { depth, source, col }, schema.columns[col].ty)
+            };
             match &col.qualifier {
                 Some(q) => {
                     if let Some((si, b)) = frame.iter().enumerate().find(|(_, b)| &b.name == q) {
-                        let schema = self.catalog.table(&b.table)?;
-                        let Some(ci) = schema.column_index(&col.column) else {
+                        let Some(ci) = b.schema.column_index(&col.column) else {
                             return Err(SqlError::validate(format!(
                                 "table `{}` (bound as `{q}`) has no column `{}`",
-                                b.table, col.column
+                                b.schema.name, col.column
                             )));
                         };
-                        return Ok(slot(si, ci));
+                        return Ok(slot(si, b.schema, ci));
                     }
                 }
                 None => {
                     let mut matches = frame.iter().enumerate().filter_map(|(si, b)| {
-                        let schema = self.catalog.table(&b.table).ok()?;
-                        Some((si, schema.column_index(&col.column)?))
+                        Some((si, b.schema, b.schema.column_index(&col.column)?))
                     });
-                    if let Some((si, ci)) = matches.next() {
+                    if let Some((si, schema, ci)) = matches.next() {
                         if matches.next().is_some() {
                             return Err(SqlError::validate(format!(
                                 "ambiguous column `{}`",
                                 col.column
                             )));
                         }
-                        return Ok(slot(si, ci));
+                        return Ok(slot(si, schema, ci));
                     }
                 }
             }
         }
         Err(SqlError::validate(format!("cannot resolve column `{col}`")))
+    }
+}
+
+/// The one static type lattice, which the validator ([`crate::validate`])
+/// refuses by and the plan compiler ([`crate::plan`]) proves kernels
+/// infallible by. `X` is "an `X` or `NULL`", `Null` always `NULL`, `Unknown`
+/// anything; `Float` is numeric, since a `FLOAT` column also stores
+/// `INTEGER`s. A refusal is the runtime's message with types for values;
+/// `Null` and `Unknown` operands refuse nothing.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Ty {
+    Int,
+    Float,
+    Str,
+    Bool,
+    Null,
+    Unknown,
+}
+
+impl fmt::Display for Ty {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let other = if *self == Ty::Null { "NULL" } else { "unknown" };
+        f.write_str(self.known().map_or(other, ValueType::keyword))
+    }
+}
+
+impl Ty {
+    pub(crate) fn of_value(v: &Value) -> Ty {
+        v.value_type().map_or(Ty::Null, Ty::of_decl)
+    }
+
+    pub(crate) fn of_decl(ty: ValueType) -> Ty {
+        match ty {
+            ValueType::Bool => Ty::Bool,
+            ValueType::Int => Ty::Int,
+            ValueType::Float => Ty::Float,
+            ValueType::Str => Ty::Str,
+        }
+    }
+
+    /// The declared type this stands for; `None` for `Null` and `Unknown`.
+    fn known(self) -> Option<ValueType> {
+        match self {
+            Ty::Bool => Some(ValueType::Bool),
+            Ty::Int => Some(ValueType::Int),
+            Ty::Float => Some(ValueType::Float),
+            Ty::Str => Some(ValueType::Str),
+            Ty::Null | Ty::Unknown => None,
+        }
+    }
+
+    pub(crate) fn numeric(self) -> bool {
+        matches!(self, Ty::Int | Ty::Float)
+    }
+
+    /// Whether comparing values of these types can never fail.
+    pub(crate) fn comparable(self, other: Ty) -> bool {
+        match (self, other) {
+            (Ty::Null, _) | (_, Ty::Null) => true,
+            (Ty::Unknown, _) | (_, Ty::Unknown) => false,
+            _ => self == other || (self.numeric() && other.numeric()),
+        }
+    }
+
+    /// Whether a value of this type always passes `eval_bool`.
+    pub(crate) fn boolish(self) -> bool {
+        matches!(self, Ty::Bool | Ty::Null)
+    }
+
+    /// Refuses comparing (`=`, `IN`, `BETWEEN`, …) two known, incomparable
+    /// types.
+    pub(crate) fn compare(self, other: Ty) -> Result<(), SqlError> {
+        if self.known().is_some() && other.known().is_some() && !self.comparable(other) {
+            return Err(SqlError::validate(format!(
+                "cannot compare {self} with {other}"
+            )));
+        }
+        Ok(())
+    }
+
+    /// Refuses a known non-boolean where `eval_bool` reads it: a `WHERE`,
+    /// `HAVING` or rule condition, or an operand of `AND`, `OR` or `NOT`.
+    pub(crate) fn condition(self) -> Result<(), SqlError> {
+        match self {
+            Ty::Int | Ty::Float | Ty::Str => {
+                Err(SqlError::validate(format!("expected boolean, got {self}")))
+            }
+            _ => Ok(()),
+        }
+    }
+
+    /// The type of a binary operator's result.
+    pub(crate) fn binary(op: BinOp, l: Ty, r: Ty) -> Result<Ty, SqlError> {
+        if matches!(op, BinOp::And | BinOp::Or) {
+            l.condition()?;
+            r.condition()?;
+            return Ok(Ty::Bool);
+        }
+        if op.is_comparison() {
+            l.compare(r)?;
+            return Ok(Ty::Bool);
+        }
+        Ok(match (l, r) {
+            // A `NULL` operand yields `NULL` before the operator runs.
+            (Ty::Null, _) | (_, Ty::Null) => Ty::Null,
+            (Ty::Int, Ty::Int) => Ty::Int,
+            _ if l.numeric() && r.numeric() => Ty::Float,
+            (Ty::Unknown, _) | (_, Ty::Unknown) => Ty::Unknown,
+            _ => {
+                return Err(SqlError::validate(format!(
+                    "arithmetic on non-numeric values {l} and {r}"
+                )))
+            }
+        })
+    }
+
+    /// The type of unary minus.
+    pub(crate) fn neg(self) -> Result<Ty, SqlError> {
+        match self {
+            Ty::Bool | Ty::Str => Err(SqlError::validate(format!("cannot negate {self}"))),
+            t => Ok(t),
+        }
+    }
+
+    /// The type of `[NOT] LIKE`.
+    pub(crate) fn like(v: Ty, pattern: Ty) -> Result<Ty, SqlError> {
+        match (v.known(), pattern.known()) {
+            (Some(a), Some(b)) if a != ValueType::Str || b != ValueType::Str => Err(
+                SqlError::validate(format!("LIKE requires strings, got {v} and {pattern}")),
+            ),
+            _ => Ok(Ty::Bool),
+        }
+    }
+
+    /// The type of an aggregate over an argument of type `arg` (`Null` for
+    /// `count(*)`): `SUM` and `AVG` need a numeric argument.
+    pub(crate) fn aggregate(func: Aggregate, arg: Ty) -> Result<Ty, SqlError> {
+        match func {
+            Aggregate::CountStar | Aggregate::Count => Ok(Ty::Int),
+            Aggregate::Min | Aggregate::Max => Ok(arg),
+            _ if matches!(arg, Ty::Bool | Ty::Str) => Err(SqlError::validate(format!(
+                "cannot aggregate non-numeric value {arg}"
+            ))),
+            Aggregate::Avg if arg.numeric() => Ok(Ty::Float),
+            _ => Ok(arg),
+        }
+    }
+
+    /// Refuses a value of this type written to `column` of `table`: a type
+    /// the column does not accept, or `NULL` into a `NOT NULL` column.
+    pub(crate) fn store(self, table: &str, column: &ColumnDef) -> Result<(), SqlError> {
+        let refused = match self.known() {
+            None if self == Ty::Null && !column.nullable => StorageError::NullViolation {
+                table: table.to_owned(),
+                column: column.name.clone(),
+            },
+            Some(found) if !column.ty.accepts(found) => StorageError::TypeMismatch {
+                table: table.to_owned(),
+                column: column.name.clone(),
+                expected: column.ty,
+                found,
+            },
+            _ => return Ok(()),
+        };
+        Err(SqlError::validate(refused.to_string()))
     }
 }
 

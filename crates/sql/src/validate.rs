@@ -4,7 +4,9 @@
 //! The walk resolves every column through the scope stack of
 //! [`crate::refs`] and records each resolved column as read, so walking a
 //! rule also yields its `Reads` ([`crate::RuleSignature::of_rule`] is that
-//! walk). Beyond name resolution, validation enforces:
+//! walk). It also types every expression in the static type lattice of
+//! [`crate::refs`], the one the plan compiler reads. Beyond name
+//! resolution, validation enforces:
 //!
 //! * transition tables may only be referenced when the rule's transition
 //!   predicate includes the corresponding operation (paper Section 2: "A rule
@@ -15,7 +17,16 @@
 //!   `GROUP BY` keys, aggregates and literals;
 //! * `INSERT` arity matches the target column list / schema;
 //! * `UPDATE ... SET` columns exist;
-//! * `IN (SELECT ...)` and scalar subqueries produce exactly one column.
+//! * `IN (SELECT ...)` and scalar subqueries produce exactly one column;
+//! * operands have types their operator takes: comparable comparisons
+//!   (`IN` and `BETWEEN` included), numbers in arithmetic, negation, `SUM`
+//!   and `AVG`, strings in `LIKE`, booleans in `WHERE`, `HAVING`, a rule's
+//!   condition, `AND`, `OR` and `NOT`; an `INSERT` or `SET` value has a
+//!   type its column accepts, and never `NULL` for a `NOT NULL` column.
+//!
+//! Typing is static, as in standard SQL: it also types operands a
+//! short-circuit would skip. Overflow, division by zero and a scalar
+//! subquery's row count stay runtime errors.
 
 use std::collections::BTreeSet;
 
@@ -24,7 +35,7 @@ use starling_storage::{Catalog, ColRef, TableSchema};
 use crate::ast::*;
 use crate::error::SqlError;
 use crate::eval::select::is_grouped;
-use crate::refs::Scope;
+use crate::refs::{Scope, Ty};
 
 /// Validates a rule's condition and actions and returns every column they
 /// read, transition-table columns mapped to the rule's table.
@@ -37,9 +48,9 @@ pub(crate) fn rule_reads(rule: &RuleDef, catalog: &Catalog) -> Result<BTreeSet<C
     }
     catalog.table(&rule.table)?;
 
-    let mut w = Walker::new(catalog, Some(&rule.table), AllowedTransitions::of(rule));
+    let mut w = Walker::new(catalog, Some(rule));
     if let Some(cond) = &rule.condition {
-        w.expr(cond, ExprPos::Where)?;
+        w.condition(cond)?;
     }
     if rule.actions.is_empty() {
         return Err(SqlError::validate(format!(
@@ -56,50 +67,13 @@ pub(crate) fn rule_reads(rule: &RuleDef, catalog: &Catalog) -> Result<BTreeSet<C
 /// Validates a standalone DML statement (no rule context: transition tables
 /// are rejected).
 pub fn validate_dml(action: &Action, catalog: &Catalog) -> Result<(), SqlError> {
-    Walker::new(catalog, None, AllowedTransitions::none()).action(action)
+    Walker::new(catalog, None).action(action)
 }
 
 fn prefix(rule: &str, e: SqlError) -> SqlError {
     match e {
         SqlError::Validate(m) => SqlError::Validate(format!("rule `{rule}`: {m}")),
         other => other,
-    }
-}
-
-/// Which transition tables the rule's transition predicate permits.
-struct AllowedTransitions {
-    inserted: bool,
-    deleted: bool,
-    updated: bool,
-}
-
-impl AllowedTransitions {
-    fn of(rule: &RuleDef) -> Self {
-        let mut a = AllowedTransitions::none();
-        for e in &rule.events {
-            match e {
-                TriggerEvent::Inserted => a.inserted = true,
-                TriggerEvent::Deleted => a.deleted = true,
-                TriggerEvent::Updated(_) => a.updated = true,
-            }
-        }
-        a
-    }
-
-    fn none() -> Self {
-        AllowedTransitions {
-            inserted: false,
-            deleted: false,
-            updated: false,
-        }
-    }
-
-    fn permits(&self, t: TransitionTable) -> bool {
-        match t {
-            TransitionTable::Inserted => self.inserted,
-            TransitionTable::Deleted => self.deleted,
-            TransitionTable::NewUpdated | TransitionTable::OldUpdated => self.updated,
-        }
     }
 }
 
@@ -112,23 +86,34 @@ enum ExprPos<'e> {
     InsideAggregate,
 }
 
-/// The walk: the scope names resolve in, the transition tables the rule
-/// may name, and every column resolved so far.
+/// The walk: the scope names resolve in, the rule's triggering operations
+/// (none outside a rule), and every column resolved so far.
 struct Walker<'a> {
     catalog: &'a Catalog,
     scope: Scope<'a>,
-    allowed: AllowedTransitions,
+    events: &'a [TriggerEvent],
     reads: BTreeSet<ColRef>,
 }
 
 impl<'a> Walker<'a> {
-    fn new(catalog: &'a Catalog, rule_table: Option<&'a str>, allowed: AllowedTransitions) -> Self {
+    fn new(catalog: &'a Catalog, rule: Option<&'a RuleDef>) -> Self {
         Walker {
             catalog,
-            scope: Scope::new(catalog, rule_table),
-            allowed,
+            scope: Scope::new(catalog, rule.map(|r| r.table.as_str())),
+            events: rule.map_or(&[], |r| &r.events),
             reads: BTreeSet::new(),
         }
+    }
+
+    /// Whether the rule's transition predicate permits naming `t`.
+    fn permits(&self, t: TransitionTable) -> bool {
+        self.events.iter().any(|e| match e {
+            TriggerEvent::Inserted => t == TransitionTable::Inserted,
+            TriggerEvent::Deleted => t == TransitionTable::Deleted,
+            TriggerEvent::Updated(_) => {
+                matches!(t, TransitionTable::NewUpdated | TransitionTable::OldUpdated)
+            }
+        })
     }
 
     /// Runs `f` inside the frame the caller just pushed, then pops it.
@@ -154,6 +139,15 @@ impl<'a> Walker<'a> {
                     }
                     None => schema.arity(),
                 };
+                // Refuses a value of type `ty` at position `pos` of a row,
+                // if the column it lands in cannot store it.
+                let store = |pos: usize, ty: Ty| {
+                    let col = match &i.columns {
+                        Some(cols) => cols.get(pos).and_then(|c| schema.column(c)),
+                        None => schema.columns.get(pos),
+                    };
+                    col.map_or(Ok(()), |col| ty.store(&i.table, col))
+                };
                 match &i.source {
                     InsertSource::Values(rows) => {
                         for row in rows {
@@ -164,21 +158,36 @@ impl<'a> Walker<'a> {
                                     row.len()
                                 )));
                             }
-                            for e in row {
-                                self.expr(e, ExprPos::Where)?;
+                            for (pos, e) in row.iter().enumerate() {
+                                let ty = self.expr(e, ExprPos::Where)?;
+                                store(pos, ty)?;
                             }
                         }
                     }
                     InsertSource::Select(s) => {
-                        self.select(s)?;
-                        if let Some(n) = self.select_width(s) {
-                            if n != arity {
-                                return Err(SqlError::validate(format!(
-                                    "insert into `{}` expects {arity} columns, select yields {n}",
-                                    i.table
-                                )));
+                        // A column the target cannot store is reported after
+                        // the select's own errors and its width.
+                        let mut refused = None;
+                        let n = self.select(s, &mut |pos, ty| {
+                            if refused.is_none() {
+                                refused = store(pos, ty).err();
                             }
+                        })?;
+                        if n != arity {
+                            return Err(SqlError::validate(format!(
+                                "insert into `{}` expects {arity} columns, select yields {n}",
+                                i.table
+                            )));
                         }
+                        if let Some(e) = refused {
+                            return Err(e);
+                        }
+                    }
+                }
+                // A column the list omits is written NULL.
+                if let Some(cols) = &i.columns {
+                    for col in schema.columns.iter().filter(|c| !cols.contains(&c.name)) {
+                        Ty::Null.store(&i.table, col)?;
                     }
                 }
                 Ok(())
@@ -187,7 +196,7 @@ impl<'a> Walker<'a> {
                 self.catalog.table(&d.table)?;
                 if let Some(w) = &d.where_clause {
                     self.scope.push_table(&d.table)?;
-                    self.in_frame(|me| me.expr(w, ExprPos::Where))?;
+                    self.in_frame(|me| me.condition(w))?;
                 }
                 Ok(())
             }
@@ -198,44 +207,31 @@ impl<'a> Walker<'a> {
                 }
                 self.scope.push_table(&u.table)?;
                 self.in_frame(|me| {
-                    for (_, e) in &u.sets {
-                        me.expr(e, ExprPos::Where)?;
+                    for (c, e) in &u.sets {
+                        let col = schema.column(c).expect("a checked target column");
+                        me.expr(e, ExprPos::Where)?.store(&u.table, col)?;
                     }
                     if let Some(w) = &u.where_clause {
-                        me.expr(w, ExprPos::Where)?;
+                        me.condition(w)?;
                     }
                     Ok(())
                 })
             }
-            Action::Select(s) => self.select(s),
+            Action::Select(s) => self.select(s, &mut |_, _| {}).map(drop),
             Action::Rollback => Ok(()),
         }
     }
 
-    /// Output width of a select, when statically computable.
-    fn select_width(&mut self, s: &SelectStmt) -> Option<usize> {
-        // Wildcard width needs the from-item schemas in scope.
-        self.scope.push_from(&s.from).ok()?;
-        let mut n = 0;
-        for item in &s.items {
-            n += match item {
-                SelectItem::Wildcard => self
-                    .scope
-                    .innermost()
-                    .iter()
-                    .map(|b| self.catalog.table(&b.table).map_or(0, |t| t.arity()))
-                    .sum(),
-                SelectItem::Expr { .. } => 1,
-            };
-        }
-        self.scope.pop();
-        Some(n)
-    }
-
-    fn select(&mut self, s: &SelectStmt) -> Result<(), SqlError> {
+    /// Walks a select and returns its width, passing each output column's
+    /// type to `column` with its position.
+    fn select(
+        &mut self,
+        s: &SelectStmt,
+        column: &mut dyn FnMut(usize, Ty),
+    ) -> Result<usize, SqlError> {
         for fi in &s.from {
             if let TableRef::Transition(t) = &fi.table {
-                if !self.allowed.permits(*t) {
+                if !self.permits(*t) {
                     return Err(SqlError::validate(format!(
                         "transition table `{}` does not correspond to any triggering operation",
                         t.name()
@@ -244,6 +240,7 @@ impl<'a> Walker<'a> {
             }
         }
         self.scope.push_from(&s.from)?;
+        let mut width = 0;
         self.in_frame(|me| {
             if s.items.is_empty() {
                 return Err(SqlError::validate("empty select list"));
@@ -261,98 +258,127 @@ impl<'a> Walker<'a> {
                     // `select *` reads every column of every from-item.
                     SelectItem::Wildcard => {
                         for b in me.scope.innermost() {
-                            let schema = me.catalog.table(&b.table)?;
-                            for c in schema.column_names() {
-                                me.reads.insert(ColRef::new(b.table.clone(), c));
+                            for c in &b.schema.columns {
+                                me.reads.insert(ColRef::new(b.schema.name.clone(), &c.name));
+                                column(width, Ty::of_decl(c.ty));
+                                width += 1;
                             }
                         }
                     }
-                    SelectItem::Expr { expr, .. } => me.expr(expr, pos)?,
+                    SelectItem::Expr { expr, .. } => {
+                        column(width, me.expr(expr, pos)?);
+                        width += 1;
+                    }
                 }
             }
             if let Some(w) = &s.where_clause {
-                me.expr(w, ExprPos::Where)?;
+                me.condition(w)?;
             }
             for e in &s.group_by {
                 me.expr(e, ExprPos::Where)?;
             }
-            for e in s.having.iter().chain(s.order_by.iter().map(|o| &o.expr)) {
-                me.expr(e, pos)?;
+            if let Some(h) = &s.having {
+                me.expr(h, pos)?.condition()?;
+            }
+            for o in &s.order_by {
+                me.expr(&o.expr, pos)?;
             }
             Ok(())
-        })
+        })?;
+        Ok(width)
     }
 
-    fn single_column(&mut self, s: &SelectStmt, what: &str) -> Result<(), SqlError> {
-        match self.select_width(s) {
-            Some(n) if n != 1 => Err(SqlError::validate(format!(
+    /// The type of a subquery that must produce exactly one column.
+    fn single_column(&mut self, s: &SelectStmt, what: &str) -> Result<Ty, SqlError> {
+        let mut ty = Ty::Unknown;
+        match self.select(s, &mut |pos, t| {
+            if pos == 0 {
+                ty = t;
+            }
+        })? {
+            1 => Ok(ty),
+            n => Err(SqlError::validate(format!(
                 "{what} must produce exactly one column, got {n}"
             ))),
-            _ => Ok(()),
         }
     }
 
-    fn expr(&mut self, e: &Expr, pos: ExprPos<'_>) -> Result<(), SqlError> {
+    /// Walks a `WHERE`-position expression that must be boolean.
+    fn condition(&mut self, e: &Expr) -> Result<(), SqlError> {
+        self.expr(e, ExprPos::Where)?.condition()
+    }
+
+    /// Walks an expression and returns its static type.
+    fn expr(&mut self, e: &Expr, pos: ExprPos<'_>) -> Result<Ty, SqlError> {
         // Per group, a `GROUP BY` key (walked with the keys) reads the
         // group's key; the rest combines keys, aggregates and literals.
         if let ExprPos::Grouped(keys) = pos {
             if keys.contains(e) {
-                return Ok(());
+                return self.expr(e, ExprPos::Where);
             }
             if let Some(err) = not_grouped(e) {
                 return Err(err);
             }
         }
         match e {
-            Expr::Literal(_) => Ok(()),
+            Expr::Literal(v) => Ok(Ty::of_value(v)),
             Expr::Column(c) => {
                 // A transition table binds the rule's table, so its columns
                 // read the rule's table (paper: "for every (trans).c
                 // referenced, t.c is in Reads(r) for r's triggering table t").
-                let slot = self.scope.resolve(c)?;
-                let b = self.scope.binding(&slot).expect("a resolved slot");
+                let (slot, ty) = self.scope.resolve(c)?;
+                let (schema, _) = self.scope.column(&slot).expect("a resolved slot");
                 self.reads
-                    .insert(ColRef::new(b.table.clone(), c.column.clone()));
-                Ok(())
+                    .insert(ColRef::new(schema.name.clone(), c.column.clone()));
+                Ok(Ty::of_decl(ty))
             }
-            Expr::Binary { lhs, rhs, .. } => {
+            Expr::Binary { op, lhs, rhs } => {
                 // Operands of a binary op are no longer "directly" a select
                 // item, but aggregates inside arithmetic in a select item are
                 // fine: keep position.
-                self.expr(lhs, pos)?;
-                self.expr(rhs, pos)
+                let l = self.expr(lhs, pos)?;
+                let r = self.expr(rhs, pos)?;
+                Ty::binary(*op, l, r)
             }
-            Expr::Neg(x) | Expr::Not(x) => self.expr(x, pos),
-            Expr::IsNull { expr, .. } => self.expr(expr, pos),
-            Expr::InList { expr, list, .. } => {
+            Expr::Neg(x) => self.expr(x, pos)?.neg(),
+            Expr::Not(x) => {
+                self.expr(x, pos)?.condition()?;
+                Ok(Ty::Bool)
+            }
+            Expr::IsNull { expr, .. } => {
                 self.expr(expr, pos)?;
+                Ok(Ty::Bool)
+            }
+            Expr::InList { expr, list, .. } => {
+                let needle = self.expr(expr, pos)?;
                 for x in list {
-                    self.expr(x, pos)?;
+                    needle.compare(self.expr(x, pos)?)?;
                 }
-                Ok(())
+                Ok(Ty::Bool)
             }
             Expr::InSelect { expr, select, .. } => {
-                self.expr(expr, pos)?;
-                self.select(select)?;
-                self.single_column(select, "IN subquery")
+                let needle = self.expr(expr, pos)?;
+                needle.compare(self.single_column(select, "IN subquery")?)?;
+                Ok(Ty::Bool)
             }
             Expr::Between {
                 expr, low, high, ..
             } => {
-                self.expr(expr, pos)?;
-                self.expr(low, pos)?;
-                self.expr(high, pos)
+                let v = self.expr(expr, pos)?;
+                v.compare(self.expr(low, pos)?)?;
+                v.compare(self.expr(high, pos)?)?;
+                Ok(Ty::Bool)
             }
             Expr::Like { expr, pattern, .. } => {
-                self.expr(expr, pos)?;
-                self.expr(pattern, pos)
+                let v = self.expr(expr, pos)?;
+                Ty::like(v, self.expr(pattern, pos)?)
             }
-            Expr::Exists(s) => self.select(s),
-            Expr::ScalarSubquery(s) => {
-                self.select(s)?;
-                self.single_column(s, "scalar subquery")
+            Expr::Exists(s) => {
+                self.select(s, &mut |_, _| {})?;
+                Ok(Ty::Bool)
             }
-            Expr::Aggregate { arg, .. } => {
+            Expr::ScalarSubquery(s) => self.single_column(s, "scalar subquery"),
+            Expr::Aggregate { func, arg } => {
                 if let ExprPos::InsideAggregate = pos {
                     return Err(SqlError::validate("nested aggregate"));
                 }
@@ -361,10 +387,11 @@ impl<'a> Walker<'a> {
                         "aggregate is only allowed in a select list",
                     ));
                 }
-                match arg {
-                    Some(x) => self.expr(x, ExprPos::InsideAggregate),
-                    None => Ok(()),
-                }
+                let arg = match arg {
+                    Some(x) => self.expr(x, ExprPos::InsideAggregate)?,
+                    None => Ty::Null,
+                };
+                Ty::aggregate(*func, arg)
             }
         }
     }
@@ -485,6 +512,8 @@ mod tests {
         assert!(e.to_string().contains("select yields 1"), "{e}");
         let e = check_stmt("insert into dept select * from emp").unwrap_err();
         assert!(e.to_string().contains("select yields 3"), "{e}");
+        let e = check_stmt("insert into dept (dno) select dno, budget from dept").unwrap_err();
+        assert!(e.to_string().contains("select yields 2"), "{e}");
     }
 
     #[test]
@@ -573,6 +602,135 @@ mod tests {
         );
     }
 
+    /// Every expression is typed: an operator, a condition or a written
+    /// value the runtime would refuse on every non-NULL value is refused
+    /// here, with the runtime's wording and type names for values.
+    #[test]
+    fn ill_typed_statements_refused() {
+        let mut cat = catalog();
+        cat.add_table(
+            TableSchema::new(
+                "typed",
+                vec![
+                    ColumnDef::new("i", ValueType::Int),
+                    ColumnDef::new("f", ValueType::Float),
+                    ColumnDef::new("s", ValueType::Str),
+                    ColumnDef::new("b", ValueType::Bool),
+                    ColumnDef::nullable("n", ValueType::Int),
+                ],
+            )
+            .unwrap(),
+        )
+        .unwrap();
+        let check = |src: &str| {
+            let Statement::Dml(a) = parse_statement(src).unwrap() else {
+                panic!()
+            };
+            validate_dml(&a, &cat)
+        };
+        for ok in [
+            "insert into typed values (1, 2, 'x', true, null)",
+            "insert into typed values (1, 2.5, 'x', false, 3)",
+            "insert into typed (i, f, s, b) values (-1, -2.5, 'y', not true)",
+            "insert into typed select i, i / 2, s, f > i, null from typed where s like 'a%'",
+            "insert into typed select count(*), avg(i), max(s), min(b), sum(i) from typed",
+            "update typed set f = i + f, n = null where b and i between 1 and 2.5",
+            "delete from typed where n in (1, f) or n is null or null",
+            "select i from typed where s in (select max(s) from typed) \
+             group by i having count(*) > 1",
+            "select * from typed where (select f from typed) < 1 and null = 's'",
+        ] {
+            check(ok).unwrap_or_else(|e| panic!("{ok}: {e}"));
+        }
+        for (bad, why) in [
+            (
+                "insert into typed values ('x', 2, 'x', true, null)",
+                "type mismatch for `typed.i`: expected INTEGER, found VARCHAR",
+            ),
+            (
+                "insert into typed values (null, 2, 'x', true, null)",
+                "NULL written to non-nullable column `typed.i`",
+            ),
+            (
+                "insert into typed (i, f, s) values (1, 2, 'x')",
+                "NULL written to non-nullable column `typed.b`",
+            ),
+            (
+                "insert into typed select f, f, s, b, n from typed",
+                "type mismatch for `typed.i`: expected INTEGER, found FLOAT",
+            ),
+            (
+                "update typed set b = 1",
+                "type mismatch for `typed.b`: expected BOOLEAN, found INTEGER",
+            ),
+            (
+                "select i from typed where i = 'x'",
+                "cannot compare INTEGER with VARCHAR",
+            ),
+            (
+                "select i from typed where b < 1",
+                "cannot compare BOOLEAN with INTEGER",
+            ),
+            (
+                "select i from typed where i in (1, 's')",
+                "cannot compare INTEGER with VARCHAR",
+            ),
+            (
+                "select i from typed where i between 1 and 'z'",
+                "cannot compare INTEGER with VARCHAR",
+            ),
+            (
+                "select i from typed where s in (select i from typed)",
+                "cannot compare VARCHAR with INTEGER",
+            ),
+            (
+                "select s + 1 from typed",
+                "arithmetic on non-numeric values VARCHAR and INTEGER",
+            ),
+            ("select -b from typed", "cannot negate BOOLEAN"),
+            (
+                "select i from typed where i like 'x'",
+                "LIKE requires strings, got INTEGER and VARCHAR",
+            ),
+            (
+                "select i from typed where i",
+                "expected boolean, got INTEGER",
+            ),
+            (
+                "select i from typed where false and s",
+                "expected boolean, got VARCHAR",
+            ),
+            (
+                "select i from typed where not f",
+                "expected boolean, got FLOAT",
+            ),
+            ("delete from typed where s", "expected boolean, got VARCHAR"),
+            (
+                "select count(*) from typed having count(*)",
+                "expected boolean, got INTEGER",
+            ),
+            (
+                "select sum(s) from typed",
+                "cannot aggregate non-numeric value VARCHAR",
+            ),
+            (
+                "select avg(b) from typed",
+                "cannot aggregate non-numeric value BOOLEAN",
+            ),
+        ] {
+            assert_eq!(check(bad), Err(SqlError::validate(why)), "{bad}");
+        }
+        // A rule's condition must be boolean too.
+        let Statement::CreateRule(r) =
+            parse_statement("create rule r on typed when inserted if 1 + 1 then rollback end")
+                .unwrap()
+        else {
+            panic!()
+        };
+        let e = rule_reads(&r, &cat).unwrap_err();
+        assert_eq!(e, SqlError::validate("expected boolean, got INTEGER"));
+    }
+
     #[test]
     fn subqueries_single_column() {
         assert!(check_stmt("select id from emp where dno in (select dno from dept)").is_ok());
@@ -622,7 +780,7 @@ mod tests {
             order_by: vec![],
         };
         let cat = catalog();
-        let mut w = Walker::new(&cat, None, AllowedTransitions::none());
-        assert!(w.select(&s).is_err());
+        let mut w = Walker::new(&cat, None);
+        assert!(w.select(&s, &mut |_, _| {}).is_err());
     }
 }

@@ -7,12 +7,10 @@
 
 use std::fmt;
 
-use serde::Serialize;
-
 use crate::schema::{Catalog, ColRef};
 
 /// One element of the operation set `O`.
-#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
+#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Op {
     /// `(I, t)` — insertion into table `t`.
     Insert(String),

@@ -3,13 +3,11 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use serde::Serialize;
-
 use crate::error::StorageError;
 use crate::value::{Value, ValueType};
 
 /// A column definition within a table schema.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ColumnDef {
     /// Column name (lowercased by the parser; storage is case-preserving).
     pub name: String,
@@ -58,7 +56,7 @@ impl ColumnDef {
 }
 
 /// Schema of a single table.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TableSchema {
     /// Table name.
     pub name: String,
@@ -121,7 +119,7 @@ impl TableSchema {
 ///
 /// This is the currency of the paper's `Reads` definition and of the
 /// update-operation set `(U, t.c)` (Section 3).
-#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
+#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ColRef {
     /// Table name.
     pub table: String,
@@ -147,7 +145,7 @@ impl fmt::Display for ColRef {
 
 /// The database catalog: the set `T` of tables and `C` of columns from
 /// Section 3 of the paper.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Catalog {
     tables: BTreeMap<String, TableSchema>,
 }

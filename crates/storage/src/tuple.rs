@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::Serialize;
-
 use crate::value::Value;
 
 /// Stable identity of a tuple, unique within a [`crate::Database`].
@@ -12,7 +10,7 @@ use crate::value::Value;
 /// updated several times, only the composite update is considered", etc.
 /// That notion requires tuples to keep their identity across updates, which
 /// `TupleId` provides. Ids are never reused, even after deletion.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TupleId(pub u64);
 
 impl fmt::Display for TupleId {
@@ -25,7 +23,7 @@ impl fmt::Display for TupleId {
 pub type Row = Vec<Value>;
 
 /// A tuple: identity plus current values.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Tuple {
     /// Stable identity.
     pub id: TupleId,

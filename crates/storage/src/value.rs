@@ -9,10 +9,8 @@
 use std::cmp::Ordering;
 use std::fmt;
 
-use serde::Serialize;
-
 /// The type of a [`Value`] (excluding `NULL`, which inhabits every type).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ValueType {
     /// Boolean (`TRUE` / `FALSE`).
     Bool,
@@ -51,7 +49,7 @@ impl fmt::Display for ValueType {
 }
 
 /// A single SQL value.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub enum Value {
     /// SQL `NULL`.
     Null,

@@ -15,7 +15,12 @@
 # (`+worktree` when uncommitted changes were measured), parent, workload,
 # metric, both medians and quartiles, wins/losses, pairs, seconds, `nproc`,
 # CPU model — to the committed BENCH_pairs.json, the repository's
-# machine-readable performance trajectory.
+# machine-readable performance trajectory. --record also runs one traced
+# pass per side and workload on a fixed seed, prints a `counts` line naming
+# every metric of unit `count` that differs between the sides, and records
+# both sides' counts as one more entry (`"metric":"counts"`): work counts
+# repeat exactly on a seed, so they compare across machines where timings
+# do not.
 #
 # Seeds start at the clock, so no run repeats a seed used while the change
 # was written. Reads benchmark/ and BENCHMARK.json; writes only under
@@ -67,6 +72,20 @@ run() {
     exit 1
   fi
   tail -n 1 "$out"
+}
+
+# One traced run of one side on the fixed seed; prints its count metrics,
+# `name value` a line.
+TRACE_SEED=1
+counts() {
+  local side=$1 out=$RUNS/$WORKLOAD-$1-traced.txt
+  if ! (cd "$BUILD/cwd-$side" && "$BUILD/target-$side/release/benchmark" \
+    --workload "$WORKLOAD" --seed "$TRACE_SEED" --seconds 2 --trace 1) >"$out" 2>&1; then
+    echo "$side traced run on seed $TRACE_SEED failed; see $out" >&2
+    exit 1
+  fi
+  tail -n 1 "$out" | grep -o '"[a-z_.]*":{"value":[^,}]*,"unit":"count"}' |
+    sed 's/"\([^"]*\)":{"value":\([^,]*\),.*/\1 \2/'
 }
 
 # What every recorded entry of this invocation shares.
@@ -136,6 +155,30 @@ for WORKLOAD in $WORKLOADS; do
     sed -n 's/.*"attempted":\([0-9]*\),"failed":\([0-9]*\).*/\1 \2/p' "$BUILD/pairs-$side.jsonl" |
       awk -v side="$side" '{ ops += $1; failed += $2 } END { print side ": " failed " failed of " ops " ops" }'
   done
+
+  if [[ -n $RECORD ]]; then
+    counts parent >"$BUILD/counts-parent.txt"
+    counts change >"$BUILD/counts-change.txt"
+    awk -v seed="$TRACE_SEED" -v entries="$ENTRIES" -v shape="$SHAPE" \
+      -v head="{$META,\"workload\":\"$WORKLOAD\",\"metric\":\"counts\",\"seed\":$TRACE_SEED" '
+      FNR == NR { p[$1] = $2; names[++n] = $1; next }
+      { c[$1] = $2; if (!($1 in p)) names[++n] = $1 }
+      function field(k, v) { return "\"" k "\":" v }
+      END {
+        for (i = 1; i <= n; i++) {
+          k = names[i]
+          if (k in p) pj = pj (pj ? "," : "") field(k, p[k])
+          if (k in c) cj = cj (cj ? "," : "") field(k, c[k])
+          if (!(k in p) || !(k in c) || p[k] + 0 != c[k] + 0) {
+            moved = moved (moved ? ", " : "") k " " (k in p ? p[k] : "-") " -> " (k in c ? c[k] : "-")
+            mj = mj (mj ? "," : "") "\"" k "\""
+          }
+        }
+        printf "counts       %d count metrics, seed %d: %s\n", n, seed, moved ? "MOVED " moved : "none moved"
+        printf "%s,\"parent_counts\":{%s},\"change_counts\":{%s},\"moved\":[%s],%s}\n",
+          head, pj, cj, mj, shape >>entries
+      }' "$BUILD/counts-parent.txt" "$BUILD/counts-change.txt"
+  fi
 done
 
 # BENCH_pairs.json is one JSON array, an entry per line: reopen it and
