@@ -111,6 +111,12 @@ impl Certifications {
         self.terminates.get(rule).map(String::as_str)
     }
 
+    /// Whether `self` and `other` certify the same rules' termination with
+    /// the same justifications.
+    pub(crate) fn same_terminations(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.terminates, &other.terminates) || self.terminates == other.terminates
+    }
+
     /// All commutativity certifications (normalized pairs, ascending).
     pub fn commute_pairs(&self) -> impl Iterator<Item = (&str, &str)> {
         self.commute

@@ -13,19 +13,27 @@
 //! ([`ConflictIndex::candidate_pairs`]); a warm step asks for one dirty
 //! rule's ([`ConflictIndex::partners`]) or tests a single memoized pair
 //! ([`ConflictIndex::is_candidate`]).
+//!
+//! The table → rules map reads the signatures alone, so it is owned and
+//! shared: the incremental analyzer keeps it from one analyze to the next
+//! while no rule changes, and indexes each new context over it
+//! ([`ConflictIndex::over`]).
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use starling_sql::RuleSignature;
 
 use crate::context::AnalysisContext;
 
+/// Per touched table, the indexed rules touching it, in rule order.
+pub(crate) type TableRules = BTreeMap<String, Vec<u32>>;
+
 /// See the module docs. Built in `O(Σ |signature|)` over the indexed rules.
 pub(crate) struct ConflictIndex<'a> {
     ctx: &'a AnalysisContext,
     rules: &'a [usize],
-    /// Per touched table, the indexed rules touching it, in `rules` order.
-    by_table: BTreeMap<&'a str, Vec<u32>>,
+    by_table: Arc<TableRules>,
 }
 
 /// The tables a rule is triggered on, performs on or reads (with repeats).
@@ -39,7 +47,7 @@ fn tables_of(sig: &RuleSignature) -> impl Iterator<Item = &str> {
 impl<'a> ConflictIndex<'a> {
     /// Indexes `rules` (a subset of the context's rule indices).
     pub(crate) fn build(ctx: &'a AnalysisContext, rules: &'a [usize]) -> Self {
-        let mut by_table: BTreeMap<&str, Vec<u32>> = BTreeMap::new();
+        let mut by_table = TableRules::new();
         for &i in rules {
             // A signature names its few tables many times over, mostly in
             // runs: look each run up once.
@@ -49,17 +57,35 @@ impl<'a> ConflictIndex<'a> {
                     continue;
                 }
                 last = t;
-                let members = by_table.entry(t).or_default();
-                if members.last() != Some(&(i as u32)) {
-                    members.push(i as u32);
+                match by_table.get_mut(t) {
+                    Some(members) if members.last() == Some(&(i as u32)) => {}
+                    Some(members) => members.push(i as u32),
+                    None => {
+                        by_table.insert(t.to_owned(), vec![i as u32]);
+                    }
                 }
             }
         }
+        Self::over(ctx, rules, Arc::new(by_table))
+    }
+
+    /// Indexes `rules` with the table map of an index built over the same
+    /// rules, with the same signatures, in another context.
+    pub(crate) fn over(
+        ctx: &'a AnalysisContext,
+        rules: &'a [usize],
+        by_table: Arc<TableRules>,
+    ) -> Self {
         ConflictIndex {
             ctx,
             rules,
             by_table,
         }
+    }
+
+    /// The table → rules map, to hand to [`Self::over`].
+    pub(crate) fn tables(&self) -> &Arc<TableRules> {
+        &self.by_table
     }
 
     /// The rules touching each table (tables in name order).

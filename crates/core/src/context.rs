@@ -77,11 +77,8 @@ impl AnalysisContext {
         refine: bool,
         store: &Arc<PairStore>,
     ) -> (Self, BindOutcome) {
-        let sigs: Vec<Arc<RuleSignature>> =
-            rules.rules().iter().map(|r| Arc::clone(&r.sig)).collect();
-        let outcome = store.bind(&sigs, &certs, refine);
-        let ctx = AnalysisContext {
-            sigs,
+        let mut ctx = AnalysisContext {
+            sigs: rules.rules().iter().map(|r| Arc::clone(&r.sig)).collect(),
             priority: rules.priority().clone(),
             certs,
             defs: rules
@@ -92,11 +89,13 @@ impl AnalysisContext {
             catalog: Some(Arc::clone(rules.shared_catalog())),
             refine,
             store: Arc::clone(store),
-            sids: outcome.sids.clone(),
+            sids: Vec::new(),
             obs_store: None,
             trig: OnceLock::new(),
             dense_sweep: false,
         };
+        let outcome = store.bind(&ctx);
+        ctx.sids = outcome.sids.clone();
         (ctx, outcome)
     }
 
@@ -111,8 +110,7 @@ impl AnalysisContext {
         refine: bool,
         store: Arc<PairStore>,
     ) -> Self {
-        let outcome = store.bind(&sigs, &certs, refine);
-        AnalysisContext {
+        let mut ctx = AnalysisContext {
             sigs,
             priority,
             certs,
@@ -120,11 +118,13 @@ impl AnalysisContext {
             catalog,
             refine,
             store,
-            sids: outcome.sids,
+            sids: Vec::new(),
             obs_store: None,
             trig: OnceLock::new(),
             dense_sweep: false,
-        }
+        };
+        ctx.sids = ctx.store.bind(&ctx).sids;
+        ctx
     }
 
     /// Enables the predicate-level commutativity refinement (Section 9,
@@ -133,7 +133,7 @@ impl AnalysisContext {
         self.refine = true;
         // Re-bind: cached verdicts were computed without the refinement,
         // and the bind-time diff drops exactly those.
-        self.sids = self.store.bind(&self.sigs, &self.certs, true).sids;
+        self.sids = self.store.bind(&self).sids;
         self
     }
 
@@ -181,6 +181,15 @@ impl AnalysisContext {
                     .collect(),
             )
         })
+    }
+
+    /// Hands this context a `Triggers` adjacency built earlier, for rules
+    /// with the same signatures in the same order, instead of building it
+    /// again. Must precede the first [`Self::triggers_adjacency`] call.
+    pub(crate) fn share_triggers(&self, adj: Arc<Vec<Vec<usize>>>) {
+        self.trig
+            .set(adj)
+            .expect("the adjacency is shared before its first use");
     }
 
     /// The rule definition for rule `i`, when available.

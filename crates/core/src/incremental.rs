@@ -13,10 +13,22 @@
 //!   confluence memo keyed by rule-pair identity. Each analyze computes a
 //!   **dirty pair set** from the bind outcome plus a priority-closure diff
 //!   and rechecks only those pairs; everything else is reused verbatim.
-//! * Termination, observable determinism, and partial confluence are
-//!   recomputed each time — they are `O(n + e)` or proportional to the
-//!   (small) significant-rule sets once the pair stores are warm, so they
-//!   never dominate.
+//! * A **program index** — the `Triggers` adjacency, its predecessor map
+//!   and the conflict index's table → rules map — is kept from one analyze
+//!   to the next and handed to each new context, together with the
+//!   [`TerminationAnalysis`], which every report shares behind an `Arc`.
+//!   They read the rules' definitions and order alone, so they are keyed
+//!   on the bind: the same store ids in the same order and no changed rule
+//!   (a rule is unchanged when it comes back behind the same definition
+//!   handle, or with an equal body under an equal catalog; see
+//!   [`PairStore`]). Any added, dropped, reordered or changed rule rebuilds
+//!   the index from scratch; termination is reused only when, in addition,
+//!   the termination certifications are unchanged. A certify step and an
+//!   `order` step thus rebuild nothing, and [`IncrementalStats::index_builds`]
+//!   counts the builds.
+//! * Observable determinism and partial confluence are recomputed each
+//!   time: once the pair stores are warm they cost the (small)
+//!   significant-rule sets.
 //!
 //! # Dirty-set rules per mutation kind
 //!
@@ -77,13 +89,14 @@ use starling_engine::{PriorityOrder, RuleSet};
 
 use crate::certifications::Certifications;
 use crate::commutativity::prewarm_pairs;
-use crate::conflict_index::ConflictIndex;
+use crate::conflict_index::{ConflictIndex, TableRules};
 use crate::confluence::{
     check_pair, corollary_pair, ConfluenceAnalysis, ConfluenceVerdict, ConfluenceViolation,
 };
 use crate::context::AnalysisContext;
 use crate::pair_store::{BindOutcome, PairStore, PairStoreStats};
 use crate::report::AnalysisReport;
+use crate::termination::{analyze_termination, TerminationAnalysis};
 
 /// Don't bother spinning up threads below this many candidate pairs.
 const PREWARM_MIN_PAIRS: usize = 1 << 12;
@@ -96,16 +109,13 @@ struct PairOutput {
     corollary: Vec<Arc<str>>,
 }
 
-/// Everything the dirty-set propagation diffs against.
+/// Everything the dirty-set propagation diffs against, beyond the previous
+/// analyze's [`ProgramIndex`].
 #[derive(Debug)]
 struct ConfluenceMemo {
-    /// Store ids of the rules at the last analyze, in rule order.
-    sids: Vec<u32>,
     /// The transitively closed priority at the last analyze (indices are
-    /// positions in `sids`).
+    /// positions in that analyze's index's `sids`).
     priority: PriorityOrder,
-    /// sid → sids of rules that could trigger it at the last analyze.
-    preds: HashMap<u32, Vec<u32>>,
     /// Unordered pairs with any violations, lints, or closure extras,
     /// keyed `(sid_i, sid_j)` in rule-index orientation, each with its
     /// closure members beyond the generating pair (store ids, sorted).
@@ -123,6 +133,41 @@ struct ConfluenceMemo {
     swept: usize,
 }
 
+/// What a warm step reuses while no rule changes: the structures that read
+/// the rules' definitions and their order, and nothing else — not the
+/// priority, the certifications or the refinement flag.
+#[derive(Debug)]
+struct ProgramIndex {
+    /// Store ids of the rules it was built over, in rule order.
+    sids: Vec<u32>,
+    /// The `Triggers` adjacency, shared with each context.
+    trig: Arc<Vec<Vec<usize>>>,
+    /// sid → sids of rules that can trigger it.
+    preds: HashMap<u32, Vec<u32>>,
+    /// The conflict index's table → rules map over every rule.
+    tables: Arc<TableRules>,
+}
+
+impl ProgramIndex {
+    fn build(ctx: &AnalysisContext) -> Self {
+        let trig = Arc::clone(ctx.triggers_adjacency());
+        let mut preds: HashMap<u32, Vec<u32>> = HashMap::new();
+        for (q, out) in trig.iter().enumerate() {
+            for &x in out {
+                preds.entry(ctx.sid(x)).or_default().push(ctx.sid(q));
+            }
+        }
+        let all: Vec<usize> = (0..ctx.len()).collect();
+        let tables = Arc::clone(ConflictIndex::build(ctx, &all).tables());
+        ProgramIndex {
+            sids: ctx.sids.clone(),
+            trig,
+            preds,
+            tables,
+        }
+    }
+}
+
 /// Cumulative counters for one [`IncrementalAnalysis`] (surfaced by the
 /// server's `stats` op).
 #[derive(Clone, Copy, Debug, Default)]
@@ -138,6 +183,11 @@ pub struct IncrementalStats {
     /// Pairs rechecked by the most recent analyze: a full sweep's
     /// candidates, or an incremental one's dirty set.
     pub last_rechecked_pairs: u64,
+    /// Analyses that built the program index (the `Triggers` adjacency,
+    /// its predecessor map and the conflict index's table map) rather than
+    /// reusing the previous one: the first, and each after a rule was
+    /// added, dropped, reordered or changed.
+    pub index_builds: u64,
 }
 
 /// See the module docs.
@@ -146,8 +196,13 @@ pub struct IncrementalAnalysis {
     obs_store: Arc<PairStore>,
     parallel: bool,
     memo: Option<ConfluenceMemo>,
+    index: Option<Arc<ProgramIndex>>,
+    /// The termination analysis of the current index, with the
+    /// certifications it was derived under.
+    termination: Option<(Certifications, Arc<TerminationAnalysis>)>,
     full_sweeps: u64,
     incremental_sweeps: u64,
+    index_builds: u64,
     rechecked: Vec<(usize, usize)>,
 }
 
@@ -165,8 +220,11 @@ impl IncrementalAnalysis {
             obs_store: Arc::new(PairStore::new()),
             parallel: true,
             memo: None,
+            index: None,
+            termination: None,
             full_sweeps: 0,
             incremental_sweeps: 0,
+            index_builds: 0,
             rechecked: Vec::new(),
         }
     }
@@ -190,6 +248,7 @@ impl IncrementalAnalysis {
             full_sweeps: self.full_sweeps,
             incremental_sweeps: self.incremental_sweeps,
             last_rechecked_pairs: self.rechecked.len() as u64,
+            index_builds: self.index_builds,
         }
     }
 
@@ -212,25 +271,57 @@ impl IncrementalAnalysis {
         let (mut ctx, outcome) =
             AnalysisContext::bound_to_store(rules, certs.clone(), refine, &self.store);
         ctx.set_obs_store(Arc::clone(&self.obs_store));
-        let (confluence, corollary_failures) = self.confluence(&ctx, &outcome);
-        AnalysisReport::assemble(&ctx, confluence, corollary_failures, protect)
+        // The same rules, unchanged, in the same order: everything the index
+        // holds still holds.
+        let prev = self.index.take();
+        let index = match &prev {
+            Some(ix) if outcome.changed_rules.is_empty() && ix.sids == ctx.sids => {
+                ctx.share_triggers(Arc::clone(&ix.trig));
+                Arc::clone(ix)
+            }
+            _ => {
+                self.index_builds += 1;
+                self.termination = None;
+                Arc::new(ProgramIndex::build(&ctx))
+            }
+        };
+        let (confluence, corollary_failures) =
+            self.confluence(&ctx, &outcome, &index, prev.as_deref());
+        self.index = Some(index);
+        let termination = match &self.termination {
+            Some((was, t)) if was.same_terminations(certs) => Arc::clone(t),
+            _ => {
+                let t = Arc::new(analyze_termination(&ctx));
+                self.termination = Some((certs.clone(), Arc::clone(&t)));
+                t
+            }
+        };
+        AnalysisReport::assemble(&ctx, termination, confluence, corollary_failures, protect)
     }
 
-    /// The confluence analysis and the Corollary 6.8/6.10 lints.
+    /// The confluence analysis and the Corollary 6.8/6.10 lints. `prev` is
+    /// the index of the previous analyze, when there was one.
     fn confluence(
         &mut self,
         ctx: &AnalysisContext,
         outcome: &BindOutcome,
+        index: &ProgramIndex,
+        prev: Option<&ProgramIndex>,
     ) -> (ConfluenceAnalysis, Vec<Arc<str>>) {
-        // One index per analyze: a full sweep enumerates it, an incremental
-        // one expands its dirty rules through it.
+        // A full sweep enumerates the conflict index, an incremental one
+        // expands its dirty rules through it.
         let all: Vec<usize> = (0..ctx.len()).collect();
-        let index = ConflictIndex::build(ctx, &all);
-        let incremental = self.memo.is_some() && !outcome.refine_flipped && !outcome.first_bind;
-        if incremental && self.incremental_sweep(ctx, outcome, &index) {
+        let conflicts = ConflictIndex::over(ctx, &all, Arc::clone(&index.tables));
+        let swept = match prev {
+            Some(prev) if self.memo.is_some() && !outcome.refine_flipped => {
+                self.incremental_sweep(ctx, outcome, &conflicts, prev, index)
+            }
+            _ => false,
+        };
+        if swept {
             self.incremental_sweeps += 1;
         } else {
-            self.full_sweep(ctx, &index);
+            self.full_sweep(ctx, &conflicts);
             self.full_sweeps += 1;
         }
         self.assemble(ctx)
@@ -244,9 +335,7 @@ impl IncrementalAnalysis {
             prewarm_pairs(ctx, &pairs);
         }
         let mut memo = ConfluenceMemo {
-            sids: ctx.sids.clone(),
             priority: ctx.priority.clone(),
-            preds: Self::preds_of(ctx),
             extras: HashMap::new(),
             outputs: HashMap::new(),
             mentions: HashMap::new(),
@@ -261,23 +350,34 @@ impl IncrementalAnalysis {
 
     /// Propagates the dirty set and rechecks only those pairs. Returns
     /// `false`, leaving no memo, when only a full sweep will do (huge dirty
-    /// set, or rule reordering the memo keys cannot survive).
+    /// set, or rule reordering the memo keys cannot survive). The trigger
+    /// predecessors before the step are `prev_index`'s, after it `now`'s.
     fn incremental_sweep(
         &mut self,
         ctx: &AnalysisContext,
         outcome: &BindOutcome,
         index: &ConflictIndex,
+        prev_index: &ProgramIndex,
+        now: &ProgramIndex,
     ) -> bool {
         let mut memo = self.memo.take().expect("incremental sweep without memo");
         let cur: HashMap<u32, usize> = ctx.sids.iter().enumerate().map(|(i, &s)| (s, i)).collect();
-        let prev: HashMap<u32, usize> =
-            memo.sids.iter().enumerate().map(|(i, &s)| (s, i)).collect();
+        let prev: HashMap<u32, usize> = prev_index
+            .sids
+            .iter()
+            .enumerate()
+            .map(|(i, &s)| (s, i))
+            .collect();
 
         // Memo keys are oriented by relative rule order, which add/drop
         // preserves. Wholesale reordering would silently flip orientations,
         // so detect it and resweep.
         let survivors_now = ctx.sids.iter().copied().filter(|s| prev.contains_key(s));
-        let survivors_then = memo.sids.iter().copied().filter(|s| cur.contains_key(s));
+        let survivors_then = prev_index
+            .sids
+            .iter()
+            .copied()
+            .filter(|s| cur.contains_key(s));
         if !survivors_now.eq(survivors_then) {
             return false;
         }
@@ -288,7 +388,7 @@ impl IncrementalAnalysis {
             .copied()
             .filter(|s| !prev.contains_key(s))
             .collect();
-        let removed: Vec<u32> = memo
+        let removed: Vec<u32> = prev_index
             .sids
             .iter()
             .copied()
@@ -329,12 +429,12 @@ impl IncrementalAnalysis {
         // Both memberships are answerable from the memo — endpoints plus
         // `extras` — so the dirty set stays proportional to the real blast
         // radius instead of `pairs(y)`'s whole rows.
-        let preds_new = Self::preds_of(ctx);
-        if memo.sids != ctx.sids || memo.priority != ctx.priority {
+        let (preds_old, preds_new) = (&prev_index.preds, &now.preds);
+        if prev_index.sids != ctx.sids || memo.priority != ctx.priority {
             let to_sids = |pairs: Vec<(usize, usize)>, sids: &[u32]| -> BTreeSet<(u32, u32)> {
                 pairs.into_iter().map(|(x, y)| (sids[x], sids[y])).collect()
             };
-            let old_gt = to_sids(memo.priority.gt_pairs(), &memo.sids);
+            let old_gt = to_sids(memo.priority.gt_pairs(), &prev_index.sids);
             let new_gt = to_sids(ctx.priority.gt_pairs(), &ctx.sids);
             let mut px_cache: Option<(u32, BTreeSet<u32>)> = None;
             for &(x, y) in old_gt.symmetric_difference(&new_gt) {
@@ -353,8 +453,7 @@ impl IncrementalAnalysis {
                 // preds(x), old ∪ new (they differ only when trigger edges
                 // changed, which dirties those rules wholesale anyway).
                 if px_cache.as_ref().map(|c| c.0) != Some(x) {
-                    let mut px: BTreeSet<u32> = memo
-                        .preds
+                    let mut px: BTreeSet<u32> = preds_old
                         .get(&x)
                         .into_iter()
                         .flatten()
@@ -404,8 +503,7 @@ impl IncrementalAnalysis {
                 continue;
             }
             let empty = Vec::new();
-            let old_p: BTreeSet<u32> = memo
-                .preds
+            let old_p: BTreeSet<u32> = preds_old
                 .get(&x)
                 .unwrap_or(&empty)
                 .iter()
@@ -458,9 +556,7 @@ impl IncrementalAnalysis {
         }
         self.rechecked = rechecked;
 
-        memo.sids = ctx.sids.clone();
         memo.priority = ctx.priority.clone();
-        memo.preds = preds_new;
         self.memo = Some(memo);
         true
     }
@@ -507,18 +603,6 @@ impl IncrementalAnalysis {
                 row.swap_remove(at.expect("a member is mentioned"));
             }
         }
-    }
-
-    /// sid → sids of rules that can trigger it, from the current adjacency.
-    fn preds_of(ctx: &AnalysisContext) -> HashMap<u32, Vec<u32>> {
-        let adj = Arc::clone(ctx.triggers_adjacency());
-        let mut preds: HashMap<u32, Vec<u32>> = HashMap::new();
-        for q in 0..ctx.len() {
-            for &x in &adj[q] {
-                preds.entry(ctx.sid(x)).or_default().push(ctx.sid(q));
-            }
-        }
-        preds
     }
 
     /// Rebuilds the [`ConfluenceAnalysis`] and the `corollary_checks` output
@@ -749,6 +833,80 @@ mod tests {
         let got = inc.analyze(&RuleSet::compile(&d, &cat).unwrap(), &certs, false, &[]);
         assert_eq!(inc.stats().incremental_sweeps, 1);
         assert_eq!(inc.last_rechecked(), [(0, 1), (0, 2), (0, 3), (0, 4)]);
+        let want = scratch_report(&cat, &d, &certs, false, &[]);
+        assert_eq!(got.to_json().to_string(), want.to_json().to_string());
+    }
+
+    /// Under the refinement a pair's verdict reads the rules' `WHERE`
+    /// clauses, which a signature does not record: redefining `r2` from
+    /// `a > 20` (disjoint from `r1`'s `a < 10`) to `a > 5` keeps its
+    /// signature but must bring the violation back.
+    #[test]
+    fn a_redefinition_under_the_same_signature_is_reanalyzed() {
+        let cat = catalog(&[("t", &["a", "b"])]);
+        let rule = |bound: &str| {
+            defs(&format!(
+                "create rule r1 on t when inserted then update t set b = 1 where a < 10 end;
+                 create rule r2 on t when inserted then update t set b = 2 where {bound} end;"
+            ))
+        };
+        let certs = Certifications::new();
+        let mut inc = IncrementalAnalysis::sequential();
+        let before = inc.analyze(
+            &RuleSet::compile(&rule("a > 20"), &cat).unwrap(),
+            &certs,
+            true,
+            &[],
+        );
+        assert!(before.confluence.violations.is_empty());
+
+        let redefined = rule("a > 5");
+        let rs = RuleSet::compile(&redefined, &cat).unwrap();
+        let got = inc.analyze(&rs, &certs, true, &[]);
+        let want = scratch_report(&cat, &redefined, &certs, true, &[]);
+        assert_eq!(want.confluence.violations.len(), 1);
+        assert_eq!(got.to_json().to_string(), want.to_json().to_string());
+        assert_eq!(got.to_string(), want.to_string());
+        assert_eq!(inc.stats().index_builds, 2);
+    }
+
+    /// A certify step and an `order` step on a recompiled rule set reuse the
+    /// program index and the termination analysis; an added rule rebuilds
+    /// them.
+    #[test]
+    fn only_a_rule_change_rebuilds_the_index() {
+        let cat = catalog(TABLES);
+        let mut d = defs(
+            "create rule a on t when inserted then update u set x = 1 end;
+             create rule b on t when inserted then insert into t values (1) end;
+             create rule c on u when updated(x) then update u set x = 3 end;",
+        );
+        let mut certs = Certifications::new();
+        let mut inc = IncrementalAnalysis::sequential();
+        let rs = RuleSet::compile(&d, &cat).unwrap();
+        let cold = inc.analyze(&rs, &certs, false, &[]);
+        certs.certify_commute("a", "b");
+        let certified = inc.analyze(&rs, &certs, false, &[]);
+        assert!(Arc::ptr_eq(&cold.termination, &certified.termination));
+        d[0].precedes.push("b".to_owned());
+        let ordered = inc.analyze(&RuleSet::compile(&d, &cat).unwrap(), &certs, false, &[]);
+        assert!(Arc::ptr_eq(&cold.termination, &ordered.termination));
+        assert_eq!(inc.stats().index_builds, 1);
+
+        // A termination certificate reruns termination, not the index.
+        certs.certify_terminates("c", "bounded");
+        let rs = RuleSet::compile(&d, &cat).unwrap();
+        let got = inc.analyze(&rs, &certs, false, &[]);
+        assert!(!Arc::ptr_eq(&cold.termination, &got.termination));
+        assert_eq!(inc.stats().index_builds, 1);
+        let want = scratch_report(&cat, &d, &certs, false, &[]);
+        assert_eq!(got.to_string(), want.to_string());
+
+        d.extend(defs(
+            "create rule e on v when inserted then delete from u end;",
+        ));
+        let got = inc.analyze(&RuleSet::compile(&d, &cat).unwrap(), &certs, false, &[]);
+        assert_eq!(inc.stats().index_builds, 2);
         let want = scratch_report(&cat, &d, &certs, false, &[]);
         assert_eq!(got.to_json().to_string(), want.to_json().to_string());
     }

@@ -95,6 +95,8 @@ pub fn extend_with_obs(ctx: &AnalysisContext) -> AnalysisContext {
         store,
     );
     extended.dense_sweep = ctx.dense_sweep;
+    // No rule is triggered on `Obs`, so the widening adds no trigger edge.
+    extended.share_triggers(Arc::clone(ctx.triggers_adjacency()));
     extended
 }
 

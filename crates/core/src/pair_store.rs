@@ -12,12 +12,21 @@
 //! map.
 //!
 //! Invalidation is **structural**, not caller-driven: every analysis run
-//! re-[`bind`](PairStore::bind)s the current signatures/certifications/
-//! refinement flag, and the store diffs them against what it last saw:
+//! re-[`bind`](PairStore::bind)s the current context — rules,
+//! certifications, refinement flag — and the store diffs it against what
+//! it last saw:
 //!
-//! * a rule whose signature fingerprint changed (redefined, or added back
-//!   with a different body) invalidates exactly the O(n) pairs that
-//!   mention it — verdicts *and* its reason entries;
+//! * a changed rule invalidates exactly the O(n) pairs that mention it —
+//!   verdicts *and* its reason entries. The store keeps the definition
+//!   handle (`Arc<RuleDef>`) of each rule of the previous bind and of no
+//!   other: a rule bound through the same handle under an equal catalog
+//!   is unchanged at the cost of a pointer comparison; behind another
+//!   handle it is unchanged when its body
+//!   ([`RuleDef::same_body`]: everything but the orderings) is equal, and
+//!   changed otherwise — even when its signature is not, because the
+//!   refinement and the §5 termination special cases read the body.
+//!   Only a rule without a definition (a synthetic signature) is kept by
+//!   its signature handle and falls back to its signature fingerprint;
 //! * a commute-certification added or revoked invalidates exactly that
 //!   pair's verdict (reasons are certification-independent);
 //! * toggling the Section 9 predicate-level refinement invalidates every
@@ -29,19 +38,23 @@
 //!   unordered, the Def 6.5 closures) lives in the incremental analyzer's
 //!   confluence memo, which diffs the priority closure itself.
 //!
-//! Dropped rules leave their entries dormant: re-adding the same rule with
-//! the same signature revalidates its pairs for free (the fingerprint
-//! matches), while re-adding it changed invalidates them precisely.
+//! Dropped rules leave their entries dormant, and the store lets go of
+//! their handles. Re-adding a rule with the same signature fingerprint
+//! revalidates its pairs for free while the refinement is off (verdicts
+//! then read signatures alone); under the refinement, or with another
+//! signature, its pairs are invalidated: the body they were derived from
+//! is gone.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
-use starling_sql::RuleSignature;
-use starling_storage::{ColRef, Fnv64, Op};
+use starling_sql::{RuleDef, RuleSignature};
+use starling_storage::{Catalog, ColRef, Fnv64, Op};
 
 use crate::certifications::Certifications;
 use crate::commutativity::NoncommutativityReason;
+use crate::context::AnalysisContext;
 
 /// Flat index of the unordered pair `{a, b}` (`a < b`) in the triangular
 /// bitmaps. Depends only on the pair, so growing the id space never moves
@@ -108,7 +121,8 @@ fn fingerprint(sig: &RuleSignature) -> u64 {
 pub struct BindOutcome {
     /// Store id of each bound rule, in rule order.
     pub sids: Vec<u32>,
-    /// Previously seen rules whose signature fingerprint changed.
+    /// Previously seen rules that changed: another body, another catalog,
+    /// or (with no definition to compare) another signature fingerprint.
     pub changed_rules: Vec<u32>,
     /// Rules bound for the first time ever (no dormant entries existed).
     pub added_rules: Vec<u32>,
@@ -145,10 +159,22 @@ pub struct PairStoreStats {
     pub epoch: u64,
 }
 
+/// What the store keeps of a rule of the previous bind: its definition, or
+/// the signature of a rule that has none.
+#[derive(Debug)]
+enum Bound {
+    Def(Arc<RuleDef>),
+    Sig(Arc<RuleSignature>),
+}
+
 #[derive(Debug, Default)]
 struct Inner {
     ids: HashMap<String, u32>,
     fps: Vec<u64>,
+    /// sid → the rule's handle, for the rules of the previous bind only.
+    current: Vec<Option<Bound>>,
+    /// The previous bind's catalog.
+    catalog: Option<Arc<Catalog>>,
     /// Triangular bitmap: pair verdict present.
     known: Vec<u64>,
     /// Triangular bitmap: the verdict itself (valid where `known`).
@@ -212,25 +238,29 @@ impl PairStore {
         PairStore::default()
     }
 
-    /// Binds the current analysis inputs, diffing them against the
-    /// previous bind and invalidating exactly the stale entries.
-    pub fn bind(
-        &self,
-        sigs: &[Arc<RuleSignature>],
-        certs: &Certifications,
-        refine: bool,
-    ) -> BindOutcome {
+    /// Binds the inputs of `ctx` (its rules, certifications and
+    /// refinement flag; not its store ids, which the outcome assigns),
+    /// diffing them against the previous bind and invalidating exactly the
+    /// stale entries.
+    pub fn bind(&self, ctx: &AnalysisContext) -> BindOutcome {
+        let (certs, refine) = (&ctx.certs, ctx.refine);
         let inner = &mut *self.inner.write().expect("pair store poisoned");
         let first_bind = !inner.bound;
         inner.bound = true;
+        let same_catalog = match (&inner.catalog, &ctx.catalog) {
+            (Some(a), Some(b)) => Arc::ptr_eq(a, b) || a == b,
+            (a, b) => a.is_none() && b.is_none(),
+        };
+        inner.catalog = ctx.catalog.clone();
 
         let mut out = BindOutcome {
             first_bind,
             ..BindOutcome::default()
         };
         let mut cleared = 0u64;
-        for sig in sigs {
-            let fp = fingerprint(sig);
+        let mut previous = std::mem::take(&mut inner.current);
+        inner.current.resize_with(inner.fps.len(), || None);
+        for (sig, def) in ctx.sigs.iter().zip(&ctx.defs) {
             let next = inner.fps.len() as u32;
             // `get` before `insert`: a known name costs no key clone.
             let sid = match inner.ids.get(&sig.name) {
@@ -240,16 +270,36 @@ impl PairStore {
                     next
                 }
             };
+            let s = sid as usize;
             if sid == next {
-                inner.fps.push(fp);
+                inner.fps.push(fingerprint(sig));
+                inner.current.push(None);
                 let cap = inner.fps.len();
                 inner.grow_to(cap);
                 out.added_rules.push(sid);
-            } else if inner.fps[sid as usize] != fp {
-                cleared += inner.clear_rule(sid);
-                inner.fps[sid as usize] = fp;
-                out.changed_rules.push(sid);
+            } else {
+                let unchanged = match (previous[s].take(), def) {
+                    (Some(Bound::Def(o)), Some(d)) => {
+                        same_catalog && (Arc::ptr_eq(&o, d) || o.same_body(d))
+                    }
+                    (Some(Bound::Sig(o)), None) => {
+                        Arc::ptr_eq(&o, sig) || inner.fps[s] == fingerprint(sig)
+                    }
+                    (Some(_), _) => false,
+                    // A dormant rule: without the refinement its verdicts
+                    // read its signature alone.
+                    (None, _) => !(refine && def.is_some()) && inner.fps[s] == fingerprint(sig),
+                };
+                if !unchanged {
+                    cleared += inner.clear_rule(sid);
+                    inner.fps[s] = fingerprint(sig);
+                    out.changed_rules.push(sid);
+                }
             }
+            inner.current[s] = Some(match def {
+                Some(d) => Bound::Def(Arc::clone(d)),
+                None => Bound::Sig(Arc::clone(sig)),
+            });
             out.sids.push(sid);
         }
 
@@ -395,54 +445,64 @@ mod tests {
         assert_send_sync::<PairStore>();
     };
 
-    fn three_sigs() -> Vec<Arc<RuleSignature>> {
-        ctx_from(
-            "create rule a on t when inserted then update u set x = 1 end;
-             create rule b on t when deleted then update u set x = 2 end;
-             create rule c on t when inserted then insert into u values (1) end;",
-            &[("t", &["x"]), ("u", &["x"])],
-            Certifications::new(),
-        )
-        .sigs
+    const TABLES: &[(&str, &[&str])] = &[("t", &["x"]), ("u", &["x"])];
+
+    const THREE: &str = "create rule a on t when inserted then update u set x = 1 end;
+         create rule b on t when deleted then update u set x = 2 end;
+         create rule c on t when inserted then insert into u values (1) end;";
+
+    fn three() -> AnalysisContext {
+        ctx_from(THREE, TABLES, Certifications::new())
     }
 
     #[test]
     fn rebind_same_inputs_is_a_noop() {
         let store = PairStore::new();
-        let sigs = three_sigs();
-        let certs = Certifications::new();
-        let first = store.bind(&sigs, &certs, false);
+        let ctx = three();
+        let first = store.bind(&ctx);
         assert!(first.first_bind);
         assert_eq!(first.added_rules, vec![0, 1, 2]);
         store.set_verdict(first.sids[0], first.sids[1], false);
-        let again = store.bind(&sigs, &certs, false);
+        let again = store.bind(&ctx);
         assert!(again.unchanged());
         assert_eq!(again.sids, first.sids);
-        // Equal signatures behind other handles find nothing changed either.
-        let copies: Vec<_> = sigs
-            .iter()
-            .map(|s| Arc::new(RuleSignature::clone(s)))
-            .collect();
-        let copied = store.bind(&copies, &certs, false);
+        // A recompiled program: equal bodies behind other handles.
+        let copied = store.bind(&three());
         assert!(copied.unchanged());
         assert_eq!(copied.sids, first.sids);
         assert_eq!(store.verdict(0, 1), Some(false));
         assert_eq!(store.stats().invalidations, 0);
+        // Losing the definitions is a change; then equal signatures
+        // without definitions compare by fingerprint.
+        let mut bare = three();
+        bare.defs = vec![None; 3];
+        assert_eq!(store.bind(&bare).changed_rules, vec![0, 1, 2]);
+        bare.sigs = bare
+            .sigs
+            .iter()
+            .map(|s| Arc::new(RuleSignature::clone(s)))
+            .collect();
+        assert!(store.bind(&bare).unchanged());
+        assert_eq!(store.stats().invalidations, 1);
     }
 
     #[test]
-    fn signature_change_invalidates_only_that_rules_pairs() {
+    fn body_change_invalidates_only_that_rules_pairs() {
         let store = PairStore::new();
-        let mut sigs = three_sigs();
-        let out = store.bind(&sigs, &Certifications::new(), false);
+        let out = store.bind(&three());
         store.set_verdict(0, 1, false);
         store.set_verdict(0, 2, true);
         store.set_verdict(1, 2, true);
         store.set_reasons(1, 2, Vec::new());
-        // Redefine rule c (sid 2): its two pairs drop, pair (a, b) survives.
-        let c = Arc::make_mut(&mut sigs[2]);
-        c.observable = !c.observable;
-        let out2 = store.bind(&sigs, &Certifications::new(), false);
+        // Redefine rule c (sid 2) with another constant: its signature is
+        // the same, but its two pairs drop; pair (a, b) survives.
+        let redefined = THREE.replace("values (1)", "values (2)");
+        let ctx = ctx_from(&redefined, TABLES, Certifications::new());
+        let out2 = store.bind(&ctx);
+        assert_eq!(
+            fingerprint(&ctx.sigs[2]),
+            store.inner.read().unwrap().fps[2]
+        );
         assert_eq!(out2.changed_rules, vec![2]);
         assert_eq!(out2.sids, out.sids);
         assert_eq!(store.verdict(0, 1), Some(false));
@@ -455,45 +515,58 @@ mod tests {
     #[test]
     fn dropped_rule_revalidates_on_identical_readd() {
         let store = PairStore::new();
-        let sigs = three_sigs();
-        store.bind(&sigs, &Certifications::new(), false);
+        let ctx = three();
+        store.bind(&ctx);
         store.set_verdict(1, 2, true);
         // Drop rule b, then re-add it unchanged: its dormant entries are
         // still valid, so nothing is invalidated.
-        let two = vec![Arc::clone(&sigs[0]), Arc::clone(&sigs[2])];
-        let out = store.bind(&two, &Certifications::new(), false);
+        let mut two = ctx.clone();
+        two.sigs.remove(1);
+        two.defs.remove(1);
+        let out = store.bind(&two);
         assert!(out.unchanged());
-        let back = store.bind(&sigs, &Certifications::new(), false);
+        let back = store.bind(&ctx);
         assert!(back.unchanged());
         assert_eq!(store.verdict(1, 2), Some(true));
+        // Under the refinement a re-added rule's verdicts are dropped: they
+        // may have read a body the store no longer holds.
+        let refined = |c: &AnalysisContext| {
+            let mut c = c.clone();
+            c.refine = true;
+            c
+        };
+        store.bind(&refined(&ctx));
+        store.set_verdict(1, 2, true);
+        store.bind(&refined(&two));
+        assert_eq!(store.bind(&refined(&ctx)).changed_rules, vec![1]);
+        assert_eq!(store.verdict(1, 2), None);
     }
 
     #[test]
     fn cert_change_invalidates_exactly_that_pair() {
         let store = PairStore::new();
-        let sigs = three_sigs();
-        store.bind(&sigs, &Certifications::new(), false);
+        let mut ctx = three();
+        store.bind(&ctx);
         store.set_verdict(0, 1, false);
         store.set_verdict(0, 2, true);
-        let mut certs = Certifications::new();
-        certs.certify_commute("a", "b");
-        let out = store.bind(&sigs, &certs, false);
+        ctx.certs.certify_commute("a", "b");
+        let out = store.bind(&ctx);
         assert_eq!(out.changed_certs, vec![(0, 1)]);
         assert_eq!(store.verdict(0, 1), None);
         assert_eq!(store.verdict(0, 2), Some(true));
         // Revoking invalidates the pair again.
-        let out = store.bind(&sigs, &Certifications::new(), false);
+        let out = store.bind(&three());
         assert_eq!(out.changed_certs, vec![(0, 1)]);
     }
 
     #[test]
     fn refine_flip_drops_verdicts_keeps_reasons() {
         let store = PairStore::new();
-        let sigs = three_sigs();
-        store.bind(&sigs, &Certifications::new(), false);
+        let ctx = three();
+        store.bind(&ctx);
         store.set_verdict(0, 1, false);
         store.set_reasons(0, 1, Vec::new());
-        let out = store.bind(&sigs, &Certifications::new(), true);
+        let out = store.bind(&ctx.with_refinement());
         assert!(out.refine_flipped);
         assert_eq!(store.verdict(0, 1), None);
         assert_eq!(store.reasons(0, 1), Some(Vec::new()));

@@ -135,8 +135,7 @@ pub fn analyze_partial_confluence_of(
     let sig = significant_rules_in(ctx, tables, subset);
     // Termination of Sig(T') as if processed on its own: the triggering
     // subgraph restricted to significant rules.
-    let full = TriggeringGraph::build(ctx);
-    let sub = full.subgraph(&sig);
+    let sub = TriggeringGraph::of_rules(ctx, &sig);
     let termination = analyze_termination_indexed(ctx, sub, Some(&sig));
     let confluence = analyze_confluence_of(ctx, &sig);
     PartialConfluenceAnalysis {

@@ -21,8 +21,10 @@ use crate::termination::{
 pub struct AnalysisReport {
     /// Number of rules analyzed.
     pub rule_count: usize,
-    /// Termination (Section 5).
-    pub termination: TerminationAnalysis,
+    /// Termination (Section 5). The incremental analyzer shares one
+    /// analysis with every report while no rule and no termination
+    /// certificate changes.
+    pub termination: Arc<TerminationAnalysis>,
     /// Confluence (Section 6).
     pub confluence: ConfluenceAnalysis,
     /// Corollary 6.8/6.10 lint results (always empty when confluence is
@@ -39,22 +41,23 @@ impl AnalysisReport {
     /// Runs the full analysis. `protect` lists table subsets for partial
     /// confluence (each entry one `T'`).
     pub fn run(ctx: &AnalysisContext, protect: &[Vec<String>]) -> Self {
+        let termination = Arc::new(analyze_termination(ctx));
         let confluence = analyze_confluence(ctx);
         let corollary_failures = corollary_checks(ctx, &confluence);
-        Self::assemble(ctx, confluence, corollary_failures, protect)
+        Self::assemble(ctx, termination, confluence, corollary_failures, protect)
     }
 
-    /// A report around an already derived confluence half — the only half
-    /// [`AnalysisReport::run`] and the incremental analyzer derive
-    /// differently. Termination, observable determinism and partial
-    /// confluence are computed here, for both.
+    /// A report around an already derived termination and confluence half
+    /// — the halves [`AnalysisReport::run`] and the incremental analyzer
+    /// derive differently. Observable determinism and partial confluence
+    /// are computed here, for both.
     pub(crate) fn assemble(
         ctx: &AnalysisContext,
+        termination: Arc<TerminationAnalysis>,
         confluence: ConfluenceAnalysis,
         corollary_failures: Vec<Arc<str>>,
         protect: &[Vec<String>],
     ) -> Self {
-        let termination = analyze_termination(ctx);
         let observable = analyze_observable_determinism(ctx);
         let partial = protect
             .iter()

@@ -61,8 +61,7 @@ impl RestrictedAnalysis {
 pub fn analyze_restricted(ctx: &AnalysisContext, allowed: &[Op]) -> RestrictedAnalysis {
     let reach = reachable_rules(ctx, allowed);
 
-    let graph = TriggeringGraph::build(ctx);
-    let sub = graph.subgraph(&reach);
+    let sub = TriggeringGraph::of_rules(ctx, &reach);
     let termination = analyze_termination_indexed(ctx, sub, Some(&reach));
     let confluence = analyze_confluence_of(ctx, &reach);
 

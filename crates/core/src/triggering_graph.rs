@@ -129,23 +129,12 @@ impl TriggeringGraph {
     /// termination and restricted-operation analysis). Nodes keep their
     /// original indices via the returned mapping.
     pub fn subgraph(&self, keep: &[usize]) -> TriggeringGraph {
-        let mut remap = vec![usize::MAX; self.len()];
-        for (new, &old) in keep.iter().enumerate() {
-            remap[old] = new;
-        }
-        TriggeringGraph {
-            names: keep.iter().map(|&i| self.names[i].clone()).collect(),
-            succ: keep
-                .iter()
-                .map(|&i| {
-                    self.succ[i]
-                        .iter()
-                        .filter(|&&j| remap[j] != usize::MAX)
-                        .map(|&j| remap[j])
-                        .collect()
-                })
-                .collect(),
-        }
+        restrict(&self.succ, |i| self.names[i].clone(), keep)
+    }
+
+    /// `build(ctx).subgraph(keep)`, without building the rest of the graph.
+    pub(crate) fn of_rules(ctx: &AnalysisContext, keep: &[usize]) -> TriggeringGraph {
+        restrict(ctx.triggers_adjacency(), |i| ctx.name(i).to_owned(), keep)
     }
 
     /// Nodes reachable from `roots` (inclusive), in index order.
@@ -190,6 +179,32 @@ impl TriggeringGraph {
         }
         s.push_str("}\n");
         s
+    }
+}
+
+/// The graph of `succ` restricted to the nodes `keep`, renumbered in
+/// `keep` order; `name` names an original node.
+fn restrict(
+    succ: &[Vec<usize>],
+    name: impl Fn(usize) -> String,
+    keep: &[usize],
+) -> TriggeringGraph {
+    let mut remap = vec![usize::MAX; succ.len()];
+    for (new, &old) in keep.iter().enumerate() {
+        remap[old] = new;
+    }
+    TriggeringGraph {
+        names: keep.iter().map(|&i| name(i)).collect(),
+        succ: keep
+            .iter()
+            .map(|&i| {
+                succ[i]
+                    .iter()
+                    .filter(|&&j| remap[j] != usize::MAX)
+                    .map(|&j| remap[j])
+                    .collect()
+            })
+            .collect(),
     }
 }
 

@@ -188,6 +188,7 @@ impl ServerSession {
                     Json::from(a.obs_pair.invalidations as i64),
                 ),
                 ("full_sweeps", Json::from(a.full_sweeps as i64)),
+                ("index_builds", Json::from(a.index_builds as i64)),
                 (
                     "incremental_sweeps",
                     Json::from(a.incremental_sweeps as i64),
@@ -858,6 +859,43 @@ mod tests {
             Some(after_order.pair.hits as i64)
         );
         assert_eq!(pc.get("full_sweeps").and_then(Json::as_i64), Some(1));
+        // Neither the certification nor the ordering changed a rule.
+        assert_eq!(after_order.index_builds, 1, "{after_order:?}");
+        assert_eq!(pc.get("index_builds").and_then(Json::as_i64), Some(1));
+    }
+
+    /// `exec` redefines `r2` so that only a `WHERE` constant changes, which
+    /// keeps its signature: the session's warm analyzer must still read the
+    /// new body when the refinement compares the two rules' predicates.
+    #[test]
+    fn a_redefined_where_clause_is_reanalyzed_under_refinement() {
+        let script = "create table t (a int, b int);\n\
+             create rule r1 on t when inserted then update t set b = 1 where a < 10 end;\n\
+             create rule r2 on t when inserted then update t set b = 2 where a > 20 end;";
+        let cache = ScriptCache::new();
+        let mut s = ServerSession::new();
+        let req = Json::obj([("script", Json::from(script))]);
+        s.handle_op("load", &req, &cache).unwrap();
+        let refined = Json::parse(r#"{"refine":true}"#).unwrap();
+        let violations = |r: &Json| {
+            let c = r.get("confluence").expect("confluence in the report");
+            c.get("violations")
+                .and_then(Json::as_arr)
+                .map(<[Json]>::len)
+        };
+        let r = s.handle_op("analyze", &refined, &cache).unwrap();
+        assert_eq!(violations(&r), Some(0));
+
+        let sql = "drop rule r2; \
+             create rule r2 on t when inserted then update t set b = 2 where a > 5 end;";
+        s.handle_op("exec", &Json::obj([("sql", Json::from(sql))]), &cache)
+            .unwrap();
+        let r = s.handle_op("analyze", &refined, &cache).unwrap();
+        assert_eq!(violations(&r), Some(1));
+        assert_eq!(
+            r.get("confluence_guaranteed").and_then(Json::as_bool),
+            Some(false)
+        );
     }
 
     #[test]

@@ -457,6 +457,19 @@ pub struct RuleDef {
     pub follows: Vec<String>,
 }
 
+impl RuleDef {
+    /// Whether the two definitions agree on everything but their
+    /// orderings (`precedes` / `follows`): name, table, events, condition
+    /// and actions — all a rule's signature and its analyses read of it.
+    pub fn same_body(&self, other: &RuleDef) -> bool {
+        self.name == other.name
+            && self.table == other.table
+            && self.events == other.events
+            && self.condition == other.condition
+            && self.actions == other.actions
+    }
+}
+
 /// `CREATE TABLE` DDL.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CreateTable {

@@ -59,8 +59,15 @@ git archive "$PARENT" | tar -x -C "$BUILD/parent"
 echo "building parent ($(git rev-parse --short "$PARENT")) and change ..." >&2
 CARGO_TARGET_DIR=$BUILD/target-parent cargo build --release --offline --quiet \
   --manifest-path "$BUILD/parent/benchmark/Cargo.toml"
+# Cargo rewrites the lock file of the manifest it builds when that file is
+# stale; the change side builds the worktree's, so keep a copy and put it
+# back however the build ends.
+cp "$ROOT/benchmark/Cargo.lock" "$BUILD/change-Cargo.lock"
+trap 'cp "$BUILD/change-Cargo.lock" "$ROOT/benchmark/Cargo.lock"' EXIT
 CARGO_TARGET_DIR=$BUILD/target-change cargo build --release --offline --quiet \
   --manifest-path "$ROOT/benchmark/Cargo.toml"
+cp "$BUILD/change-Cargo.lock" "$ROOT/benchmark/Cargo.lock"
+trap - EXIT
 
 # One untraced run of one side; prints the result line. The binary writes
 # to ./benchmark/out, so each side runs from a directory of its own.

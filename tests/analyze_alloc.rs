@@ -5,6 +5,9 @@
 //! changed plus the report itself: the context shares the rule set's
 //! signatures and definitions, a toggle copies one rule's certified set,
 //! and the report's 9 522 lint lines are shared with the analyzer's memo.
+//! Neither a certify step nor an `order` step on a recompiled rule set
+//! rebuilds the triggering graph, the conflict index or the termination
+//! analysis: no rule changed.
 //! Binding a context allocates per rule at most, not per AST node.
 //! Compiling the program builds no physical plan, and neither does any
 //! analysis step: a plan waits for its rule's first consideration.
@@ -60,11 +63,41 @@ fn a_warm_certify_step_allocates_for_what_changed() {
     assert_eq!(text.len(), 728_946);
     // Measured 112 918 blocks while the context copied the program, a
     // toggle copied every certified set and the report copied every lint
-    // line; 26 336 since. Most of the rest is the report's JSON tree, which
-    // holds one string per line.
+    // line; 26 336 while each step rebuilt the triggering graph, the
+    // conflict index and the termination analysis; 11 977 since. Most of
+    // the rest is the report's JSON tree, which holds one string per line.
     assert!(
-        heap.allocated <= 28_970,
+        heap.allocated <= 13_180,
         "a warm certify step allocated {} blocks",
+        heap.allocated
+    );
+}
+
+/// The benchmark's `order` step: one more `precedes` edge, the program
+/// recompiled, the re-analyze and the report's JSON text. The recompiled
+/// rules are new handles with equal bodies, so the step rebuilds no
+/// program index and reruns no termination analysis.
+#[test]
+fn a_warm_order_step_on_a_recompiled_set_allocates_for_what_changed() {
+    let (case, rs, certs) = refined();
+    let mut analysis = IncrementalAnalysis::sequential();
+    analysis.analyze(&rs, &certs, false, &[]);
+    let mut defs = case.defs.clone();
+    let next = defs[501].name.clone();
+    defs[500].precedes.push(next);
+    let ordered = RuleSet::compile(&defs, &case.catalog()).unwrap();
+
+    let (heap, text) = heap_of(|| {
+        let report = analysis.analyze(&ordered, &certs, false, &[]);
+        report.to_json().to_string()
+    });
+    let stats = analysis.stats();
+    assert_eq!((stats.incremental_sweeps, stats.index_builds), (1, 1));
+    assert!(!text.is_empty());
+    // Measured 11 624 blocks.
+    assert!(
+        heap.allocated <= 12_790,
+        "a warm order step allocated {} blocks",
         heap.allocated
     );
 }
@@ -87,7 +120,8 @@ fn binding_a_context_allocates_per_rule_not_per_ast_node() {
     assert!(outcome.changed_rules.is_empty() && outcome.added_rules.is_empty());
     // Measured 40 351 / 40 273 / 40 271 blocks while the context copied
     // every signature, AST and the catalog; 1 093 / 15 / 13 since: one
-    // interned name per rule, then a handful of vectors.
+    // interned name per rule, then a handful of vectors; 1 102 / 16 / 14
+    // since the store keeps each rule's definition handle in one vector.
     assert!(
         first.allocated <= rules + rules / 5,
         "first bind: {}",

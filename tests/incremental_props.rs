@@ -2,7 +2,8 @@
 //!
 //! Drives fuzz-generated rule programs through random refinement
 //! sessions — certify/revoke, order/unorder, drop/re-add, redefine,
-//! refinement toggles — and after **every** step checks that
+//! refinement toggles, termination certificates, a `WHERE` constant
+//! changed and changed back — and after **every** step checks that
 //!
 //! 1. the incremental report is byte-identical (JSON and Display) to a
 //!    from-scratch [`AnalysisReport::run`] on the same inputs, and
@@ -64,7 +65,7 @@ fn incremental_matches_scratch_dense_programs() {
         ..GenConfig::default()
     };
     for seed in [11, 13, 14] {
-        session(seed, &cfg, 12, 0);
+        session(seed, &cfg, 18, 0);
     }
 }
 
@@ -76,7 +77,7 @@ fn incremental_matches_scratch_dense_programs() {
 fn incremental_matches_scratch_sparse_programs() {
     let cfg = GenConfig::scaled(250);
     for seed in [22, 27] {
-        session(seed, &cfg, 8, 1 << 12);
+        session(seed, &cfg, 12, 1 << 12);
     }
 }
 

@@ -148,7 +148,7 @@ fn warm_steps_recheck_only_the_partitions_that_changed() {
     for k in [2usize, 4, 6, 8] {
         let (catalog, defs) = partitioned(k);
         let protect = vec![vec!["p0_t0".to_owned()]];
-        let walk = walk::session(k as u64, &catalog, defs, &protect, 16, 0);
+        let walk = walk::session(k as u64, &catalog, defs, &protect, 24, 0);
         assert!(
             walk.local_steps >= 2,
             "k = {k}: {} of {} incremental steps left a partition alone",
@@ -160,7 +160,7 @@ fn warm_steps_recheck_only_the_partitions_that_changed() {
     // the partitions are whatever the conflicts make them.
     let case = generate(35, &GenConfig::scaled(200));
     let protect = vec![vec![case.tables[0].name.clone()]];
-    let walk = walk::session(35, &case.catalog(), case.defs, &protect, 8, 0);
+    let walk = walk::session(35, &case.catalog(), case.defs, &protect, 12, 0);
     assert!(walk.incremental_steps >= 2);
 }
 

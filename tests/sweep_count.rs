@@ -3,7 +3,8 @@
 //! conflicts — rules that share a table, closures that can take a step —
 //! not its pair space. Tripling the rules of the benchmark's program must
 //! not triple either count. And a warm step follows one rule's conflicts,
-//! not its row of the pair space.
+//! not its row of the pair space, and rebuilds the program index only when
+//! a rule changed.
 
 use starling_analysis::confluence::pair_closure;
 use starling_analysis::{AnalysisContext, Certifications, IncrementalAnalysis};
@@ -73,4 +74,49 @@ fn a_warm_certify_step_rechecks_the_rules_partners_not_its_row() {
     // Measured 58; the rule's row of the pair space is 999.
     let rechecked = stats.last_rechecked_pairs;
     assert!((1..400).contains(&rechecked), "rechecked {rechecked} pairs");
+}
+
+/// A warm step rebuilds the program index — the `Triggers` adjacency, its
+/// predecessor map, the conflict index's table map and the termination
+/// analysis — only when a rule was added, dropped or changed: the
+/// benchmark's certify step builds none, nor does its `order` step on a
+/// recompiled rule set, and its add/drop step builds one.
+#[test]
+fn only_an_add_or_drop_step_builds_the_program_index() {
+    let case = generate(42, &GenConfig::scaled(1000));
+    let catalog = case.catalog();
+    let mut defs = case.defs.clone();
+    // As in the benchmark, no rule names the last one, which the add/drop
+    // step parks.
+    let last = defs.last().unwrap().name.clone();
+    for d in &mut defs {
+        d.precedes.retain(|p| p != &last);
+        d.follows.retain(|f| f != &last);
+    }
+    let rs = RuleSet::compile(&defs, &catalog).unwrap();
+    let mut certs = Certifications::new();
+    let mut analysis = IncrementalAnalysis::sequential();
+    analysis.analyze(&rs, &certs, false, &[]);
+    assert_eq!(analysis.stats().index_builds, 1);
+    let builds = |analysis: &mut IncrementalAnalysis, rs: &RuleSet, certs: &Certifications| {
+        let before = analysis.stats().index_builds;
+        analysis.analyze(rs, certs, false, &[]);
+        analysis.stats().index_builds - before
+    };
+
+    certs.certify_commute(&defs[500].name, &defs[501].name);
+    assert_eq!(builds(&mut analysis, &rs, &certs), 0, "certify");
+
+    let next = defs[501].name.clone();
+    defs[500].precedes.push(next);
+    let ordered = RuleSet::compile(&defs, &catalog).unwrap();
+    assert_eq!(builds(&mut analysis, &ordered, &certs), 0, "order");
+
+    let parked = defs.pop().unwrap();
+    let dropped = RuleSet::compile(&defs, &catalog).unwrap();
+    assert_eq!(builds(&mut analysis, &dropped, &certs), 1, "drop");
+    defs.push(parked);
+    let added = RuleSet::compile(&defs, &catalog).unwrap();
+    assert_eq!(builds(&mut analysis, &added, &certs), 1, "add");
+    assert_eq!(analysis.stats().full_sweeps, 1);
 }

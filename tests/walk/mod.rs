@@ -1,7 +1,10 @@
 //! The refinement walk `incremental_props` and `partition_equivalence`
 //! share: a seeded §6.4 editing session — certify / revoke, order /
-//! unorder, drop / re-add, redefine, refinement toggles — checked after
-//! **every** step (see [`session`]).
+//! unorder, drop / re-add, redefine, refinement toggles, termination
+//! certificates, and a redefinition that changes one `WHERE` constant and
+//! its undo — checked after **every** step (see [`session`]). A step that
+//! leaves the rule definitions alone analyzes the previous step's compiled
+//! rule set again, as an interactive session does; any other recompiles.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -12,8 +15,9 @@ use starling_analysis::partition::partition_rules;
 use starling_analysis::report::AnalysisReport;
 use starling_analysis::{Certifications, IncrementalAnalysis};
 use starling_engine::RuleSet;
+use starling_sql::ast::{Action, Expr};
 use starling_sql::RuleDef;
-use starling_storage::Catalog;
+use starling_storage::{Catalog, Value};
 
 pub fn scratch_ctx(
     cat: &Catalog,
@@ -39,6 +43,38 @@ pub fn scratch(
     protect: &[Vec<String>],
 ) -> AnalysisReport {
     AnalysisReport::run(&scratch_ctx(cat, defs, certs, refine), protect)
+}
+
+/// The first integer literal of `e`, outside subqueries.
+fn int_literal(e: &mut Expr) -> Option<&mut i64> {
+    match e {
+        Expr::Literal(Value::Int(v)) => Some(v),
+        Expr::Binary { lhs, rhs, .. } => int_literal(lhs).or_else(|| int_literal(rhs)),
+        Expr::Neg(x) | Expr::Not(x) | Expr::IsNull { expr: x, .. } => int_literal(x),
+        Expr::Between {
+            expr, low, high, ..
+        } => int_literal(expr)
+            .or_else(|| int_literal(low))
+            .or_else(|| int_literal(high)),
+        Expr::InList { expr, list, .. } => {
+            int_literal(expr).or_else(|| list.iter_mut().find_map(int_literal))
+        }
+        _ => None,
+    }
+}
+
+/// The first integer literal in the `WHERE` clause of one of `def`'s
+/// actions.
+fn where_constant(def: &mut RuleDef) -> Option<&mut i64> {
+    def.actions.iter_mut().find_map(|a| {
+        let clause = match a {
+            Action::Update(u) => u.where_clause.as_mut(),
+            Action::Delete(d) => d.where_clause.as_mut(),
+            Action::Select(s) => s.where_clause.as_mut(),
+            Action::Insert(_) | Action::Rollback => None,
+        };
+        clause.and_then(int_literal)
+    })
 }
 
 /// One random mutation of the editing state. Returns a label for failure
@@ -159,6 +195,60 @@ fn mutate(
     }
 }
 
+/// One mutation of a kind [`mutate`] does not draw: a termination
+/// certificate, a redefinition that changes one `WHERE` constant and
+/// nothing else, or the undo of the latest such change. `tweaked` holds
+/// the definitions as they were before each change, newest last.
+fn mutate_body(
+    rng: &mut StdRng,
+    defs: &mut [RuleDef],
+    certs: &mut Certifications,
+    tweaked: &mut Vec<RuleDef>,
+    last: &AnalysisReport,
+) -> String {
+    match rng.gen_range(0..3u32) {
+        0 => {
+            // Certify termination: prefer a rule on an undischarged cycle.
+            let name = match last.termination.responsible_rules().first() {
+                Some(r) => (*r).to_owned(),
+                None => defs[rng.gen_range(0..defs.len())].name.clone(),
+            };
+            certs.certify_terminates(&name, "walk");
+            format!("certify terminates {name}")
+        }
+        1 => {
+            // Redefine a rule with one `WHERE` constant changed: the same
+            // signature, another body.
+            let (n, start) = (defs.len(), rng.gen_range(0..defs.len()));
+            let found = (0..n)
+                .map(|k| (start + k) % n)
+                .find(|&i| where_constant(&mut defs[i]).is_some());
+            let Some(i) = found else {
+                return "retune (no WHERE constant)".to_owned();
+            };
+            tweaked.push(defs[i].clone());
+            let v = where_constant(&mut defs[i]).expect("found above");
+            *v = v.wrapping_add(rng.gen_range(1..20i64));
+            let v = *v;
+            format!("retune {} to {v}", defs[i].name)
+        }
+        _ => {
+            // Undo the latest retune, under the rule's current orderings.
+            let Some(was) = tweaked.pop() else {
+                return "undo retune (nothing retuned)".to_owned();
+            };
+            let Some(def) = defs.iter_mut().find(|d| d.name == was.name) else {
+                return format!("undo retune {} (dropped)", was.name);
+            };
+            def.table = was.table;
+            def.events = was.events;
+            def.condition = was.condition;
+            def.actions = was.actions;
+            format!("undo retune {}", was.name)
+        }
+    }
+}
+
 /// What the §9 partition property compares a step against: everything a
 /// refinement step can change, by rule name, and the partitions.
 struct Snapshot {
@@ -239,9 +329,13 @@ pub fn session(
     let mut refine = false;
     let mut certified = Vec::new();
     let mut dropped = Vec::new();
+    let mut tweaked = Vec::new();
     let mut par = IncrementalAnalysis::new();
     let mut seq = IncrementalAnalysis::sequential();
     let mut rng = StdRng::seed_from_u64(seed ^ 0x9e3779b97f4a7c15);
+    // The kinds of `mutate_body` draw from a stream of their own, so the
+    // steps `mutate` takes replay as they did before those kinds existed.
+    let mut body_rng = StdRng::seed_from_u64(seed ^ 0x5851f42d4c957f2d);
     let mut walk = Walk {
         incremental_steps: 0,
         local_steps: 0,
@@ -250,9 +344,12 @@ pub fn session(
     let initial = scratch_ctx(cat, &defs, &certs, refine);
     let mut last = AnalysisReport::run(&initial, protect);
     let mut before = Snapshot::of(&initial);
+    let mut compiled = (defs.clone(), RuleSet::compile(&defs, cat).unwrap());
     for step in 0..=steps {
         let label = if step == 0 {
             "initial".to_owned()
+        } else if body_rng.gen_bool(1.0 / 3.0) {
+            mutate_body(&mut body_rng, &mut defs, &mut certs, &mut tweaked, &last)
         } else {
             mutate(
                 &mut rng,
@@ -265,10 +362,13 @@ pub fn session(
                 &last,
             )
         };
-        let rs = RuleSet::compile(&defs, cat).unwrap();
+        if compiled.0 != defs {
+            compiled = (defs.clone(), RuleSet::compile(&defs, cat).unwrap());
+        }
+        let rs = &compiled.1;
         let incremental_before = par.stats().incremental_sweeps;
-        let got_par = par.analyze(&rs, &certs, refine, protect);
-        let got_seq = seq.analyze(&rs, &certs, refine, protect);
+        let got_par = par.analyze(rs, &certs, refine, protect);
+        let got_seq = seq.analyze(rs, &certs, refine, protect);
         if step == 0 {
             let visited = par.stats().last_rechecked_pairs;
             assert!(
