@@ -550,7 +550,10 @@ fn e9_scalability(out: &mut String) {
     }
 }
 
-/// E10 — corollary lints hold on every accepted rule set.
+/// E10 — the corollaries hold on every rule set accepted without
+/// certifications (a `declare commute` overrides Lemma 6.1 on purpose, so
+/// the contexts here carry none): the Corollary 6.8/6.10 and 8.2 checks
+/// are this oracle, not part of any report.
 fn e10_corollaries(out: &mut String) {
     header(
         out,

@@ -649,6 +649,23 @@ mod tests {
         assert!(text.contains("CONFLUENCE: guaranteed"), "{text}");
     }
 
+    /// A `declare commute` on a triggering pair is the user's certification,
+    /// not a fault of the analysis: the report prints no Corollary 6.10
+    /// warning for it, in either mode.
+    #[test]
+    fn analyze_trusts_a_certified_triggering_pair() {
+        let src = "create table t (x int); create table u (x int); create table v (x int);
+                   create rule a on t when inserted then insert into u values (1) end;
+                   create rule b on u when inserted then insert into v values (1) end;
+                   declare commute a, b;";
+        let text = cmd_analyze(src, &[], false, false).unwrap();
+        assert!(text.contains("CONFLUENCE: guaranteed"), "{text}");
+        assert!(!text.contains("INTERNAL WARNING"), "{text}");
+        let json = cmd_analyze(src, &[], false, true).unwrap();
+        assert!(json.contains("\"requirement_holds\":true"), "{json}");
+        assert!(!json.contains("corollary"), "{json}");
+    }
+
     #[test]
     fn graph_text_and_dot() {
         let text = cmd_graph(SCRIPT, false).unwrap();

@@ -95,8 +95,9 @@ impl<'a> ConflictIndex<'a> {
 
     /// Every unordered pair `(i, j)`, `i < j`, of indexed rules that share a
     /// table or whose Definition 6.5 closure can take a first step, ascending
-    /// and without duplicates: a superset of the pairs with a violation, a
-    /// closure extra or a corollary lint.
+    /// and without duplicates: a superset of the pairs with a violation or
+    /// a closure extra, and of the pairs the Corollary 6.8/6.10 oracle
+    /// (`corollary_checks`) can fail.
     pub(crate) fn candidate_pairs(&self) -> Vec<(usize, usize)> {
         // Partners above each rule, row by row: short rows sort faster than
         // one long list of pairs.

@@ -12,10 +12,8 @@
 //!    modulo user certifications).
 //!
 //! Theorem 6.7: the Confluence Requirement plus guaranteed termination
-//! imply confluence. Violations are isolated per generating pair, with the
-//! §6.4 remedies attached (certify commutativity, or order the pair).
-
-use std::sync::Arc;
+//! imply confluence. Violations are isolated per generating pair, and each
+//! renders its §6.4 remedies (certify commutativity, or order the pair).
 
 use crate::commutativity::{commutes_idx, noncommutativity_reasons_idx, NoncommutativityReason};
 use crate::context::AnalysisContext;
@@ -110,7 +108,6 @@ pub fn check_pair(
             violations.push(ConfluenceViolation {
                 pair: (ctx.name(i).to_owned(), ctx.name(j).to_owned()),
                 conflict: (ctx.name(r1).to_owned(), ctx.name(r2).to_owned()),
-                suggestions: suggestions(ctx, (i, j), (r1, r2)),
                 reasons,
             });
         }
@@ -127,8 +124,23 @@ pub struct ConfluenceViolation {
     pub conflict: (String, String),
     /// The Lemma 6.1 conditions that fired.
     pub reasons: Vec<NoncommutativityReason>,
-    /// §6.4 remedies, human-readable.
-    pub suggestions: Vec<String>,
+}
+
+impl ConfluenceViolation {
+    /// The §6.4 remedies, human-readable: certify the conflict, or order
+    /// the generating pair. Approach 3 (removing orderings) is deliberately
+    /// omitted — the paper shows it is "non-intuitive and in fact useless".
+    pub fn suggestions(&self) -> [String; 2] {
+        let (r1, r2) = &self.conflict;
+        let (i, j) = &self.pair;
+        [
+            format!("certify that `{r1}` and `{r2}` actually commute: declare commute {r1}, {r2}"),
+            format!(
+                "order the generating pair: add `precedes`/`follows` between `{i}` and `{j}` \
+                 (note: this may surface new violations elsewhere)"
+            ),
+        ]
+    }
 }
 
 /// Verdict of the confluence analysis.
@@ -188,76 +200,32 @@ pub fn analyze_confluence_of(ctx: &AnalysisContext, subset: &[usize]) -> Conflue
     }
 }
 
-/// The §6.4 remedies for a violation. Approach 3 (removing orderings) is
-/// deliberately omitted — the paper shows it is "non-intuitive and in fact
-/// useless".
-fn suggestions(
-    ctx: &AnalysisContext,
-    pair: (usize, usize),
-    conflict: (usize, usize),
-) -> Vec<String> {
-    let (r1, r2) = conflict;
-    let (i, j) = pair;
-    vec![
-        format!(
-            "certify that `{}` and `{}` actually commute: declare commute {}, {}",
-            ctx.name(r1),
-            ctx.name(r2),
-            ctx.name(r1),
-            ctx.name(r2)
-        ),
-        format!(
-            "order the generating pair: add `precedes`/`follows` between `{}` and `{}` \
-             (note: this may surface new violations elsewhere)",
-            ctx.name(i),
-            ctx.name(j)
-        ),
-    ]
-}
-
-/// Corollary 6.8/6.9/6.10 checks: structural facts that *must* hold of any
-/// rule set our analysis finds confluent. Returns human-readable failures
-/// (all empty on a confluent-verdict rule set — property-tested).
-pub fn corollary_checks(ctx: &AnalysisContext, analysis: &ConfluenceAnalysis) -> Vec<Arc<str>> {
+/// Corollary 6.8/6.10 checks: structural facts that *must* hold of any
+/// rule set the analysis finds confluent **without certifications**.
+/// Returns human-readable failures. The oracle of E10, which builds its
+/// contexts uncertified: a `declare commute` overrides Lemma 6.1 on
+/// purpose, so a certified pair that triggers (6.10) is no failure of the
+/// analysis, and no report runs these checks.
+pub fn corollary_checks(ctx: &AnalysisContext, analysis: &ConfluenceAnalysis) -> Vec<String> {
     let mut out = Vec::new();
     if !analysis.requirement_holds() {
         return out;
     }
     let all: Vec<usize> = (0..ctx.len()).collect();
     for (i, j) in ctx.sweep_pairs(&all) {
-        out.extend(corollary_pair(ctx, i, j));
-    }
-    out
-}
-
-/// The Corollary 6.8/6.10 lint messages for one **unordered** pair, in the
-/// order `corollary_checks` emits them. Shared by the incremental
-/// analyzer, which caches them per pair and hands the same lines to every
-/// report it assembles.
-#[doc(hidden)]
-pub fn corollary_pair(ctx: &AnalysisContext, i: usize, j: usize) -> Vec<Arc<str>> {
-    let mut out = Vec::new();
-    // Corollary 6.8: unordered pairs commute.
-    if !commutes_idx(ctx, i, j) {
-        out.push(
-            format!(
-                "corollary 6.8 violated: unordered `{}`/`{}` do not commute",
-                ctx.name(i),
-                ctx.name(j)
-            )
-            .into(),
-        );
-    }
-    // Corollary 6.10: triggering pairs are ordered.
-    if ctx.can_trigger(i, j) || ctx.can_trigger(j, i) {
-        out.push(
-            format!(
-                "corollary 6.10 violated: `{}` may trigger `{}` but they are unordered",
-                ctx.name(i),
-                ctx.name(j)
-            )
-            .into(),
-        );
+        let (a, b) = (ctx.name(i), ctx.name(j));
+        // Corollary 6.8: unordered pairs commute.
+        if !commutes_idx(ctx, i, j) {
+            out.push(format!(
+                "corollary 6.8 violated: unordered `{a}`/`{b}` do not commute"
+            ));
+        }
+        // Corollary 6.10: triggering pairs are ordered.
+        if ctx.can_trigger(i, j) || ctx.can_trigger(j, i) {
+            out.push(format!(
+                "corollary 6.10 violated: `{a}` may trigger `{b}` but they are unordered"
+            ));
+        }
     }
     out
 }
@@ -296,7 +264,14 @@ mod tests {
         let v = &a.violations[0];
         assert_eq!(v.pair, ("a".to_owned(), "b".to_owned()));
         assert_eq!(v.conflict, ("a".to_owned(), "b".to_owned()));
-        assert!(!v.suggestions.is_empty());
+        assert_eq!(
+            v.suggestions(),
+            [
+                "certify that `a` and `b` actually commute: declare commute a, b",
+                "order the generating pair: add `precedes`/`follows` between `a` and `b` \
+                 (note: this may surface new violations elsewhere)"
+            ]
+        );
     }
 
     #[test]
@@ -398,6 +373,28 @@ mod tests {
         let a = analyze_confluence(&c);
         assert!(a.requirement_holds());
         assert!(corollary_checks(&c, &a).is_empty());
+    }
+
+    /// A `declare commute` overrides Lemma 6.1 on purpose: the certified
+    /// triggering pair satisfies the requirement and still fails
+    /// Corollary 6.10, which is why the corollaries are an oracle over
+    /// uncertified programs and no report runs them.
+    #[test]
+    fn a_certified_triggering_pair_fails_corollary_6_10() {
+        let mut certs = Certifications::new();
+        certs.certify_commute("a", "b");
+        let c = ctx_from(
+            "create rule a on t when inserted then insert into u values (1) end;
+             create rule b on u when inserted then insert into v values (1) end;",
+            TABLES,
+            certs,
+        );
+        let a = analyze_confluence(&c);
+        assert!(a.requirement_holds());
+        assert_eq!(
+            corollary_checks(&c, &a),
+            ["corollary 6.10 violated: `a` may trigger `b` but they are unordered"]
+        );
     }
 
     #[test]

@@ -279,8 +279,8 @@ impl AnalysisContext {
     }
 
     /// The conflict index's candidates among `subset`, ascending: a superset
-    /// of its unordered pairs with a violation, a closure extra or a
-    /// corollary lint.
+    /// of its unordered pairs with a violation or a closure extra, and of
+    /// the pairs the Corollary 6.8/6.10 oracle can fail.
     #[doc(hidden)]
     pub fn candidate_pairs(&self, subset: &[usize]) -> Vec<(usize, usize)> {
         ConflictIndex::build(self, subset).candidate_pairs()

@@ -8,9 +8,9 @@
 //! * Lemma 6.1 pair verdicts live in a persistent [`PairStore`] shared
 //!   across analyses; bind-time structural diffs invalidate exactly the
 //!   pairs mentioning a changed rule or toggled certification.
-//! * The per-pair *confluence* results (Def 6.5 closures, their `R1 × R2`
-//!   violations, and the Corollary 6.8/6.10 lints) are memoized in a
-//!   confluence memo keyed by rule-pair identity. Each analyze computes a
+//! * The per-pair *confluence* results (Def 6.5 closures and their
+//!   `R1 × R2` violations) are memoized in a confluence memo keyed by
+//!   rule-pair identity. Each analyze computes a
 //!   **dirty pair set** from the bind outcome plus a priority-closure diff
 //!   and rechecks only those pairs; everything else is reused verbatim.
 //! * A **program index** — the `Triggers` adjacency, its predecessor map
@@ -90,9 +90,7 @@ use starling_engine::{PriorityOrder, RuleSet};
 use crate::certifications::Certifications;
 use crate::commutativity::prewarm_pairs;
 use crate::conflict_index::{ConflictIndex, TableRules};
-use crate::confluence::{
-    check_pair, corollary_pair, ConfluenceAnalysis, ConfluenceVerdict, ConfluenceViolation,
-};
+use crate::confluence::{check_pair, ConfluenceAnalysis, ConfluenceVerdict, ConfluenceViolation};
 use crate::context::AnalysisContext;
 use crate::pair_store::{BindOutcome, PairStore, PairStoreStats};
 use crate::report::AnalysisReport;
@@ -101,14 +99,6 @@ use crate::termination::{analyze_termination, TerminationAnalysis};
 /// Don't bother spinning up threads below this many candidate pairs.
 const PREWARM_MIN_PAIRS: usize = 1 << 12;
 
-/// What one unordered pair contributes to a report. The lint lines are
-/// shared with every report assembled while the entry lives.
-#[derive(Debug)]
-struct PairOutput {
-    violations: Vec<ConfluenceViolation>,
-    corollary: Vec<Arc<str>>,
-}
-
 /// Everything the dirty-set propagation diffs against, beyond the previous
 /// analyze's [`ProgramIndex`].
 #[derive(Debug)]
@@ -116,14 +106,14 @@ struct ConfluenceMemo {
     /// The transitively closed priority at the last analyze (indices are
     /// positions in that analyze's index's `sids`).
     priority: PriorityOrder,
-    /// Unordered pairs with any violations, lints, or closure extras,
+    /// Unordered pairs with any violations or closure extras,
     /// keyed `(sid_i, sid_j)` in rule-index orientation, each with its
     /// closure members beyond the generating pair (store ids, sorted).
     /// Pairs absent here are known-clean.
     extras: HashMap<(u32, u32), Vec<u32>>,
-    /// The pairs of `extras` with violations or lints: all a report reads,
-    /// apart from the far more numerous pairs that only have extras.
-    outputs: HashMap<(u32, u32), PairOutput>,
+    /// The violations of the pairs of `extras` that have any: all a report
+    /// reads, apart from the far more numerous pairs that only have extras.
+    outputs: HashMap<(u32, u32), Vec<ConfluenceViolation>>,
     /// sid → the `extras` keys whose closure contains it, as an endpoint
     /// or as a non-generating member: everything the memo holds on a rule
     /// (unordered rows; a key appears once per row).
@@ -285,8 +275,7 @@ impl IncrementalAnalysis {
                 Arc::new(ProgramIndex::build(&ctx))
             }
         };
-        let (confluence, corollary_failures) =
-            self.confluence(&ctx, &outcome, &index, prev.as_deref());
+        let confluence = self.confluence(&ctx, &outcome, &index, prev.as_deref());
         self.index = Some(index);
         let termination = match &self.termination {
             Some((was, t)) if was.same_terminations(certs) => Arc::clone(t),
@@ -296,18 +285,18 @@ impl IncrementalAnalysis {
                 t
             }
         };
-        AnalysisReport::assemble(&ctx, termination, confluence, corollary_failures, protect)
+        AnalysisReport::assemble(&ctx, termination, confluence, protect)
     }
 
-    /// The confluence analysis and the Corollary 6.8/6.10 lints. `prev` is
-    /// the index of the previous analyze, when there was one.
+    /// The confluence analysis. `prev` is the index of the previous
+    /// analyze, when there was one.
     fn confluence(
         &mut self,
         ctx: &AnalysisContext,
         outcome: &BindOutcome,
         index: &ProgramIndex,
         prev: Option<&ProgramIndex>,
-    ) -> (ConfluenceAnalysis, Vec<Arc<str>>) {
+    ) -> ConfluenceAnalysis {
         // A full sweep enumerates the conflict index, an incremental one
         // expands its dirty rules through it.
         let all: Vec<usize> = (0..ctx.len()).collect();
@@ -561,11 +550,10 @@ impl IncrementalAnalysis {
         true
     }
 
-    /// Runs [`check_pair`] + [`corollary_pair`] for one unordered pair and
-    /// records the results (only non-trivial ones take memory).
+    /// Runs [`check_pair`] for one unordered pair and records the results
+    /// (only non-trivial ones take memory).
     fn recheck_into(ctx: &AnalysisContext, memo: &mut ConfluenceMemo, i: usize, j: usize) {
         let (cl, violations) = check_pair(ctx, i, j);
-        let corollary = corollary_pair(ctx, i, j);
         let mut extras: Vec<u32> = cl
             .r1
             .iter()
@@ -575,21 +563,15 @@ impl IncrementalAnalysis {
             .collect();
         extras.sort_unstable();
         extras.dedup();
-        if violations.is_empty() && corollary.is_empty() && extras.is_empty() {
+        if violations.is_empty() && extras.is_empty() {
             return;
         }
         let key = (ctx.sid(i), ctx.sid(j));
         for &m in [key.0, key.1].iter().chain(&extras) {
             memo.mentions.entry(m).or_default().push(key);
         }
-        if !(violations.is_empty() && corollary.is_empty()) {
-            memo.outputs.insert(
-                key,
-                PairOutput {
-                    violations,
-                    corollary,
-                },
-            );
+        if !violations.is_empty() {
+            memo.outputs.insert(key, violations);
         }
         memo.extras.insert(key, extras);
     }
@@ -605,38 +587,25 @@ impl IncrementalAnalysis {
         }
     }
 
-    /// Rebuilds the [`ConfluenceAnalysis`] and the `corollary_checks` output
-    /// from the memo in one ordered pass, in the exact `(i, j)` scan order
-    /// of `analyze_confluence` (the lints are empty whenever the requirement
-    /// fails, exactly like the original early return). Lint lines are
-    /// shared with the memo, not copied.
-    fn assemble(&self, ctx: &AnalysisContext) -> (ConfluenceAnalysis, Vec<Arc<str>>) {
+    /// Rebuilds the [`ConfluenceAnalysis`] from the memo in one ordered
+    /// pass, in the exact `(i, j)` scan order of `analyze_confluence`.
+    fn assemble(&self, ctx: &AnalysisContext) -> ConfluenceAnalysis {
         let memo = self.memo.as_ref().expect("assemble without memo");
         // Store id → rule index. Store ids are dense, so a vector will do.
         let mut cur = vec![u32::MAX; ctx.sids.iter().max().map_or(0, |&m| m as usize + 1)];
         for (i, &s) in ctx.sids.iter().enumerate() {
             cur[s as usize] = i as u32;
         }
-        let mut keyed: Vec<((u32, u32), &PairOutput)> = memo
+        let mut keyed: Vec<((u32, u32), &Vec<ConfluenceViolation>)> = memo
             .outputs
             .iter()
             .map(|(k, e)| ((cur[k.0 as usize], cur[k.1 as usize]), e))
             .collect();
         keyed.sort_unstable_by_key(|&(ij, _)| ij);
-        let violations: Vec<ConfluenceViolation> = keyed
-            .iter()
-            .flat_map(|(_, e)| e.violations.iter().cloned())
-            .collect();
-        let corollary = if violations.is_empty() {
-            keyed
-                .iter()
-                .flat_map(|(_, e)| e.corollary.iter().cloned())
-                .collect()
-        } else {
-            Vec::new()
-        };
+        let violations: Vec<ConfluenceViolation> =
+            keyed.iter().flat_map(|(_, e)| e.iter().cloned()).collect();
         let n = ctx.len();
-        let confluence = ConfluenceAnalysis {
+        ConfluenceAnalysis {
             verdict: if violations.is_empty() {
                 ConfluenceVerdict::RequirementHolds
             } else {
@@ -644,8 +613,7 @@ impl IncrementalAnalysis {
             },
             violations,
             pairs_checked: n * n.saturating_sub(1) / 2 - ctx.priority.ordered_pair_count(),
-        };
-        (confluence, corollary)
+        }
     }
 }
 

@@ -8,8 +8,9 @@
 //! `alter rule`, and each edit is persisted when the session is durable.
 //! [`InteractiveSession::analyze`] reads the certifications from the
 //! directives and the rules from [`Session::ruleset_arc`], so it compiles
-//! only after the program changed, and the analyzer re-derives only what
-//! the edit dirtied. Because the analyzer diffs its inputs on every call,
+//! only after the program changed, records only the directives appended
+//! since the last analyze, and the analyzer re-derives only what the edit
+//! dirtied. Because the analyzer diffs its inputs on every call,
 //! the session may also be edited directly (the server's `exec` runs rule
 //! DDL that way). The server's `certify` / `order` / `analyze` ops and the
 //! CLI's `analyze` all run through this driver.
@@ -34,6 +35,11 @@ pub struct InteractiveSession {
     /// The session whose rule program the loop analyzes and edits.
     pub session: Session,
     analysis: IncrementalAnalysis,
+    /// The certifications of `recorded`, kept from one analyze to the next
+    /// so that an appended directive costs one toggle, not a rebuild.
+    certs: Certifications,
+    /// The directives `certs` records, in the session's order.
+    recorded: Vec<Directive>,
 }
 
 impl InteractiveSession {
@@ -42,6 +48,8 @@ impl InteractiveSession {
         InteractiveSession {
             session,
             analysis: IncrementalAnalysis::new(),
+            certs: Certifications::new(),
+            recorded: Vec::new(),
         }
     }
 
@@ -61,9 +69,19 @@ impl InteractiveSession {
     ) -> Result<AnalysisReport, EngineError> {
         check_protected_tables(self.session.db().catalog(), protect)
             .map_err(EngineError::InvalidStatement)?;
-        let certs = Certifications::from_directives(self.session.directives());
         let rules = Arc::clone(self.session.ruleset_arc()?);
-        Ok(self.analysis.analyze(&rules, &certs, refine, protect))
+        // Directives are only ever appended, unless the program was replaced
+        // (a `load`, a `reset_to`): then the certifications start over.
+        let directives = self.session.directives();
+        if !directives.starts_with(&self.recorded) {
+            self.certs = Certifications::new();
+            self.recorded.clear();
+        }
+        for d in &directives[self.recorded.len()..] {
+            self.certs.record(d);
+            self.recorded.push(d.clone());
+        }
+        Ok(self.analysis.analyze(&rules, &self.certs, refine, protect))
     }
 
     /// §6.4 Approach 1 (`declare commute`) or §5's user certificate
@@ -133,6 +151,7 @@ impl InteractiveSession {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::context::AnalysisContext;
 
     fn setup(rules: &str) -> InteractiveSession {
         let mut s = Session::new();
@@ -190,9 +209,50 @@ mod tests {
         assert!(counts.windows(2).all(|w| w[1] <= w[0]), "{counts:?}");
     }
 
+    /// The kept certifications follow the directive list: a certify, a
+    /// `declare` executed on the session directly, and a `reset_to` that
+    /// replaces the list with another of the same length each give the
+    /// from-scratch report.
+    #[test]
+    fn kept_certifications_follow_the_directives() {
+        let mut s = setup(
+            "create rule a on t when inserted then update u set x = 1 end;
+             create rule b on t when inserted then update u set x = 2 end;
+             create rule c on t when inserted then update u set x = 3 end;",
+        );
+        let agrees = |s: &mut InteractiveSession, step: &str| {
+            let got = s.analyze(false, &[]).unwrap();
+            let certs = Certifications::from_directives(s.session.directives());
+            let ctx = AnalysisContext::from_ruleset(s.session.ruleset().unwrap(), certs);
+            let want = AnalysisReport::run(&ctx, &[]);
+            assert_eq!(got.to_json(), want.to_json(), "{step}");
+            assert_eq!(got.to_string(), want.to_string(), "{step}");
+            got.confluence.violations.len()
+        };
+        assert_eq!(agrees(&mut s, "initial"), 3);
+        let uncertified = s.session.state();
+        s.certify(Directive::Commute("a".into(), "b".into()))
+            .unwrap();
+        assert_eq!(agrees(&mut s, "certify a, b"), 2);
+        s.session.execute_script("declare commute a, c;").unwrap();
+        assert_eq!(agrees(&mut s, "declare a, c"), 1);
+        s.session.reset_to(uncertified.clone());
+        assert_eq!(agrees(&mut s, "reset"), 3);
+        s.certify(Directive::Commute("a".into(), "b".into()))
+            .unwrap();
+        assert_eq!(agrees(&mut s, "certify a, b again"), 2);
+        s.session.reset_to(uncertified);
+        s.session.execute_script("declare commute b, c;").unwrap();
+        assert_eq!(agrees(&mut s, "reset, then declare b, c"), 2);
+    }
+
+    /// Certifying `a`/`b` of three racing rules rechecks the pair `b`/`c`
+    /// from the store.
     #[test]
     fn session_analyzer_reuses_pair_verdicts() {
-        let mut s = setup(RACE);
+        let mut s = setup(&format!(
+            "{RACE} create rule c on t when inserted then update u set x = 3 end;"
+        ));
         s.analyze(false, &[]).unwrap();
         let cold = s.analysis_stats();
         s.certify(Directive::Commute("a".into(), "b".into()))

@@ -7,7 +7,7 @@ use std::sync::Arc;
 use starling_engine::{ExecGraph, ExploreConfig, Verdict, Verdicts};
 use starling_sql::json::{digest_json, Json};
 
-use crate::confluence::{analyze_confluence, corollary_checks, ConfluenceAnalysis};
+use crate::confluence::{analyze_confluence, ConfluenceAnalysis};
 use crate::context::AnalysisContext;
 use crate::observable::{analyze_observable_determinism, ObservableAnalysis};
 use crate::partial::{analyze_partial_confluence, PartialConfluenceAnalysis};
@@ -27,10 +27,6 @@ pub struct AnalysisReport {
     pub termination: Arc<TerminationAnalysis>,
     /// Confluence (Section 6).
     pub confluence: ConfluenceAnalysis,
-    /// Corollary 6.8/6.10 lint results (always empty when confluence is
-    /// accepted; reported for transparency). The incremental analyzer
-    /// shares each line with its memo.
-    pub corollary_failures: Vec<Arc<str>>,
     /// Observable determinism (Section 8).
     pub observable: ObservableAnalysis,
     /// Partial confluence per requested table set (Section 7).
@@ -38,13 +34,12 @@ pub struct AnalysisReport {
 }
 
 impl AnalysisReport {
-    /// Runs the full analysis. `protect` lists table subsets for partial
-    /// confluence (each entry one `T'`).
+    /// Runs the full analysis from scratch: the oracle the incremental
+    /// analyzer's reports are held to. `protect` lists table subsets for
+    /// partial confluence (each entry one `T'`).
     pub fn run(ctx: &AnalysisContext, protect: &[Vec<String>]) -> Self {
         let termination = Arc::new(analyze_termination(ctx));
-        let confluence = analyze_confluence(ctx);
-        let corollary_failures = corollary_checks(ctx, &confluence);
-        Self::assemble(ctx, termination, confluence, corollary_failures, protect)
+        Self::assemble(ctx, termination, analyze_confluence(ctx), protect)
     }
 
     /// A report around an already derived termination and confluence half
@@ -55,7 +50,6 @@ impl AnalysisReport {
         ctx: &AnalysisContext,
         termination: Arc<TerminationAnalysis>,
         confluence: ConfluenceAnalysis,
-        corollary_failures: Vec<Arc<str>>,
         protect: &[Vec<String>],
     ) -> Self {
         let observable = analyze_observable_determinism(ctx);
@@ -70,7 +64,6 @@ impl AnalysisReport {
             rule_count: ctx.len(),
             termination,
             confluence,
-            corollary_failures,
             observable,
             partial,
         }
@@ -103,10 +96,6 @@ impl AnalysisReport {
             ),
             ("partial", Json::arr(self.partial.iter().map(partial_json))),
             ("observable", observable_json(&self.observable)),
-            (
-                "corollary_failures",
-                Json::arr(self.corollary_failures.iter().map(|s| Json::from(&**s))),
-            ),
             ("all_guaranteed", Json::from(self.all_guaranteed())),
         ])
     }
@@ -189,10 +178,7 @@ fn confluence_json(c: &ConfluenceAnalysis) -> Json {
                         "reasons",
                         Json::arr(v.reasons.iter().map(|r| Json::from(r.to_string()))),
                     ),
-                    (
-                        "suggestions",
-                        Json::arr(v.suggestions.iter().map(|s| Json::from(s.as_str()))),
-                    ),
+                    ("suggestions", Json::arr(v.suggestions().map(Json::from))),
                 ])
             })),
         ),
@@ -382,7 +368,7 @@ impl fmt::Display for AnalysisReport {
                 for r in &v.reasons {
                     writeln!(f, "    - {r}")?;
                 }
-                for s in &v.suggestions {
+                for s in v.suggestions() {
                     writeln!(f, "    fix: {s}")?;
                 }
             }
@@ -419,10 +405,6 @@ impl fmt::Display for AnalysisReport {
                 self.observable.observable_rules.join(", "),
                 self.observable.partial.significant.join(", ")
             )?;
-        }
-
-        for c in &self.corollary_failures {
-            writeln!(f, "INTERNAL WARNING: {c}")?;
         }
         Ok(())
     }

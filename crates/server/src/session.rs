@@ -729,6 +729,27 @@ mod tests {
         );
     }
 
+    /// A certified triggering pair is the user's word, not a fault of the
+    /// analysis: `analyze` guarantees confluence and its answer carries no
+    /// corollary member.
+    #[test]
+    fn analyze_trusts_a_certified_triggering_pair() {
+        let cache = ScriptCache::new();
+        let mut s = ServerSession::new();
+        let script = "create table t (x int); create table u (x int); create table v (x int);
+                      create rule a on t when inserted then insert into u values (1) end;
+                      create rule b on u when inserted then insert into v values (1) end;
+                      declare commute a, b;";
+        let req = Json::obj([("script", Json::from(script))]);
+        s.handle_op("load", &req, &cache).unwrap();
+        let r = s
+            .handle_op("analyze", &Json::parse("{}").unwrap(), &cache)
+            .unwrap();
+        assert_eq!(r.get("all_guaranteed").and_then(Json::as_bool), Some(true));
+        assert_eq!(r.get("corollary_failures"), None);
+        assert!(!r.to_string().contains("corollary"), "{r}");
+    }
+
     /// `analyze` refuses to "guarantee" partial confluence for a table that
     /// does not exist or an empty subset (a `script` error naming it), and
     /// still analyzes real ones.

@@ -22,7 +22,7 @@
 
 mod walk;
 
-use starling_analysis::confluence::{check_pair, corollary_pair};
+use starling_analysis::confluence::check_pair;
 use starling_analysis::context::AnalysisContext;
 use starling_analysis::observable::extend_with_obs;
 use starling_analysis::Certifications;
@@ -81,8 +81,8 @@ fn incremental_matches_scratch_sparse_programs() {
     }
 }
 
-/// Every unordered pair the dense triangle finds anything on — a violation,
-/// a closure member beyond the pair, or a corollary lint — must be one of
+/// Every unordered pair the dense triangle finds anything on — a violation
+/// or a closure member beyond the pair — must be one of
 /// the conflict index's candidates. Returns how many such pairs there were.
 fn assert_candidates_cover(ctx: &AnalysisContext, what: &str) -> usize {
     let all: Vec<usize> = (0..ctx.len()).collect();
@@ -92,7 +92,7 @@ fn assert_candidates_cover(ctx: &AnalysisContext, what: &str) -> usize {
     for (i, j) in ctx.dense_pairs(&all) {
         let (closure, violations) = check_pair(ctx, i, j);
         let extras = closure.r1.len() + closure.r2.len() > 2;
-        if violations.is_empty() && !extras && corollary_pair(ctx, i, j).is_empty() {
+        if violations.is_empty() && !extras {
             continue;
         }
         flagged += 1;
