@@ -3,8 +3,10 @@
 //! `Choose`).
 //!
 //! Analyses operate on this context rather than on the engine's `RuleSet`
-//! directly so that Section 8's *extended* definitions (signatures augmented
-//! with the fictional `Obs` table) can reuse every algorithm unchanged.
+//! directly: it adds what the rule set does not hold — the certifications,
+//! the refinement flag, the pair store the context is bound to and its
+//! lazily built `Triggers` adjacency — while sharing the rule set's
+//! signatures, definitions and catalog behind `Arc`s.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
@@ -27,13 +29,13 @@ pub struct AnalysisContext {
     pub priority: PriorityOrder,
     /// User certifications in force.
     pub certs: Certifications,
-    /// Rule definitions, when available (absent for synthetic/extended
-    /// signatures such as the Section 8 `Obs` extension). Only the
-    /// expression-level special-case detectors need them.
-    pub defs: Vec<Option<Arc<RuleDef>>>,
-    /// The catalog, when available (needed by the predicate-level
-    /// commutativity refinement).
-    pub catalog: Option<Arc<Catalog>>,
+    /// Rule definitions, shared with the rule set. Only the
+    /// expression-level readers need them: the refinement and the §5
+    /// monotone-update certificate.
+    pub defs: Vec<Arc<RuleDef>>,
+    /// The catalog, shared with the rule set (the predicate-level
+    /// commutativity refinement reads it).
+    pub catalog: Arc<Catalog>,
     /// Enable the Section 9 "less conservative methods" refinement:
     /// predicate-level analysis may discharge Lemma 6.1 conditions 4/5 when
     /// the conflicting writes are provably disjoint. Off by default
@@ -46,10 +48,6 @@ pub struct AnalysisContext {
     pub(crate) store: Arc<PairStore>,
     /// Store id of each rule, in `sigs` order.
     pub(crate) sids: Vec<u32>,
-    /// The pair store for the Section 8 `Obs`-extended context, when the
-    /// caller wants that side kept warm too (set by the incremental
-    /// analyzer; `extend_with_obs` binds the extended signatures to it).
-    pub(crate) obs_store: Option<Arc<PairStore>>,
     /// Lazily built `Triggers` adjacency (rule → sorted triggered rules),
     /// shared by the triggering graph and the Def 6.5 closures.
     trig: OnceLock<Arc<Vec<Vec<usize>>>>,
@@ -81,50 +79,17 @@ impl AnalysisContext {
             sigs: rules.rules().iter().map(|r| Arc::clone(&r.sig)).collect(),
             priority: rules.priority().clone(),
             certs,
-            defs: rules
-                .rules()
-                .iter()
-                .map(|r| Some(Arc::clone(&r.def)))
-                .collect(),
-            catalog: Some(Arc::clone(rules.shared_catalog())),
+            defs: rules.rules().iter().map(|r| Arc::clone(&r.def)).collect(),
+            catalog: Arc::clone(rules.shared_catalog()),
             refine,
             store: Arc::clone(store),
             sids: Vec::new(),
-            obs_store: None,
             trig: OnceLock::new(),
             dense_sweep: false,
         };
         let outcome = store.bind(&ctx);
         ctx.sids = outcome.sids.clone();
         (ctx, outcome)
-    }
-
-    /// Builds a context directly from parts (used by `extend_with_obs`,
-    /// whose synthetic signatures have no rule set behind them).
-    pub(crate) fn from_parts(
-        sigs: Vec<Arc<RuleSignature>>,
-        priority: PriorityOrder,
-        certs: Certifications,
-        defs: Vec<Option<Arc<RuleDef>>>,
-        catalog: Option<Arc<Catalog>>,
-        refine: bool,
-        store: Arc<PairStore>,
-    ) -> Self {
-        let mut ctx = AnalysisContext {
-            sigs,
-            priority,
-            certs,
-            defs,
-            catalog,
-            refine,
-            store,
-            sids: Vec::new(),
-            obs_store: None,
-            trig: OnceLock::new(),
-            dense_sweep: false,
-        };
-        ctx.sids = ctx.store.bind(&ctx).sids;
-        ctx
     }
 
     /// Enables the predicate-level commutativity refinement (Section 9,
@@ -135,11 +100,6 @@ impl AnalysisContext {
         // and the bind-time diff drops exactly those.
         self.sids = self.store.bind(&self).sids;
         self
-    }
-
-    /// Keeps the Section 8 `Obs`-side pair store warm across analyses.
-    pub fn set_obs_store(&mut self, store: Arc<PairStore>) {
-        self.obs_store = Some(store);
     }
 
     /// The pair store this context is bound to.
@@ -192,9 +152,9 @@ impl AnalysisContext {
             .expect("the adjacency is shared before its first use");
     }
 
-    /// The rule definition for rule `i`, when available.
-    pub fn rule_def(&self, i: usize) -> Option<&RuleDef> {
-        self.defs.get(i).and_then(Option::as_deref)
+    /// The rule definition of rule `i`.
+    pub fn rule_def(&self, i: usize) -> &RuleDef {
+        &self.defs[i]
     }
 
     /// Number of rules.

@@ -27,8 +27,8 @@
 //!   `order` step thus rebuild nothing, and [`IncrementalStats::index_builds`]
 //!   counts the builds.
 //! * Observable determinism and partial confluence are recomputed each
-//!   time: once the pair stores are warm they cost the (small)
-//!   significant-rule sets.
+//!   time, through the same pair store: once it is warm they cost the
+//!   (small) significant-rule sets.
 //!
 //! # Dirty-set rules per mutation kind
 //!
@@ -162,10 +162,8 @@ impl ProgramIndex {
 /// server's `stats` op).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct IncrementalStats {
-    /// Main pair store counters.
+    /// Pair store counters.
     pub pair: PairStoreStats,
-    /// Section 8 `Obs`-side pair store counters.
-    pub obs_pair: PairStoreStats,
     /// Analyses that swept every candidate pair of the conflict index.
     pub full_sweeps: u64,
     /// Analyses that only rechecked a dirty set.
@@ -183,7 +181,6 @@ pub struct IncrementalStats {
 /// See the module docs.
 pub struct IncrementalAnalysis {
     store: Arc<PairStore>,
-    obs_store: Arc<PairStore>,
     parallel: bool,
     memo: Option<ConfluenceMemo>,
     index: Option<Arc<ProgramIndex>>,
@@ -207,7 +204,6 @@ impl IncrementalAnalysis {
     pub fn new() -> Self {
         IncrementalAnalysis {
             store: Arc::new(PairStore::new()),
-            obs_store: Arc::new(PairStore::new()),
             parallel: true,
             memo: None,
             index: None,
@@ -234,7 +230,6 @@ impl IncrementalAnalysis {
     pub fn stats(&self) -> IncrementalStats {
         IncrementalStats {
             pair: self.store.stats(),
-            obs_pair: self.obs_store.stats(),
             full_sweeps: self.full_sweeps,
             incremental_sweeps: self.incremental_sweeps,
             last_rechecked_pairs: self.rechecked.len() as u64,
@@ -258,9 +253,8 @@ impl IncrementalAnalysis {
         refine: bool,
         protect: &[Vec<String>],
     ) -> AnalysisReport {
-        let (mut ctx, outcome) =
+        let (ctx, outcome) =
             AnalysisContext::bound_to_store(rules, certs.clone(), refine, &self.store);
-        ctx.set_obs_store(Arc::clone(&self.obs_store));
         // The same rules, unchanged, in the same order: everything the index
         // holds still holds.
         let prev = self.index.take();

@@ -88,7 +88,7 @@ pub use context::AnalysisContext;
 pub use incremental::{IncrementalAnalysis, IncrementalStats};
 pub use interactive::InteractiveSession;
 pub use loader::{load_script, LoadedScript};
-pub use observable::{ObservableAnalysis, OBS_TABLE};
+pub use observable::ObservableAnalysis;
 pub use pair_store::{BindOutcome, PairStore, PairStoreStats};
 pub use partial::{check_protected_tables, significant_rules, PartialConfluenceAnalysis};
 pub use refine::{predicates_disjoint, refine_reasons};

@@ -41,17 +41,27 @@ pub fn significant_rules_in(
     tables: &[&str],
     subset: &[usize],
 ) -> Vec<usize> {
-    let n = ctx.len();
-    let member = ctx.membership(subset);
-    let mut sig = vec![false; n];
-    for &i in subset {
-        if ctx.sigs[i]
+    let writers = subset.iter().copied().filter(|&i| {
+        ctx.sigs[i]
             .performs
             .iter()
             .any(|op| tables.contains(&op.table()))
-        {
-            sig[i] = true;
-        }
+    });
+    significant_closure(ctx, writers, subset)
+}
+
+/// The Definition 7.1 fixpoint from `seed` (rules of `subset`): every rule
+/// of `subset` that does not commute with a member joins, until none does.
+pub(crate) fn significant_closure(
+    ctx: &AnalysisContext,
+    seed: impl IntoIterator<Item = usize>,
+    subset: &[usize],
+) -> Vec<usize> {
+    let n = ctx.len();
+    let member = ctx.membership(subset);
+    let mut sig = vec![false; n];
+    for i in seed {
+        sig[i] = true;
     }
     // Iterate to the least fixed point, testing candidates against a
     // snapshot of the rules significant at the round's start: the closure
@@ -136,7 +146,7 @@ pub fn analyze_partial_confluence_of(
     // Termination of Sig(T') as if processed on its own: the triggering
     // subgraph restricted to significant rules.
     let sub = TriggeringGraph::of_rules(ctx, &sig);
-    let termination = analyze_termination_indexed(ctx, sub, Some(&sig));
+    let termination = analyze_termination_indexed(ctx, sub, Some(&sig), false);
     let confluence = analyze_confluence_of(ctx, &sig);
     PartialConfluenceAnalysis {
         tables: tables.iter().map(|t| (*t).to_owned()).collect(),

@@ -27,22 +27,17 @@ use crate::commutativity::NoncommutativityReason;
 use crate::context::AnalysisContext;
 
 /// Applies the refinement to a reason list for the rule pair `(i, j)`,
-/// dropping reasons that are provably spurious. Requires rule definitions
-/// and a catalog in the context; otherwise returns the input unchanged.
+/// dropping reasons that are provably spurious.
 pub fn refine_reasons(
     ctx: &AnalysisContext,
     i: usize,
     j: usize,
     reasons: Vec<NoncommutativityReason>,
 ) -> Vec<NoncommutativityReason> {
-    let (Some(a), Some(b), Some(catalog)) =
-        (ctx.rule_def(i), ctx.rule_def(j), ctx.catalog.as_deref())
-    else {
-        return reasons;
-    };
+    let (a, b) = (ctx.rule_def(i), ctx.rule_def(j));
     reasons
         .into_iter()
-        .filter(|r| !reason_discharged(r, a, b, catalog))
+        .filter(|r| !reason_discharged(r, a, b, &ctx.catalog))
         .collect()
 }
 

@@ -210,7 +210,7 @@ fn observable_json(o: &ObservableAnalysis) -> Json {
         ),
         (
             "significant",
-            Json::arr(o.partial.significant.iter().map(|r| Json::from(r.as_str()))),
+            Json::arr(o.significant.iter().map(|r| Json::from(r.as_str()))),
         ),
     ])
 }
@@ -403,7 +403,7 @@ impl fmt::Display for AnalysisReport {
                 f,
                 "OBSERVABLE DETERMINISM: MAY NOT HOLD (observable rules: {}; Sig(Obs) = {{{}}})",
                 self.observable.observable_rules.join(", "),
-                self.observable.partial.significant.join(", ")
+                self.observable.significant.join(", ")
             )?;
         }
         Ok(())

@@ -13,8 +13,7 @@ use starling_storage::Op;
 
 use crate::confluence::{analyze_confluence_of, ConfluenceAnalysis};
 use crate::context::AnalysisContext;
-use crate::observable::{extend_with_obs, ObservableAnalysis, OBS_TABLE};
-use crate::partial::analyze_partial_confluence_of;
+use crate::observable::{observable_determinism_of, ObservableAnalysis};
 use crate::termination::{analyze_termination_indexed, TerminationAnalysis};
 use crate::triggering_graph::TriggeringGraph;
 
@@ -62,21 +61,9 @@ pub fn analyze_restricted(ctx: &AnalysisContext, allowed: &[Op]) -> RestrictedAn
     let reach = reachable_rules(ctx, allowed);
 
     let sub = TriggeringGraph::of_rules(ctx, &reach);
-    let termination = analyze_termination_indexed(ctx, sub, Some(&reach));
+    let termination = analyze_termination_indexed(ctx, sub, Some(&reach), false);
     let confluence = analyze_confluence_of(ctx, &reach);
-
-    // Observable determinism, restricted: extend with Obs, then run the
-    // Sig(Obs) machinery over the reachable subset only.
-    let extended = extend_with_obs(ctx);
-    let partial = analyze_partial_confluence_of(&extended, &[OBS_TABLE], &reach);
-    let observable = ObservableAnalysis {
-        observable_rules: reach
-            .iter()
-            .filter(|&&i| ctx.sigs[i].observable)
-            .map(|&i| ctx.name(i).to_owned())
-            .collect(),
-        partial,
-    };
+    let observable = observable_determinism_of(ctx, &reach);
 
     RestrictedAnalysis {
         allowed: allowed.iter().map(Op::to_string).collect(),

@@ -117,15 +117,19 @@ impl TerminationAnalysis {
 
 /// Runs termination analysis over a context.
 pub fn analyze_termination(ctx: &AnalysisContext) -> TerminationAnalysis {
-    analyze_termination_indexed(ctx, TriggeringGraph::build(ctx), None)
+    analyze_termination_indexed(ctx, TriggeringGraph::build(ctx), None, false)
 }
 
 /// Core analysis. When `indices` is given, graph node `k` corresponds to
-/// context rule `indices[k]` (used for subgraph analyses).
+/// context rule `indices[k]` (used for subgraph analyses). With `obs_log`,
+/// every observable rule also inserts into Theorem 8.1's `Obs` log, so no
+/// observable rule is delete-only (nor monotone-update, which wants a single
+/// update action): none gets an automatic certificate.
 pub(crate) fn analyze_termination_indexed(
     ctx: &AnalysisContext,
     graph: TriggeringGraph,
     indices: Option<&[usize]>,
+    obs_log: bool,
 ) -> TerminationAnalysis {
     let to_ctx = |k: usize| indices.map_or(k, |m| m[k]);
     let mut cycles = Vec::new();
@@ -139,6 +143,8 @@ pub(crate) fn analyze_termination_indexed(
                     rule: name.to_owned(),
                     justification: justification.to_owned(),
                 });
+            } else if obs_log && ctx.sigs[rule].observable {
+                continue;
             } else if let Some(cert) = auto_certify(ctx, rule, &ctx_rules) {
                 certificates.push(cert);
             }
@@ -223,7 +229,7 @@ fn monotone_certificate(
 ) -> Option<CycleCertificate> {
     // The rule definition is needed for expression-level matching, and the
     // signature only carries sets — recover the def from the context.
-    let def = ctx.rule_def(rule)?;
+    let def = ctx.rule_def(rule);
     // Single action: UPDATE t SET c = c ± k WHERE ... c bounded ...
     let [Action::Update(u)] = def.actions.as_slice() else {
         return None;

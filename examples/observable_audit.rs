@@ -25,7 +25,7 @@ fn main() {
     println!(
         "observable rules: {:?}\nSig(Obs): {:?}\nstatic verdict: {}",
         obs.observable_rules,
-        obs.partial.significant,
+        obs.significant,
         if obs.is_guaranteed() {
             "deterministic"
         } else {

@@ -20,11 +20,11 @@
 //!
 //! Seeds are pinned: failures reproduce exactly in CI.
 
+mod obs_log;
 mod walk;
 
 use starling_analysis::confluence::check_pair;
 use starling_analysis::context::AnalysisContext;
-use starling_analysis::observable::extend_with_obs;
 use starling_analysis::Certifications;
 use starling_fuzz::{generate, GenConfig};
 use walk::{scratch, scratch_ctx};
@@ -108,7 +108,8 @@ fn assert_candidates_cover(ctx: &AnalysisContext, what: &str) -> usize {
 
 /// The superset property, on small dense programs and on 200-rule sparse
 /// ones with observable rules: refinement on and off, with and without
-/// certifications, and over the §8 `Obs`-extended signatures too.
+/// certifications, and over Theorem 8.1's construction done literally
+/// (`obs_log/mod.rs`) too.
 #[test]
 fn candidate_pairs_cover_every_flagged_pair() {
     let observable = GenConfig {
@@ -133,7 +134,8 @@ fn candidate_pairs_cover_every_flagged_pair() {
                 let ctx = scratch_ctx(&cat, &case.defs, &certs, refine);
                 let what = format!("seed {seed}, {} rules, refine {refine}", ctx.len());
                 flagged += assert_candidates_cover(&ctx, &what);
-                flagged += assert_candidates_cover(&extend_with_obs(&ctx), &what);
+                let logged = obs_log::obs_log_ctx(&cat, &case.defs, &certs, refine);
+                flagged += assert_candidates_cover(&logged, &what);
                 observables += ctx.sigs.iter().filter(|s| s.observable).count();
             }
         }

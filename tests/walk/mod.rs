@@ -264,7 +264,7 @@ struct Snapshot {
 impl Snapshot {
     fn of(ctx: &AnalysisContext) -> Self {
         let name = |i: usize| ctx.name(i).to_owned();
-        let text = |i: usize| ctx.rule_def(i).expect("compiled rule").to_string();
+        let text = |i: usize| ctx.rule_def(i).to_string();
         let pair = |(a, b): (&str, &str)| (a.to_owned(), b.to_owned());
         Snapshot {
             rules: (0..ctx.len()).map(|i| (name(i), text(i))).collect(),
