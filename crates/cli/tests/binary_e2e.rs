@@ -100,6 +100,36 @@ fn analyze_explore_graph_compare_pipeline() {
     std::fs::remove_file(path).ok();
 }
 
+/// `declare commute` certifies two observable rules' database effects (here
+/// none at all), not the order of their observations: `analyze` must not
+/// promise observable determinism that `explore` refutes.
+#[test]
+fn a_certified_observable_pair_is_not_observably_deterministic() {
+    let path = script_file(
+        "create table t (x int);
+         create table u (x int);
+         insert into u values (1);
+         create rule obs1 on t when inserted then select x from u end;
+         create rule obs2 on t when inserted then select x + 1 from u end;
+         declare commute obs1, obs2;
+         insert into t values (1);",
+    );
+    let p = path.to_str().unwrap();
+    let (code, stdout, _) = starling(&["analyze", p]);
+    assert_eq!(code, 0);
+    assert!(
+        stdout.contains("OBSERVABLE DETERMINISM: MAY NOT HOLD"),
+        "{stdout}"
+    );
+    let (code, stdout, _) = starling(&["explore", p, "--json"]);
+    assert_eq!(code, 0);
+    assert!(
+        stdout.contains(r#""observable_determinism":{"status":"fails""#),
+        "{stdout}"
+    );
+    std::fs::remove_file(path).ok();
+}
+
 #[test]
 fn bad_script_reports_parse_error() {
     let path = script_file("create rule broken on");
