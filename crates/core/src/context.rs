@@ -6,13 +6,13 @@
 //! directly: it adds what the rule set does not hold — the certifications,
 //! the refinement flag, the pair store the context is bound to and its
 //! lazily built `Triggers` adjacency — while sharing the rule set's
-//! signatures, definitions and catalog behind `Arc`s.
+//! signatures, rule bodies and catalog behind `Arc`s.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
 
 use starling_engine::{PriorityOrder, RuleId, RuleSet};
-use starling_sql::{RuleDef, RuleSignature};
+use starling_sql::{RuleBody, RuleSignature};
 use starling_storage::{Catalog, Op};
 
 use crate::certifications::Certifications;
@@ -29,10 +29,10 @@ pub struct AnalysisContext {
     pub priority: PriorityOrder,
     /// User certifications in force.
     pub certs: Certifications,
-    /// Rule definitions, shared with the rule set. Only the
-    /// expression-level readers need them: the refinement and the §5
-    /// monotone-update certificate.
-    pub defs: Vec<Arc<RuleDef>>,
+    /// Rule bodies, shared with the rule set and the definitions it was
+    /// compiled from. Only the expression-level readers need them: the
+    /// refinement and the §5 monotone-update certificate.
+    pub bodies: Vec<Arc<RuleBody>>,
     /// The catalog, shared with the rule set (the predicate-level
     /// commutativity refinement reads it).
     pub catalog: Arc<Catalog>,
@@ -67,8 +67,8 @@ impl AnalysisContext {
     /// [`BindOutcome`] describes exactly which cached pair verdicts the
     /// bind invalidated — the incremental analyzer's dirty-set seed.
     ///
-    /// The context shares the rule set's signatures, definitions and
-    /// catalog: building it copies handles, not ASTs.
+    /// The context shares the rule set's signatures, bodies and catalog:
+    /// building it copies handles, not ASTs.
     pub fn bound_to_store(
         rules: &RuleSet,
         certs: Certifications,
@@ -79,7 +79,7 @@ impl AnalysisContext {
             sigs: rules.rules().iter().map(|r| Arc::clone(&r.sig)).collect(),
             priority: rules.priority().clone(),
             certs,
-            defs: rules.rules().iter().map(|r| Arc::clone(&r.def)).collect(),
+            bodies: rules.rules().iter().map(|r| Arc::clone(&r.body)).collect(),
             catalog: Arc::clone(rules.shared_catalog()),
             refine,
             store: Arc::clone(store),
@@ -152,9 +152,9 @@ impl AnalysisContext {
             .expect("the adjacency is shared before its first use");
     }
 
-    /// The rule definition of rule `i`.
-    pub fn rule_def(&self, i: usize) -> &RuleDef {
-        &self.defs[i]
+    /// The body of rule `i`.
+    pub fn rule_body(&self, i: usize) -> &RuleBody {
+        &self.bodies[i]
     }
 
     /// Number of rules.
@@ -294,7 +294,7 @@ pub(crate) mod tests {
     }
 
     /// The rules of `src`, in order.
-    pub(crate) fn defs(src: &str) -> Vec<RuleDef> {
+    pub(crate) fn defs(src: &str) -> Vec<starling_sql::RuleDef> {
         RuleProgram::parse(src).unwrap().defs
     }
 

@@ -19,13 +19,14 @@
 //!   [`TerminationAnalysis`], which every report shares behind an `Arc`.
 //!   They read the rules' definitions and order alone, so they are keyed
 //!   on the bind: the same store ids in the same order and no changed rule
-//!   (a rule is unchanged when it comes back behind the same definition
-//!   handle, or with an equal body under an equal catalog; see
-//!   [`PairStore`]). Any added, dropped, reordered or changed rule rebuilds
-//!   the index from scratch; termination is reused only when, in addition,
-//!   the termination certifications are unchanged. A certify step and an
-//!   `order` step thus rebuild nothing, and [`IncrementalStats::index_builds`]
-//!   counts the builds.
+//!   (a rule is unchanged when it comes back behind the same body handle —
+//!   every rule a recompile after an `order` step did not touch, since the
+//!   rule set shares its definitions' bodies — or with an equal body under
+//!   an equal catalog; see [`PairStore`]). Any added, dropped, reordered
+//!   or changed rule rebuilds the index from scratch; termination is
+//!   reused only when, in addition, the termination certifications are
+//!   unchanged. A certify step and an `order` step thus rebuild nothing,
+//!   and [`IncrementalStats::index_builds`] counts the builds.
 //! * Observable determinism and partial confluence are recomputed each
 //!   time, through the same pair store: once it is warm they cost the
 //!   (small) significant-rule sets.

@@ -18,14 +18,17 @@
 //! it last saw:
 //!
 //! * a changed rule invalidates exactly the O(n) pairs that mention it —
-//!   verdicts *and* its reason entries. The store keeps the definition
-//!   handle (`Arc<RuleDef>`) of each rule of the previous bind and of no
-//!   other: a rule bound through the same handle under an equal catalog
-//!   is unchanged at the cost of a pointer comparison; behind another
-//!   handle it is unchanged when its body
-//!   ([`RuleDef::same_body`]: everything but the orderings) is equal, and
-//!   changed otherwise — even when its signature is not, because the
-//!   refinement and the §5 termination special cases read the body;
+//!   verdicts *and* its reason entries. A rule's identity is its body
+//!   handle (`Arc<RuleBody>`: everything but the orderings), which the
+//!   definitions, the rule set compiled from them and the context all
+//!   share. The store keeps the body handle of each rule of the previous
+//!   bind and of no other: a rule bound through the same handle under an
+//!   equal catalog is unchanged at the cost of a pointer comparison — so
+//!   is every rule an `order` or add/drop step did not touch; behind
+//!   another handle (a re-parsed program) it is unchanged when the bodies
+//!   are equal, and changed otherwise — even when its signature is not,
+//!   because the refinement and the §5 termination special cases read the
+//!   body;
 //! * a commute-certification added or revoked invalidates exactly that
 //!   pair's verdict (reasons are certification-independent);
 //! * toggling the Section 9 predicate-level refinement invalidates every
@@ -48,7 +51,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
-use starling_sql::{RuleDef, RuleSignature};
+use starling_sql::{RuleBody, RuleSignature};
 use starling_storage::{Catalog, ColRef, Fnv64, Op};
 
 use crate::certifications::Certifications;
@@ -163,9 +166,8 @@ pub struct PairStoreStats {
 struct Inner {
     ids: HashMap<String, u32>,
     fps: Vec<u64>,
-    /// sid → the rule's definition, for the rules of the previous bind
-    /// only.
-    current: Vec<Option<Arc<RuleDef>>>,
+    /// sid → the rule's body, for the rules of the previous bind only.
+    current: Vec<Option<Arc<RuleBody>>>,
     /// The previous bind's catalog.
     catalog: Option<Arc<Catalog>>,
     /// Triangular bitmap: pair verdict present.
@@ -253,7 +255,7 @@ impl PairStore {
         let mut cleared = 0u64;
         let mut previous = std::mem::take(&mut inner.current);
         inner.current.resize_with(inner.fps.len(), || None);
-        for (sig, def) in ctx.sigs.iter().zip(&ctx.defs) {
+        for (sig, body) in ctx.sigs.iter().zip(&ctx.bodies) {
             let next = inner.fps.len() as u32;
             // `get` before `insert`: a known name costs no key clone.
             let sid = match inner.ids.get(&sig.name) {
@@ -272,7 +274,7 @@ impl PairStore {
                 out.added_rules.push(sid);
             } else {
                 let unchanged = match previous[s].take() {
-                    Some(o) => same_catalog && (Arc::ptr_eq(&o, def) || o.same_body(def)),
+                    Some(o) => same_catalog && (Arc::ptr_eq(&o, body) || *o == **body),
                     // A dormant rule: without the refinement its verdicts
                     // read its signature alone.
                     None => !refine && inner.fps[s] == fingerprint(sig),
@@ -283,7 +285,7 @@ impl PairStore {
                     out.changed_rules.push(sid);
                 }
             }
-            inner.current[s] = Some(Arc::clone(def));
+            inner.current[s] = Some(Arc::clone(body));
             out.sids.push(sid);
         }
 
@@ -494,7 +496,7 @@ mod tests {
         // still valid, so nothing is invalidated.
         let mut two = ctx.clone();
         two.sigs.remove(1);
-        two.defs.remove(1);
+        two.bodies.remove(1);
         let out = store.bind(&two);
         assert!(out.unchanged());
         let back = store.bind(&ctx);

@@ -19,7 +19,7 @@
 //!
 //! Soundness of the drops is oracle-tested in `tests/refinement_oracle.rs`.
 
-use starling_sql::ast::{Action, BinOp, Expr, InsertSource, RuleDef};
+use starling_sql::ast::{Action, BinOp, Expr, InsertSource, RuleBody};
 use starling_sql::eval::{Env, EvalCtx};
 use starling_storage::{Catalog, Database, Row, Value};
 
@@ -34,7 +34,7 @@ pub fn refine_reasons(
     j: usize,
     reasons: Vec<NoncommutativityReason>,
 ) -> Vec<NoncommutativityReason> {
-    let (a, b) = (ctx.rule_def(i), ctx.rule_def(j));
+    let (a, b) = (ctx.rule_body(i), ctx.rule_body(j));
     reasons
         .into_iter()
         .filter(|r| !reason_discharged(r, a, b, &ctx.catalog))
@@ -44,8 +44,8 @@ pub fn refine_reasons(
 /// Whether a single reason is provably spurious for the pair.
 fn reason_discharged(
     reason: &NoncommutativityReason,
-    a: &RuleDef,
-    b: &RuleDef,
+    a: &RuleBody,
+    b: &RuleBody,
     catalog: &Catalog,
 ) -> bool {
     match reason {
@@ -148,7 +148,7 @@ fn reason_discharged(
 /// `WHERE`/`SET` clauses of its own delete/update actions on `table`
 /// (which [`inserts_never_selected`] separately proves miss the inserted
 /// rows, and which cannot read other tables because they must be simple).
-fn reads_only_in_write_predicates(def: &RuleDef, table: &str) -> bool {
+fn reads_only_in_write_predicates(def: &RuleBody, table: &str) -> bool {
     if let Some(cond) = &def.condition {
         if expr_mentions_table(cond, table) {
             return false;
@@ -278,9 +278,9 @@ fn select_mentions_table(s: &starling_sql::ast::SelectStmt, table: &str) -> bool
 fn resolve_pair<'d>(
     who: &str,
     whom: &str,
-    a: &'d RuleDef,
-    b: &'d RuleDef,
-) -> Option<(&'d RuleDef, &'d RuleDef)> {
+    a: &'d RuleBody,
+    b: &'d RuleBody,
+) -> Option<(&'d RuleBody, &'d RuleBody)> {
     if who == a.name && whom == b.name {
         Some((a, b))
     } else if who == b.name && whom == a.name {
@@ -292,8 +292,8 @@ fn resolve_pair<'d>(
 
 /// Example 2: every pair of update actions on `table` touching `col` must
 /// have provably disjoint `WHERE` target sets.
-fn updates_disjoint(a: &RuleDef, b: &RuleDef, table: &str, col: &str) -> bool {
-    let relevant = |def: &RuleDef| -> Vec<(Option<Expr>, bool)> {
+fn updates_disjoint(a: &RuleBody, b: &RuleBody, table: &str, col: &str) -> bool {
+    let relevant = |def: &RuleBody| -> Vec<(Option<Expr>, bool)> {
         def.actions
             .iter()
             .filter_map(|act| match act {
@@ -321,7 +321,7 @@ fn updates_disjoint(a: &RuleDef, b: &RuleDef, table: &str, col: &str) -> bool {
 
 /// Example 1: every constant row inserted by `ins` must fail the predicate
 /// of every delete/update action of `w` on `table`.
-fn inserts_never_selected(ins: &RuleDef, w: &RuleDef, table: &str, catalog: &Catalog) -> bool {
+fn inserts_never_selected(ins: &RuleBody, w: &RuleBody, table: &str, catalog: &Catalog) -> bool {
     let Ok(schema) = catalog.table(table) else {
         return false;
     };

@@ -229,7 +229,7 @@ fn monotone_certificate(
 ) -> Option<CycleCertificate> {
     // The rule definition is needed for expression-level matching, and the
     // signature only carries sets — recover the def from the context.
-    let def = ctx.rule_def(rule);
+    let def = ctx.rule_body(rule);
     // Single action: UPDATE t SET c = c ± k WHERE ... c bounded ...
     let [Action::Update(u)] = def.actions.as_slice() else {
         return None;

@@ -169,7 +169,7 @@ pub fn rule_fires(
     mode: EvalMode,
 ) -> Result<bool, EngineError> {
     let rule = rules.get(id);
-    let Some(cond) = &rule.def.condition else {
+    let Some(cond) = &rule.body.condition else {
         return Ok(true);
     };
     let binding = state.transition_binding(rules, id);
@@ -275,7 +275,7 @@ pub fn consider_fired_rule(
     };
 
     let plans = mode.uses_plans().then(|| &rule.plan.actions);
-    for (i, action) in rule.def.actions.iter().enumerate() {
+    for (i, action) in rule.body.actions.iter().enumerate() {
         let plan = plans.map(|plans| &plans[i]);
         match execute_statement(action, plan, &mut state.db, Some(&binding), mode)? {
             ActionOutcome::Effects(fx) => {

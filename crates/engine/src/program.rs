@@ -33,7 +33,7 @@ impl RuleProgram {
     /// `create rule`: appends `def`, rejecting a name already in use.
     pub fn create_rule(&mut self, def: RuleDef) -> Result<(), EngineError> {
         if self.defs.iter().any(|r| r.name == def.name) {
-            return Err(EngineError::DuplicateRule(def.name));
+            return Err(EngineError::DuplicateRule(def.name.clone()));
         }
         self.defs.push(def);
         Ok(())

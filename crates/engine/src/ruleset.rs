@@ -1,4 +1,12 @@
 //! Compiled rule sets: the analyzed set `R` of paper Section 3.
+//!
+//! A [`RuleSet`] shares its definitions' bodies ([`RuleBody`]) rather than
+//! copying them, and takes each rule's signature from its body's memo
+//! ([`RuleBody::signature`]), adopting the catalog handle the memos were
+//! derived against when it equals the one compiled against. So the §6.4
+//! loop's recompile after an `order` or add/drop step costs a pointer per
+//! rule the step did not touch, and the analyzer recognises those rules by
+//! the same pointer. Physical plans are built lazily and never memoized.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -6,7 +14,7 @@ use std::ops::Deref;
 use std::sync::{Arc, OnceLock};
 
 use starling_sql::plan::{compile_rule, RulePlan};
-use starling_sql::{RuleDef, RuleSignature};
+use starling_sql::{RuleBody, RuleDef, RuleSignature};
 use starling_storage::Catalog;
 
 use crate::error::EngineError;
@@ -25,14 +33,16 @@ impl fmt::Display for RuleId {
 /// A validated rule with its precomputed static signature and its physical
 /// plan, built when the engine first considers the rule.
 ///
-/// The definition and the signature sit behind `Arc`: an analysis context
-/// built from the rule set shares them instead of copying every AST.
+/// The body and the signature sit behind `Arc`: the rule set shares them
+/// with the definitions it was compiled from and with every analysis
+/// context built from it, instead of copying an AST.
 #[derive(Clone, Debug)]
 pub struct CompiledRule {
     /// Index in the rule set.
     pub id: RuleId,
-    /// The rule definition as written.
-    pub def: Arc<RuleDef>,
+    /// The rule's body as written (its orderings are in the rule set's
+    /// priority order).
+    pub body: Arc<RuleBody>,
     /// `Triggered-By` / `Performs` / `Reads` / `Observable` (Section 3).
     pub sig: Arc<RuleSignature>,
     /// Compiled condition/action plans (see [`starling_sql::plan`]),
@@ -44,18 +54,18 @@ pub struct CompiledRule {
 impl CompiledRule {
     /// The rule's name.
     pub fn name(&self) -> &str {
-        &self.def.name
+        &self.body.name
     }
 }
 
 /// A rule's [`RulePlan`], compiled by the first dereference.
 ///
-/// The plan is exactly `compile_rule(def, catalog)`; only the moment it is
+/// The plan is exactly `compile_rule(body, catalog)`; only the moment it is
 /// built moves. A rule set shared through `Arc` compiles each plan at most
 /// once, whichever thread considers the rule first.
 #[derive(Clone)]
 pub struct LazyPlan {
-    def: Arc<RuleDef>,
+    body: Arc<RuleBody>,
     catalog: Arc<Catalog>,
     plan: OnceLock<RulePlan>,
 }
@@ -72,12 +82,12 @@ impl Deref for LazyPlan {
 
     fn deref(&self) -> &RulePlan {
         self.plan
-            .get_or_init(|| compile_rule(&self.def, &self.catalog))
+            .get_or_init(|| compile_rule(&self.body, &self.catalog))
     }
 }
 
 impl fmt::Debug for LazyPlan {
-    /// The plan's state only: the definition and catalog it compiles from
+    /// The plan's state only: the body and catalog it compiles from
     /// print with the rule and the rule set.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self.get() {
@@ -102,8 +112,18 @@ impl RuleSet {
     /// the priority closure. Physical plans are not built here but on a
     /// rule's first consideration (see [`CompiledRule::plan`]), so an
     /// analysis-only caller never pays for them.
+    ///
+    /// The rules share the definitions' bodies, and each signature comes
+    /// from its body's memo ([`RuleBody::signature`]). When a body's memo
+    /// was derived against a catalog equal to `catalog`, the set adopts
+    /// that catalog handle — one comparison per compile — so recompiling
+    /// the rules an edit did not touch costs a pointer comparison each.
     pub fn compile(defs: &[RuleDef], catalog: &Catalog) -> Result<Self, EngineError> {
-        let catalog = Arc::new(catalog.clone());
+        let catalog = defs
+            .iter()
+            .find_map(|d| d.signed_catalog())
+            .filter(|signed| **signed == *catalog)
+            .unwrap_or_else(|| Arc::new(catalog.clone()));
         let mut by_name = BTreeMap::new();
         for (i, def) in defs.iter().enumerate() {
             if by_name.insert(def.name.clone(), RuleId(i)).is_some() {
@@ -114,7 +134,7 @@ impl RuleSet {
         let mut rules = Vec::with_capacity(defs.len());
         let mut edges = Vec::new();
         for (i, def) in defs.iter().enumerate() {
-            let sig = RuleSignature::of_rule(def, &catalog)?;
+            let sig = def.signature(&catalog)?;
             let resolve = |name: &str| -> Result<RuleId, EngineError> {
                 by_name
                     .get(name)
@@ -130,16 +150,15 @@ impl RuleSet {
             for fl in &def.follows {
                 edges.push((resolve(fl)?.0, i));
             }
-            let def = Arc::new(def.clone());
             rules.push(CompiledRule {
                 id: RuleId(i),
                 plan: LazyPlan {
-                    def: Arc::clone(&def),
+                    body: Arc::clone(def.body()),
                     catalog: Arc::clone(&catalog),
                     plan: OnceLock::new(),
                 },
-                def,
-                sig: Arc::new(sig),
+                body: Arc::clone(def.body()),
+                sig,
             });
         }
 

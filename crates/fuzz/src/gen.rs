@@ -22,8 +22,8 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use starling_sql::ast::{
-    Action, BinOp, DeleteStmt, Expr, FromItem, InsertSource, InsertStmt, RuleDef, SelectItem,
-    SelectStmt, Statement, TableRef, TransitionTable, TriggerEvent, UpdateStmt,
+    Action, BinOp, DeleteStmt, Expr, FromItem, InsertSource, InsertStmt, RuleBody, RuleDef,
+    SelectItem, SelectStmt, Statement, TableRef, TransitionTable, TriggerEvent, UpdateStmt,
 };
 use starling_storage::{Catalog, ColumnDef, Database, TableSchema, Value, ValueType};
 
@@ -570,15 +570,13 @@ pub fn generate(seed: u64, cfg: &GenConfig) -> FuzzCase {
         let actions = (0..n_actions)
             .map(|_| gen_action(&mut rng, cfg, &tables, ti, &trans))
             .collect();
-        defs.push(RuleDef {
-            name: format!("r{r}"),
-            table: table.name.clone(),
+        defs.push(RuleDef::new(RuleBody::new(
+            format!("r{r}"),
+            table.name.clone(),
             events,
             condition,
             actions,
-            precedes: Vec::new(),
-            follows: Vec::new(),
-        });
+        )));
     }
     // Priority edges, only downward in index order (acyclic by
     // construction). `precedes` on the lower index and `follows` on the

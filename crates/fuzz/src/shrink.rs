@@ -55,7 +55,7 @@ pub fn shrink(
 /// Removes rule `i`, fixing up ordering references to it.
 fn without_rule(case: &FuzzCase, i: usize) -> FuzzCase {
     let mut c = case.clone();
-    let name = c.defs.remove(i).name;
+    let name = c.defs.remove(i).name.clone();
     for def in &mut c.defs {
         def.precedes.retain(|p| p != &name);
         def.follows.retain(|p| p != &name);
@@ -100,7 +100,7 @@ fn candidates(case: &FuzzCase) -> Vec<FuzzCase> {
     for i in 0..case.defs.len() {
         if case.defs[i].condition.is_some() {
             let mut c = case.clone();
-            c.defs[i].condition = None;
+            c.defs[i].body_mut().condition = None;
             out.push(c);
         }
     }
@@ -109,7 +109,7 @@ fn candidates(case: &FuzzCase) -> Vec<FuzzCase> {
         if case.defs[i].actions.len() > 1 {
             for a in 0..case.defs[i].actions.len() {
                 let mut c = case.clone();
-                c.defs[i].actions.remove(a);
+                c.defs[i].body_mut().actions.remove(a);
                 out.push(c);
             }
         }
@@ -151,6 +151,7 @@ fn visit_wheres(case: &mut FuzzCase, mut strip: impl FnMut(usize, &mut Option<Ex
             }
         };
     for def in &mut case.defs {
+        let def = def.body_mut();
         // `[not] exists (select ... where p)` conditions.
         let sub = match &mut def.condition {
             Some(Expr::Exists(sel)) => Some(sel),
@@ -220,8 +221,8 @@ mod tests {
         // termination mutation.
         use crate::gen::TableSpec;
         use starling_sql::ast::{
-            Action, BinOp, DeleteStmt, Expr, InsertSource, InsertStmt, RuleDef, TriggerEvent,
-            UpdateStmt,
+            Action, BinOp, DeleteStmt, Expr, InsertSource, InsertStmt, RuleBody, RuleDef,
+            TriggerEvent, UpdateStmt,
         };
         let toggle_update = || {
             Action::Update(UpdateStmt {
@@ -235,15 +236,23 @@ mod tests {
         };
         // Inert padding: rules on t1 that fire at most once and change
         // nothing the toggle depends on.
-        let pad = |name: &str, action: Action| RuleDef {
-            name: name.into(),
-            table: "t1".into(),
-            events: vec![TriggerEvent::Inserted],
-            condition: None,
-            actions: vec![action],
-            precedes: Vec::new(),
-            follows: Vec::new(),
+        let pad = |name: &str, action: Action| {
+            RuleDef::new(RuleBody::new(
+                name.into(),
+                "t1".into(),
+                vec![TriggerEvent::Inserted],
+                None,
+                vec![action],
+            ))
         };
+        let mut toggle = RuleDef::new(RuleBody::new(
+            "toggle".into(),
+            "t0".into(),
+            vec![TriggerEvent::Updated(Some(vec!["c0".into()]))],
+            None,
+            vec![toggle_update()],
+        ));
+        toggle.follows = vec!["pad0".into()];
         let mut case = FuzzCase {
             tables: vec![
                 TableSpec {
@@ -272,15 +281,7 @@ mod tests {
                         where_clause: Some(Expr::bin(BinOp::Lt, Expr::col("c1"), Expr::int(5))),
                     }),
                 ),
-                RuleDef {
-                    name: "toggle".into(),
-                    table: "t0".into(),
-                    events: vec![TriggerEvent::Updated(Some(vec!["c0".into()]))],
-                    condition: None,
-                    actions: vec![toggle_update()],
-                    precedes: Vec::new(),
-                    follows: vec!["pad0".into()],
-                },
+                toggle,
             ],
             user_actions: vec![
                 toggle_update(),

@@ -12,7 +12,13 @@
 //! end
 //! ```
 
+use std::fmt;
+use std::ops::Deref;
+use std::sync::Arc;
+
 use starling_storage::{TableSchema, Value};
+
+use crate::refs::SignatureMemo;
 
 /// A transition table reference (paper Section 2).
 ///
@@ -438,9 +444,75 @@ pub enum TriggerEvent {
     Updated(Option<Vec<String>>),
 }
 
-/// A production rule definition (paper Section 2).
-#[derive(Clone, Debug, PartialEq)]
+/// A production rule definition (paper Section 2): its body, shared, and
+/// its orderings.
+///
+/// The body is everything a rule's signature and its analyses read of it;
+/// the orderings are what the §6.4 `order` step edits. Cloning a
+/// definition, or editing its orderings, shares the body: a rule set
+/// compiled from it, an analysis context and the pair store all hold the
+/// same [`RuleBody`], so an untouched rule is recognised by a pointer
+/// comparison. Reads go through `Deref` (`def.name`, `def.actions`);
+/// writes to the body go through [`RuleDef::body_mut`] alone, which keeps
+/// the body's signature memo honest.
+#[derive(Clone, Debug)]
 pub struct RuleDef {
+    /// Name, table, transition predicate, condition and actions.
+    body: Arc<RuleBody>,
+    /// Rules this rule precedes (has priority over).
+    pub precedes: Vec<String>,
+    /// Rules this rule follows (that have priority over it).
+    pub follows: Vec<String>,
+}
+
+impl RuleDef {
+    /// A definition of `body` with no orderings.
+    pub fn new(body: RuleBody) -> Self {
+        RuleDef {
+            body: Arc::new(body),
+            precedes: Vec::new(),
+            follows: Vec::new(),
+        }
+    }
+
+    /// The body's shared handle.
+    pub fn body(&self) -> &Arc<RuleBody> {
+        &self.body
+    }
+
+    /// The body, for writing: unshared from every other holder
+    /// (`Arc::make_mut`) and with its memoized signature dropped, since
+    /// the edit may change it.
+    pub fn body_mut(&mut self) -> &mut RuleBody {
+        let body = Arc::make_mut(&mut self.body);
+        body.memo.clear();
+        body
+    }
+}
+
+impl Deref for RuleDef {
+    type Target = RuleBody;
+
+    fn deref(&self) -> &RuleBody {
+        &self.body
+    }
+}
+
+impl PartialEq for RuleDef {
+    fn eq(&self, other: &RuleDef) -> bool {
+        (Arc::ptr_eq(&self.body, &other.body) || *self.body == *other.body)
+            && self.precedes == other.precedes
+            && self.follows == other.follows
+    }
+}
+
+/// A rule's body: all of its definition but the orderings.
+///
+/// The body memoizes its Section 3 signature against the catalog it was
+/// derived from (see [`RuleBody::signature`]). The memo is invisible to
+/// equality and `Debug`, and a clone starts without one.
+#[derive(Clone)]
+pub struct RuleBody {
     /// Rule name.
     pub name: String,
     /// The rule's table.
@@ -451,22 +523,48 @@ pub struct RuleDef {
     pub condition: Option<Expr>,
     /// Action: a sequence of DML operations.
     pub actions: Vec<Action>,
-    /// Rules this rule precedes (has priority over).
-    pub precedes: Vec<String>,
-    /// Rules this rule follows (that have priority over it).
-    pub follows: Vec<String>,
+    pub(crate) memo: SignatureMemo,
 }
 
-impl RuleDef {
-    /// Whether the two definitions agree on everything but their
-    /// orderings (`precedes` / `follows`): name, table, events, condition
-    /// and actions — all a rule's signature and its analyses read of it.
-    pub fn same_body(&self, other: &RuleDef) -> bool {
+impl RuleBody {
+    /// A body with an empty signature memo.
+    pub fn new(
+        name: String,
+        table: String,
+        events: Vec<TriggerEvent>,
+        condition: Option<Expr>,
+        actions: Vec<Action>,
+    ) -> Self {
+        RuleBody {
+            name,
+            table,
+            events,
+            condition,
+            actions,
+            memo: SignatureMemo::default(),
+        }
+    }
+}
+
+impl PartialEq for RuleBody {
+    fn eq(&self, other: &RuleBody) -> bool {
         self.name == other.name
             && self.table == other.table
             && self.events == other.events
             && self.condition == other.condition
             && self.actions == other.actions
+    }
+}
+
+impl fmt::Debug for RuleBody {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("RuleBody")
+            .field("name", &self.name)
+            .field("table", &self.table)
+            .field("events", &self.events)
+            .field("condition", &self.condition)
+            .field("actions", &self.actions)
+            .finish_non_exhaustive()
     }
 }
 

@@ -74,8 +74,8 @@ pub mod token;
 pub mod validate;
 
 pub use ast::{
-    Action, ColumnRef, CreateTable, Expr, FromItem, InsertSource, RuleDef, SelectItem, SelectStmt,
-    Statement, TransitionTable, TriggerEvent,
+    Action, ColumnRef, CreateTable, Expr, FromItem, InsertSource, RuleBody, RuleDef, SelectItem,
+    SelectStmt, Statement, TransitionTable, TriggerEvent,
 };
 pub use error::SqlError;
 pub use json::{digest_json, Json, JsonError};

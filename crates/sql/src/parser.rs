@@ -312,15 +312,10 @@ impl Parser {
             }
         }
         self.expect_kw(Keyword::End)?;
-        Ok(Statement::CreateRule(RuleDef {
-            name,
-            table,
-            events,
-            condition,
-            actions,
-            precedes,
-            follows,
-        }))
+        let mut def = RuleDef::new(RuleBody::new(name, table, events, condition, actions));
+        def.precedes = precedes;
+        def.follows = follows;
+        Ok(Statement::CreateRule(def))
     }
 
     fn trigger_event(&mut self) -> Result<TriggerEvent, SqlError> {

@@ -10,7 +10,7 @@ use std::collections::BTreeSet;
 use starling_storage::{Catalog, Database, Value, ValueType};
 
 use crate::ast::{
-    Action, Aggregate, BinOp, Expr, InsertSource, RuleDef, SelectItem, SelectStmt, TableRef,
+    Action, Aggregate, BinOp, Expr, InsertSource, RuleBody, SelectItem, SelectStmt, TableRef,
 };
 use crate::error::SqlError;
 use crate::eval::select::is_grouped;
@@ -25,7 +25,7 @@ use super::{
 
 /// Compiles a whole rule: condition plus every action. Panics on an
 /// invalid rule: a rule set validates its rules before it builds a plan.
-pub fn compile_rule(def: &RuleDef, catalog: &Catalog) -> RulePlan {
+pub fn compile_rule(def: &RuleBody, catalog: &Catalog) -> RulePlan {
     let table = Some(def.table.as_str());
     let valid = "a validated rule compiles";
     RulePlan {

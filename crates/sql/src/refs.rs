@@ -24,6 +24,7 @@
 
 use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use starling_storage::{
     Catalog, ColRef, ColumnDef, Op, StorageError, TableSchema, Value, ValueType,
@@ -333,6 +334,58 @@ impl Ty {
     }
 }
 
+/// A body's memoized signature, with the catalog handle it was derived
+/// against: one replaceable slot. Only a successful derivation is stored,
+/// and a clone of the body starts empty.
+#[derive(Default)]
+pub(crate) struct SignatureMemo(Mutex<Option<Signed>>);
+
+/// A signature and the catalog it was derived against.
+type Signed = (Arc<Catalog>, Arc<RuleSignature>);
+
+impl SignatureMemo {
+    fn slot(&self) -> MutexGuard<'_, Option<Signed>> {
+        // The slot holds no invariant a panicking holder could break.
+        self.0.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Empties the slot (the body is about to be written).
+    pub(crate) fn clear(&mut self) {
+        *self.0.get_mut().unwrap_or_else(|e| e.into_inner()) = None;
+    }
+}
+
+impl Clone for SignatureMemo {
+    fn clone(&self) -> Self {
+        SignatureMemo::default()
+    }
+}
+
+impl RuleBody {
+    /// The rule's signature against `catalog`: [`RuleSignature::of_rule`],
+    /// memoized. The memo answers when it was derived against this very
+    /// catalog handle (`Arc::ptr_eq`), so a hit costs a pointer
+    /// comparison; otherwise the signature is derived and, if the rule is
+    /// valid, replaces the memo. A refusal is never memoized.
+    pub fn signature(&self, catalog: &Arc<Catalog>) -> Result<Arc<RuleSignature>, SqlError> {
+        if let Some((c, sig)) = &*self.memo.slot() {
+            if Arc::ptr_eq(c, catalog) {
+                return Ok(Arc::clone(sig));
+            }
+        }
+        let sig = Arc::new(RuleSignature::of_rule(self, catalog)?);
+        *self.memo.slot() = Some((Arc::clone(catalog), Arc::clone(&sig)));
+        Ok(sig)
+    }
+
+    /// The catalog handle the memoized signature was derived against, if
+    /// any. A rule set compiling against an equal catalog adopts it, so
+    /// that every unchanged rule's memo answers.
+    pub fn signed_catalog(&self) -> Option<Arc<Catalog>> {
+        self.memo.slot().as_ref().map(|(c, _)| Arc::clone(c))
+    }
+}
+
 /// The static signature of a rule: the paper's Section 3 per-rule
 /// definitions, computed once at rule-set compile time.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -357,7 +410,7 @@ impl RuleSignature {
     /// `Reads` is what the validating walk ([`crate::validate`]) resolved;
     /// the walk's errors come first, then an `updated(c)` that names no
     /// column of the rule's table.
-    pub fn of_rule(rule: &RuleDef, catalog: &Catalog) -> Result<Self, SqlError> {
+    pub fn of_rule(rule: &RuleBody, catalog: &Catalog) -> Result<Self, SqlError> {
         let reads = crate::validate::rule_reads(rule, catalog)?;
         let schema = catalog.table(&rule.table)?;
 

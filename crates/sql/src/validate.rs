@@ -39,7 +39,7 @@ use crate::refs::{Scope, Ty};
 
 /// Validates a rule's condition and actions and returns every column they
 /// read, transition-table columns mapped to the rule's table.
-pub(crate) fn rule_reads(rule: &RuleDef, catalog: &Catalog) -> Result<BTreeSet<ColRef>, SqlError> {
+pub(crate) fn rule_reads(rule: &RuleBody, catalog: &Catalog) -> Result<BTreeSet<ColRef>, SqlError> {
     if rule.events.is_empty() {
         return Err(SqlError::validate(format!(
             "rule `{}` has no triggering operations",
@@ -96,7 +96,7 @@ struct Walker<'a> {
 }
 
 impl<'a> Walker<'a> {
-    fn new(catalog: &'a Catalog, rule: Option<&'a RuleDef>) -> Self {
+    fn new(catalog: &'a Catalog, rule: Option<&'a RuleBody>) -> Self {
         Walker {
             catalog,
             scope: Scope::new(catalog, rule.map(|r| r.table.as_str())),
@@ -743,15 +743,13 @@ mod tests {
     #[test]
     fn rule_must_have_events_and_actions() {
         // Parser requires >= 1 of each, so construct directly.
-        let rule = RuleDef {
-            name: "r".into(),
-            table: "emp".into(),
-            events: vec![],
-            condition: None,
-            actions: vec![Action::Rollback],
-            precedes: vec![],
-            follows: vec![],
-        };
+        let rule = RuleBody::new(
+            "r".into(),
+            "emp".into(),
+            vec![],
+            None,
+            vec![Action::Rollback],
+        );
         assert!(rule_reads(&rule, &catalog()).is_err());
     }
 

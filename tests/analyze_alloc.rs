@@ -3,13 +3,17 @@
 //! every conflict a first analyze flags, one more certification, the
 //! re-analyze, the report's JSON and its text allocate for what the step
 //! changed plus the report itself: the context shares the rule set's
-//! signatures and definitions, and a toggle copies one rule's certified
+//! signatures and bodies, and a toggle copies one rule's certified
 //! set. Through `InteractiveSession` the step records the one appended
 //! directive, not the 9.5 k certifications again.
 //! Neither a certify step nor an `order` step on a recompiled rule set
 //! rebuilds the triggering graph, the conflict index or the termination
 //! analysis: no rule changed.
-//! Binding a context allocates per rule at most, not per AST node.
+//! Binding a context allocates per rule at most, not per AST node, and so
+//! does recompiling the unchanged program: the rule set shares the
+//! definitions' bodies and each body memoizes its signature, so an `order`
+//! step through `InteractiveSession` (alter, recompile, analyze) costs
+//! what the analyze costs plus a few blocks per rule.
 //! Compiling the program builds no physical plan, and neither does any
 //! analysis step: a plan waits for its rule's first consideration.
 
@@ -26,6 +30,7 @@ use starling_analysis::{
 use starling_engine::{RuleSet, Session};
 use starling_fuzz::{generate, FuzzCase, GenConfig};
 use starling_sql::ast::Directive;
+use starling_sql::RuleDef;
 
 /// The seed-42 1000-rule program of `sweep_count`, compiled, with every
 /// conflict a first analyze flags certified: the state the §6.4 loop
@@ -39,6 +44,16 @@ fn refined() -> (FuzzCase, RuleSet, Certifications) {
         certs.certify_commute(&v.conflict.0, &v.conflict.1);
     }
     (case, rs, certs)
+}
+
+/// `defs` with each body copied (`body_mut` unshares it and empties its
+/// memo), so compiling these derives every signature.
+fn unmemoized(defs: &[RuleDef]) -> Vec<RuleDef> {
+    let mut defs = defs.to_vec();
+    for d in &mut defs {
+        d.body_mut();
+    }
+    defs
 }
 
 /// The first pair of neighbours from rule 500 on that is not certified yet.
@@ -114,8 +129,8 @@ fn a_warm_certify_step_through_the_session_records_one_directive() {
 
 /// The benchmark's `order` step: one more `precedes` edge, the program
 /// recompiled, the re-analyze and the report's JSON text. The recompiled
-/// rules are new handles with equal bodies, so the step rebuilds no
-/// program index and reruns no termination analysis.
+/// rules share the previous set's bodies, so the step rebuilds no program
+/// index and reruns no termination analysis.
 #[test]
 fn a_warm_order_step_on_a_recompiled_set_allocates_for_what_changed() {
     let (case, rs, certs) = refined();
@@ -152,7 +167,7 @@ fn binding_a_context_allocates_per_rule_not_per_ast_node() {
     certs.certify_commute(&a, &b);
     // A rebind after a certification: the same rule set, one toggled pair.
     let (warm, _) = heap_of(|| AnalysisContext::bound_to_store(&rs, certs.clone(), false, &store));
-    // A rebind of a recompiled rule set: new handles, equal signatures.
+    // A rebind of a recompiled rule set: the same body handles.
     let recompiled = RuleSet::compile(&case.defs, &case.catalog()).unwrap();
     let (fresh, (_, outcome)) =
         heap_of(|| AnalysisContext::bound_to_store(&recompiled, certs.clone(), false, &store));
@@ -160,7 +175,7 @@ fn binding_a_context_allocates_per_rule_not_per_ast_node() {
     // Measured 40 351 / 40 273 / 40 271 blocks while the context copied
     // every signature, AST and the catalog; 1 093 / 15 / 13 since: one
     // interned name per rule, then a handful of vectors; 1 102 / 16 / 14
-    // since the store keeps each rule's definition handle in one vector.
+    // since the store keeps each rule's body handle in one vector.
     assert!(
         first.allocated <= rules + rules / 5,
         "first bind: {}",
@@ -181,13 +196,17 @@ fn binding_a_context_allocates_per_rule_not_per_ast_node() {
 fn compiling_and_analyzing_build_no_plan() {
     let (case, rs, mut certs) = refined();
     let catalog = case.catalog();
-    let (compiled, _) = heap_of(|| RuleSet::compile(&case.defs, &catalog).unwrap());
+    // A cold compile: bodies of their own, with no signature memoized.
+    let cold = unmemoized(&case.defs);
+    let (compiled, _) = heap_of(|| RuleSet::compile(&cold, &catalog).unwrap());
     // Measured 110 200 blocks while compiling built every rule's plans and
     // copied every name for the priority closure's error; 56 148 since:
     // each rule's signature and its definition's copy; 52 719 once a scope
-    // binding held its schema, not a copy of the table's name.
+    // binding held its schema, not a copy of the table's name; 27 491
+    // since the rule set shares the definitions' bodies instead of copying
+    // each AST.
     assert!(
-        compiled.allocated <= 58_000,
+        compiled.allocated <= 30_240,
         "compiling allocated {} blocks",
         compiled.allocated
     );
@@ -208,4 +227,66 @@ fn compiling_and_analyzing_build_no_plan() {
     for set in [&rs, &ordered] {
         assert!(set.rules().iter().all(|r| r.plan.get().is_none()));
     }
+}
+
+/// Recompiling the unchanged program — what the session does after an
+/// `order` or a `declare terminates` — derives no signature: every body
+/// memoized its own against the catalog handle the set adopts. It
+/// allocates the rule set's own vectors and name map, per rule, not per
+/// AST node.
+#[test]
+fn recompiling_an_unchanged_program_allocates_per_rule() {
+    let (case, rs, _) = refined();
+    let catalog = case.catalog();
+    let rules = rs.len() as isize;
+    let (recompiled, again) = heap_of(|| RuleSet::compile(&case.defs, &catalog).unwrap());
+    assert!(Arc::ptr_eq(again.shared_catalog(), rs.shared_catalog()));
+    assert!(again
+        .rules()
+        .iter()
+        .zip(rs.rules())
+        .all(|(a, b)| Arc::ptr_eq(&a.body, &b.body) && Arc::ptr_eq(&a.sig, &b.sig)));
+    // Measured 52 719 blocks while each compile derived every signature
+    // and copied every AST; 2 738 since.
+    assert!(
+        recompiled.allocated <= 3 * rules,
+        "recompiling allocated {} blocks",
+        recompiled.allocated
+    );
+}
+
+/// The §6.4 `order` step as the server and the CLI take it: an
+/// `alter rule` through [`InteractiveSession::order`], the program
+/// recompiled, the re-analyze and the report's JSON text.
+#[test]
+fn a_warm_order_step_through_the_session_is_bounded() {
+    let (case, rs, certs) = refined();
+    let directives = certs
+        .commute_pairs()
+        .map(|(a, b)| Directive::Commute(a.to_owned(), b.to_owned()))
+        .collect();
+    let session = Session::restore(
+        case.database(),
+        case.defs.clone(),
+        Some(Arc::new(rs)),
+        directives,
+    );
+    let mut interactive = InteractiveSession::new(session);
+    interactive.analyze(false, &[]).unwrap();
+
+    let (a, b) = (case.defs[500].name.clone(), case.defs[501].name.clone());
+    let (heap, text) = heap_of(|| {
+        interactive.order(&a, &b).unwrap();
+        let report = interactive.analyze(false, &[]).unwrap();
+        report.to_json().to_string()
+    });
+    assert_eq!(interactive.analysis_stats().index_builds, 1);
+    assert!(!text.is_empty());
+    // Measured 54 806 blocks while the recompile derived every signature
+    // and copied every AST; 4 822 since.
+    assert!(
+        heap.allocated <= 5_300,
+        "a warm order step through InteractiveSession allocated {} blocks",
+        heap.allocated
+    );
 }

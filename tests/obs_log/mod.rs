@@ -29,6 +29,7 @@ pub fn construction(cat: &Catalog, defs: &[RuleDef]) -> (Catalog, Vec<RuleDef>) 
         .map(|d| {
             let mut d = d.clone();
             if d.actions.iter().any(|a| a.is_observable()) {
+                let d = d.body_mut();
                 d.actions.push(append.clone());
                 d.condition = Some(match d.condition.take() {
                     Some(c) => Expr::bin(BinOp::And, c, reads.clone()),

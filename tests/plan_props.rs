@@ -723,12 +723,12 @@ fn corpus_and_case_study_conditions_agree() {
     for entry in corpus() {
         let rules = entry.compile();
         for r in rules.rules() {
-            let Some(cond) = &r.def.condition else {
+            let Some(cond) = &r.body.condition else {
                 continue;
             };
-            let empty = TransitionBinding::empty(&r.def.table);
+            let empty = TransitionBinding::empty(&r.body.table);
             let full = TransitionBinding {
-                table: r.def.table.clone(),
+                table: r.body.table.clone(),
                 inserted: vec![vec![Value::Int(1)], vec![Value::Int(7)]],
                 deleted: vec![vec![Value::Int(2)]],
                 new_updated: vec![vec![Value::Int(5)]],
@@ -738,7 +738,7 @@ fn corpus_and_case_study_conditions_agree() {
                 assert_condition_agrees(
                     cond,
                     rules.catalog(),
-                    &r.def.table,
+                    &r.body.table,
                     &db,
                     b,
                     &format!("corpus/{} rule {} ({tag})", entry.name, r.name()),
@@ -760,19 +760,19 @@ fn corpus_and_case_study_conditions_agree() {
     studies.push(("salary_rules".into(), salary.db, (*salary.rules).clone()));
     for (name, db, rules) in &studies {
         for r in rules.rules() {
-            let Some(cond) = &r.def.condition else {
+            let Some(cond) = &r.body.condition else {
                 continue;
             };
             let rows: Vec<_> = db
-                .table(&r.def.table)
+                .table(&r.body.table)
                 .unwrap()
                 .rows()
                 .take(2)
                 .cloned()
                 .collect();
-            let empty = TransitionBinding::empty(&r.def.table);
+            let empty = TransitionBinding::empty(&r.body.table);
             let full = TransitionBinding {
-                table: r.def.table.clone(),
+                table: r.body.table.clone(),
                 inserted: rows.clone(),
                 deleted: rows.clone(),
                 new_updated: rows.clone(),
@@ -782,7 +782,7 @@ fn corpus_and_case_study_conditions_agree() {
                 assert_condition_agrees(
                     cond,
                     rules.catalog(),
-                    &r.def.table,
+                    &r.body.table,
                     db,
                     b,
                     &format!("case_study/{name} rule {} ({tag})", r.name()),

@@ -11,125 +11,21 @@
 //! data-dependent ones: overflow, division by zero and a scalar subquery
 //! with several rows.
 
+mod rule_exprs;
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use rule_exprs::mutate_nth;
 use starling::analysis::loader::load_script;
 use starling::engine::{explore_with_mode, Budget, EngineError, EvalMode};
-use starling::sql::ast::{Action, Expr, InsertSource, RuleDef, SelectItem, SelectStmt};
+use starling::sql::ast::{Action, Expr};
 use starling::sql::SqlError;
 use starling::storage::Value;
 use starling_fuzz::{generate, FuzzCase, GenConfig};
 
 /// Runtime errors that depend on the data, not on the program's types.
 const DATA_DEPENDENT: [&str; 3] = ["division by zero", "integer overflow", "scalar subquery"];
-
-/// Calls `f` on every expression of `s`, outer before inner.
-fn select_exprs(s: &mut SelectStmt, f: &mut dyn FnMut(&mut Expr)) {
-    for item in &mut s.items {
-        if let SelectItem::Expr { expr, .. } = item {
-            exprs(expr, f);
-        }
-    }
-    let clauses = s.where_clause.iter_mut().chain(&mut s.group_by);
-    for e in clauses
-        .chain(&mut s.having)
-        .chain(s.order_by.iter_mut().map(|o| &mut o.expr))
-    {
-        exprs(e, f);
-    }
-}
-
-fn exprs(e: &mut Expr, f: &mut dyn FnMut(&mut Expr)) {
-    f(e);
-    match e {
-        Expr::Literal(_) | Expr::Column(_) => {}
-        Expr::Binary { lhs, rhs, .. } => {
-            exprs(lhs, f);
-            exprs(rhs, f);
-        }
-        Expr::Neg(x) | Expr::Not(x) | Expr::IsNull { expr: x, .. } => exprs(x, f),
-        Expr::Like { expr, pattern, .. } => {
-            exprs(expr, f);
-            exprs(pattern, f);
-        }
-        Expr::InList { expr, list, .. } => {
-            exprs(expr, f);
-            list.iter_mut().for_each(|x| exprs(x, f));
-        }
-        Expr::Between {
-            expr, low, high, ..
-        } => {
-            exprs(expr, f);
-            exprs(low, f);
-            exprs(high, f);
-        }
-        Expr::InSelect { expr, select, .. } => {
-            exprs(expr, f);
-            select_exprs(select, f);
-        }
-        Expr::Exists(s) | Expr::ScalarSubquery(s) => select_exprs(s, f),
-        Expr::Aggregate { arg, .. } => {
-            if let Some(x) = arg {
-                exprs(x, f);
-            }
-        }
-    }
-}
-
-fn rule_exprs(def: &mut RuleDef, f: &mut dyn FnMut(&mut Expr)) {
-    if let Some(c) = &mut def.condition {
-        exprs(c, f);
-    }
-    for a in &mut def.actions {
-        match a {
-            Action::Insert(i) => match &mut i.source {
-                InsertSource::Values(rows) => rows.iter_mut().flatten().for_each(|e| exprs(e, f)),
-                InsertSource::Select(s) => select_exprs(s, f),
-            },
-            Action::Update(u) => {
-                for (_, e) in &mut u.sets {
-                    exprs(e, f);
-                }
-                if let Some(w) = &mut u.where_clause {
-                    exprs(w, f);
-                }
-            }
-            Action::Delete(d) => {
-                if let Some(w) = &mut d.where_clause {
-                    exprs(w, f);
-                }
-            }
-            Action::Select(s) => select_exprs(s, f),
-            Action::Rollback => {}
-        }
-    }
-}
-
-/// Applies `mutate` to the `k % n`-th of the `n` expressions `pick`
-/// selects in `def`; false when there are none.
-fn mutate_nth(
-    def: &mut RuleDef,
-    k: usize,
-    pick: fn(&Expr) -> bool,
-    mutate: &mut dyn FnMut(&mut Expr),
-) -> bool {
-    let mut n = 0;
-    rule_exprs(def, &mut |e| n += usize::from(pick(e)));
-    if n == 0 {
-        return false;
-    }
-    let mut i = 0;
-    rule_exprs(def, &mut |e| {
-        if pick(e) {
-            if i == k % n {
-                mutate(e);
-            }
-            i += 1;
-        }
-    });
-    true
-}
 
 /// The columns every insert of `case` names: the generated ones of its
 /// target.
@@ -148,12 +44,12 @@ fn mutant(case: &FuzzCase, rng: &mut StdRng, kind: u32) -> Option<String> {
     let mut user_actions = case.user_actions.clone();
     for a in defs
         .iter_mut()
-        .flat_map(|d| &mut d.actions)
+        .flat_map(|d| &mut d.body_mut().actions)
         .chain(&mut user_actions)
     {
         name_insert_columns(a, case);
     }
-    let def = &mut defs[rng.gen_range(0..case.defs.len())];
+    let def = defs[rng.gen_range(0..case.defs.len())].body_mut();
     let k = rng.gen_range(0..64usize);
     let other_column = if rng.gen_bool(0.5) { "s" } else { "f" };
     let other_literal = match rng.gen_range(0..4u32) {

@@ -16,7 +16,7 @@ use starling_analysis::report::AnalysisReport;
 use starling_analysis::{Certifications, IncrementalAnalysis};
 use starling_engine::RuleSet;
 use starling_sql::ast::{Action, Expr};
-use starling_sql::RuleDef;
+use starling_sql::{RuleBody, RuleDef};
 use starling_storage::{Catalog, Value};
 
 pub fn scratch_ctx(
@@ -65,7 +65,7 @@ fn int_literal(e: &mut Expr) -> Option<&mut i64> {
 
 /// The first integer literal in the `WHERE` clause of one of `def`'s
 /// actions.
-fn where_constant(def: &mut RuleDef) -> Option<&mut i64> {
+fn where_constant(def: &mut RuleBody) -> Option<&mut i64> {
     def.actions.iter_mut().find_map(|a| {
         let clause = match a {
             Action::Update(u) => u.where_clause.as_mut(),
@@ -179,7 +179,7 @@ fn mutate(
             let i = rng.gen_range(0..defs.len());
             let donor = defs[(i + 1) % defs.len()].clone();
             let old = std::mem::replace(&mut defs[i], donor);
-            defs[i].name = old.name;
+            defs[i].body_mut().name = old.name.clone();
             defs[i].precedes = old.precedes;
             defs[i].follows = old.follows;
             format!(
@@ -222,12 +222,12 @@ fn mutate_body(
             let (n, start) = (defs.len(), rng.gen_range(0..defs.len()));
             let found = (0..n)
                 .map(|k| (start + k) % n)
-                .find(|&i| where_constant(&mut defs[i]).is_some());
+                .find(|&i| where_constant(&mut RuleBody::clone(&defs[i])).is_some());
             let Some(i) = found else {
                 return "retune (no WHERE constant)".to_owned();
             };
             tweaked.push(defs[i].clone());
-            let v = where_constant(&mut defs[i]).expect("found above");
+            let v = where_constant(defs[i].body_mut()).expect("found above");
             *v = v.wrapping_add(rng.gen_range(1..20i64));
             let v = *v;
             format!("retune {} to {v}", defs[i].name)
@@ -240,11 +240,12 @@ fn mutate_body(
             let Some(def) = defs.iter_mut().find(|d| d.name == was.name) else {
                 return format!("undo retune {} (dropped)", was.name);
             };
-            def.table = was.table;
-            def.events = was.events;
-            def.condition = was.condition;
-            def.actions = was.actions;
-            format!("undo retune {}", was.name)
+            // The prior body handle, under the rule's current orderings.
+            let mut back = was;
+            back.precedes = std::mem::take(&mut def.precedes);
+            back.follows = std::mem::take(&mut def.follows);
+            *def = back;
+            format!("undo retune {}", def.name)
         }
     }
 }
@@ -252,7 +253,7 @@ fn mutate_body(
 /// What the §9 partition property compares a step against: everything a
 /// refinement step can change, by rule name, and the partitions.
 struct Snapshot {
-    /// Rule name → definition text.
+    /// Rule name → its body, debug-printed.
     rules: BTreeMap<String, String>,
     /// The priority closure's facts.
     gt: BTreeSet<(String, String)>,
@@ -264,7 +265,7 @@ struct Snapshot {
 impl Snapshot {
     fn of(ctx: &AnalysisContext) -> Self {
         let name = |i: usize| ctx.name(i).to_owned();
-        let text = |i: usize| ctx.rule_def(i).to_string();
+        let text = |i: usize| format!("{:?}", ctx.rule_body(i));
         let pair = |(a, b): (&str, &str)| (a.to_owned(), b.to_owned());
         Snapshot {
             rules: (0..ctx.len()).map(|i| (name(i), text(i))).collect(),
