@@ -18,7 +18,7 @@ use starling_analysis::commutativity::{
 };
 use starling_analysis::confluence::{analyze_confluence, corollary_checks};
 use starling_analysis::context::AnalysisContext;
-use starling_analysis::observable::{analyze_observable_determinism, corollary_8_2};
+use starling_analysis::observable::{corollary_8_2, observable_determinism};
 use starling_analysis::partial::{analyze_partial_confluence, significant_rules};
 use starling_analysis::partition::partition_rules;
 use starling_analysis::restricted::analyze_restricted;
@@ -265,7 +265,7 @@ fn e2_e3_e5_oracle_agreement(out: &mut String) {
         let (case, rules, ctx) = build(seed, &GenConfig::CORPUS);
         let t = analyze_termination(&ctx);
         let c = analyze_confluence(&ctx);
-        let o = analyze_observable_determinism(&ctx);
+        let o = observable_determinism(&ctx, &c);
         let term_ok = t.verdict == TerminationVerdict::Guaranteed;
         let conf_ok = c.requirement_holds() && t.is_guaranteed();
         let obs_ok = o.is_guaranteed() && term_ok;
@@ -358,6 +358,7 @@ fn e4_partial_confluence(out: &mut String) {
     };
     for seed in [3u64, 7, 11, 19] {
         let (case, rules, ctx) = build(seed, &cfg);
+        let confluence = analyze_confluence(&ctx);
         // T' grows through the program's own tables, whatever their count.
         let n = case.tables.len();
         let mut sizes: Vec<usize> = [1, 3, 6, 12].map(|k: usize| k.min(n)).to_vec();
@@ -365,7 +366,7 @@ fn e4_partial_confluence(out: &mut String) {
         for k in sizes {
             let subset: Vec<&str> = case.tables[..k].iter().map(|t| t.name.as_str()).collect();
             let sig = significant_rules(&ctx, &subset);
-            let p = analyze_partial_confluence(&ctx, &subset);
+            let p = analyze_partial_confluence(&ctx, &confluence, &subset);
             say!(
                 out,
                 "{seed:>4}  {k:>4}  {:>5}  {:>5}  {}",
@@ -526,7 +527,7 @@ fn e9_scalability(out: &mut String) {
     );
     say!(
         out,
-        "rules  graph(us)  termination(us)  confluence(us)  observable(us)"
+        "rules  graph(us)  termination(us)  confluence(us)  observable(us)  protect(us)"
     );
     for n in [10usize, 25, 50, 100, 200, 400] {
         // The benchmark's shape: tables grow with the rules, so triggering
@@ -536,17 +537,23 @@ fn e9_scalability(out: &mut String) {
             p_observable: 0.1,
             ..GenConfig::scaled(n)
         };
-        let (_case, _rules, ctx) = build(42, &cfg);
-        let us = |analysis: &dyn Fn()| {
+        let (case, _rules, ctx) = build(42, &cfg);
+        fn timed<R>(analysis: impl FnOnce() -> R) -> (R, u128) {
             let started = Instant::now();
-            analysis();
-            started.elapsed().as_micros()
-        };
-        let g_us = us(&|| drop(starling_analysis::TriggeringGraph::build(&ctx)));
-        let t_us = us(&|| drop(analyze_termination(&ctx)));
-        let c_us = us(&|| drop(analyze_confluence(&ctx)));
-        let o_us = us(&|| drop(analyze_observable_determinism(&ctx)));
-        say!(out, "{n:>5}  {g_us:>9}  {t_us:>15}  {c_us:>14}  {o_us:>14}");
+            let result = analysis();
+            (result, started.elapsed().as_micros())
+        }
+        let g_us = timed(|| starling_analysis::TriggeringGraph::build(&ctx)).1;
+        let t_us = timed(|| analyze_termination(&ctx)).1;
+        let (confluence, c_us) = timed(|| analyze_confluence(&ctx));
+        // §8 and one single-table `--protect` filter the §6 sweep.
+        let o_us = timed(|| observable_determinism(&ctx, &confluence)).1;
+        let table = [case.tables[0].name.as_str()];
+        let p_us = timed(|| analyze_partial_confluence(&ctx, &confluence, &table)).1;
+        say!(
+            out,
+            "{n:>5}  {g_us:>9}  {t_us:>15}  {c_us:>14}  {o_us:>14}  {p_us:>11}"
+        );
     }
 }
 
@@ -569,7 +576,7 @@ fn e10_corollaries(out: &mut String) {
             accepted += 1;
             failures += corollary_checks(&ctx, &conf).len();
         }
-        let obs = analyze_observable_determinism(&ctx);
+        let obs = observable_determinism(&ctx, &conf);
         if obs.is_guaranteed() {
             failures += corollary_8_2(&ctx, &obs).len();
         }
@@ -590,14 +597,15 @@ fn e11_restricted(out: &mut String) {
     for seed in 0..100u64 {
         let (_case, _rules, ctx) = build(seed, &GenConfig::CORPUS);
         let full_term = analyze_termination(&ctx).is_guaranteed();
-        let full_conf = analyze_confluence(&ctx).requirement_holds();
+        let confluence = analyze_confluence(&ctx);
+        let full_conf = confluence.requirement_holds();
         if full_term && full_conf {
             continue;
         }
         total += 1;
         // Restrict to inserts into the first table only.
         let allowed = vec![Op::Insert("t0".to_owned())];
-        let r = analyze_restricted(&ctx, &allowed);
+        let r = analyze_restricted(&ctx, &confluence, &allowed);
         if !full_term && r.termination.is_guaranteed() {
             rescued_term += 1;
         }

@@ -286,8 +286,9 @@ pub fn commutes(a: &RuleSignature, b: &RuleSignature, certs: &Certifications) ->
 /// refinement.
 ///
 /// Pair verdicts are memoized in the context's bound [`crate::pair_store::
-/// PairStore`] (the confluence analyses ask about the same pair once per
-/// subset and once per generating-pair closure containing it): each Lemma
+/// PairStore`] (the confluence sweep asks about the same pair once per
+/// generating-pair closure containing it, the `Sig` closures once per
+/// significant-rule set): each Lemma
 /// 6.1 derivation runs at most once per store binding, and — unlike the old
 /// per-context cache — survives into the next analysis when the bind-time
 /// diff proves the pair unaffected.

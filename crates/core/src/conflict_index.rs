@@ -29,10 +29,10 @@ use crate::context::AnalysisContext;
 /// Per touched table, the indexed rules touching it, in rule order.
 pub(crate) type TableRules = BTreeMap<String, Vec<u32>>;
 
-/// See the module docs. Built in `O(Σ |signature|)` over the indexed rules.
+/// See the module docs. Built in `O(Σ |signature|)` over the context's
+/// rules.
 pub(crate) struct ConflictIndex<'a> {
     ctx: &'a AnalysisContext,
-    rules: &'a [usize],
     by_table: Arc<TableRules>,
 }
 
@@ -45,10 +45,10 @@ fn tables_of(sig: &RuleSignature) -> impl Iterator<Item = &str> {
 }
 
 impl<'a> ConflictIndex<'a> {
-    /// Indexes `rules` (a subset of the context's rule indices).
-    pub(crate) fn build(ctx: &'a AnalysisContext, rules: &'a [usize]) -> Self {
+    /// Indexes the context's rules.
+    pub(crate) fn build(ctx: &'a AnalysisContext) -> Self {
         let mut by_table = TableRules::new();
-        for &i in rules {
+        for i in 0..ctx.len() {
             // A signature names its few tables many times over, mostly in
             // runs: look each run up once.
             let mut last = "";
@@ -66,21 +66,13 @@ impl<'a> ConflictIndex<'a> {
                 }
             }
         }
-        Self::over(ctx, rules, Arc::new(by_table))
+        Self::over(ctx, Arc::new(by_table))
     }
 
-    /// Indexes `rules` with the table map of an index built over the same
-    /// rules, with the same signatures, in another context.
-    pub(crate) fn over(
-        ctx: &'a AnalysisContext,
-        rules: &'a [usize],
-        by_table: Arc<TableRules>,
-    ) -> Self {
-        ConflictIndex {
-            ctx,
-            rules,
-            by_table,
-        }
+    /// Indexes the context's rules with the table map of an index built
+    /// over the same rules, with the same signatures, in another context.
+    pub(crate) fn over(ctx: &'a AnalysisContext, by_table: Arc<TableRules>) -> Self {
+        ConflictIndex { ctx, by_table }
     }
 
     /// The table → rules map, to hand to [`Self::over`].
@@ -93,7 +85,7 @@ impl<'a> ConflictIndex<'a> {
         self.by_table.values().map(Vec::as_slice)
     }
 
-    /// Every unordered pair `(i, j)`, `i < j`, of indexed rules that share a
+    /// Every unordered pair `(i, j)`, `i < j`, of rules that share a
     /// table or whose Definition 6.5 closure can take a first step, ascending
     /// and without duplicates: a superset of the pairs with a violation or
     /// a closure extra, and of the pairs the Corollary 6.8/6.10 oracle
@@ -110,14 +102,11 @@ impl<'a> ConflictIndex<'a> {
         }
         let priority = &self.ctx.priority;
         if priority.ordered_pair_count() > 0 {
-            let indexed = self.ctx.membership(self.rules);
             let adj = self.ctx.triggers_adjacency();
-            for &i in self.rules {
-                for &r in &adj[i] {
-                    for j in priority.dominated_by(r) {
-                        if j != i && indexed[j] {
-                            pair(i as u32, j as u32);
-                        }
+            for (i, triggered) in adj.iter().enumerate() {
+                for &r in triggered {
+                    for j in priority.dominated_by(r).filter(|&j| j != i) {
+                        pair(i as u32, j as u32);
                     }
                 }
             }
@@ -134,7 +123,7 @@ impl<'a> ConflictIndex<'a> {
         out
     }
 
-    /// The indexed rules touching table `t`.
+    /// The rules touching table `t`.
     fn touching(&self, t: &str) -> impl Iterator<Item = usize> + '_ {
         let members = self.by_table.get(t).into_iter().flatten();
         members.map(|&q| q as usize)
@@ -160,9 +149,7 @@ impl<'a> ConflictIndex<'a> {
                 }
             }
             // `j` with some `r ∈ Triggers(d)`, `r > j`.
-            let indexed = ctx.membership(self.rules);
-            let below = adj[d].iter().flat_map(|&r| ctx.priority.dominated_by(r));
-            out.extend(below.filter(|&j| indexed[j]));
+            out.extend(adj[d].iter().flat_map(|&r| ctx.priority.dominated_by(r)));
         }
         out.sort_unstable();
         out.dedup();
@@ -193,8 +180,7 @@ mod tests {
     /// The candidate pairs, after checking that the per-rule and per-pair
     /// forms enumerate the same set.
     fn candidates(ctx: &AnalysisContext) -> Vec<(usize, usize)> {
-        let all: Vec<usize> = (0..ctx.len()).collect();
-        let index = ConflictIndex::build(ctx, &all);
+        let index = ConflictIndex::build(ctx);
         let pairs = index.candidate_pairs();
         for d in 0..ctx.len() {
             let row: Vec<usize> = (0..ctx.len())
@@ -260,11 +246,6 @@ mod tests {
             Certifications::new(),
         );
         assert_eq!(candidates(&ctx), vec![(0, 1), (0, 2)]);
-        // Restricted to {ri, rj}, h still drives the step from outside.
-        assert_eq!(
-            ConflictIndex::build(&ctx, &[0, 1]).candidate_pairs(),
-            vec![(0, 1)]
-        );
     }
 
     /// The three forms agree on programs with enough tables, trigger edges

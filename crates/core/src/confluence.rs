@@ -15,6 +15,8 @@
 //! imply confluence. Violations are isolated per generating pair, and each
 //! renders its §6.4 remedies (certify commutativity, or order the pair).
 
+use std::collections::HashSet;
+
 use crate::commutativity::{commutes_idx, noncommutativity_reasons_idx, NoncommutativityReason};
 use crate::context::AnalysisContext;
 
@@ -27,6 +29,17 @@ pub struct PairClosure {
     pub r1: Vec<usize>,
     /// `R2` (contains `j`).
     pub r2: Vec<usize>,
+}
+
+impl PairClosure {
+    /// Whether `R1` and `R2` hold distinct observable rules, one on each
+    /// side: a cell that §8's `Obs` log never lets commute (see
+    /// [`crate::observable`]).
+    pub fn splits_observables(&self, ctx: &AnalysisContext) -> bool {
+        let observable = |r: &&usize| ctx.sigs[**r].observable;
+        let mut r1 = self.r1.iter().filter(observable);
+        r1.any(|a| self.r2.iter().filter(observable).any(|b| a != b))
+    }
 }
 
 /// Builds `R1`/`R2` per Definition 6.5 for an unordered pair `(ri, rj)`.
@@ -162,42 +175,67 @@ pub struct ConfluenceAnalysis {
     pub violations: Vec<ConfluenceViolation>,
     /// Number of unordered pairs examined.
     pub pairs_checked: usize,
+    /// The generating pairs whose closure splits observable rules, in no
+    /// particular order.
+    pub(crate) observable_splits: Vec<(String, String)>,
 }
 
 impl ConfluenceAnalysis {
+    pub(crate) fn of_sweep(
+        violations: Vec<ConfluenceViolation>,
+        observable_splits: Vec<(String, String)>,
+        pairs_checked: usize,
+    ) -> Self {
+        ConfluenceAnalysis {
+            verdict: if violations.is_empty() {
+                ConfluenceVerdict::RequirementHolds
+            } else {
+                ConfluenceVerdict::MayNotBeConfluent
+            },
+            violations,
+            pairs_checked,
+            observable_splits,
+        }
+    }
+
     /// Whether the Confluence Requirement holds.
     pub fn requirement_holds(&self) -> bool {
         self.verdict == ConfluenceVerdict::RequirementHolds
     }
+
+    /// The requirement over `subset` alone: the findings whose generating
+    /// pair lies in `subset²`. A Def 6.5 closure is built over the whole
+    /// context, so sweeping the subset's own candidates finds the same.
+    pub(crate) fn within(&self, ctx: &AnalysisContext, subset: &[usize]) -> ConfluenceAnalysis {
+        let names: HashSet<&str> = subset.iter().map(|&i| ctx.name(i)).collect();
+        let inside = |(a, b): &(String, String)| names.contains(&**a) && names.contains(&**b);
+        let violations = self.violations.iter().filter(|v| inside(&v.pair));
+        let splits = self.observable_splits.iter().filter(|&pair| inside(pair));
+        Self::of_sweep(
+            violations.cloned().collect(),
+            splits.cloned().collect(),
+            ctx.unordered_pair_count(subset),
+        )
+    }
 }
 
 /// Runs confluence analysis over the whole rule set (Section 6.3).
+/// Generating pairs are visited in rule-index order; only the conflict
+/// index's candidates are visited at all, the rest of the `pairs_checked`
+/// pairs being clean by construction.
 pub fn analyze_confluence(ctx: &AnalysisContext) -> ConfluenceAnalysis {
-    analyze_confluence_of(ctx, &(0..ctx.len()).collect::<Vec<_>>())
-}
-
-/// Runs the Confluence Requirement restricted to a subset of rules (used by
-/// partial confluence, where the subset is `Sig(T')`). Generating pairs are
-/// visited in rule-index order; only the conflict index's candidates are
-/// visited at all, the rest of the `pairs_checked` pairs being clean by
-/// construction.
-pub fn analyze_confluence_of(ctx: &AnalysisContext, subset: &[usize]) -> ConfluenceAnalysis {
-    let pairs = ctx.sweep_pairs(subset);
-    let pairs_checked = ctx.unordered_pair_count(subset);
+    let pairs = ctx.sweep_pairs();
+    let pairs_checked = ctx.unordered_pair_count(&(0..ctx.len()).collect::<Vec<_>>());
     debug_assert!(!ctx.dense_sweep || pairs.len() == pairs_checked);
-    let mut violations = Vec::new();
+    let (mut violations, mut splits) = (Vec::new(), Vec::new());
     for (i, j) in pairs {
-        violations.append(&mut check_pair(ctx, i, j).1);
+        let (cl, mut found) = check_pair(ctx, i, j);
+        if cl.splits_observables(ctx) {
+            splits.push((ctx.name(i).to_owned(), ctx.name(j).to_owned()));
+        }
+        violations.append(&mut found);
     }
-    ConfluenceAnalysis {
-        verdict: if violations.is_empty() {
-            ConfluenceVerdict::RequirementHolds
-        } else {
-            ConfluenceVerdict::MayNotBeConfluent
-        },
-        violations,
-        pairs_checked,
-    }
+    ConfluenceAnalysis::of_sweep(violations, splits, pairs_checked)
 }
 
 /// Corollary 6.8/6.10 checks: structural facts that *must* hold of any
@@ -211,8 +249,7 @@ pub fn corollary_checks(ctx: &AnalysisContext, analysis: &ConfluenceAnalysis) ->
     if !analysis.requirement_holds() {
         return out;
     }
-    let all: Vec<usize> = (0..ctx.len()).collect();
-    for (i, j) in ctx.sweep_pairs(&all) {
+    for (i, j) in ctx.sweep_pairs() {
         let (a, b) = (ctx.name(i), ctx.name(j));
         // Corollary 6.8: unordered pairs commute.
         if !commutes_idx(ctx, i, j) {

@@ -238,21 +238,21 @@ impl AnalysisContext {
         out
     }
 
-    /// The conflict index's candidates among `subset`, ascending: a superset
-    /// of its unordered pairs with a violation or a closure extra, and of
-    /// the pairs the Corollary 6.8/6.10 oracle can fail.
+    /// The conflict index's candidates, ascending: a superset of the
+    /// unordered pairs with a violation or a closure extra, and of the pairs
+    /// the Corollary 6.8/6.10 oracle can fail.
     #[doc(hidden)]
-    pub fn candidate_pairs(&self, subset: &[usize]) -> Vec<(usize, usize)> {
-        ConflictIndex::build(self, subset).candidate_pairs()
+    pub fn candidate_pairs(&self) -> Vec<(usize, usize)> {
+        ConflictIndex::build(self).candidate_pairs()
     }
 
-    /// The unordered pairs of `subset` a Confluence Requirement sweep has
-    /// to visit, ascending; every pair left out is clean by construction.
-    pub(crate) fn sweep_pairs(&self, subset: &[usize]) -> Vec<(usize, usize)> {
+    /// The unordered pairs a Confluence Requirement sweep has to visit,
+    /// ascending; every pair left out is clean by construction.
+    pub(crate) fn sweep_pairs(&self) -> Vec<(usize, usize)> {
         if self.dense_sweep {
-            self.dense_pairs(subset)
+            self.dense_pairs(&(0..self.len()).collect::<Vec<_>>())
         } else {
-            self.candidate_pairs(subset)
+            self.candidate_pairs()
         }
     }
 

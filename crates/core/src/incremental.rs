@@ -27,9 +27,9 @@
 //!   reused only when, in addition, the termination certifications are
 //!   unchanged. A certify step and an `order` step thus rebuild nothing,
 //!   and [`IncrementalStats::index_builds`] counts the builds.
-//! * Observable determinism and partial confluence are recomputed each
-//!   time, through the same pair store: once it is warm they cost the
-//!   (small) significant-rule sets.
+//! * Observable determinism and partial confluence filter the confluence
+//!   analysis the memo assembles; beside a pair's extras the memo records
+//!   whether its closure splits two observable rules.
 //!
 //! # Dirty-set rules per mutation kind
 //!
@@ -83,7 +83,7 @@
 //! byte-identical to a sequential sweep (property-tested in
 //! `tests/incremental_props.rs`, as is sparse ≡ dense).
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 
 use starling_engine::{PriorityOrder, RuleSet};
@@ -91,7 +91,7 @@ use starling_engine::{PriorityOrder, RuleSet};
 use crate::certifications::Certifications;
 use crate::commutativity::prewarm_pairs;
 use crate::conflict_index::{ConflictIndex, TableRules};
-use crate::confluence::{check_pair, ConfluenceAnalysis, ConfluenceVerdict, ConfluenceViolation};
+use crate::confluence::{check_pair, ConfluenceAnalysis, ConfluenceViolation};
 use crate::context::AnalysisContext;
 use crate::pair_store::{BindOutcome, PairStore, PairStoreStats};
 use crate::report::AnalysisReport;
@@ -115,6 +115,8 @@ struct ConfluenceMemo {
     /// The violations of the pairs of `extras` that have any: all a report
     /// reads, apart from the far more numerous pairs that only have extras.
     outputs: HashMap<(u32, u32), Vec<ConfluenceViolation>>,
+    /// The pairs of `extras` whose closure splits observable rules.
+    splits: HashSet<(u32, u32)>,
     /// sid → the `extras` keys whose closure contains it, as an endpoint
     /// or as a non-generating member: everything the memo holds on a rule
     /// (unordered rows; a key appears once per row).
@@ -148,8 +150,7 @@ impl ProgramIndex {
                 preds.entry(ctx.sid(x)).or_default().push(ctx.sid(q));
             }
         }
-        let all: Vec<usize> = (0..ctx.len()).collect();
-        let tables = Arc::clone(ConflictIndex::build(ctx, &all).tables());
+        let tables = Arc::clone(ConflictIndex::build(ctx).tables());
         ProgramIndex {
             sids: ctx.sids.clone(),
             trig,
@@ -294,8 +295,7 @@ impl IncrementalAnalysis {
     ) -> ConfluenceAnalysis {
         // A full sweep enumerates the conflict index, an incremental one
         // expands its dirty rules through it.
-        let all: Vec<usize> = (0..ctx.len()).collect();
-        let conflicts = ConflictIndex::over(ctx, &all, Arc::clone(&index.tables));
+        let conflicts = ConflictIndex::over(ctx, Arc::clone(&index.tables));
         let swept = match prev {
             Some(prev) if self.memo.is_some() && !outcome.refine_flipped => {
                 self.incremental_sweep(ctx, outcome, &conflicts, prev, index)
@@ -322,6 +322,7 @@ impl IncrementalAnalysis {
             priority: ctx.priority.clone(),
             extras: HashMap::new(),
             outputs: HashMap::new(),
+            splits: HashSet::new(),
             mentions: HashMap::new(),
             swept: pairs.len(),
         };
@@ -558,7 +559,8 @@ impl IncrementalAnalysis {
             .collect();
         extras.sort_unstable();
         extras.dedup();
-        if violations.is_empty() && extras.is_empty() {
+        let split = cl.splits_observables(ctx);
+        if violations.is_empty() && extras.is_empty() && !split {
             return;
         }
         let key = (ctx.sid(i), ctx.sid(j));
@@ -568,12 +570,16 @@ impl IncrementalAnalysis {
         if !violations.is_empty() {
             memo.outputs.insert(key, violations);
         }
+        if split {
+            memo.splits.insert(key);
+        }
         memo.extras.insert(key, extras);
     }
 
     fn remove_entry(memo: &mut ConfluenceMemo, key: (u32, u32)) {
         if let Some(extras) = memo.extras.remove(&key) {
             memo.outputs.remove(&key);
+            memo.splits.remove(&key);
             for m in [key.0, key.1].iter().chain(&extras) {
                 let row = memo.mentions.get_mut(m).expect("a member is mentioned");
                 let at = row.iter().position(|k| *k == key);
@@ -597,18 +603,15 @@ impl IncrementalAnalysis {
             .map(|(k, e)| ((cur[k.0 as usize], cur[k.1 as usize]), e))
             .collect();
         keyed.sort_unstable_by_key(|&(ij, _)| ij);
-        let violations: Vec<ConfluenceViolation> =
-            keyed.iter().flat_map(|(_, e)| e.iter().cloned()).collect();
+        let violations = keyed.iter().flat_map(|(_, e)| e.iter().cloned()).collect();
+        let name = |s: u32| ctx.name(cur[s as usize] as usize).to_owned();
+        let splits = memo.splits.iter().map(|&(a, b)| (name(a), name(b)));
         let n = ctx.len();
-        ConfluenceAnalysis {
-            verdict: if violations.is_empty() {
-                ConfluenceVerdict::RequirementHolds
-            } else {
-                ConfluenceVerdict::MayNotBeConfluent
-            },
+        ConfluenceAnalysis::of_sweep(
             violations,
-            pairs_checked: n * n.saturating_sub(1) / 2 - ctx.priority.ordered_pair_count(),
-        }
+            splits.collect(),
+            n * n.saturating_sub(1) / 2 - ctx.priority.ordered_pair_count(),
+        )
     }
 }
 

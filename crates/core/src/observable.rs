@@ -13,9 +13,9 @@
 //! confluence with respect to `{Obs}`. A unique final `Obs` value means a
 //! unique order and appearance of observable actions.
 //!
-//! Nothing here builds those widened signatures. Of everything the
-//! analyses read, the widening changes four facts, and Theorem 7.2 is
-//! answered over the base context with them:
+//! Nothing here builds those widened signatures or sweeps pairs: Theorem
+//! 7.2 is answered over the base context and its [`ConfluenceAnalysis`],
+//! with the four facts the widening changes:
 //!
 //! 1. **two distinct observable rules never commute**: each inserts into
 //!    `Obs`, which the other reads (Lemma 6.1 condition 3), and no `declare
@@ -31,12 +31,19 @@
 //! 4. **no observable rule is delete-only** (§5's first special case): it
 //!    inserts into `Obs`.
 //!
+//! So the requirement over `Sig(Obs)` holds iff no two observable rules
+//! are unordered (1, 3), no §6 violation has its generating pair in
+//! `Sig(Obs)²`, and no closure of such a pair splits two observable rules
+//! ([`PairClosure::splits_observables`], 1). One observable rule on both
+//! sides is the cell `(h, h)`, which commutes.
+//!
+//! [`PairClosure::splits_observables`]: crate::confluence::PairClosure::splits_observables
+//!
 //! `tests/observable_construction.rs` holds this to the construction done
 //! literally, with a real log table every observable rule inserts into
 //! and reads.
 
-use crate::commutativity::commutes_idx;
-use crate::confluence::pair_closure;
+use crate::confluence::{analyze_confluence, ConfluenceAnalysis};
 use crate::context::AnalysisContext;
 use crate::partial::significant_closure;
 use crate::termination::{analyze_termination_indexed, TerminationAnalysis};
@@ -63,10 +70,20 @@ impl ObservableAnalysis {
     }
 }
 
-/// Runs observable-determinism analysis (Theorem 8.1).
+/// Runs observable-determinism analysis (Theorem 8.1) after the rule set's
+/// confluence analysis; [`observable_determinism`] takes one already run.
 pub fn analyze_observable_determinism(ctx: &AnalysisContext) -> ObservableAnalysis {
+    observable_determinism(ctx, &analyze_confluence(ctx))
+}
+
+/// Observable determinism (Theorem 8.1), given the rule set's confluence
+/// analysis.
+pub fn observable_determinism(
+    ctx: &AnalysisContext,
+    confluence: &ConfluenceAnalysis,
+) -> ObservableAnalysis {
     let all: Vec<usize> = (0..ctx.len()).collect();
-    observable_determinism_of(ctx, &all)
+    observable_determinism_of(ctx, confluence, &all)
 }
 
 /// Observable determinism of the rules of `subset`, the rest treated as
@@ -74,6 +91,7 @@ pub fn analyze_observable_determinism(ctx: &AnalysisContext) -> ObservableAnalys
 /// rules).
 pub(crate) fn observable_determinism_of(
     ctx: &AnalysisContext,
+    confluence: &ConfluenceAnalysis,
     subset: &[usize],
 ) -> ObservableAnalysis {
     let observable: Vec<usize> = subset
@@ -84,7 +102,10 @@ pub(crate) fn observable_determinism_of(
     let sig = significant_closure(ctx, observable.iter().copied(), subset);
     let graph = TriggeringGraph::of_rules(ctx, &sig);
     let termination = analyze_termination_indexed(ctx, graph, Some(&sig), true);
-    let requirement_holds = requirement_holds(ctx, &sig, &observable);
+    let requirement_holds = ctx.dense_pairs(&observable).is_empty() && {
+        let within = confluence.within(ctx, &sig);
+        within.requirement_holds() && within.observable_splits.is_empty()
+    };
     let names = |rules: &[usize]| rules.iter().map(|&i| ctx.name(i).to_owned()).collect();
     ObservableAnalysis {
         observable_rules: names(&observable),
@@ -92,33 +113,6 @@ pub(crate) fn observable_determinism_of(
         termination,
         requirement_holds,
     }
-}
-
-/// Whether `a` and `b` commute once the observable rules log into `Obs`
-/// (fact 1). A `declare commute` between two observable rules certifies
-/// their database effects (§6.1), not the order of their observations.
-fn commute_logged(ctx: &AnalysisContext, a: usize, b: usize) -> bool {
-    if ctx.sigs[a].observable && ctx.sigs[b].observable {
-        a == b
-    } else {
-        commutes_idx(ctx, a, b)
-    }
-}
-
-/// The Confluence Requirement over `sig` with the observable rules logging:
-/// every `R1 × R2` cell of every candidate pair commutes. Stops at the
-/// first cell that does not. Two unordered observable rules fail at once —
-/// their own cell — so the candidates left are the base ones (fact 3).
-fn requirement_holds(ctx: &AnalysisContext, sig: &[usize], observable: &[usize]) -> bool {
-    if !ctx.dense_pairs(observable).is_empty() {
-        return false;
-    }
-    ctx.sweep_pairs(sig).into_iter().all(|(i, j)| {
-        let cl = pair_closure(ctx, i, j);
-        cl.r1
-            .iter()
-            .all(|&r1| cl.r2.iter().all(|&r2| commute_logged(ctx, r1, r2)))
-    })
 }
 
 /// Corollary 8.2 check: if the analysis finds the rule set observably

@@ -9,8 +9,10 @@
 //! two bits per pair — ~12.5 MB at 10k rules, where a `HashMap` of 50M pair
 //! entries would be gigabytes). Noncommutativity *reasons* are only
 //! materialized for pairs that actually conflict, so they stay in a sparse
-//! map. Every verdict is about the rules as written: §8's `Obs` reduction
-//! reads base verdicts from the same store (see [`crate::observable`]).
+//! map. Every verdict is about the rules as written: §7, §8's `Obs`
+//! reduction and restricted analysis ask the store nothing of their own —
+//! they filter the confluence analysis its verdicts built (see
+//! [`crate::observable`]); only their `Sig` closures read verdicts.
 //!
 //! Invalidation is **structural**, not caller-driven: every analysis run
 //! re-[`bind`](PairStore::bind)s the current context — rules,

@@ -51,8 +51,7 @@ pub fn partition_rules(ctx: &AnalysisContext) -> Vec<Vec<usize>> {
     let n = ctx.len();
     let mut uf = UnionFind::new(n);
     // Union rules sharing a referenced table.
-    let all: Vec<usize> = (0..n).collect();
-    for members in ConflictIndex::build(ctx, &all).table_members() {
+    for members in ConflictIndex::build(ctx).table_members() {
         for pair in members.windows(2) {
             uf.union(pair[0] as usize, pair[1] as usize);
         }

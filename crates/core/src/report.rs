@@ -9,7 +9,7 @@ use starling_sql::json::{digest_json, Json};
 
 use crate::confluence::{analyze_confluence, ConfluenceAnalysis};
 use crate::context::AnalysisContext;
-use crate::observable::{analyze_observable_determinism, ObservableAnalysis};
+use crate::observable::{observable_determinism, ObservableAnalysis};
 use crate::partial::{analyze_partial_confluence, PartialConfluenceAnalysis};
 use crate::termination::{
     analyze_termination, CycleCertificate, TerminationAnalysis, TerminationVerdict,
@@ -45,19 +45,19 @@ impl AnalysisReport {
     /// A report around an already derived termination and confluence half
     /// — the halves [`AnalysisReport::run`] and the incremental analyzer
     /// derive differently. Observable determinism and partial confluence
-    /// are computed here, for both.
+    /// are derived here, for both, by filtering the confluence half.
     pub(crate) fn assemble(
         ctx: &AnalysisContext,
         termination: Arc<TerminationAnalysis>,
         confluence: ConfluenceAnalysis,
         protect: &[Vec<String>],
     ) -> Self {
-        let observable = analyze_observable_determinism(ctx);
+        let observable = observable_determinism(ctx, &confluence);
         let partial = protect
             .iter()
             .map(|tables| {
                 let refs: Vec<&str> = tables.iter().map(String::as_str).collect();
-                analyze_partial_confluence(ctx, &refs)
+                analyze_partial_confluence(ctx, &confluence, &refs)
             })
             .collect();
         AnalysisReport {

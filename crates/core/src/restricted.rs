@@ -8,10 +8,13 @@
 //! allowed operation, closed under the `Triggers` relation. Properties are
 //! then analyzed over the reachable subset — which "may guarantee
 //! properties that otherwise do not hold".
+//!
+//! Their Confluence Requirements filter the whole rule set's
+//! [`ConfluenceAnalysis`], as §7's does.
 
 use starling_storage::Op;
 
-use crate::confluence::{analyze_confluence_of, ConfluenceAnalysis};
+use crate::confluence::ConfluenceAnalysis;
 use crate::context::AnalysisContext;
 use crate::observable::{observable_determinism_of, ObservableAnalysis};
 use crate::termination::{analyze_termination_indexed, TerminationAnalysis};
@@ -56,21 +59,23 @@ impl RestrictedAnalysis {
 }
 
 /// Runs all three analyses restricted to user transitions built from
-/// `allowed` operations.
-pub fn analyze_restricted(ctx: &AnalysisContext, allowed: &[Op]) -> RestrictedAnalysis {
+/// `allowed` operations, given the rule set's confluence analysis.
+pub fn analyze_restricted(
+    ctx: &AnalysisContext,
+    confluence: &ConfluenceAnalysis,
+    allowed: &[Op],
+) -> RestrictedAnalysis {
     let reach = reachable_rules(ctx, allowed);
 
     let sub = TriggeringGraph::of_rules(ctx, &reach);
     let termination = analyze_termination_indexed(ctx, sub, Some(&reach), false);
-    let confluence = analyze_confluence_of(ctx, &reach);
-    let observable = observable_determinism_of(ctx, &reach);
 
     RestrictedAnalysis {
         allowed: allowed.iter().map(Op::to_string).collect(),
         reachable: reach.iter().map(|&i| ctx.name(i).to_owned()).collect(),
         termination,
-        confluence,
-        observable,
+        confluence: confluence.within(ctx, &reach),
+        observable: observable_determinism_of(ctx, confluence, &reach),
     }
 }
 
@@ -81,6 +86,10 @@ mod tests {
     use crate::context::tests::ctx_from;
 
     const TABLES: &[(&str, &[&str])] = &[("t", &["x"]), ("u", &["x"]), ("v", &["x"])];
+
+    fn restricted(ctx: &AnalysisContext, allowed: &[Op]) -> RestrictedAnalysis {
+        analyze_restricted(ctx, &crate::confluence::analyze_confluence(ctx), allowed)
+    }
 
     const SRC: &str = "create rule ping on t when inserted then insert into u values (1) end;
          create rule pong on u when inserted then insert into t values (1) end;
@@ -108,7 +117,7 @@ mod tests {
         assert!(!full.is_guaranteed());
         // Restricted to deletes from v: only `quiet` is reachable; the
         // cycle is unreachable and termination is guaranteed.
-        let a = analyze_restricted(&c, &[Op::Delete("v".into())]);
+        let a = restricted(&c, &[Op::Delete("v".into())]);
         assert_eq!(a.reachable, vec!["quiet"]);
         assert!(a.termination.is_guaranteed());
         assert!(a.all_guaranteed());
@@ -117,7 +126,7 @@ mod tests {
     #[test]
     fn restriction_does_not_hide_reachable_cycles() {
         let c = ctx_from(SRC, TABLES, Certifications::new());
-        let a = analyze_restricted(&c, &[Op::Insert("t".into())]);
+        let a = restricted(&c, &[Op::Insert("t".into())]);
         assert_eq!(a.reachable, vec!["ping", "pong"]);
         assert!(!a.termination.is_guaranteed());
     }
@@ -135,7 +144,7 @@ mod tests {
         assert!(!crate::confluence::analyze_confluence(&c).requirement_holds());
         // Restricted to deletes from v: only the single observable rule is
         // reachable — everything holds.
-        let a = analyze_restricted(&c, &[Op::Delete("v".into())]);
+        let a = restricted(&c, &[Op::Delete("v".into())]);
         assert_eq!(a.reachable, vec!["solo"]);
         assert!(a.all_guaranteed());
         assert_eq!(a.observable.observable_rules, vec!["solo"]);

@@ -52,12 +52,12 @@ fn main() {
 
     // 1. Plain analysis: the shard counters are flagged (condition 5).
     let plain = AnalysisContext::from_ruleset(&rules, Certifications::new());
-    let conf = analyze_confluence(&plain);
+    let plain_conf = analyze_confluence(&plain);
     println!(
         "plain analysis: {} confluence violation(s)",
-        conf.violations.len()
+        plain_conf.violations.len()
     );
-    assert!(!conf.requirement_holds());
+    assert!(!plain_conf.requirement_holds());
 
     // 2. The Section 9 refinement proves the shards disjoint; what remains
     //    is the genuine consume/reorder interaction.
@@ -79,7 +79,7 @@ fn main() {
 
     // 4. Restricted user operations: if users only ever delete orders,
     //    nothing is reachable and every property holds.
-    let restricted = analyze_restricted(&plain, &[Op::Delete("orders".to_owned())]);
+    let restricted = analyze_restricted(&plain, &plain_conf, &[Op::Delete("orders".to_owned())]);
     println!(
         "restricted to deletes on orders: reachable = {:?}, all guaranteed = {}",
         restricted.reachable,

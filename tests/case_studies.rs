@@ -100,7 +100,9 @@ fn e4_partial_confluence_on_case_study() {
     certs.certify_terminates("maintain_totals", "idempotent");
     let ctx = AnalysisContext::from_ruleset(&rules, certs);
 
-    let partial = starling::analysis::partial::analyze_partial_confluence(&ctx, &["dept"]);
+    let confluence = starling::analysis::confluence::analyze_confluence(&ctx);
+    let partial =
+        starling::analysis::partial::analyze_partial_confluence(&ctx, &confluence, &["dept"]);
     // Sig(dept) pulls in the totals maintainer and everything that does
     // not commute with it — the verdict is informative either way; what we
     // assert is the machinery: Sig is a subset of all rules containing the

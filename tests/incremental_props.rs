@@ -86,7 +86,7 @@ fn incremental_matches_scratch_sparse_programs() {
 /// the conflict index's candidates. Returns how many such pairs there were.
 fn assert_candidates_cover(ctx: &AnalysisContext, what: &str) -> usize {
     let all: Vec<usize> = (0..ctx.len()).collect();
-    let candidates = ctx.candidate_pairs(&all);
+    let candidates = ctx.candidate_pairs();
     assert!(candidates.windows(2).all(|w| w[0] < w[1]), "{what}: order");
     let mut flagged = 0;
     for (i, j) in ctx.dense_pairs(&all) {

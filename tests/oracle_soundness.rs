@@ -19,7 +19,7 @@
 use starling::analysis::certifications::Certifications;
 use starling::analysis::confluence::analyze_confluence;
 use starling::analysis::context::AnalysisContext;
-use starling::analysis::observable::analyze_observable_determinism;
+use starling::analysis::observable::observable_determinism;
 use starling::analysis::partial::analyze_partial_confluence;
 use starling::analysis::termination::{analyze_termination, TerminationVerdict};
 use starling::engine::{explore_from_ops, ExploreConfig, RuleSet, Verdict};
@@ -68,7 +68,7 @@ fn static_guarantees_hold_on_the_oracle() {
 
         let term = analyze_termination(&ctx);
         let conf = analyze_confluence(&ctx);
-        let obs = analyze_observable_determinism(&ctx);
+        let obs = observable_determinism(&ctx, &conf);
         let term_ok = term.verdict == TerminationVerdict::Guaranteed;
         let conf_ok = conf.requirement_holds() && term.is_guaranteed();
         let obs_ok = obs.is_guaranteed();
@@ -79,7 +79,7 @@ fn static_guarantees_hold_on_the_oracle() {
             .tables
             .iter()
             .map(|t| t.name.as_str())
-            .filter(|t| analyze_partial_confluence(&ctx, &[t]).is_guaranteed())
+            .filter(|t| analyze_partial_confluence(&ctx, &conf, &[t]).is_guaranteed())
             .collect();
         stats.partial_guaranteed += partial_ok.len();
 

@@ -30,8 +30,7 @@ fn cold_counts(rules: usize) -> (u64, u64) {
     // A visited pair asks for each verdict of its closure product once, and
     // for the reasons of each violation: nothing else may miss.
     let ctx = AnalysisContext::from_ruleset(&rs, certs);
-    let all: Vec<usize> = (0..rules).collect();
-    let candidates = ctx.candidate_pairs(&all);
+    let candidates = ctx.candidate_pairs();
     assert_eq!(stats.last_rechecked_pairs, candidates.len() as u64);
     let products: usize = candidates
         .iter()
