@@ -114,9 +114,10 @@ impl fmt::Display for NoncommutativityReason {
 }
 
 /// One fired condition of Lemma 6.1 for a direction `a`-affects-`b`, still
-/// borrowing from the signatures: the boolean verdict never pays for the
-/// names and rendered operations a [`NoncommutativityReason`] owns.
-enum Fired<'a> {
+/// borrowing from the signatures: the boolean verdict and the Section 9
+/// refinement never pay for the names and rendered operations a
+/// [`NoncommutativityReason`] owns.
+pub(crate) enum Fired<'a> {
     Triggers,
     Untriggers,
     InsertMasksDelete(&'a str),
@@ -127,10 +128,12 @@ enum Fired<'a> {
 
 /// Lemma 6.1 for the (ordered) direction `a`-affects-`b`: hands every
 /// condition that fires to `fired`, in the order they are reported, until
-/// it breaks. This is the one body of the lemma — [`may_not_commute`]
-/// breaks at the first condition, [`noncommutativity_reasons`] collects
-/// them all — so the verdict and its explanation cannot drift.
-fn directed_conditions<'a>(
+/// it breaks. This is the one body of the lemma, with three consumers —
+/// [`may_not_commute`] breaks at the first condition, the refinement
+/// ([`crate::refine`]) at the first it cannot discharge, and
+/// [`noncommutativity_reasons`] collects them all for a report — so the
+/// verdict and its explanation cannot drift.
+pub(crate) fn directed_conditions<'a>(
     a: &'a RuleSignature,
     b: &'a RuleSignature,
     with_masking: bool,
@@ -291,7 +294,9 @@ pub fn commutes(a: &RuleSignature, b: &RuleSignature, certs: &Certifications) ->
 /// significant-rule set): each Lemma
 /// 6.1 derivation runs at most once per store binding, and — unlike the old
 /// per-context cache — survives into the next analysis when the bind-time
-/// diff proves the pair unaffected.
+/// diff proves the pair unaffected. The store keeps verdicts only: a
+/// violation derives its reasons from the two signatures when a report
+/// shows them ([`crate::ConfluenceViolation::reasons`]).
 pub fn commutes_idx(ctx: &AnalysisContext, i: usize, j: usize) -> bool {
     if i == j {
         return true;
@@ -312,27 +317,9 @@ pub(crate) fn commutes_idx_uncached(ctx: &AnalysisContext, i: usize, j: usize) -
         return true;
     }
     if ctx.refine {
-        let reasons = noncommutativity_reasons(&ctx.sigs[i], &ctx.sigs[j]);
-        return crate::refine::refine_reasons(ctx, i, j, reasons).is_empty();
+        return crate::refine::discharges_all(ctx, i, j);
     }
     false
-}
-
-/// [`noncommutativity_reasons`] over context indices, memoized per ordered
-/// pair (the reported direction matters for display, so `(i, j)` and
-/// `(j, i)` cache separately).
-pub fn noncommutativity_reasons_idx(
-    ctx: &AnalysisContext,
-    i: usize,
-    j: usize,
-) -> Vec<NoncommutativityReason> {
-    let (a, b) = (ctx.sid(i), ctx.sid(j));
-    if let Some(hit) = ctx.pair_store().reasons(a, b) {
-        return hit;
-    }
-    let reasons = noncommutativity_reasons(&ctx.sigs[i], &ctx.sigs[j]);
-    ctx.pair_store().set_reasons(a, b, reasons.clone());
-    reasons
 }
 
 /// Computes the missing verdicts of `pairs` (rule-index pairs: a sweep's
@@ -543,7 +530,7 @@ mod tests {
             .any(|r| matches!(r, NoncommutativityReason::WriteRead { .. })));
     }
 
-    /// The memoized index-level queries agree with the signature-level
+    /// The memoized index-level verdicts agree with the signature-level
     /// ground truth on every pair, on first and repeated queries.
     #[test]
     fn memoized_pair_results_match_ground_truth() {
@@ -560,11 +547,6 @@ mod tests {
                     assert_eq!(
                         commutes_idx(&ctx, i, j),
                         commutes(&ctx.sigs[i], &ctx.sigs[j], &ctx.certs),
-                        "pair ({i}, {j})"
-                    );
-                    assert_eq!(
-                        noncommutativity_reasons_idx(&ctx, i, j),
-                        noncommutativity_reasons(&ctx.sigs[i], &ctx.sigs[j]),
                         "pair ({i}, {j})"
                     );
                 }

@@ -16,8 +16,11 @@
 //! renders its §6.4 remedies (certify commutativity, or order the pair).
 
 use std::collections::HashSet;
+use std::sync::Arc;
 
-use crate::commutativity::{commutes_idx, noncommutativity_reasons_idx, NoncommutativityReason};
+use starling_sql::RuleSignature;
+
+use crate::commutativity::{commutes_idx, noncommutativity_reasons, NoncommutativityReason};
 use crate::context::AnalysisContext;
 
 /// The Definition 6.5 closure for one unordered pair.
@@ -117,29 +120,37 @@ pub fn check_pair(
             if commutes_idx(ctx, r1, r2) {
                 continue;
             }
-            let reasons = noncommutativity_reasons_idx(ctx, r1, r2);
             violations.push(ConfluenceViolation {
                 pair: (ctx.name(i).to_owned(), ctx.name(j).to_owned()),
                 conflict: (ctx.name(r1).to_owned(), ctx.name(r2).to_owned()),
-                reasons,
+                sigs: (Arc::clone(&ctx.sigs[r1]), Arc::clone(&ctx.sigs[r2])),
             });
         }
     }
     (cl, violations)
 }
 
-/// One violation of the Confluence Requirement.
+/// One violation of the Confluence Requirement: the rules it isolates,
+/// not its reasons, which [`Self::reasons`] derives when a report shows
+/// them.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ConfluenceViolation {
     /// The generating unordered pair (names).
     pub pair: (String, String),
     /// The non-commuting rules found in `R1 × R2` (names).
     pub conflict: (String, String),
-    /// The Lemma 6.1 conditions that fired.
-    pub reasons: Vec<NoncommutativityReason>,
+    /// The conflict's two signatures, shared with the context.
+    sigs: (Arc<RuleSignature>, Arc<RuleSignature>),
 }
 
 impl ConfluenceViolation {
+    /// The Lemma 6.1 conditions that fire for the conflict, as written:
+    /// the unrefined conditions, even when the Section 9 refinement
+    /// decided the verdict.
+    pub fn reasons(&self) -> Vec<NoncommutativityReason> {
+        noncommutativity_reasons(&self.sigs.0, &self.sigs.1)
+    }
+
     /// The §6.4 remedies, human-readable: certify the conflict, or order
     /// the generating pair. Approach 3 (removing orderings) is deliberately
     /// omitted — the paper shows it is "non-intuitive and in fact useless".

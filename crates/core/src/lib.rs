@@ -80,8 +80,7 @@ pub mod triggering_graph;
 pub use certifications::Certifications;
 pub use commutativity::{
     commutes, commutes_idx, may_not_commute, may_not_commute_lemma61, noncommutativity_reasons,
-    noncommutativity_reasons_idx, noncommutativity_reasons_lemma61, prewarm_pairs,
-    NoncommutativityReason,
+    noncommutativity_reasons_lemma61, prewarm_pairs, NoncommutativityReason,
 };
 pub use confluence::{ConfluenceAnalysis, ConfluenceVerdict, ConfluenceViolation};
 pub use context::AnalysisContext;
@@ -91,7 +90,7 @@ pub use loader::{load_script, LoadedScript};
 pub use observable::ObservableAnalysis;
 pub use pair_store::{BindOutcome, PairStore, PairStoreStats};
 pub use partial::{check_protected_tables, significant_rules, PartialConfluenceAnalysis};
-pub use refine::{predicates_disjoint, refine_reasons};
+pub use refine::predicates_disjoint;
 pub use report::explore_json;
 pub use report::AnalysisReport;
 pub use termination::{CycleCertificate, TerminationAnalysis, TerminationVerdict};

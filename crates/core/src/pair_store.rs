@@ -7,9 +7,12 @@
 //! identity**: rule names are interned to stable u32 ids, and Lemma 6.1
 //! verdicts live in two dense triangular bitmaps (known-bit + value-bit,
 //! two bits per pair — ~12.5 MB at 10k rules, where a `HashMap` of 50M pair
-//! entries would be gigabytes). Noncommutativity *reasons* are only
-//! materialized for pairs that actually conflict, so they stay in a sparse
-//! map. Every verdict is about the rules as written: §7, §8's `Obs`
+//! entries would be gigabytes). It keeps verdicts only: a violation
+//! derives its noncommutativity *reasons* from the conflict's two
+//! signatures when a report shows them
+//! ([`crate::ConfluenceViolation::reasons`]), and the refinement reads
+//! Lemma 6.1's typed conditions, not stored ones. Every verdict is about
+//! the rules as written: §7, §8's `Obs`
 //! reduction and restricted analysis ask the store nothing of their own —
 //! they filter the confluence analysis its verdicts built (see
 //! [`crate::observable`]); only their `Sig` closures read verdicts.
@@ -19,8 +22,8 @@
 //! certifications, refinement flag — and the store diffs it against what
 //! it last saw:
 //!
-//! * a changed rule invalidates exactly the O(n) pairs that mention it —
-//!   verdicts *and* its reason entries. A rule's identity is its body
+//! * a changed rule invalidates exactly the O(n) verdicts that mention
+//!   it. A rule's identity is its body
 //!   handle (`Arc<RuleBody>`: everything but the orderings), which the
 //!   definitions, the rule set compiled from them and the context all
 //!   share. The store keeps the body handle of each rule of the previous
@@ -32,10 +35,9 @@
 //!   because the refinement and the §5 termination special cases read the
 //!   body;
 //! * a commute-certification added or revoked invalidates exactly that
-//!   pair's verdict (reasons are certification-independent);
+//!   pair's verdict;
 //! * toggling the Section 9 predicate-level refinement invalidates every
-//!   verdict but keeps the reason entries (in Starling, reasons are the
-//!   raw Lemma 6.1 conditions; refinement only affects whether they are
+//!   verdict (the refinement decides which Lemma 6.1 conditions are
 //!   *discharged*, i.e. the verdict);
 //! * priority edits invalidate **nothing here** — Lemma 6.1 is
 //!   priority-independent; ordering-dependent state (which pairs are
@@ -57,7 +59,6 @@ use starling_sql::{RuleBody, RuleSignature};
 use starling_storage::{Catalog, ColRef, Fnv64, Op};
 
 use crate::certifications::Certifications;
-use crate::commutativity::NoncommutativityReason;
 use crate::context::AnalysisContext;
 
 /// Flat index of the unordered pair `{a, b}` (`a < b`) in the triangular
@@ -154,7 +155,7 @@ impl BindOutcome {
 /// Cumulative counters, reported per session by the server's `stats` op.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PairStoreStats {
-    /// Verdict/reason lookups answered from the store.
+    /// Verdict lookups answered from the store.
     pub hits: u64,
     /// Lookups that had to compute (and then stored the result).
     pub misses: u64,
@@ -176,9 +177,6 @@ struct Inner {
     known: Vec<u64>,
     /// Triangular bitmap: the verdict itself (valid where `known`).
     verdicts: Vec<u64>,
-    /// Raw Lemma 6.1 reasons, keyed by **directional** `(a, b)` store ids
-    /// (the reported direction matters for display).
-    reasons: HashMap<(u32, u32), Vec<NoncommutativityReason>>,
     /// The certifications of the previous bind (a clone shares their sets).
     last_certs: Certifications,
     refine: bool,
@@ -194,8 +192,8 @@ impl Inner {
         }
     }
 
-    /// Clears every cached verdict and reason entry mentioning `sid`.
-    /// Returns how many verdicts were dropped.
+    /// Clears every cached verdict mentioning `sid`. Returns how many
+    /// were dropped.
     fn clear_rule(&mut self, sid: u32) -> u64 {
         let cap = self.fps.len();
         let s = sid as usize;
@@ -214,7 +212,6 @@ impl Inner {
         for b in (s + 1)..cap {
             cleared += drop_pair(&mut self.known, tri(s, b));
         }
-        self.reasons.retain(|k, _| k.0 != sid && k.1 != sid);
         cleared
     }
 }
@@ -370,27 +367,6 @@ impl PairStore {
             .fetch_add(entries.len() as u64, Ordering::Relaxed);
     }
 
-    /// Cached raw reasons for the **directional** pair `(a, b)`.
-    pub(crate) fn reasons(&self, a: u32, b: u32) -> Option<Vec<NoncommutativityReason>> {
-        let inner = self.inner.read().expect("pair store poisoned");
-        match inner.reasons.get(&(a, b)) {
-            Some(rs) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(rs.clone())
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
-    /// Stores freshly computed reasons for the directional pair `(a, b)`.
-    pub(crate) fn set_reasons(&self, a: u32, b: u32, rs: Vec<NoncommutativityReason>) {
-        let inner = &mut *self.inner.write().expect("pair store poisoned");
-        inner.reasons.insert((a, b), rs);
-    }
-
     /// A point-in-time copy of the known-bits bitmap, for lock-free probing
     /// during the parallel sweep.
     pub(crate) fn known_snapshot(&self) -> KnownSnapshot {
@@ -469,7 +445,6 @@ mod tests {
         store.set_verdict(0, 1, false);
         store.set_verdict(0, 2, true);
         store.set_verdict(1, 2, true);
-        store.set_reasons(1, 2, Vec::new());
         // Redefine rule c (sid 2) with another constant: its signature is
         // the same, but its two pairs drop; pair (a, b) survives.
         let redefined = THREE.replace("values (1)", "values (2)");
@@ -484,7 +459,6 @@ mod tests {
         assert_eq!(store.verdict(0, 1), Some(false));
         assert_eq!(store.verdict(0, 2), None);
         assert_eq!(store.verdict(1, 2), None);
-        assert_eq!(store.reasons(1, 2), None);
         assert_eq!(store.stats().invalidations, 2);
     }
 
@@ -536,16 +510,14 @@ mod tests {
     }
 
     #[test]
-    fn refine_flip_drops_verdicts_keeps_reasons() {
+    fn refine_flip_drops_every_verdict() {
         let store = PairStore::new();
         let ctx = three();
         store.bind(&ctx);
         store.set_verdict(0, 1, false);
-        store.set_reasons(0, 1, Vec::new());
         let out = store.bind(&ctx.with_refinement());
         assert!(out.refine_flipped);
         assert_eq!(store.verdict(0, 1), None);
-        assert_eq!(store.reasons(0, 1), Some(Vec::new()));
         assert!(store.stats().invalidations >= 1);
         assert!(store.stats().epoch >= 2);
     }

@@ -176,7 +176,7 @@ fn confluence_json(c: &ConfluenceAnalysis) -> Json {
                     ),
                     (
                         "reasons",
-                        Json::arr(v.reasons.iter().map(|r| Json::from(r.to_string()))),
+                        Json::arr(v.reasons().iter().map(|r| Json::from(r.to_string()))),
                     ),
                     ("suggestions", Json::arr(v.suggestions().map(Json::from))),
                 ])
@@ -365,7 +365,7 @@ impl fmt::Display for AnalysisReport {
                     "  pair ({}, {}): `{}` and `{}` do not commute",
                     v.pair.0, v.pair.1, v.conflict.0, v.conflict.1
                 )?;
-                for r in &v.reasons {
+                for r in v.reasons() {
                     writeln!(f, "    - {r}")?;
                 }
                 for s in v.suggestions() {

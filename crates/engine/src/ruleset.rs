@@ -122,7 +122,7 @@ impl RuleSet {
         let catalog = defs
             .iter()
             .find_map(|d| d.signed_catalog())
-            .filter(|signed| **signed == *catalog)
+            .filter(|signed| std::ptr::eq(&**signed, catalog) || **signed == *catalog)
             .unwrap_or_else(|| Arc::new(catalog.clone()));
         let mut by_name = BTreeMap::new();
         for (i, def) in defs.iter().enumerate() {

@@ -10,8 +10,8 @@ use std::sync::Arc;
 
 use starling_sql::ast::{Directive, Statement};
 use starling_sql::eval::{ActionOutcome, ResultSet};
+use starling_sql::parse_script;
 use starling_sql::validate::validate_dml;
-use starling_sql::{parse_script, RuleSignature};
 use starling_storage::wal::{SyncPolicy, WalStore};
 use starling_storage::Database;
 
@@ -323,8 +323,10 @@ impl Session {
                 Ok(ScriptOutput::TableCreated(ct.schema.name.clone()))
             }
             Statement::CreateRule(def) => {
-                // Validate eagerly so errors surface at definition time.
-                RuleSignature::of_rule(def, self.state.db.catalog())?;
+                // Validate eagerly so errors surface at definition time,
+                // through the body's signature memo: the next compile
+                // against this catalog reuses the signature.
+                def.body().signature(self.state.db.shared_catalog())?;
                 self.edit_rules().create_rule(def.clone())?;
                 Ok(ScriptOutput::RuleCreated(def.name.clone()))
             }
@@ -497,6 +499,50 @@ mod tests {
     use crate::strategy::FirstEligible;
 
     use super::*;
+
+    /// `execute` validates a rule through its body's signature memo,
+    /// against the database's own catalog handle, so the compile that
+    /// follows adopts that handle and derives no signature again.
+    #[test]
+    fn a_defined_rule_is_signed_once() {
+        let mut s = Session::new();
+        s.execute_script(
+            "create table t (x int);
+             create table u (x int);
+             create rule a on t when inserted then insert into u select x from inserted end;
+             create rule b on u when inserted then delete from t where x > 1 end;",
+        )
+        .unwrap();
+        let memos: Vec<_> = s
+            .rule_defs()
+            .iter()
+            .map(|d| {
+                let signed = d.signed_catalog().expect("signed where it was defined");
+                assert!(Arc::ptr_eq(&signed, s.db().shared_catalog()));
+                d.signature(&signed).unwrap()
+            })
+            .collect();
+        let rules = s.ruleset().unwrap();
+        assert_eq!(rules.len(), 2);
+        for (rule, memo) in rules.rules().iter().zip(&memos) {
+            assert!(
+                Arc::ptr_eq(&rule.sig, memo),
+                "`{}` signed twice",
+                rule.body.name
+            );
+        }
+        // A refused rule still fails where it is defined, with the same
+        // message.
+        let err = s
+            .execute_script("create rule r on t when updated(nope) then delete from t end")
+            .unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("rule `r`: `updated(nope)` names no column of `t`"),
+            "{err}"
+        );
+        assert_eq!(s.rule_defs().len(), 2);
+    }
 
     #[test]
     fn script_end_to_end() {

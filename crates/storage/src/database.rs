@@ -100,6 +100,13 @@ impl Database {
         &self.catalog
     }
 
+    /// The catalog as a shared handle: a rule body validated against it
+    /// memoizes its signature under this handle, which the next rule-set
+    /// compile adopts.
+    pub fn shared_catalog(&self) -> &Arc<Catalog> {
+        &self.catalog
+    }
+
     /// Creates a table from a schema.
     pub fn create_table(&mut self, schema: TableSchema) -> Result<(), StorageError> {
         Arc::make_mut(&mut self.catalog).add_table(schema.clone())?;

@@ -139,7 +139,7 @@ fn unoriented(vs: &[ConfluenceViolation]) -> BTreeSet<Unoriented> {
     let set = |(a, b): &(String, String)| BTreeSet::from([a.clone(), b.clone()]);
     vs.iter()
         .map(|v| {
-            let reasons = v.reasons.iter().map(ToString::to_string).collect();
+            let reasons = v.reasons().iter().map(ToString::to_string).collect();
             (set(&v.pair), set(&v.conflict), reasons)
         })
         .collect()

@@ -1,6 +1,8 @@
 //! The Section 9 predicate-level refinement: the two examples the paper
-//! gives after Lemma 6.1, verified end-to-end — the refined analysis
-//! accepts the rule sets, and the exhaustive oracle confirms confluence.
+//! gives after Lemma 6.1 and condition 3's update side, verified
+//! end-to-end — the refined analysis accepts the rule sets, and the
+//! exhaustive oracle confirms confluence — with negative controls. Every
+//! case creates its two rules in both orders.
 
 use starling::analysis::certifications::Certifications;
 use starling::analysis::confluence::analyze_confluence;
@@ -8,20 +10,42 @@ use starling::analysis::context::AnalysisContext;
 use starling::prelude::*;
 use starling::sql::ast::Statement;
 
-fn build(setup: &str, rules_src: &str) -> (Database, RuleSet) {
+/// The setup's database and the two rules compiled in both creation
+/// orders, so each discharge is tested with the writer as `i` and as `j`.
+fn both_orders(setup: &str, rules: [&str; 2]) -> [(Database, RuleSet); 2] {
     let mut session = Session::new();
     session.execute_script(setup).unwrap();
     session.commit(&mut FirstEligible).unwrap();
-    let defs: Vec<_> = starling::sql::parse_script(rules_src)
+    let [a, b] = rules;
+    [[a, b], [b, a]].map(|order| {
+        let defs: Vec<_> = starling::sql::parse_script(&order.join(";\n"))
+            .unwrap()
+            .into_iter()
+            .filter_map(|s| match s {
+                Statement::CreateRule(r) => Some(r),
+                _ => None,
+            })
+            .collect();
+        let rules = RuleSet::compile(&defs, session.db().catalog()).unwrap();
+        (session.db().clone(), rules)
+    })
+}
+
+/// Whether the refined analysis accepts `rules`, after checking that the
+/// paper-exact one does not.
+fn refined_requirement_holds(rules: &RuleSet) -> bool {
+    let plain = AnalysisContext::from_ruleset(rules, Certifications::new());
+    assert!(!analyze_confluence(&plain).requirement_holds());
+    let refined = AnalysisContext::from_ruleset(rules, Certifications::new()).with_refinement();
+    analyze_confluence(&refined).requirement_holds()
+}
+
+/// Whether the exhaustive execution graph of `user_src` has one final
+/// state.
+fn explored_confluent(db: &Database, rules: &RuleSet, user_src: &str) -> Option<bool> {
+    explore(rules, db, &user(user_src), &ExploreConfig::default())
         .unwrap()
-        .into_iter()
-        .filter_map(|s| match s {
-            Statement::CreateRule(r) => Some(r),
-            _ => None,
-        })
-        .collect();
-    let rules = RuleSet::compile(&defs, session.db().catalog()).unwrap();
-    (session.db().clone(), rules)
+        .confluent()
 }
 
 fn user(src: &str) -> Vec<starling::sql::ast::Action> {
@@ -36,7 +60,9 @@ fn user(src: &str) -> Vec<starling::sql::ast::Action> {
 }
 
 /// Paper example 2: "r_i and r_j update the same table but never the same
-/// tuples" (disjoint key ranges).
+/// tuples" (disjoint key ranges). Paper-exact, condition 5 fires (both
+/// update shard.v); refined, the WHERE clauses k = 1 / k = 2 are provably
+/// disjoint — the pair commutes, and the oracle agrees.
 #[test]
 fn disjoint_updates_refined_and_oracle_confirmed() {
     let setup = "
@@ -45,37 +71,50 @@ fn disjoint_updates_refined_and_oracle_confirmed() {
         insert into shard values (1, 0);
         insert into shard values (2, 0);
     ";
-    let rules_src = "
-        create rule low on t when inserted
-        then update shard set v = 10 where k = 1 end;
-        create rule high on t when inserted
-        then update shard set v = 20 where k = 2 end;
+    let rules = [
+        "create rule low on t when inserted
+         then update shard set v = 10 where k = 1 end",
+        "create rule high on t when inserted
+         then update shard set v = 20 where k = 2 end",
+    ];
+    for (db, rules) in both_orders(setup, rules) {
+        assert!(refined_requirement_holds(&rules));
+        assert_eq!(
+            explored_confluent(&db, &rules, "insert into t values (1)"),
+            Some(true)
+        );
+    }
+}
+
+/// Condition 3 with an update on the writer's side (the disjoint-shards
+/// pattern): `tag` writes `shard.v`, which `sweep`'s predicate reads, but
+/// only on rows `sweep` never selects.
+#[test]
+fn disjoint_update_read_refined_and_oracle_confirmed() {
+    let setup = "
+        create table t (x int);
+        create table shard (k int, v int, w int);
+        insert into shard values (1, 9, 0);
+        insert into shard values (2, 9, 0);
     ";
-    let (db, rules) = build(setup, rules_src);
-
-    // Paper-exact analysis: condition 5 fires (both update shard.v).
-    let plain = AnalysisContext::from_ruleset(&rules, Certifications::new());
-    assert!(!analyze_confluence(&plain).requirement_holds());
-
-    // Refined analysis: the WHERE clauses k = 1 / k = 2 are provably
-    // disjoint — the pair commutes.
-    let refined = AnalysisContext::from_ruleset(&rules, Certifications::new()).with_refinement();
-    let conf = analyze_confluence(&refined);
-    assert!(conf.requirement_holds(), "{:?}", conf.violations);
-
-    // Oracle agreement.
-    let g = explore(
-        &rules,
-        &db,
-        &user("insert into t values (1)"),
-        &ExploreConfig::default(),
-    )
-    .unwrap();
-    assert_eq!(g.confluent(), Some(true));
+    let rules = [
+        "create rule tag on t when inserted
+         then update shard set v = 10 where k = 1 end",
+        "create rule sweep on t when inserted
+         then update shard set w = 1 where k = 2 and v > 5 end",
+    ];
+    for (db, rules) in both_orders(setup, rules) {
+        assert!(refined_requirement_holds(&rules));
+        assert_eq!(
+            explored_confluent(&db, &rules, "insert into t values (1)"),
+            Some(true)
+        );
+    }
 }
 
 /// Paper example 1: "the tuples inserted by r_i never satisfy the delete
-/// condition of r_j".
+/// condition of r_j" — prio = 9 never satisfies prio < 3, so the
+/// refinement discharges condition 4.
 #[test]
 fn insert_outside_delete_predicate_refined() {
     let setup = "
@@ -83,60 +122,44 @@ fn insert_outside_delete_predicate_refined() {
         create table q (prio int, payload int);
         insert into q values (5, 100);
     ";
-    let rules_src = "
-        create rule enqueue on t when inserted
-        then insert into q values (9, 1) end;
-        create rule purge_low on t when inserted
-        then delete from q where prio < 3 end;
-    ";
-    let (db, rules) = build(setup, rules_src);
-
-    let plain = AnalysisContext::from_ruleset(&rules, Certifications::new());
-    assert!(!analyze_confluence(&plain).requirement_holds());
-
-    // prio = 9 never satisfies prio < 3: refinement discharges condition 4.
-    let refined = AnalysisContext::from_ruleset(&rules, Certifications::new()).with_refinement();
-    let conf = analyze_confluence(&refined);
-    assert!(conf.requirement_holds(), "{:?}", conf.violations);
-
-    let g = explore(
-        &rules,
-        &db,
-        &user("insert into t values (1)"),
-        &ExploreConfig::default(),
-    )
-    .unwrap();
-    assert_eq!(g.confluent(), Some(true));
+    let rules = [
+        "create rule enqueue on t when inserted
+         then insert into q values (9, 1) end",
+        "create rule purge_low on t when inserted
+         then delete from q where prio < 3 end",
+    ];
+    for (db, rules) in both_orders(setup, rules) {
+        assert!(refined_requirement_holds(&rules));
+        assert_eq!(
+            explored_confluent(&db, &rules, "insert into t values (1)"),
+            Some(true)
+        );
+    }
 }
 
 /// Negative control: when the insert CAN satisfy the delete predicate, the
 /// refinement must keep the reason — and the oracle indeed shows
-/// non-confluence.
+/// non-confluence: enqueue-then-purge deletes the fresh row;
+/// purge-then-enqueue keeps it.
 #[test]
 fn overlapping_insert_delete_not_refined() {
     let setup = "
         create table t (x int);
         create table q (prio int, payload int);
     ";
-    let rules_src = "
-        create rule enqueue on t when inserted
-        then insert into q values (1, 1) end;
-        create rule purge_low on t when inserted
-        then delete from q where prio < 3 end;
-    ";
-    let (db, rules) = build(setup, rules_src);
-    let refined = AnalysisContext::from_ruleset(&rules, Certifications::new()).with_refinement();
-    assert!(!analyze_confluence(&refined).requirement_holds());
-
-    let g = explore(
-        &rules,
-        &db,
-        &user("insert into t values (1)"),
-        &ExploreConfig::default(),
-    )
-    .unwrap();
-    // enqueue-then-purge deletes the fresh row; purge-then-enqueue keeps it.
-    assert_eq!(g.confluent(), Some(false));
+    let rules = [
+        "create rule enqueue on t when inserted
+         then insert into q values (1, 1) end",
+        "create rule purge_low on t when inserted
+         then delete from q where prio < 3 end",
+    ];
+    for (db, rules) in both_orders(setup, rules) {
+        assert!(!refined_requirement_holds(&rules));
+        assert_eq!(
+            explored_confluent(&db, &rules, "insert into t values (1)"),
+            Some(false)
+        );
+    }
 }
 
 /// Negative control for updates: overlapping ranges stay flagged.
@@ -147,23 +170,43 @@ fn overlapping_updates_not_refined() {
         create table shard (k int, v int);
         insert into shard values (1, 0);
     ";
-    let rules_src = "
-        create rule a on t when inserted
-        then update shard set v = 10 where k < 5 end;
-        create rule b on t when inserted
-        then update shard set v = 20 where k >= 0 end;
+    let rules = [
+        "create rule a on t when inserted
+         then update shard set v = 10 where k < 5 end",
+        "create rule b on t when inserted
+         then update shard set v = 20 where k >= 0 end",
+    ];
+    for (db, rules) in both_orders(setup, rules) {
+        assert!(!refined_requirement_holds(&rules));
+        assert_eq!(
+            explored_confluent(&db, &rules, "insert into t values (1)"),
+            Some(false)
+        );
+    }
+}
+
+/// Negative control for condition 3's update side: the reader's range
+/// overlaps the rows the writer updates, so the reason stays.
+#[test]
+fn overlapping_update_read_not_refined() {
+    let setup = "
+        create table t (x int);
+        create table shard (k int, v int, w int);
+        insert into shard values (1, 0, 0);
     ";
-    let (db, rules) = build(setup, rules_src);
-    let refined = AnalysisContext::from_ruleset(&rules, Certifications::new()).with_refinement();
-    assert!(!analyze_confluence(&refined).requirement_holds());
-    let g = explore(
-        &rules,
-        &db,
-        &user("insert into t values (1)"),
-        &ExploreConfig::default(),
-    )
-    .unwrap();
-    assert_eq!(g.confluent(), Some(false));
+    let rules = [
+        "create rule tag on t when inserted
+         then update shard set v = 10 where k = 1 end",
+        "create rule sweep on t when inserted
+         then update shard set w = 1 where k < 5 and v > 5 end",
+    ];
+    for (db, rules) in both_orders(setup, rules) {
+        assert!(!refined_requirement_holds(&rules));
+        assert_eq!(
+            explored_confluent(&db, &rules, "insert into t values (1)"),
+            Some(false)
+        );
+    }
 }
 
 /// An unguarded update (no WHERE) can never be refined away.
@@ -174,13 +217,13 @@ fn unguarded_update_not_refined() {
         create table shard (k int, v int);
         insert into shard values (1, 0);
     ";
-    let rules_src = "
-        create rule a on t when inserted
-        then update shard set v = 10 where k = 1 end;
-        create rule b on t when inserted
-        then update shard set v = 20 end;
-    ";
-    let (_db, rules) = build(setup, rules_src);
-    let refined = AnalysisContext::from_ruleset(&rules, Certifications::new()).with_refinement();
-    assert!(!analyze_confluence(&refined).requirement_holds());
+    let rules = [
+        "create rule a on t when inserted
+         then update shard set v = 10 where k = 1 end",
+        "create rule b on t when inserted
+         then update shard set v = 20 end",
+    ];
+    for (_db, rules) in both_orders(setup, rules) {
+        assert!(!refined_requirement_holds(&rules));
+    }
 }
