@@ -13,14 +13,17 @@
 //! rendered text parsed afresh against a fresh catalog. Names, signatures,
 //! priority and refusals must be equal, and the warm [`IncrementalAnalysis`]
 //! report on the kept set must equal [`AnalysisReport::run`] on the fresh
-//! one.
+//! one. A hand-built redefinition that changes only a rule's condition is
+//! held to the same warm ≡ fresh equality.
 
 mod rule_exprs;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rule_exprs::mutate_nth;
-use starling_analysis::{AnalysisContext, AnalysisReport, Certifications, IncrementalAnalysis};
+use starling_analysis::{
+    load_script, AnalysisContext, AnalysisReport, Certifications, IncrementalAnalysis,
+};
 use starling_engine::{EngineError, RuleProgram, RuleSet};
 use starling_fuzz::{generate, FuzzCase, GenConfig};
 use starling_sql::ast::Expr;
@@ -331,4 +334,35 @@ fn a_recompile_equals_a_fresh_compile() {
         ill_typed_catalogs > 300 && body_edits > 1_500 && readds > 300,
         "{summary}"
     );
+}
+
+/// A rule redefined with only its `if` condition changed is a changed
+/// rule to a warm analyzer: here the new condition stops reading the table
+/// the other rule inserts into, so the pair commutes, and the warm report
+/// must say so as the from-scratch one does.
+#[test]
+fn a_rule_whose_condition_alone_changed_is_reanalyzed() {
+    let program = |read: &str| {
+        format!(
+            "create table t (x int); create table u (x int); create table v (x int);
+             create rule a on t when inserted if exists (select * from {read})
+             then insert into v values (1) end;
+             create rule b on t when inserted then insert into u values (1) end;"
+        )
+    };
+    let (before, after) = (
+        load_script(&program("u")).unwrap(),
+        load_script(&program("v")).unwrap(),
+    );
+    let certs = Certifications::new();
+    let mut warm = IncrementalAnalysis::sequential();
+    let cold = warm.analyze(&before.rules, &certs, false, &[]);
+    assert!(!cold.confluence.requirement_holds());
+    let fresh = AnalysisReport::run(
+        &AnalysisContext::from_ruleset(&after.rules, certs.clone()),
+        &[],
+    );
+    assert!(fresh.confluence.requirement_holds());
+    let warm = warm.analyze(&after.rules, &certs, false, &[]);
+    assert_eq!(warm.to_json().to_string(), fresh.to_json().to_string());
 }
